@@ -9,188 +9,37 @@ and checks the privacy guarantee by exhaustive enumeration on small fields.
 """
 
 from .errors import (
-    BadK,
-    BadRoot,
     ConfigInvalid,
-    DimensionMismatch,
-    DuplicateAbscissa,
-    IndivisibleGroups,
-    InsufficientEvaluations,
-    InvalidParams,
-    InverseOfZero,
+    InconsistentArrivals,
     NonConformingField,
-    NoPrimeInInterval,
-    NotATree,
     RampAggError,
     SearchSpaceTooLarge,
-    ThresholdViolation,
     TooManyDropouts,
-    UnknownGroup,
-    ZeroEvaluationPoint,
 )
-from .field import (
-    FieldContext,
-    Polynomial,
-    eval_poly,
-    is_prime,
-    lagrange_coefficients,
-    lagrange_interpolate,
-    select_prime,
-)
-from .harness import (
-    SCHEMA_VERSION,
-    AdversaryView,
-    LoadSummary,
-    OracleSummary,
-    RunConfig,
-    RunReport,
-    check_formulas,
-    collect_adversary_view,
-    correctness_oracle,
-    generate_models,
-    measure_loads,
-    plain_sum,
-    simulate,
-)
+from .harness import RunConfig, RunReport, simulate
 from .privacy import (
-    COUPLING_ALL_EQUAL,
-    COUPLING_INDEPENDENT,
     NOISE_CONSTANT,
     NOISE_UNIFORM,
     PrivacyCase,
     PrivacyResult,
     privacy_bruteforce,
 )
-from .protocol import (
-    BETWEEN_ROUNDS,
-    PRE_INTRA,
-    DropoutPlan,
-    IntraAggregate,
-    InterGroupMessage,
-    MessageRecord,
-    RunResult,
-    Transcript,
-    UserState,
-    UserStatus,
-    derive_seed,
-    run_protocol,
-    server_messages_consistent,
-)
-from .sharing import (
-    Model,
-    ModelPartition,
-    NoiseBlock,
-    Share,
-    SharePolynomial,
-    make_share_poly,
-    partition_model,
-    recover_aggregate,
-    sample_noise,
-    share_at,
-    sum_vectors,
-    unpartition,
-    validate_entries,
-)
-from .topology import (
-    SERVER,
-    AggregationTree,
-    DelayModel,
-    ProtocolParams,
-    UserId,
-    assign_groups,
-    build_tree,
-    count_edges,
-    make_params,
-    potential_links,
-    total_delay,
-)
-from .verify import CheckResult, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversaryView",
-    "AggregationTree",
-    "BETWEEN_ROUNDS",
-    "BadK",
-    "BadRoot",
-    "COUPLING_ALL_EQUAL",
-    "COUPLING_INDEPENDENT",
-    "CheckResult",
     "ConfigInvalid",
-    "DelayModel",
-    "DimensionMismatch",
-    "DropoutPlan",
-    "DuplicateAbscissa",
-    "FieldContext",
-    "IndivisibleGroups",
-    "InsufficientEvaluations",
-    "InterGroupMessage",
-    "IntraAggregate",
-    "InvalidParams",
-    "InverseOfZero",
-    "LoadSummary",
-    "MessageRecord",
-    "Model",
-    "ModelPartition",
+    "InconsistentArrivals",
     "NOISE_CONSTANT",
     "NOISE_UNIFORM",
-    "NoPrimeInInterval",
-    "NoiseBlock",
     "NonConformingField",
-    "NotATree",
-    "OracleSummary",
-    "PRE_INTRA",
-    "Polynomial",
     "PrivacyCase",
     "PrivacyResult",
-    "ProtocolParams",
     "RampAggError",
     "RunConfig",
     "RunReport",
-    "RunResult",
-    "SCHEMA_VERSION",
-    "SERVER",
     "SearchSpaceTooLarge",
-    "Share",
-    "SharePolynomial",
-    "ThresholdViolation",
     "TooManyDropouts",
-    "Transcript",
-    "UnknownGroup",
-    "UserId",
-    "UserState",
-    "UserStatus",
-    "ZeroEvaluationPoint",
-    "assign_groups",
-    "build_tree",
-    "check_formulas",
-    "collect_adversary_view",
-    "correctness_oracle",
-    "count_edges",
-    "derive_seed",
-    "eval_poly",
-    "generate_models",
-    "is_prime",
-    "lagrange_coefficients",
-    "lagrange_interpolate",
-    "make_params",
-    "make_share_poly",
-    "measure_loads",
-    "partition_model",
-    "plain_sum",
-    "potential_links",
-    "privacy_bruteforce",
-    "recover_aggregate",
-    "run_protocol",
-    "run_suite",
-    "sample_noise",
-    "select_prime",
-    "server_messages_consistent",
-    "share_at",
     "simulate",
-    "sum_vectors",
-    "total_delay",
-    "unpartition",
-    "validate_entries",
+    "privacy_bruteforce",
 ]

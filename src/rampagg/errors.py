@@ -12,10 +12,6 @@ class NoPrimeInInterval(RampAggError):
     """No prime exists in the requested half-open interval."""
 
 
-class InverseOfZero(RampAggError):
-    """Multiplicative inverse of zero was requested."""
-
-
 class DuplicateAbscissa(RampAggError):
     """Interpolation points contain a repeated evaluation point."""
 
@@ -27,13 +23,13 @@ class DimensionMismatch(RampAggError):
     """Vectors that must share a length do not."""
 
 
-class ZeroEvaluationPoint(RampAggError):
-    """A share was requested at evaluation point zero, which would leak
-    the first segment directly."""
-
-
 class InsufficientEvaluations(RampAggError):
     """Fewer evaluations supplied than the polynomial degree requires."""
+
+
+class InconsistentArrivals(RampAggError):
+    """An evaluation beyond the K+T that fix the summed polynomial does not
+    lie on it: some arrival was corrupted in transit."""
 
 
 # ---- topology --------------------------------------------------------------

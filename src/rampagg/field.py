@@ -1,22 +1,16 @@
-"""Prime-field arithmetic, dense polynomials, and Lagrange interpolation.
+"""Prime selection, polynomial evaluation and Lagrange interpolation over GF(p).
 
 Field elements are plain integers canonicalized into ``[0, p)``; the modulus
-lives on a :class:`FieldContext` instead of on each element.  The low-level
-helpers (:func:`horner`, :func:`lagrange_coefficients`) restrict themselves to
-``+``, ``*`` and ``%`` on the ordinate side, so batched values (for example
-numpy arrays) flow through them unchanged.  This is what the exhaustive
-privacy checker relies on.
+lives on a :class:`FieldContext` instead of on each element.  The helpers
+(:func:`horner`, :func:`lagrange_coefficients`) restrict themselves to ``+``,
+``*`` and ``%`` on the ordinate side, so batched values (numpy arrays of
+whole coordinate vectors, with or without an enumeration axis) flow through
+them unchanged.
 """
 
 from dataclasses import dataclass
 
-from .errors import DuplicateAbscissa, InverseOfZero, NoPrimeInInterval
-
-# A field element is just an int in [0, p); the context carries p.
-FieldElement = int
-
-#: Degree of the identically-zero polynomial.
-NEG_INFINITY = float("-inf")
+from .errors import DuplicateAbscissa, NoPrimeInInterval
 
 
 def is_prime(n: int) -> bool:
@@ -73,29 +67,6 @@ class FieldContext:
         """ceil(log2 p): bits needed to transmit one field element."""
         return (self.p - 1).bit_length()
 
-    # -- element arithmetic ---------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise InverseOfZero("zero has no multiplicative inverse")
-        return pow(a, -1, self.p)
-
-    def rand(self, rng) -> int:
-        """One uniform field element from a seeded ``random.Random``."""
-        return rng.randrange(self.p)
-
 
 def select_prime(n_users: int, entry_bound: int) -> FieldContext:
     """Pick the canonical modulus for ``n_users`` summands below
@@ -116,39 +87,6 @@ def select_prime(n_users: int, entry_bound: int) -> FieldContext:
     raise NoPrimeInInterval(f"no prime in ({low}, {2 * low}]")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial over GF(p), low-order coefficient first.
-
-    The coefficient tuple is canonical: the trailing coefficient is non-zero
-    unless the polynomial is identically zero, in which case ``coeffs`` is
-    empty and the degree is -inf (a sentinel, never an integer that could
-    slip into arithmetic).
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("trailing coefficient must be non-zero; use from_coeffs")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "Polynomial":
-        """Build a polynomial, trimming trailing zero coefficients."""
-        trimmed = list(coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        return cls(tuple(trimmed))
-
-    @property
-    def degree(self):
-        """Integer degree, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
 def horner(coeffs, x: int, p: int):
     """Evaluate a coefficient sequence (low order first) at ``x`` mod p.
 
@@ -159,11 +97,6 @@ def horner(coeffs, x: int, p: int):
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
-
-
-def eval_poly(ctx: FieldContext, poly: Polynomial, x: int) -> int:
-    """Evaluate ``poly`` at ``x`` in the context's field."""
-    return horner(poly.coeffs, x % ctx.p, ctx.p)
 
 
 def lagrange_coefficients(xs, ys, p: int) -> list:
@@ -205,11 +138,3 @@ def lagrange_coefficients(xs, ys, p: int) -> list:
         for j in range(n):
             out[j] = (out[j] + num[j] * scaled) % p
     return out
-
-
-def lagrange_interpolate(ctx: FieldContext, points) -> Polynomial:
-    """Interpolate integer points [(x, y), ...] into a canonical
-    :class:`Polynomial` over the context's field."""
-    xs = [x for x, _ in points]
-    ys = [y % ctx.p for _, y in points]
-    return Polynomial.from_coeffs(lagrange_coefficients(xs, ys, ctx.p))

@@ -23,10 +23,12 @@ from .protocol import (
     DropoutPlan,
     RunResult,
     Transcript,
+    UserStatus,
     derive_seed,
+    eval_point_for_slot,
     run_protocol,
 )
-from .sharing import Model, validate_entries
+from .sharing import Model, evaluate, validate_entries
 from .topology import (
     AggregationTree,
     DelayModel,
@@ -315,7 +317,7 @@ def simulate(config: RunConfig, models: Optional[Sequence[Model]] = None):
         prime=ctx.p,
         conforming_field=ctx.conforming,
         bits_per_symbol=ctx.bits_per_symbol,
-        aggregate=list(result.aggregate),
+        aggregate=result.aggregate.tolist(),
         included_users=sorted(result.included_users),
         loads=loads,
         total_edges=total,
@@ -365,45 +367,63 @@ def check_formulas(
 
 @dataclass(frozen=True)
 class AdversaryView:
-    """Exactly what a colluding set of users plus the server observe.
+    """Exactly what a colluding set of users plus the server observe, as
+    slices of the run's arrays; each message is an (S, *batch) array.
 
-    Per adversary: the intra shares it received (self excluded; its own
-    data is listed separately), the child messages it received, and its own
-    model and noise.  Plus every message that reached the server, nulls
-    included.  Nothing addressed to anyone else appears.
+    Per adversary: the intra shares it received, by sender slot (its own
+    slot excluded: its own data is listed separately); the partial sums it
+    received from child groups, by child group, with None for an explicit
+    null; and its own coefficient block, K model segments then T noise
+    vectors.  Plus every message that reached the server, by sender, with
+    None for a null.  Nothing addressed to anyone else appears.
     """
 
-    intra_shares: dict  # adversary -> {sender slot -> Share}
-    child_messages: dict  # adversary -> {child group -> InterGroupMessage}
-    server_messages: tuple
-    own_models: dict
-    own_noise: dict
+    intra_shares: dict  # adversary -> {sender slot -> share}
+    child_messages: dict  # adversary -> {child group -> partial sum or None}
+    server_messages: dict  # last-group sender -> partial sum or None
+    own_coeffs: dict  # adversary -> (K+T, S, *batch) block
 
 
 def collect_adversary_view(
     result: RunResult, adversaries: Sequence[int]
 ) -> AdversaryView:
-    """Assemble the view of ``adversaries`` from a finished run."""
+    """Assemble the view of ``adversaries`` from a finished run.  A single
+    user's share is evaluated here, only for the shares the view holds."""
+    size = result.params.group_size
+    status = result.status.tolist()
+    included = result.included_users
+
+    def uplink(u: int):
+        """What non-dropped user ``u`` sent up the tree."""
+        return None if status[u] == UserStatus.SILENCED else result.partials[u]
+
     intra: dict = {}
     child: dict = {}
-    own_models: dict = {}
-    own_noise: dict = {}
     for a in sorted(set(adversaries)):
-        state = result.states[a]
-        intra[a] = {
-            slot: share
-            for slot, share in sorted(state.received_shares.items())
-            if slot != state.uid.slot
+        group, slot = divmod(a, size)
+        members = range(group * size, (group + 1) * size)
+        # a colluder dropped pre_intra received no shares
+        senders = [u for u in members if u != a and u in included and a in included]
+        shares = evaluate(
+            result.coeffs[senders], [eval_point_for_slot(slot)], result.ctx.p, axis=1
+        )
+        intra[a] = {u % size: share[0] for u, share in zip(senders, shares)}
+        kids = result.tree.children_of(group) if status[a] != UserStatus.DROPPED else ()
+        child[a] = {
+            c: uplink(c * size + slot)
+            for c in kids
+            if status[c * size + slot] != UserStatus.DROPPED
         }
-        child[a] = dict(sorted(state.received_child_msgs.items()))
-        own_models[a] = state.model
-        own_noise[a] = state.noise
+    last = result.tree.last_group * size
     return AdversaryView(
         intra_shares=intra,
         child_messages=child,
-        server_messages=tuple(result.server_messages),
-        own_models=own_models,
-        own_noise=own_noise,
+        server_messages={
+            u: uplink(u)
+            for u in range(last, last + size)
+            if status[u] != UserStatus.DROPPED
+        },
+        own_coeffs={a: result.coeffs[a] for a in intra},
     )
 
 
@@ -464,8 +484,14 @@ def correctness_oracle(
             ctx, params, tree, models, plan, master_seed=derive_seed(seed, f"run:{trial}")
         )
         expected = plain_sum(models, result.included_users)
-        if list(result.aggregate) != expected:
+        got = result.aggregate.tolist()
+        if got != expected:
             failures.append(
-                {"trial": trial, "dropped": sorted(dropped), "got": list(result.aggregate), "expected": expected}
+                {
+                    "trial": trial,
+                    "dropped": sorted(dropped),
+                    "got": got,
+                    "expected": expected,
+                }
             )
     return OracleSummary(trials=trials, failures=failures)

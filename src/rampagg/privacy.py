@@ -8,10 +8,10 @@ is supposed to reveal, and (b) the colluders' own models and noise.
 The check is exhaustive, not sampled.  Honest models are enumerated over
 ``model_bound ** (K * #honest)`` assignments and, for each assignment, the
 full honest-noise space is pushed through :func:`rampagg.protocol.run_protocol`
-in one batch: every noise symbol becomes a numpy array holding the whole
-enumeration axis, and the protocol's arithmetic (pure ``+``, ``*``, ``%``)
-carries the batch through unchanged.  The adversary's view is collected by
-the ordinary :func:`collect_adversary_view`; no shadow implementation of the
+in one batch: the noise is one (N, T, S, n_noise) array whose last axis is
+the enumeration, and the round's array arithmetic carries that axis through
+unchanged.  The adversary's view is collected, as array slices, by the
+ordinary :func:`collect_adversary_view`; no shadow implementation of the
 protocol is involved.
 
 Conditional mutual information is then computed by exact counting: within a
@@ -24,7 +24,7 @@ in bits from the same exact counts.
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import SearchSpaceTooLarge
 from .field import FieldContext
 from .harness import AdversaryView, collect_adversary_view
 from .protocol import PRE_INTRA, DropoutPlan, run_protocol
-from .sharing import Model, NoiseBlock
 from .topology import TreeShape, build_tree, make_params
 
 NOISE_UNIFORM = "uniform"
@@ -130,21 +129,17 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
             f"assignments exceeds budget {case.budget}"
         )
 
-    noise_blocks = _build_noise_blocks(case, honest, n_noise)
+    noise = _build_noise(case, honest, n_noise)
 
     # cell key -> list of (view keys, counts) histograms, one per assignment
     cells: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
     for w in itertools.product(range(bound), repeat=k * generators):
         models = _build_models(case, honest, w, generators)
-        result = run_protocol(
-            ctx, params, tree, models, plan, noise_blocks=noise_blocks
-        )
+        result = run_protocol(ctx, params, tree, models, plan, noise=noise)
         view = collect_adversary_view(result, case.adversaries)
         keys = _encode_view(view, p, n_noise)
         uniq, counts = np.unique(keys, return_counts=True)
-        cell = tuple(
-            sum(models[h].entries[coord] for h in honest) % p for coord in range(k)
-        )
+        cell = tuple((models[honest].sum(axis=0) % p).tolist())
         cells.setdefault(cell, []).append((uniq, counts))
 
     exact_zero = True
@@ -169,92 +164,50 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
     )
 
 
-def _build_noise_blocks(
-    case: PrivacyCase, honest: list[int], n_noise: int
-) -> list[NoiseBlock]:
-    """One NoiseBlock per user: enumeration-axis arrays for honest users,
-    fixed constants for colluders and (never-used) dropped users."""
-    p = case.prime
-    blocks: list[NoiseBlock] = []
-    adversaries = set(case.adversaries)
-    digit = 0
-    for u in range(case.n_users):
-        if u in honest:
-            vectors = []
-            for _ in range(case.t_max):
-                if case.noise_mode == NOISE_UNIFORM:
-                    value: Union[int, np.ndarray] = (
-                        np.arange(n_noise, dtype=np.int64) // p**digit
-                    ) % p
-                else:
-                    value = 0
-                vectors.append((value,))
-                digit += 1
-            blocks.append(NoiseBlock(vectors=tuple(vectors), seed_tag="enumerated"))
-        else:
-            noise_value = case.adversary_noise_value if u in adversaries else 0
-            blocks.append(
-                NoiseBlock(
-                    vectors=tuple((noise_value,) for _ in range(case.t_max)),
-                    seed_tag="fixed",
-                )
-            )
-    return blocks
+def _build_noise(case: PrivacyCase, honest: list[int], n_noise: int) -> np.ndarray:
+    """The (N, T, 1, n_noise) noise: honest symbols enumerate GF(p) as the
+    base-p digits of the enumeration index, colluders hold their fixed
+    value, and dropped users (never used) zeros."""
+    noise = np.zeros((case.n_users, case.t_max, 1, n_noise), dtype=np.int64)
+    noise[list(case.adversaries)] = case.adversary_noise_value
+    if case.noise_mode == NOISE_UNIFORM:
+        index = np.arange(n_noise, dtype=np.int64)
+        for digit, (u, j) in enumerate(itertools.product(honest, range(case.t_max))):
+            noise[u, j, 0] = (index // case.prime**digit) % case.prime
+    return noise
 
 
 def _build_models(
     case: PrivacyCase, honest: list[int], w: tuple, generators: int
-) -> list[Model]:
-    """Materialize the model assignment ``w`` (flat, k symbols per generator)."""
-    k = case.k_parts
-    models: list[Model] = []
-    adversaries = set(case.adversaries)
-    position = {h: i for i, h in enumerate(honest)}
-    for u in range(case.n_users):
-        if u in position:
-            gen = 0 if generators == 1 else position[u]
-            models.append(Model(tuple(w[gen * k : (gen + 1) * k])))
-        elif u in adversaries:
-            models.append(Model((case.adversary_model_value,) * k))
-        else:
-            models.append(Model((0,) * k))  # dropped: never shared, any value
+) -> np.ndarray:
+    """The model assignment ``w`` (flat, k symbols per generator) as an
+    (N, K) array; dropped users never share, so any value serves them."""
+    models = np.zeros((case.n_users, case.k_parts), dtype=np.int64)
+    models[list(case.adversaries)] = case.adversary_model_value
+    models[honest] = np.reshape(w, (generators, case.k_parts))
     return models
 
 
 def _encode_view(view: AdversaryView, p: int, n_noise: int) -> np.ndarray:
     """Pack the view's numeric components into one integer key per
-    enumeration point.  Null messages are skipped: with the dropout set
+    enumeration point: the base-p number whose digits are the components,
+    most significant first.  Null messages are skipped: with the dropout set
     fixed, their pattern is constant across the enumeration."""
-    components = []
+    messages = []
     for a in sorted(view.intra_shares):
-        for slot in sorted(view.intra_shares[a]):
-            components.extend(view.intra_shares[a][slot].values)
-        for g in sorted(view.child_messages[a]):
-            msg = view.child_messages[a][g]
-            if msg is not None and not msg.null_flag:
-                components.extend(msg.values)
-    for msg in view.server_messages:
-        if not msg.null_flag:
-            components.extend(msg.values)
-
-    arrays = [
-        np.broadcast_to(np.asarray(c, dtype=np.int64), (n_noise,))
-        for c in components
-    ]
-    if not arrays:
+        messages += [share for _, share in sorted(view.intra_shares[a].items())]
+        messages += [m for _, m in sorted(view.child_messages[a].items()) if m is not None]
+    messages += [m for _, m in sorted(view.server_messages.items()) if m is not None]
+    if not messages:
         return np.zeros(n_noise, dtype=np.int64)
-    if len(arrays) * (p - 1).bit_length() <= 62:
-        key = np.zeros(n_noise, dtype=np.int64)
-        for arr in arrays:
-            key = key * p + arr
-        return key
-    # too wide for an int64: accumulate exact Python-int keys instead.  The
-    # encoding must be stable across calls: histograms from different model
+    digits = np.concatenate(messages)
+    digits = np.broadcast_to(digits.reshape(len(digits), -1), (len(digits), n_noise))
+    # Keys too wide for an int64 are exact Python ints.  Either way the
+    # encoding is stable across calls: histograms from different model
     # assignments are compared key by key.
-    key = np.zeros(n_noise, dtype=object)
-    for arr in arrays:
-        key = key * p + arr
-    return key
+    dtype = np.int64 if len(digits) * (p - 1).bit_length() <= 62 else object
+    weights = np.array([p**e for e in range(len(digits) - 1, -1, -1)], dtype=dtype)
+    return weights @ digits.astype(dtype, copy=False)
 
 
 def _mi_from_histograms(

@@ -1,13 +1,18 @@
 """Single-round aggregation protocol: share, sum in-group, relay up, recover.
 
-The round has three phases.
+A round is one coefficient array of shape (N, K+T, S, *batch) (see
+:mod:`rampagg.sharing`) plus one status code per user, and each of its three
+phases is an array operation.
 
-intra   Every active user evaluates its share polynomial at each slot's
-        evaluation point and sends the result to the user in that slot of
-        its own group (its own slot is computed locally at zero cost).
-        Each user then sums everything it received into one in-group
-        aggregate.  Users that dropped before the round never share; their
-        polynomials are simply absent from the sums, which is equivalent to
+intra   Every active user evaluates its block at each slot's evaluation
+        point and sends the result to the user in that slot of its own group
+        (its own slot is computed locally at zero cost).  Each user then sums
+        everything it received into one in-group aggregate.  By linearity
+        that aggregate is the group's summed blocks evaluated at the
+        receiver's point, so the phase is one masked sum per group and one
+        (size, K+T) Vandermonde product, giving ``intra`` of shape
+        (N, S, *batch).  Users that dropped before the round never share;
+        their blocks are left out of the sums, which is equivalent to
         presuming them zero.
 
 inter   Groups feed their aggregates up the tree, slot to slot: a user adds
@@ -15,12 +20,14 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         group to its own in-group aggregate and forwards the total to the
         matching slot of its parent.  A user missing any child's message
         (the child dropped, or itself sent null) is silenced: it emits an
-        explicit null and stays silent for the rest of the round.
+        explicit null and stays silent for the rest of the round.  One
+        leaves-first fold over the groups, all slots at once, gives what
+        every user forwarded: ``partials`` of shape (N, S, *batch).
 
 server  The last group's users do the same send toward the server.  The
-        server interpolates the K+T-degree-bounded summed polynomial from
-        the non-null arrivals and reads the summed model segments off its
-        low-order coefficients.
+        server interpolates the summed polynomial through K+T non-null
+        arrivals, checks every further arrival against it, and reads the
+        summed model segments off its low-order coefficients.
 
 Senders never know who dropped, so a message addressed to a dropped user is
 still transmitted (it costs the sender symbols) but it is never delivered
@@ -31,33 +38,24 @@ entry at all.
 
 import csv
 import hashlib
-import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from enum import IntEnum
 from random import Random
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import TooManyDropouts
 from .field import FieldContext
 from .sharing import (
     Model,
-    ModelPartition,
-    NoiseBlock,
-    SharePolynomial,
-    make_share_poly,
-    partition_model,
+    evaluate,
+    field_dtype,
+    partition,
     recover_aggregate,
-    sample_noise,
-    share_at,
-    sum_vectors,
+    share_blocks,
 )
-from .topology import (
-    SERVER,
-    AggregationTree,
-    ProtocolParams,
-    UserId,
-    index_of,
-)
+from .topology import SERVER, AggregationTree, ProtocolParams
 
 PHASE_INTRA = "intra"
 PHASE_INTER = "inter"
@@ -72,48 +70,12 @@ def eval_point_for_slot(slot: int) -> int:
     return slot + 1
 
 
-class UserStatus(Enum):
-    ACTIVE = "active"
-    DROPPED = "dropped"
-    SILENCED = "silenced"
+class UserStatus(IntEnum):
+    """A user's state at the end of a round, as stored in ``RunResult.status``."""
 
-
-@dataclass
-class UserState:
-    """Everything one user holds during a run."""
-
-    uid: UserId
-    model: Model
-    partition: ModelPartition
-    noise: NoiseBlock
-    share_poly: SharePolynomial
-    status: UserStatus = UserStatus.ACTIVE
-    received_shares: dict = field(default_factory=dict)  # sender slot -> Share
-    received_child_msgs: dict = field(default_factory=dict)  # child group -> msg
-
-
-@dataclass(frozen=True)
-class IntraAggregate:
-    """One user's sum of the in-group shares it received (own included)."""
-
-    owner: int
-    values: tuple
-
-
-@dataclass(frozen=True)
-class InterGroupMessage:
-    """A partial aggregate moving up the tree, or an explicit null."""
-
-    sender: int
-    receiver: Union[int, str]
-    values: Optional[tuple]
-    null_flag: bool = False
-
-    def __post_init__(self) -> None:
-        if self.null_flag and self.values is not None:
-            raise ValueError("null messages carry no values")
-        if not self.null_flag and self.values is None:
-            raise ValueError("non-null messages must carry values")
+    ACTIVE = 0
+    DROPPED = 1
+    SILENCED = 2
 
 
 @dataclass(frozen=True)
@@ -205,10 +167,6 @@ class Transcript:
         writer.writeheader()
         writer.writerows(self.rows())
 
-    def to_jsonl(self, fp) -> None:
-        for row in self.rows():
-            fp.write(json.dumps(row, sort_keys=True) + "\n")
-
 
 @dataclass(frozen=True)
 class DropoutPlan:
@@ -230,14 +188,31 @@ class DropoutPlan:
 
 @dataclass
 class RunResult:
-    """Outcome of one protocol run."""
+    """Outcome of one protocol run, as arrays indexed by user.
 
-    aggregate: list
+    ``coeffs`` (N, K+T, S, *batch) holds every user's model segments then
+    noise.  ``intra`` (N, S, *batch) holds each user's in-group aggregate.
+    ``partials`` (N, S, *batch) holds the partial sum each user forwarded up
+    the tree; a row is a message only where ``status`` is ACTIVE, and
+    :attr:`null` marks the users that sent an explicit null instead.
+    ``aggregate`` (L, *batch) is the recovered sum.  The run's field, sizing
+    and tree are kept so the arrays can be read without them.
+    """
+
+    aggregate: np.ndarray
     transcript: Transcript
-    states: dict[int, UserState]
-    server_messages: list[InterGroupMessage]
-    intra_aggregates: dict[int, IntraAggregate]
+    coeffs: np.ndarray
+    intra: np.ndarray
+    partials: np.ndarray
+    status: np.ndarray
     included_users: frozenset
+    ctx: FieldContext
+    params: ProtocolParams
+    tree: AggregationTree
+
+    @property
+    def null(self) -> np.ndarray:
+        return self.status == UserStatus.SILENCED
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -246,82 +221,19 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def intra_round(
-    ctx: FieldContext,
-    params: ProtocolParams,
-    group_states: dict[int, UserState],
-    transcript: Transcript,
-) -> dict[int, IntraAggregate]:
-    """Run the in-group exchange for one group.
-
-    ``group_states`` maps slot -> state.  Active users send a share to every
-    slot; the self-addressed share is logged at zero symbols.  Returns the
-    per-slot aggregates of every user that was active to receive them.
-    """
-    size = params.group_size
-    seg_len = params.seg_len
-    active = {t: st for t, st in group_states.items() if st.status == UserStatus.ACTIVE}
-    for t_sender, st in sorted(active.items()):
-        for t_recv in range(size):
-            share = share_at(ctx, st.share_poly, eval_point_for_slot(t_recv))
-            recv_state = group_states[t_recv]
-            if t_recv == t_sender:
-                st.received_shares[t_sender] = share
-                transcript.append(
-                    MessageRecord(
-                        phase=PHASE_INTRA,
-                        sender=st.uid.index,
-                        receiver=st.uid.index,
-                        symbols=0,
-                        null_flag=False,
-                    )
-                )
-                continue
-            delivered = recv_state.status == UserStatus.ACTIVE
-            transcript.append(
-                MessageRecord(
-                    phase=PHASE_INTRA,
-                    sender=st.uid.index,
-                    receiver=recv_state.uid.index,
-                    symbols=seg_len,
-                    null_flag=False,
-                    delivered=delivered,
-                )
-            )
-            if delivered:
-                recv_state.received_shares[t_sender] = share
-    out: dict[int, IntraAggregate] = {}
-    for t, st in sorted(active.items()):
-        shares = [st.received_shares[s].values for s in sorted(st.received_shares)]
-        values = sum_vectors(shares, seg_len, ctx.p)
-        out[t] = IntraAggregate(owner=st.uid.index, values=values)
-    return out
-
-
-def build_inter_message(
-    state: UserState,
-    own_aggregate: Optional[IntraAggregate],
-    child_msgs: dict[int, Optional[InterGroupMessage]],
-    receiver: Union[int, str],
-    p: int,
-) -> InterGroupMessage:
-    """Combine a user's in-group aggregate with its children's partial sums.
-
-    Any absent or null child message silences the user: the returned message
-    is an explicit null and the state flips to SILENCED.
-    """
-    broken = any(m is None or m.null_flag for m in child_msgs.values())
-    if broken or own_aggregate is None:
-        state.status = UserStatus.SILENCED
-        return InterGroupMessage(
-            sender=state.uid.index, receiver=receiver, values=None, null_flag=True
-        )
-    total = own_aggregate.values
-    for child_group in sorted(child_msgs):
-        msg = child_msgs[child_group]
-        assert msg is not None and msg.values is not None
-        total = sum_vectors([total, msg.values], len(total), p)
-    return InterGroupMessage(sender=state.uid.index, receiver=receiver, values=tuple(total))
+def draw_noise(p: int, params: ProtocolParams, master_seed: int) -> np.ndarray:
+    """(N, T, S) uniform noise.  User u's T*S symbols come, in row order,
+    from its own generator seeded with derive_seed(master_seed, "noise:u"):
+    same seed, same noise."""
+    draws = params.t_max * params.seg_len
+    rows = []
+    for u in range(params.n_users):
+        rng = Random(derive_seed(master_seed, f"noise:{u}"))
+        rows.append([rng.randrange(p) for _ in range(draws)])
+    dtype = field_dtype(p, params.k_parts + params.t_max)
+    return np.array(rows, dtype=dtype).reshape(
+        params.n_users, params.t_max, params.seg_len
+    )
 
 
 def run_protocol(
@@ -331,180 +243,159 @@ def run_protocol(
     models: Sequence,
     dropout_plan: Optional[DropoutPlan] = None,
     master_seed: int = 0,
-    noise_blocks: Optional[Sequence[NoiseBlock]] = None,
+    noise=None,
 ) -> RunResult:
     """Execute one full aggregation round deterministically.
 
     ``models`` holds one Model (or raw sequence) per user.  Noise is drawn
-    per user from seeds derived off ``master_seed`` unless explicit
-    ``noise_blocks`` are supplied.  Raises TooManyDropouts when fewer than
+    by :func:`draw_noise` unless an explicit ``noise`` array of shape
+    (N, T, S, *batch) is supplied.  Raises TooManyDropouts when fewer than
     K+T non-null messages reach the server.
     """
     plan = dropout_plan or DropoutPlan.none()
     n = params.n_users
     size = params.group_size
+    seg_len = params.seg_len
+    p = ctx.p
     if tree.num_groups != params.num_groups:
         raise ValueError(
             f"tree has {tree.num_groups} groups, params imply {params.num_groups}"
         )
     if len(models) != n:
         raise ValueError(f"got {len(models)} models for {n} users")
-    if ctx.p <= size:
+    if p <= size:
         raise ValueError(
-            f"modulus {ctx.p} too small for {size} distinct non-zero evaluation points"
+            f"modulus {p} too small for {size} distinct non-zero evaluation points"
         )
     for u in plan.dropped:
         if not 0 <= u < n:
             raise ValueError(f"dropout index {u} outside [0, {n})")
-    if noise_blocks is not None and len(noise_blocks) != n:
-        raise ValueError(f"got {len(noise_blocks)} noise blocks for {n} users")
-
-    pre_dropped = plan.dropped if plan.timing == PRE_INTRA else frozenset()
-
-    # -- setup: partition, noise, share polynomials ------------------------
-    states: dict[int, UserState] = {}
-    for u in range(n):
-        model = models[u] if isinstance(models[u], Model) else Model(tuple(models[u]))
-        if model.length != params.model_len:
+    rows = [m.entries if isinstance(m, Model) else m for m in models]
+    for u, row in enumerate(rows):
+        if len(row) != params.model_len:
             raise ValueError(
-                f"model {u} has length {model.length}, expected {params.model_len}"
+                f"model {u} has length {len(row)}, expected {params.model_len}"
             )
-        partition = partition_model(model, params.k_parts)
-        if noise_blocks is not None:
-            noise = noise_blocks[u]
-        else:
-            tag = f"user{u}@{master_seed}"
-            rng = Random(derive_seed(master_seed, f"noise:{u}"))
-            noise = sample_noise(ctx, params.t_max, params.seg_len, rng, seed_tag=tag)
-        states[u] = UserState(
-            uid=UserId.from_index(u, size),
-            model=model,
-            partition=partition,
-            noise=noise,
-            share_poly=make_share_poly(partition, noise),
-            status=(
-                UserStatus.DROPPED if u in pre_dropped else UserStatus.ACTIVE
-            ),
+    if noise is None:
+        noise = draw_noise(p, params, master_seed)
+    noise = np.asarray(noise)
+    if noise.shape[:3] != (n, params.t_max, seg_len):
+        raise ValueError(
+            f"noise has shape {noise.shape}, expected "
+            f"({n}, {params.t_max}, {seg_len}, *batch)"
         )
+    coeffs = share_blocks(partition(rows, params.k_parts), noise, p)
+    batch = coeffs.shape[3:]
 
-    transcript = Transcript()
+    pre_dropped = sorted(plan.dropped) if plan.timing == PRE_INTRA else []
+    took_part = np.ones(n, dtype=bool)  # in the intra phase
+    took_part[pre_dropped] = False
+    status = np.full(n, UserStatus.ACTIVE, dtype=np.int8)
+    status[sorted(plan.dropped)] = UserStatus.DROPPED
 
-    # -- intra phase --------------------------------------------------------
-    intra_aggregates: dict[int, IntraAggregate] = {}
-    per_group_aggregates: dict[int, dict[int, IntraAggregate]] = {}
-    for g in range(params.num_groups):
-        group_states = {
-            t: states[index_of(g, t, size)] for t in range(size)
-        }
-        agg = intra_round(ctx, params, group_states, transcript)
-        per_group_aggregates[g] = agg
-        for t, a in agg.items():
-            intra_aggregates[a.owner] = a
+    # -- intra phase: the group sum of active blocks, at every slot's point --
+    by_group = (-1, size) + coeffs.shape[1:]
+    active = took_part.reshape(by_group[:2] + (1,) * (coeffs.ndim - 1))
+    group_sums = coeffs.reshape(by_group).sum(axis=1, where=active, initial=0)
+    group_sums %= p
+    points = [eval_point_for_slot(t) for t in range(size)]
+    intra = evaluate(group_sums, points, p, axis=1).reshape((n, seg_len) + batch)
 
-    if plan.timing == BETWEEN_ROUNDS:
-        for u in plan.dropped:
-            states[u].status = UserStatus.DROPPED
-
-    # -- inter + server phases, leaves first --------------------------------
-    server_messages: list[InterGroupMessage] = []
+    # -- inter + server phases: fold the groups leaves first ---------------
+    dead = (status == UserStatus.DROPPED).reshape(-1, size)
+    silent = np.zeros_like(dead)
+    partials = intra.reshape((-1, size, seg_len) + batch).copy()
     for g in tree.upward_order():
-        parent = tree.parent_of(g)
-        for t in range(size):
-            sender_state = states[index_of(g, t, size)]
-            if sender_state.status == UserStatus.DROPPED:
-                continue  # a dropped user leaves no transcript entry
-            child_msgs = {
-                c: sender_state.received_child_msgs.get(c)
-                for c in tree.children_of(g)
-            }
-            if parent == SERVER:
-                receiver: Union[int, str] = SERVER
-                phase = PHASE_SERVER
-                receiver_dropped = False
-            else:
-                recv_index = index_of(parent, t, size)
-                receiver = recv_index
-                phase = PHASE_INTER
-                receiver_dropped = states[recv_index].status == UserStatus.DROPPED
-            msg = build_inter_message(
-                sender_state,
-                per_group_aggregates[g].get(t),
-                child_msgs,
-                receiver,
-                ctx.p,
-            )
-            delivered = not receiver_dropped
-            transcript.append(
-                MessageRecord(
-                    phase=phase,
-                    sender=msg.sender,
-                    receiver=receiver,
-                    symbols=0 if msg.null_flag else params.seg_len,
-                    null_flag=msg.null_flag,
-                    delivered=delivered,
-                )
-            )
-            if parent == SERVER:
-                server_messages.append(msg)
-            elif delivered:
-                states[receiver].received_child_msgs[g] = msg  # type: ignore[index]
+        kids = list(tree.children_of(g))
+        if kids:
+            silent[g] = (dead[kids] | silent[kids]).any(axis=0)
+            partials[g] = (partials[g] + partials[kids].sum(axis=0)) % p
+    status[(silent & ~dead).reshape(n)] = UserStatus.SILENCED
+    partials = partials.reshape((n, seg_len) + batch)
 
-    # -- recovery ------------------------------------------------------------
-    aggregate = server_recover(ctx, params, server_messages)
-    included = frozenset(u for u in range(n) if u not in pre_dropped)
+    # -- recovery -------------------------------------------------------------
+    last = tree.last_group * size
+    aggregate = server_recover(
+        ctx, params, partials[last:], status[last:] != UserStatus.ACTIVE
+    )
     return RunResult(
         aggregate=aggregate,
-        transcript=transcript,
-        states=states,
-        server_messages=server_messages,
-        intra_aggregates=intra_aggregates,
-        included_users=included,
+        transcript=_transcript(params, tree, took_part, status),
+        coeffs=coeffs,
+        intra=intra,
+        partials=partials,
+        status=status,
+        included_users=frozenset(np.flatnonzero(took_part).tolist()),
+        ctx=ctx,
+        params=params,
+        tree=tree,
     )
+
+
+def _transcript(
+    params: ProtocolParams,
+    tree: AggregationTree,
+    took_part: np.ndarray,
+    status: np.ndarray,
+) -> Transcript:
+    """Every message of the round in protocol order: each group's intra
+    exchange, sender by sender, then the groups' uplinks, leaves first."""
+    size = params.group_size
+    seg_len = params.seg_len
+    took_part = took_part.tolist()
+    status = status.tolist()
+    transcript = Transcript()
+    records = transcript.records
+    for g in range(params.num_groups):
+        members = range(g * size, (g + 1) * size)
+        for s in members:
+            if not took_part[s]:
+                continue
+            for r in members:
+                if r == s:
+                    records.append(MessageRecord(PHASE_INTRA, s, s, 0, False))
+                else:
+                    records.append(
+                        MessageRecord(PHASE_INTRA, s, r, seg_len, False, took_part[r])
+                    )
+    for g in tree.upward_order():
+        parent = tree.parent_of(g)
+        for u in range(g * size, (g + 1) * size):
+            if status[u] == UserStatus.DROPPED:
+                continue  # a dropped user leaves no transcript entry
+            null = status[u] == UserStatus.SILENCED
+            symbols = 0 if null else seg_len
+            if parent == SERVER:
+                records.append(MessageRecord(PHASE_SERVER, u, SERVER, symbols, null))
+            else:
+                r = parent * size + u % size  # type: ignore[operator]
+                delivered = status[r] != UserStatus.DROPPED
+                records.append(
+                    MessageRecord(PHASE_INTER, u, r, symbols, null, delivered)
+                )
+    return transcript
 
 
 def server_recover(
-    ctx: FieldContext, params: ProtocolParams, messages: Sequence[InterGroupMessage]
-) -> list:
-    """Interpolate the summed polynomial from the non-null arrivals and
-    return the summed model, truncated to the original length."""
-    evals = []
-    for msg in messages:
-        if msg.null_flag:
-            continue
-        slot = msg.sender % params.group_size
-        evals.append((eval_point_for_slot(slot), msg.values))
+    ctx: FieldContext, params: ProtocolParams, partials: np.ndarray, silent: np.ndarray
+) -> np.ndarray:
+    """Recover the summed model, truncated to the original length, from the
+    last group's messages: ``partials`` (size, S, *batch) by slot, where
+    ``silent`` (size,) marks the slots that sent a null or nothing.
+
+    The first K+T arrivals fix the summed polynomial and every further one is
+    checked against it, so a corrupted spare raises InconsistentArrivals
+    instead of skewing the sum.  Fewer than K+T arrivals raise
+    TooManyDropouts.
+    """
+    arrivals = np.flatnonzero(~silent).tolist()
     need = params.k_parts + params.t_max
-    if len(evals) < need:
+    if len(arrivals) < need:
         raise TooManyDropouts(
-            f"only {len(evals)} non-null messages reached the server, "
+            f"only {len(arrivals)} non-null messages reached the server, "
             f"recovery needs {need}"
         )
+    evals = [(eval_point_for_slot(t), partials[t]) for t in arrivals]
     return recover_aggregate(
         ctx, evals, params.k_parts, params.t_max, params.model_len
     )
-
-
-def server_messages_consistent(
-    ctx: FieldContext, params: ProtocolParams, messages: Sequence[InterGroupMessage]
-) -> bool:
-    """Degree check: fit the first K+T non-null messages and verify every
-    remaining one lies on the same per-coordinate polynomial."""
-    from .field import horner, lagrange_coefficients
-
-    non_null = [m for m in messages if not m.null_flag]
-    need = params.k_parts + params.t_max
-    if len(non_null) < need:
-        return False
-    points = [
-        (eval_point_for_slot(m.sender % params.group_size), m.values)
-        for m in non_null
-    ]
-    fit, rest = points[:need], points[need:]
-    xs = [x for x, _ in fit]
-    seg_len = len(fit[0][1])
-    for i in range(seg_len):
-        coeffs = lagrange_coefficients(xs, [v[i] for _, v in fit], ctx.p)
-        for x, values in rest:
-            if horner(coeffs, x, ctx.p) != values[i] % ctx.p:
-                return False
-    return True

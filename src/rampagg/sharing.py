@@ -1,37 +1,47 @@
-"""Ramp secret sharing of model vectors, and recovery of their sum.
+"""Ramp secret sharing of model vectors as coefficient arrays, and recovery
+of their sum.
 
-A model of length L is cut into K equal segments (zero-padded when K does
-not divide L).  Per segment coordinate, the K segment values become the
-low-order coefficients of a polynomial and T fresh uniform noise values the
-high-order ones, so every coordinate carries a degree K+T-1 polynomial.  A
-share is the vector of those polynomials evaluated at one non-zero point.
+A model of length L is zero-padded to K*S entries (S = ceil(L/K)) and cut
+into K segments of S entries.  The K segments then T uniform noise vectors
+form one user's coefficient block of shape (K+T, S): row j is the vector
+coefficient of x**j, so every coordinate carries a polynomial of degree at
+most K+T-1.  A round holds the blocks of all N users in one array of shape
+(N, K+T, S, *batch).  ``*batch`` is an optional trailing enumeration axis:
+the exhaustive privacy checker puts its noise assignments there, and rounds
+have none.
 
-Shares are additively homomorphic: summing many users' shares at a common
-evaluation point yields a share of the summed coefficient vectors.  Any
-K+T evaluations of the summed polynomial at distinct non-zero points
+A share is a block evaluated at one non-zero point, that is one row of a
+Vandermonde matrix applied along the K+T axis.  Evaluation is linear, so
+summing many users' shares at a point gives a share of their summed blocks.
+Any K+T evaluations of the summed polynomial at distinct non-zero points
 recover all K summed segments at once; that 1/K amortization is the whole
 point of ramp (rather than plain Shamir) sharing.  Fewer than T+1
-evaluations of a single user's polynomial are statistically independent of
-that user's model.
+evaluations of a single user's block are statistically independent of that
+user's model.
+
+Entries are int64 when no Vandermonde product sum can overflow, that is when
+(K+T)*(p-1)**2 < 2**63, and Python ints in object arrays above that bound.
 """
 
+import math
 from dataclasses import dataclass
-from random import Random
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
     DuplicateAbscissa,
+    InconsistentArrivals,
     InsufficientEvaluations,
-    ZeroEvaluationPoint,
 )
-from .field import FieldContext, Polynomial, horner, lagrange_coefficients
+from .field import FieldContext, lagrange_coefficients
 
 
 @dataclass(frozen=True)
 class Model:
     """A user's raw input vector.  Entries are kept as supplied; range
     validation against the field's entry bound happens at the harness
-    boundary so batched values can pass through the core unchanged."""
+    boundary."""
 
     entries: tuple
 
@@ -47,157 +57,49 @@ def validate_entries(model: Model, entry_bound: int) -> None:
             raise ValueError(f"model entry {i} = {e} outside [0, {entry_bound})")
 
 
-@dataclass(frozen=True)
-class ModelPartition:
-    """K equal-length segments of one model plus how many zeros padded the
-    tail segment."""
-
-    segments: tuple
-    pad_count: int
-
-    @property
-    def k_parts(self) -> int:
-        return len(self.segments)
-
-    @property
-    def seg_len(self) -> int:
-        return len(self.segments[0])
+def field_dtype(p: int, terms: int):
+    """int64 when a sum of ``terms`` products of two field elements fits in
+    it, else object (exact Python ints)."""
+    return np.int64 if terms * (p - 1) ** 2 < 2**63 else object
 
 
-def partition_model(model: Model, k_parts: int) -> ModelPartition:
-    """Split ``model`` into ``k_parts`` segments of ceil(L/K) entries,
-    zero-padding the end so every segment has equal length."""
-    if k_parts < 1:
-        raise ValueError(f"k_parts must be >= 1, got {k_parts}")
-    length = model.length
-    if length < 1:
-        raise ValueError("cannot partition an empty model")
+def partition(models, k_parts: int) -> np.ndarray:
+    """Cut each row of the (N, L) ``models`` into ``k_parts`` segments of
+    ceil(L/K) entries, zero-padding the end: shape (N, K, S)."""
+    rows = np.array(models)  # int64, or object when an entry exceeds it
+    n, length = rows.shape
     seg_len = -(-length // k_parts)
-    pad_count = seg_len * k_parts - length
-    padded = tuple(model.entries) + (0,) * pad_count
-    segments = tuple(
-        padded[i * seg_len : (i + 1) * seg_len] for i in range(k_parts)
-    )
-    return ModelPartition(segments=segments, pad_count=pad_count)
+    padded = np.zeros((n, k_parts * seg_len), dtype=rows.dtype)
+    padded[:, :length] = rows
+    return padded.reshape(n, k_parts, seg_len)
 
 
-def unpartition(partition: ModelPartition, original_length: int) -> tuple:
-    """Inverse of :func:`partition_model`: concatenate and drop padding."""
-    flat: list = []
-    for seg in partition.segments:
-        flat.extend(seg)
-    return tuple(flat[:original_length])
+def share_blocks(segments: np.ndarray, noise: np.ndarray, p: int) -> np.ndarray:
+    """Stack the (N, K, S) segments over the (N, T, S, *batch) noise into
+    coefficient blocks (N, K+T, S, *batch), reduced mod p, in the field
+    dtype."""
+    dtype = field_dtype(p, segments.shape[1] + noise.shape[1])
+    batch = noise.shape[3:]
+    segments = (segments % p).astype(dtype).reshape(segments.shape + (1,) * len(batch))
+    segments = np.broadcast_to(segments, segments.shape[:3] + batch)
+    return np.concatenate([segments, (noise % p).astype(dtype, copy=False)], axis=1)
 
 
-@dataclass(frozen=True)
-class NoiseBlock:
-    """T noise vectors, one per masking coefficient, each seg_len long.
-    ``seed_tag`` records where the randomness came from so runs can be
-    reproduced and audited."""
-
-    vectors: tuple
-    seed_tag: str = ""
-
-    @property
-    def count(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def seg_len(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
+def evaluate(blocks: np.ndarray, points, p: int, axis: int = 0) -> np.ndarray:
+    """Evaluate coefficient blocks at ``points``: the Vandermonde matrix of
+    the points times ``blocks`` along ``axis``, the coefficient axis, which
+    becomes an axis of one evaluation per point."""
+    width = blocks.shape[axis]
+    powers = [[pow(x, j, p) for j in range(width)] for x in points]
+    return _apply(np.array(powers, dtype=blocks.dtype), blocks, p, axis)
 
 
-def sample_noise(
-    ctx: FieldContext, count: int, seg_len: int, rng: Random, seed_tag: str = ""
-) -> NoiseBlock:
-    """Draw ``count`` uniform noise vectors of length ``seg_len`` from a
-    seeded generator.  Same seed, same noise."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if seg_len < 1:
-        raise ValueError(f"seg_len must be >= 1, got {seg_len}")
-    vectors = tuple(
-        tuple(ctx.rand(rng) for _ in range(seg_len)) for _ in range(count)
-    )
-    return NoiseBlock(vectors=vectors, seed_tag=seed_tag)
-
-
-@dataclass(frozen=True)
-class SharePolynomial:
-    """The vector-coefficient polynomial a user shares from.
-
-    ``coeff_vectors`` lists K segment vectors then T noise vectors; entry j
-    of the list is the (vector) coefficient of x**j.  Coordinate i therefore
-    carries the scalar polynomial whose coefficients are
-    ``[v[i] for v in coeff_vectors]``, of degree at most K+T-1.
-    """
-
-    coeff_vectors: tuple
-    k_parts: int
-
-    @property
-    def noise_count(self) -> int:
-        return len(self.coeff_vectors) - self.k_parts
-
-    @property
-    def seg_len(self) -> int:
-        return len(self.coeff_vectors[0])
-
-    def coordinate_poly(self, i: int) -> Polynomial:
-        """Scalar polynomial at coordinate ``i`` (int-valued inputs only)."""
-        return Polynomial.from_coeffs([v[i] for v in self.coeff_vectors])
-
-
-def make_share_poly(partition: ModelPartition, noise: NoiseBlock) -> SharePolynomial:
-    """Stack segments then noise into one vector-coefficient polynomial."""
-    for j, vec in enumerate(noise.vectors):
-        if len(vec) != partition.seg_len:
-            raise DimensionMismatch(
-                f"noise vector {j} has length {len(vec)}, segments have "
-                f"length {partition.seg_len}"
-            )
-    return SharePolynomial(
-        coeff_vectors=tuple(partition.segments) + tuple(noise.vectors),
-        k_parts=partition.k_parts,
-    )
-
-
-@dataclass(frozen=True)
-class Share:
-    """Evaluation of a share polynomial at one point: ``values[i]`` is
-    coordinate i's polynomial evaluated at ``eval_point``."""
-
-    eval_point: int
-    values: tuple
-
-
-def share_at(ctx: FieldContext, poly: SharePolynomial, eval_point: int) -> Share:
-    """Evaluate every coordinate of ``poly`` at ``eval_point``.
-
-    Point zero is rejected: the constant coefficients are the first model
-    segment, so a share at zero would hand it out in the clear.
-    """
-    point = eval_point % ctx.p
-    if point == 0:
-        raise ZeroEvaluationPoint("shares at point 0 would expose the first segment")
-    values = tuple(
-        horner([vec[i] for vec in poly.coeff_vectors], point, ctx.p)
-        for i in range(poly.seg_len)
-    )
-    return Share(eval_point=point, values=values)
-
-
-def sum_vectors(vectors, seg_len: int, p: int) -> tuple:
-    """Coordinate-wise modular sum of equal-length vectors (possibly none)."""
-    acc = [0] * seg_len
-    for vec in vectors:
-        if len(vec) != seg_len:
-            raise DimensionMismatch(
-                f"vector of length {len(vec)} in a sum of length-{seg_len} vectors"
-            )
-        for i, v in enumerate(vec):
-            acc[i] = (acc[i] + v) % p
-    return tuple(acc)
+def _apply(matrix: np.ndarray, blocks: np.ndarray, p: int, axis: int) -> np.ndarray:
+    """``matrix`` times ``blocks`` along ``axis``, mod p."""
+    lead, width, rest = blocks.shape[:axis], blocks.shape[axis], blocks.shape[axis + 1 :]
+    out = matrix @ blocks.reshape(lead + (width, math.prod(rest)))
+    out %= p
+    return out.reshape(lead + (len(matrix),) + rest)
 
 
 def recover_aggregate(
@@ -206,36 +108,46 @@ def recover_aggregate(
     k_parts: int,
     noise_count: int,
     original_length: int,
-) -> list:
+) -> np.ndarray:
     """Recover the summed model from evaluations of the summed polynomial.
 
     ``evals`` is a sequence of (eval_point, values) pairs with pairwise
-    distinct points; at least K+T are required.  Interpolation runs through
-    all supplied points, so inconsistent extras corrupt the result rather
-    than being silently discarded.  The K segment coefficients are extracted
-    per coordinate, concatenated, and truncated to ``original_length``.
+    distinct points; at least K+T are required.  The first K+T fix the
+    polynomial; every further one must lie on it, else InconsistentArrivals.
+    Returns the K segment coefficients, concatenated and truncated to
+    ``original_length``: shape (original_length, *batch).
     """
+    p = ctx.p
     need = k_parts + noise_count
     if len(evals) < need:
         raise InsufficientEvaluations(
             f"got {len(evals)} evaluations, need at least {need}"
         )
-    xs = [x for x, _ in evals]
-    if len(set(x % ctx.p for x in xs)) != len(xs):
-        raise DuplicateAbscissa(f"duplicate evaluation points in {xs}")
-    seg_len = len(evals[0][1])
-    for x, values in evals:
-        if len(values) != seg_len:
+    xs = [x % p for x, _ in evals]
+    if len(set(xs)) != len(xs):
+        raise DuplicateAbscissa(f"duplicate evaluation points in {[x for x, _ in evals]}")
+    ys = [np.asarray(values, dtype=field_dtype(p, need)) for _, values in evals]
+    for x, y in zip(xs, ys):
+        if y.shape != ys[0].shape:
             raise DimensionMismatch(
-                f"evaluation at {x} has {len(values)} coordinates, expected {seg_len}"
+                f"evaluation at {x} has shape {y.shape}, expected {ys[0].shape}"
             )
 
-    ys_per_coord = [[values[i] for _, values in evals] for i in range(seg_len)]
-    coeffs_per_coord = [
-        lagrange_coefficients(xs, ys_per_coord[i], ctx.p) for i in range(seg_len)
-    ]
-    result: list = []
-    for k in range(k_parts):
-        for i in range(seg_len):
-            result.append(coeffs_per_coord[i][k])
-    return result[:original_length]
+    # Interpolating the unit vectors gives the inverse Vandermonde matrix of
+    # the K+T fitting points; it maps the stacked arrivals to every
+    # coefficient of every coordinate (and enumeration point) at once.
+    unit = list(np.eye(need, dtype=ys[0].dtype))
+    inverse = np.array(lagrange_coefficients(xs[:need], unit, p))
+    coeffs = _apply(inverse, np.stack(ys[:need]), p, 0)
+    if len(xs) > need:
+        spare = evaluate(coeffs, xs[need:], p)
+        bad = [
+            x
+            for x, s, y in zip(xs[need:], spare, ys[need:])
+            if not np.array_equal(s, y % p)
+        ]
+        if bad:
+            raise InconsistentArrivals(
+                f"evaluations at {bad} disagree with the polynomial through {xs[:need]}"
+            )
+    return coeffs[:k_parts].reshape((-1,) + coeffs.shape[2:])[:original_length]

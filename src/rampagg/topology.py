@@ -120,14 +120,6 @@ def index_of(group: int, slot: int, group_size: int) -> int:
     return group * group_size + slot
 
 
-def assign_groups(params: ProtocolParams) -> list[list[int]]:
-    """Group g holds users [g*size, (g+1)*size)."""
-    size = params.group_size
-    return [
-        list(range(g * size, (g + 1) * size)) for g in range(params.num_groups)
-    ]
-
-
 class AggregationTree:
     """Tree over group indices 0..num_groups-1 rooted at the server.
 
@@ -158,18 +150,24 @@ class AggregationTree:
             if par == g:
                 raise NotATree(f"group {g} is its own parent")
             children[par].append(g)
-        # every group must reach the server; a walk longer than num groups
-        # means a cycle
+        # depth = inter hops to the server's child, memoised along each walk;
+        # meeting a group already on the current walk means a cycle
+        depth: dict[int, int] = {}
         for g in groups:
-            seen = 0
+            path: dict[int, None] = {}  # insertion-ordered, O(1) membership
             node: Union[int, str] = g
-            while node != SERVER:
-                node = parent[node]  # type: ignore[index]
-                seen += 1
-                if seen > num:
+            while node != SERVER and node not in depth:
+                if node in path:
                     raise NotATree(f"cycle detected starting from group {g}")
+                path[node] = None  # type: ignore[index]
+                node = parent[node]  # type: ignore[index]
+            below = -1 if node == SERVER else depth[node]  # type: ignore[index]
+            for step in reversed(path):
+                below += 1
+                depth[step] = below
         self._parent = dict(parent)
         self._children = {g: tuple(sorted(c)) for g, c in children.items()}
+        self._depth = depth
         self.num_groups = num
 
     # -- queries ----------------------------------------------------------
@@ -213,12 +211,13 @@ class AggregationTree:
 
     def inter_hops(self, group: int) -> int:
         """Group-to-group edges between ``group`` and the server's child."""
-        return len(self.ancestors(group))
+        self._check(group)
+        return self._depth[group]
 
     def upward_order(self) -> list[int]:
         """Groups ordered leaves-first, so every child is processed before
         its parent; deterministic."""
-        return sorted(range(self.num_groups), key=lambda g: (-self.inter_hops(g), g))
+        return sorted(range(self.num_groups), key=lambda g: (-self._depth[g], g))
 
 
 def build_tree(num_groups: int, shape: TreeShape = "chain") -> AggregationTree:

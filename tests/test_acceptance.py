@@ -13,7 +13,7 @@ from random import Random
 import pytest
 
 from rampagg.errors import TooManyDropouts
-from rampagg.field import FieldContext, eval_poly, lagrange_interpolate
+from rampagg.field import horner, lagrange_coefficients
 from rampagg.harness import (
     RunConfig,
     correctness_oracle,
@@ -84,7 +84,7 @@ def test_criterion_02_two_group_example():
         # the dropped user's slot mate upstream is the one silenced
         from rampagg.protocol import UserStatus
 
-        assert result.states[8].status == UserStatus.SILENCED
+        assert result.status[8] == UserStatus.SILENCED
     _report(2, "two-group worked example", timer)
 
 
@@ -216,12 +216,10 @@ def test_criterion_08_interpolation_oracle():
             n = rng.randrange(1, min(14, p))  # degree <= 12
             xs = rng.sample(range(p), n)
             ys = [rng.randrange(p) for _ in range(n)]
-            ctx = FieldContext(p, 2, 2)
-            poly = lagrange_interpolate(ctx, list(zip(xs, ys)))
+            got = lagrange_coefficients(xs, ys, p)
             expected = solve_vandermonde(xs, ys, p)
-            got = list(poly.coeffs) + [0] * (n - len(poly.coeffs))
             assert got == expected, f"trial {trial}"
-            assert all(eval_poly(ctx, poly, x) == y % p for x, y in zip(xs, ys))
+            assert all(horner(got, x, p) == y % p for x, y in zip(xs, ys))
     _report(8, "200 interpolation oracle instances", timer)
 
 

@@ -15,8 +15,6 @@ from rampagg.privacy import (
     _encode_view,
     privacy_bruteforce,
 )
-from rampagg.protocol import InterGroupMessage
-from rampagg.sharing import Share
 
 
 def case_4_users(adversary=0, **overrides) -> PrivacyCase:
@@ -25,6 +23,14 @@ def case_4_users(adversary=0, **overrides) -> PrivacyCase:
     )
     kwargs.update(overrides)
     return PrivacyCase(**kwargs)
+
+
+def assert_result(result, exact_zero, n_cells, n_points, mi_bits):
+    """Pin a result's fields to the values this case has always produced."""
+    assert (result.exact_zero, result.n_cells, result.n_points) == (
+        exact_zero, n_cells, n_points
+    )
+    assert result.mi_bits == mi_bits
 
 
 # ---- exact zero on honest runs ----
@@ -42,12 +48,13 @@ def test_full_field_case_is_exactly_private():
 
 @pytest.mark.parametrize("adversary", [1, 2, 3])
 def test_every_collusion_position_is_private(adversary):
-    assert privacy_bruteforce(case_4_users(adversary)).exact_zero
+    result = privacy_bruteforce(case_4_users(adversary))
+    assert_result(result, True, 5, 15625, 0.0)
 
 
 def test_privacy_holds_with_nonzero_adversary_data():
     case = case_4_users(1, adversary_model_value=4, adversary_noise_value=3)
-    assert privacy_bruteforce(case).exact_zero
+    assert_result(privacy_bruteforce(case), True, 5, 15625, 0.0)
 
 
 def test_privacy_holds_under_correlated_models():
@@ -60,7 +67,7 @@ def test_privacy_holds_under_correlated_models():
     result = privacy_bruteforce(case)
     assert result.n_cells == 1
     assert result.n_model_assignments == 5  # one generator
-    assert result.exact_zero
+    assert_result(result, True, 1, 15625, 0.0)
 
 
 def test_privacy_holds_with_a_dropped_user():
@@ -70,8 +77,8 @@ def test_privacy_holds_with_a_dropped_user():
         dropped=(3,), model_bound=3,
     )
     result = privacy_bruteforce(case)
-    assert result.exact_zero
     assert result.n_model_assignments == 3**4  # 4 honest model symbols
+    assert_result(result, True, 7, 194481, 0.0)
 
 
 def test_server_only_view_with_no_colluders():
@@ -80,8 +87,8 @@ def test_server_only_view_with_no_colluders():
         model_bound=2,
     )
     result = privacy_bruteforce(case)
-    assert result.exact_zero
     assert result.n_noise_assignments == 1  # T=0: nothing to enumerate
+    assert_result(result, True, 25, 256, 0.0)
 
 
 def test_two_segment_case_is_private():
@@ -90,9 +97,9 @@ def test_two_segment_case_is_private():
         model_bound=2, budget=20_000_000,
     )
     result = privacy_bruteforce(case)
-    assert result.exact_zero
     assert result.n_model_assignments == 2 ** 10
     assert result.n_noise_assignments == 7 ** 5
+    assert_result(result, True, 36, 17210368, 0.0)
 
 
 # ---- the checker must detect actual leaks ----
@@ -105,6 +112,7 @@ def test_constant_noise_leaks_and_mi_is_the_analytic_value():
     # directly; given the revealed sum, the other two users' entries stay
     # hidden, so the leak is exactly one uniform GF(5) symbol
     assert result.mi_bits == pytest.approx(math.log2(5))
+    assert_result(result, False, 5, 125, 2.3219280948873613)
 
 
 def test_constant_noise_leak_detected_in_two_segment_case():
@@ -115,6 +123,7 @@ def test_constant_noise_leak_detected_in_two_segment_case():
     result = privacy_bruteforce(case)
     assert not result.exact_zero
     assert result.mi_bits > 0
+    assert_result(result, False, 36, 1024, 2.5810280145352182)
 
 
 # ---- budget ----
@@ -158,23 +167,25 @@ def test_bruteforce_is_deterministic():
     a = privacy_bruteforce(case_4_users(1))
     b = privacy_bruteforce(case_4_users(1))
     assert a == b
+    assert_result(a, True, 5, 15625, 0.0)
 
 
 # ---- view encoding ----
 
 
-def _view(intra_values, server_values):
-    share = Share(eval_point=1, values=intra_values)
-    msgs = tuple(
-        InterGroupMessage(sender=2, receiver="server", values=(v,))
-        for v in server_values
-    )
+def _view(intra_values, server_values, batch=1):
+    """A one-colluder view: one intra share holding ``intra_values`` and
+    one server message per entry of ``server_values``, each an (S, batch)
+    array like the slices of a run."""
+
+    def message(values):
+        return np.broadcast_to(np.asarray(values).reshape(len(values), -1), (len(values), batch))
+
     return AdversaryView(
-        intra_shares={0: {1: share}},
+        intra_shares={0: {1: message(intra_values)}},
         child_messages={0: {}},
-        server_messages=msgs,
-        own_models={},
-        own_noise={},
+        server_messages={2 + i: message((v,)) for i, v in enumerate(server_values)},
+        own_coeffs={},
     )
 
 
@@ -186,20 +197,26 @@ def test_encode_view_packs_base_p_int64():
 
 
 def test_encode_view_broadcasts_enumeration_axis():
-    view = _view(intra_values=(np.array([1, 2, 3]),), server_values=(4,))
+    view = AdversaryView(
+        intra_shares={0: {1: np.array([[1, 2, 3]])}},  # varies along the axis
+        child_messages={0: {}},
+        server_messages={2: np.array([[4, 4, 4]])},  # constant along it
+        own_coeffs={},
+    )
     keys = _encode_view(view, p=5, n_noise=3)
     assert keys.tolist() == [1 * 5 + 4, 2 * 5 + 4, 3 * 5 + 4]
+    # a view without noise to enumerate (batch axis 1) repeats its one key
+    constant = _view(intra_values=(1,), server_values=(4,))
+    assert _encode_view(constant, p=5, n_noise=3).tolist() == [1 * 5 + 4] * 3
 
 
 def test_encode_view_skips_null_messages():
-    null = InterGroupMessage(sender=1, receiver="server", values=None, null_flag=True)
     base = _view(intra_values=(2,), server_values=(3,))
     with_null = AdversaryView(
         intra_shares=base.intra_shares,
-        child_messages=base.child_messages,
-        server_messages=base.server_messages + (null,),
-        own_models={},
-        own_noise={},
+        child_messages={0: {5: None}},
+        server_messages={**base.server_messages, 7: None},
+        own_coeffs={},
     )
     assert _encode_view(base, 5, 1).tolist() == _encode_view(with_null, 5, 1).tolist()
 

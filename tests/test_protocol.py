@@ -1,8 +1,11 @@
 """End-to-end protocol rounds: aggregation, silence, accounting, recovery."""
 
+from random import Random
+
+import numpy as np
 import pytest
 
-from rampagg.errors import TooManyDropouts
+from rampagg.errors import InconsistentArrivals, TooManyDropouts
 from rampagg.field import FieldContext
 from rampagg.protocol import (
     BETWEEN_ROUNDS,
@@ -14,12 +17,10 @@ from rampagg.protocol import (
     derive_seed,
     eval_point_for_slot,
     run_protocol,
-    server_messages_consistent,
+    server_recover,
 )
-from rampagg.sharing import Model, NoiseBlock, share_at, sum_vectors
+from rampagg.sharing import Model, evaluate
 from rampagg.topology import build_tree, make_params
-
-from random import Random
 
 
 def _setup(n, t, d, k, length=None, entry_bound=8, shape="chain", p=None):
@@ -45,7 +46,7 @@ def _expected_sum(models, included):
 def test_single_group_aggregate_is_plain_sum():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=7)
     result = run_protocol(ctx, params, tree, models)
-    assert result.aggregate == _expected_sum(models, set(range(6)))
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(6)))
     assert result.included_users == frozenset(range(6))
 
 
@@ -53,7 +54,7 @@ def test_multi_group_aggregate_is_plain_sum():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     assert params.num_groups == 2
     result = run_protocol(ctx, params, tree, models)
-    assert result.aggregate == _expected_sum(models, set(range(12)))
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(12)))
 
 
 def test_intra_aggregate_is_sum_of_share_polys_at_slot_point():
@@ -61,40 +62,28 @@ def test_intra_aggregate_is_sum_of_share_polys_at_slot_point():
     result = run_protocol(ctx, params, tree, models)
     for u in range(6):
         slot = u  # single group
-        expected = sum_vectors(
-            [
-                share_at(ctx, result.states[v].share_poly, eval_point_for_slot(slot)).values
-                for v in range(6)
-            ],
-            params.seg_len,
-            ctx.p,
-        )
-        assert result.intra_aggregates[u].values == expected
+        shares = [
+            evaluate(result.coeffs[v], [eval_point_for_slot(slot)], ctx.p)[0]
+            for v in range(6)
+        ]
+        expected = sum(shares) % ctx.p
+        assert result.intra[u].tolist() == expected.tolist()
 
 
 def test_single_group_server_messages_are_the_intra_aggregates():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=6)
     result = run_protocol(ctx, params, tree, models)
-    assert len(result.server_messages) == 6
-    for msg in result.server_messages:
-        assert msg.values == result.intra_aggregates[msg.sender].values
+    assert (result.status == UserStatus.ACTIVE).all()
+    assert np.array_equal(result.partials, result.intra)
 
 
 def test_two_group_server_message_stacks_child_aggregate():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=6)
     result = run_protocol(ctx, params, tree, models)
-    for msg in result.server_messages:
-        slot = msg.sender % params.group_size
-        child_user = slot  # group 0, same slot
-        expected = sum_vectors(
-            [
-                result.intra_aggregates[child_user].values,
-                result.intra_aggregates[msg.sender].values,
-            ],
-            params.seg_len,
-            ctx.p,
-        )
-        assert msg.values == expected
+    for sender in range(6, 12):
+        child_user = sender - 6  # group 0, same slot
+        expected = (result.intra[child_user] + result.intra[sender]) % ctx.p
+        assert result.partials[sender].tolist() == expected.tolist()
 
 
 def test_aggregate_reduces_mod_p_when_sums_exceed_field():
@@ -102,7 +91,7 @@ def test_aggregate_reduces_mod_p_when_sums_exceed_field():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=4, p=7)
     result = run_protocol(ctx, params, tree, models)
     plain = _expected_sum(models, set(range(6)))
-    assert result.aggregate == [v % 7 for v in plain]
+    assert result.aggregate.tolist() == [v % 7 for v in plain]
 
 
 # ---- dropouts and silence ----
@@ -111,7 +100,7 @@ def test_aggregate_reduces_mod_p_when_sums_exceed_field():
 def test_pre_intra_dropout_excluded_from_sum():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
-    assert result.aggregate == _expected_sum(models, set(range(12)) - {2})
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(12)) - {2})
     assert result.included_users == frozenset(range(12)) - {2}
 
 
@@ -119,10 +108,10 @@ def test_dropout_in_child_group_silences_matching_slot_upstream():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
     silenced = 6 + 2  # same slot, last group
-    assert result.states[silenced].status == UserStatus.SILENCED
-    null_senders = {m.sender for m in result.server_messages if m.null_flag}
-    assert null_senders == {silenced}
-    assert result.states[2].status == UserStatus.DROPPED
+    assert result.status[silenced] == UserStatus.SILENCED
+    assert np.flatnonzero(result.null).tolist() == [silenced]
+    assert result.status[2] == UserStatus.DROPPED
+    assert UserStatus(result.status[silenced]).name == "SILENCED"
 
 
 def test_silence_cascades_down_a_chain():
@@ -131,28 +120,30 @@ def test_silence_cascades_down_a_chain():
     ctx, params, tree, models = _setup(12, 1, 1, 2, length=4)
     assert params.num_groups == 3
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({1})))
-    assert result.states[4 + 1].status == UserStatus.SILENCED
-    assert result.states[8 + 1].status == UserStatus.SILENCED
-    assert result.aggregate == _expected_sum(models, set(range(12)) - {1})
+    assert result.status[4 + 1] == UserStatus.SILENCED
+    assert result.status[8 + 1] == UserStatus.SILENCED
+    assert np.flatnonzero(result.null).tolist() == [5, 9]
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(12)) - {1})
 
 
 def test_star_shape_confines_silence_to_one_branch():
     ctx, params, tree, models = _setup(12, 1, 1, 2, length=4, shape="star")
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({1})))
     # group 0 slot 1 dropped: only the matching slot of the hub group is hit
-    assert result.states[4 + 1].status == UserStatus.ACTIVE
-    assert result.states[8 + 1].status == UserStatus.SILENCED
-    assert result.aggregate == _expected_sum(models, set(range(12)) - {1})
+    assert result.status[4 + 1] == UserStatus.ACTIVE
+    assert result.status[8 + 1] == UserStatus.SILENCED
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(12)) - {1})
 
 
 def test_between_rounds_dropout_still_counts_in_aggregate():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     plan = DropoutPlan(frozenset({2}), timing=BETWEEN_ROUNDS)
     result = run_protocol(ctx, params, tree, models, plan)
-    assert result.aggregate == _expected_sum(models, set(range(12)))
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(12)))
     assert result.included_users == frozenset(range(12))
     # but the relay duty is lost: the matching upstream slot is silenced
-    assert result.states[8].status == UserStatus.SILENCED
+    assert result.status[8] == UserStatus.SILENCED
+    assert result.status[2] == UserStatus.DROPPED
 
 
 def test_too_many_dropouts_raises():
@@ -164,7 +155,7 @@ def test_too_many_dropouts_raises():
 def test_exactly_d_budget_recovers():
     ctx, params, tree, models = _setup(12, 2, 1, 9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({5})))
-    assert result.aggregate == _expected_sum(models, set(range(12)) - {5})
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(12)) - {5})
 
 
 def test_same_slot_dropouts_waste_only_one_stream():
@@ -172,9 +163,8 @@ def test_same_slot_dropouts_waste_only_one_stream():
     # so even two dropouts (over the D=1 budget) stay recoverable here
     ctx, params, tree, models = _setup(12, 1, 1, 2, length=4)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({1, 5})))
-    nulls = [m for m in result.server_messages if m.null_flag]
-    assert len(nulls) == 1
-    assert result.aggregate == _expected_sum(models, set(range(12)) - {1, 5})
+    assert result.null[8:].sum() == 1  # one null server stream
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(12)) - {1, 5})
 
 
 # ---- transcript accounting ----
@@ -242,35 +232,46 @@ def test_chain_and_star_yield_identical_aggregates():
         run_protocol(ctx, params, build_tree(3, shape), models, master_seed=5)
         for shape in ("chain", "star")
     ]
-    assert results[0].aggregate == results[1].aggregate
+    assert results[0].aggregate.tolist() == results[1].aggregate.tolist()
 
 
 def test_same_seed_reproduces_byte_identical_transcript():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     a = run_protocol(ctx, params, tree, models, master_seed=9)
     b = run_protocol(ctx, params, tree, models, master_seed=9)
-    assert a.aggregate == b.aggregate
+    assert a.aggregate.tolist() == b.aggregate.tolist()
     assert a.transcript.rows() == b.transcript.rows()
-    for u in range(12):
-        assert a.states[u].noise == b.states[u].noise
+    assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_different_seed_changes_noise_not_aggregate():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     a = run_protocol(ctx, params, tree, models, master_seed=1)
     b = run_protocol(ctx, params, tree, models, master_seed=2)
-    assert a.aggregate == b.aggregate
-    assert any(a.states[u].noise != b.states[u].noise for u in range(12))
+    assert a.aggregate.tolist() == b.aggregate.tolist()
+    k = params.k_parts
+    assert np.array_equal(a.coeffs[:, :k], b.coeffs[:, :k])  # same models
+    assert not np.array_equal(a.coeffs[:, k:], b.coeffs[:, k:])  # new noise
 
 
 def test_explicit_noise_blocks_are_respected():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=6)
-    blocks = [
-        NoiseBlock(((1, 1), (2, 2)), seed_tag=f"fixed{u}") for u in range(6)
-    ]
-    result = run_protocol(ctx, params, tree, models, noise_blocks=blocks)
-    assert result.aggregate == _expected_sum(models, set(range(6)))
-    assert result.states[3].noise.vectors == ((1, 1), (2, 2))
+    noise = np.tile([[1, 1], [2, 2]], (6, 1, 1))  # (N, T, S)
+    result = run_protocol(ctx, params, tree, models, noise=noise)
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(6)))
+    assert result.coeffs[3, params.k_parts :].tolist() == [[1, 1], [2, 2]]
+
+
+def test_explicit_noise_carries_a_batch_axis_through_the_round():
+    ctx, params, tree, models = _setup(6, 2, 1, 3, length=6)
+    rng = Random(5)
+    noise = np.array([rng.randrange(ctx.p) for _ in range(6 * 2 * 2 * 4)]).reshape(6, 2, 2, 4)
+    batched = run_protocol(ctx, params, tree, models, noise=noise)
+    assert batched.aggregate.shape == (6, 4)
+    for b in range(4):
+        single = run_protocol(ctx, params, tree, models, noise=noise[..., b])
+        assert batched.aggregate[:, b].tolist() == single.aggregate.tolist()
+        assert batched.partials[..., b].tolist() == single.partials.tolist()
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -279,33 +280,40 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(7, "noise:0") != derive_seed(8, "noise:0")
 
 
-# ---- server-side degree check ----
+# ---- server-side recovery and its consistency check ----
 
 
-def test_server_messages_consistent_on_honest_run():
+def _server_inputs(result, params):
+    """The last group's partials and silent mask, as run_protocol passes them."""
+    last = (params.num_groups - 1) * params.group_size
+    return result.partials[last:].copy(), result.status[last:] != UserStatus.ACTIVE
+
+
+def test_server_recover_accepts_honest_run():
     ctx, params, tree, models = _setup(12, 2, 1, 9)
     result = run_protocol(ctx, params, tree, models)
-    assert server_messages_consistent(ctx, params, result.server_messages)
+    partials, silent = _server_inputs(result, params)
+    assert silent.sum() == 0  # 12 arrivals: 11 fit the polynomial, 1 checks it
+    recovered = server_recover(ctx, params, partials, silent)
+    assert recovered.tolist() == _expected_sum(models, set(range(12)))
 
 
-def test_server_messages_consistent_flags_tampering():
+def test_server_recover_flags_tampering():
     ctx, params, tree, models = _setup(12, 2, 1, 9)
     result = run_protocol(ctx, params, tree, models)
-    msgs = list(result.server_messages)
-    victim = msgs[-1]
-    tampered = victim.values[:0] + ((victim.values[0] + 1) % ctx.p,) + victim.values[1:]
-    from rampagg.protocol import InterGroupMessage
-
-    msgs[-1] = InterGroupMessage(
-        sender=victim.sender, receiver=victim.receiver, values=tampered
-    )
-    assert not server_messages_consistent(ctx, params, msgs)
+    partials, silent = _server_inputs(result, params)
+    partials[-1, 0] = (partials[-1, 0] + 1) % ctx.p
+    with pytest.raises(InconsistentArrivals, match="12"):
+        server_recover(ctx, params, partials, silent)
 
 
-def test_server_messages_consistent_needs_quorum():
+def test_server_recover_needs_quorum():
     ctx, params, tree, models = _setup(12, 2, 1, 9)
     result = run_protocol(ctx, params, tree, models)
-    assert not server_messages_consistent(ctx, params, result.server_messages[:10])
+    partials, silent = _server_inputs(result, params)
+    silent[10:] = True  # 10 arrivals, K+T = 11 needed
+    with pytest.raises(TooManyDropouts, match="only 10"):
+        server_recover(ctx, params, partials, silent)
 
 
 # ---- input validation ----
@@ -339,6 +347,12 @@ def test_rejects_small_modulus():
         run_protocol(ctx, params, build_tree(1, "chain"), models)
 
 
+def test_rejects_wrong_noise_shape():
+    ctx, params, tree, models = _setup(6, 2, 1, 3, length=6)
+    with pytest.raises(ValueError, match="noise"):
+        run_protocol(ctx, params, tree, models, noise=np.zeros((6, 2, 3)))  # S is 2
+
+
 def test_rejects_out_of_range_dropout():
     ctx, params, tree, models = _setup(6, 2, 1, 3)
     with pytest.raises(ValueError, match="dropout"):
@@ -349,4 +363,4 @@ def test_raw_sequences_accepted_as_models():
     ctx, params, tree, _ = _setup(6, 2, 1, 3, length=4)
     models = [[1, 0, 2, 1]] * 6
     result = run_protocol(ctx, params, tree, models)
-    assert result.aggregate == [6, 0, 12, 6]
+    assert result.aggregate.tolist() == [6, 0, 12, 6]

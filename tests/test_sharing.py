@@ -1,9 +1,10 @@
-"""Partitioning, noise, share evaluation, and sum recovery."""
+"""Partitioning, noise, coefficient blocks, share evaluation, and sum recovery."""
 
 import itertools
 from collections import Counter
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,55 +13,55 @@ from rampagg.errors import (
     DimensionMismatch,
     DuplicateAbscissa,
     InsufficientEvaluations,
-    ZeroEvaluationPoint,
 )
 from rampagg.field import FieldContext
+from rampagg.protocol import derive_seed, draw_noise
 from rampagg.sharing import (
     Model,
-    NoiseBlock,
-    make_share_poly,
-    partition_model,
+    evaluate,
+    partition,
     recover_aggregate,
-    sample_noise,
-    share_at,
-    sum_vectors,
-    unpartition,
+    share_blocks,
     validate_entries,
 )
+from rampagg.topology import ProtocolParams
 
 
 def _ctx(p: int) -> FieldContext:
     return FieldContext(p, 2, 2)
 
 
+def _block(entries, k_parts, noise_vectors, p):
+    """One user's (K+T, S) coefficient block."""
+    noise = np.array([noise_vectors], dtype=np.int64).reshape(1, len(noise_vectors), -1)
+    return share_blocks(partition([entries], k_parts), noise, p)[0]
+
+
 # ---- partitioning ----
 
 
 def test_partition_exact_split():
-    part = partition_model(Model(tuple(range(9))), 3)
-    assert part.segments == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-    assert part.pad_count == 0
-    assert part.seg_len == 3
+    segments = partition([tuple(range(9))], 3)
+    assert segments.tolist() == [[[0, 1, 2], [3, 4, 5], [6, 7, 8]]]
 
 
 def test_partition_pads_tail():
-    part = partition_model(Model((1, 2, 3, 4, 5)), 3)
-    assert part.seg_len == 2
-    assert part.pad_count == 1
-    assert part.segments == ((1, 2), (3, 4), (5, 0))
+    segments = partition([(1, 2, 3, 4, 5)], 3)
+    assert segments.shape == (1, 3, 2)  # seg_len 2, one padding zero
+    assert segments.tolist() == [[[1, 2], [3, 4], [5, 0]]]
 
 
 def test_partition_more_parts_than_entries():
-    part = partition_model(Model((7, 8)), 4)
-    assert part.seg_len == 1
-    assert part.segments == ((7,), (8,), (0,), (0,))
-    assert part.pad_count == 2
+    segments = partition([(7, 8)], 4)
+    assert segments.tolist() == [[[7], [8], [0], [0]]]
 
 
 def test_unpartition_inverts():
-    model = Model((3, 1, 4, 1, 5, 9, 2))
-    part = partition_model(model, 3)
-    assert unpartition(part, model.length) == model.entries
+    """Concatenating the segments and dropping the padding, as recovery
+    does with the summed segments, gives the model back."""
+    entries = (3, 1, 4, 1, 5, 9, 2)
+    segments = partition([entries], 3)
+    assert tuple(segments.reshape(-1)[: len(entries)].tolist()) == entries
 
 
 @given(
@@ -68,14 +69,16 @@ def test_unpartition_inverts():
     st.integers(min_value=1, max_value=12),
 )
 def test_partition_round_trip(entries, k):
-    model = Model(tuple(entries))
-    part = partition_model(model, k)
-    assert part.k_parts == k
-    assert all(len(seg) == part.seg_len for seg in part.segments)
-    assert part.seg_len * k == model.length + part.pad_count
+    segments = partition([entries, entries[::-1]], k)
+    n, k_parts, seg_len = segments.shape
+    assert (n, k_parts) == (2, k)
+    pad_count = seg_len * k - len(entries)
     # minimal seg_len: one less would not fit, hence padding stays below k
-    assert part.pad_count < k
-    assert unpartition(part, model.length) == model.entries
+    assert 0 <= pad_count < k
+    flat = segments.reshape(2, -1)
+    assert flat[0, : len(entries)].tolist() == entries
+    assert flat[1, : len(entries)].tolist() == entries[::-1]
+    assert not flat[:, len(entries) :].any()
 
 
 def test_validate_entries():
@@ -89,56 +92,56 @@ def test_validate_entries():
 # ---- noise ----
 
 
+def _params(n_users, t_max, k_parts, model_len):
+    return ProtocolParams(n_users, t_max, 0, k_parts, model_len, entry_bound=2)
+
+
 def test_noise_is_deterministic_per_seed():
-    ctx = _ctx(101)
-    a = sample_noise(ctx, 3, 4, Random(9), "tag")
-    b = sample_noise(ctx, 3, 4, Random(9), "tag")
-    c = sample_noise(ctx, 3, 4, Random(10), "tag")
-    assert a == b
-    assert a.vectors != c.vectors
-    assert a.count == 3 and a.seg_len == 4
+    params = _params(3, 2, 2, 8)  # T=2 vectors of seg_len 4 per user
+    a = draw_noise(101, params, 9)
+    assert a.shape == (3, 2, 4)
+    assert np.array_equal(a, draw_noise(101, params, 9))
+    assert not np.array_equal(a, draw_noise(101, params, 10))
+    # user u's symbols are its own stream's draws, in row order
+    for u in range(3):
+        rng = Random(derive_seed(9, f"noise:{u}"))
+        assert a[u].reshape(-1).tolist() == [rng.randrange(101) for _ in range(8)]
 
 
 def test_noise_is_roughly_uniform():
     # 10000 draws from GF(5): expect 2000 per residue; allow 5 sigma
     # (sigma = sqrt(10000 * 0.2 * 0.8) = 40).
-    ctx = _ctx(5)
-    counts = Counter()
-    rng = Random(123)
-    for _ in range(2500):
-        block = sample_noise(ctx, 1, 4, rng)
-        counts.update(block.vectors[0])
+    noise = draw_noise(5, _params(2500, 1, 1, 4), 123)
+    counts = Counter(noise.reshape(-1).tolist())
     assert sum(counts.values()) == 10000
     for residue in range(5):
         assert abs(counts[residue] - 2000) <= 200, counts
 
 
-# ---- share polynomial layout ----
+# ---- coefficient block layout ----
 
 
 def test_coefficient_layout_segments_low_noise_high():
-    part = partition_model(Model(tuple(range(1, 7))), 3)  # segments of 2
-    noise = NoiseBlock(((10, 11), (12, 13)))
-    poly = make_share_poly(part, noise)
-    assert poly.k_parts == 3
-    assert poly.noise_count == 2
-    assert poly.coeff_vectors == ((1, 2), (3, 4), (5, 6), (10, 11), (12, 13))
+    block = _block(tuple(range(1, 7)), 3, [(10, 11), (12, 13)], 101)  # segments of 2
+    assert block.tolist() == [[1, 2], [3, 4], [5, 6], [10, 11], [12, 13]]
     # coordinate 0 polynomial: 1 + 3x + 5x^2 + 10x^3 + 12x^4
-    assert poly.coordinate_poly(0).coeffs == (1, 3, 5, 10, 12)
-    assert poly.coordinate_poly(1).degree == 4
+    assert block[:, 0].tolist() == [1, 3, 5, 10, 12]
+    assert block[-1, 1] != 0  # coordinate 1 has degree 4
 
 
 def test_degree_bound_is_k_plus_t_minus_1():
-    part = partition_model(Model(tuple(range(9))), 9)
-    noise = NoiseBlock(((1,), (1,)))
-    poly = make_share_poly(part, noise)
-    assert poly.coordinate_poly(0).degree == 10  # K + T - 1 = 9 + 2 - 1
+    block = _block(tuple(range(9)), 9, [(1,), (1,)], 101)
+    assert block.shape == (11, 1)  # K + T coefficients: degree <= 10
+    assert block[-1, 0] != 0  # and the bound is reached
 
 
-def test_make_share_poly_rejects_wrong_noise_length():
-    part = partition_model(Model((1, 2, 3, 4)), 2)
-    with pytest.raises(DimensionMismatch):
-        make_share_poly(part, NoiseBlock(((5, 6, 7),)))
+def test_blocks_reduce_mod_p_and_broadcast_the_batch_axis():
+    segments = partition([(3, 9), (12, 1)], 2)  # (2, 2, 1)
+    noise = np.arange(2 * 4).reshape(2, 1, 1, 4) * 5  # a batch axis of 4
+    blocks = share_blocks(segments, noise, 7)
+    assert blocks.shape == (2, 3, 1, 4)
+    assert blocks[:, :2, 0, :].tolist() == [[[3] * 4, [2] * 4], [[5] * 4, [1] * 4]]
+    assert blocks[0, 2, 0].tolist() == [0, 5, 3, 1]  # 0, 5, 10, 15 mod 7
 
 
 # ---- share evaluation ----
@@ -146,74 +149,52 @@ def test_make_share_poly_rejects_wrong_noise_length():
 
 def test_share_at_hand_example():
     # f(x) = 3 + 5x over GF(13): f(2) = 13 = 0
-    ctx = _ctx(13)
-    poly = make_share_poly(
-        partition_model(Model((3,)), 1), NoiseBlock(((5,),))
-    )
-    assert share_at(ctx, poly, 2).values == (0,)
-    assert share_at(ctx, poly, 1).values == (8,)
+    block = _block((3,), 1, [(5,)], 13)
+    assert evaluate(block, [2], 13).tolist() == [[0]]
+    assert evaluate(block, [1], 13).tolist() == [[8]]
 
 
 def test_share_at_vector_example():
     # coordinates evaluated independently
-    ctx = _ctx(7)
-    part = partition_model(Model((1, 2, 3, 4)), 2)  # (1,2), (3,4)
-    poly = make_share_poly(part, NoiseBlock(((5, 0),)))
+    block = _block((1, 2, 3, 4), 2, [(5, 0)], 7)  # (1,2), (3,4)
     # coord 0: 1 + 3x + 5x^2 at x=2 -> 27 % 7 = 6
     # coord 1: 2 + 4x + 0x^2 at x=2 -> 10 % 7 = 3
-    assert share_at(ctx, poly, 2).values == (6, 3)
-
-
-def test_share_at_zero_rejected():
-    ctx = _ctx(13)
-    poly = make_share_poly(partition_model(Model((3,)), 1), NoiseBlock(((5,),)))
-    with pytest.raises(ZeroEvaluationPoint):
-        share_at(ctx, poly, 0)
-    with pytest.raises(ZeroEvaluationPoint):
-        share_at(ctx, poly, 13)  # 13 = 0 mod 13
+    assert evaluate(block, [2], 7).tolist() == [[6, 3]]
 
 
 def test_shares_are_additive():
-    ctx = _ctx(101)
+    p = 101
     rng = Random(4)
-    polys = []
-    for _ in range(5):
-        part = partition_model(Model(tuple(rng.randrange(10) for _ in range(6))), 3)
-        polys.append(make_share_poly(part, sample_noise(ctx, 2, 2, rng)))
+    models = [tuple(rng.randrange(10) for _ in range(6)) for _ in range(5)]
+    noise = np.array([[[rng.randrange(p) for _ in range(2)] for _ in range(2)] for _ in range(5)])
+    blocks = share_blocks(partition(models, 3), noise, p)  # (5 users, 5, 2)
+    coeff_sums = blocks.sum(axis=0) % p
     for point in (1, 2, 7):
-        summed = sum_vectors(
-            [share_at(ctx, poly, point).values for poly in polys], 2, ctx.p
-        )
-        coeff_sums = [
-            sum_vectors([poly.coeff_vectors[j] for poly in polys], 2, ctx.p)
-            for j in range(5)
-        ]
-        expected = tuple(
-            sum(vec[i] * pow(point, j, ctx.p) for j, vec in enumerate(coeff_sums))
-            % ctx.p
+        shares = evaluate(blocks, [point], p, axis=1)[:, 0]  # one per user
+        summed = shares.sum(axis=0) % p
+        expected = [
+            sum(int(vec[i]) * pow(point, j, p) for j, vec in enumerate(coeff_sums)) % p
             for i in range(2)
-        )
-        assert summed == expected
+        ]
+        assert summed.tolist() == expected
+        assert evaluate(coeff_sums, [point], p)[0].tolist() == expected
 
 
 # ---- recovery ----
 
 
 def _share_and_recover(ctx, models, k_parts, noise_count, points, rng):
-    seg_len = -(-len(models[0].entries) // k_parts)
-    all_shares = []
-    for model in models:
-        part = partition_model(model, k_parts)
-        noise = sample_noise(ctx, noise_count, seg_len, rng)
-        poly = make_share_poly(part, noise)
-        all_shares.append({pt: share_at(ctx, poly, pt) for pt in points})
-    evals = [
-        (pt, sum_vectors([s[pt].values for s in all_shares], seg_len, ctx.p))
-        for pt in points
-    ]
+    segments = partition([m.entries for m in models], k_parts)
+    n, _, seg_len = segments.shape
+    noise = np.array(
+        [rng.randrange(ctx.p) for _ in range(n * noise_count * seg_len)]
+    ).reshape(n, noise_count, seg_len)
+    blocks = share_blocks(segments, noise, ctx.p)
+    shares = evaluate(blocks, points, ctx.p, axis=1)  # (users, points, S)
+    evals = list(zip(points, shares.sum(axis=0) % ctx.p))
     return recover_aggregate(
         ctx, evals, k_parts, noise_count, len(models[0].entries)
-    )
+    ).tolist()
 
 
 def test_recover_round_trip_exact_sum():
@@ -273,11 +254,6 @@ def test_recover_rejects_ragged_evaluations():
         recover_aggregate(ctx, evals, 2, 1, 4)
 
 
-def test_sum_vectors_rejects_ragged_input():
-    with pytest.raises(DimensionMismatch):
-        sum_vectors([(1, 2), (1,)], 2, 7)
-
-
 # ---- the ramp privacy invariant, exhaustively ----
 
 
@@ -285,32 +261,23 @@ def test_sum_vectors_rejects_ragged_input():
 @pytest.mark.parametrize("k", [1, 2])
 def test_single_evaluation_is_uniform_over_noise(p, k):
     """With T=1, one share value is exactly uniform whatever the model."""
-    ctx = _ctx(p)
+    noise = np.arange(p).reshape(1, 1, 1, p)  # the noise value on a batch axis
     for entries in itertools.product(range(p), repeat=k):
-        part = partition_model(Model(entries), k)
+        block = share_blocks(partition([entries], k), noise, p)[0]
         for point in range(1, p):
-            seen = Counter(
-                share_at(
-                    ctx, make_share_poly(part, NoiseBlock(((z,),))), point
-                ).values[0]
-                for z in range(p)
-            )
+            seen = Counter(evaluate(block, [point], p)[0, 0].tolist())
             assert all(seen[v] == 1 for v in range(p)), (entries, point, seen)
 
 
 def test_two_evaluations_uniform_with_two_noise_terms():
     """T=2 makes any pair of share values jointly uniform on GF(p)^2."""
     p = 5
-    ctx = _ctx(p)
+    pairs_of_noise = np.array(list(itertools.product(range(p), repeat=2))).T
+    noise = pairs_of_noise.reshape(1, 2, 1, p * p)
     for w in range(p):
-        part = partition_model(Model((w,)), 1)
-        pairs = Counter()
-        for z1 in range(p):
-            for z2 in range(p):
-                poly = make_share_poly(part, NoiseBlock(((z1,), (z2,))))
-                pairs[
-                    (share_at(ctx, poly, 1).values[0], share_at(ctx, poly, 2).values[0])
-                ] += 1
+        block = share_blocks(partition([(w,)], 1), noise, p)[0]
+        values = evaluate(block, [1, 2], p)[:, 0]  # (2 points, p*p noise pairs)
+        pairs = Counter(zip(*values.tolist()))
         assert len(pairs) == p * p
         assert set(pairs.values()) == {1}
 
@@ -319,14 +286,12 @@ def test_k_plus_t_evaluations_do_determine_the_model():
     """Sanity check of the ramp boundary: with T=1 and K+T=2 points the
     model is fully determined (so the uniformity above is tight)."""
     p = 5
-    ctx = _ctx(p)
+    noise = np.arange(p).reshape(1, 1, 1, p)
     seen = {}
     for w in range(p):
-        for z in range(p):
-            poly = make_share_poly(
-                partition_model(Model((w,)), 1), NoiseBlock(((z,),))
-            )
-            key = (share_at(ctx, poly, 1).values[0], share_at(ctx, poly, 2).values[0])
+        block = share_blocks(partition([(w,)], 1), noise, p)[0]
+        values = evaluate(block, [1, 2], p)[:, 0]
+        for z, key in enumerate(zip(*values.tolist())):
             assert key not in seen, "two (model, noise) pairs collided"
             seen[key] = (w, z)
     assert len(seen) == p * p

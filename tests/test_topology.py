@@ -18,7 +18,6 @@ from rampagg.topology import (
     AggregationTree,
     DelayModel,
     UserId,
-    assign_groups,
     build_tree,
     count_edges,
     index_of,
@@ -112,12 +111,6 @@ def test_user_id_round_trip():
     assert index_of(uid.group, uid.slot, 3) == 7
 
 
-def test_assign_groups_partitions_everyone():
-    params = make_params(12, 2, 1, 3, model_len=9, entry_bound=8)
-    groups = assign_groups(params)
-    assert groups == [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]]
-
-
 # ---- trees ----
 
 
@@ -162,6 +155,24 @@ def test_explicit_irregular_tree():
             assert order.index(g) < order.index(par)
 
 
+def test_deep_chain_depths_are_walked_once():
+    # a walk per query would cost O(G * depth) per call on this chain
+    tree = build_tree(5000, "chain")
+    assert tree.inter_hops(0) == 4999
+    assert tree.inter_hops(4999) == 0
+    assert tree.upward_order() == list(range(5000))
+    assert total_delay(tree, DelayModel(inter=1, intra=0)) == 5000
+
+
+def test_depths_of_an_irregular_tree_listed_in_any_order():
+    # parents listed before and after their children: memoised depths must
+    # not depend on the walk order
+    parent = {0: 6, 1: 0, 2: 1, 3: 6, 4: 3, 5: 2, 6: SERVER}
+    tree = AggregationTree(parent)
+    assert [tree.inter_hops(g) for g in range(7)] == [1, 2, 3, 1, 2, 4, 0]
+    assert [tree.inter_hops(g) for g in range(7)] == [len(tree.ancestors(g)) for g in range(7)]
+
+
 def test_tree_rejects_wrong_root():
     with pytest.raises(BadRoot):
         AggregationTree({0: SERVER, 1: 0})  # server child must be the last group
@@ -174,6 +185,8 @@ def test_tree_rejects_wrong_root():
 def test_tree_rejects_cycles_and_orphans():
     with pytest.raises(NotATree):
         AggregationTree({0: 1, 1: 0, 2: SERVER})  # 0-1 cycle never reaches server
+    with pytest.raises(NotATree):
+        AggregationTree({0: 3, 1: 2, 2: 1, 3: SERVER})  # cycle after a finished walk
     with pytest.raises(NotATree):
         AggregationTree({0: 0, 1: SERVER})  # self parent
     with pytest.raises(NotATree):
