@@ -138,10 +138,12 @@ def cmd_sweep(args) -> int:
         for rep in range(repetitions):
             tasks.append((k, rep))
 
-    if args.jobs and args.jobs > 1 and tasks:
+    # the pool starts all its workers at once, so ask for no more than can run
+    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
         ks = [k for k, _ in tasks]
         reps = [rep for _, rep in tasks]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_task, [base] * len(tasks), ks, reps))
     else:
         rows = [_sweep_task(base, k, rep) for k, rep in tasks]

@@ -8,12 +8,15 @@ a plain-integer summation oracle, and :func:`collect_adversary_view` gathers
 exactly what a colluding set plus the server get to see.
 """
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigInvalid, InvalidParams, NonConformingField
 from .field import FieldContext, select_prime
@@ -37,11 +40,39 @@ from .topology import (
     build_tree,
     count_edges,
     make_params,
-    potential_links,
     total_delay,
 )
 
 SCHEMA_VERSION = 1
+
+
+def _is_int(value) -> bool:
+    """A bool is not an integer here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_users(value) -> bool:
+    return isinstance(value, tuple) and all(map(_is_int, value))
+
+
+def _is_delay(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and 0 <= value < math.inf
+
+
+# field -> (what it must be, check); from_dict turns JSON lists into tuples
+_FIELD_TYPES = {
+    **{
+        name: ("an integer", _is_int)
+        for name in ("n_users", "t_max", "d_max", "k_parts", "model_len", "entry_bound")
+    },
+    "dropped": ("a list of integers", _is_users),
+    "adversaries": ("a list of integers", _is_users),
+    "master_seed": ("an integer", _is_int),
+    "prime_override": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "assert_formula_loads": ("true or false", lambda v: isinstance(v, bool)),
+    "delta_inter": ("a finite number >= 0", _is_delay),
+    "delta_intra": ("a finite number >= 0", _is_delay),
+}
 
 
 @dataclass(frozen=True)
@@ -76,17 +107,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "RunConfig":
+        if not isinstance(raw, Mapping):
+            raise ConfigInvalid(f"config: must be a JSON object, got {raw!r}")
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
         unknown = set(raw) - known
         if unknown:
             raise ConfigInvalid(f"unknown config field(s): {sorted(unknown)}")
         data = dict(raw)
         for key in ("dropped", "adversaries"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
-        if "tree_shape" in data and isinstance(data["tree_shape"], Mapping):
+        if isinstance(data.get("tree_shape"), Mapping):
+            # JSON object keys are strings; resolve() rejects any other key
             data["tree_shape"] = {
-                int(g): (p if p == "server" else int(p))
+                int(g) if isinstance(g, str) and g.isascii() and g.isdigit() else g: p
                 for g, p in data["tree_shape"].items()
             }
         return cls(**data)
@@ -116,12 +150,7 @@ class RunConfig:
         return out
 
     def replace(self, **changes) -> "RunConfig":
-        data = self.to_dict()
-        data["dropped"] = tuple(data["dropped"])
-        data["adversaries"] = tuple(data["adversaries"])
-        data["tree_shape"] = self.tree_shape
-        data.update(changes)
-        return RunConfig(**data)
+        return dataclasses.replace(self, **changes)
 
     # -- validation ---------------------------------------------------------
 
@@ -130,6 +159,7 @@ class RunConfig:
 
         Raises ConfigInvalid with a message naming the offending field.
         """
+        self._check_types()
         try:
             params = make_params(
                 self.n_users,
@@ -145,38 +175,24 @@ class RunConfig:
             tree = build_tree(params.num_groups, self.tree_shape)
         except Exception as exc:
             raise ConfigInvalid(f"tree_shape: {exc}") from exc
-        seen = set()
-        for u in self.dropped:
-            if not 0 <= u < self.n_users:
-                raise ConfigInvalid(f"dropped: user {u} outside [0, {self.n_users})")
-            if u in seen:
-                raise ConfigInvalid(f"dropped: user {u} listed twice")
-            seen.add(u)
-        if len(self.dropped) > self.d_max:
-            raise ConfigInvalid(
-                f"dropped: {len(self.dropped)} users exceed the dropout budget "
-                f"d_max={self.d_max}"
-            )
+        for name, bound, cap in (
+            ("dropped", "dropout budget", "d_max"),
+            ("adversaries", "collusion tolerance", "t_max"),
+        ):
+            users, seen = getattr(self, name), set()
+            for u in users:
+                if not 0 <= u < self.n_users:
+                    raise ConfigInvalid(f"{name}: user {u} outside [0, {self.n_users})")
+                if u in seen:
+                    raise ConfigInvalid(f"{name}: user {u} listed twice")
+                seen.add(u)
+            if len(users) > getattr(self, cap):
+                raise ConfigInvalid(
+                    f"{name}: {len(users)} users exceed the {bound} "
+                    f"{cap}={getattr(self, cap)}"
+                )
         if self.dropout_timing not in (PRE_INTRA, BETWEEN_ROUNDS):
             raise ConfigInvalid(f"dropout_timing: unknown value {self.dropout_timing!r}")
-        seen = set()
-        for u in self.adversaries:
-            if not 0 <= u < self.n_users:
-                raise ConfigInvalid(
-                    f"adversaries: user {u} outside [0, {self.n_users})"
-                )
-            if u in seen:
-                raise ConfigInvalid(f"adversaries: user {u} listed twice")
-            seen.add(u)
-        if len(self.adversaries) > self.t_max:
-            raise ConfigInvalid(
-                f"adversaries: {len(self.adversaries)} users exceed the collusion "
-                f"tolerance t_max={self.t_max}"
-            )
-        if not isinstance(self.master_seed, int):
-            raise ConfigInvalid("master_seed: must be an integer")
-        if self.delta_inter < 0 or self.delta_intra < 0:
-            raise ConfigInvalid("delta_inter/delta_intra: must be >= 0")
         if self.prime_override is not None:
             try:
                 ctx = FieldContext(
@@ -197,6 +213,14 @@ class RunConfig:
                 f"modulus; prime {ctx.p} is non-conforming"
             )
         return params, tree, ctx
+
+    def _check_types(self) -> None:
+        """Raise ConfigInvalid naming the first field whose value has the
+        wrong type.  The tree shape is checked when the tree is built."""
+        for name, (kind, ok) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigInvalid(f"{name}: must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -219,16 +243,16 @@ def measure_loads(
     know the peer dropped.  The max is taken over surviving users.
     """
     length = params.model_len
-    sent = transcript.sent_symbols_by_user()
-    per_user = {
-        u: Fraction(sent.get(u, 0), length) for u in range(params.n_users)
-    }
-    survivors = [u for u in range(params.n_users) if u not in dropped]
+    sent = np.zeros(params.n_users, dtype=np.int64)
+    np.add.at(sent, transcript.sender, transcript.symbols)
+    to_server = (transcript.receiver == params.n_users) & ~transcript.null
+    survivors = np.ones(params.n_users, dtype=bool)
+    survivors[sorted(dropped)] = False
     return LoadSummary(
-        r_server=Fraction(transcript.server_bound_symbols(), length),
-        r_user_max=max(per_user[u] for u in survivors),
-        r_user_avg=Fraction(sum(sent.values()), params.n_users * length),
-        per_user=per_user,
+        r_server=Fraction(int(transcript.symbols[to_server].sum()), length),
+        r_user_max=Fraction(int(sent[survivors].max()), length),
+        r_user_avg=Fraction(int(sent.sum()), params.n_users * length),
+        per_user={u: Fraction(s, length) for u, s in enumerate(sent.tolist())},
     )
 
 
@@ -304,8 +328,11 @@ def simulate(config: RunConfig, models: Optional[Sequence[Model]] = None):
         ctx, params, tree, models, plan, master_seed=config.master_seed
     )
     loads = measure_loads(result.transcript, params, plan.dropped)
-    total = len(potential_links(params, tree))
-    active = len(result.transcript.active_links())
+    # a round without dropouts uses every link the network has
+    everyone = np.ones(params.n_users, dtype=bool)
+    no_drops = np.full(params.n_users, UserStatus.ACTIVE, dtype=np.int8)
+    total = len(Transcript.of_round(params, tree, everyone, no_drops).links())
+    active = len(result.transcript.links())
     delay = total_delay(tree, DelayModel(config.delta_inter, config.delta_intra))
 
     formula_check = None

@@ -34,6 +34,14 @@ still transmitted (it costs the sender symbols) but it is never delivered
 and the link it would have used stays silent.  Null messages are explicit
 zero-symbol transcript entries; a user that dropped before sending leaves no
 entry at all.
+
+The transcript is built from the same masks: parallel columns (phase,
+sender, receiver, symbols, null, delivered) with the server as receiver N,
+the intra rows repeated over each group's slots for every user that took
+part, then the uplink rows of every user that did not drop.  Loads and
+phase counts are sums over these columns, and the links a round used are
+the distinct sender-receiver pairs of its delivered non-null rows; a round
+without dropouts uses every link the network has.
 """
 
 import csv
@@ -41,7 +49,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
 from random import Random
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +68,7 @@ from .topology import SERVER, AggregationTree, ProtocolParams
 PHASE_INTRA = "intra"
 PHASE_INTER = "inter"
 PHASE_SERVER = "server"
+PHASES = (PHASE_INTRA, PHASE_INTER, PHASE_SERVER)
 
 PRE_INTRA = "pre_intra"
 BETWEEN_ROUNDS = "between_rounds"
@@ -78,94 +87,102 @@ class UserStatus(IntEnum):
     SILENCED = 2
 
 
-@dataclass(frozen=True)
-class MessageRecord:
-    """One transcript line.  ``delivered`` is accounting metadata: a send to
-    an already-dropped user costs the sender its symbols but never activates
-    the link."""
-
-    phase: str
-    sender: int
-    receiver: Union[int, str]
-    symbols: int
-    null_flag: bool
-    delivered: bool = True
-
-
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """Ordered log of every message of one run, with exporters and the
-    counting helpers the load reports are built from."""
+    """Every message of one run as parallel columns, one entry per message
+    in protocol order: each group's intra exchange, sender by sender, then
+    the groups' uplinks, leaves first.
 
-    def __init__(self) -> None:
-        self.records: list[MessageRecord] = []
+    ``phase`` indexes :data:`PHASES`; ``receiver`` is a user index, or N
+    for the server.  ``delivered`` is accounting metadata: a send to an
+    already-dropped user costs the sender its symbols but never activates
+    the link.
+    """
 
-    def append(self, record: MessageRecord) -> None:
-        self.records.append(record)
+    n_users: int
+    phase: np.ndarray
+    sender: np.ndarray
+    receiver: np.ndarray
+    symbols: np.ndarray
+    null: np.ndarray
+    delivered: np.ndarray
+
+    @classmethod
+    def of_round(
+        cls,
+        params: ProtocolParams,
+        tree: AggregationTree,
+        took_part: np.ndarray,
+        status: np.ndarray,
+    ) -> "Transcript":
+        """The messages sent when the users marked in ``took_part`` (N,)
+        shared in the intra phase and each user ended with ``status`` (N,)."""
+        n, size = params.n_users, params.group_size
+        slots = np.arange(size)
+        # plain ints: numpy compares an IntEnum member several times slower;
+        # the extra last entry is the server, receiver N, which never drops
+        dropped = np.append(status == UserStatus.DROPPED.value, False)
+        # intra: each user that took part addresses every slot of its group
+        users = np.flatnonzero(took_part)
+        intra_to = (users[:, None] // size * size + slots).ravel()
+        # uplinks, leaves first, slot to slot; the last group, alone at depth
+        # 0, comes last and sends to the server; a dropped user sends nothing
+        order = tree.upward_order()
+        parent = np.array([tree.parent_of(g) for g in order[:-1]], dtype=np.intp)
+        up_from = (np.array(order)[:, None] * size + slots).ravel()
+        up_to = np.concatenate([(parent[:, None] * size + slots).ravel(), [n] * size])
+        sent = ~dropped[up_from]
+        up_from, up_to = up_from[sent], up_to[sent]
+        sender = np.concatenate([users.repeat(size), up_from])
+        receiver = np.concatenate([intra_to, up_to])
+        n_intra = len(intra_to)
+        # codes into PHASES: intra, then inter or server by receiver
+        phase = np.concatenate([np.zeros(n_intra, np.intp), np.where(up_to == n, 2, 1)])
+        silenced = status[up_from] == UserStatus.SILENCED.value
+        null = np.concatenate([np.zeros(n_intra, bool), silenced])
+        # an intra share reaches whoever took part, an uplink whoever did not drop
+        delivered = np.concatenate([took_part[intra_to], ~dropped[up_to]])
+        symbols = np.where(null | (sender == receiver), 0, params.seg_len)
+        return cls(n, phase, sender, receiver, symbols, null, delivered)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+        return len(self.phase)
 
     # -- accounting ------------------------------------------------------
 
-    def sent_symbols_by_user(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.records:
-            out[r.sender] = out.get(r.sender, 0) + r.symbols
-        return out
-
-    def server_bound_symbols(self) -> int:
-        return sum(
-            r.symbols
-            for r in self.records
-            if r.phase == PHASE_SERVER and not r.null_flag
-        )
-
     def phase_counts(self) -> dict[str, dict[str, int]]:
-        out = {
-            phase: {"messages": 0, "null": 0, "symbols": 0}
-            for phase in (PHASE_INTRA, PHASE_INTER, PHASE_SERVER)
+        messages = np.bincount(self.phase, minlength=len(PHASES))
+        null = np.bincount(self.phase[self.null], minlength=len(PHASES))
+        symbols = np.zeros(len(PHASES), dtype=np.int64)
+        np.add.at(symbols, self.phase, self.symbols)
+        return {
+            phase: {"messages": m, "null": z, "symbols": s}
+            for phase, m, z, s in zip(
+                PHASES, messages.tolist(), null.tolist(), symbols.tolist()
+            )
         }
-        for r in self.records:
-            bucket = out[r.phase]
-            bucket["messages"] += 1
-            bucket["symbols"] += r.symbols
-            if r.null_flag:
-                bucket["null"] += 1
-        return out
 
-    def active_links(self) -> set[frozenset]:
-        """Links that carried at least one delivered, non-null message.
+    def links(self) -> np.ndarray:
+        """Distinct links, as (a, b) rows with a < b and the server as N,
+        that carried at least one delivered, non-null message.
         Self-addressed local computations are not links."""
-        links: set[frozenset] = set()
-        for r in self.records:
-            if r.null_flag or not r.delivered or r.sender == r.receiver:
-                continue
-            links.add(frozenset((r.sender, r.receiver)))
-        return links
+        used = self.delivered & ~self.null & (self.sender != self.receiver)
+        a, b = self.sender[used], self.receiver[used]
+        # deduplicated by sorting rather than np.unique, which imports numpy.ma
+        key = np.sort(np.minimum(a, b) * (self.n_users + 1) + np.maximum(a, b))
+        key = key[np.diff(key, prepend=-1) != 0]
+        return np.stack(np.divmod(key, self.n_users + 1), axis=1)
 
     # -- exports -----------------------------------------------------------
 
-    ROW_FIELDS = ("phase", "sender", "receiver", "symbols", "null")
-
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "phase": r.phase,
-                "sender": r.sender,
-                "receiver": r.receiver,
-                "symbols": r.symbols,
-                "null": r.null_flag,
-            }
-            for r in self.records
-        ]
-
     def to_csv(self, fp) -> None:
-        writer = csv.DictWriter(fp, fieldnames=self.ROW_FIELDS)
-        writer.writeheader()
-        writer.writerows(self.rows())
+        receiver = self.receiver.astype(object)
+        receiver[self.receiver == self.n_users] = SERVER
+        writer = csv.writer(fp)
+        writer.writerow(("phase", "sender", "receiver", "symbols", "null"))
+        phases = np.array(PHASES)[self.phase].tolist()
+        columns = (self.sender, receiver, self.symbols, self.null)
+        writer.writerows(zip(phases, *(column.tolist() for column in columns)))
 
 
 @dataclass(frozen=True)
@@ -315,12 +332,20 @@ def run_protocol(
 
     # -- recovery -------------------------------------------------------------
     last = tree.last_group * size
-    aggregate = server_recover(
-        ctx, params, partials[last:], status[last:] != UserStatus.ACTIVE
-    )
+    null_slots = status[last:] != UserStatus.ACTIVE
+    try:
+        aggregate = server_recover(ctx, params, partials[last:], null_slots)
+    except TooManyDropouts as exc:
+        # every group lies below the last one, so a server slot is null
+        # exactly when some user in that slot dropped
+        causes = []
+        for t in np.flatnonzero(null_slots).tolist():
+            users = (np.flatnonzero(dead[:, t]) * size + t).tolist()
+            causes.append(f"{t} (dropped {', '.join(map(str, users))})")
+        raise TooManyDropouts(f"{exc}; null slots: {', '.join(causes)}") from None
     return RunResult(
         aggregate=aggregate,
-        transcript=_transcript(params, tree, took_part, status),
+        transcript=Transcript.of_round(params, tree, took_part, status),
         coeffs=coeffs,
         intra=intra,
         partials=partials,
@@ -330,50 +355,6 @@ def run_protocol(
         params=params,
         tree=tree,
     )
-
-
-def _transcript(
-    params: ProtocolParams,
-    tree: AggregationTree,
-    took_part: np.ndarray,
-    status: np.ndarray,
-) -> Transcript:
-    """Every message of the round in protocol order: each group's intra
-    exchange, sender by sender, then the groups' uplinks, leaves first."""
-    size = params.group_size
-    seg_len = params.seg_len
-    took_part = took_part.tolist()
-    status = status.tolist()
-    transcript = Transcript()
-    records = transcript.records
-    for g in range(params.num_groups):
-        members = range(g * size, (g + 1) * size)
-        for s in members:
-            if not took_part[s]:
-                continue
-            for r in members:
-                if r == s:
-                    records.append(MessageRecord(PHASE_INTRA, s, s, 0, False))
-                else:
-                    records.append(
-                        MessageRecord(PHASE_INTRA, s, r, seg_len, False, took_part[r])
-                    )
-    for g in tree.upward_order():
-        parent = tree.parent_of(g)
-        for u in range(g * size, (g + 1) * size):
-            if status[u] == UserStatus.DROPPED:
-                continue  # a dropped user leaves no transcript entry
-            null = status[u] == UserStatus.SILENCED
-            symbols = 0 if null else seg_len
-            if parent == SERVER:
-                records.append(MessageRecord(PHASE_SERVER, u, SERVER, symbols, null))
-            else:
-                r = parent * size + u % size  # type: ignore[operator]
-                delivered = status[r] != UserStatus.DROPPED
-                records.append(
-                    MessageRecord(PHASE_INTER, u, r, symbols, null, delivered)
-                )
-    return transcript
 
 
 def server_recover(

@@ -102,24 +102,6 @@ def make_params(
     )
 
 
-@dataclass(frozen=True)
-class UserId:
-    """Global index plus its derived (group, slot) coordinates."""
-
-    index: int
-    group: int
-    slot: int
-
-    @classmethod
-    def from_index(cls, index: int, group_size: int) -> "UserId":
-        return cls(index=index, group=index // group_size, slot=index % group_size)
-
-
-def index_of(group: int, slot: int, group_size: int) -> int:
-    """Global user index of (group, slot)."""
-    return group * group_size + slot
-
-
 class AggregationTree:
     """Tree over group indices 0..num_groups-1 rooted at the server.
 
@@ -145,7 +127,7 @@ class AggregationTree:
             par = parent[g]
             if par == SERVER:
                 continue
-            if not isinstance(par, int) or par not in children:
+            if type(par) is not int or par not in children:
                 raise NotATree(f"group {g} has unknown parent {par!r}")
             if par == g:
                 raise NotATree(f"group {g} is its own parent")
@@ -240,7 +222,12 @@ def build_tree(num_groups: int, shape: TreeShape = "chain") -> AggregationTree:
             raise ValueError(f"unknown tree shape {shape!r}")
         parent[num_groups - 1] = SERVER
         return AggregationTree(parent)
-    return AggregationTree(shape)
+    tree = AggregationTree(shape)
+    if tree.num_groups != num_groups:
+        raise NotATree(
+            f"parent map covers {tree.num_groups} groups, expected {num_groups}"
+        )
+    return tree
 
 
 def count_edges(params: ProtocolParams) -> int:
@@ -249,32 +236,11 @@ def count_edges(params: ProtocolParams) -> int:
 
     Per group, all size*(size-1)/2 internal pairs; one slot-to-slot link
     per user for each tree edge between groups; and one link per last-group
-    user to the server.  The total is shape-independent.
+    user to the server.  The total is shape-independent.  The simulator
+    enumerates the links of a round without dropouts instead, and the
+    report keeps both.
     """
     return params.n_users * (params.group_size + 1) // 2
-
-
-def potential_links(params: ProtocolParams, tree: AggregationTree) -> set[frozenset]:
-    """Enumerate the distinct links of :func:`count_edges` explicitly.
-
-    Each link is a frozenset of two endpoints (user index or SERVER).
-    """
-    size = params.group_size
-    links: set[frozenset] = set()
-    for g in range(params.num_groups):
-        members = range(g * size, (g + 1) * size)
-        for a in members:
-            for b in members:
-                if a < b:
-                    links.add(frozenset((a, b)))
-        par = tree.parent_of(g)
-        for slot in range(size):
-            sender = index_of(g, slot, size)
-            if par == SERVER:
-                links.add(frozenset((sender, SERVER)))
-            else:
-                links.add(frozenset((sender, index_of(par, slot, size))))
-    return links
 
 
 @dataclass(frozen=True)

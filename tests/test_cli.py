@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from rampagg import cli
 from rampagg.cli import main
 from rampagg.verify import CheckResult
 
@@ -92,6 +93,27 @@ def test_run_refuses_formula_assertions_on_tiny_prime(tmp_path, capsys):
     )
     assert main(["run", str(path)]) == 2
     assert "non-conforming" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_users", "12"),
+        ("dropped", 2),
+        ("dropped", [2.0]),
+        ("model_len", 9.0),
+        ("delta_inter", "x"),
+        ("adversaries", "ab"),
+        ("tree_shape", {"0": "x", "1": "server"}),
+        ("master_seed", True),
+    ],
+)
+def test_run_rejects_ill_typed_field_with_exit_2(tmp_path, capsys, field, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**BASE_CONFIG, field: value}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_bad_json(tmp_path, capsys):
@@ -180,6 +202,42 @@ def test_sweep_parallel_output_identical(tmp_path, sweep_file):
     assert main(["sweep", str(sweep_file), "--out", str(out_a)]) == 0
     assert main(["sweep", str(sweep_file), "--out", str(out_b), "--jobs", "3"]) == 0
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and maps in this process, so no worker is started."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus,expected", [(3, [3]), (64, [6]), (1, [])])
+def test_sweep_jobs_capped_at_cpus_and_tasks(
+    tmp_path, sweep_file, monkeypatch, cpus, expected
+):
+    # six tasks: k in {1, 3, 9}, two repetitions each
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    out_serial, out_capped = tmp_path / "serial", tmp_path / "capped"
+    assert main(["sweep", str(sweep_file), "--out", str(out_serial)]) == 0
+    assert main(["sweep", str(sweep_file), "--out", str(out_capped), "--jobs", "1000"]) == 0
+    assert _SerialPool.requested == expected
+    assert (out_serial / "sweep.csv").read_bytes() == (
+        out_capped / "sweep.csv"
+    ).read_bytes()
 
 
 def test_sweep_rejects_malformed_spec(tmp_path, capsys):

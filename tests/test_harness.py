@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rampagg.errors import ConfigInvalid, NonConformingField
 from rampagg.harness import (
@@ -56,6 +58,33 @@ def test_config_round_trips_explicit_tree():
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigInvalid, match="group_count"):
         RunConfig.from_dict({"n_users": 4, "group_count": 2})
+
+
+SMALL_CONFIG = {
+    "n_users": 6, "t_max": 2, "d_max": 1, "k_parts": 3, "model_len": 3,
+    "entry_bound": 8, "tree_shape": "chain", "dropped": [1],
+    "dropout_timing": "pre_intra", "adversaries": [0], "master_seed": 7,
+    "prime_override": None, "assert_formula_loads": False,
+    "delta_inter": 1, "delta_intra": 1,
+}
+
+# any JSON value; integers stay small so that no valid draw runs a large round
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(SMALL_CONFIG)), value=JSON_VALUES)
+def test_any_json_value_in_any_field_runs_or_is_config_invalid(field, value):
+    raw = json.loads(json.dumps({**SMALL_CONFIG, field: value}))  # as read from a file
+    try:
+        simulate(RunConfig.from_dict(raw))
+    except ConfigInvalid:
+        pass
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """End-to-end protocol rounds: aggregation, silence, accounting, recovery."""
 
+import csv
+import io
 from random import Random
 
 import numpy as np
@@ -7,11 +9,14 @@ import pytest
 
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
 from rampagg.field import FieldContext
+from rampagg.harness import RunConfig, simulate
 from rampagg.protocol import (
     BETWEEN_ROUNDS,
     PHASE_INTER,
     PHASE_INTRA,
     PHASE_SERVER,
+    PHASES,
+    PRE_INTRA,
     DropoutPlan,
     UserStatus,
     derive_seed,
@@ -21,6 +26,8 @@ from rampagg.protocol import (
 )
 from rampagg.sharing import Model, evaluate
 from rampagg.topology import build_tree, make_params
+
+from oracles import links_naive, potential_links_naive, transcript_rows_naive
 
 
 def _setup(n, t, d, k, length=None, entry_bound=8, shape="chain", p=None):
@@ -33,6 +40,11 @@ def _setup(n, t, d, k, length=None, entry_bound=8, shape="chain", p=None):
         for _ in range(n)
     ]
     return ctx, params, tree, models
+
+
+def _named(users, n):
+    """User indices with the server, index n, by its transcript name."""
+    return ["server" if u == n else u for u in users]
 
 
 def _expected_sum(models, included):
@@ -152,6 +164,16 @@ def test_too_many_dropouts_raises():
         run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2, 5})))
 
 
+def test_too_many_dropouts_names_null_slots_and_their_dropouts():
+    # 3 chained groups of 4: users 1 and 5 sit in slot 1, user 10 in slot 2
+    ctx, params, tree, models = _setup(12, 1, 1, 2, length=4)
+    with pytest.raises(TooManyDropouts) as info:
+        run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({1, 5, 10})))
+    message = str(info.value)
+    assert message.startswith("only 2 non-null messages reached the server")
+    assert message.endswith("null slots: 1 (dropped 1, 5), 2 (dropped 10)")
+
+
 def test_exactly_d_budget_recovers():
     ctx, params, tree, models = _setup(12, 2, 1, 9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({5})))
@@ -173,20 +195,21 @@ def test_same_slot_dropouts_waste_only_one_stream():
 def test_dropped_user_leaves_no_transcript_entry():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
-    assert all(r.sender != 2 for r in result.transcript)
+    assert 2 not in result.transcript.sender
 
 
 def test_sends_to_dropped_user_cost_symbols_but_never_deliver():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
-    to_dropped = [r for r in result.transcript if r.receiver == 2]
-    assert len(to_dropped) == 5  # the other five group members still send
-    assert all(r.symbols == params.seg_len for r in to_dropped)
-    assert all(not r.delivered for r in to_dropped)
+    transcript = result.transcript
+    to_dropped = transcript.receiver == 2
+    assert to_dropped.sum() == 5  # the other five group members still send
+    assert (transcript.symbols[to_dropped] == params.seg_len).all()
+    assert not transcript.delivered[to_dropped].any()
     # and the silenced relay sends an explicit zero-symbol null
-    nulls = [r for r in result.transcript if r.null_flag]
-    assert len(nulls) == 1
-    assert nulls[0].sender == 8 and nulls[0].symbols == 0
+    assert transcript.null.sum() == 1
+    assert transcript.sender[transcript.null].tolist() == [8]
+    assert transcript.symbols[transcript.null].tolist() == [0]
 
 
 def test_message_counts_per_phase():
@@ -207,19 +230,71 @@ def test_message_counts_per_phase():
 def test_self_shares_cost_nothing():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=6)
     result = run_protocol(ctx, params, tree, models)
-    self_rows = [r for r in result.transcript if r.sender == r.receiver]
-    assert len(self_rows) == 6
-    assert all(r.symbols == 0 for r in self_rows)
+    transcript = result.transcript
+    self_rows = transcript.sender == transcript.receiver
+    assert self_rows.sum() == 6
+    assert (transcript.symbols[self_rows] == 0).all()
 
 
 def test_active_links_exclude_nulls_undelivered_and_self():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
-    links = result.transcript.active_links()
-    assert not any(2 in link for link in links)  # all traffic to 2 undelivered
-    assert all(len(link) == 2 for link in links)  # self-shares are not links
-    silenced_uplink = frozenset((8, "server"))  # null message, silent link
-    assert silenced_uplink not in links
+    links = result.transcript.links()
+    assert not (links == 2).any()  # all traffic to 2 undelivered
+    assert (links[:, 0] < links[:, 1]).all()  # self-shares are not links
+    silenced_uplink = [8, 12]  # null message to the server (user N), silent link
+    assert silenced_uplink not in links.tolist()
+
+
+@pytest.mark.parametrize("timing", [PRE_INTRA, BETWEEN_ROUNDS])
+@pytest.mark.parametrize("shape", ["chain", "star", "irregular"])
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_transcript_columns_match_per_message_reference(t, d, shape, timing):
+    rng = Random(f"{t}:{d}:{shape}:{timing}")
+    k = rng.randint(1, 3)
+    size, groups = k + t + d, rng.randint(2, 5)
+    if shape == "irregular":  # each group hangs under a random later one
+        shape = {g: rng.randint(g + 1, groups - 1) for g in range(groups - 1)}
+        shape[groups - 1] = "server"
+    if d == 2 and t % 2:  # two drops in one slot
+        slot = rng.randrange(size)
+        dropped = [g * size + slot for g in rng.sample(range(groups), 2)]
+    else:  # drops in different slots
+        slots = rng.sample(range(size), d)
+        dropped = [rng.randrange(groups) * size + slot for slot in slots]
+    config = RunConfig(
+        n_users=size * groups, t_max=t, d_max=d, k_parts=k, model_len=k + 1,
+        entry_bound=4, tree_shape=shape, dropped=tuple(dropped),
+        dropout_timing=timing, master_seed=rng.randrange(100),
+    )
+    report, result = simulate(config)
+    params, tree, n = result.params, result.tree, config.n_users
+    took_part = [u in result.included_users for u in range(n)]
+    rows = transcript_rows_naive(params, tree, took_part, result.status.tolist())
+    transcript = result.transcript
+    assert rows == list(
+        zip(
+            [PHASES[c] for c in transcript.phase.tolist()],
+            transcript.sender.tolist(),
+            _named(transcript.receiver.tolist(), n),
+            transcript.symbols.tolist(),
+            transcript.null.tolist(),
+            transcript.delivered.tolist(),
+        )
+    )
+    links = transcript.links().tolist()
+    assert links == sorted(links) and all(a < b for a, b in links)
+    assert {frozenset(_named(pair, n)) for pair in links} == links_naive(rows)
+    assert report.total_edges == len(potential_links_naive(params, tree))
+    assert report.silent_edges == report.total_edges - len(links_naive(rows))
+    expected = io.StringIO()
+    csv.writer(expected).writerows(
+        [("phase", "sender", "receiver", "symbols", "null")] + [r[:5] for r in rows]
+    )
+    written = io.StringIO()
+    transcript.to_csv(written)
+    assert written.getvalue() == expected.getvalue()
 
 
 # ---- shape invariance and determinism ----
@@ -240,7 +315,10 @@ def test_same_seed_reproduces_byte_identical_transcript():
     a = run_protocol(ctx, params, tree, models, master_seed=9)
     b = run_protocol(ctx, params, tree, models, master_seed=9)
     assert a.aggregate.tolist() == b.aggregate.tolist()
-    assert a.transcript.rows() == b.transcript.rows()
+    csv_a, csv_b = io.StringIO(), io.StringIO()
+    a.transcript.to_csv(csv_a)
+    b.transcript.to_csv(csv_b)
+    assert csv_a.getvalue() == csv_b.getvalue()
     assert np.array_equal(a.coeffs, b.coeffs)
 
 

@@ -1,5 +1,6 @@
 """Parameter validation, group assignment, trees, edge counts, delays."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,16 +14,14 @@ from rampagg.errors import (
     ThresholdViolation,
     UnknownGroup,
 )
+from rampagg.protocol import Transcript
 from rampagg.topology import (
     SERVER,
     AggregationTree,
     DelayModel,
-    UserId,
     build_tree,
     count_edges,
-    index_of,
     make_params,
-    potential_links,
     total_delay,
 )
 
@@ -100,15 +99,6 @@ def test_make_params_accept_iff_constraints_hold(groups, t, d, k, length):
     else:
         params = make_params(n, t, d, k, model_len=length, entry_bound=8)
         assert params.num_groups == groups
-
-
-# ---- user ids and groups ----
-
-
-def test_user_id_round_trip():
-    uid = UserId.from_index(7, group_size=3)
-    assert (uid.group, uid.slot) == (2, 1)
-    assert index_of(uid.group, uid.slot, 3) == 7
 
 
 # ---- trees ----
@@ -195,6 +185,10 @@ def test_tree_rejects_cycles_and_orphans():
         AggregationTree({1: 2, 2: SERVER})  # group 0 missing
     with pytest.raises(NotATree):
         AggregationTree({})
+    with pytest.raises(NotATree):
+        AggregationTree({0: True, 1: SERVER})  # a bool is not a group number
+    with pytest.raises(NotATree):
+        build_tree(3, {0: 1, 1: SERVER})  # the map must cover all 3 groups
 
 
 def test_tree_rejects_bad_shape_name():
@@ -224,6 +218,13 @@ def test_count_edges_single_group_is_complete_graph_plus_uplinks():
     assert count_edges(params) == 8 * 9 // 2
 
 
+def _links_without_dropouts(params, tree):
+    """The links of a round nobody drops out of: every potential link."""
+    n = params.n_users
+    everyone = np.ones(n, dtype=bool)
+    return Transcript.of_round(params, tree, everyone, np.zeros(n, dtype=np.int8)).links()
+
+
 @pytest.mark.parametrize("shape", ["chain", "star"])
 @pytest.mark.parametrize(
     "n,t,d,k", [(12, 2, 1, 3), (12, 2, 1, 9), (24, 3, 1, 4), (24, 1, 0, 2)]
@@ -231,22 +232,22 @@ def test_count_edges_single_group_is_complete_graph_plus_uplinks():
 def test_potential_links_match_closed_form(shape, n, t, d, k):
     params = make_params(n, t, d, k, model_len=4, entry_bound=8)
     tree = build_tree(params.num_groups, shape)
-    links = potential_links(params, tree)
+    links = _links_without_dropouts(params, tree)
     assert len(links) == count_edges(params)
 
 
 def test_potential_links_explicit_contents():
     params = make_params(4, 1, 0, 1, model_len=2, entry_bound=8)  # 2 groups of 2
     tree = build_tree(2, "chain")
-    links = potential_links(params, tree)
-    assert links == {
-        frozenset((0, 1)),
-        frozenset((2, 3)),
-        frozenset((0, 2)),  # slot 0 uplink
-        frozenset((1, 3)),  # slot 1 uplink
-        frozenset((2, SERVER)),
-        frozenset((3, SERVER)),
-    }
+    links = _links_without_dropouts(params, tree)
+    assert sorted(map(tuple, links.tolist())) == [
+        (0, 1),
+        (0, 2),  # slot 0 uplink
+        (1, 3),  # slot 1 uplink
+        (2, 3),
+        (2, 4),  # the server is user index N = 4
+        (3, 4),
+    ]
 
 
 # ---- delays ----
