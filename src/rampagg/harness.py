@@ -28,6 +28,7 @@ from .protocol import (
     Transcript,
     UserStatus,
     derive_seed,
+    draw_uniform,
     eval_point_for_slot,
     run_protocol,
 )
@@ -160,6 +161,12 @@ class RunConfig:
         Raises ConfigInvalid with a message naming the offending field.
         """
         self._check_types()
+        for name in ("entry_bound", "prime_override"):
+            if (getattr(self, name) or 0) > 2**63:
+                raise ConfigInvalid(
+                    f"{name}: {getattr(self, name)} exceeds 2**63, the largest "
+                    "bound of the int64 model and noise draws"
+                )
         try:
             params = make_params(
                 self.n_users,
@@ -305,20 +312,24 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def draw_models(config: RunConfig) -> np.ndarray:
+    """Deterministic per-config models as one (N, L) int64 array: entries
+    uniform in [0, entry_bound), drawn in row order from the stream seeded
+    with derive_seed(master_seed, "models")."""
+    seed = derive_seed(config.master_seed, "models")
+    return draw_uniform(seed, config.entry_bound, (config.n_users, config.model_len))
+
+
 def generate_models(config: RunConfig) -> list[Model]:
-    """Deterministic per-config models: entries uniform in [0, entry_bound)."""
-    rng = Random(derive_seed(config.master_seed, "models"))
-    return [
-        Model(tuple(rng.randrange(config.entry_bound) for _ in range(config.model_len)))
-        for _ in range(config.n_users)
-    ]
+    """The models of :func:`draw_models`, one :class:`Model` per user."""
+    return [Model(tuple(row)) for row in draw_models(config).tolist()]
 
 
 def simulate(config: RunConfig, models: Optional[Sequence[Model]] = None):
     """Run one configured round and measure it.  Returns (RunReport, RunResult)."""
     params, tree, ctx = config.resolve()
     if models is None:
-        models = generate_models(config)
+        models = draw_models(config)
     else:
         models = [m if isinstance(m, Model) else Model(tuple(m)) for m in models]
         for m in models:
@@ -330,7 +341,7 @@ def simulate(config: RunConfig, models: Optional[Sequence[Model]] = None):
     loads = measure_loads(result.transcript, params, plan.dropped)
     # a round without dropouts uses every link the network has
     everyone = np.ones(params.n_users, dtype=bool)
-    no_drops = np.full(params.n_users, UserStatus.ACTIVE, dtype=np.int8)
+    no_drops = np.full(params.n_users, UserStatus.ACTIVE.value, dtype=np.int8)
     total = len(Transcript.of_round(params, tree, everyone, no_drops).links())
     active = len(result.transcript.links())
     delay = total_delay(tree, DelayModel(config.delta_inter, config.delta_intra))

@@ -46,8 +46,10 @@ without dropouts uses every link the network has.
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from random import Random
 from typing import Optional, Sequence
 
@@ -58,7 +60,6 @@ from .field import FieldContext
 from .sharing import (
     Model,
     evaluate,
-    field_dtype,
     partition,
     recover_aggregate,
     share_blocks,
@@ -217,7 +218,6 @@ class RunResult:
     """
 
     aggregate: np.ndarray
-    transcript: Transcript
     coeffs: np.ndarray
     intra: np.ndarray
     partials: np.ndarray
@@ -229,7 +229,15 @@ class RunResult:
 
     @property
     def null(self) -> np.ndarray:
-        return self.status == UserStatus.SILENCED
+        return self.status == UserStatus.SILENCED.value
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        """The round's messages, built on first use: callers that only read
+        the arrays, such as the exhaustive privacy checker, never pay for it."""
+        took_part = np.zeros(self.params.n_users, dtype=bool)
+        took_part[sorted(self.included_users)] = True
+        return Transcript.of_round(self.params, self.tree, took_part, self.status)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -238,19 +246,46 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# words read from the generator per chunk: bounds the transient bytes object
+_CHUNK_WORDS = 1 << 20
+
+
+def draw_uniform(seed: int, bound: int, shape) -> np.ndarray:
+    """An int64 array of ``shape``, uniform in [0, bound) for 2 <= bound <=
+    2**63, filled in row order from one ``Random(seed)``.
+
+    The generator's output is read in bulk as little-endian words, 32-bit
+    (``<u4``) when bound-1 fits in 32 bits, else 64-bit (``<u8``).  Each word
+    keeps its top ``(bound-1).bit_length()`` bits and is rejected when that
+    value is >= bound, so every accepted value is exactly uniform (no modulo
+    bias) and at most half the words are rejected.  The result is the first
+    ``prod(shape)`` accepted values of the word stream, whatever the chunking.
+    """
+    if not 2 <= bound <= 2**63:
+        raise ValueError(f"bound {bound} outside [2, 2**63]")
+    bits = (bound - 1).bit_length()
+    width = 32 if bits <= 32 else 64
+    out = np.empty(math.prod(shape), dtype=np.int64)
+    rng = Random(seed)
+    filled = 0
+    while filled < len(out):
+        # the expected number of words still needed, plus a few sigma
+        words = ((len(out) - filled) << bits) // bound
+        words = min(words + 4 * math.isqrt(words) + 16, _CHUNK_WORDS)
+        raw = np.frombuffer(rng.randbytes(words * width // 8), dtype=f"<u{width // 8}")
+        values = raw >> (width - bits)
+        values = values[values < bound][: len(out) - filled]
+        out[filled : filled + len(values)] = values
+        filled += len(values)
+    return out.reshape(shape)
+
+
 def draw_noise(p: int, params: ProtocolParams, master_seed: int) -> np.ndarray:
-    """(N, T, S) uniform noise.  User u's T*S symbols come, in row order,
-    from its own generator seeded with derive_seed(master_seed, "noise:u"):
-    same seed, same noise."""
-    draws = params.t_max * params.seg_len
-    rows = []
-    for u in range(params.n_users):
-        rng = Random(derive_seed(master_seed, f"noise:{u}"))
-        rows.append([rng.randrange(p) for _ in range(draws)])
-    dtype = field_dtype(p, params.k_parts + params.t_max)
-    return np.array(rows, dtype=dtype).reshape(
-        params.n_users, params.t_max, params.seg_len
-    )
+    """(N, T, S) uniform noise in [0, p), drawn in row order from the one
+    stream seeded with derive_seed(master_seed, "noise"): same seed, same
+    noise."""
+    shape = (params.n_users, params.t_max, params.seg_len)
+    return draw_uniform(derive_seed(master_seed, "noise"), p, shape)
 
 
 def run_protocol(
@@ -264,9 +299,9 @@ def run_protocol(
 ) -> RunResult:
     """Execute one full aggregation round deterministically.
 
-    ``models`` holds one Model (or raw sequence) per user.  Noise is drawn
-    by :func:`draw_noise` unless an explicit ``noise`` array of shape
-    (N, T, S, *batch) is supplied.  Raises TooManyDropouts when fewer than
+    ``models`` holds one Model (or raw sequence) per user, or is an (N, L)
+    integer array.  Noise is drawn by :func:`draw_noise` unless an explicit
+    ``noise`` array of shape (N, T, S, *batch) is supplied.  Raises TooManyDropouts when fewer than
     K+T non-null messages reach the server.
     """
     plan = dropout_plan or DropoutPlan.none()
@@ -287,8 +322,10 @@ def run_protocol(
     for u in plan.dropped:
         if not 0 <= u < n:
             raise ValueError(f"dropout index {u} outside [0, {n})")
-    rows = [m.entries if isinstance(m, Model) else m for m in models]
-    for u, row in enumerate(rows):
+    if not isinstance(models, np.ndarray):
+        models = [m.entries if isinstance(m, Model) else m for m in models]
+    # the rows of an (N, L) array share one length: checking one suffices
+    for u, row in enumerate(models[:1] if isinstance(models, np.ndarray) else models):
         if len(row) != params.model_len:
             raise ValueError(
                 f"model {u} has length {len(row)}, expected {params.model_len}"
@@ -301,14 +338,15 @@ def run_protocol(
             f"noise has shape {noise.shape}, expected "
             f"({n}, {params.t_max}, {seg_len}, *batch)"
         )
-    coeffs = share_blocks(partition(rows, params.k_parts), noise, p)
+    coeffs = share_blocks(partition(models, params.k_parts), noise, p)
     batch = coeffs.shape[3:]
 
     pre_dropped = sorted(plan.dropped) if plan.timing == PRE_INTRA else []
     took_part = np.ones(n, dtype=bool)  # in the intra phase
     took_part[pre_dropped] = False
-    status = np.full(n, UserStatus.ACTIVE, dtype=np.int8)
-    status[sorted(plan.dropped)] = UserStatus.DROPPED
+    # plain ints: numpy compares and stores an IntEnum member several times slower
+    status = np.full(n, UserStatus.ACTIVE.value, dtype=np.int8)
+    status[sorted(plan.dropped)] = UserStatus.DROPPED.value
 
     # -- intra phase: the group sum of active blocks, at every slot's point --
     by_group = (-1, size) + coeffs.shape[1:]
@@ -319,7 +357,7 @@ def run_protocol(
     intra = evaluate(group_sums, points, p, axis=1).reshape((n, seg_len) + batch)
 
     # -- inter + server phases: fold the groups leaves first ---------------
-    dead = (status == UserStatus.DROPPED).reshape(-1, size)
+    dead = (status == UserStatus.DROPPED.value).reshape(-1, size)
     silent = np.zeros_like(dead)
     partials = intra.reshape((-1, size, seg_len) + batch).copy()
     for g in tree.upward_order():
@@ -327,12 +365,12 @@ def run_protocol(
         if kids:
             silent[g] = (dead[kids] | silent[kids]).any(axis=0)
             partials[g] = (partials[g] + partials[kids].sum(axis=0)) % p
-    status[(silent & ~dead).reshape(n)] = UserStatus.SILENCED
+    status[(silent & ~dead).reshape(n)] = UserStatus.SILENCED.value
     partials = partials.reshape((n, seg_len) + batch)
 
     # -- recovery -------------------------------------------------------------
     last = tree.last_group * size
-    null_slots = status[last:] != UserStatus.ACTIVE
+    null_slots = status[last:] != UserStatus.ACTIVE.value
     try:
         aggregate = server_recover(ctx, params, partials[last:], null_slots)
     except TooManyDropouts as exc:
@@ -345,7 +383,6 @@ def run_protocol(
         raise TooManyDropouts(f"{exc}; null slots: {', '.join(causes)}") from None
     return RunResult(
         aggregate=aggregate,
-        transcript=Transcript.of_round(params, tree, took_part, status),
         coeffs=coeffs,
         intra=intra,
         partials=partials,

@@ -2,9 +2,14 @@
 
 Deliberately written with different algorithms than the package: primality
 by full trial scan, interpolation by Gaussian elimination on a Vandermonde
-system, evaluation by repeated pow.  Slow and obvious beats fast and clever
-here.
+system, evaluation by repeated pow, random inputs by one ``randrange`` per
+entry.  Slow and obvious beats fast and clever here.
 """
+
+import hashlib
+from random import Random
+
+import numpy as np
 
 
 def is_prime_naive(n: int) -> bool:
@@ -116,3 +121,52 @@ def potential_links_naive(params, tree):
             else:
                 links.add(frozenset((sender, parent * size + slot)))
     return links
+
+
+# ---- per-entry random streams ---------------------------------------------------
+
+
+def _derive_seed(master_seed: int, label: str) -> int:
+    digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def uniform_getrandbits_naive(seed, bound, count):
+    """``count`` values uniform in [0, bound), one word at a time: the top
+    (bound-1).bit_length() bits of each ``getrandbits(32)`` (or 64, when
+    bound-1 needs more than 32 bits) of Random(seed), dropping values >=
+    bound."""
+    bits = (bound - 1).bit_length()
+    width = 32 if bits <= 32 else 64
+    rng = Random(seed)
+    values = []
+    while len(values) < count:
+        value = rng.getrandbits(width) >> (width - bits)
+        if value < bound:
+            values.append(value)
+    return values
+
+
+def models_randrange_naive(config):
+    """The models of the per-entry stream that bulk drawing replaced: one
+    ``randrange(entry_bound)`` per entry, user by user, from the generator
+    seeded with derive_seed(master_seed, "models").  A list of tuples."""
+    rng = Random(_derive_seed(config.master_seed, "models"))
+    return [
+        tuple(rng.randrange(config.entry_bound) for _ in range(config.model_len))
+        for _ in range(config.n_users)
+    ]
+
+
+def noise_randrange_naive(p, params, master_seed):
+    """The (N, T, S) noise of the per-user streams that bulk drawing
+    replaced: user u's T*S symbols, in row order, are one ``randrange(p)``
+    each from its own generator seeded with derive_seed(master_seed,
+    "noise:u")."""
+    rows = []
+    for u in range(params.n_users):
+        rng = Random(_derive_seed(master_seed, f"noise:{u}"))
+        rows.append([rng.randrange(p) for _ in range(params.t_max * params.seg_len)])
+    return np.array(rows, dtype=np.int64).reshape(
+        params.n_users, params.t_max, params.seg_len
+    )

@@ -84,6 +84,16 @@ def test_run_rejects_composite_prime_override(tmp_path, capsys):
     assert "prime_override" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value", [("entry_bound", 2**63 + 1), ("prime_override", 2**64 + 13)]
+)
+def test_run_rejects_bounds_above_int64_with_exit_2(tmp_path, capsys, field, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "prime_override": 1009, field: value}))
+    assert main(["run", str(path)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
 def test_run_refuses_formula_assertions_on_tiny_prime(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(

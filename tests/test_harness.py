@@ -2,6 +2,8 @@
 
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +103,9 @@ def test_any_json_value_in_any_field_runs_or_is_config_invalid(field, value):
         (dict(delta_inter=-1), "delta_inter"),
         (dict(prime_override=91), "prime_override"),  # 7 * 13
         (dict(prime_override=11), "prime_override"),  # <= group size 12
+        # models and noise are int64 draws
+        (dict(entry_bound=2**63 + 1, prime_override=1009), "entry_bound"),
+        (dict(prime_override=2**64 + 13), "prime_override"),
     ],
 )
 def test_resolve_names_the_offending_field(changes, needle):
@@ -232,6 +237,27 @@ def test_generate_models_deterministic_and_bounded():
     assert len(models) == 12
     assert all(0 <= e < 8 for m in models for e in m.entries)
     assert models != generate_models(config.replace(master_seed=1))
+
+
+def test_largest_entry_bound_runs_on_a_small_prime():
+    # 2**63 needs 64-bit words; the non-conforming 1009 makes the sum wrap
+    config = example2().replace(entry_bound=2**63, prime_override=1009)
+    report, result = simulate(config)
+    models = generate_models(config)
+    assert max(e for m in models for e in m.entries) >= 2**62
+    expected = plain_sum(models, result.included_users)
+    assert report.aggregate == [e % 1009 for e in expected]
+
+
+def test_simulate_does_not_load_numpy_random():
+    code = (
+        "import sys; from rampagg.harness import RunConfig, simulate; "
+        "simulate(RunConfig(n_users=12, t_max=2, d_max=1, k_parts=3, model_len=9, "
+        "entry_bound=8, dropped=(2,))); "
+        "sys.exit('numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_simulate_validates_explicit_models():

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rampagg import protocol
 from rampagg.errors import (
     DimensionMismatch,
     DuplicateAbscissa,
     InsufficientEvaluations,
 )
 from rampagg.field import FieldContext
-from rampagg.protocol import derive_seed, draw_noise
+from rampagg.protocol import derive_seed, draw_noise, draw_uniform
 from rampagg.sharing import (
     Model,
     evaluate,
@@ -25,6 +26,8 @@ from rampagg.sharing import (
     validate_entries,
 )
 from rampagg.topology import ProtocolParams
+
+from oracles import uniform_getrandbits_naive
 
 
 def _ctx(p: int) -> FieldContext:
@@ -102,10 +105,43 @@ def test_noise_is_deterministic_per_seed():
     assert a.shape == (3, 2, 4)
     assert np.array_equal(a, draw_noise(101, params, 9))
     assert not np.array_equal(a, draw_noise(101, params, 10))
-    # user u's symbols are its own stream's draws, in row order
-    for u in range(3):
-        rng = Random(derive_seed(9, f"noise:{u}"))
-        assert a[u].reshape(-1).tolist() == [rng.randrange(101) for _ in range(8)]
+    # one stream for the round, users then vectors then symbols in row order
+    expected = uniform_getrandbits_naive(derive_seed(9, "noise"), 101, 3 * 2 * 4)
+    assert a.reshape(-1).tolist() == expected
+
+
+def test_noise_without_noise_vectors_is_empty():
+    assert draw_noise(101, _params(3, 0, 2, 8), 9).shape == (3, 0, 4)
+    assert draw_uniform(1, 5, (2, 0, 3)).shape == (2, 0, 3)
+
+
+# 2**16 + 1 rejects almost half the words; 2**31 + 11 is the smallest bound
+# read from 64-bit words; 2**63 is the largest bound.
+@pytest.mark.parametrize("bound", [2, 5, 101, 2**16 + 1, 2**32, 2**31 + 11, 2**63])
+def test_draw_uniform_matches_word_by_word_reference(bound):
+    values = draw_uniform(17, bound, (40, 25))
+    assert values.dtype == np.int64 and values.shape == (40, 25)
+    assert 0 <= values.min() and values.max() < bound
+    assert values.reshape(-1).tolist() == uniform_getrandbits_naive(17, bound, 1000)
+
+
+@pytest.mark.parametrize("bound", [5, 2**16 + 1, 2**31 + 11])
+def test_draw_uniform_is_independent_of_chunking(bound, monkeypatch):
+    whole = draw_uniform(3, bound, (500,))
+    monkeypatch.setattr(protocol, "_CHUNK_WORDS", 7)
+    assert np.array_equal(draw_uniform(3, bound, (500,)), whole)
+
+
+def test_draw_uniform_is_deterministic_and_seed_sensitive():
+    a = draw_uniform(5, 2**16 + 1, (300,))
+    assert np.array_equal(a, draw_uniform(5, 2**16 + 1, (300,)))
+    assert not np.array_equal(a, draw_uniform(6, 2**16 + 1, (300,)))
+
+
+@pytest.mark.parametrize("bound", [1, 0, 2**63 + 1])
+def test_draw_uniform_rejects_bounds_outside_int64(bound):
+    with pytest.raises(ValueError, match="bound"):
+        draw_uniform(0, bound, (3,))
 
 
 def test_noise_is_roughly_uniform():
