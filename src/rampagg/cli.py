@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from .errors import ConfigInvalid, RampAggError, TooManyDropouts
 from .harness import RunConfig, simulate
@@ -58,6 +59,16 @@ def _resolve_out(flag_out) -> str:
     return os.environ.get(ENV_OUT, ".")
 
 
+@contextmanager
+def _unwritable(name: str):
+    """Turn a failure to create or write an output into ConfigInvalid
+    naming the option or field that chose the path."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigInvalid(f"{name}: cannot write output: {exc}") from exc
+
+
 def _print_summary(report) -> None:
     loads = report.loads
     print(f"users={report.config.n_users} prime={report.prime}")
@@ -76,13 +87,14 @@ def cmd_run(args) -> int:
     config = config.replace(master_seed=_resolve_seed(args.seed, config.master_seed))
     out_dir = _resolve_out(args.out)
     report, result = simulate(config)
-    os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
     transcript_path = os.path.join(out_dir, "transcript.csv")
-    with open(transcript_path, "w", encoding="utf-8", newline="") as fh:
-        result.transcript.to_csv(fh)
+    with _unwritable("--out"):
+        os.makedirs(out_dir, exist_ok=True)
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
+        with open(transcript_path, "w", encoding="utf-8", newline="") as fh:
+            result.transcript.to_csv(fh)
     _print_summary(report)
     print(f"report: {report_path}")
     print(f"transcript: {transcript_path}")
@@ -149,10 +161,11 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_task(base, k, rep) for k, rep in tasks]
 
     out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    with _unwritable("--out"):
+        os.makedirs(out_dir, exist_ok=True)
     path = out_csv if os.path.isabs(out_csv) else os.path.join(out_dir, out_csv)
     fields = ["k_parts", "repetition", "r_server", "r_user_max", "edges", "delay"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _unwritable("out_csv"), open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)

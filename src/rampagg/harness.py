@@ -110,10 +110,15 @@ class RunConfig:
     def from_dict(cls, raw: Mapping) -> "RunConfig":
         if not isinstance(raw, Mapping):
             raise ConfigInvalid(f"config: must be a JSON object, got {raw!r}")
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
+        fields = dataclasses.fields(cls)
+        unknown = set(raw) - {f.name for f in fields}
         if unknown:
             raise ConfigInvalid(f"unknown config field(s): {sorted(unknown)}")
+        missing = [
+            f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw
+        ]
+        if missing:
+            raise ConfigInvalid(f"missing config field(s): {missing}")
         data = dict(raw)
         for key in ("dropped", "adversaries"):
             if isinstance(data.get(key), list):
@@ -208,6 +213,13 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigInvalid(f"prime_override: {exc}") from exc
         else:
+            # 2**63 - 25, the largest prime below 2**63, is the largest
+            # modulus the int64 noise draw takes
+            if self.n_users * (self.entry_bound - 1) >= 2**63 - 25:
+                raise ConfigInvalid(
+                    "entry_bound: no prime in (n_users * (entry_bound - 1), 2**63] "
+                    "for the int64 noise draw"
+                )
             ctx = select_prime(self.n_users, self.entry_bound)
         if ctx.p <= params.group_size:
             raise ConfigInvalid(

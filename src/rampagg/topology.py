@@ -170,27 +170,6 @@ class AggregationTree:
         self._check(group)
         return self._children[group]
 
-    def descendants(self, group: int) -> set[int]:
-        """All groups strictly below ``group``."""
-        self._check(group)
-        out: set[int] = set()
-        stack = list(self._children[group])
-        while stack:
-            g = stack.pop()
-            out.add(g)
-            stack.extend(self._children[g])
-        return out
-
-    def ancestors(self, group: int) -> set[int]:
-        """All groups strictly above ``group``; the server is excluded."""
-        self._check(group)
-        out: set[int] = set()
-        node = self._parent[group]
-        while node != SERVER:
-            out.add(node)  # type: ignore[arg-type]
-            node = self._parent[node]  # type: ignore[index]
-        return out
-
     def inter_hops(self, group: int) -> int:
         """Group-to-group edges between ``group`` and the server's child."""
         self._check(group)

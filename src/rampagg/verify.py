@@ -1,17 +1,24 @@
-"""Named verification suites with fixed matrices.
+"""Named verification suites: the one definition of the acceptance criteria.
 
-Each suite returns a list of :class:`CheckResult`; the CLI prints one line
-per check and the test suite asserts on the same objects, so there is a
-single source of truth for what "verified" means.
+:data:`SUITES` maps each suite to its checks by name.  A check is a
+function that raises AssertionError when the claim fails and otherwise
+returns a one-line summary.  ``rampagg verify <suite>`` prints one line per
+check; the acceptance gate (``tests/test_acceptance.py``) runs the same
+checks by name under a time budget per criterion, so what "verified" means
+is written here and nowhere else.  The slowest suite, ``privacy``, takes
+about 10 s.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Callable
+
+import numpy as np
 
 from .errors import TooManyDropouts
-from .field import is_prime
 from .harness import (
     RunConfig,
     correctness_oracle,
@@ -23,6 +30,7 @@ from .privacy import (
     COUPLING_ALL_EQUAL,
     NOISE_CONSTANT,
     PrivacyCase,
+    PrivacyResult,
     privacy_bruteforce,
 )
 from .protocol import DropoutPlan, derive_seed, run_protocol
@@ -38,10 +46,11 @@ class CheckResult:
     elapsed: float
 
 
-def _run_check(name: str, fn) -> CheckResult:
+def run_check(name: str, check: Callable[[], str]) -> CheckResult:
+    """Run one check and time it; an exception is a failed check."""
     start = time.perf_counter()
     try:
-        detail = fn()
+        detail = check()
         passed = True
     except AssertionError as exc:
         detail = str(exc) or "assertion failed"
@@ -75,58 +84,22 @@ def example_two_group_config() -> RunConfig:
     return example_single_group_config().replace(k_parts=3)
 
 
-def _check_example(config: RunConfig, expect: dict) -> str:
+def _check_example(config: RunConfig, **expect) -> str:
+    """Compare the run's loads, edge counts and silenced users with
+    ``expect`` and its aggregate with the plain sum of the survivors."""
     report, result = simulate(config)
-    loads = report.loads
-    assert loads.r_server == expect["r_server"], (
-        f"r_server {loads.r_server} != {expect['r_server']}"
-    )
-    assert loads.r_user_max == expect["r_user_max"], (
-        f"r_user_max {loads.r_user_max} != {expect['r_user_max']}"
-    )
-    assert report.total_edges == expect["edges"], (
-        f"edges {report.total_edges} != {expect['edges']}"
-    )
-    assert report.silent_edges == expect["silent"], (
-        f"silent edges {report.silent_edges} != {expect['silent']}"
-    )
-    models = generate_models(config)
+    got = {
+        "r_server": report.loads.r_server,
+        "r_user_max": report.loads.r_user_max,
+        "edges": report.total_edges,
+        "silent": report.silent_edges,
+        "silenced": np.flatnonzero(result.null).tolist(),
+    }
+    assert got == expect, f"got {got}, expected {expect}"
     included = set(range(config.n_users)) - set(config.dropped)
-    expected_sum = plain_sum(models, included)
+    expected_sum = plain_sum(generate_models(config), included)
     assert list(report.aggregate) == expected_sum, "aggregate != plain sum of survivors"
-    return (
-        f"r_server={loads.r_server} r_user_max={loads.r_user_max} "
-        f"edges={report.total_edges} silent={report.silent_edges}"
-    )
-
-
-def verify_examples() -> list[CheckResult]:
-    return [
-        _run_check(
-            "single-group-worked-example",
-            lambda: _check_example(
-                example_single_group_config(),
-                {
-                    "r_server": Fraction(11, 9),
-                    "r_user_max": Fraction(4, 3),
-                    "edges": 78,
-                    "silent": 12,
-                },
-            ),
-        ),
-        _run_check(
-            "two-group-worked-example",
-            lambda: _check_example(
-                example_two_group_config(),
-                {
-                    "r_server": Fraction(5, 3),
-                    "r_user_max": Fraction(2, 1),
-                    "edges": 42,
-                    "silent": 7,
-                },
-            ),
-        ),
-    ]
+    return " ".join(f"{key}={value}" for key, value in got.items())
 
 
 # ---- closed-form formulas ----------------------------------------------------
@@ -155,17 +128,19 @@ def _check_load_formulas_24() -> str:
                 f"T={t_max} D={d_max} K={k}: r_server {report.loads.r_server}"
             )
             expected_edges = n * (k + t_max + d_max + 1) // 2
-            assert report.total_edges == expected_edges, (
-                f"T={t_max} D={d_max} K={k}: edges {report.total_edges} "
-                f"!= {expected_edges}"
+            assert report.total_edges == report.edges_formula == expected_edges, (
+                f"T={t_max} D={d_max} K={k}: edges {report.total_edges}, "
+                f"formula {report.edges_formula}, expected {expected_edges}"
             )
             runs += 1
+    assert runs == 24, f"{runs} (T, D, K) configurations, expected 7 + 6 + 6 + 5"
     return f"{runs} (T, D, K) configurations matched both closed forms"
 
 
 def _smallest_prime_in(low: int, high: int) -> int:
+    """Trial division, independent of the package's Miller-Rabin test."""
     for c in range(low + 1, high + 1):
-        if is_prime(c):
+        if all(c % f for f in range(2, math.isqrt(c) + 1)):
             return c
     raise AssertionError(f"no prime in ({low}, {high}]")
 
@@ -201,25 +176,14 @@ def _check_max_partition_point() -> str:
 
 
 def _check_delay_formulas() -> str:
-    delays = DelayModel(inter=1, intra=3)
-    star = total_delay(build_tree(7, "star"), delays)
-    chain = total_delay(build_tree(7, "chain"), delays)
-    single = total_delay(build_tree(1, "chain"), delays)
-    assert star == 2 * 1 + 3, f"star: {star}"
-    assert chain == 7 * 1 + 3, f"chain: {chain}"
-    assert single == 1 + 3, f"single group: {single}"
-    delays2 = DelayModel(inter=5, intra=2)
-    assert total_delay(build_tree(7, "star"), delays2) == 12
-    assert total_delay(build_tree(7, "chain"), delays2) == 37
-    return f"star(7)={star}, chain(7)={chain}, single={single} with inter=1 intra=3"
-
-
-def verify_formulas() -> list[CheckResult]:
-    return [
-        _run_check("load-and-edge-formulas-24-users", _check_load_formulas_24),
-        _run_check("max-partition-operating-point", _check_max_partition_point),
-        _run_check("delay-closed-forms", _check_delay_formulas),
-    ]
+    for inter, intra in ((1, 3), (5, 2), (2, 0)):
+        delays = DelayModel(inter=inter, intra=intra)
+        for groups, shape, hops in ((7, "star", 2), (7, "chain", 7), (1, "chain", 1)):
+            got = total_delay(build_tree(groups, shape), delays)
+            assert got == hops * inter + intra, (
+                f"{shape}({groups}) inter={inter} intra={intra}: {got}"
+            )
+    return "star(7) = 2*inter + intra, chain(G) = G*inter + intra"
 
 
 # ---- randomized correctness ---------------------------------------------------
@@ -250,6 +214,7 @@ def _check_randomized_recovery() -> str:
                 f"first: {summary.failures[:1]}"
             )
             total += summary.trials
+    assert total >= 1000, f"only {total} randomized runs"
     return f"{total} randomized runs matched the plain-integer sum"
 
 
@@ -295,6 +260,7 @@ def _check_dropout_boundary() -> str:
         models = [
             Model(tuple(rng.randrange(8) for _ in range(9))) for _ in range(12)
         ]
+        # one group of 12, so any D+1 users sit in distinct slots
         over = frozenset(rng.sample(range(12), config.d_max + 1))
         try:
             run_protocol(ctx, params, tree, models, DropoutPlan(over))
@@ -304,146 +270,128 @@ def _check_dropout_boundary() -> str:
         except TooManyDropouts:
             pass
         exact = frozenset(rng.sample(range(12), config.d_max))
-        run_protocol(ctx, params, tree, models, DropoutPlan(exact))  # must not raise
-    return "50 over-budget runs all raised, 50 at-budget runs all recovered"
-
-
-def verify_correctness() -> list[CheckResult]:
-    return [
-        _run_check("randomized-recovery-vs-plain-sum", _check_randomized_recovery),
-        _run_check("tree-shape-invariance", _check_tree_invariance),
-        _run_check("dropout-budget-boundary", _check_dropout_boundary),
-    ]
+        result = run_protocol(ctx, params, tree, models, DropoutPlan(exact))
+        assert result.aggregate.tolist() == plain_sum(models, set(range(12)) - exact), (
+            f"trial {trial}: {sorted(exact)} dropped, aggregate != plain sum"
+        )
+    return "50 over-budget runs all raised, 50 at-budget runs all recovered the sum"
 
 
 # ---- exhaustive privacy --------------------------------------------------------
 
 
-def _tiny_case_4_users(adversary: int, **overrides) -> PrivacyCase:
-    kwargs = dict(
-        n_users=4,
-        t_max=1,
-        d_max=0,
-        k_parts=1,
-        prime=5,
-        adversaries=(adversary,),
-        tree_shape="chain",
+def _case_4_users(adversary: int, **overrides) -> PrivacyCase:
+    """Three honest users over the full GF(5)."""
+    return PrivacyCase(
+        n_users=4, t_max=1, d_max=0, k_parts=1, prime=5, adversaries=(adversary,), **overrides
     )
-    kwargs.update(overrides)
-    return PrivacyCase(**kwargs)
 
 
-def _tiny_case_6_users(adversary: int, **overrides) -> PrivacyCase:
-    kwargs = dict(
-        n_users=6,
-        t_max=1,
-        d_max=0,
-        k_parts=2,
-        prime=7,
-        adversaries=(adversary,),
-        tree_shape="chain",
-        model_bound=2,
+def _case_6_users(adversary: int, **overrides) -> PrivacyCase:
+    """Five honest users in two groups, two model symbols each over {0, 1}."""
+    return PrivacyCase(
+        n_users=6, t_max=1, d_max=0, k_parts=2, prime=7, adversaries=(adversary,),
+        model_bound=2, **overrides,
     )
-    kwargs.update(overrides)
-    return PrivacyCase(**kwargs)
 
 
-def _check_privacy_4_users() -> str:
-    points = 0
-    for adversary in range(4):
-        result = privacy_bruteforce(_tiny_case_4_users(adversary))
-        assert result.exact_zero, (
-            f"adversary at user {adversary}: MI = {result.mi_bits} bits over "
-            f"{result.n_points} points"
-        )
-        points += result.n_points
-    return f"MI exactly 0 for all 4 collusion positions ({points} points enumerated)"
+def _private(n_cells: int, n_models: int, n_noise: int) -> PrivacyResult:
+    """The result of a private case: MI exactly 0 over ``n_cells`` values of
+    the revealed honest sum and ``n_models`` x ``n_noise`` enumerated points."""
+    return PrivacyResult(0.0, True, n_cells, n_models, n_noise)
 
 
-def _check_privacy_6_users() -> str:
-    points = 0
-    for adversary in (0, 4):
-        result = privacy_bruteforce(_tiny_case_6_users(adversary))
-        assert result.exact_zero, (
-            f"adversary at user {adversary}: MI = {result.mi_bits} bits over "
-            f"{result.n_points} points"
-        )
-        points += result.n_points
-    return f"MI exactly 0 for leaf and last-group colluders ({points} points)"
+def _enumerate(summary: str, *cases) -> Callable[[], str]:
+    """A check that enumerates each (label, case, expected result) and
+    requires exactly the result the case has always had."""
+
+    def check() -> str:
+        points = 0
+        for label, case, expected in cases:
+            got = privacy_bruteforce(case)
+            assert got == expected, f"{label}: got {got}, expected {expected}"
+            points += got.n_points
+        return f"{summary} ({points} points enumerated)"
+
+    return check
 
 
-def _check_privacy_fixed_data() -> str:
-    result = privacy_bruteforce(
-        _tiny_case_4_users(1, adversary_model_value=3, adversary_noise_value=2)
-    )
-    assert result.exact_zero, f"MI = {result.mi_bits} bits with non-zero colluder data"
-    return "MI exactly 0 with non-zero colluder model and noise"
-
-
-def _check_privacy_correlated_models() -> str:
-    # 5 honest copies of one model over GF(5): the revealed sum is 5w = 0,
-    # so every assignment lands in a single conditioning cell and the view
-    # histograms must still collapse to one distribution.
-    case = PrivacyCase(
-        n_users=6,
-        t_max=1,
-        d_max=0,
-        k_parts=1,
-        prime=5,
-        adversaries=(2,),
-        tree_shape="chain",
-        model_coupling=COUPLING_ALL_EQUAL,
-    )
-    result = privacy_bruteforce(case)
-    assert result.n_cells == 1, f"expected one cell, got {result.n_cells}"
-    assert result.exact_zero, f"MI = {result.mi_bits} bits with duplicated models"
-    return "MI exactly 0 when every honest model is one duplicated draw"
-
-
-def _check_privacy_no_noise_no_colluders() -> str:
-    case = PrivacyCase(
-        n_users=4,
-        t_max=0,
-        d_max=0,
-        k_parts=2,
-        prime=5,
-        adversaries=(),
-        model_bound=2,
-    )
-    result = privacy_bruteforce(case)
-    assert result.exact_zero, f"MI = {result.mi_bits} bits for the server-only view"
-    return "server-only view reveals nothing beyond the sum even with T=0"
-
-
-def _check_broken_rng_leaks() -> str:
-    details = []
-    for case in (
-        _tiny_case_4_users(0, noise_mode=NOISE_CONSTANT),
-        _tiny_case_6_users(0, noise_mode=NOISE_CONSTANT),
-    ):
-        result = privacy_bruteforce(case)
-        assert not result.exact_zero, "constant noise went undetected"
-        assert result.mi_bits > 0, f"MI = {result.mi_bits} should be positive"
-        details.append(f"{case.n_users} users: MI = {result.mi_bits:.3f} bits")
-    return "degenerate noise correctly detected: " + "; ".join(details)
-
-
-def verify_privacy() -> list[CheckResult]:
-    return [
-        _run_check("collusion-view-independence-4-users", _check_privacy_4_users),
-        _run_check("collusion-view-independence-6-users", _check_privacy_6_users),
-        _run_check("nonzero-colluder-data", _check_privacy_fixed_data),
-        _run_check("correlated-honest-models", _check_privacy_correlated_models),
-        _run_check("server-only-view", _check_privacy_no_noise_no_colluders),
-        _run_check("broken-rng-negative-control", _check_broken_rng_leaks),
-    ]
-
-
-SUITES = {
-    "examples": verify_examples,
-    "formulas": verify_formulas,
-    "correctness": verify_correctness,
-    "privacy": verify_privacy,
+SUITES: dict[str, dict[str, Callable[[], str]]] = {
+    "examples": {
+        "single-group-worked-example": lambda: _check_example(
+            example_single_group_config(),
+            r_server=Fraction(11, 9),
+            r_user_max=Fraction(4, 3),
+            edges=78,
+            silent=12,
+            silenced=[],
+        ),
+        # the dropped user's slot-mate in the group above is silenced
+        "two-group-worked-example": lambda: _check_example(
+            example_two_group_config(),
+            r_server=Fraction(5, 3),
+            r_user_max=Fraction(2, 1),
+            edges=42,
+            silent=7,
+            silenced=[8],
+        ),
+    },
+    "formulas": {
+        "load-and-edge-formulas-24-users": _check_load_formulas_24,
+        "max-partition-operating-point": _check_max_partition_point,
+        "delay-closed-forms": _check_delay_formulas,
+    },
+    "correctness": {
+        "randomized-recovery-vs-plain-sum": _check_randomized_recovery,
+        "tree-shape-invariance": _check_tree_invariance,
+        "dropout-budget-boundary": _check_dropout_boundary,
+    },
+    "privacy": {
+        "collusion-view-independence-4-users": _enumerate(
+            "MI exactly 0 for all 4 collusion positions",
+            *[(f"adversary at user {a}", _case_4_users(a), _private(5, 5**3, 5**3))
+              for a in range(4)],
+        ),
+        "collusion-view-independence-6-users": _enumerate(
+            "MI exactly 0 for leaf and last-group colluders",
+            *[(f"adversary at user {a}", _case_6_users(a), _private(36, 2**10, 7**5))
+              for a in (0, 4)],
+        ),
+        "nonzero-colluder-data": _enumerate(
+            "MI exactly 0 with non-zero colluder model and noise",
+            ("colluder model 3, noise 2",
+             _case_4_users(1, adversary_model_value=3, adversary_noise_value=2),
+             _private(5, 5**3, 5**3)),
+        ),
+        # 5 honest copies of one model over GF(5): the revealed sum 5w is 0,
+        # so every assignment lands in one conditioning cell and the view
+        # histograms must still collapse to one distribution
+        "correlated-honest-models": _enumerate(
+            "MI exactly 0 when every honest model is one duplicated draw",
+            ("duplicated honest models",
+             PrivacyCase(n_users=6, t_max=1, d_max=0, k_parts=1, prime=5, adversaries=(2,),
+                         model_coupling=COUPLING_ALL_EQUAL),
+             _private(1, 5, 5**5)),
+        ),
+        # T=0 leaves no noise to enumerate
+        "server-only-view": _enumerate(
+            "server-only view reveals nothing beyond the sum even with T=0",
+            ("server-only view",
+             PrivacyCase(n_users=4, t_max=0, d_max=0, k_parts=2, prime=5, adversaries=(),
+                         model_bound=2),
+             _private(25, 2**8, 1)),
+        ),
+        # with dead noise the 4-user colluder reads its neighbour's model
+        # entry; given the revealed sum the other two stay hidden, so the
+        # leak is one uniform GF(5) symbol, log2(5) bits
+        "broken-rng-negative-control": _enumerate(
+            "constant noise detected as a positive leak",
+            ("4 users, constant noise", _case_4_users(0, noise_mode=NOISE_CONSTANT),
+             PrivacyResult(2.3219280948873613, False, 5, 5**3, 1)),
+            ("6 users, constant noise", _case_6_users(0, noise_mode=NOISE_CONSTANT),
+             PrivacyResult(2.5810280145352182, False, 36, 2**10, 1)),
+        ),
+    },
 }
 
 
@@ -454,4 +402,4 @@ def run_suite(name: str) -> list[CheckResult]:
         raise ValueError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         ) from None
-    return suite()
+    return [run_check(check, fn) for check, fn in suite.items()]

@@ -3,13 +3,15 @@
 Deliberately written with different algorithms than the package: primality
 by full trial scan, interpolation by Gaussian elimination on a Vandermonde
 system, evaluation by repeated pow, random inputs by one ``randrange`` per
-entry.  Slow and obvious beats fast and clever here.
+entry.  Slow and obvious beats fast and clever here.  Also the JSON values
+the property tests draw their inputs from.
 """
 
 import hashlib
 from random import Random
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def is_prime_naive(n: int) -> bool:
@@ -53,6 +55,42 @@ def solve_vandermonde(xs, ys, p: int):
                     (a - factor * b) % p for a, b in zip(rows[r], rows[col])
                 ]
     return [rows[i][n] for i in range(n)]
+
+
+# ---- inputs for property tests -----------------------------------------------------
+
+# any JSON value; integers stay small so that no valid draw runs a large
+# round, and strings hold no "/", so no drawn output path leaves the
+# directory a test writes to
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 40)
+    | st.floats()
+    | st.text(st.characters(blacklist_characters="/"), max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+# ---- tree -----------------------------------------------------------------------
+
+
+def ancestors_naive(tree, group):
+    """Groups strictly above ``group``, by walking ``parent_of`` up to the
+    server."""
+    out = set()
+    node = tree.parent_of(group)
+    while node != "server":
+        out.add(node)
+        node = tree.parent_of(node)
+    return out
+
+
+def descendants_naive(tree, group):
+    """Groups strictly below ``group``: those that have it as an ancestor."""
+    return {g for g in range(tree.num_groups) if group in ancestors_naive(tree, g)}
 
 
 # ---- transcript ---------------------------------------------------------------

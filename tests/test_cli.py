@@ -2,14 +2,20 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rampagg import cli
 from rampagg.cli import main
 from rampagg.verify import CheckResult
+
+from oracles import JSON_VALUES
 
 BASE_CONFIG = {
     "n_users": 12,
@@ -265,6 +271,53 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys):
         json.dumps({"base": BASE_CONFIG, "k_values": "three"})
     )
     assert main(["sweep", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,spec,out,needle",
+    [
+        ("run", {"n_users": 12, "t_max": 2}, "out", "missing config field"),
+        (  # the canonical prime, 2**63 + 29, exceeds the int64 noise draw
+            "run",
+            {**BASE_CONFIG, "n_users": 2, "t_max": 0, "d_max": 0, "k_parts": 2,
+             "model_len": 2, "dropped": [], "entry_bound": 2**62 + 1},
+            "out",
+            "entry_bound",
+        ),
+        ("run", BASE_CONFIG, "a-file", "--out"),
+        ("sweep", {"base": {"n_users": 12}, "k_values": [3]}, "out", "missing config field"),
+        ("sweep", {"base": BASE_CONFIG, "k_values": [3], "out_csv": "nope/sub/x.csv"},
+         "out", "out_csv"),
+        ("sweep", {"base": BASE_CONFIG, "k_values": [3], "out_csv": "."}, "out", "out_csv"),
+    ],
+    ids=[
+        "run-missing-fields", "run-prime-above-int64", "run-out-is-a-file",
+        "sweep-base-missing-fields", "sweep-out-csv-no-dir", "sweep-out-csv-is-a-dir",
+    ],
+)
+def test_bad_input_or_output_exits_2_naming_the_field(
+    tmp_path, capsys, command, spec, out, needle
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(spec))
+    (tmp_path / "a-file").write_text("")
+    assert main([command, str(path), "--out", str(tmp_path / out)]) == 2
+    assert f"error: {needle}" in capsys.readouterr().err
+
+
+SWEEP_SPEC = {"base": BASE_CONFIG, "k_values": [1, 3], "repetitions": 1, "out_csv": "s.csv"}
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(field=st.sampled_from(sorted(SWEEP_SPEC)), value=JSON_VALUES)
+def test_any_json_value_in_any_sweep_field_exits_0_or_2(field, value):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "sweep.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**SWEEP_SPEC, field: value}, fh)
+        assert main(["sweep", path, "--out", out]) in (0, 2)
 
 
 def test_sweep_seed_flag_changes_rows(tmp_path, sweep_file):

@@ -15,7 +15,7 @@ from rampagg.field import (
     select_prime,
 )
 
-from oracles import eval_poly_naive, is_prime_naive, solve_vandermonde
+from oracles import eval_poly_naive, is_prime_naive
 
 
 # ---- primality and prime selection ----
@@ -30,6 +30,15 @@ def test_is_prime_small_values():
 def test_is_prime_agrees_with_naive_scan():
     for n in range(2, 3000):
         assert is_prime(n) == is_prime_naive(n), n
+
+
+def test_is_prime_decides_large_values_exactly():
+    assert is_prime(2**61 - 1)  # a Mersenne prime
+    assert is_prime(2**63 - 25)  # the largest prime below 2**63
+    # 151 * 751 * 28351: a strong pseudoprime to bases 2, 3, 5 and 7
+    assert not is_prime(3_215_031_751)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        is_prime(2**64 + 13)
 
 
 def test_select_prime_examples():
@@ -144,19 +153,3 @@ def test_interpolation_round_trip(data):
     )
     ys = [horner(coeffs, x, p) for x in xs]
     assert lagrange_coefficients(xs, ys, p) == coeffs
-
-
-def test_lagrange_vs_vandermonde_200_instances():
-    """Random instances where two unrelated solvers must agree exactly."""
-    rng = random.Random(88)
-    primes = [13, 101, 997, 10007]
-    for trial in range(200):
-        p = rng.choice(primes)
-        n = rng.randrange(1, min(14, p))  # degree <= 12
-        xs = rng.sample(range(p), n)
-        ys = [rng.randrange(p) for _ in range(n)]
-        got = lagrange_coefficients(xs, ys, p)
-        expected = solve_vandermonde(xs, ys, p)
-        assert got == expected, f"trial {trial}: p={p} xs={xs} ys={ys}"
-        for x, y in zip(xs, ys):
-            assert horner(got, x, p) == y % p

@@ -25,6 +25,8 @@ from rampagg.harness import (
 from rampagg.protocol import eval_point_for_slot
 from rampagg.sharing import Model, evaluate
 
+from oracles import JSON_VALUES
+
 
 def example1() -> RunConfig:
     return RunConfig(
@@ -62,6 +64,11 @@ def test_config_rejects_unknown_fields():
         RunConfig.from_dict({"n_users": 4, "group_count": 2})
 
 
+def test_config_rejects_missing_fields():
+    with pytest.raises(ConfigInvalid, match="'d_max', 'k_parts', 'model_len', 'entry_bound'"):
+        RunConfig.from_dict({"n_users": 12, "t_max": 2})
+
+
 SMALL_CONFIG = {
     "n_users": 6, "t_max": 2, "d_max": 1, "k_parts": 3, "model_len": 3,
     "entry_bound": 8, "tree_shape": "chain", "dropped": [1],
@@ -70,23 +77,24 @@ SMALL_CONFIG = {
     "delta_inter": 1, "delta_intra": 1,
 }
 
-# any JSON value; integers stay small so that no valid draw runs a large round
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
-    max_leaves=8,
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(field=st.sampled_from(sorted(SMALL_CONFIG)), value=JSON_VALUES)
-def test_any_json_value_in_any_field_runs_or_is_config_invalid(field, value):
-    raw = json.loads(json.dumps({**SMALL_CONFIG, field: value}))  # as read from a file
+@given(
+    field=st.sampled_from(sorted(SMALL_CONFIG)),
+    value=JSON_VALUES,
+    missing=st.sets(st.sampled_from(sorted(SMALL_CONFIG)), max_size=3),
+)
+def test_any_json_value_in_any_field_runs_or_is_config_invalid(field, value, missing):
+    raw = {**SMALL_CONFIG, field: value}
+    for name in missing:
+        raw.pop(name, None)
+    raw = json.loads(json.dumps(raw))  # as read from a file
     try:
         simulate(RunConfig.from_dict(raw))
     except ConfigInvalid:
         pass
+
+
+SINGLE_USER = dict(n_users=1, t_max=0, d_max=0, k_parts=1, dropped=())
 
 
 @pytest.mark.parametrize(
@@ -106,6 +114,10 @@ def test_any_json_value_in_any_field_runs_or_is_config_invalid(field, value):
         # models and noise are int64 draws
         (dict(entry_bound=2**63 + 1, prime_override=1009), "entry_bound"),
         (dict(prime_override=2**64 + 13), "prime_override"),
+        # the canonical prime must fit the int64 noise draw, and no prime
+        # lies in (N*(entry_bound-1), 2**63] once N*(entry_bound-1) >= 2**63-25
+        (dict(entry_bound=2**60), "entry_bound"),
+        (SINGLE_USER | dict(entry_bound=2**63 - 23), "entry_bound"),
     ],
 )
 def test_resolve_names_the_offending_field(changes, needle):
@@ -247,6 +259,13 @@ def test_largest_entry_bound_runs_on_a_small_prime():
     assert max(e for m in models for e in m.entries) >= 2**62
     expected = plain_sum(models, result.included_users)
     assert report.aggregate == [e % 1009 for e in expected]
+
+
+def test_canonical_prime_just_below_2_63_runs():
+    config = example1().replace(**SINGLE_USER, entry_bound=2**63 - 25)
+    report, _ = simulate(config)
+    assert report.prime == 2**63 - 25
+    assert report.aggregate == plain_sum(generate_models(config), [0])
 
 
 def test_simulate_does_not_load_numpy_random():
