@@ -150,27 +150,34 @@ def cmd_sweep(args) -> int:
         for rep in range(repetitions):
             tasks.append((k, rep))
 
-    # the pool starts all its workers at once, so ask for no more than can run
-    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
-    if jobs > 1:
-        ks = [k for k, _ in tasks]
-        reps = [rep for _, rep in tasks]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_task, [base] * len(tasks), ks, reps))
-    else:
-        rows = [_sweep_task(base, k, rep) for k, rep in tasks]
-
     out_dir = _resolve_out(args.out)
+    path = out_csv if os.path.isabs(out_csv) else os.path.join(out_dir, out_csv)
+    # create and open the output first, so a bad path fails before any task runs
     with _unwritable("--out"):
         os.makedirs(out_dir, exist_ok=True)
-    path = out_csv if os.path.isabs(out_csv) else os.path.join(out_dir, out_csv)
-    fields = ["k_parts", "repetition", "r_server", "r_user_max", "edges", "delay"]
-    with _unwritable("out_csv"), open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    with _unwritable("out_csv"):
+        fh = open(path, "w", encoding="utf-8", newline="")
+    with fh:
+        rows = _sweep_rows(base, tasks, args.jobs)
+        fields = ["k_parts", "repetition", "r_server", "r_user_max", "edges", "delay"]
+        with _unwritable("out_csv"):
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(rows)
     print(f"{len(rows)} rows -> {path}")
     return 0
+
+
+def _sweep_rows(base: RunConfig, tasks: list, jobs: int) -> list:
+    """One row per (k, repetition) task, in task order."""
+    # the pool starts all its workers at once, so ask for no more than can run
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
+    if jobs <= 1:
+        return [_sweep_task(base, k, rep) for k, rep in tasks]
+    ks = [k for k, _ in tasks]
+    reps = [rep for _, rep in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_sweep_task, [base] * len(tasks), ks, reps))
 
 
 def cmd_verify(args) -> int:

@@ -12,26 +12,6 @@ class NoPrimeInInterval(RampAggError):
     """No prime exists in the requested half-open interval."""
 
 
-class DuplicateAbscissa(RampAggError):
-    """Interpolation points contain a repeated evaluation point."""
-
-
-# ---- sharing ---------------------------------------------------------------
-
-
-class DimensionMismatch(RampAggError):
-    """Vectors that must share a length do not."""
-
-
-class InsufficientEvaluations(RampAggError):
-    """Fewer evaluations supplied than the polynomial degree requires."""
-
-
-class InconsistentArrivals(RampAggError):
-    """An evaluation beyond the K+T that fix the summed polynomial does not
-    lie on it: some arrival was corrupted in transit."""
-
-
 # ---- topology --------------------------------------------------------------
 
 
@@ -69,6 +49,11 @@ class UnknownGroup(RampAggError):
 
 class TooManyDropouts(RampAggError):
     """Fewer non-null messages reached the server than recovery needs."""
+
+
+class InconsistentArrivals(RampAggError):
+    """An evaluation beyond the K+T that fix the summed polynomial does not
+    lie on it: some arrival was corrupted in transit."""
 
 
 # ---- harness ---------------------------------------------------------------

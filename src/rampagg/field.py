@@ -1,16 +1,20 @@
-"""Prime selection, polynomial evaluation and Lagrange interpolation over GF(p).
+"""Prime selection and polynomial evaluation and interpolation over GF(p),
+written as matrices.
 
 Field elements are plain integers canonicalized into ``[0, p)``; the modulus
-lives on a :class:`FieldContext` instead of on each element.  The helpers
-(:func:`horner`, :func:`lagrange_coefficients`) restrict themselves to ``+``,
-``*`` and ``%`` on the ordinate side, so batched values (numpy arrays of
-whole coordinate vectors, with or without an enumeration axis) flow through
-them unchanged.
+lives on a :class:`FieldContext` instead of on each element.  Every
+polynomial operation is one of two matrices, applied to coefficient or
+evaluation arrays by a matrix product mod p: :func:`vandermonde` evaluates
+and :func:`inverse_vandermonde` interpolates.  Both are built in numpy
+arrays of :func:`field_dtype`, int64 below its overflow bound and exact
+Python ints in object arrays above it.
 """
 
 from dataclasses import dataclass
 
-from .errors import DuplicateAbscissa, NoPrimeInInterval
+import numpy as np
+
+from .errors import NoPrimeInInterval
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -107,54 +111,51 @@ def select_prime(n_users: int, entry_bound: int) -> FieldContext:
     raise NoPrimeInInterval(f"no prime in ({low}, {2 * low}]")  # pragma: no cover
 
 
-def horner(coeffs, x: int, p: int):
-    """Evaluate a coefficient sequence (low order first) at ``x`` mod p.
+def field_dtype(p: int, terms: int):
+    """int64 when a sum of ``terms`` products of two field elements fits in
+    it, else object (exact Python ints)."""
+    return np.int64 if terms * (p - 1) ** 2 < 2**63 else object
 
-    Coefficients may be ints or any value supporting +, * and % (numpy
-    arrays included); ``x`` must be an int.
+
+def vandermonde(points, width: int, p: int, dtype) -> np.ndarray:
+    """The (len(points), width) matrix of x**j mod p, one row per point,
+    built a column at a time as a running product.  Each step multiplies
+    two field elements, so ``dtype`` needs only field_dtype(p, 1)."""
+    xs = np.array([x % p for x in points], dtype=dtype)
+    out = np.ones((width, len(xs)), dtype=dtype)  # transposed: columns contiguous
+    for j in range(1, width):
+        out[j] = out[j - 1] * xs % p
+    return out.T
+
+
+def inverse_vandermonde(points, p: int, dtype) -> np.ndarray:
+    """The inverse of the square Vandermonde matrix of ``points`` mod p:
+    column i holds the coefficients (low order first) of the Lagrange basis
+    polynomial that is 1 at point i and 0 at the others.
+
+    Barycentric form (Berrut and Trefethen, SIAM Review 2004): with the
+    master polynomial Z(x) = prod (x - x_j), basis polynomial i is
+    w_i * Z(x) / (x - x_i) with weight w_i = 1 / prod_{j != i} (x_i - x_j).
+    Z is built root by root, and one synthetic division, vectorized over i,
+    gives every numerator Z(x) / (x - x_i) and its value at x_i, the
+    inverse weight.  A step adds a field element to a product of two, so
+    with two or more points ``dtype`` must be at least field_dtype(p, 2);
+    field_dtype(p, len(points)) always suffices.  A repeated point leaves a
+    zero weight denominator, and inverting it raises ValueError.
     """
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def lagrange_coefficients(xs, ys, p: int) -> list:
-    """Coefficients (low order first) of the unique polynomial of degree
-    < len(xs) through the points ``zip(xs, ys)`` over GF(p).
-
-    The abscissas must be ints, pairwise distinct mod p.  Ordinates may be
-    ints or batched values.  The returned list always has len(xs) entries;
-    trailing entries are zero when the data lies on a lower-degree curve.
-
-    Uses the master-numerator formulation: build Z(x) = prod (x - x_i) once,
-    then each basis numerator is Z(x) / (x - x_i) by synthetic division.
-    """
+    xs = np.array([x % p for x in points], dtype=dtype)
     n = len(xs)
-    if n == 0:
-        raise ValueError("at least one interpolation point is required")
-    canon = [x % p for x in xs]
-    if len(set(canon)) != n:
-        raise DuplicateAbscissa(f"duplicate evaluation points in {list(xs)}")
-    if len(ys) != n:
-        raise ValueError("xs and ys must have equal length")
-
-    # Z(x) = prod (x - x_i), degree n, built root by root.
-    root = [1]
-    for x in canon:
-        root.insert(0, 0)
-        for j in range(len(root) - 1):
-            root[j] = (root[j] - root[j + 1] * x) % p
-
-    out = [0] * n
-    for i, x in enumerate(canon):
-        # numerator_i = Z(x) / (x - x_i), degree n-1
-        num = [0] * (n - 1) + [1]
-        for j in range(n - 1, 0, -1):
-            num[j - 1] = (root[j] + num[j] * x) % p
-        denom = horner(num, x, p)
-        weight = pow(denom, -1, p)  # denom != 0 since abscissas are distinct
-        scaled = (ys[i] * weight) % p
-        for j in range(n):
-            out[j] = (out[j] + num[j] * scaled) % p
-    return out
+    root = np.zeros(n + 1, dtype=dtype)  # Z's coefficients, low order first
+    root[0] = 1
+    for x in xs:
+        root[1:] = (root[:-1] - x * root[1:]) % p
+        root[0] = -x * root[0] % p
+    # column i of num holds Z(x) / (x - x_i), degree n-1, top coefficient
+    # first; at_root accumulates its value at x_i on the same pass
+    num = np.ones((n, n), dtype=dtype)
+    at_root = np.ones(n, dtype=dtype)
+    for j in range(1, n):
+        num[j] = (root[n - j] + num[j - 1] * xs) % p
+        at_root = (at_root * xs + num[j]) % p
+    weights = np.array([pow(int(d), -1, p) for d in at_root], dtype=dtype)
+    return num[::-1] * weights % p

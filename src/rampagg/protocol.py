@@ -25,9 +25,11 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         every user forwarded: ``partials`` of shape (N, S, *batch).
 
 server  The last group's users do the same send toward the server.  The
-        server interpolates the summed polynomial through K+T non-null
-        arrivals, checks every further arrival against it, and reads the
-        summed model segments off its low-order coefficients.
+        server applies the (K+T, K+T) inverse Vandermonde matrix of the
+        first K+T non-null arrivals' points to them, which interpolates the
+        summed polynomial of every coordinate at once, checks every further
+        arrival against it, and reads the summed model segments off its
+        low-order coefficients.
 
 Senders never know who dropped, so a message addressed to a dropped user is
 still transmitted (it costs the sender symbols) but it is never delivered
@@ -55,15 +57,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import TooManyDropouts
-from .field import FieldContext
-from .sharing import (
-    Model,
-    evaluate,
-    partition,
-    recover_aggregate,
-    share_blocks,
-)
+from .errors import InconsistentArrivals, TooManyDropouts
+from .field import FieldContext, field_dtype, inverse_vandermonde
+from .sharing import Model, _apply, evaluate, partition, share_blocks
 from .topology import SERVER, AggregationTree, ProtocolParams
 
 PHASE_INTRA = "intra"
@@ -401,19 +397,30 @@ def server_recover(
     last group's messages: ``partials`` (size, S, *batch) by slot, where
     ``silent`` (size,) marks the slots that sent a null or nothing.
 
-    The first K+T arrivals fix the summed polynomial and every further one is
-    checked against it, so a corrupted spare raises InconsistentArrivals
+    The first K+T arrivals fix the summed polynomial: the inverse
+    Vandermonde matrix of their points maps them to every coefficient of
+    every coordinate at once.  Every further arrival is checked against
+    that polynomial, so a corrupted spare raises InconsistentArrivals
     instead of skewing the sum.  Fewer than K+T arrivals raise
     TooManyDropouts.
     """
-    arrivals = np.flatnonzero(~silent).tolist()
+    p = ctx.p
     need = params.k_parts + params.t_max
+    arrivals = np.flatnonzero(~silent)
     if len(arrivals) < need:
         raise TooManyDropouts(
             f"only {len(arrivals)} non-null messages reached the server, "
             f"recovery needs {need}"
         )
-    evals = [(eval_point_for_slot(t), partials[t]) for t in arrivals]
-    return recover_aggregate(
-        ctx, evals, params.k_parts, params.t_max, params.model_len
-    )
+    points = [eval_point_for_slot(t) for t in arrivals.tolist()]
+    inverse = inverse_vandermonde(points[:need], p, field_dtype(p, need))
+    coeffs = _apply(inverse, partials[arrivals[:need]], p, 0)
+    if len(arrivals) > need:
+        wrong = evaluate(coeffs, points[need:], p) != partials[arrivals[need:]] % p
+        bad = [x for x, w in zip(points[need:], wrong) if w.any()]
+        if bad:
+            raise InconsistentArrivals(
+                f"evaluations at {bad} disagree with the polynomial "
+                f"through {points[:need]}"
+            )
+    return coeffs[: params.k_parts].reshape((-1,) + coeffs.shape[2:])[: params.model_len]

@@ -1,5 +1,4 @@
-"""Ramp secret sharing of model vectors as coefficient arrays, and recovery
-of their sum.
+"""Ramp secret sharing of model vectors as coefficient arrays.
 
 A model of length L is zero-padded to K*S entries (S = ceil(L/K)) and cut
 into K segments of S entries.  The K segments then T uniform noise vectors
@@ -14,10 +13,11 @@ A share is a block evaluated at one non-zero point, that is one row of a
 Vandermonde matrix applied along the K+T axis.  Evaluation is linear, so
 summing many users' shares at a point gives a share of their summed blocks.
 Any K+T evaluations of the summed polynomial at distinct non-zero points
-recover all K summed segments at once; that 1/K amortization is the whole
-point of ramp (rather than plain Shamir) sharing.  Fewer than T+1
-evaluations of a single user's block are statistically independent of that
-user's model.
+recover all K summed segments at once, by the inverse Vandermonde matrix of
+those points (see :func:`rampagg.protocol.server_recover`); that 1/K
+amortization is the whole point of ramp (rather than plain Shamir) sharing.
+Fewer than T+1 evaluations of a single user's block are statistically
+independent of that user's model.
 
 Entries are int64 when no Vandermonde product sum can overflow, that is when
 (K+T)*(p-1)**2 < 2**63, and Python ints in object arrays above that bound.
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateAbscissa,
-    InconsistentArrivals,
-    InsufficientEvaluations,
-)
-from .field import FieldContext, lagrange_coefficients
+from .field import field_dtype, vandermonde
 
 
 @dataclass(frozen=True)
@@ -55,12 +49,6 @@ def validate_entries(model: Model, entry_bound: int) -> None:
     for i, e in enumerate(model.entries):
         if not 0 <= e < entry_bound:
             raise ValueError(f"model entry {i} = {e} outside [0, {entry_bound})")
-
-
-def field_dtype(p: int, terms: int):
-    """int64 when a sum of ``terms`` products of two field elements fits in
-    it, else object (exact Python ints)."""
-    return np.int64 if terms * (p - 1) ** 2 < 2**63 else object
 
 
 def partition(models, k_parts: int) -> np.ndarray:
@@ -89,9 +77,8 @@ def evaluate(blocks: np.ndarray, points, p: int, axis: int = 0) -> np.ndarray:
     """Evaluate coefficient blocks at ``points``: the Vandermonde matrix of
     the points times ``blocks`` along ``axis``, the coefficient axis, which
     becomes an axis of one evaluation per point."""
-    width = blocks.shape[axis]
-    powers = [[pow(x, j, p) for j in range(width)] for x in points]
-    return _apply(np.array(powers, dtype=blocks.dtype), blocks, p, axis)
+    matrix = vandermonde(points, blocks.shape[axis], p, blocks.dtype)
+    return _apply(matrix, blocks, p, axis)
 
 
 def _apply(matrix: np.ndarray, blocks: np.ndarray, p: int, axis: int) -> np.ndarray:
@@ -100,54 +87,3 @@ def _apply(matrix: np.ndarray, blocks: np.ndarray, p: int, axis: int) -> np.ndar
     out = matrix @ blocks.reshape(lead + (width, math.prod(rest)))
     out %= p
     return out.reshape(lead + (len(matrix),) + rest)
-
-
-def recover_aggregate(
-    ctx: FieldContext,
-    evals,
-    k_parts: int,
-    noise_count: int,
-    original_length: int,
-) -> np.ndarray:
-    """Recover the summed model from evaluations of the summed polynomial.
-
-    ``evals`` is a sequence of (eval_point, values) pairs with pairwise
-    distinct points; at least K+T are required.  The first K+T fix the
-    polynomial; every further one must lie on it, else InconsistentArrivals.
-    Returns the K segment coefficients, concatenated and truncated to
-    ``original_length``: shape (original_length, *batch).
-    """
-    p = ctx.p
-    need = k_parts + noise_count
-    if len(evals) < need:
-        raise InsufficientEvaluations(
-            f"got {len(evals)} evaluations, need at least {need}"
-        )
-    xs = [x % p for x, _ in evals]
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa(f"duplicate evaluation points in {[x for x, _ in evals]}")
-    ys = [np.asarray(values, dtype=field_dtype(p, need)) for _, values in evals]
-    for x, y in zip(xs, ys):
-        if y.shape != ys[0].shape:
-            raise DimensionMismatch(
-                f"evaluation at {x} has shape {y.shape}, expected {ys[0].shape}"
-            )
-
-    # Interpolating the unit vectors gives the inverse Vandermonde matrix of
-    # the K+T fitting points; it maps the stacked arrivals to every
-    # coefficient of every coordinate (and enumeration point) at once.
-    unit = list(np.eye(need, dtype=ys[0].dtype))
-    inverse = np.array(lagrange_coefficients(xs[:need], unit, p))
-    coeffs = _apply(inverse, np.stack(ys[:need]), p, 0)
-    if len(xs) > need:
-        spare = evaluate(coeffs, xs[need:], p)
-        bad = [
-            x
-            for x, s, y in zip(xs[need:], spare, ys[need:])
-            if not np.array_equal(s, y % p)
-        ]
-        if bad:
-            raise InconsistentArrivals(
-                f"evaluations at {bad} disagree with the polynomial through {xs[:need]}"
-            )
-    return coeffs[:k_parts].reshape((-1,) + coeffs.shape[2:])[:original_length]

@@ -175,6 +175,39 @@ def _check_max_partition_point() -> str:
     return "; ".join(details)
 
 
+def _check_asymptotic_regime() -> str:
+    """The abstract's regime: one group with K = N-T-D, where both loads
+    are (1 + O(1/N)) L and every pair of users shares a link."""
+    t_max, d_max = 2, 1
+    gaps = []
+    for n in (120, 600, 1200):
+        k = n - t_max - d_max
+        config = RunConfig(
+            n_users=n,
+            t_max=t_max,
+            d_max=d_max,
+            k_parts=k,
+            model_len=k,
+            entry_bound=256,
+            dropped=(n - 1,),
+            master_seed=n,
+        )
+        report, _ = simulate(config)
+        got = (report.loads.r_server, report.loads.r_user_max, report.total_edges)
+        expected = (
+            Fraction(k + t_max, k), Fraction(k + t_max + d_max, k), n * (n + 1) // 2
+        )
+        assert got == expected, (
+            f"N={n}: (r_server, r_user_max, edges) {got} != {expected}"
+        )
+        gaps.append((n, got[0] - 1, got[1] - 1))
+    for (n, server, user), (m, next_server, next_user) in zip(gaps, gaps[1:]):
+        assert next_server < server and next_user < user, (
+            f"load gaps did not shrink from N={n} to N={m}"
+        )
+    return "; ".join(f"N={n}: r_server-1={s}, r_user_max-1={u}" for n, s, u in gaps)
+
+
 def _check_delay_formulas() -> str:
     for inter, intra in ((1, 3), (5, 2), (2, 0)):
         delays = DelayModel(inter=inter, intra=intra)
@@ -339,6 +372,7 @@ SUITES: dict[str, dict[str, Callable[[], str]]] = {
     "formulas": {
         "load-and-edge-formulas-24-users": _check_load_formulas_24,
         "max-partition-operating-point": _check_max_partition_point,
+        "asymptotic-regime-loads": _check_asymptotic_regime,
         "delay-closed-forms": _check_delay_formulas,
     },
     "correctness": {

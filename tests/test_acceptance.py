@@ -8,7 +8,9 @@ each criterion's summary line with its elapsed time.
 
 from random import Random
 
-from rampagg.field import horner, lagrange_coefficients, select_prime
+import numpy as np
+
+from rampagg.field import field_dtype, inverse_vandermonde, select_prime, vandermonde
 from rampagg.verify import SUITES, run_check
 
 from oracles import is_prime_naive, solve_vandermonde
@@ -24,7 +26,7 @@ def _smallest_primes_match_naive_scan():
     return "select_prime agrees with the naive scan"
 
 
-def _lagrange_matches_vandermonde():
+def _inverse_vandermonde_matches_solver():
     rng = Random(424242)
     primes = [13, 101, 997, 10007]
     for trial in range(200):
@@ -32,9 +34,11 @@ def _lagrange_matches_vandermonde():
         n = rng.randrange(1, min(14, p))  # degree <= 12
         xs = rng.sample(range(p), n)
         ys = [rng.randrange(p) for _ in range(n)]
-        got = lagrange_coefficients(xs, ys, p)
-        assert got == solve_vandermonde(xs, ys, p), f"trial {trial}"
-        assert all(horner(got, x, p) == y % p for x, y in zip(xs, ys)), f"trial {trial}"
+        dtype = field_dtype(p, n)
+        got = inverse_vandermonde(xs, p, dtype) @ np.array(ys, dtype=dtype) % p
+        assert got.tolist() == solve_vandermonde(xs, ys, p), f"trial {trial}"
+        at_xs = vandermonde(xs, n, p, dtype) @ got % p
+        assert at_xs.tolist() == ys, f"trial {trial}"
     return "200 instances agree"
 
 
@@ -68,7 +72,8 @@ test_criterion_03_load_formulas_sweep = criterion(
     3, "closed-form loads at 24 users", 10.0, ["load-and-edge-formulas-24-users"]
 )
 test_criterion_04_max_partition_point = criterion(
-    4, "operating point K = N-T-D", 10.0, ["max-partition-operating-point"],
+    4, "operating point K = N-T-D", 10.0,
+    ["max-partition-operating-point", "asymptotic-regime-loads"],
     oracle=_smallest_primes_match_naive_scan,
 )
 test_criterion_05_randomized_recovery = criterion(
@@ -81,7 +86,8 @@ test_criterion_07_privacy_matrix = criterion(
     7, "exhaustive privacy matrix", 300.0, list(SUITES["privacy"])
 )
 test_criterion_08_interpolation_oracle = criterion(
-    8, "200 interpolation oracle instances", 5.0, oracle=_lagrange_matches_vandermonde
+    8, "200 interpolation oracle instances", 5.0,
+    oracle=_inverse_vandermonde_matches_solver,
 )
 test_criterion_09_dropout_budget_boundary = criterion(
     9, "budget boundary, 50 + 50 trials", 10.0, ["dropout-budget-boundary"]

@@ -320,6 +320,25 @@ def test_any_json_value_in_any_sweep_field_exits_0_or_2(field, value):
         assert main(["sweep", path, "--out", out]) in (0, 2)
 
 
+@pytest.mark.parametrize(
+    "out,out_csv,needle",
+    [("a-file", "s.csv", "--out"), ("out", "nope/s.csv", "out_csv")],
+    ids=["out-is-a-file", "out-csv-no-dir"],
+)
+def test_sweep_checks_outputs_before_any_task_runs(
+    tmp_path, capsys, monkeypatch, out, out_csv, needle
+):
+    def task(*args):
+        raise AssertionError("a sweep task ran before the outputs were checked")
+
+    monkeypatch.setattr(cli, "_sweep_task", task)
+    (tmp_path / "a-file").write_text("")
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**SWEEP_SPEC, "out_csv": out_csv}))
+    assert main(["sweep", str(path), "--out", str(tmp_path / out)]) == 2
+    assert f"error: {needle}" in capsys.readouterr().err
+
+
 def test_sweep_seed_flag_changes_rows(tmp_path, sweep_file):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["sweep", str(sweep_file), "--out", str(out_a)])
@@ -333,17 +352,21 @@ def test_sweep_seed_flag_changes_rows(tmp_path, sweep_file):
 # ---- verify ----
 
 
-def test_verify_examples_suite(capsys):
-    assert main(["verify", "examples"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 2
-    assert "single-group-worked-example" in out
-    assert "two-group-worked-example" in out
-
-
-def test_verify_formulas_suite(capsys):
+def test_verify_prints_each_check_and_the_total(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli,
+        "run_suite",
+        lambda name: [
+            CheckResult(f"{name}-a", True, "fine", 0.01),
+            CheckResult(f"{name}-b", True, "also fine", 0.5),
+        ],
+    )
     assert main(["verify", "formulas"]) == 0
-    assert capsys.readouterr().out.count("PASS") == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS formulas-a (0.01s): fine",
+        "PASS formulas-b (0.50s): also fine",
+        "all 2 checks passed",
+    ]
 
 
 def test_verify_unknown_suite_exits_2():

@@ -2,17 +2,18 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampagg.errors import DuplicateAbscissa
 from rampagg.field import (
     FieldContext,
-    horner,
+    field_dtype,
+    inverse_vandermonde,
     is_prime,
-    lagrange_coefficients,
     select_prime,
+    vandermonde,
 )
 
 from oracles import eval_poly_naive, is_prime_naive
@@ -95,11 +96,24 @@ def test_conforming_flag():
 # ---- polynomial evaluation ----
 
 
+def _eval(coeffs, xs, p):
+    """The polynomial with ``coeffs`` (low order first) at each of ``xs``."""
+    dtype = field_dtype(p, len(coeffs))
+    matrix = vandermonde(xs, len(coeffs), p, dtype)
+    return (matrix @ np.array(coeffs, dtype=dtype) % p).tolist()
+
+
+def _interpolate(xs, ys, p):
+    """Coefficients (low order first) of the polynomial of degree < len(xs)
+    through ``zip(xs, ys)``."""
+    dtype = field_dtype(p, len(xs))
+    inverse = inverse_vandermonde(xs, p, dtype)
+    return (inverse @ np.array(ys, dtype=dtype) % p).tolist()
+
+
 def test_eval_poly_hand_example():
     coeffs = [3, 0, 2]  # 3 + 2x^2 over GF(7)
-    assert horner(coeffs, 0, 7) == 3
-    assert horner(coeffs, 1, 7) == 5
-    assert horner(coeffs, 3, 7) == (3 + 18) % 7
+    assert _eval(coeffs, [0, 1, 3], 7) == [3, 5, (3 + 18) % 7]
 
 
 @given(
@@ -108,7 +122,7 @@ def test_eval_poly_hand_example():
 )
 def test_eval_matches_naive_pow(x, coeffs):
     p = 10007
-    assert horner(coeffs, x, p) == eval_poly_naive(coeffs, x, p)
+    assert _eval(coeffs, [x], p) == [eval_poly_naive(coeffs, x, p)]
 
 
 # ---- interpolation ----
@@ -117,20 +131,31 @@ def test_eval_matches_naive_pow(x, coeffs):
 def test_interpolate_recovers_known_polynomial():
     coeffs = [7, 0, 1, 3]
     xs = (1, 2, 3, 5)
-    ys = [horner(coeffs, x, 13) for x in xs]
-    assert lagrange_coefficients(xs, ys, 13) == coeffs
+    assert _interpolate(xs, _eval(coeffs, xs, 13), 13) == coeffs
 
 
 def test_interpolate_rejects_duplicate_abscissa():
-    with pytest.raises(DuplicateAbscissa):
-        lagrange_coefficients([1, 14], [2, 3], 13)  # 14 = 1 mod 13
+    # a repeated point makes a weight denominator zero, which has no inverse
+    with pytest.raises(ValueError, match="not invertible"):
+        inverse_vandermonde([1, 14], 13, np.int64)  # 14 = 1 mod 13
 
 
-def test_lagrange_coefficients_length_untrimmed():
-    # fitting a line through 3 collinear points keeps the zero cubic coeff
-    coeffs = lagrange_coefficients([1, 2, 3], [2, 4, 6], 13)
-    assert len(coeffs) == 3
-    assert coeffs == [0, 2, 0]
+# field_dtype(p, 2) leaves int64 between 2**31 - 1 and 2**31 + 11;
+# 3037000493 is the largest prime with field_dtype(p, 1) still int64
+@pytest.mark.parametrize(
+    "p,n,dtype",
+    [
+        (2**31 - 1, 2, np.int64),
+        (2**31 + 11, 2, object),
+        (3037000493, 1, np.int64),
+        (2**61 - 1, 5, object),
+    ],
+)
+def test_inverse_vandermonde_is_exact_across_the_int64_bound(p, n, dtype):
+    assert field_dtype(p, n) is dtype
+    xs = [p - 1 - i for i in range(n)]  # the largest points: the largest products
+    product = inverse_vandermonde(xs, p, dtype) @ vandermonde(xs, n, p, dtype) % p
+    assert product.tolist() == np.eye(n, dtype=int).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,5 +176,4 @@ def test_interpolation_round_trip(data):
             unique=True,
         )
     )
-    ys = [horner(coeffs, x, p) for x in xs]
-    assert lagrange_coefficients(xs, ys, p) == coeffs
+    assert _interpolate(xs, _eval(coeffs, xs, p), p) == coeffs

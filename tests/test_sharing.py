@@ -10,18 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rampagg import protocol
-from rampagg.errors import (
-    DimensionMismatch,
-    DuplicateAbscissa,
-    InsufficientEvaluations,
-)
 from rampagg.field import FieldContext
-from rampagg.protocol import derive_seed, draw_noise, draw_uniform
+from rampagg.protocol import (
+    derive_seed,
+    draw_noise,
+    draw_uniform,
+    eval_point_for_slot,
+    server_recover,
+)
 from rampagg.sharing import (
     Model,
     evaluate,
     partition,
-    recover_aggregate,
     share_blocks,
     validate_entries,
 )
@@ -219,25 +219,31 @@ def test_shares_are_additive():
 # ---- recovery ----
 
 
-def _share_and_recover(ctx, models, k_parts, noise_count, points, rng):
+def _share_and_recover(ctx, models, k_parts, noise_count, slots, rng):
+    """Share ``models``, sum their shares at the points of ``slots`` server
+    slots, and recover the sum from them as the server does: the first
+    K+T fix the polynomial and the rest are spares it checks."""
     segments = partition([m.entries for m in models], k_parts)
     n, _, seg_len = segments.shape
     noise = np.array(
         [rng.randrange(ctx.p) for _ in range(n * noise_count * seg_len)]
     ).reshape(n, noise_count, seg_len)
     blocks = share_blocks(segments, noise, ctx.p)
-    shares = evaluate(blocks, points, ctx.p, axis=1)  # (users, points, S)
-    evals = list(zip(points, shares.sum(axis=0) % ctx.p))
-    return recover_aggregate(
-        ctx, evals, k_parts, noise_count, len(models[0].entries)
-    ).tolist()
+    points = [eval_point_for_slot(t) for t in range(slots)]
+    shares = evaluate(blocks, points, ctx.p, axis=1)  # (users, slots, S)
+    spares = slots - k_parts - noise_count
+    params = ProtocolParams(
+        slots, noise_count, spares, k_parts, len(models[0].entries), ctx.entry_bound
+    )
+    silent = np.zeros(slots, dtype=bool)
+    return server_recover(ctx, params, shares.sum(axis=0) % ctx.p, silent).tolist()
 
 
 def test_recover_round_trip_exact_sum():
     ctx = FieldContext(101, 11, 4)
     rng = Random(77)
     models = [Model(tuple(rng.randrange(11) for _ in range(7))) for _ in range(4)]
-    got = _share_and_recover(ctx, models, 3, 2, [1, 2, 3, 4, 5], rng)
+    got = _share_and_recover(ctx, models, 3, 2, 5, rng)
     expected = [sum(m.entries[i] for m in models) for i in range(7)]
     assert got == expected  # sums < p, so mod never wraps
 
@@ -246,7 +252,7 @@ def test_recover_with_extra_consistent_points():
     ctx = FieldContext(53, 5, 6)
     rng = Random(3)
     models = [Model(tuple(rng.randrange(5) for _ in range(4))) for _ in range(6)]
-    got = _share_and_recover(ctx, models, 2, 1, [1, 2, 3, 4, 5, 6], rng)
+    got = _share_and_recover(ctx, models, 2, 1, 6, rng)  # three spares
     expected = [sum(m.entries[i] for m in models) for i in range(4)]
     assert got == expected
 
@@ -256,6 +262,7 @@ def test_recover_with_extra_consistent_points():
 def test_recover_round_trip_property(data):
     k = data.draw(st.integers(min_value=1, max_value=4))
     t = data.draw(st.integers(min_value=0, max_value=3))
+    spares = data.draw(st.integers(min_value=0, max_value=2))
     n_models = data.draw(st.integers(min_value=1, max_value=5))
     length = data.draw(st.integers(min_value=1, max_value=9))
     ctx = FieldContext(101, 3, 10)
@@ -264,30 +271,9 @@ def test_recover_round_trip_property(data):
         Model(tuple(rng.randrange(3) for _ in range(length)))
         for _ in range(n_models)
     ]
-    points = list(range(1, k + t + 1))
-    got = _share_and_recover(ctx, models, k, t, points, rng)
+    got = _share_and_recover(ctx, models, k, t, k + t + spares, rng)
     expected = [sum(m.entries[i] for m in models) for i in range(length)]
     assert got == expected
-
-
-def test_recover_requires_k_plus_t_points():
-    ctx = _ctx(13)
-    with pytest.raises(InsufficientEvaluations):
-        recover_aggregate(ctx, [(1, (0,)), (2, (1,))], 2, 1, 2)
-
-
-def test_recover_rejects_duplicate_points():
-    ctx = _ctx(13)
-    evals = [(1, (0,)), (2, (1,)), (14, (5,))]  # 14 = 1 mod 13
-    with pytest.raises(DuplicateAbscissa):
-        recover_aggregate(ctx, evals, 2, 1, 2)
-
-
-def test_recover_rejects_ragged_evaluations():
-    ctx = _ctx(13)
-    evals = [(1, (0, 1)), (2, (1,)), (3, (5, 2))]
-    with pytest.raises(DimensionMismatch):
-        recover_aggregate(ctx, evals, 2, 1, 4)
 
 
 # ---- the ramp privacy invariant, exhaustively ----
