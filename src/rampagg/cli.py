@@ -117,6 +117,8 @@ def _sweep_task(config: RunConfig, k: int, rep: int):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigInvalid(f"--jobs: must be at least 1, got {args.jobs}")
     data = _load_json(args.sweep)
     for key in ("base", "k_values"):
         if key not in data:

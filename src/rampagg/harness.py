@@ -1,6 +1,7 @@
 """Configuration, measurement, and reporting around the protocol core.
 
-:func:`simulate` turns a :class:`RunConfig` into a :class:`RunReport` whose
+:func:`simulate` draws a :class:`RunConfig`'s models as one (N, L) array
+(:func:`draw_models`) and turns the round into a :class:`RunReport` whose
 load figures are exact rationals computed purely by counting transcript
 symbols, never by evaluating the closed-form expressions they are later
 compared against.  :func:`correctness_oracle` replays randomized runs against
@@ -32,7 +33,7 @@ from .protocol import (
     eval_point_for_slot,
     run_protocol,
 )
-from .sharing import Model, evaluate, validate_entries
+from .sharing import Model, evaluate
 from .topology import (
     AggregationTree,
     DelayModel,
@@ -242,36 +243,37 @@ class RunConfig:
                 raise ConfigInvalid(f"{name}: must be {kind}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadSummary:
-    """Exact normalized communication loads of one transcript."""
+    """Exact normalized communication loads of one transcript, and the
+    (N,) count of symbols each user sent."""
 
     r_server: Fraction
     r_user_max: Fraction
     r_user_avg: Fraction
-    per_user: dict
+    sent: np.ndarray
 
 
 def measure_loads(
-    transcript: Transcript, params: ProtocolParams, dropped: frozenset
+    transcript: Transcript, params: ProtocolParams, status: np.ndarray
 ) -> LoadSummary:
     """Count transcript symbols into normalized loads.
 
     Server load counts non-null server-bound symbols.  Per-user load counts
     every symbol a user transmitted, deliverable or not: a sender cannot
-    know the peer dropped.  The max is taken over surviving users.
+    know the peer dropped.  The max is taken over the users whose ``status``
+    (N,) is not DROPPED.
     """
     length = params.model_len
     sent = np.zeros(params.n_users, dtype=np.int64)
     np.add.at(sent, transcript.sender, transcript.symbols)
     to_server = (transcript.receiver == params.n_users) & ~transcript.null
-    survivors = np.ones(params.n_users, dtype=bool)
-    survivors[sorted(dropped)] = False
+    survivors = status != UserStatus.DROPPED.value
     return LoadSummary(
         r_server=Fraction(int(transcript.symbols[to_server].sum()), length),
         r_user_max=Fraction(int(sent[survivors].max()), length),
         r_user_avg=Fraction(int(sent.sum()), params.n_users * length),
-        per_user={u: Fraction(s, length) for u, s in enumerate(sent.tolist())},
+        sent=sent,
     )
 
 
@@ -333,24 +335,21 @@ def draw_models(config: RunConfig) -> np.ndarray:
 
 
 def generate_models(config: RunConfig) -> list[Model]:
-    """The models of :func:`draw_models`, one :class:`Model` per user."""
+    """The models of :func:`draw_models`, one :class:`Model` per user.  Kept
+    only for the benchmark's output gate (``perfbench/bench.py``,
+    ``check_round``); ROADMAP item 1 deletes it."""
     return [Model(tuple(row)) for row in draw_models(config).tolist()]
 
 
-def simulate(config: RunConfig, models: Optional[Sequence[Model]] = None):
-    """Run one configured round and measure it.  Returns (RunReport, RunResult)."""
+def simulate(config: RunConfig):
+    """Run one configured round on the models of :func:`draw_models` and
+    measure it.  Returns (RunReport, RunResult)."""
     params, tree, ctx = config.resolve()
-    if models is None:
-        models = draw_models(config)
-    else:
-        models = [m if isinstance(m, Model) else Model(tuple(m)) for m in models]
-        for m in models:
-            validate_entries(m, config.entry_bound)
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
     result = run_protocol(
-        ctx, params, tree, models, plan, master_seed=config.master_seed
+        ctx, params, tree, draw_models(config), plan, master_seed=config.master_seed
     )
-    loads = measure_loads(result.transcript, params, plan.dropped)
+    loads = measure_loads(result.transcript, params, result.status)
     # a round without dropouts uses every link the network has
     everyone = np.ones(params.n_users, dtype=bool)
     no_drops = np.full(params.n_users, UserStatus.ACTIVE.value, dtype=np.int8)
@@ -368,7 +367,7 @@ def simulate(config: RunConfig, models: Optional[Sequence[Model]] = None):
         conforming_field=ctx.conforming,
         bits_per_symbol=ctx.bits_per_symbol,
         aggregate=result.aggregate.tolist(),
-        included_users=sorted(result.included_users),
+        included_users=np.flatnonzero(result.took_part).tolist(),
         loads=loads,
         total_edges=total,
         silent_edges=total - active,
@@ -441,7 +440,7 @@ def collect_adversary_view(
     user's share is evaluated here, only for the shares the view holds."""
     size = result.params.group_size
     status = result.status.tolist()
-    included = result.included_users
+    took_part = result.took_part.tolist()
 
     def uplink(u: int):
         """What non-dropped user ``u`` sent up the tree."""
@@ -453,7 +452,7 @@ def collect_adversary_view(
         group, slot = divmod(a, size)
         members = range(group * size, (group + 1) * size)
         # a colluder dropped pre_intra received no shares
-        senders = [u for u in members if u != a and u in included and a in included]
+        senders = [u for u in members if u != a and took_part[u] and took_part[a]]
         shares = evaluate(
             result.coeffs[senders], [eval_point_for_slot(slot)], result.ctx.p, axis=1
         )
@@ -480,11 +479,11 @@ def collect_adversary_view(
 # ---- plain-integer correctness oracle ---------------------------------------
 
 
-def plain_sum(models: Sequence[Model], included) -> list[int]:
-    """Entry-wise integer sum of the included models; no field arithmetic."""
-    included = sorted(included)
-    length = models[included[0]].length if included else 0
-    return [sum(models[u].entries[i] for u in included) for i in range(length)]
+def plain_sum(models: np.ndarray, included) -> list[int]:
+    """Column sums of the (N, L) ``models`` over the rows ``included`` (a
+    (N,) mask or a list of users), in exact Python ints; no field
+    arithmetic."""
+    return models[included].astype(object).sum(axis=0).tolist()
 
 
 @dataclass
@@ -518,22 +517,20 @@ def correctness_oracle(
     failures = []
     for trial in range(trials):
         rng = Random(derive_seed(seed, f"oracle:{trial}"))
-        models = [
-            Model(
-                tuple(
-                    rng.randrange(config.entry_bound)
-                    for _ in range(config.model_len)
-                )
-            )
-            for _ in range(config.n_users)
-        ]
+        models = np.array(
+            [
+                [rng.randrange(config.entry_bound) for _ in range(config.model_len)]
+                for _ in range(config.n_users)
+            ],
+            dtype=np.int64,
+        )
         n_drop = rng.randint(0, config.d_max)
         dropped = frozenset(rng.sample(range(config.n_users), n_drop))
         plan = DropoutPlan(dropped, config.dropout_timing)
         result = run_protocol(
             ctx, params, tree, models, plan, master_seed=derive_seed(seed, f"run:{trial}")
         )
-        expected = plain_sum(models, result.included_users)
+        expected = plain_sum(models, result.took_part)
         got = result.aggregate.tolist()
         if got != expected:
             failures.append(

@@ -72,6 +72,13 @@ class PrivacyCase:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
+        for name in ("adversaries", "dropped"):
+            users = getattr(self, name)
+            for u in users:
+                if not 0 <= u < self.n_users:
+                    raise ValueError(f"{name}: user {u} outside [0, {self.n_users})")
+            if len(set(users)) != len(users):
+                raise ValueError(f"{name}: {users} lists a user twice")
         if len(self.adversaries) > self.t_max:
             raise ValueError(
                 f"{len(self.adversaries)} colluders exceed t_max={self.t_max}"

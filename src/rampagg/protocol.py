@@ -53,13 +53,13 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from random import Random
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InconsistentArrivals, TooManyDropouts
 from .field import FieldContext, field_dtype, inverse_vandermonde
-from .sharing import Model, _apply, evaluate, partition, share_blocks
+from .sharing import _apply, evaluate, partition, share_blocks
 from .topology import SERVER, AggregationTree, ProtocolParams
 
 PHASE_INTRA = "intra"
@@ -209,8 +209,9 @@ class RunResult:
     ``partials`` (N, S, *batch) holds the partial sum each user forwarded up
     the tree; a row is a message only where ``status`` is ACTIVE, and
     :attr:`null` marks the users that sent an explicit null instead.
-    ``aggregate`` (L, *batch) is the recovered sum.  The run's field, sizing
-    and tree are kept so the arrays can be read without them.
+    ``took_part`` (N,) marks the users that shared in the intra phase, whose
+    models are in ``aggregate`` (L, *batch), the recovered sum.  The run's
+    field, sizing and tree are kept so the arrays can be read without them.
     """
 
     aggregate: np.ndarray
@@ -218,7 +219,7 @@ class RunResult:
     intra: np.ndarray
     partials: np.ndarray
     status: np.ndarray
-    included_users: frozenset
+    took_part: np.ndarray
     ctx: FieldContext
     params: ProtocolParams
     tree: AggregationTree
@@ -231,9 +232,7 @@ class RunResult:
     def transcript(self) -> Transcript:
         """The round's messages, built on first use: callers that only read
         the arrays, such as the exhaustive privacy checker, never pay for it."""
-        took_part = np.zeros(self.params.n_users, dtype=bool)
-        took_part[sorted(self.included_users)] = True
-        return Transcript.of_round(self.params, self.tree, took_part, self.status)
+        return Transcript.of_round(self.params, self.tree, self.took_part, self.status)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -288,17 +287,17 @@ def run_protocol(
     ctx: FieldContext,
     params: ProtocolParams,
     tree: AggregationTree,
-    models: Sequence,
+    models: np.ndarray,
     dropout_plan: Optional[DropoutPlan] = None,
     master_seed: int = 0,
     noise=None,
 ) -> RunResult:
     """Execute one full aggregation round deterministically.
 
-    ``models`` holds one Model (or raw sequence) per user, or is an (N, L)
-    integer array.  Noise is drawn by :func:`draw_noise` unless an explicit
-    ``noise`` array of shape (N, T, S, *batch) is supplied.  Raises TooManyDropouts when fewer than
-    K+T non-null messages reach the server.
+    ``models`` is the (N, L) integer array of the users' models, one row
+    per user.  Noise is drawn by :func:`draw_noise` unless an explicit
+    ``noise`` array of shape (N, T, S, *batch) is supplied.  Raises
+    TooManyDropouts when fewer than K+T non-null messages reach the server.
     """
     plan = dropout_plan or DropoutPlan.none()
     n = params.n_users
@@ -309,8 +308,11 @@ def run_protocol(
         raise ValueError(
             f"tree has {tree.num_groups} groups, params imply {params.num_groups}"
         )
-    if len(models) != n:
-        raise ValueError(f"got {len(models)} models for {n} users")
+    if models.shape != (n, params.model_len):
+        raise ValueError(
+            f"models have shape {models.shape}, expected {n} rows of length "
+            f"{params.model_len}"
+        )
     if p <= size:
         raise ValueError(
             f"modulus {p} too small for {size} distinct non-zero evaluation points"
@@ -318,14 +320,6 @@ def run_protocol(
     for u in plan.dropped:
         if not 0 <= u < n:
             raise ValueError(f"dropout index {u} outside [0, {n})")
-    if not isinstance(models, np.ndarray):
-        models = [m.entries if isinstance(m, Model) else m for m in models]
-    # the rows of an (N, L) array share one length: checking one suffices
-    for u, row in enumerate(models[:1] if isinstance(models, np.ndarray) else models):
-        if len(row) != params.model_len:
-            raise ValueError(
-                f"model {u} has length {len(row)}, expected {params.model_len}"
-            )
     if noise is None:
         noise = draw_noise(p, params, master_seed)
     noise = np.asarray(noise)
@@ -383,7 +377,7 @@ def run_protocol(
         intra=intra,
         partials=partials,
         status=status,
-        included_users=frozenset(np.flatnonzero(took_part).tolist()),
+        took_part=took_part,
         ctx=ctx,
         params=params,
         tree=tree,

@@ -33,9 +33,11 @@ from .field import field_dtype, vandermonde
 
 @dataclass(frozen=True)
 class Model:
-    """A user's raw input vector.  Entries are kept as supplied; range
-    validation against the field's entry bound happens at the harness
-    boundary."""
+    """One user's model as a tuple of entries.  Rounds take all models as
+    one (N, L) array; this type is kept only for
+    :func:`rampagg.harness.generate_models`, which the benchmark's output
+    gate (``perfbench/bench.py``, ``check_round``) calls.  ROADMAP item 1
+    deletes both."""
 
     entries: tuple
 
@@ -44,17 +46,10 @@ class Model:
         return len(self.entries)
 
 
-def validate_entries(model: Model, entry_bound: int) -> None:
-    """Raise ValueError naming the first entry outside [0, entry_bound)."""
-    for i, e in enumerate(model.entries):
-        if not 0 <= e < entry_bound:
-            raise ValueError(f"model entry {i} = {e} outside [0, {entry_bound})")
-
-
 def partition(models, k_parts: int) -> np.ndarray:
     """Cut each row of the (N, L) ``models`` into ``k_parts`` segments of
     ceil(L/K) entries, zero-padding the end: shape (N, K, S)."""
-    rows = np.array(models)  # int64, or object when an entry exceeds it
+    rows = np.asarray(models)
     n, length = rows.shape
     seg_len = -(-length // k_parts)
     padded = np.zeros((n, k_parts * seg_len), dtype=rows.dtype)

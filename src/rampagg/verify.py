@@ -22,7 +22,7 @@ from .errors import TooManyDropouts
 from .harness import (
     RunConfig,
     correctness_oracle,
-    generate_models,
+    draw_models,
     plain_sum,
     simulate,
 )
@@ -34,7 +34,6 @@ from .privacy import (
     privacy_bruteforce,
 )
 from .protocol import DropoutPlan, derive_seed, run_protocol
-from .sharing import Model
 from .topology import DelayModel, build_tree, total_delay
 
 
@@ -96,8 +95,8 @@ def _check_example(config: RunConfig, **expect) -> str:
         "silenced": np.flatnonzero(result.null).tolist(),
     }
     assert got == expect, f"got {got}, expected {expect}"
-    included = set(range(config.n_users)) - set(config.dropped)
-    expected_sum = plain_sum(generate_models(config), included)
+    included = [u for u in range(config.n_users) if u not in config.dropped]
+    expected_sum = plain_sum(draw_models(config), included)
     assert list(report.aggregate) == expected_sum, "aggregate != plain sum of survivors"
     return " ".join(f"{key}={value}" for key, value in got.items())
 
@@ -290,9 +289,7 @@ def _check_dropout_boundary() -> str:
     params, tree, ctx = config.resolve()
     rng = Random(derive_seed(31, "boundary"))
     for trial in range(50):
-        models = [
-            Model(tuple(rng.randrange(8) for _ in range(9))) for _ in range(12)
-        ]
+        models = np.array([[rng.randrange(8) for _ in range(9)] for _ in range(12)])
         # one group of 12, so any D+1 users sit in distinct slots
         over = frozenset(rng.sample(range(12), config.d_max + 1))
         try:
@@ -304,7 +301,8 @@ def _check_dropout_boundary() -> str:
             pass
         exact = frozenset(rng.sample(range(12), config.d_max))
         result = run_protocol(ctx, params, tree, models, DropoutPlan(exact))
-        assert result.aggregate.tolist() == plain_sum(models, set(range(12)) - exact), (
+        survivors = [u for u in range(12) if u not in exact]
+        assert result.aggregate.tolist() == plain_sum(models, survivors), (
             f"trial {trial}: {sorted(exact)} dropped, aggregate != plain sum"
         )
     return "50 over-budget runs all raised, 50 at-budget runs all recovered the sum"

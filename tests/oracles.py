@@ -4,10 +4,13 @@ Deliberately written with different algorithms than the package: primality
 by full trial scan, interpolation by Gaussian elimination on a Vandermonde
 system, evaluation by repeated pow, random inputs by one ``randrange`` per
 entry.  Slow and obvious beats fast and clever here.  Also the JSON values
-the property tests draw their inputs from.
+the property tests draw their inputs from, and the environment of the child
+interpreters some tests start.
 """
 
 import hashlib
+import os
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -186,14 +189,15 @@ def uniform_getrandbits_naive(seed, bound, count):
 
 
 def models_randrange_naive(config):
-    """The models of the per-entry stream that bulk drawing replaced: one
-    ``randrange(entry_bound)`` per entry, user by user, from the generator
-    seeded with derive_seed(master_seed, "models").  A list of tuples."""
+    """The (N, L) models of the per-entry stream that bulk drawing replaced:
+    one ``randrange(entry_bound)`` per entry, user by user, from the
+    generator seeded with derive_seed(master_seed, "models")."""
     rng = Random(_derive_seed(config.master_seed, "models"))
-    return [
-        tuple(rng.randrange(config.entry_bound) for _ in range(config.model_len))
+    rows = [
+        [rng.randrange(config.entry_bound) for _ in range(config.model_len)]
         for _ in range(config.n_users)
     ]
+    return np.array(rows, dtype=np.int64)
 
 
 def noise_randrange_naive(p, params, master_seed):
@@ -208,3 +212,16 @@ def noise_randrange_naive(p, params, master_seed):
     return np.array(rows, dtype=np.int64).reshape(
         params.n_users, params.t_max, params.seg_len
     )
+
+
+# ---- child interpreters ---------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env() -> dict:
+    """This process's environment with the checkout's ``src`` first on
+    PYTHONPATH, so that a child interpreter imports the package under test
+    whether or not PYTHONPATH was set."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

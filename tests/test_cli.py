@@ -15,7 +15,7 @@ from rampagg import cli
 from rampagg.cli import main
 from rampagg.verify import CheckResult
 
-from oracles import JSON_VALUES
+from oracles import JSON_VALUES, ROOT, child_env
 
 BASE_CONFIG = {
     "n_users": 12,
@@ -289,19 +289,26 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys):
         ("sweep", {"base": BASE_CONFIG, "k_values": [3], "out_csv": "nope/sub/x.csv"},
          "out", "out_csv"),
         ("sweep", {"base": BASE_CONFIG, "k_values": [3], "out_csv": "."}, "out", "out_csv"),
+        ("sweep --jobs 0", {"base": BASE_CONFIG, "k_values": [3]}, "out", "--jobs"),
+        ("sweep --jobs -4", {"base": BASE_CONFIG, "k_values": [3]}, "out", "--jobs"),
     ],
     ids=[
         "run-missing-fields", "run-prime-above-int64", "run-out-is-a-file",
         "sweep-base-missing-fields", "sweep-out-csv-no-dir", "sweep-out-csv-is-a-dir",
+        "sweep-jobs-0", "sweep-jobs-negative",
     ],
 )
 def test_bad_input_or_output_exits_2_naming_the_field(
-    tmp_path, capsys, command, spec, out, needle
+    tmp_path, capsys, monkeypatch, command, spec, out, needle
 ):
+    def task(*args):
+        raise AssertionError("a sweep task ran on bad input")
+
+    monkeypatch.setattr(cli, "_sweep_task", task)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(spec))
     (tmp_path / "a-file").write_text("")
-    assert main([command, str(path), "--out", str(tmp_path / out)]) == 2
+    assert main([*command.split(), str(path), "--out", str(tmp_path / out)]) == 2
     assert f"error: {needle}" in capsys.readouterr().err
 
 
@@ -389,7 +396,7 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     assert "1 of 1" in captured.err
 
 
-# ---- console entry point ----
+# ---- entry points ----
 
 
 def test_installed_script_smoke(tmp_path, config_file):
@@ -399,6 +406,21 @@ def test_installed_script_smoke(tmp_path, config_file):
         capture_output=True,
         text=True,
         timeout=60,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
+
+
+def test_plain_pytest_finds_the_package_without_pythonpath():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--collect-only", "tests/test_field.py"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

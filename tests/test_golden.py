@@ -20,8 +20,8 @@ import io
 import numpy as np
 import pytest
 
-from rampagg import protocol
-from rampagg.harness import RunConfig, generate_models, plain_sum, simulate
+from rampagg import harness, protocol
+from rampagg.harness import RunConfig, draw_models, plain_sum, simulate
 from rampagg.protocol import UserStatus
 from rampagg.sharing import field_dtype
 from rampagg.verify import example_single_group_config, example_two_group_config
@@ -106,8 +106,8 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _digests(config: RunConfig, models=None) -> tuple[str, str]:
-    report, result = simulate(config, models=models)
+def _digests(config: RunConfig) -> tuple[str, str]:
+    report, result = simulate(config)
     buf = io.StringIO()
     result.transcript.to_csv(buf)
     return _sha256(report.to_json()), _sha256(buf.getvalue())
@@ -115,9 +115,9 @@ def _digests(config: RunConfig, models=None) -> tuple[str, str]:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests(name, monkeypatch):
+    monkeypatch.setattr(harness, "draw_models", models_randrange_naive)
     monkeypatch.setattr(protocol, "draw_noise", noise_randrange_naive)
-    config = CONFIGS[name]
-    assert _digests(config, models_randrange_naive(config)) == GOLDEN[name]
+    assert _digests(CONFIGS[name]) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -147,7 +147,7 @@ def test_int64_bound_both_sides_sum_exactly(prime, dtype, dropped):
     assert result.partials.dtype == dtype
     if dropped:
         assert (result.status == UserStatus.SILENCED).sum() == 1
-    expected = plain_sum(generate_models(config), result.included_users)
+    expected = plain_sum(draw_models(config), result.took_part)
     assert report.aggregate == expected
     assert all(type(v) is int for v in report.aggregate)
 

@@ -80,6 +80,26 @@ def test_case_rejects_too_many_colluders():
         )
 
 
+@pytest.mark.parametrize(
+    "n_users,t_max,adversaries,dropped,field",
+    [
+        (6, 1, (-1,), (5,), "adversaries"),  # -1 would wrap to dropped user 5
+        (4, 1, (9,), (), "adversaries"),
+        (4, 2, (2, 2), (), "adversaries"),
+        (4, 1, (0,), (4,), "dropped"),
+        (6, 1, (0,), (3, 3), "dropped"),
+    ],
+)
+def test_case_rejects_users_outside_the_population_or_listed_twice(
+    n_users, t_max, adversaries, dropped, field
+):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        PrivacyCase(
+            n_users=n_users, t_max=t_max, d_max=1, k_parts=1, prime=5,
+            adversaries=adversaries, dropped=dropped, model_bound=2,
+        )
+
+
 def test_case_rejects_unknown_modes():
     with pytest.raises(ValueError, match="noise_mode"):
         case_4_users(noise_mode="lava_lamp")

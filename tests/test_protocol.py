@@ -24,7 +24,7 @@ from rampagg.protocol import (
     run_protocol,
     server_recover,
 )
-from rampagg.sharing import Model, evaluate
+from rampagg.sharing import evaluate
 from rampagg.topology import build_tree, make_params
 
 from oracles import links_naive, potential_links_naive, transcript_rows_naive
@@ -35,10 +35,9 @@ def _setup(n, t, d, k, length=None, entry_bound=8, shape="chain", p=None):
     ctx = FieldContext(p or 1009, entry_bound, n)
     tree = build_tree(params.num_groups, shape)
     rng = Random(42)
-    models = [
-        Model(tuple(rng.randrange(entry_bound) for _ in range(params.model_len)))
-        for _ in range(n)
-    ]
+    models = np.array(
+        [[rng.randrange(entry_bound) for _ in range(params.model_len)] for _ in range(n)]
+    )
     return ctx, params, tree, models
 
 
@@ -48,8 +47,8 @@ def _named(users, n):
 
 
 def _expected_sum(models, included):
-    length = len(models[0].entries)
-    return [sum(m.entries[i] for u, m in enumerate(models) if u in included) for i in range(length)]
+    rows = models.tolist()
+    return [sum(rows[u][i] for u in included) for i in range(len(rows[0]))]
 
 
 # ---- basic aggregation ----
@@ -59,7 +58,7 @@ def test_single_group_aggregate_is_plain_sum():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=7)
     result = run_protocol(ctx, params, tree, models)
     assert result.aggregate.tolist() == _expected_sum(models, set(range(6)))
-    assert result.included_users == frozenset(range(6))
+    assert result.took_part.all()
 
 
 def test_multi_group_aggregate_is_plain_sum():
@@ -113,7 +112,7 @@ def test_pre_intra_dropout_excluded_from_sum():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
     assert result.aggregate.tolist() == _expected_sum(models, set(range(12)) - {2})
-    assert result.included_users == frozenset(range(12)) - {2}
+    assert np.flatnonzero(~result.took_part).tolist() == [2]
 
 
 def test_dropout_in_child_group_silences_matching_slot_upstream():
@@ -152,7 +151,7 @@ def test_between_rounds_dropout_still_counts_in_aggregate():
     plan = DropoutPlan(frozenset({2}), timing=BETWEEN_ROUNDS)
     result = run_protocol(ctx, params, tree, models, plan)
     assert result.aggregate.tolist() == _expected_sum(models, set(range(12)))
-    assert result.included_users == frozenset(range(12))
+    assert result.took_part.all()
     # but the relay duty is lost: the matching upstream slot is silenced
     assert result.status[8] == UserStatus.SILENCED
     assert result.status[2] == UserStatus.DROPPED
@@ -270,7 +269,8 @@ def test_transcript_columns_match_per_message_reference(t, d, shape, timing):
     )
     report, result = simulate(config)
     params, tree, n = result.params, result.tree, config.n_users
-    took_part = [u in result.included_users for u in range(n)]
+    took_part = [u not in dropped or timing == BETWEEN_ROUNDS for u in range(n)]
+    assert result.took_part.tolist() == took_part
     rows = transcript_rows_naive(params, tree, took_part, result.status.tolist())
     transcript = result.transcript
     assert rows == list(
@@ -405,10 +405,10 @@ def test_rejects_wrong_model_count():
 
 def test_rejects_wrong_model_length():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=6)
-    bad = list(models)
-    bad[3] = Model((1, 2, 3))
     with pytest.raises(ValueError, match="length"):
-        run_protocol(ctx, params, tree, bad)
+        run_protocol(ctx, params, tree, np.zeros((6, 7), dtype=np.int64))
+    with pytest.raises(ValueError, match="length"):
+        run_protocol(ctx, params, tree, models[0])
 
 
 def test_rejects_mismatched_tree():
@@ -420,7 +420,7 @@ def test_rejects_mismatched_tree():
 def test_rejects_small_modulus():
     params = make_params(12, 2, 1, 9, model_len=9, entry_bound=8)
     ctx = FieldContext(11, 8, 12)  # 11 <= group size 12
-    models = [Model(tuple([0] * 9)) for _ in range(12)]
+    models = np.zeros((12, 9), dtype=np.int64)
     with pytest.raises(ValueError, match="modulus"):
         run_protocol(ctx, params, build_tree(1, "chain"), models)
 
@@ -436,9 +436,3 @@ def test_rejects_out_of_range_dropout():
     with pytest.raises(ValueError, match="dropout"):
         run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({9})))
 
-
-def test_raw_sequences_accepted_as_models():
-    ctx, params, tree, _ = _setup(6, 2, 1, 3, length=4)
-    models = [[1, 0, 2, 1]] * 6
-    result = run_protocol(ctx, params, tree, models)
-    assert result.aggregate.tolist() == [6, 0, 12, 6]

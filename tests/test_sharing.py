@@ -18,13 +18,7 @@ from rampagg.protocol import (
     eval_point_for_slot,
     server_recover,
 )
-from rampagg.sharing import (
-    Model,
-    evaluate,
-    partition,
-    share_blocks,
-    validate_entries,
-)
+from rampagg.sharing import evaluate, partition, share_blocks
 from rampagg.topology import ProtocolParams
 
 from oracles import uniform_getrandbits_naive
@@ -82,14 +76,6 @@ def test_partition_round_trip(entries, k):
     assert flat[0, : len(entries)].tolist() == entries
     assert flat[1, : len(entries)].tolist() == entries[::-1]
     assert not flat[:, len(entries) :].any()
-
-
-def test_validate_entries():
-    validate_entries(Model((0, 1, 7)), 8)
-    with pytest.raises(ValueError, match="entry 2 = 8"):
-        validate_entries(Model((0, 1, 8)), 8)
-    with pytest.raises(ValueError, match="entry 0 = -1"):
-        validate_entries(Model((-1,)), 8)
 
 
 # ---- noise ----
@@ -223,7 +209,7 @@ def _share_and_recover(ctx, models, k_parts, noise_count, slots, rng):
     """Share ``models``, sum their shares at the points of ``slots`` server
     slots, and recover the sum from them as the server does: the first
     K+T fix the polynomial and the rest are spares it checks."""
-    segments = partition([m.entries for m in models], k_parts)
+    segments = partition(models, k_parts)
     n, _, seg_len = segments.shape
     noise = np.array(
         [rng.randrange(ctx.p) for _ in range(n * noise_count * seg_len)]
@@ -233,7 +219,7 @@ def _share_and_recover(ctx, models, k_parts, noise_count, slots, rng):
     shares = evaluate(blocks, points, ctx.p, axis=1)  # (users, slots, S)
     spares = slots - k_parts - noise_count
     params = ProtocolParams(
-        slots, noise_count, spares, k_parts, len(models[0].entries), ctx.entry_bound
+        slots, noise_count, spares, k_parts, len(models[0]), ctx.entry_bound
     )
     silent = np.zeros(slots, dtype=bool)
     return server_recover(ctx, params, shares.sum(axis=0) % ctx.p, silent).tolist()
@@ -242,18 +228,18 @@ def _share_and_recover(ctx, models, k_parts, noise_count, slots, rng):
 def test_recover_round_trip_exact_sum():
     ctx = FieldContext(101, 11, 4)
     rng = Random(77)
-    models = [Model(tuple(rng.randrange(11) for _ in range(7))) for _ in range(4)]
+    models = [[rng.randrange(11) for _ in range(7)] for _ in range(4)]
     got = _share_and_recover(ctx, models, 3, 2, 5, rng)
-    expected = [sum(m.entries[i] for m in models) for i in range(7)]
+    expected = [sum(m[i] for m in models) for i in range(7)]
     assert got == expected  # sums < p, so mod never wraps
 
 
 def test_recover_with_extra_consistent_points():
     ctx = FieldContext(53, 5, 6)
     rng = Random(3)
-    models = [Model(tuple(rng.randrange(5) for _ in range(4))) for _ in range(6)]
+    models = [[rng.randrange(5) for _ in range(4)] for _ in range(6)]
     got = _share_and_recover(ctx, models, 2, 1, 6, rng)  # three spares
-    expected = [sum(m.entries[i] for m in models) for i in range(4)]
+    expected = [sum(m[i] for m in models) for i in range(4)]
     assert got == expected
 
 
@@ -267,12 +253,9 @@ def test_recover_round_trip_property(data):
     length = data.draw(st.integers(min_value=1, max_value=9))
     ctx = FieldContext(101, 3, 10)
     rng = Random(data.draw(st.integers(min_value=0, max_value=9999)))
-    models = [
-        Model(tuple(rng.randrange(3) for _ in range(length)))
-        for _ in range(n_models)
-    ]
+    models = [[rng.randrange(3) for _ in range(length)] for _ in range(n_models)]
     got = _share_and_recover(ctx, models, k, t, k + t + spares, rng)
-    expected = [sum(m.entries[i] for m in models) for i in range(length)]
+    expected = [sum(m[i] for m in models) for i in range(length)]
     assert got == expected
 
 
