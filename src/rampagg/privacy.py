@@ -1,20 +1,32 @@
-"""Brute-force privacy verification on tiny fields.
+"""Exhaustive privacy verification on tiny fields.
 
 The claim under test: what the colluding users and the server jointly see
 is statistically independent of the honest users' models once you condition
 on (a) the sum of the surviving honest models, the one thing aggregation
 is supposed to reveal, and (b) the colluders' own models and noise.
 
-The check is exhaustive, not sampled.  Honest models are enumerated over
-``model_bound ** (K * #honest)`` assignments and, for each assignment, the
-full honest-noise space is pushed through :func:`rampagg.protocol.run_protocol`
-in one batch: the noise is one (N, T, S, n_noise) array whose last axis is
-the enumeration, and the round's array arithmetic carries that axis through
-unchanged.  The adversary's view is collected, as array slices, by the
-ordinary :func:`collect_adversary_view`; no shadow implementation of the
-protocol is involved.
+The check is exhaustive, not sampled: every one of the
+``model_bound ** (K * #honest)`` honest model assignments is paired with
+every honest noise assignment.  It stays cheap because the protocol is
+linear: each symbol of the adversary's view is GF(p)-affine in the honest
+models, ``view(w, noise) = X(noise) + A w  (mod p)``.  So the real protocol,
+:func:`rampagg.protocol.run_protocol` viewed through the ordinary
+:func:`collect_adversary_view` (no shadow implementation), runs a fixed
+number of times per case, each time with the whole noise enumeration on the
+batch axis of one (N, T, S, n_noise) noise array:
 
-Conditional mutual information is then computed by exact counting: within a
+- once with the honest models at zero, which gives the noise-only view X;
+- once per honest model symbol set to one, which gives a column of A as
+  its difference from X.
+
+Two guards make sure the view really is affine; either failure raises
+instead of returning a verdict.  Each column of A must be the same at every
+noise point, checked at all of them; and one more run at the all-
+``(model_bound - 1)`` assignment, which exercises every cross term, must
+equal ``X + A w`` entry for entry.  Every assignment then costs one shift of
+X, one key packing and one histogram.
+
+Conditional mutual information is computed by exact counting: within a
 conditioning cell (one value of the honest-model sum), the view distribution
 over noise must be *identical* for every model assignment in the cell.  That
 identity is checked on integer histograms, so the verdict "exactly zero"
@@ -28,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SearchSpaceTooLarge
-from .field import FieldContext
+from .errors import RampAggError, SearchSpaceTooLarge
+from .field import FieldContext, field_dtype
 from .harness import AdversaryView, collect_adversary_view
 from .protocol import PRE_INTRA, DropoutPlan, run_protocol
 from .topology import TreeShape, build_tree, make_params
@@ -87,6 +99,14 @@ class PrivacyCase:
             raise ValueError(f"unknown noise_mode {self.noise_mode!r}")
         if self.model_coupling not in (COUPLING_INDEPENDENT, COUPLING_ALL_EQUAL):
             raise ValueError(f"unknown model_coupling {self.model_coupling!r}")
+        # fewer than two model values enumerates nothing to compare, and
+        # more than p aliases mod p
+        if self.model_bound is not None and not 2 <= self.model_bound <= self.prime:
+            raise ValueError(f"model_bound: {self.model_bound} outside [2, {self.prime}]")
+        for name in ("adversary_model_value", "adversary_noise_value"):
+            value = getattr(self, name)
+            if not 0 <= value < self.prime:
+                raise ValueError(f"{name}: {value} outside [0, {self.prime})")
 
 
 @dataclass
@@ -107,16 +127,17 @@ class PrivacyResult:
 def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
     """Exhaustively measure I(honest models ; adversary view | honest sum,
     adversary data) for ``case``.  Raises SearchSpaceTooLarge when the
-    enumeration would exceed ``case.budget`` points."""
+    enumeration would exceed ``case.budget`` points, and RampAggError when
+    the view is not affine in the honest models."""
     bound = case.prime if case.model_bound is None else case.model_bound
-    ctx = FieldContext(case.prime, max(2, bound), case.n_users)
+    ctx = FieldContext(case.prime, bound, case.n_users)
     params = make_params(
         case.n_users,
         case.t_max,
         case.d_max,
         case.k_parts,
         model_len=case.k_parts,
-        entry_bound=max(2, bound),
+        entry_bound=bound,
     )
     tree = build_tree(params.num_groups, case.tree_shape)
     plan = DropoutPlan(frozenset(case.dropped), PRE_INTRA)
@@ -127,7 +148,8 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
     p = case.prime
 
     generators = 1 if case.model_coupling == COUPLING_ALL_EQUAL else len(honest)
-    n_model_assignments = bound ** (k * generators)
+    n_symbols = k * generators
+    n_model_assignments = bound**n_symbols
     noise_symbols = len(honest) * case.t_max
     n_noise = p**noise_symbols if case.noise_mode == NOISE_UNIFORM else 1
     if n_model_assignments * n_noise > case.budget:
@@ -138,16 +160,50 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
 
     noise = _build_noise(case, honest, n_noise)
 
-    # cell key -> list of (view keys, counts) histograms, one per assignment
-    cells: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for w in itertools.product(range(bound), repeat=k * generators):
+    def run(w: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The honest-model sum and the (C, n_noise) view digits of one real
+        run at model assignment ``w``."""
         models = _build_models(case, honest, w, generators)
         result = run_protocol(ctx, params, tree, models, plan, noise=noise)
         view = collect_adversary_view(result, case.adversaries)
-        keys = _encode_view(view, p, n_noise)
-        uniq, counts = np.unique(keys, return_counts=True)
-        cell = tuple((models[honest].sum(axis=0) % p).tolist())
-        cells.setdefault(cell, []).append((uniq, counts))
+        return models[honest].sum(axis=0), _view_digits(view, n_noise)
+
+    # base is X; column i of shift (A) and of to_sum are what one unit of
+    # model symbol i adds to the view and to the honest sum
+    _, base = run((0,) * n_symbols)
+    shift = np.zeros((len(base), n_symbols), dtype=field_dtype(p, n_symbols))
+    to_sum = np.zeros((k, n_symbols), dtype=np.int64)
+    for i in range(n_symbols):
+        to_sum[:, i], digits = run(tuple(int(j == i) for j in range(n_symbols)))
+        delta = (digits - base) % p if digits.shape == base.shape else None
+        if delta is None or (delta != delta[:, :1]).any():
+            raise RampAggError(
+                f"view is not affine in the honest models: model symbol {i} "
+                f"(generator {i // k}, segment {i % k}) does not shift it by "
+                f"the same amount at every noise point"
+            )
+        shift[:, i] = delta[:, 0]
+    top = (bound - 1,) * n_symbols
+    if not np.array_equal(run(top)[1], _shifted(base, _offset(shift, top, p), p)):
+        raise RampAggError(
+            f"view is not affine in the honest models: the run at model "
+            f"assignment {top} differs from the noise-only view plus its shift"
+        )
+
+    weights = _key_weights(len(base), p)
+    # view shift -> its (view keys, counts) histogram: assignments with the
+    # same shift see the same view, and A's rank keeps the shifts few
+    histograms: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    # cell key -> list of histograms, one per assignment
+    cells: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for w in itertools.product(range(bound), repeat=n_symbols):
+        offset = _offset(shift, w, p)
+        seen = tuple(offset.tolist())
+        if seen not in histograms:
+            digits = _shifted(base, offset, p).astype(weights.dtype, copy=False)
+            histograms[seen] = np.unique(weights @ digits, return_counts=True)
+        cell = tuple((to_sum @ w % p).tolist())
+        cells.setdefault(cell, []).append(histograms[seen])
 
     exact_zero = True
     for hists in cells.values():
@@ -166,9 +222,22 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
         mi_bits=mi_bits,
         exact_zero=exact_zero,
         n_cells=len(cells),
-        n_model_assignments=n_model_assignments,
+        n_model_assignments=sum(map(len, cells.values())),
         n_noise_assignments=n_noise,
     )
+
+
+def _offset(shift: np.ndarray, w: tuple, p: int) -> np.ndarray:
+    """What model assignment ``w`` adds to every view column: shift @ w mod p."""
+    return shift @ np.array(w, dtype=shift.dtype) % p
+
+
+def _shifted(base: np.ndarray, offset: np.ndarray, p: int) -> np.ndarray:
+    """``base`` plus ``offset`` down every column, mod p.  Both hold field
+    elements, so one conditional subtraction reduces the sum."""
+    digits = base + offset[:, None]
+    np.subtract(digits, p, out=digits, where=digits >= p)
+    return digits
 
 
 def _build_noise(case: PrivacyCase, honest: list[int], n_noise: int) -> np.ndarray:
@@ -195,26 +264,37 @@ def _build_models(
     return models
 
 
-def _encode_view(view: AdversaryView, p: int, n_noise: int) -> np.ndarray:
-    """Pack the view's numeric components into one integer key per
-    enumeration point: the base-p number whose digits are the components,
-    most significant first.  Null messages are skipped: with the dropout set
-    fixed, their pattern is constant across the enumeration."""
+def _view_digits(view: AdversaryView, n_noise: int) -> np.ndarray:
+    """The view's numeric components as one (C, n_noise) array of digits,
+    one row per symbol: each adversary's intra shares and child messages,
+    then the server's arrivals.  Null messages are skipped: with the dropout
+    set fixed, their pattern is constant across the enumeration."""
     messages = []
     for a in sorted(view.intra_shares):
         messages += [share for _, share in sorted(view.intra_shares[a].items())]
         messages += [m for _, m in sorted(view.child_messages[a].items()) if m is not None]
     messages += [m for _, m in sorted(view.server_messages.items()) if m is not None]
     if not messages:
-        return np.zeros(n_noise, dtype=np.int64)
+        return np.zeros((0, n_noise), dtype=np.int64)
     digits = np.concatenate(messages)
-    digits = np.broadcast_to(digits.reshape(len(digits), -1), (len(digits), n_noise))
-    # Keys too wide for an int64 are exact Python ints.  Either way the
-    # encoding is stable across calls: histograms from different model
-    # assignments are compared key by key.
-    dtype = np.int64 if len(digits) * (p - 1).bit_length() <= 62 else object
-    weights = np.array([p**e for e in range(len(digits) - 1, -1, -1)], dtype=dtype)
-    return weights @ digits.astype(dtype, copy=False)
+    return np.broadcast_to(digits.reshape(len(digits), -1), (len(digits), n_noise))
+
+
+def _key_weights(n_digits: int, p: int) -> np.ndarray:
+    """Place values that pack ``n_digits`` base-p digits, most significant
+    first, into one key.  Keys too wide for an int64 are exact Python ints.
+    Either way the packing is the same on every call: histograms from
+    different model assignments are compared key by key."""
+    dtype = np.int64 if n_digits * (p - 1).bit_length() <= 62 else object
+    return np.array([p**e for e in range(n_digits - 1, -1, -1)], dtype=dtype)
+
+
+def _encode_view(view: AdversaryView, p: int, n_noise: int) -> np.ndarray:
+    """One integer key per enumeration point: the base-p number whose digits
+    are the view's components."""
+    digits = _view_digits(view, n_noise)
+    weights = _key_weights(len(digits), p)
+    return weights @ digits.astype(weights.dtype, copy=False)
 
 
 def _mi_from_histograms(

@@ -3,7 +3,8 @@
 Deliberately written with different algorithms than the package: primality
 by full trial scan, interpolation by Gaussian elimination on a Vandermonde
 system, evaluation by repeated pow, random inputs by one ``randrange`` per
-entry.  Slow and obvious beats fast and clever here.  Also the JSON values
+entry, the privacy enumeration by one protocol run per model assignment.
+Slow and obvious beats fast and clever here.  Also the JSON values
 the property tests draw their inputs from, and the environment of the child
 interpreters some tests start.
 """
@@ -13,8 +14,24 @@ import os
 from pathlib import Path
 from random import Random
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
+
+from rampagg.field import FieldContext
+from rampagg.harness import collect_adversary_view
+from rampagg.privacy import (
+    COUPLING_ALL_EQUAL,
+    NOISE_UNIFORM,
+    PrivacyResult,
+    _build_models,
+    _build_noise,
+    _encode_view,
+    _mi_from_histograms,
+)
+from rampagg.protocol import PRE_INTRA, DropoutPlan, run_protocol
+from rampagg.topology import build_tree, make_params
 
 
 def is_prime_naive(n: int) -> bool:
@@ -211,6 +228,52 @@ def noise_randrange_naive(p, params, master_seed):
         rows.append([rng.randrange(p) for _ in range(params.t_max * params.seg_len)])
     return np.array(rows, dtype=np.int64).reshape(
         params.n_users, params.t_max, params.seg_len
+    )
+
+
+# ---- privacy enumeration --------------------------------------------------------
+
+
+def privacy_bruteforce_naive(case):
+    """``privacy_bruteforce`` without the linearity: every model assignment
+    is its own ``run_protocol`` call over the whole noise enumeration, and
+    its view is read through ``collect_adversary_view``.  The view keys, the
+    cells, the histograms and the MI are built in the same order as the
+    package's, so the two results compare with ``==``."""
+    bound = case.prime if case.model_bound is None else case.model_bound
+    p, k = case.prime, case.k_parts
+    ctx = FieldContext(p, bound, case.n_users)
+    params = make_params(
+        case.n_users, case.t_max, case.d_max, k, model_len=k, entry_bound=bound
+    )
+    tree = build_tree(params.num_groups, case.tree_shape)
+    plan = DropoutPlan(frozenset(case.dropped), PRE_INTRA)
+    excluded = set(case.adversaries) | set(case.dropped)
+    honest = [u for u in range(case.n_users) if u not in excluded]
+    generators = 1 if case.model_coupling == COUPLING_ALL_EQUAL else len(honest)
+    n_noise = p ** (len(honest) * case.t_max) if case.noise_mode == NOISE_UNIFORM else 1
+    noise = _build_noise(case, honest, n_noise)
+
+    cells = {}
+    for w in itertools.product(range(bound), repeat=k * generators):
+        models = _build_models(case, honest, w, generators)
+        result = run_protocol(ctx, params, tree, models, plan, noise=noise)
+        keys = _encode_view(collect_adversary_view(result, case.adversaries), p, n_noise)
+        cell = tuple((models[honest].sum(axis=0) % p).tolist())
+        cells.setdefault(cell, []).append(np.unique(keys, return_counts=True))
+
+    reference = [hists[0] for hists in cells.values()]
+    exact_zero = all(
+        np.array_equal(keys, ref_keys) and np.array_equal(counts, ref_counts)
+        for (ref_keys, ref_counts), hists in zip(reference, cells.values())
+        for keys, counts in hists
+    )
+    return PrivacyResult(
+        mi_bits=0.0 if exact_zero else _mi_from_histograms(cells, n_noise),
+        exact_zero=exact_zero,
+        n_cells=len(cells),
+        n_model_assignments=bound ** (k * generators),
+        n_noise_assignments=n_noise,
     )
 
 

@@ -1,18 +1,24 @@
-"""Exhaustive privacy enumeration: exact zeros, leak detection, encoding."""
+"""Exhaustive privacy enumeration: exact zeros, leak detection, encoding,
+agreement with the one-run-per-assignment oracle, and the affinity guards."""
 
+import dataclasses
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from rampagg.errors import SearchSpaceTooLarge
+from rampagg import privacy
+from rampagg.errors import RampAggError, SearchSpaceTooLarge
 from rampagg.harness import AdversaryView
 from rampagg.privacy import (
+    COUPLING_ALL_EQUAL,
     NOISE_CONSTANT,
     PrivacyCase,
     _encode_view,
     privacy_bruteforce,
 )
+
+from oracles import privacy_bruteforce_naive
 
 
 def case_4_users(adversary=0, **overrides) -> PrivacyCase:
@@ -100,6 +106,22 @@ def test_case_rejects_users_outside_the_population_or_listed_twice(
         )
 
 
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        (dict(model_bound=0), "model_bound"),  # enumerates nothing
+        (dict(model_bound=1), "model_bound"),  # one assignment per cell
+        (dict(model_bound=9), "model_bound"),  # entries alias mod 5
+        (dict(adversary_model_value=7), "adversary_model_value"),
+        (dict(adversary_model_value=-1), "adversary_model_value"),
+        (dict(adversary_noise_value=5), "adversary_noise_value"),
+    ],
+)
+def test_case_rejects_vacuous_or_aliasing_values(overrides, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        case_4_users(**overrides)
+
+
 def test_case_rejects_unknown_modes():
     with pytest.raises(ValueError, match="noise_mode"):
         case_4_users(noise_mode="lava_lamp")
@@ -116,6 +138,100 @@ def test_bruteforce_is_deterministic():
     b = privacy_bruteforce(case_4_users(1, noise_mode=NOISE_CONSTANT))
     assert a == b
     assert_result(a, False, 5, 125, 2.3219280948873613)
+
+
+# ---- the linear enumeration against one run per assignment ----
+
+DROPPED_CHAIN = PrivacyCase(
+    n_users=6, t_max=1, d_max=1, k_parts=1, prime=7, adversaries=(4,), dropped=(1,),
+    model_bound=3,
+)
+# three groups, so the star (groups 0 and 1 both children of group 2) is
+# not the chain
+DROPPED_STAR = PrivacyCase(
+    n_users=9, t_max=1, d_max=1, k_parts=1, prime=5, adversaries=(1,), dropped=(3,),
+    model_bound=2, tree_shape="star", noise_mode=NOISE_CONSTANT,
+)
+SIX_USERS = PrivacyCase(
+    n_users=6, t_max=1, d_max=0, k_parts=2, prime=5, adversaries=(0,), model_bound=2,
+)
+CORRELATED = PrivacyCase(
+    n_users=6, t_max=1, d_max=0, k_parts=1, prime=5, adversaries=(2,),
+    model_coupling=COUPLING_ALL_EQUAL,
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case_4_users(a) for a in range(4)]
+    + [
+        case_4_users(0, noise_mode=NOISE_CONSTANT),
+        dataclasses.replace(SIX_USERS, prime=7, noise_mode=NOISE_CONSTANT),
+        case_4_users(1, adversary_model_value=3, adversary_noise_value=2),
+        CORRELATED,
+        PrivacyCase(n_users=4, t_max=0, d_max=0, k_parts=2, prime=5, adversaries=(),
+                    model_bound=2),
+        DROPPED_CHAIN,
+        DROPPED_STAR,
+    ],
+    ids=[f"4-users-adversary-{a}" for a in range(4)]
+    + ["4-users-constant-noise", "6-users-constant-noise", "nonzero-colluder-data",
+       "correlated-honest-models", "server-only-view", "dropped-user-chain",
+       "dropped-user-star-constant-noise"],
+)
+def test_linear_enumeration_matches_one_run_per_assignment(case):
+    assert privacy_bruteforce(case) == privacy_bruteforce_naive(case)
+
+
+@pytest.mark.parametrize(
+    "case,runs",
+    [(SIX_USERS, 1 + 2 * 5 + 1), (CORRELATED, 1 + 1 + 1)],
+    ids=["6-users-K=2", "correlated-K=1"],
+)
+def test_protocol_runs_once_per_model_symbol_plus_two(monkeypatch, case, runs):
+    # the zero assignment, one unit per honest model symbol, and the spot check
+    calls = []
+    run_protocol = privacy.run_protocol
+    monkeypatch.setattr(
+        privacy, "run_protocol", lambda *a, **kw: calls.append(1) or run_protocol(*a, **kw)
+    )
+    privacy_bruteforce(case)
+    assert len(calls) == runs
+
+
+def _tamper_first_share(monkeypatch, tamper):
+    """Route privacy's view collection through a wrapper that replaces the
+    first intra share of the view with ``tamper(share, result)``."""
+    collect = privacy.collect_adversary_view
+
+    def tampered(result, adversaries):
+        view = collect(result, adversaries)
+        a = min(view.intra_shares)
+        shares = dict(view.intra_shares[a])
+        first = min(shares)
+        shares[first] = tamper(shares[first], result)
+        return dataclasses.replace(view, intra_shares={**view.intra_shares, a: shares})
+
+    monkeypatch.setattr(privacy, "collect_adversary_view", tampered)
+
+
+def test_a_view_that_is_not_affine_at_every_noise_point_raises(monkeypatch):
+    # (m + n x)^2 - (n x)^2 depends on the noise n
+    _tamper_first_share(monkeypatch, lambda share, result: share * share % result.ctx.p)
+    with pytest.raises(RampAggError, match="model symbol 0 .* every noise point"):
+        privacy_bruteforce(case_4_users(0))
+
+
+def test_a_cross_term_only_the_spot_check_sees_raises(monkeypatch):
+    # w1 * w2 vanishes at zero and at every unit assignment, so every column
+    # of A is clean; only the all-(bound-1) run shows it
+    def cross_term(share, result):
+        w1, w2 = result.coeffs[1, 0, 0], result.coeffs[2, 0, 0]
+        return (share + w1 * w2) % result.ctx.p
+
+    _tamper_first_share(monkeypatch, cross_term)
+    with pytest.raises(RampAggError, match=r"model assignment \(4, 4, 4\)"):
+        privacy_bruteforce(case_4_users(0))
 
 
 # ---- view encoding ----
