@@ -20,9 +20,11 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         group to its own in-group aggregate and forwards the total to the
         matching slot of its parent.  A user missing any child's message
         (the child dropped, or itself sent null) is silenced: it emits an
-        explicit null and stays silent for the rest of the round.  One
-        leaves-first fold over the groups, all slots at once, gives what
-        every user forwarded: ``partials`` of shape (N, S, *batch).
+        explicit null and stays silent for the rest of the round.  So a
+        user forwards its slot's sum over its group's subtree, and a subtree
+        is one contiguous range of the tree's postorder: one prefix scan in
+        postorder, all slots at once, gives what every user forwarded,
+        ``partials`` of shape (N, S, *batch), and who was silenced.
 
 server  The last group's users do the same send toward the server.  The
         server applies the (K+T, K+T) inverse Vandermonde matrix of the
@@ -46,12 +48,12 @@ the distinct sender-receiver pairs of its delivered non-null rows; a round
 without dropouts uses every link the network has.
 """
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import islice
 from random import Random
 from typing import Optional
 
@@ -66,6 +68,8 @@ PHASE_INTRA = "intra"
 PHASE_INTER = "inter"
 PHASE_SERVER = "server"
 PHASES = (PHASE_INTRA, PHASE_INTER, PHASE_SERVER)
+
+_CSV_BLOCK_ROWS = 4096  # transcript rows joined per write
 
 PRE_INTRA = "pre_intra"
 BETWEEN_ROUNDS = "between_rounds"
@@ -124,9 +128,9 @@ class Transcript:
         intra_to = (users[:, None] // size * size + slots).ravel()
         # uplinks, leaves first, slot to slot; the last group, alone at depth
         # 0, comes last and sends to the server; a dropped user sends nothing
-        order = tree.upward_order()
-        parent = np.array([tree.parent_of(g) for g in order[:-1]], dtype=np.intp)
-        up_from = (np.array(order)[:, None] * size + slots).ravel()
+        order = tree.upward
+        parent = tree.parents[order[:-1]]
+        up_from = (order[:, None] * size + slots).ravel()
         up_to = np.concatenate([(parent[:, None] * size + slots).ravel(), [n] * size])
         sent = ~dropped[up_from]
         up_from, up_to = up_from[sent], up_to[sent]
@@ -173,13 +177,27 @@ class Transcript:
     # -- exports -----------------------------------------------------------
 
     def to_csv(self, fp) -> None:
-        receiver = self.receiver.astype(object)
-        receiver[self.receiver == self.n_users] = SERVER
-        writer = csv.writer(fp)
-        writer.writerow(("phase", "sender", "receiver", "symbols", "null"))
-        phases = np.array(PHASES)[self.phase].tolist()
-        columns = (self.sender, receiver, self.symbols, self.null)
-        writer.writerows(zip(phases, *(column.tolist() for column in columns)))
+        """Write the rows as ``csv.writer`` would, from string tables: user
+        names with "server" as N, phases, the two symbol counts, and null
+        flags carrying the "\\r\\n" terminator.  Rows go out in blocks."""
+        full = int(self.symbols.max(initial=0))
+        sent = self.symbols != 0
+        if (self.symbols[sent] != full).any():
+            raise ValueError(f"symbol counts other than 0 and {full}")
+        names = np.array([*map(str, range(self.n_users)), SERVER], dtype=object)
+        counts = np.array(["0", str(full)], dtype=object)
+        flags = np.array(["False\r\n", "True\r\n"], dtype=object)
+        columns = (
+            np.array(PHASES, dtype=object)[self.phase].tolist(),
+            names[self.sender].tolist(),
+            names[self.receiver].tolist(),
+            counts[sent.view(np.int8)].tolist(),
+            flags[self.null.view(np.int8)].tolist(),
+        )
+        rows = map(",".join, zip(*columns))
+        fp.write("phase,sender,receiver,symbols,null\r\n")
+        while block := "".join(islice(rows, _CSV_BLOCK_ROWS)):
+            fp.write(block)
 
 
 @dataclass(frozen=True)
@@ -346,15 +364,9 @@ def run_protocol(
     points = [eval_point_for_slot(t) for t in range(size)]
     intra = evaluate(group_sums, points, p, axis=1).reshape((n, seg_len) + batch)
 
-    # -- inter + server phases: fold the groups leaves first ---------------
+    # -- inter + server phases: subtree sums, all groups and slots at once --
     dead = (status == UserStatus.DROPPED.value).reshape(-1, size)
-    silent = np.zeros_like(dead)
-    partials = intra.reshape((-1, size, seg_len) + batch).copy()
-    for g in tree.upward_order():
-        kids = list(tree.children_of(g))
-        if kids:
-            silent[g] = (dead[kids] | silent[kids]).any(axis=0)
-            partials[g] = (partials[g] + partials[kids].sum(axis=0)) % p
+    partials, silent = relay(intra.reshape((-1, size, seg_len) + batch), dead, tree, p)
     status[(silent & ~dead).reshape(n)] = UserStatus.SILENCED.value
     partials = partials.reshape((n, seg_len) + batch)
 
@@ -382,6 +394,36 @@ def run_protocol(
         params=params,
         tree=tree,
     )
+
+
+def relay(intra: np.ndarray, dead: np.ndarray, tree: AggregationTree, p: int):
+    """The inter phase on ``intra`` (G, size, S, *batch) and ``dead`` (G,
+    size), by group and slot: what each user forwards, its slot's sum mod p
+    over its group's subtree, and whether a user in its slot strictly below
+    it dropped.  Both are differences of prefix sums in postorder."""
+    lo, hi = tree.subtree_lo, tree.subtree_hi
+    if intra.dtype != object and len(intra) * (p - 1) >= 2**63:
+        raise ValueError(f"prefix sums of {len(intra)} groups mod {p} overflow int64")
+    # row i sums the first i groups in postorder, by log-step doubling (Hillis
+    # and Steele, CACM 1986): np.cumsum walks the group axis row by row, slow
+    # on wide batched rows
+    sums = np.empty((len(intra) + 1,) + intra.shape[1:], dtype=intra.dtype)
+    sums[0] = 0
+    scan = sums[1:]
+    np.take(intra, tree.postorder, axis=0, out=scan)
+    step = 1
+    while step < len(scan):
+        scan[step:] += scan[:-step]  # numpy buffers the overlapping operand
+        step *= 2
+    inner = np.flatnonzero(hi - lo > 1)  # groups with children; leaves keep intra
+    subtree = sums[hi[inner]]
+    subtree -= sums[lo[inner]]  # in place: a fresh wide temporary costs page faults
+    subtree %= p
+    partials = intra.copy()
+    partials[inner] = subtree
+    drops = np.zeros((len(dead) + 1, dead.shape[1]), dtype=np.intp)
+    np.cumsum(dead[tree.postorder], axis=0, out=drops[1:])
+    return partials, drops[hi - 1] > drops[lo]
 
 
 def server_recover(

@@ -11,6 +11,8 @@ parent.
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import (
     BadK,
     BadRoot,
@@ -132,25 +134,33 @@ class AggregationTree:
             if par == g:
                 raise NotATree(f"group {g} is its own parent")
             children[par].append(g)
-        # depth = inter hops to the server's child, memoised along each walk;
-        # meeting a group already on the current walk means a cycle
-        depth: dict[int, int] = {}
-        for g in groups:
-            path: dict[int, None] = {}  # insertion-ordered, O(1) membership
-            node: Union[int, str] = g
-            while node != SERVER and node not in depth:
-                if node in path:
-                    raise NotATree(f"cycle detected starting from group {g}")
-                path[node] = None  # type: ignore[index]
-                node = parent[node]  # type: ignore[index]
-            below = -1 if node == SERVER else depth[node]  # type: ignore[index]
-            for step in reversed(path):
-                below += 1
-                depth[step] = below
+        # a walk down from the server's child, children last-first, gives the
+        # depths and a preorder whose reverse is a postorder, where every
+        # subtree is one range; a group never reached is on or below a cycle
+        kids = {g: tuple(c) for g, c in children.items()}  # ascending
+        depth, preorder, stack = [0] * num, [], [num - 1]
+        while stack:
+            g = stack.pop()
+            preorder.append(g)
+            for c in kids[g]:
+                depth[c] = depth[g] + 1
+            stack.extend(kids[g])  # popped last-first
+        if len(preorder) < num:
+            stray = min(set(groups).difference(preorder))
+            raise NotATree(f"cycle detected: group {stray} never reaches the server")
+        postorder, lo, hi = preorder[::-1], [0] * num, [0] * num
+        for i, g in enumerate(postorder):
+            lo[g], hi[g] = lo[kids[g][0]] if kids[g] else i, i + 1
         self._parent = dict(parent)
-        self._children = {g: tuple(sorted(c)) for g, c in children.items()}
-        self._depth = depth
+        self._children = kids
         self.num_groups = num
+        # the layout, read by the relay and the transcript: group g's subtree
+        # is postorder[subtree_lo[g] : subtree_hi[g]], with g last
+        self.depth = np.array(depth)
+        self.upward = np.argsort(-self.depth, kind="stable")  # leaves first
+        self.parents = np.array([parent[g] for g in groups[:-1]] + [num])  # num: server
+        self.postorder = np.array(postorder)
+        self.subtree_lo, self.subtree_hi = np.array([lo, hi])
 
     # -- queries ----------------------------------------------------------
 
@@ -173,12 +183,12 @@ class AggregationTree:
     def inter_hops(self, group: int) -> int:
         """Group-to-group edges between ``group`` and the server's child."""
         self._check(group)
-        return self._depth[group]
+        return int(self.depth[group])
 
     def upward_order(self) -> list[int]:
         """Groups ordered leaves-first, so every child is processed before
         its parent; deterministic."""
-        return sorted(range(self.num_groups), key=lambda g: (-self._depth[g], g))
+        return self.upward.tolist()
 
 
 def build_tree(num_groups: int, shape: TreeShape = "chain") -> AggregationTree:
@@ -243,5 +253,5 @@ def total_delay(tree: AggregationTree, delays: DelayModel):
     (max inter_hops + 1) * inter + intra.  For a chain of G groups that is
     G*inter + intra; for a star (G >= 2) it is 2*inter + intra.
     """
-    deepest = max(tree.inter_hops(g) for g in range(tree.num_groups))
+    deepest = int(tree.depth.max())
     return (deepest + 1) * delays.inter + delays.intra

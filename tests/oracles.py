@@ -3,13 +3,16 @@
 Deliberately written with different algorithms than the package: primality
 by full trial scan, interpolation by Gaussian elimination on a Vandermonde
 system, evaluation by repeated pow, random inputs by one ``randrange`` per
-entry, the privacy enumeration by one protocol run per model assignment.
-Slow and obvious beats fast and clever here.  Also the JSON values
-the property tests draw their inputs from, and the environment of the child
-interpreters some tests start.
+entry, the privacy enumeration by one protocol run per model assignment,
+the relay by a fold over the groups, the transcript CSV by ``csv.writer``.
+Slow and obvious beats fast and clever here.  Also the JSON values and
+parent maps the property tests draw their inputs from, and the environment
+of the child interpreters some tests start.
 """
 
+import csv
 import hashlib
+import io
 import os
 from pathlib import Path
 from random import Random
@@ -94,6 +97,19 @@ JSON_VALUES = st.recursive(
 )
 
 
+@st.composite
+def parent_maps(draw, max_groups=7):
+    """A random valid parent map over groups 0..G-1: the last group hangs
+    under the server and every other group under a group placed before it
+    in a random sequence, so a parent's index may lie below its child's."""
+    groups = draw(st.integers(1, max_groups))
+    sequence = [groups - 1] + draw(st.permutations(range(groups - 1)))
+    parent = {groups - 1: "server"}
+    for i, g in enumerate(sequence[1:], start=1):
+        parent[g] = sequence[draw(st.integers(0, i - 1))]
+    return parent
+
+
 # ---- tree -----------------------------------------------------------------------
 
 
@@ -111,6 +127,25 @@ def ancestors_naive(tree, group):
 def descendants_naive(tree, group):
     """Groups strictly below ``group``: those that have it as an ancestor."""
     return {g for g in range(tree.num_groups) if group in ancestors_naive(tree, g)}
+
+
+# ---- relay ----------------------------------------------------------------------
+
+
+def relay_fold_naive(intra, dead, tree, p):
+    """The relay as a fold over the groups, leaves first: each group adds
+    its children's partials to its own aggregate, slot by slot, and a slot
+    is silenced when a child's slot dropped or was silenced.  ``intra`` is
+    (G, size, S, *batch) and ``dead`` (G, size); returns (partials,
+    silent) in the same shapes."""
+    silent = np.zeros_like(dead)
+    partials = intra.copy()
+    for g in tree.upward_order():
+        kids = list(tree.children_of(g))
+        if kids:
+            silent[g] = (dead[kids] | silent[kids]).any(axis=0)
+            partials[g] = (partials[g] + partials[kids].sum(axis=0)) % p
+    return partials, silent
 
 
 # ---- transcript ---------------------------------------------------------------
@@ -148,6 +183,16 @@ def transcript_rows_naive(params, tree, took_part, status):
                 r = parent * size + u % size
                 rows.append(("inter", u, r, symbols, null, status[r] != DROPPED))
     return rows
+
+
+def transcript_csv_naive(rows):
+    """The CSV text of ``transcript_rows_naive``'s rows, written by
+    ``csv.writer`` with its header and without the delivered column."""
+    out = io.StringIO()
+    csv.writer(out).writerows(
+        [("phase", "sender", "receiver", "symbols", "null")] + [r[:5] for r in rows]
+    )
+    return out.getvalue()
 
 
 def links_naive(rows):

@@ -1,14 +1,16 @@
 """End-to-end protocol rounds: aggregation, silence, accounting, recovery."""
 
-import csv
 import io
+import math
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
-from rampagg.field import FieldContext
+from rampagg.field import FieldContext, field_dtype, is_prime
 from rampagg.harness import RunConfig, simulate
 from rampagg.protocol import (
     BETWEEN_ROUNDS,
@@ -17,17 +19,30 @@ from rampagg.protocol import (
     PHASE_SERVER,
     PHASES,
     PRE_INTRA,
+    _CSV_BLOCK_ROWS,
     DropoutPlan,
+    Transcript,
     UserStatus,
     derive_seed,
     eval_point_for_slot,
+    relay,
     run_protocol,
     server_recover,
 )
 from rampagg.sharing import evaluate
-from rampagg.topology import build_tree, make_params
+from rampagg.topology import AggregationTree, build_tree, make_params
 
-from oracles import links_naive, potential_links_naive, transcript_rows_naive
+from oracles import (
+    ACTIVE,
+    DROPPED,
+    SILENCED,
+    links_naive,
+    parent_maps,
+    potential_links_naive,
+    relay_fold_naive,
+    transcript_csv_naive,
+    transcript_rows_naive,
+)
 
 
 def _setup(n, t, d, k, length=None, entry_bound=8, shape="chain", p=None):
@@ -288,13 +303,155 @@ def test_transcript_columns_match_per_message_reference(t, d, shape, timing):
     assert {frozenset(_named(pair, n)) for pair in links} == links_naive(rows)
     assert report.total_edges == len(potential_links_naive(params, tree))
     assert report.silent_edges == report.total_edges - len(links_naive(rows))
-    expected = io.StringIO()
-    csv.writer(expected).writerows(
-        [("phase", "sender", "receiver", "symbols", "null")] + [r[:5] for r in rows]
-    )
     written = io.StringIO()
     transcript.to_csv(written)
-    assert written.getvalue() == expected.getvalue()
+    assert written.getvalue() == transcript_csv_naive(rows)
+
+
+@st.composite
+def _rounds(draw):
+    """(k, t, d, parent map, dropped users, timing) of a round within its
+    dropout budget: at most d users drop, in any groups and slots."""
+    k, t, d = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    parent = draw(parent_maps(max_groups=6))
+    n = (k + t + d) * len(parent)
+    dropped = draw(st.lists(st.integers(0, n - 1), max_size=d, unique=True))
+    return k, t, d, parent, dropped, draw(st.sampled_from([PRE_INTRA, BETWEEN_ROUNDS]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _rounds(),
+    st.sampled_from([101, 2**32 + 15]),  # int64 and object field dtypes
+    st.sampled_from([(), (1,), (3,)]),
+    st.integers(0, 2**32),
+)
+def test_relay_scan_matches_leaves_first_fold(round_, p, batch, seed):
+    k, t, d, parent, dropped, timing = round_
+    size, groups = k + t + d, len(parent)
+    n = size * groups
+    params = make_params(n, t, d, k, model_len=k + 1, entry_bound=4)
+    ctx, tree, rng = FieldContext(p, 4, n), build_tree(groups, parent), Random(seed)
+    models = np.array([rng.randrange(4) for _ in range(n * (k + 1))]).reshape(n, k + 1)
+    shape = (n, t, params.seg_len) + batch
+    noise = np.array([rng.randrange(p) for _ in range(math.prod(shape))]).reshape(shape)
+    plan = DropoutPlan(frozenset(dropped), timing)
+    result = run_protocol(ctx, params, tree, models, plan, noise=noise)
+    dead = (result.status == DROPPED).reshape(groups, size)
+    intra = result.intra.reshape((groups, size, params.seg_len) + batch)
+    partials, silent = relay_fold_naive(intra, dead, tree, p)
+    assert result.partials.dtype == field_dtype(p, k + t)
+    assert np.array_equal(result.partials, partials.reshape(result.partials.shape))
+    assert np.array_equal(relay(intra, dead, tree, p)[1], silent)
+    status = np.where(dead, DROPPED, np.where(silent, SILENCED, ACTIVE))
+    assert result.status.tolist() == status.ravel().tolist()
+
+
+def _int64_boundary_prime(terms):
+    """The largest prime p whose sums of ``terms`` products still fit the
+    int64 field dtype."""
+    p = math.isqrt((2**63 - 1) // terms) + 1
+    while field_dtype(p, terms) is not np.int64 or not is_prime(p):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_relay_is_exact_at_the_int64_boundary(t):
+    p = _int64_boundary_prime(1 + t)  # K=1
+    above = next(q for q in range(p + 1, 2 * p) if is_prime(q))
+    assert field_dtype(above, 1 + t) is object
+    groups, size = 300, t + 2
+    ctx, params, tree, models = _setup(
+        groups * size, t, 1, 1, length=3, entry_bound=2**20, p=p
+    )
+    plan = DropoutPlan(frozenset({size + 1}), BETWEEN_ROUNDS)  # group 1, slot 1
+    result = run_protocol(ctx, params, tree, models, plan)
+    assert result.partials.dtype == np.int64
+    dead = (result.status == DROPPED).reshape(groups, size)
+    intra = result.intra.reshape(groups, size, params.seg_len)
+    partials, silent = relay_fold_naive(intra, dead, tree, p)
+    assert np.array_equal(result.partials, partials.reshape(result.partials.shape))
+    assert np.flatnonzero(result.null).tolist() == list(range(2 * size + 1, groups * size, size))
+    assert result.aggregate.tolist() == _expected_sum(models, set(range(groups * size)))
+
+
+def test_relay_refuses_prefix_sums_past_int64():
+    # two groups' prefix sums reach 2*(p-1), which int64 holds up to 2**63 - 1
+    tree = build_tree(2, "chain")
+    dead = np.zeros((2, 2), dtype=bool)
+    fits = 2**62
+    for p in (fits, fits + 1):
+        exact = np.full((2, 2, 1), p - 1, dtype=object)
+        expected, _ = relay_fold_naive(exact, dead, tree, p)
+        if p == fits:
+            partials, _ = relay(exact.astype(np.int64), dead, tree, p)
+            assert partials.tolist() == expected.tolist()
+        else:
+            with pytest.raises(ValueError, match="overflow int64"):
+                relay(exact.astype(np.int64), dead, tree, p)
+        assert relay(exact, dead, tree, p)[0].tolist() == expected.tolist()
+
+
+# ---- the CSV export ----
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rounds(), st.sampled_from(["chain", "star", "irregular"]), st.integers(0, 99))
+def test_csv_matches_csv_writer_on_drawn_rounds(round_, shape, seed):
+    k, t, d, parent, dropped, timing = round_
+    size = k + t + d
+    config = RunConfig(
+        n_users=size * len(parent), t_max=t, d_max=d, k_parts=k, model_len=k + 1,
+        entry_bound=4, tree_shape=parent if shape == "irregular" else shape,
+        dropped=tuple(dropped), dropout_timing=timing, master_seed=seed,
+    )
+    _, result = simulate(config)
+    rows = transcript_rows_naive(
+        result.params, result.tree, result.took_part.tolist(), result.status.tolist()
+    )
+    written = io.StringIO()
+    result.transcript.to_csv(written)
+    assert written.getvalue() == transcript_csv_naive(rows)
+
+
+def test_csv_through_a_file_opened_like_the_cli(tmp_path):
+    # 100 chained groups of 6 and dropouts in two slots: null uplinks and
+    # undelivered sends, over more rows than one written block
+    config = RunConfig(
+        n_users=600, t_max=2, d_max=2, k_parts=2, model_len=3, entry_bound=4,
+        dropped=(1, 6 * 70 + 4), dropout_timing=PRE_INTRA, master_seed=3,
+    )
+    _, result = simulate(config)
+    rows = transcript_rows_naive(
+        result.params, result.tree, result.took_part.tolist(), result.status.tolist()
+    )
+    assert len(rows) > _CSV_BLOCK_ROWS
+    assert any(row[4] for row in rows) and not all(row[5] for row in rows)
+    path = tmp_path / "transcript.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        result.transcript.to_csv(fh)
+    assert path.read_bytes() == transcript_csv_naive(rows).encode()
+
+
+def test_round_makes_no_per_group_tree_queries(monkeypatch):
+    # 400 chained groups of 3; the relay, the transcript and its export read
+    # the tree's layout arrays, never one group at a time
+    config = RunConfig(
+        n_users=1200, t_max=1, d_max=1, k_parts=1, model_len=2, entry_bound=8,
+        dropped=(4,), dropout_timing=BETWEEN_ROUNDS,
+    )
+
+    def refuse(self, group):
+        raise AssertionError(f"per-group tree query for group {group}")
+
+    for name in ("children_of", "parent_of", "inter_hops"):
+        monkeypatch.setattr(AggregationTree, name, refuse)
+    report, result = simulate(config)
+    transcript = Transcript.of_round(result.params, result.tree, result.took_part, result.status)
+    transcript.to_csv(io.StringIO())
+    assert np.flatnonzero(result.null).tolist() == list(range(4, 1200, 3))[1:]
+    assert report.total_edges == report.edges_formula
 
 
 # ---- shape invariance and determinism ----

@@ -25,7 +25,7 @@ from rampagg.topology import (
     total_delay,
 )
 
-from oracles import ancestors_naive, descendants_naive
+from oracles import ancestors_naive, descendants_naive, parent_maps
 
 
 # ---- parameters ----
@@ -165,6 +165,22 @@ def test_depths_of_an_irregular_tree_listed_in_any_order():
     assert [tree.inter_hops(g) for g in range(7)] == [
         len(ancestors_naive(tree, g)) for g in range(7)
     ]
+
+
+@given(parent_maps(max_groups=9))
+def test_layout_arrays_match_the_parent_map(parent):
+    tree = AggregationTree(parent)
+    num = tree.num_groups
+    post = tree.postorder.tolist()
+    assert sorted(post) == list(range(num))
+    for g in range(num):
+        # g closes its subtree's range, which holds exactly its descendants
+        lo, hi = tree.subtree_lo[g], tree.subtree_hi[g]
+        assert post[hi - 1] == g
+        assert set(post[lo : hi - 1]) == descendants_naive(tree, g)
+        assert tree.inter_hops(g) == len(ancestors_naive(tree, g))
+        assert tree.parents[g] == (num if parent[g] == SERVER else parent[g])
+    assert tree.upward_order() == sorted(range(num), key=lambda g: (-tree.inter_hops(g), g))
 
 
 def test_tree_rejects_wrong_root():
