@@ -40,10 +40,6 @@ class BadRoot(RampAggError):
     last group."""
 
 
-class UnknownGroup(RampAggError):
-    """Group index outside the tree."""
-
-
 # ---- protocol --------------------------------------------------------------
 
 

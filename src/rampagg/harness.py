@@ -5,8 +5,8 @@
 load figures are exact rationals computed purely by counting transcript
 symbols, never by evaluating the closed-form expressions they are later
 compared against.  :func:`correctness_oracle` replays randomized runs against
-a plain-integer summation oracle, and :func:`collect_adversary_view` gathers
-exactly what a colluding set plus the server get to see.
+a plain-integer summation oracle, and :func:`collect_adversary_view` reads
+exactly what a colluding set plus the server receive off the transcript.
 """
 
 import dataclasses
@@ -20,9 +20,11 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInvalid, InvalidParams, NonConformingField
-from .field import FieldContext, select_prime
+from .field import FieldContext, select_prime, vandermonde
 from .protocol import (
     BETWEEN_ROUNDS,
+    PHASE_INTRA,
+    PHASES,
     PRE_INTRA,
     DropoutPlan,
     RunResult,
@@ -33,7 +35,7 @@ from .protocol import (
     eval_point_for_slot,
     run_protocol,
 )
-from .sharing import Model, evaluate
+from .sharing import Model
 from .topology import (
     AggregationTree,
     DelayModel,
@@ -133,27 +135,16 @@ class RunConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        out = {
-            "n_users": self.n_users,
-            "t_max": self.t_max,
-            "d_max": self.d_max,
-            "k_parts": self.k_parts,
-            "model_len": self.model_len,
-            "entry_bound": self.entry_bound,
-            "tree_shape": (
-                {str(g): p for g, p in self.tree_shape.items()}
-                if isinstance(self.tree_shape, Mapping)
-                else self.tree_shape
-            ),
-            "dropped": list(self.dropped),
-            "dropout_timing": self.dropout_timing,
-            "adversaries": list(self.adversaries),
-            "master_seed": self.master_seed,
-            "prime_override": self.prime_override,
-            "assert_formula_loads": self.assert_formula_loads,
-            "delta_inter": self.delta_inter,
-            "delta_intra": self.delta_intra,
-        }
+        """The fields as JSON values: tuples become lists, and an explicit
+        tree shape's group keys become strings, as JSON object keys are."""
+        out = {}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, Mapping):
+                value = {str(g): p for g, p in value.items()}
+            out[field.name] = value
         return out
 
     def replace(self, **changes) -> "RunConfig":
@@ -414,66 +405,38 @@ def check_formulas(
 # ---- adversary view ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdversaryView:
-    """Exactly what a colluding set of users plus the server observe, as
-    slices of the run's arrays; each message is an (S, *batch) array.
-
-    Per adversary: the intra shares it received, by sender slot (its own
-    slot excluded: its own data is listed separately); the partial sums it
-    received from child groups, by child group, with None for an explicit
-    null; and its own coefficient block, K model segments then T noise
-    vectors.  Plus every message that reached the server, by sender, with
-    None for a null.  Nothing addressed to anyone else appears.
-    """
-
-    intra_shares: dict  # adversary -> {sender slot -> share}
-    child_messages: dict  # adversary -> {child group -> partial sum or None}
-    server_messages: dict  # last-group sender -> partial sum or None
-    own_coeffs: dict  # adversary -> (K+T, S, *batch) block
-
-
-def collect_adversary_view(
-    result: RunResult, adversaries: Sequence[int]
-) -> AdversaryView:
-    """Assemble the view of ``adversaries`` from a finished run.  A single
-    user's share is evaluated here, only for the shares the view holds."""
-    size = result.params.group_size
-    status = result.status.tolist()
-    took_part = result.took_part.tolist()
-
-    def uplink(u: int):
-        """What non-dropped user ``u`` sent up the tree."""
-        return None if status[u] == UserStatus.SILENCED else result.partials[u]
-
-    intra: dict = {}
-    child: dict = {}
-    for a in sorted(set(adversaries)):
-        group, slot = divmod(a, size)
-        members = range(group * size, (group + 1) * size)
-        # a colluder dropped pre_intra received no shares
-        senders = [u for u in members if u != a and took_part[u] and took_part[a]]
-        shares = evaluate(
-            result.coeffs[senders], [eval_point_for_slot(slot)], result.ctx.p, axis=1
-        )
-        intra[a] = {u % size: share[0] for u, share in zip(senders, shares)}
-        kids = result.tree.children_of(group) if status[a] != UserStatus.DROPPED else ()
-        child[a] = {
-            c: uplink(c * size + slot)
-            for c in kids
-            if status[c * size + slot] != UserStatus.DROPPED
-        }
-    last = result.tree.last_group * size
-    return AdversaryView(
-        intra_shares=intra,
-        child_messages=child,
-        server_messages={
-            u: uplink(u)
-            for u in range(last, last + size)
-            if status[u] != UserStatus.DROPPED
-        },
-        own_coeffs={a: result.coeffs[a] for a in intra},
-    )
+def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.ndarray:
+    """Everything ``adversaries`` and the server receive in a finished run,
+    as one (C, S, *batch) array: one row per row of ``result.transcript``
+    that was delivered, is not null, is not self-addressed, and has a
+    colluder or the server (receiver N) as receiver, ordered by receiver
+    (the server last), then phase, then sender.  An intra row holds its
+    sender's block evaluated at the receiver's point, an uplink row the
+    partial sum its sender forwarded."""
+    n, size, p = result.params.n_users, result.params.group_size, result.ctx.p
+    outside = [u for u in adversaries if not 0 <= u < n]
+    if outside:
+        raise ValueError(f"adversaries: users {outside} outside [0, {n})")
+    t = result.transcript
+    wanted = np.zeros(n + 1, dtype=bool)  # by receiver, the server as N
+    wanted[[*adversaries, n]] = True
+    seen = t.delivered & ~t.null & (t.sender != t.receiver)
+    rows = np.flatnonzero(seen & wanted[t.receiver])
+    rows = rows[np.lexsort((t.sender[rows], t.phase[rows], t.receiver[rows]))]
+    sender, receiver = t.sender[rows], t.receiver[rows]
+    intra = t.phase[rows] == PHASES.index(PHASE_INTRA)
+    message = result.partials.shape[1:]  # (S, *batch)
+    view = np.empty((len(rows),) + message, result.partials.dtype)
+    # row i of the Vandermonde matrix is the point of intra row i's receiver
+    points = eval_point_for_slot(receiver[intra] % size).tolist()
+    width = result.coeffs.shape[1]  # K+T
+    blocks = result.coeffs[sender[intra]].reshape(len(points), width, math.prod(message))
+    matrix = vandermonde(points, width, p, blocks.dtype)
+    shares = matrix[:, None, :] @ blocks
+    shares %= p
+    view[intra] = shares.reshape((len(points),) + message)
+    view[~intra] = result.partials[sender[~intra]]
+    return view
 
 
 # ---- plain-integer correctness oracle ---------------------------------------

@@ -26,6 +26,12 @@ noise point, checked at all of them; and one more run at the all-
 equal ``X + A w`` entry for entry.  Every assignment then costs one shift of
 X, one key packing and one histogram.
 
+The view is :func:`collect_adversary_view`'s (C, S, n_noise) array: the
+transcript's delivered, non-null rows addressed to a colluder or the server,
+in a fixed order.  The dropout set is fixed, so which rows those are is the
+same at every noise point; a point's view is the column of C*S digits at
+that point, packed base p into one integer key.
+
 Conditional mutual information is computed by exact counting: within a
 conditioning cell (one value of the honest-model sum), the view distribution
 over noise must be *identical* for every model assignment in the cell.  That
@@ -42,7 +48,7 @@ import numpy as np
 
 from .errors import RampAggError, SearchSpaceTooLarge
 from .field import FieldContext, field_dtype
-from .harness import AdversaryView, collect_adversary_view
+from .harness import collect_adversary_view
 from .protocol import PRE_INTRA, DropoutPlan, run_protocol
 from .topology import TreeShape, build_tree, make_params
 
@@ -166,7 +172,7 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
         models = _build_models(case, honest, w, generators)
         result = run_protocol(ctx, params, tree, models, plan, noise=noise)
         view = collect_adversary_view(result, case.adversaries)
-        return models[honest].sum(axis=0), _view_digits(view, n_noise)
+        return models[honest].sum(axis=0), view.reshape(-1, n_noise)
 
     # base is X; column i of shift (A) and of to_sum are what one unit of
     # model symbol i adds to the view and to the honest sum
@@ -264,22 +270,6 @@ def _build_models(
     return models
 
 
-def _view_digits(view: AdversaryView, n_noise: int) -> np.ndarray:
-    """The view's numeric components as one (C, n_noise) array of digits,
-    one row per symbol: each adversary's intra shares and child messages,
-    then the server's arrivals.  Null messages are skipped: with the dropout
-    set fixed, their pattern is constant across the enumeration."""
-    messages = []
-    for a in sorted(view.intra_shares):
-        messages += [share for _, share in sorted(view.intra_shares[a].items())]
-        messages += [m for _, m in sorted(view.child_messages[a].items()) if m is not None]
-    messages += [m for _, m in sorted(view.server_messages.items()) if m is not None]
-    if not messages:
-        return np.zeros((0, n_noise), dtype=np.int64)
-    digits = np.concatenate(messages)
-    return np.broadcast_to(digits.reshape(len(digits), -1), (len(digits), n_noise))
-
-
 def _key_weights(n_digits: int, p: int) -> np.ndarray:
     """Place values that pack ``n_digits`` base-p digits, most significant
     first, into one key.  Keys too wide for an int64 are exact Python ints.
@@ -287,14 +277,6 @@ def _key_weights(n_digits: int, p: int) -> np.ndarray:
     different model assignments are compared key by key."""
     dtype = np.int64 if n_digits * (p - 1).bit_length() <= 62 else object
     return np.array([p**e for e in range(n_digits - 1, -1, -1)], dtype=dtype)
-
-
-def _encode_view(view: AdversaryView, p: int, n_noise: int) -> np.ndarray:
-    """One integer key per enumeration point: the base-p number whose digits
-    are the view's components."""
-    digits = _view_digits(view, n_noise)
-    weights = _key_weights(len(digits), p)
-    return weights @ digits.astype(weights.dtype, copy=False)
 
 
 def _mi_from_histograms(

@@ -248,8 +248,10 @@ class RunResult:
 
     @cached_property
     def transcript(self) -> Transcript:
-        """The round's messages, built on first use: callers that only read
-        the arrays, such as the exhaustive privacy checker, never pay for it."""
+        """The round's messages, built on first use.  The adversary view,
+        and so the exhaustive privacy checker, reads it; only callers that
+        need no more than the aggregate, ``correctness_oracle`` and verify's
+        ``_check_dropout_boundary``, never pay for it."""
         return Transcript.of_round(self.params, self.tree, self.took_part, self.status)
 
 

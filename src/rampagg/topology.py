@@ -20,7 +20,6 @@ from .errors import (
     InvalidParams,
     NotATree,
     ThresholdViolation,
-    UnknownGroup,
 )
 
 #: Receiver sentinel for the tree root.
@@ -124,7 +123,7 @@ class AggregationTree:
                 f"the server must have exactly one child, group {num - 1}; "
                 f"got {sorted(server_children)}"
             )
-        children: dict[int, list[int]] = {g: [] for g in groups}
+        children: dict[int, list[int]] = {g: [] for g in groups}  # ascending
         for g in groups:
             par = parent[g]
             if par == SERVER:
@@ -137,22 +136,19 @@ class AggregationTree:
         # a walk down from the server's child, children last-first, gives the
         # depths and a preorder whose reverse is a postorder, where every
         # subtree is one range; a group never reached is on or below a cycle
-        kids = {g: tuple(c) for g, c in children.items()}  # ascending
         depth, preorder, stack = [0] * num, [], [num - 1]
         while stack:
             g = stack.pop()
             preorder.append(g)
-            for c in kids[g]:
+            for c in children[g]:
                 depth[c] = depth[g] + 1
-            stack.extend(kids[g])  # popped last-first
+            stack.extend(children[g])  # popped last-first
         if len(preorder) < num:
             stray = min(set(groups).difference(preorder))
             raise NotATree(f"cycle detected: group {stray} never reaches the server")
         postorder, lo, hi = preorder[::-1], [0] * num, [0] * num
         for i, g in enumerate(postorder):
-            lo[g], hi[g] = lo[kids[g][0]] if kids[g] else i, i + 1
-        self._parent = dict(parent)
-        self._children = kids
+            lo[g], hi[g] = lo[children[g][0]] if children[g] else i, i + 1
         self.num_groups = num
         # the layout, read by the relay and the transcript: group g's subtree
         # is postorder[subtree_lo[g] : subtree_hi[g]], with g last
@@ -162,33 +158,9 @@ class AggregationTree:
         self.postorder = np.array(postorder)
         self.subtree_lo, self.subtree_hi = np.array([lo, hi])
 
-    # -- queries ----------------------------------------------------------
-
-    def _check(self, group: int) -> None:
-        if group not in self._parent:
-            raise UnknownGroup(f"group {group} not in tree of {self.num_groups}")
-
     @property
     def last_group(self) -> int:
         return self.num_groups - 1
-
-    def parent_of(self, group: int) -> Union[int, str]:
-        self._check(group)
-        return self._parent[group]
-
-    def children_of(self, group: int) -> tuple[int, ...]:
-        self._check(group)
-        return self._children[group]
-
-    def inter_hops(self, group: int) -> int:
-        """Group-to-group edges between ``group`` and the server's child."""
-        self._check(group)
-        return int(self.depth[group])
-
-    def upward_order(self) -> list[int]:
-        """Groups ordered leaves-first, so every child is processed before
-        its parent; deterministic."""
-        return self.upward.tolist()
 
 
 def build_tree(num_groups: int, shape: TreeShape = "chain") -> AggregationTree:
@@ -248,9 +220,9 @@ class DelayModel:
 def total_delay(tree: AggregationTree, delays: DelayModel):
     """End-to-end latency: one intra round, then the longest upward path.
 
-    The deepest group sits inter_hops group-to-group edges below the
+    The deepest group sits ``depth`` group-to-group edges below the
     server's child, plus the final hop into the server, so the total is
-    (max inter_hops + 1) * inter + intra.  For a chain of G groups that is
+    (max depth + 1) * inter + intra.  For a chain of G groups that is
     G*inter + intra; for a star (G >= 2) it is 2*inter + intra.
     """
     deepest = int(tree.depth.max())

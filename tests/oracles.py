@@ -4,10 +4,11 @@ Deliberately written with different algorithms than the package: primality
 by full trial scan, interpolation by Gaussian elimination on a Vandermonde
 system, evaluation by repeated pow, random inputs by one ``randrange`` per
 entry, the privacy enumeration by one protocol run per model assignment,
-the relay by a fold over the groups, the transcript CSV by ``csv.writer``.
-Slow and obvious beats fast and clever here.  Also the JSON values and
-parent maps the property tests draw their inputs from, and the environment
-of the child interpreters some tests start.
+the relay by a fold over the groups, the transcript CSV by ``csv.writer``,
+the adversary view message by message from the run's arrays.  Slow and
+obvious beats fast and clever here.  Also the JSON values, parent maps and
+rounds the property tests draw their inputs from, and the environment of
+the child interpreters some tests start.
 """
 
 import csv
@@ -23,17 +24,23 @@ import numpy as np
 from hypothesis import strategies as st
 
 from rampagg.field import FieldContext
-from rampagg.harness import collect_adversary_view
 from rampagg.privacy import (
     COUPLING_ALL_EQUAL,
     NOISE_UNIFORM,
     PrivacyResult,
     _build_models,
     _build_noise,
-    _encode_view,
+    _key_weights,
     _mi_from_histograms,
 )
-from rampagg.protocol import PRE_INTRA, DropoutPlan, run_protocol
+from rampagg.protocol import (
+    BETWEEN_ROUNDS,
+    PRE_INTRA,
+    DropoutPlan,
+    eval_point_for_slot,
+    run_protocol,
+)
+from rampagg.sharing import evaluate
 from rampagg.topology import build_tree, make_params
 
 
@@ -110,17 +117,40 @@ def parent_maps(draw, max_groups=7):
     return parent
 
 
+@st.composite
+def rounds(draw):
+    """(k, t, d, parent map, dropped users, timing) of a round within its
+    dropout budget: at most d users drop, in any groups and slots."""
+    k, t, d = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    parent = draw(parent_maps(max_groups=6))
+    n = (k + t + d) * len(parent)
+    dropped = draw(st.lists(st.integers(0, n - 1), max_size=d, unique=True))
+    return k, t, d, parent, dropped, draw(st.sampled_from([PRE_INTRA, BETWEEN_ROUNDS]))
+
+
 # ---- tree -----------------------------------------------------------------------
 
 
+def parent_naive(tree, group):
+    """The parent of ``group`` in ``tree.parents``, with "server" for the
+    last group's parent."""
+    parent = int(tree.parents[group])
+    return "server" if parent == tree.num_groups else parent
+
+
+def children_naive(tree, group):
+    """The groups whose parent is ``group``, ascending."""
+    return np.flatnonzero(tree.parents == group).tolist()
+
+
 def ancestors_naive(tree, group):
-    """Groups strictly above ``group``, by walking ``parent_of`` up to the
-    server."""
+    """Groups strictly above ``group``, by walking ``tree.parents`` up to
+    the server."""
     out = set()
-    node = tree.parent_of(group)
+    node = parent_naive(tree, group)
     while node != "server":
         out.add(node)
-        node = tree.parent_of(node)
+        node = parent_naive(tree, node)
     return out
 
 
@@ -140,8 +170,8 @@ def relay_fold_naive(intra, dead, tree, p):
     silent) in the same shapes."""
     silent = np.zeros_like(dead)
     partials = intra.copy()
-    for g in tree.upward_order():
-        kids = list(tree.children_of(g))
+    for g in tree.upward.tolist():
+        kids = children_naive(tree, g)
         if kids:
             silent[g] = (dead[kids] | silent[kids]).any(axis=0)
             partials[g] = (partials[g] + partials[kids].sum(axis=0)) % p
@@ -170,8 +200,8 @@ def transcript_rows_naive(params, tree, took_part, status):
                     rows.append(("intra", s, s, 0, False, True))
                 else:
                     rows.append(("intra", s, r, seg_len, False, took_part[r]))
-    for g in tree.upward_order():
-        parent = tree.parent_of(g)
+    for g in tree.upward.tolist():
+        parent = parent_naive(tree, g)
         for u in range(g * size, (g + 1) * size):
             if status[u] == DROPPED:
                 continue  # a dropped user leaves no transcript entry
@@ -216,7 +246,7 @@ def potential_links_naive(params, tree):
             for b in members:
                 if a < b:
                     links.add(frozenset((a, b)))
-        parent = tree.parent_of(g)
+        parent = parent_naive(tree, g)
         for slot in range(size):
             sender = g * size + slot
             if parent == "server":
@@ -224,6 +254,36 @@ def potential_links_naive(params, tree):
             else:
                 links.add(frozenset((sender, parent * size + slot)))
     return links
+
+
+# ---- adversary view -------------------------------------------------------------
+
+
+def adversary_view_naive(result, adversaries):
+    """What ``adversaries`` and the server receive in a finished run,
+    gathered user by user from the run's arrays instead of its transcript,
+    as one (C, S, *batch) array of messages: for each colluder, ascending,
+    the intra shares it received by sender (none when it dropped pre_intra,
+    its own share excluded), then its slot's partial sums from each child
+    group (none when it dropped; a dropped or silenced child slot sends
+    nothing that counts); then the last group's non-null server arrivals."""
+    size, p = result.params.group_size, result.ctx.p
+    status, took_part = result.status.tolist(), result.took_part.tolist()
+    messages = []
+    for a in sorted(set(adversaries)):
+        group, slot = divmod(a, size)
+        members = range(group * size, (group + 1) * size)
+        senders = [u for u in members if u != a and took_part[u] and took_part[a]]
+        shares = evaluate(result.coeffs[senders], [eval_point_for_slot(slot)], p, axis=1)
+        messages += [share[0] for share in shares]
+        if status[a] != DROPPED:
+            kids = [c * size + slot for c in children_naive(result.tree, group)]
+            messages += [result.partials[u] for u in kids if status[u] == ACTIVE]
+    last = result.tree.last_group * size
+    messages += [result.partials[u] for u in range(last, last + size) if status[u] == ACTIVE]
+    if not messages:
+        return np.empty((0,) + result.partials.shape[1:], result.partials.dtype)
+    return np.stack(messages)
 
 
 # ---- per-entry random streams ---------------------------------------------------
@@ -282,7 +342,7 @@ def noise_randrange_naive(p, params, master_seed):
 def privacy_bruteforce_naive(case):
     """``privacy_bruteforce`` without the linearity: every model assignment
     is its own ``run_protocol`` call over the whole noise enumeration, and
-    its view is read through ``collect_adversary_view``.  The view keys, the
+    its view is gathered by ``adversary_view_naive``.  The view keys, the
     cells, the histograms and the MI are built in the same order as the
     package's, so the two results compare with ``==``."""
     bound = case.prime if case.model_bound is None else case.model_bound
@@ -303,7 +363,9 @@ def privacy_bruteforce_naive(case):
     for w in itertools.product(range(bound), repeat=k * generators):
         models = _build_models(case, honest, w, generators)
         result = run_protocol(ctx, params, tree, models, plan, noise=noise)
-        keys = _encode_view(collect_adversary_view(result, case.adversaries), p, n_noise)
+        digits = adversary_view_naive(result, case.adversaries).reshape(-1, n_noise)
+        weights = _key_weights(len(digits), p)
+        keys = weights @ digits.astype(weights.dtype, copy=False)
         cell = tuple((models[honest].sum(axis=0) % p).tolist())
         cells.setdefault(cell, []).append(np.unique(keys, return_counts=True))
 

@@ -2,9 +2,11 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from rampagg.harness import (
     plain_sum,
     simulate,
 )
-from rampagg.protocol import UserStatus, eval_point_for_slot
+from rampagg.field import FieldContext, field_dtype
+from rampagg.protocol import DropoutPlan, UserStatus, eval_point_for_slot, run_protocol
 from rampagg.sharing import evaluate
+from rampagg.topology import build_tree, make_params
 
-from oracles import JSON_VALUES, child_env
+from oracles import JSON_VALUES, adversary_view_naive, child_env, rounds
 
 
 def example1() -> RunConfig:
@@ -286,41 +290,44 @@ def test_simulate_does_not_load_numpy_random():
 # ---- adversary view ----
 
 
+def _shares(result, senders, receiver):
+    """The intra shares ``senders`` sent ``receiver``: their blocks at its
+    slot's point."""
+    point = eval_point_for_slot(receiver % result.params.group_size)
+    return evaluate(result.coeffs[senders], [point], result.ctx.p, axis=1)[:, 0]
+
+
 def test_adversary_view_two_group_example():
     config = example2().replace(adversaries=(0, 6))
     report, result = simulate(config)
     view = collect_adversary_view(result, config.adversaries)
-
-    # user 0 (group 0, slot 0): senders 1,3,4,5 (2 dropped, self excluded)
-    assert sorted(view.intra_shares[0]) == [1, 3, 4, 5]
-    assert view.child_messages[0] == {}
-    # user 6 (group 1, slot 0): all five other slots of its group sent
-    assert sorted(view.intra_shares[6]) == [1, 2, 3, 4, 5]
-    # and it received group 0's slot-0 partial aggregate
-    assert sorted(view.child_messages[6]) == [0]
-    assert view.child_messages[6][0].tolist() == result.partials[0].tolist()
-    # the server stream has all six messages, the silenced slot as a null
-    assert sorted(view.server_messages) == [6, 7, 8, 9, 10, 11]
-    assert [u for u, m in view.server_messages.items() if m is None] == [8]
-    assert set(view.own_coeffs) == {0, 6}
-    assert np.array_equal(view.own_coeffs[6], result.coeffs[6])
+    # user 0 (group 0, slot 0): shares from 1, 3, 4, 5 (2 dropped, self
+    # excluded), no child group; user 6 (group 1, slot 0): shares from its
+    # five slot-mates and group 0's slot-0 partial; the server: five
+    # arrivals, the silenced slot 8 absent
+    assert view.shape == (4 + 6 + 5, 3)
+    assert np.array_equal(view[:4], _shares(result, [1, 3, 4, 5], 0))
+    assert np.array_equal(view[4:9], _shares(result, [7, 8, 9, 10, 11], 6))
+    assert np.array_equal(view[9], result.partials[0])
+    assert np.array_equal(view[10:], result.partials[[6, 7, 9, 10, 11]])
 
 
 def test_adversary_view_contains_nothing_for_others():
     config = example2().replace(adversaries=(4,))
     _, result = simulate(config)
     view = collect_adversary_view(result, config.adversaries)
-    assert set(view.intra_shares) == {4}
-    assert set(view.own_coeffs) == {4}
-    assert 4 not in view.intra_shares[4]  # own slot excluded
+    # user 4's own share is computed locally; nobody else's inbox appears
+    expected = np.concatenate(
+        [_shares(result, [0, 1, 3, 5], 4), result.partials[[6, 7, 9, 10, 11]]]
+    )
+    assert np.array_equal(view, expected)
 
 
 def test_adversary_view_of_a_dropped_colluder_is_the_server_stream():
     config = example2().replace(adversaries=(2,))  # user 2 dropped pre_intra
     _, result = simulate(config)
     view = collect_adversary_view(result, (2,))
-    assert view.intra_shares[2] == {} and view.child_messages[2] == {}
-    assert len(view.server_messages) == 6
+    assert np.array_equal(view, result.partials[[6, 7, 9, 10, 11]])
 
 
 def test_intra_share_points_match_receiver_slot():
@@ -328,10 +335,46 @@ def test_intra_share_points_match_receiver_slot():
     _, result = simulate(config)
     view = collect_adversary_view(result, (7,))
     point = eval_point_for_slot(7 % 6)
-    for slot, share in view.intra_shares[7].items():
-        sender = 6 + slot
+    for row, sender in zip(view, [6, 8, 9, 10, 11]):
         expected = evaluate(result.coeffs[sender], [point], result.ctx.p)[0]
-        assert share.tolist() == expected.tolist()
+        assert row.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("adversaries", [(-1,), (-7,), (12,)])
+def test_adversary_view_rejects_users_outside_the_population(adversaries):
+    _, result = simulate(example2())
+    with pytest.raises(ValueError, match=r"^adversaries: "):
+        collect_adversary_view(result, adversaries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rounds(),
+    st.sampled_from([101, 2**32 + 15]),  # int64 and object field dtypes
+    st.sampled_from([(), (3,)]),
+    st.data(),
+)
+def test_adversary_view_matches_user_by_user_oracle(round_, p, batch, data):
+    k, t, d, parent, dropped, timing = round_
+    size, groups = k + t + d, len(parent)
+    n = size * groups
+    params = make_params(n, t, d, k, model_len=k + 1, entry_bound=4)
+    rng = Random(data.draw(st.integers(0, 2**32)))
+    models = np.array([[rng.randrange(4) for _ in range(k + 1)] for _ in range(n)])
+    shape = (n, t, params.seg_len) + batch
+    noise = np.array([rng.randrange(p) for _ in range(math.prod(shape))]).reshape(shape)
+    plan = DropoutPlan(frozenset(dropped), timing)
+    result = run_protocol(
+        FieldContext(p, 4, n), params, build_tree(groups, parent), models, plan, noise=noise
+    )
+    # colluders anywhere, and sometimes one that dropped
+    adversaries = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    if dropped and data.draw(st.booleans()):
+        adversaries.append(dropped[0])
+    view = collect_adversary_view(result, adversaries)
+    expected = adversary_view_naive(result, adversaries)
+    assert view.dtype == expected.dtype == field_dtype(p, k + t)
+    assert np.array_equal(view, expected)
 
 
 # ---- oracle ----

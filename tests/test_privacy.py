@@ -9,12 +9,11 @@ import pytest
 
 from rampagg import privacy
 from rampagg.errors import RampAggError, SearchSpaceTooLarge
-from rampagg.harness import AdversaryView
 from rampagg.privacy import (
     COUPLING_ALL_EQUAL,
     NOISE_CONSTANT,
     PrivacyCase,
-    _encode_view,
+    _key_weights,
     privacy_bruteforce,
 )
 
@@ -201,16 +200,13 @@ def test_protocol_runs_once_per_model_symbol_plus_two(monkeypatch, case, runs):
 
 def _tamper_first_share(monkeypatch, tamper):
     """Route privacy's view collection through a wrapper that replaces the
-    first intra share of the view with ``tamper(share, result)``."""
+    view's first row, an intra share, with ``tamper(share, result)``."""
     collect = privacy.collect_adversary_view
 
     def tampered(result, adversaries):
         view = collect(result, adversaries)
-        a = min(view.intra_shares)
-        shares = dict(view.intra_shares[a])
-        first = min(shares)
-        shares[first] = tamper(shares[first], result)
-        return dataclasses.replace(view, intra_shares={**view.intra_shares, a: shares})
+        view[0] = tamper(view[0], result)
+        return view
 
     monkeypatch.setattr(privacy, "collect_adversary_view", tampered)
 
@@ -237,73 +233,36 @@ def test_a_cross_term_only_the_spot_check_sees_raises(monkeypatch):
 # ---- view encoding ----
 
 
-def _view(intra_values, server_values, batch=1):
-    """A one-colluder view: one intra share holding ``intra_values`` and
-    one server message per entry of ``server_values``, each an (S, batch)
-    array like the slices of a run."""
-
-    def message(values):
-        return np.broadcast_to(np.asarray(values).reshape(len(values), -1), (len(values), batch))
-
-    return AdversaryView(
-        intra_shares={0: {1: message(intra_values)}},
-        child_messages={0: {}},
-        server_messages={2 + i: message((v,)) for i, v in enumerate(server_values)},
-        own_coeffs={},
-    )
+def _keys(digits, p):
+    """One key per column of ``digits``: the base-p number they spell,
+    most significant first, packed as privacy_bruteforce packs a view."""
+    weights = _key_weights(len(digits), p)
+    return weights @ np.array(digits).astype(weights.dtype)
 
 
 def test_encode_view_packs_base_p_int64():
-    view = _view(intra_values=(3, 1), server_values=(4,))
-    keys = _encode_view(view, p=5, n_noise=1)
+    keys = _keys([[3], [1], [4]], p=5)
     assert keys.dtype == np.int64
     assert keys.tolist() == [(3 * 5 + 1) * 5 + 4]
 
 
-def test_encode_view_broadcasts_enumeration_axis():
-    view = AdversaryView(
-        intra_shares={0: {1: np.array([[1, 2, 3]])}},  # varies along the axis
-        child_messages={0: {}},
-        server_messages={2: np.array([[4, 4, 4]])},  # constant along it
-        own_coeffs={},
-    )
-    keys = _encode_view(view, p=5, n_noise=3)
-    assert keys.tolist() == [1 * 5 + 4, 2 * 5 + 4, 3 * 5 + 4]
-    # a view without noise to enumerate (batch axis 1) repeats its one key
-    constant = _view(intra_values=(1,), server_values=(4,))
-    assert _encode_view(constant, p=5, n_noise=3).tolist() == [1 * 5 + 4] * 3
-
-
-def test_encode_view_skips_null_messages():
-    base = _view(intra_values=(2,), server_values=(3,))
-    with_null = AdversaryView(
-        intra_shares=base.intra_shares,
-        child_messages={0: {5: None}},
-        server_messages={**base.server_messages, 7: None},
-        own_coeffs={},
-    )
-    assert _encode_view(base, 5, 1).tolist() == _encode_view(with_null, 5, 1).tolist()
-
-
 def test_encode_view_wide_path_matches_exact_arithmetic():
     # 25 components * 3 bits/symbol > 62: forces the object-dtype path
-    values = tuple(i % 5 for i in range(25))
-    view = _view(intra_values=values, server_values=())
-    keys = _encode_view(view, p=5, n_noise=1)
+    values = [i % 5 for i in range(25)]
+    keys = _keys([[v] for v in values], p=5)
     assert keys.dtype == object
     expected = reduce(lambda acc, c: acc * 5 + c, values, 0)
     assert keys.tolist() == [expected]
     # stability across calls: same input, same key
-    again = _encode_view(view, p=5, n_noise=1)
-    assert keys.tolist() == again.tolist()
+    assert _keys([[v] for v in values], p=5).tolist() == keys.tolist()
 
 
 def test_encode_view_narrow_and_wide_paths_agree():
-    values = (4, 0, 3, 2, 1)
-    narrow = _encode_view(_view(values, ()), p=5, n_noise=1)
+    values = [[4], [0], [3], [2], [1]]
+    narrow = _keys(values, p=5)
     # same digits interpreted in a base wide enough to force objects
     wide_p = 2**31
-    wide = _encode_view(_view(values, ()), p=wide_p, n_noise=1)
+    wide = _keys(values, p=wide_p)
     assert narrow.dtype == np.int64 and wide.dtype == object
-    assert narrow.tolist() == [reduce(lambda a, c: a * 5 + c, values, 0)]
-    assert wide.tolist() == [reduce(lambda a, c: a * wide_p + c, values, 0)]
+    assert narrow.tolist() == [reduce(lambda a, c: a * 5 + c, [4, 0, 3, 2, 1], 0)]
+    assert wide.tolist() == [reduce(lambda a, c: a * wide_p + c, [4, 0, 3, 2, 1], 0)]

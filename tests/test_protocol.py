@@ -30,16 +30,16 @@ from rampagg.protocol import (
     server_recover,
 )
 from rampagg.sharing import evaluate
-from rampagg.topology import AggregationTree, build_tree, make_params
+from rampagg.topology import build_tree, make_params
 
 from oracles import (
     ACTIVE,
     DROPPED,
     SILENCED,
     links_naive,
-    parent_maps,
     potential_links_naive,
     relay_fold_naive,
+    rounds,
     transcript_csv_naive,
     transcript_rows_naive,
 )
@@ -308,20 +308,9 @@ def test_transcript_columns_match_per_message_reference(t, d, shape, timing):
     assert written.getvalue() == transcript_csv_naive(rows)
 
 
-@st.composite
-def _rounds(draw):
-    """(k, t, d, parent map, dropped users, timing) of a round within its
-    dropout budget: at most d users drop, in any groups and slots."""
-    k, t, d = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    parent = draw(parent_maps(max_groups=6))
-    n = (k + t + d) * len(parent)
-    dropped = draw(st.lists(st.integers(0, n - 1), max_size=d, unique=True))
-    return k, t, d, parent, dropped, draw(st.sampled_from([PRE_INTRA, BETWEEN_ROUNDS]))
-
-
 @settings(max_examples=80, deadline=None)
 @given(
-    _rounds(),
+    rounds(),
     st.sampled_from([101, 2**32 + 15]),  # int64 and object field dtypes
     st.sampled_from([(), (1,), (3,)]),
     st.integers(0, 2**32),
@@ -397,7 +386,7 @@ def test_relay_refuses_prefix_sums_past_int64():
 
 
 @settings(max_examples=60, deadline=None)
-@given(_rounds(), st.sampled_from(["chain", "star", "irregular"]), st.integers(0, 99))
+@given(rounds(), st.sampled_from(["chain", "star", "irregular"]), st.integers(0, 99))
 def test_csv_matches_csv_writer_on_drawn_rounds(round_, shape, seed):
     k, t, d, parent, dropped, timing = round_
     size = k + t + d
@@ -434,19 +423,13 @@ def test_csv_through_a_file_opened_like_the_cli(tmp_path):
     assert path.read_bytes() == transcript_csv_naive(rows).encode()
 
 
-def test_round_makes_no_per_group_tree_queries(monkeypatch):
-    # 400 chained groups of 3; the relay, the transcript and its export read
-    # the tree's layout arrays, never one group at a time
+def test_round_makes_no_per_group_tree_queries():
+    # 400 chained groups of 3; the tree has no per-group queries, so the
+    # relay, the transcript and its export read its layout arrays
     config = RunConfig(
         n_users=1200, t_max=1, d_max=1, k_parts=1, model_len=2, entry_bound=8,
         dropped=(4,), dropout_timing=BETWEEN_ROUNDS,
     )
-
-    def refuse(self, group):
-        raise AssertionError(f"per-group tree query for group {group}")
-
-    for name in ("children_of", "parent_of", "inter_hops"):
-        monkeypatch.setattr(AggregationTree, name, refuse)
     report, result = simulate(config)
     transcript = Transcript.of_round(result.params, result.tree, result.took_part, result.status)
     transcript.to_csv(io.StringIO())

@@ -12,7 +12,6 @@ from rampagg.errors import (
     InvalidParams,
     NotATree,
     ThresholdViolation,
-    UnknownGroup,
 )
 from rampagg.protocol import Transcript
 from rampagg.topology import (
@@ -25,7 +24,7 @@ from rampagg.topology import (
     total_delay,
 )
 
-from oracles import ancestors_naive, descendants_naive, parent_maps
+from oracles import ancestors_naive, children_naive, descendants_naive, parent_maps
 
 
 # ---- parameters ----
@@ -108,26 +107,24 @@ def test_make_params_accept_iff_constraints_hold(groups, t, d, k, length):
 
 def test_chain_tree():
     tree = build_tree(3, "chain")
-    assert tree.parent_of(0) == 1
-    assert tree.parent_of(1) == 2
-    assert tree.parent_of(2) == SERVER
-    assert tree.upward_order() == [0, 1, 2]
-    assert tree.inter_hops(0) == 2
+    assert tree.parents.tolist() == [1, 2, 3]  # 3 = num_groups: the server
+    assert tree.upward.tolist() == [0, 1, 2]
+    assert tree.depth.tolist() == [2, 1, 0]
 
 
 def test_star_tree():
     tree = build_tree(4, "star")
-    assert all(tree.parent_of(g) == 3 for g in range(3))
-    assert tree.children_of(3) == (0, 1, 2)
-    assert tree.inter_hops(0) == 1
-    assert tree.upward_order() == [0, 1, 2, 3]
+    assert tree.parents.tolist() == [3, 3, 3, 4]
+    assert children_naive(tree, 3) == [0, 1, 2]
+    assert tree.depth.tolist() == [1, 1, 1, 0]
+    assert tree.upward.tolist() == [0, 1, 2, 3]
 
 
 def test_single_group_tree():
     tree = build_tree(1, "chain")
-    assert tree.parent_of(0) == SERVER
+    assert tree.parents.tolist() == [1]
     assert tree.last_group == 0
-    assert build_tree(1, "star").parent_of(0) == SERVER
+    assert build_tree(1, "star").parents.tolist() == [1]
 
 
 def test_explicit_irregular_tree():
@@ -136,23 +133,21 @@ def test_explicit_irregular_tree():
     assert descendants_naive(tree, 6) == {0, 1, 2, 3, 4, 5}
     assert descendants_naive(tree, 4) == {0, 1, 2}
     assert ancestors_naive(tree, 0) == {4, 6}
-    assert tree.children_of(4) == (0, 1, 2)
-    assert tree.children_of(6) == (4, 5)
-    assert tree.inter_hops(0) == 2
-    assert tree.inter_hops(6) == 0
-    order = tree.upward_order()
-    for g in range(7):
-        par = tree.parent_of(g)
-        if par != SERVER:
-            assert order.index(g) < order.index(par)
+    assert children_naive(tree, 4) == [0, 1, 2]
+    assert children_naive(tree, 6) == [4, 5]
+    assert tree.depth[0] == 2
+    assert tree.depth[6] == 0
+    order = tree.upward.tolist()
+    for g in range(6):
+        assert order.index(g) < order.index(parent[g])
 
 
 def test_deep_chain_depths_are_walked_once():
     # a walk per query would cost O(G * depth) per call on this chain
     tree = build_tree(5000, "chain")
-    assert tree.inter_hops(0) == 4999
-    assert tree.inter_hops(4999) == 0
-    assert tree.upward_order() == list(range(5000))
+    assert tree.depth[0] == 4999
+    assert tree.depth[4999] == 0
+    assert tree.upward.tolist() == list(range(5000))
     assert total_delay(tree, DelayModel(inter=1, intra=0)) == 5000
 
 
@@ -161,10 +156,8 @@ def test_depths_of_an_irregular_tree_listed_in_any_order():
     # not depend on the walk order
     parent = {0: 6, 1: 0, 2: 1, 3: 6, 4: 3, 5: 2, 6: SERVER}
     tree = AggregationTree(parent)
-    assert [tree.inter_hops(g) for g in range(7)] == [1, 2, 3, 1, 2, 4, 0]
-    assert [tree.inter_hops(g) for g in range(7)] == [
-        len(ancestors_naive(tree, g)) for g in range(7)
-    ]
+    assert tree.depth.tolist() == [1, 2, 3, 1, 2, 4, 0]
+    assert tree.depth.tolist() == [len(ancestors_naive(tree, g)) for g in range(7)]
 
 
 @given(parent_maps(max_groups=9))
@@ -178,9 +171,9 @@ def test_layout_arrays_match_the_parent_map(parent):
         lo, hi = tree.subtree_lo[g], tree.subtree_hi[g]
         assert post[hi - 1] == g
         assert set(post[lo : hi - 1]) == descendants_naive(tree, g)
-        assert tree.inter_hops(g) == len(ancestors_naive(tree, g))
+        assert tree.depth[g] == len(ancestors_naive(tree, g))
         assert tree.parents[g] == (num if parent[g] == SERVER else parent[g])
-    assert tree.upward_order() == sorted(range(num), key=lambda g: (-tree.inter_hops(g), g))
+    assert tree.upward.tolist() == sorted(range(num), key=lambda g: (-tree.depth[g], g))
 
 
 def test_tree_rejects_wrong_root():
@@ -214,14 +207,6 @@ def test_tree_rejects_cycles_and_orphans():
 def test_tree_rejects_bad_shape_name():
     with pytest.raises(ValueError):
         build_tree(3, "ring")
-
-
-def test_unknown_group_query():
-    tree = build_tree(2, "chain")
-    with pytest.raises(UnknownGroup):
-        tree.parent_of(5)
-    with pytest.raises(UnknownGroup):
-        tree.children_of(-1)
 
 
 # ---- edge counting ----
