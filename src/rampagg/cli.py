@@ -3,7 +3,8 @@
 Subcommands:
     run <config.json>    simulate one configuration, write the JSON report
     sweep <sweep.json>   vary the partition count, write a CSV of load metrics
-    verify <suite>       run a named verification suite
+    verify <suite>       run a named verification suite (--json: the checks
+                         as one JSON array on stdout)
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration.
 
@@ -13,6 +14,7 @@ environment variables, which in turn override values from the config file.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -184,17 +186,18 @@ def _sweep_rows(base: RunConfig, tasks: list, jobs: int) -> list:
 
 def cmd_verify(args) -> int:
     results = run_suite(args.suite)
-    failures = 0
-    for check in results:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{status} {check.name} ({check.elapsed:.2f}s): {check.detail}")
-        if not check.passed:
-            failures += 1
+    failures = sum(not check.passed for check in results)
+    if args.json:
+        print(json.dumps([dataclasses.asdict(check) for check in results]))
+    else:
+        for check in results:
+            status = "PASS" if check.passed else "FAIL"
+            print(f"{status} {check.name} ({check.elapsed:.2f}s): {check.detail}")
     if failures:
         print(f"{failures} of {len(results)} checks failed", file=sys.stderr)
-        return 1
-    print(f"all {len(results)} checks passed")
-    return 0
+    elif not args.json:
+        print(f"all {len(results)} checks passed")
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,6 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
+    p_verify.add_argument(
+        "--json",
+        action="store_true",
+        help="print the checks (name, passed, detail, elapsed) as one JSON array",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -7,7 +7,9 @@ polynomial operation is one of two matrices, applied to coefficient or
 evaluation arrays by a matrix product mod p: :func:`vandermonde` evaluates
 and :func:`inverse_vandermonde` interpolates.  Both are built in numpy
 arrays of :func:`field_dtype`, int64 below its overflow bound and exact
-Python ints in object arrays above it.
+Python ints in object arrays above it.  :func:`span_basis` row-reduces a
+set of vectors to a basis of their span, the one piece of linear algebra
+the privacy checker needs.
 """
 
 from dataclasses import dataclass
@@ -120,8 +122,10 @@ def field_dtype(p: int, terms: int):
 def vandermonde(points, width: int, p: int, dtype) -> np.ndarray:
     """The (len(points), width) matrix of x**j mod p, one row per point,
     built a column at a time as a running product.  Each step multiplies
-    two field elements, so ``dtype`` needs only field_dtype(p, 1)."""
-    xs = np.array([x % p for x in points], dtype=dtype)
+    two field elements, so ``dtype`` needs only field_dtype(p, 1).  Points
+    become Python ints first: a numpy integer point would stay a numpy
+    scalar inside an object matrix and wrap past 2**63."""
+    xs = np.array([int(x) % p for x in points], dtype=dtype)
     out = np.ones((width, len(xs)), dtype=dtype)  # transposed: columns contiguous
     for j in range(1, width):
         out[j] = out[j - 1] * xs % p
@@ -143,7 +147,7 @@ def inverse_vandermonde(points, p: int, dtype) -> np.ndarray:
     field_dtype(p, len(points)) always suffices.  A repeated point leaves a
     zero weight denominator, and inverting it raises ValueError.
     """
-    xs = np.array([x % p for x in points], dtype=dtype)
+    xs = np.array([int(x) % p for x in points], dtype=dtype)
     n = len(xs)
     root = np.zeros(n + 1, dtype=dtype)  # Z's coefficients, low order first
     root[0] = 1
@@ -159,3 +163,31 @@ def inverse_vandermonde(points, p: int, dtype) -> np.ndarray:
         at_root = (at_root * xs + num[j]) % p
     weights = np.array([pow(int(d), -1, p) for d in at_root], dtype=dtype)
     return num[::-1] * weights % p
+
+
+def span_basis(rows, p: int) -> np.ndarray:
+    """A basis of the GF(p) span of the 2-D array ``rows``, in reduced row
+    echelon form: each basis row leads with a 1 in a column where every
+    other basis row holds 0, and an empty (0, width) array spans {0}.
+
+    Gauss-Jordan elimination, vectorized over the rows.  Rows that reduce
+    to zero are dropped as they appear, so the work shrinks to the rank.
+    Each step subtracts a product of two field elements from one, so it
+    runs in field_dtype(p, 1).
+    """
+    m = np.asarray(rows).astype(field_dtype(p, 1)) % p
+    m = m[(m != 0).any(axis=1)]
+    rank = 0
+    for col in range(m.shape[1]):
+        if rank == len(m):
+            break
+        nonzero = np.flatnonzero(m[rank:, col] != 0)
+        if not len(nonzero):
+            continue
+        m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
+        pivot = m[rank] * pow(int(m[rank, col]), -1, p) % p
+        m = (m - m[:, col, None] * pivot) % p  # clears column col everywhere
+        m[rank] = pivot
+        rank += 1
+        m = m[np.concatenate([np.ones(rank, bool), (m[rank:] != 0).any(axis=1)])]
+    return m[:rank]

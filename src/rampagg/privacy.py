@@ -23,8 +23,7 @@ Two guards make sure the view really is affine; either failure raises
 instead of returning a verdict.  Each column of A must be the same at every
 noise point, checked at all of them; and one more run at the all-
 ``(model_bound - 1)`` assignment, which exercises every cross term, must
-equal ``X + A w`` entry for entry.  Every assignment then costs one shift of
-X, one key packing and one histogram.
+equal ``X + A w`` entry for entry.
 
 The view is :func:`collect_adversary_view`'s (C, S, n_noise) array: the
 transcript's delivered, non-null rows addressed to a colluder or the server,
@@ -34,10 +33,26 @@ that point, packed base p into one integer key.
 
 Conditional mutual information is computed by exact counting: within a
 conditioning cell (one value of the honest-model sum), the view distribution
-over noise must be *identical* for every model assignment in the cell.  That
-identity is checked on integer histograms, so the verdict "exactly zero"
-involves no floating point at all; a non-zero MI is additionally quantified
-in bits from the same exact counts.
+over noise must be *identical* for every model assignment in the cell.  The
+assignments are enumerated as arrays, a block at a time: every offset
+``A w mod p`` and every cell are array operations, and no assignment is
+visited on its own.  The verdict then needs no histogram per assignment,
+by this argument.  Let M be the multiset of noise-only view columns (the
+columns of X).  Assignment w sees M shifted by its offset o = A w, so two
+assignments in a cell see the same distribution iff M + o = M + o', that
+is iff M + (o - o') = M.  The shifts v with M + v = M are closed under
+addition (M + v + v' = M + v = M) and contain 0; since p is prime, c v is v
+added c times, so they form a GF(p) subspace S.  Hence every cell is
+uniform over its assignments iff every difference o - o_first(cell) lies in
+S, iff the span of those differences does, iff each row of its row-reduced
+basis (:func:`rampagg.field.span_basis`, at most C rows) does.  Each basis
+row v is tested by comparing the sorted keys of M + v with those of M,
+exact integer arithmetic over every noise point, so the verdict "exactly
+zero" involves no floating point at all.
+
+A leaking case is additionally quantified in bits from exact per-assignment
+histograms (one ``np.unique`` per distinct offset), its cells in first-seen
+order.
 """
 
 import itertools
@@ -47,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RampAggError, SearchSpaceTooLarge
-from .field import FieldContext, field_dtype
+from .field import FieldContext, field_dtype, span_basis
 from .harness import collect_adversary_view
 from .protocol import PRE_INTRA, DropoutPlan, run_protocol
 from .topology import TreeShape, build_tree, make_params
@@ -60,6 +75,10 @@ COUPLING_ALL_EQUAL = "all_equal"  # perfectly correlated honest models
 
 #: Default cap on enumerated (model, noise) points.
 DEFAULT_BUDGET = 20_000_000
+
+#: Most model assignments enumerated at once: bounds the enumeration's
+#: arrays however large the budget.
+BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -190,52 +209,109 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
             )
         shift[:, i] = delta[:, 0]
     top = (bound - 1,) * n_symbols
-    if not np.array_equal(run(top)[1], _shifted(base, _offset(shift, top, p), p)):
+    top_offset = shift @ np.array(top, dtype=shift.dtype) % p
+    if not np.array_equal(run(top)[1], _shifted(base, top_offset, p)):
         raise RampAggError(
             f"view is not affine in the honest models: the run at model "
             f"assignment {top} differs from the noise-only view plus its shift"
         )
 
-    weights = _key_weights(len(base), p)
-    # view shift -> its (view keys, counts) histogram: assignments with the
-    # same shift see the same view, and A's rank keeps the shifts few
-    histograms: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    # cell key -> list of histograms, one per assignment
-    cells: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for w in itertools.product(range(bound), repeat=n_symbols):
-        offset = _offset(shift, w, p)
-        seen = tuple(offset.tolist())
-        if seen not in histograms:
-            digits = _shifted(base, offset, p).astype(weights.dtype, copy=False)
-            histograms[seen] = np.unique(weights @ digits, return_counts=True)
-        cell = tuple((to_sum @ w % p).tolist())
-        cells.setdefault(cell, []).append(histograms[seen])
-
-    exact_zero = True
-    for hists in cells.values():
-        ref_keys, ref_counts = hists[0]
-        for uniq, counts in hists[1:]:
-            if not (
-                np.array_equal(uniq, ref_keys) and np.array_equal(counts, ref_counts)
-            ):
-                exact_zero = False
-                break
-        if not exact_zero:
-            break
-
-    mi_bits = 0.0 if exact_zero else _mi_from_histograms(cells, n_noise)
+    exact_zero, n_cells, n_assignments = _exact_zero(
+        base, _assignment_blocks(shift, to_sum, bound, p), p
+    )
+    if exact_zero:
+        return PrivacyResult(0.0, True, n_cells, n_assignments, n_noise)
+    cells = _cell_histograms(base, _assignment_blocks(shift, to_sum, bound, p), p)
     return PrivacyResult(
-        mi_bits=mi_bits,
-        exact_zero=exact_zero,
+        mi_bits=_mi_from_histograms(cells, n_noise),
+        exact_zero=False,
         n_cells=len(cells),
         n_model_assignments=sum(map(len, cells.values())),
         n_noise_assignments=n_noise,
     )
 
 
-def _offset(shift: np.ndarray, w: tuple, p: int) -> np.ndarray:
-    """What model assignment ``w`` adds to every view column: shift @ w mod p."""
-    return shift @ np.array(w, dtype=shift.dtype) % p
+def _assignment_blocks(shift: np.ndarray, to_sum: np.ndarray, bound: int, p: int):
+    """Yield the (offsets, cells) int64 arrays of every model assignment w,
+    in itertools.product order: w's offset is shift @ w and its cell, the
+    honest-model sum, to_sum @ w, both mod p.
+
+    A block holds the bound**low assignments that share their leading
+    symbols, ``low`` the most trailing symbols that fit BLOCK_ROWS (at
+    least one).  Both maps are linear, so a block is the image of its
+    trailing symbols, computed once, plus the image of its leading ones."""
+    image = np.concatenate([shift, to_sum.astype(shift.dtype)]).T
+    n_symbols = len(image)
+    low = next(m for m in range(n_symbols, -1, -1) if m <= 1 or bound**m <= BLOCK_ROWS)
+    high = n_symbols - low
+    tail = _images(image[high:], bound, p)
+    for lead in _images(image[:high], bound, p):
+        out = ((tail + lead) % p).astype(np.int64)
+        yield out[:, : len(shift)], out[:, len(shift) :]
+
+
+def _images(image: np.ndarray, bound: int, p: int) -> np.ndarray:
+    """w @ image mod p for every w in [0, bound)**len(image), one row each,
+    in itertools.product order, built a symbol at a time as an outer sum
+    (the symbol added last varies fastest)."""
+    values = np.arange(bound).astype(image.dtype)
+    out = np.zeros((1, image.shape[1]), dtype=image.dtype)
+    for row in image:
+        out = (out[:, None] + np.multiply.outer(values, row)).reshape(-1, len(row)) % p
+    return out
+
+
+def _exact_zero(base: np.ndarray, blocks, p: int) -> tuple[bool, int, int]:
+    """Decide whether all assignments in each cell see the same view
+    distribution, from the (offsets, cells) ``blocks`` and the noise-only
+    view ``base`` (M: one noise point per column).  Returns the verdict with
+    the cell and assignment counts.
+
+    Each assignment's difference from the first offset met in its cell
+    joins a running GF(p) basis; the verdict holds iff every basis row v
+    leaves M as it is (the argument is in the module docstring)."""
+    seen = refs = basis = None  # cells met so far, the first offset of each
+    n_assignments = 0
+    for offsets, cells in blocks:
+        n_assignments += len(offsets)
+        cell_keys = _pack(cells, p)
+        if seen is None:
+            seen, refs, basis = cell_keys[:0], offsets[:0], offsets[:0]
+        # the seen cells come first, so a cell met before keeps its ref
+        seen, first, inverse = np.unique(
+            np.concatenate([seen, cell_keys]), return_index=True, return_inverse=True
+        )
+        refs = np.concatenate([refs, offsets])[first]
+        diffs = (offsets - refs[inverse[len(inverse) - len(offsets) :]]) % p
+        diffs = diffs[np.unique(_pack(diffs, p), return_index=True)[1]]  # each once
+        basis = span_basis(np.concatenate([basis, diffs]), p)
+    keys = np.sort(_pack(base.T, p))
+    exact_zero = all(
+        np.array_equal(np.sort(_pack(_shifted(base, v, p).T, p)), keys) for v in basis
+    )
+    return exact_zero, len(seen), n_assignments
+
+
+def _cell_histograms(base: np.ndarray, blocks, p: int) -> dict:
+    """Cell -> the view histogram of each of its assignments, cells in
+    first-seen order and assignments in enumeration order, from the
+    (offsets, cells) ``blocks``.  Assignments with the same offset see the
+    same view, so each distinct offset costs one shift and one np.unique."""
+    histograms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    cells: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for offsets, cell_rows in blocks:
+        distinct, first, which = np.unique(
+            _pack(offsets, p), return_index=True, return_inverse=True
+        )
+        hists = []
+        for key, offset in zip(distinct.tolist(), offsets[first]):
+            if key not in histograms:
+                view = _pack(_shifted(base, offset, p).T, p)
+                histograms[key] = np.unique(view, return_counts=True)
+            hists.append(histograms[key])
+        for cell, h in zip(_pack(cell_rows, p).tolist(), which.tolist()):
+            cells.setdefault(cell, []).append(hists[h])
+    return cells
 
 
 def _shifted(base: np.ndarray, offset: np.ndarray, p: int) -> np.ndarray:
@@ -268,6 +344,13 @@ def _build_models(
     models[list(case.adversaries)] = case.adversary_model_value
     models[honest] = np.reshape(w, (generators, case.k_parts))
     return models
+
+
+def _pack(rows: np.ndarray, p: int) -> np.ndarray:
+    """One key per row of base-p digits, most significant first, packed
+    with :func:`_key_weights`: equal keys iff equal rows."""
+    weights = _key_weights(rows.shape[1], p)
+    return rows.astype(weights.dtype, copy=False) @ weights
 
 
 def _key_weights(n_digits: int, p: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import os
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -85,6 +86,31 @@ def solve_vandermonde(xs, ys, p: int):
                     (a - factor * b) % p for a, b in zip(rows[r], rows[col])
                 ]
     return [rows[i][n] for i in range(n)]
+
+
+def span_naive(rows, p: int, width: int) -> set:
+    """Every GF(p) combination of ``rows`` (vectors of length ``width``),
+    built one row at a time: the span with row r is every c * r added to
+    every vector of the span without it."""
+    span = {(0,) * width}
+    for row in rows:
+        span = {
+            tuple((a + c * b) % p for a, b in zip(v, row)) for v in span for c in range(p)
+        }
+    return span
+
+
+def shift_verdict_naive(base, offsets, cells, p: int) -> bool:
+    """Whether, within each cell, every assignment sees the same view
+    histogram: the multiset of ``base``'s columns, each shifted by the
+    assignment's offset mod p, compared with that of the cell's first."""
+    by_cell = {}
+    for offset, cell in zip(offsets.tolist(), cells.tolist()):
+        histogram = Counter(
+            tuple((m + o) % p for m, o in zip(column, offset)) for column in base.T.tolist()
+        )
+        by_cell.setdefault(tuple(cell), []).append(histogram)
+    return all(h == hists[0] for hists in by_cell.values() for h in hists)
 
 
 # ---- inputs for property tests -----------------------------------------------------

@@ -376,6 +376,27 @@ def test_verify_prints_each_check_and_the_total(monkeypatch, capsys):
     ]
 
 
+def test_verify_json_prints_the_checks_as_one_array(capsys):
+    assert main(["verify", "privacy", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)
+    assert checks and all(
+        sorted(check) == ["detail", "elapsed", "name", "passed"] and check["passed"] is True
+        for check in checks
+    )
+
+
+def test_verify_json_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "run_suite", lambda name: [CheckResult("doomed", False, "synthetic", 0.25)]
+    )
+    assert main(["verify", "examples", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == [
+        {"name": "doomed", "passed": False, "detail": "synthetic", "elapsed": 0.25}
+    ]
+    assert "1 of 1" in captured.err
+
+
 def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "vibes"])

@@ -1,6 +1,7 @@
 """Prime selection, polynomial evaluation, and interpolation against oracles."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from rampagg.field import (
     inverse_vandermonde,
     is_prime,
     select_prime,
+    span_basis,
     vandermonde,
 )
 
-from oracles import eval_poly_naive, is_prime_naive
+from oracles import eval_poly_naive, is_prime_naive, span_naive
 
 
 # ---- primality and prime selection ----
@@ -158,6 +160,17 @@ def test_inverse_vandermonde_is_exact_across_the_int64_bound(p, n, dtype):
     assert product.tolist() == np.eye(n, dtype=int).tolist()
 
 
+def test_numpy_points_stay_exact_past_int64():
+    # x % p of an np.int64 point is still an np.int64; inside an object
+    # matrix its running product would wrap at 2**63 with only a warning
+    p = 2**61 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vandermonde(np.array([p - 2]), 3, p, object).tolist() == [[1, p - 2, 4]]
+        inverse = inverse_vandermonde(np.array([p - 2, 5]), p, object)
+    assert inverse.tolist() == inverse_vandermonde([p - 2, 5], p, object).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_interpolation_round_trip(data):
@@ -177,3 +190,33 @@ def test_interpolation_round_trip(data):
         )
     )
     assert _interpolate(xs, _eval(coeffs, xs, p), p) == coeffs
+
+
+# ---- span bases ----
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_basis_is_a_reduced_echelon_basis_of_the_span(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    width = data.draw(st.integers(min_value=0, max_value=3))
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-p, 2 * p), min_size=width, max_size=width), max_size=6
+        )
+    )
+    basis = span_basis(np.array(rows, dtype=np.int64).reshape(len(rows), width), p)
+    assert basis.shape[1] == width
+    assert span_naive(basis.tolist(), p, width) == span_naive(rows, p, width)
+    # independent rows, each led by a 1 in a column that is 0 in the others
+    assert len(span_naive(basis.tolist(), p, width)) == p ** len(basis)
+    leads = [int(np.flatnonzero(row)[0]) for row in basis]
+    assert leads == sorted(set(leads))
+    for lead in leads:
+        assert sorted(basis[:, lead].tolist()) == [0] * (len(basis) - 1) + [1]
+
+
+def test_span_basis_is_exact_in_wide_fields():
+    p = 2**61 - 1
+    assert span_basis(np.array([[p - 1, 1], [1, p - 1]]), p).tolist() == [[1, p - 1]]
+    assert span_basis(np.array([[p - 2, 3], [1, p - 1]]), p).tolist() == [[1, 0], [0, 1]]

@@ -1,11 +1,14 @@
 """Exhaustive privacy enumeration: exact zeros, leak detection, encoding,
-agreement with the one-run-per-assignment oracle, and the affinity guards."""
+agreement with the one-run-per-assignment oracle, blocked enumeration, the
+subspace verdict against histogram comparison, and the affinity guards."""
 
 import dataclasses
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rampagg import privacy
 from rampagg.errors import RampAggError, SearchSpaceTooLarge
@@ -17,7 +20,7 @@ from rampagg.privacy import (
     privacy_bruteforce,
 )
 
-from oracles import privacy_bruteforce_naive
+from oracles import privacy_bruteforce_naive, shift_verdict_naive, span_naive
 
 
 def case_4_users(adversary=0, **overrides) -> PrivacyCase:
@@ -180,6 +183,73 @@ CORRELATED = PrivacyCase(
 )
 def test_linear_enumeration_matches_one_run_per_assignment(case):
     assert privacy_bruteforce(case) == privacy_bruteforce_naive(case)
+
+
+@pytest.mark.parametrize(
+    "case,n_blocks",
+    [
+        (DROPPED_CHAIN, 3**4 // 3),
+        (dataclasses.replace(SIX_USERS, prime=7, noise_mode=NOISE_CONSTANT), 2**10 // 4),
+    ],
+    ids=["dropped-user-chain", "6-users-constant-noise"],
+)
+def test_small_blocks_match_one_run_per_assignment(monkeypatch, case, n_blocks):
+    # at most 7 rows: blocks of 3 or 4 assignments, which cells span, so
+    # the cells met first, and their first offsets, must carry across blocks
+    blocks = []
+    span_basis = privacy.span_basis
+    monkeypatch.setattr(privacy, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(
+        privacy, "span_basis", lambda *a: blocks.append(1) or span_basis(*a)
+    )
+    assert privacy_bruteforce(case) == privacy_bruteforce_naive(case)
+    assert len(blocks) == n_blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_basis_verdict_equals_pairwise_histogram_comparison(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    width = data.draw(st.integers(min_value=1, max_value=3))
+    vector = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    # M is drawn outright, or as a union of cosets of a drawn subspace, so
+    # that the shifts leaving M as it is are that subspace or more
+    subspace = sorted(span_naive(data.draw(st.lists(vector, max_size=2)), p, width))
+    if data.draw(st.booleans()):
+        cosets = data.draw(st.lists(vector, min_size=1, max_size=3))
+        columns = [[(a + b) % p for a, b in zip(t, s)] for t in cosets for s in subspace]
+    else:
+        columns = data.draw(st.lists(vector, min_size=1, max_size=12))
+    base = np.array(columns, dtype=np.int64).T
+    # each assignment's offset: its cell's drawn offset plus, mostly, an
+    # element of the subspace
+    refs = data.draw(st.lists(vector, min_size=1, max_size=3))
+    labels = data.draw(st.lists(st.integers(0, len(refs) - 1), min_size=1, max_size=12))
+    moves = st.one_of(st.sampled_from(subspace), vector)
+    offsets = np.array(
+        [[(r + m) % p for r, m in zip(refs[c], data.draw(moves))] for c in labels],
+        dtype=np.int64,
+    )
+    cells = np.array([[c % p, c // p] for c in labels], dtype=np.int64)
+    size = data.draw(st.integers(min_value=1, max_value=len(labels)))
+    blocks = [
+        (offsets[i : i + size], cells[i : i + size]) for i in range(0, len(labels), size)
+    ]
+    verdict, n_cells, n_assignments = privacy._exact_zero(base, iter(blocks), p)
+    assert verdict == shift_verdict_naive(base, offsets, cells, p)
+    assert (n_cells, n_assignments) == (len(set(map(tuple, cells.tolist()))), len(labels))
+
+
+def test_a_leak_behind_a_harmless_basis_row_is_found():
+    # M is the coset (0, 0) + span{(1, 0)}, which a shift by (1, 0) leaves
+    # as it is and a shift by (0, 1) does not; the cell's differences have
+    # the basis [(1, 0), (0, 1)], and only its second row leaks
+    base = np.array([[0, 1, 2], [0, 0, 0]])
+    offsets = np.array([[0, 0], [1, 0], [0, 1]])
+    cells = np.zeros((3, 1), dtype=np.int64)
+    assert not shift_verdict_naive(base, offsets, cells, 3)
+    assert privacy._exact_zero(base, iter([(offsets, cells)]), 3) == (False, 1, 3)
+    assert privacy._exact_zero(base, iter([(offsets[:2], cells[:2])]), 3) == (True, 1, 2)
 
 
 @pytest.mark.parametrize(
