@@ -1,7 +1,8 @@
 """Configuration, measurement, and reporting around the protocol core.
 
-:func:`simulate` draws a :class:`RunConfig`'s models as one (N, L) array
-(:func:`draw_models`) and turns the round into a :class:`RunReport` whose
+:func:`simulate` draws a :class:`RunConfig`'s models (:func:`draw_models`)
+and noise straight into the round's coefficient array and turns the round
+into a :class:`RunReport` whose
 load figures are exact rationals computed purely by counting transcript
 symbols, never by evaluating the closed-form expressions they are later
 compared against.  :func:`correctness_oracle` replays randomized runs against
@@ -33,6 +34,7 @@ from .protocol import (
     derive_seed,
     draw_uniform,
     eval_point_for_slot,
+    noised_blocks,
     run_protocol,
 )
 from .sharing import Model
@@ -331,12 +333,14 @@ class RunReport:
         return text + "\n"
 
 
-def draw_models(config: RunConfig) -> np.ndarray:
+def draw_models(config: RunConfig, out=None) -> np.ndarray:
     """Deterministic per-config models as one (N, L) int64 array: entries
     uniform in [0, entry_bound), drawn in row order from the stream seeded
-    with derive_seed(master_seed, "models")."""
+    with derive_seed(master_seed, "models").  Given ``out``, such as the
+    model rows of a coefficient array, the models go into it."""
     seed = derive_seed(config.master_seed, "models")
-    return draw_uniform(seed, config.entry_bound, (config.n_users, config.model_len))
+    shape = (config.n_users, config.model_len)
+    return draw_uniform(seed, config.entry_bound, shape, out)
 
 
 def generate_models(config: RunConfig) -> list[Model]:
@@ -348,12 +352,15 @@ def generate_models(config: RunConfig) -> list[Model]:
 
 def simulate(config: RunConfig):
     """Run one configured round on the models of :func:`draw_models` and
-    measure it.  Returns (RunReport, RunResult)."""
+    measure it.  The models and noise are drawn straight into the round's
+    coefficient array.  Returns (RunReport, RunResult)."""
     params, tree, ctx = config.resolve()
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
-    result = run_protocol(
-        ctx, params, tree, draw_models(config), plan, master_seed=config.master_seed
-    )
+    coeffs, models = noised_blocks(params, ctx.p, config.master_seed)
+    draw_models(config, out=models)
+    if ctx.p < config.entry_bound:  # only a prime_override can be that small
+        models %= ctx.p
+    result = run_protocol(ctx, params, tree, models, plan, coeffs=coeffs)
     loads = measure_loads(result.transcript, params, result.status)
     # a round without dropouts uses every link the network has
     everyone = np.ones(params.n_users, dtype=bool)

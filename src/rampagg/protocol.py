@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import InconsistentArrivals, TooManyDropouts
 from .field import FieldContext, field_dtype, inverse_vandermonde
-from .sharing import _apply, evaluate, partition, share_blocks
+from .sharing import _apply, empty_blocks, evaluate, model_rows
 from .topology import SERVER, AggregationTree, ProtocolParams
 
 PHASE_INTRA = "intra"
@@ -167,11 +167,13 @@ class Transcript:
         """Distinct links, as (a, b) rows with a < b and the server as N,
         that carried at least one delivered, non-null message.
         Self-addressed local computations are not links."""
-        used = self.delivered & ~self.null & (self.sender != self.receiver)
+        # an intra share is delivered both ways iff both users took part, so
+        # the a < b direction names each used intra link once; every uplink
+        # has its own sender, so no two uplink rows share a link
+        one_way = (self.phase != 0) | (self.sender < self.receiver)
+        used = self.delivered & ~self.null & (self.sender != self.receiver) & one_way
         a, b = self.sender[used], self.receiver[used]
-        # deduplicated by sorting rather than np.unique, which imports numpy.ma
         key = np.sort(np.minimum(a, b) * (self.n_users + 1) + np.maximum(a, b))
-        key = key[np.diff(key, prepend=-1) != 0]
         return np.stack(np.divmod(key, self.n_users + 1), axis=1)
 
     # -- exports -----------------------------------------------------------
@@ -261,13 +263,15 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# words read from the generator per chunk: bounds the transient bytes object
-_CHUNK_WORDS = 1 << 20
+# words read from the generator per chunk: its temporaries stay in cache
+_CHUNK_WORDS = 1 << 14
 
 
-def draw_uniform(seed: int, bound: int, shape) -> np.ndarray:
+def draw_uniform(seed: int, bound: int, shape, out=None) -> np.ndarray:
     """An int64 array of ``shape``, uniform in [0, bound) for 2 <= bound <=
-    2**63, filled in row order from one ``Random(seed)``.
+    2**63, filled in row order from one ``Random(seed)``.  Given ``out``,
+    an array of ``shape`` such as a strided view of a coefficient array,
+    the same values go into it instead, a block of whole rows at a time.
 
     The generator's output is read in bulk as little-endian words, 32-bit
     (``<u4``) when bound-1 fits in 32 bits, else 64-bit (``<u8``).  Each word
@@ -278,29 +282,98 @@ def draw_uniform(seed: int, bound: int, shape) -> np.ndarray:
     """
     if not 2 <= bound <= 2**63:
         raise ValueError(f"bound {bound} outside [2, 2**63]")
+    if out is None:
+        out = np.empty(shape, dtype=np.int64)
+    elif out.shape != tuple(shape):
+        raise ValueError(f"out has shape {out.shape}, expected {tuple(shape)}")
     bits = (bound - 1).bit_length()
     width = 32 if bits <= 32 else 64
-    out = np.empty(math.prod(shape), dtype=np.int64)
+    row_shape = out.shape[1:]
+    row_len = math.prod(row_shape)
+    # the start of a row that the end of a chunk cut off
+    held, n_held = np.empty(row_len, dtype=np.int64), 0
     rng = Random(seed)
-    filled = 0
-    while filled < len(out):
+    row = filled = 0
+    while filled < out.size:
         # the expected number of words still needed, plus a few sigma
-        words = ((len(out) - filled) << bits) // bound
+        words = ((out.size - filled) << bits) // bound
         words = min(words + 4 * math.isqrt(words) + 16, _CHUNK_WORDS)
         raw = np.frombuffer(rng.randbytes(words * width // 8), dtype=f"<u{width // 8}")
         values = raw >> (width - bits)
-        values = values[values < bound][: len(out) - filled]
-        out[filled : filled + len(values)] = values
+        if bound & (bound - 1):  # not a power of two, which rejects no word
+            # np.compress: several times faster than a boolean index here
+            values = np.compress(values < bound, values)
+        values = values[: out.size - filled]
         filled += len(values)
-    return out.reshape(shape)
+        if n_held:
+            take = min(row_len - n_held, len(values))
+            held[n_held : n_held + take] = values[:take]
+            n_held += take
+            if n_held < row_len:
+                continue
+            out[row] = held.reshape(row_shape)
+            row += 1
+            values = values[take:]
+        full = len(values) // row_len
+        out[row : row + full] = values[: full * row_len].reshape((full,) + row_shape)
+        row += full
+        n_held = len(values) - full * row_len
+        held[:n_held] = values[full * row_len :]
+    return out
 
 
-def draw_noise(p: int, params: ProtocolParams, master_seed: int) -> np.ndarray:
+def draw_noise(p: int, params: ProtocolParams, master_seed: int, out=None) -> np.ndarray:
     """(N, T, S) uniform noise in [0, p), drawn in row order from the one
     stream seeded with derive_seed(master_seed, "noise"): same seed, same
-    noise."""
+    noise.  Given ``out``, such as rows K and up of a coefficient array,
+    the noise goes into it."""
     shape = (params.n_users, params.t_max, params.seg_len)
-    return draw_uniform(derive_seed(master_seed, "noise"), p, shape)
+    return draw_uniform(derive_seed(master_seed, "noise"), p, shape, out)
+
+
+def noised_blocks(params: ProtocolParams, p: int, master_seed: int):
+    """A round's coefficient array (:func:`rampagg.sharing.empty_blocks`)
+    with the noise of :func:`draw_noise` drawn into rows K and up, and the
+    (N, L) view of its model entries, :func:`rampagg.sharing.model_rows`
+    without the padding, left for the caller to fill."""
+    coeffs = empty_blocks(params, p)
+    draw_noise(p, params, master_seed, out=coeffs[:, params.k_parts :])
+    return coeffs, model_rows(coeffs, params.k_parts)[:, : params.model_len]
+
+
+def fill_blocks(
+    params: ProtocolParams, p: int, models: np.ndarray, noise=None, master_seed: int = 0
+) -> np.ndarray:
+    """A fresh coefficient array (N, K+T, S, *batch) holding ``models``, the
+    (N, L) integer array of the users' models, one row per user, over the
+    noise of :func:`draw_noise`, or over an explicit ``noise`` array of
+    shape (N, T, S, *batch).  Given arrays are reduced mod p as they are
+    written into it."""
+    n = params.n_users
+    models = np.asarray(models)
+    if models.shape != (n, params.model_len):
+        raise ValueError(
+            f"models have shape {models.shape}, expected {n} rows of length "
+            f"{params.model_len}"
+        )
+    if noise is None:
+        coeffs, rows = noised_blocks(params, p, master_seed)
+    else:
+        noise = np.asarray(noise)
+        if noise.shape[:3] != (n, params.t_max, params.seg_len):
+            raise ValueError(
+                f"noise has shape {noise.shape}, expected "
+                f"({n}, {params.t_max}, {params.seg_len}, *batch)"
+            )
+        coeffs = empty_blocks(params, p, noise.shape[3:])
+        # both writes cast as assignment does: an empty noise list arrives
+        # as float64, and models past int64 as Python ints
+        np.remainder(noise, p, out=coeffs[:, params.k_parts :], casting="unsafe")
+        rows = model_rows(coeffs, params.k_parts)[:, : params.model_len]
+    # the model rows broadcast over the batch axis
+    models = models.reshape(models.shape + (1,) * (rows.ndim - 2))
+    np.remainder(models, p, out=rows, casting="unsafe")
+    return coeffs
 
 
 def run_protocol(
@@ -311,13 +384,31 @@ def run_protocol(
     dropout_plan: Optional[DropoutPlan] = None,
     master_seed: int = 0,
     noise=None,
+    coeffs: Optional[np.ndarray] = None,
 ) -> RunResult:
-    """Execute one full aggregation round deterministically.
+    """Execute one full aggregation round deterministically: :func:`run_round`
+    on the coefficient array that :func:`fill_blocks` makes of ``models``
+    and ``noise`` (drawn from ``master_seed`` when None).  Given ``coeffs``,
+    an array that already holds the round's blocks, such as one from
+    :func:`noised_blocks` with ``models`` drawn into its model view, the
+    round runs on it as it is."""
+    if coeffs is None:
+        coeffs = fill_blocks(params, ctx.p, models, noise, master_seed)
+    return run_round(ctx, params, tree, coeffs, dropout_plan)
 
-    ``models`` is the (N, L) integer array of the users' models, one row
-    per user.  Noise is drawn by :func:`draw_noise` unless an explicit
-    ``noise`` array of shape (N, T, S, *batch) is supplied.  Raises
-    TooManyDropouts when fewer than K+T non-null messages reach the server.
+
+def run_round(
+    ctx: FieldContext,
+    params: ProtocolParams,
+    tree: AggregationTree,
+    coeffs: np.ndarray,
+    dropout_plan: Optional[DropoutPlan] = None,
+) -> RunResult:
+    """Run one aggregation round on ``coeffs`` (N, K+T, S, *batch), every
+    user's model segments then noise in the field dtype, entries in [0, p).
+    The array is read, never copied, and becomes the result's ``coeffs``.
+    Raises TooManyDropouts when fewer than K+T non-null messages reach the
+    server.
     """
     plan = dropout_plan or DropoutPlan.none()
     n = params.n_users
@@ -328,11 +419,6 @@ def run_protocol(
         raise ValueError(
             f"tree has {tree.num_groups} groups, params imply {params.num_groups}"
         )
-    if models.shape != (n, params.model_len):
-        raise ValueError(
-            f"models have shape {models.shape}, expected {n} rows of length "
-            f"{params.model_len}"
-        )
     if p <= size:
         raise ValueError(
             f"modulus {p} too small for {size} distinct non-zero evaluation points"
@@ -340,15 +426,6 @@ def run_protocol(
     for u in plan.dropped:
         if not 0 <= u < n:
             raise ValueError(f"dropout index {u} outside [0, {n})")
-    if noise is None:
-        noise = draw_noise(p, params, master_seed)
-    noise = np.asarray(noise)
-    if noise.shape[:3] != (n, params.t_max, seg_len):
-        raise ValueError(
-            f"noise has shape {noise.shape}, expected "
-            f"({n}, {params.t_max}, {seg_len}, *batch)"
-        )
-    coeffs = share_blocks(partition(models, params.k_parts), noise, p)
     batch = coeffs.shape[3:]
 
     pre_dropped = sorted(plan.dropped) if plan.timing == PRE_INTRA else []
@@ -365,6 +442,7 @@ def run_protocol(
     group_sums %= p
     points = [eval_point_for_slot(t) for t in range(size)]
     intra = evaluate(group_sums, points, p, axis=1).reshape((n, seg_len) + batch)
+    del group_sums  # freed before the relay allocates its scan
 
     # -- inter + server phases: subtree sums, all groups and slots at once --
     dead = (status == UserStatus.DROPPED.value).reshape(-1, size)

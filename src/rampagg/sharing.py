@@ -9,6 +9,16 @@ most K+T-1.  A round holds the blocks of all N users in one array of shape
 the exhaustive privacy checker puts its noise assignments there, and rounds
 have none.
 
+A round allocates that array once, with :func:`empty_blocks`, and fills it
+in place: the models go into :func:`model_rows`, the (N, K*S) view of every
+block's K segments, whose padding alone is zeroed, and the noise into rows K
+and up; on a batch axis the assignment broadcasts the model rows.  The
+simulator draws both straight into the array, so a round holds no separate
+model or noise array.  Drawn noise lies in [0, p) by construction, and
+drawn models are reduced mod p in place only when the modulus is below
+their entry bound.  Arrays handed to :func:`rampagg.protocol.run_protocol`
+are reduced mod p as they are written into the array, with no temporary.
+
 A share is a block evaluated at one non-zero point, that is one row of a
 Vandermonde matrix applied along the K+T axis.  Evaluation is linear, so
 summing many users' shares at a point gives a share of their summed blocks.
@@ -29,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import field_dtype, vandermonde
+from .topology import ProtocolParams
 
 
 @dataclass(frozen=True)
@@ -46,26 +57,24 @@ class Model:
         return len(self.entries)
 
 
-def partition(models, k_parts: int) -> np.ndarray:
-    """Cut each row of the (N, L) ``models`` into ``k_parts`` segments of
-    ceil(L/K) entries, zero-padding the end: shape (N, K, S)."""
-    rows = np.asarray(models)
-    n, length = rows.shape
-    seg_len = -(-length // k_parts)
-    padded = np.zeros((n, k_parts * seg_len), dtype=rows.dtype)
-    padded[:, :length] = rows
-    return padded.reshape(n, k_parts, seg_len)
+def empty_blocks(params: ProtocolParams, p: int, batch: tuple = ()) -> np.ndarray:
+    """A round's (N, K+T, S, *batch) coefficient array for ``params`` in the
+    field dtype of ``p``: its padding is zero, every other entry is left for
+    the caller to fill."""
+    k, width = params.k_parts, params.k_parts + params.t_max
+    shape = (params.n_users, width, params.seg_len) + tuple(batch)
+    coeffs = np.empty(shape, dtype=field_dtype(p, width))
+    model_rows(coeffs, k)[:, params.model_len :] = 0
+    return coeffs
 
 
-def share_blocks(segments: np.ndarray, noise: np.ndarray, p: int) -> np.ndarray:
-    """Stack the (N, K, S) segments over the (N, T, S, *batch) noise into
-    coefficient blocks (N, K+T, S, *batch), reduced mod p, in the field
-    dtype."""
-    dtype = field_dtype(p, segments.shape[1] + noise.shape[1])
-    batch = noise.shape[3:]
-    segments = (segments % p).astype(dtype).reshape(segments.shape + (1,) * len(batch))
-    segments = np.broadcast_to(segments, segments.shape[:3] + batch)
-    return np.concatenate([segments, (noise % p).astype(dtype, copy=False)], axis=1)
+def model_rows(coeffs: np.ndarray, k_parts: int) -> np.ndarray:
+    """The (N, K*S, *batch) view of the first ``k_parts`` rows of every block
+    in the C-ordered ``coeffs``: row u holds user u's model entries, then
+    its padding.  The K segments of a block are adjacent, so this is a
+    view, and writing to it fills ``coeffs``."""
+    n, _, seg_len, *batch = coeffs.shape
+    return coeffs[:, :k_parts].reshape((n, k_parts * seg_len, *batch))
 
 
 def evaluate(blocks: np.ndarray, points, p: int, axis: int = 0) -> np.ndarray:

@@ -336,30 +336,34 @@ def uniform_getrandbits_naive(seed, bound, count):
     return values
 
 
-def models_randrange_naive(config):
+def models_randrange_naive(config, out=None):
     """The (N, L) models of the per-entry stream that bulk drawing replaced:
     one ``randrange(entry_bound)`` per entry, user by user, from the
-    generator seeded with derive_seed(master_seed, "models")."""
+    generator seeded with derive_seed(master_seed, "models").  Given
+    ``out``, each draw is written into its entry of ``out``."""
     rng = Random(_derive_seed(config.master_seed, "models"))
-    rows = [
-        [rng.randrange(config.entry_bound) for _ in range(config.model_len)]
-        for _ in range(config.n_users)
-    ]
-    return np.array(rows, dtype=np.int64)
+    if out is None:
+        out = np.empty((config.n_users, config.model_len), dtype=np.int64)
+    for u in range(config.n_users):
+        for i in range(config.model_len):
+            out[u, i] = rng.randrange(config.entry_bound)
+    return out
 
 
-def noise_randrange_naive(p, params, master_seed):
+def noise_randrange_naive(p, params, master_seed, out=None):
     """The (N, T, S) noise of the per-user streams that bulk drawing
     replaced: user u's T*S symbols, in row order, are one ``randrange(p)``
     each from its own generator seeded with derive_seed(master_seed,
-    "noise:u")."""
-    rows = []
+    "noise:u").  Given ``out``, each draw is written into its entry of
+    ``out``."""
+    if out is None:
+        out = np.empty((params.n_users, params.t_max, params.seg_len), dtype=np.int64)
     for u in range(params.n_users):
         rng = Random(_derive_seed(master_seed, f"noise:{u}"))
-        rows.append([rng.randrange(p) for _ in range(params.t_max * params.seg_len)])
-    return np.array(rows, dtype=np.int64).reshape(
-        params.n_users, params.t_max, params.seg_len
-    )
+        for j in range(params.t_max):
+            for s in range(params.seg_len):
+                out[u, j, s] = rng.randrange(p)
+    return out
 
 
 # ---- privacy enumeration --------------------------------------------------------

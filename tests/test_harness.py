@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -272,6 +273,26 @@ def test_canonical_prime_just_below_2_63_runs():
     report, _ = simulate(config)
     assert report.prime == 2**63 - 25
     assert report.aggregate == plain_sum(draw_models(config), [0])
+
+
+def test_simulate_builds_no_set_up_copies():
+    """A round keeps its (N, K+T, S) coefficient array, the (N, S)
+    in-group aggregates and partial sums (0.4 of the array at K+T = 5) and
+    the report's 60,000-entry aggregate; the relay's scan comes and goes.
+    Drawing models and noise anywhere but straight into the array, or
+    copying it, would add at least 0.4 more: a set-up that pads, reduces,
+    casts and concatenates separate model and noise arrays peaks at 3x."""
+    config = RunConfig(
+        n_users=12, t_max=2, d_max=1, k_parts=3, model_len=60_000, entry_bound=256,
+        dropped=(2,),
+    )
+    tracemalloc.start()
+    try:
+        _, result = simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * result.coeffs.nbytes
 
 
 def test_simulate_does_not_load_numpy_random():

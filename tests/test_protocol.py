@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
 from rampagg.field import FieldContext, field_dtype, is_prime
-from rampagg.harness import RunConfig, simulate
+from rampagg.harness import RunConfig, collect_adversary_view, simulate
 from rampagg.protocol import (
     BETWEEN_ROUNDS,
     PHASE_INTER,
@@ -478,6 +478,30 @@ def test_explicit_noise_blocks_are_respected():
     result = run_protocol(ctx, params, tree, models, noise=noise)
     assert result.aggregate.tolist() == _expected_sum(models, set(range(6)))
     assert result.coeffs[3, params.k_parts :].tolist() == [[1, 1], [2, 2]]
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_out_of_range_inputs_are_reduced_mod_p(batch):
+    """Noise shifted by +p or -p, or models shifted by +p, run the round
+    that their residues run, and the coefficient array holds the residues
+    that the fill step writes into it."""
+    ctx, params, tree, models = _setup(12, 2, 1, 3, length=8)
+    p, plan = ctx.p, DropoutPlan(frozenset({4}), BETWEEN_ROUNDS)
+    rng = Random(8)
+    shape = (12, 2, params.seg_len) + batch
+    noise = np.array([rng.randrange(p) for _ in range(math.prod(shape))]).reshape(shape)
+
+    def outputs(models, noise):
+        result = run_protocol(ctx, params, tree, models, plan, noise=noise)
+        view = collect_adversary_view(result, [0, 7])
+        parts = result.aggregate, result.partials, view, result.coeffs
+        return [a.tolist() for a in parts]
+
+    expected = outputs(models, noise)
+    assert outputs(models, noise + p) == expected
+    assert outputs(models, noise - p) == expected
+    assert outputs(models + p, noise) == expected
+    assert outputs(models + p, noise - p) == expected
 
 
 def test_explicit_noise_carries_a_batch_axis_through_the_round():

@@ -10,15 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rampagg import protocol
-from rampagg.field import FieldContext
+from rampagg.field import FieldContext, field_dtype
 from rampagg.protocol import (
     derive_seed,
     draw_noise,
     draw_uniform,
     eval_point_for_slot,
+    fill_blocks,
     server_recover,
 )
-from rampagg.sharing import evaluate, partition, share_blocks
+from rampagg.sharing import empty_blocks, evaluate, model_rows
 from rampagg.topology import ProtocolParams
 
 from oracles import uniform_getrandbits_naive
@@ -28,28 +29,43 @@ def _ctx(p: int) -> FieldContext:
     return FieldContext(p, 2, 2)
 
 
+def _fill(models, k_parts, noise, p):
+    """The (N, K+T, S, *batch) coefficient array of the (N, L) ``models``
+    over ``noise`` (N, T, S, *batch), as a round fills it."""
+    models, noise = np.asarray(models), np.asarray(noise)
+    params = ProtocolParams(len(models), noise.shape[1], 0, k_parts, models.shape[1], 2)
+    return fill_blocks(params, p, models, noise)
+
+
+def _segments(models, k_parts):
+    """The (N, K, S) model segments of a round without noise vectors."""
+    models = np.asarray(models)
+    params = ProtocolParams(len(models), 0, 0, k_parts, models.shape[1], 2)
+    return fill_blocks(params, 2**31 - 1, models)
+
+
 def _block(entries, k_parts, noise_vectors, p):
     """One user's (K+T, S) coefficient block."""
     noise = np.array([noise_vectors], dtype=np.int64).reshape(1, len(noise_vectors), -1)
-    return share_blocks(partition([entries], k_parts), noise, p)[0]
+    return _fill([entries], k_parts, noise, p)[0]
 
 
 # ---- partitioning ----
 
 
 def test_partition_exact_split():
-    segments = partition([tuple(range(9))], 3)
+    segments = _segments([tuple(range(9))], 3)
     assert segments.tolist() == [[[0, 1, 2], [3, 4, 5], [6, 7, 8]]]
 
 
 def test_partition_pads_tail():
-    segments = partition([(1, 2, 3, 4, 5)], 3)
+    segments = _segments([(1, 2, 3, 4, 5)], 3)
     assert segments.shape == (1, 3, 2)  # seg_len 2, one padding zero
     assert segments.tolist() == [[[1, 2], [3, 4], [5, 0]]]
 
 
 def test_partition_more_parts_than_entries():
-    segments = partition([(7, 8)], 4)
+    segments = _segments([(7, 8)], 4)
     assert segments.tolist() == [[[7], [8], [0], [0]]]
 
 
@@ -57,7 +73,7 @@ def test_unpartition_inverts():
     """Concatenating the segments and dropping the padding, as recovery
     does with the summed segments, gives the model back."""
     entries = (3, 1, 4, 1, 5, 9, 2)
-    segments = partition([entries], 3)
+    segments = _segments([entries], 3)
     assert tuple(segments.reshape(-1)[: len(entries)].tolist()) == entries
 
 
@@ -66,7 +82,7 @@ def test_unpartition_inverts():
     st.integers(min_value=1, max_value=12),
 )
 def test_partition_round_trip(entries, k):
-    segments = partition([entries, entries[::-1]], k)
+    segments = _segments([entries, entries[::-1]], k)
     n, k_parts, seg_len = segments.shape
     assert (n, k_parts) == (2, k)
     pad_count = seg_len * k - len(entries)
@@ -124,6 +140,47 @@ def test_draw_uniform_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, draw_uniform(6, 2**16 + 1, (300,)))
 
 
+# 256 and 2**63 are powers of two (no word rejected), 30011 and 2**32 + 15
+# reject words; 2**32 + 15 and 2**63 are read from 64-bit words.  p = 101
+# gives an int64 array, 2**61 - 1 an object one at K+T = 5.
+@pytest.mark.parametrize("bound", [256, 30011, 2**32 + 15, 2**63])
+@pytest.mark.parametrize("p", [101, 2**61 - 1])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_draw_uniform_into_coefficient_array_views(bound, p, chunk, monkeypatch):
+    """Drawn into the strided model rows and noise rows of a coefficient
+    array, the values are those of a fresh draw, and nothing else changes;
+    with 7-word chunks the chunks end mid-row."""
+    if chunk:
+        monkeypatch.setattr(protocol, "_CHUNK_WORDS", chunk)
+    params = ProtocolParams(4, 2, 0, 3, 10, 2)  # K*S = 12 > L = 10: 2 padding
+    coeffs = empty_blocks(params, p)
+    rows = model_rows(coeffs, 3)
+    assert np.shares_memory(rows, coeffs) and coeffs.dtype == field_dtype(p, 5)
+    draw_uniform(17, bound, (4, 10), out=rows[:, :10])
+    noise = draw_uniform(18, bound, (4, 2, 4), out=coeffs[:, 3:])
+    assert np.shares_memory(noise, coeffs)
+    models = draw_uniform(17, bound, (4, 10))
+    assert rows[:, :10].tolist() == models.tolist()
+    assert rows[:, :10].reshape(-1).tolist() == uniform_getrandbits_naive(17, bound, 40)
+    assert rows[:, 10:].tolist() == [[0, 0]] * 4  # the padding stays zero
+    assert coeffs[:, 3:].tolist() == draw_uniform(18, bound, (4, 2, 4)).tolist()
+    assert coeffs[:, 3:].reshape(-1).tolist() == uniform_getrandbits_naive(18, bound, 32)
+    # an object array holds Python ints, not numpy scalars
+    assert {type(v) for v in coeffs.reshape(-1).tolist()} == {int}
+
+
+def test_draw_uniform_into_empty_noise_rows():
+    params = ProtocolParams(4, 0, 0, 3, 10, 2)  # T=0
+    coeffs = empty_blocks(params, 101)
+    assert draw_noise(101, params, 9, out=coeffs[:, 3:]).shape == (4, 0, 4)
+    assert draw_uniform(1, 5, (4, 0, 4), out=coeffs[:, 3:]).shape == (4, 0, 4)
+
+
+def test_draw_uniform_rejects_a_destination_of_another_shape():
+    with pytest.raises(ValueError, match="shape"):
+        draw_uniform(1, 5, (4, 10), out=np.empty((4, 9), dtype=np.int64))
+
+
 @pytest.mark.parametrize("bound", [1, 0, 2**63 + 1])
 def test_draw_uniform_rejects_bounds_outside_int64(bound):
     with pytest.raises(ValueError, match="bound"):
@@ -158,9 +215,8 @@ def test_degree_bound_is_k_plus_t_minus_1():
 
 
 def test_blocks_reduce_mod_p_and_broadcast_the_batch_axis():
-    segments = partition([(3, 9), (12, 1)], 2)  # (2, 2, 1)
     noise = np.arange(2 * 4).reshape(2, 1, 1, 4) * 5  # a batch axis of 4
-    blocks = share_blocks(segments, noise, 7)
+    blocks = _fill([(3, 9), (12, 1)], 2, noise, 7)  # segments (2, 2, 1)
     assert blocks.shape == (2, 3, 1, 4)
     assert blocks[:, :2, 0, :].tolist() == [[[3] * 4, [2] * 4], [[5] * 4, [1] * 4]]
     assert blocks[0, 2, 0].tolist() == [0, 5, 3, 1]  # 0, 5, 10, 15 mod 7
@@ -189,7 +245,7 @@ def test_shares_are_additive():
     rng = Random(4)
     models = [tuple(rng.randrange(10) for _ in range(6)) for _ in range(5)]
     noise = np.array([[[rng.randrange(p) for _ in range(2)] for _ in range(2)] for _ in range(5)])
-    blocks = share_blocks(partition(models, 3), noise, p)  # (5 users, 5, 2)
+    blocks = _fill(models, 3, noise, p)  # (5 users, 5, 2)
     coeff_sums = blocks.sum(axis=0) % p
     for point in (1, 2, 7):
         shares = evaluate(blocks, [point], p, axis=1)[:, 0]  # one per user
@@ -209,12 +265,11 @@ def _share_and_recover(ctx, models, k_parts, noise_count, slots, rng):
     """Share ``models``, sum their shares at the points of ``slots`` server
     slots, and recover the sum from them as the server does: the first
     K+T fix the polynomial and the rest are spares it checks."""
-    segments = partition(models, k_parts)
-    n, _, seg_len = segments.shape
+    n, seg_len = len(models), -(-len(models[0]) // k_parts)
     noise = np.array(
         [rng.randrange(ctx.p) for _ in range(n * noise_count * seg_len)]
     ).reshape(n, noise_count, seg_len)
-    blocks = share_blocks(segments, noise, ctx.p)
+    blocks = _fill(models, k_parts, noise, ctx.p)
     points = [eval_point_for_slot(t) for t in range(slots)]
     shares = evaluate(blocks, points, ctx.p, axis=1)  # (users, slots, S)
     spares = slots - k_parts - noise_count
@@ -268,7 +323,7 @@ def test_single_evaluation_is_uniform_over_noise(p, k):
     """With T=1, one share value is exactly uniform whatever the model."""
     noise = np.arange(p).reshape(1, 1, 1, p)  # the noise value on a batch axis
     for entries in itertools.product(range(p), repeat=k):
-        block = share_blocks(partition([entries], k), noise, p)[0]
+        block = _fill([entries], k, noise, p)[0]
         for point in range(1, p):
             seen = Counter(evaluate(block, [point], p)[0, 0].tolist())
             assert all(seen[v] == 1 for v in range(p)), (entries, point, seen)
@@ -280,7 +335,7 @@ def test_two_evaluations_uniform_with_two_noise_terms():
     pairs_of_noise = np.array(list(itertools.product(range(p), repeat=2))).T
     noise = pairs_of_noise.reshape(1, 2, 1, p * p)
     for w in range(p):
-        block = share_blocks(partition([(w,)], 1), noise, p)[0]
+        block = _fill([(w,)], 1, noise, p)[0]
         values = evaluate(block, [1, 2], p)[:, 0]  # (2 points, p*p noise pairs)
         pairs = Counter(zip(*values.tolist()))
         assert len(pairs) == p * p
@@ -294,7 +349,7 @@ def test_k_plus_t_evaluations_do_determine_the_model():
     noise = np.arange(p).reshape(1, 1, 1, p)
     seen = {}
     for w in range(p):
-        block = share_blocks(partition([(w,)], 1), noise, p)[0]
+        block = _fill([(w,)], 1, noise, p)[0]
         values = evaluate(block, [1, 2], p)[:, 0]
         for z, key in enumerate(zip(*values.tolist())):
             assert key not in seen, "two (model, noise) pairs collided"
