@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -71,6 +72,22 @@ def _unwritable(name: str):
         raise ConfigInvalid(f"{name}: cannot write output: {exc}") from exc
 
 
+@contextmanager
+def _in_memory(config: RunConfig):
+    """Turn a MemoryError while ``config`` runs into ConfigInvalid naming
+    the fields that size the round, and its coefficient array's size."""
+    try:
+        yield
+    except MemoryError:
+        params = config.resolve()[0]
+        shape = params.blocks_shape
+        raise ConfigInvalid(
+            f"n_users={config.n_users}, model_len={config.model_len}: out of memory "
+            f"for a round whose coefficient array alone has shape {shape} "
+            f"({math.prod(shape) * 8} bytes)"
+        ) from None
+
+
 def _print_summary(report) -> None:
     loads = report.loads
     print(f"users={report.config.n_users} prime={report.prime}")
@@ -88,7 +105,8 @@ def cmd_run(args) -> int:
     config = RunConfig.from_dict(data)
     config = config.replace(master_seed=_resolve_seed(args.seed, config.master_seed))
     out_dir = _resolve_out(args.out)
-    report, result = simulate(config)
+    with _in_memory(config):
+        report, result = simulate(config)
     report_path = os.path.join(out_dir, "report.json")
     transcript_path = os.path.join(out_dir, "transcript.csv")
     with _unwritable("--out"):
@@ -107,7 +125,8 @@ def _sweep_task(config: RunConfig, k: int, rep: int):
     run = config.replace(
         k_parts=k, master_seed=derive_seed(config.master_seed, f"sweep:{k}:{rep}")
     )
-    report, _ = simulate(run)
+    with _in_memory(run):
+        report, _ = simulate(run)
     return {
         "k_parts": k,
         "repetition": rep,

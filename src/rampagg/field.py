@@ -7,9 +7,10 @@ polynomial operation is one of two matrices, applied to coefficient or
 evaluation arrays by a matrix product mod p: :func:`vandermonde` evaluates
 and :func:`inverse_vandermonde` interpolates.  Both are built in numpy
 arrays of :func:`field_dtype`, int64 below its overflow bound and exact
-Python ints in object arrays above it.  :func:`span_basis` row-reduces a
-set of vectors to a basis of their span, the one piece of linear algebra
-the privacy checker needs.
+Python ints in object arrays above it, and :func:`reduce_mod` reduces
+either kind mod p.  :func:`span_basis` row-reduces a set of vectors to a
+basis of their span, the one piece of linear algebra the privacy checker
+needs.
 """
 
 from dataclasses import dataclass
@@ -117,6 +118,27 @@ def field_dtype(p: int, terms: int):
     """int64 when a sum of ``terms`` products of two field elements fits in
     it, else object (exact Python ints)."""
     return np.int64 if terms * (p - 1) ** 2 < 2**63 else object
+
+
+def reduce_mod(x: np.ndarray, p: int, out=None) -> np.ndarray:
+    """``x`` mod p, each entry in [0, p), into ``out`` when given (it may
+    be ``x`` itself) or a fresh array.
+
+    On int64 this is x - (x // p) * p: numpy divides an int64 array by a
+    scalar with libdivide's multiply-and-shift, about twice as fast as
+    ``np.remainder``'s hardware division.  The product and difference may
+    wrap, but int64 arithmetic is exact mod 2**64 and the true residue fits,
+    so the result is exact for every int64 x and 2 <= p < 2**63.  Any other
+    dtype, of ``x`` or of ``out``, goes to ``np.remainder`` with the casting
+    of an assignment.
+    """
+    if x.dtype != np.int64 or (out is not None and out.dtype != np.int64):
+        return np.remainder(x, p, out=out, casting="unsafe")
+    # the quotient goes into out unless out is x, which the last step reads
+    share = out is not None and np.may_share_memory(x, out)
+    q = np.floor_divide(x, p, out=None if share else out)
+    q *= p
+    return np.subtract(x, q, out=out if share else q)
 
 
 def vandermonde(points, width: int, p: int, dtype) -> np.ndarray:

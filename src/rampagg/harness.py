@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInvalid, InvalidParams, NonConformingField
-from .field import FieldContext, select_prime, vandermonde
+from .field import FieldContext, reduce_mod, select_prime, vandermonde
 from .protocol import (
     BETWEEN_ROUNDS,
     PHASE_INTRA,
@@ -177,6 +177,13 @@ class RunConfig:
             )
         except InvalidParams as exc:
             raise ConfigInvalid(f"params: {exc}") from exc
+        # int64 entries and object pointers are both 8 bytes
+        limit = np.iinfo(np.intp).max
+        if math.prod(params.blocks_shape) * 8 > limit:
+            raise ConfigInvalid(
+                f"model_len: {self.model_len} needs a coefficient array of shape "
+                f"{params.blocks_shape}, past numpy's limit of {limit} bytes"
+            )
         try:
             tree = build_tree(params.num_groups, self.tree_shape)
         except Exception as exc:
@@ -454,7 +461,7 @@ def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.
     blocks = result.coeffs[sender[intra]].reshape(len(points), width, math.prod(message))
     matrix = vandermonde(points, width, p, blocks.dtype)
     shares = matrix[:, None, :] @ blocks
-    shares %= p
+    reduce_mod(shares, p, out=shares)
     view[intra] = shares.reshape((len(points),) + message)
     view[~intra] = result.partials[sender[~intra]]
     return view

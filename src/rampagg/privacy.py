@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RampAggError, SearchSpaceTooLarge
-from .field import FieldContext, field_dtype, span_basis
+from .field import FieldContext, field_dtype, reduce_mod, span_basis
 from .harness import collect_adversary_view
 from .protocol import PRE_INTRA, DropoutPlan, run_protocol
 from .topology import TreeShape, build_tree, make_params
@@ -200,7 +200,7 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
     to_sum = np.zeros((k, n_symbols), dtype=np.int64)
     for i in range(n_symbols):
         to_sum[:, i], digits = run(tuple(int(j == i) for j in range(n_symbols)))
-        delta = (digits - base) % p if digits.shape == base.shape else None
+        delta = reduce_mod(digits - base, p) if digits.shape == base.shape else None
         if delta is None or (delta != delta[:, :1]).any():
             raise RampAggError(
                 f"view is not affine in the honest models: model symbol {i} "

@@ -9,10 +9,10 @@ intra   Every active user evaluates its block at each slot's evaluation
         (its own slot is computed locally at zero cost).  Each user then sums
         everything it received into one in-group aggregate.  By linearity
         that aggregate is the group's summed blocks evaluated at the
-        receiver's point, so the phase is one masked sum per group and one
+        receiver's point, so the phase is one sum per group and one
         (size, K+T) Vandermonde product, giving ``intra`` of shape
         (N, S, *batch).  Users that dropped before the round never share;
-        their blocks are left out of the sums, which is equivalent to
+        their blocks are taken back out of the sums, which is equivalent to
         presuming them zero.
 
 inter   Groups feed their aggregates up the tree, slot to slot: a user adds
@@ -52,15 +52,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Optional
 
 import numpy as np
 
 from .errors import InconsistentArrivals, TooManyDropouts
-from .field import FieldContext, field_dtype, inverse_vandermonde
+from .field import FieldContext, field_dtype, inverse_vandermonde, reduce_mod
 from .sharing import _apply, empty_blocks, evaluate, model_rows
 from .topology import SERVER, AggregationTree, ProtocolParams
 
@@ -70,6 +69,17 @@ PHASE_SERVER = "server"
 PHASES = (PHASE_INTRA, PHASE_INTER, PHASE_SERVER)
 
 _CSV_BLOCK_ROWS = 4096  # transcript rows joined per write
+_PHASE_PIECES = np.array([f"{phase}," for phase in PHASES], dtype=object)
+
+
+@lru_cache(maxsize=8)
+def _user_names(n_users: int) -> np.ndarray:
+    """The read-only CSV name pieces "0,", ..., "{N-1}," and "server," of
+    receiver N, built once per N."""
+    names = np.array([*(f"{u}," for u in range(n_users)), f"{SERVER},"], dtype=object)
+    names.flags.writeable = False
+    return names
+
 
 PRE_INTRA = "pre_intra"
 BETWEEN_ROUNDS = "between_rounds"
@@ -179,27 +189,30 @@ class Transcript:
     # -- exports -----------------------------------------------------------
 
     def to_csv(self, fp) -> None:
-        """Write the rows as ``csv.writer`` would, from string tables: user
-        names with "server" as N, phases, the two symbol counts, and null
-        flags carrying the "\\r\\n" terminator.  Rows go out in blocks."""
+        """Write the rows as ``csv.writer`` would, with no formatting per
+        row: a row is four pieces of a (rows, 4) object array, each taken
+        from a small table by one fancy index (the phase, the sender's and
+        the receiver's names from :func:`_user_names`, each with its comma,
+        and a tail of symbols, null flag and "\\r\\n"), and each block of
+        rows goes out as one join."""
         full = int(self.symbols.max(initial=0))
         sent = self.symbols != 0
         if (self.symbols[sent] != full).any():
             raise ValueError(f"symbol counts other than 0 and {full}")
-        names = np.array([*map(str, range(self.n_users)), SERVER], dtype=object)
-        counts = np.array(["0", str(full)], dtype=object)
-        flags = np.array(["False\r\n", "True\r\n"], dtype=object)
-        columns = (
-            np.array(PHASES, dtype=object)[self.phase].tolist(),
-            names[self.sender].tolist(),
-            names[self.receiver].tolist(),
-            counts[sent.view(np.int8)].tolist(),
-            flags[self.null.view(np.int8)].tolist(),
+        names = _user_names(self.n_users)
+        # indexed by sent + 2 * null
+        tails = np.array(
+            ["0,False\r\n", f"{full},False\r\n", "0,True\r\n", f"{full},True\r\n"],
+            dtype=object,
         )
-        rows = map(",".join, zip(*columns))
+        pieces = np.empty((len(self), 4), dtype=object)
+        pieces[:, 0] = _PHASE_PIECES[self.phase]
+        pieces[:, 1] = names[self.sender]
+        pieces[:, 2] = names[self.receiver]
+        pieces[:, 3] = tails[sent.view(np.int8) + 2 * self.null.view(np.int8)]
         fp.write("phase,sender,receiver,symbols,null\r\n")
-        while block := "".join(islice(rows, _CSV_BLOCK_ROWS)):
-            fp.write(block)
+        for start in range(0, len(pieces), _CSV_BLOCK_ROWS):
+            fp.write("".join(pieces[start : start + _CSV_BLOCK_ROWS].ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -368,11 +381,11 @@ def fill_blocks(
         coeffs = empty_blocks(params, p, noise.shape[3:])
         # both writes cast as assignment does: an empty noise list arrives
         # as float64, and models past int64 as Python ints
-        np.remainder(noise, p, out=coeffs[:, params.k_parts :], casting="unsafe")
+        reduce_mod(noise, p, out=coeffs[:, params.k_parts :])
         rows = model_rows(coeffs, params.k_parts)[:, : params.model_len]
     # the model rows broadcast over the batch axis
     models = models.reshape(models.shape + (1,) * (rows.ndim - 2))
-    np.remainder(models, p, out=rows, casting="unsafe")
+    reduce_mod(models, p, out=rows)
     return coeffs
 
 
@@ -436,10 +449,12 @@ def run_round(
     status[sorted(plan.dropped)] = UserStatus.DROPPED.value
 
     # -- intra phase: the group sum of active blocks, at every slot's point --
-    by_group = (-1, size) + coeffs.shape[1:]
-    active = took_part.reshape(by_group[:2] + (1,) * (coeffs.ndim - 1))
-    group_sums = coeffs.reshape(by_group).sum(axis=1, where=active, initial=0)
-    group_sums %= p
+    # a plain sum less the few pre-intra dropouts' blocks is 1.5-3x faster
+    # than a sum masked by took_part; two dropouts may share a group
+    group_sums = coeffs.reshape((-1, size) + coeffs.shape[1:]).sum(axis=1)
+    if pre_dropped:
+        np.subtract.at(group_sums, np.floor_divide(pre_dropped, size), coeffs[pre_dropped])
+    reduce_mod(group_sums, p, out=group_sums)
     points = [eval_point_for_slot(t) for t in range(size)]
     intra = evaluate(group_sums, points, p, axis=1).reshape((n, seg_len) + batch)
     del group_sums  # freed before the relay allocates its scan
@@ -498,7 +513,7 @@ def relay(intra: np.ndarray, dead: np.ndarray, tree: AggregationTree, p: int):
     inner = np.flatnonzero(hi - lo > 1)  # groups with children; leaves keep intra
     subtree = sums[hi[inner]]
     subtree -= sums[lo[inner]]  # in place: a fresh wide temporary costs page faults
-    subtree %= p
+    reduce_mod(subtree, p, out=subtree)
     partials = intra.copy()
     partials[inner] = subtree
     drops = np.zeros((len(dead) + 1, dead.shape[1]), dtype=np.intp)
@@ -532,7 +547,8 @@ def server_recover(
     inverse = inverse_vandermonde(points[:need], p, field_dtype(p, need))
     coeffs = _apply(inverse, partials[arrivals[:need]], p, 0)
     if len(arrivals) > need:
-        wrong = evaluate(coeffs, points[need:], p) != partials[arrivals[need:]] % p
+        spares = reduce_mod(partials[arrivals[need:]], p)
+        wrong = evaluate(coeffs, points[need:], p) != spares
         bad = [x for x, w in zip(points[need:], wrong) if w.any()]
         if bad:
             raise InconsistentArrivals(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import field_dtype, vandermonde
+from .field import field_dtype, reduce_mod, vandermonde
 from .topology import ProtocolParams
 
 
@@ -61,10 +61,9 @@ def empty_blocks(params: ProtocolParams, p: int, batch: tuple = ()) -> np.ndarra
     """A round's (N, K+T, S, *batch) coefficient array for ``params`` in the
     field dtype of ``p``: its padding is zero, every other entry is left for
     the caller to fill."""
-    k, width = params.k_parts, params.k_parts + params.t_max
-    shape = (params.n_users, width, params.seg_len) + tuple(batch)
-    coeffs = np.empty(shape, dtype=field_dtype(p, width))
-    model_rows(coeffs, k)[:, params.model_len :] = 0
+    shape = params.blocks_shape + tuple(batch)
+    coeffs = np.empty(shape, dtype=field_dtype(p, shape[1]))
+    model_rows(coeffs, params.k_parts)[:, params.model_len :] = 0
     return coeffs
 
 
@@ -89,5 +88,5 @@ def _apply(matrix: np.ndarray, blocks: np.ndarray, p: int, axis: int) -> np.ndar
     """``matrix`` times ``blocks`` along ``axis``, mod p."""
     lead, width, rest = blocks.shape[:axis], blocks.shape[axis], blocks.shape[axis + 1 :]
     out = matrix @ blocks.reshape(lead + (width, math.prod(rest)))
-    out %= p
+    reduce_mod(out, p, out=out)
     return out.reshape(lead + (len(matrix),) + rest)

@@ -57,6 +57,11 @@ class ProtocolParams:
     def seg_len(self) -> int:
         return -(-self.model_len // self.k_parts)
 
+    @property
+    def blocks_shape(self) -> tuple[int, int, int]:
+        """(N, K+T, S): the shape of a round's coefficient array."""
+        return (self.n_users, self.k_parts + self.t_max, self.seg_len)
+
 
 def make_params(
     n_users: int,

@@ -100,6 +100,36 @@ def test_run_rejects_bounds_above_int64_with_exit_2(tmp_path, capsys, field, val
     assert f"error: {field}: " in capsys.readouterr().err
 
 
+def test_run_refuses_a_coefficient_array_past_numpys_limit(tmp_path, capsys):
+    # (12, 5, ceil(10**18 / 3)) int64 entries: refused before anything is allocated
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "model_len": 10**18}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: model_len: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _out_of_memory(config):
+    raise MemoryError
+
+
+def test_run_turns_memory_error_into_exit_2(tmp_path, config_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "simulate", _out_of_memory)
+    assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "n_users=12, model_len=9" in err
+    assert "shape (12, 5, 3) (1440 bytes)" in err
+
+
+def test_sweep_turns_memory_error_into_exit_2(tmp_path, sweep_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "simulate", _out_of_memory)
+    assert main(["sweep", str(sweep_file), "--out", str(tmp_path / "out")]) == 2
+    # the first task's round, at k_parts=1: K+T = 3 rows of S = 9 per user
+    err = capsys.readouterr().err
+    assert "n_users=12, model_len=9" in err
+    assert "shape (12, 3, 9) (2592 bytes)" in err
+
+
 def test_run_refuses_formula_assertions_on_tiny_prime(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(
@@ -431,6 +461,18 @@ def test_installed_script_smoke(tmp_path, config_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "rampagg", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: rampagg ")
 
 
 def test_plain_pytest_finds_the_package_without_pythonpath():

@@ -13,12 +13,63 @@ from rampagg.field import (
     field_dtype,
     inverse_vandermonde,
     is_prime,
+    reduce_mod,
     select_prime,
     span_basis,
     vandermonde,
 )
 
 from oracles import eval_poly_naive, is_prime_naive, span_naive
+
+
+# ---- reduction mod p ----
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+_EXTREMES = [INT64_MIN, INT64_MIN + 1, -(2**62), -7, -1, 0, 1, 7, 2**62, INT64_MAX - 1, INT64_MAX]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257, 2**31 - 1, 2**61 - 1, 2**62 + 1, 2**63 - 25])
+def test_reduce_mod_matches_python_at_int64_extremes(p):
+    x = np.array(_EXTREMES + [p - 1, p, -p, -p - 1, INT64_MAX - p + 1], dtype=np.int64)
+    expected = [v % p for v in x.tolist()]
+    got = reduce_mod(x, p)
+    assert got.dtype == np.int64 and got.tolist() == expected
+    assert x.tolist() != expected  # a fresh array: x is as it was
+    assert reduce_mod(x, p, out=x) is x and x.tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=6, max_size=6),
+    st.integers(2, 2**63 - 25),
+)
+def test_reduce_mod_writes_strided_out_views(values, p):
+    x = np.array(values, dtype=np.int64).reshape(2, 3)
+    expected = [[v % p for v in row] for row in x.tolist()]
+    dest = np.full((2, 5, 3), -1, dtype=np.int64)
+    into = dest[:, 1]
+    assert reduce_mod(x, p, out=into) is into and dest[:, 1].tolist() == expected
+    assert (dest[:, [0, 2, 3, 4]] == -1).all()  # the rest of the array is untouched
+    # a view with a negative stride in place, and a column broadcast over a batch axis
+    col = x.T.copy()[::-1].T
+    assert reduce_mod(col, p, out=col).tolist() == [row[::-1] for row in expected]
+    batch = np.empty((2, 3, 4), dtype=np.int64)
+    reduce_mod(x[..., None], p, out=batch)
+    assert batch.tolist() == [[[v] * 4 for v in row] for row in expected]
+
+
+def test_reduce_mod_falls_back_on_object_and_float_arrays():
+    p = 2**64 + 13  # past int64: the object field
+    x = np.array([-(2**70), -1, 0, p, 3 * p + 5], dtype=object)
+    assert reduce_mod(x, p).tolist() == [v % p for v in x.tolist()]
+    into = np.empty(len(x), dtype=object)
+    assert reduce_mod(x, p, out=into) is into and into.tolist() == [v % p for v in x.tolist()]
+    # int64 entries into an object destination, and floats cast as assignment casts
+    small = np.array([-5, 12], dtype=np.int64)
+    wide = np.empty(2, dtype=object)
+    assert reduce_mod(small, 7, out=wide).tolist() == [2, 5]
+    empty = np.asarray([], dtype=float)
+    assert reduce_mod(empty, 7, out=np.empty(0, dtype=np.int64)).shape == (0,)
 
 
 # ---- primality and prime selection ----

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
 from rampagg.field import FieldContext, field_dtype, is_prime
-from rampagg.harness import RunConfig, collect_adversary_view, simulate
+from rampagg.harness import RunConfig, collect_adversary_view, plain_sum, simulate
 from rampagg.protocol import (
     BETWEEN_ROUNDS,
     PHASE_INTER,
@@ -20,6 +20,7 @@ from rampagg.protocol import (
     PHASES,
     PRE_INTRA,
     _CSV_BLOCK_ROWS,
+    _user_names,
     DropoutPlan,
     Transcript,
     UserStatus,
@@ -128,6 +129,19 @@ def test_pre_intra_dropout_excluded_from_sum():
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
     assert result.aggregate.tolist() == _expected_sum(models, set(range(12)) - {2})
     assert np.flatnonzero(~result.took_part).tolist() == [2]
+
+
+@pytest.mark.parametrize("p", [1009, 2**61 - 1])  # int64 and object field dtypes
+def test_two_pre_intra_dropouts_in_one_group_are_both_excluded(p):
+    # 3 groups of 6 (K=3, T=1, D=2); users 6 and 8 share group 1, so its
+    # sum loses two blocks, and a batch axis rides along
+    ctx, params, tree, models = _setup(18, 1, 2, 3, length=8, p=p)
+    noise = np.arange(18 * 3 * 2).reshape(18, 1, 3, 2)
+    plan = DropoutPlan(frozenset({8, 6}), PRE_INTRA)
+    result = run_protocol(ctx, params, tree, models, plan, noise=noise)
+    expected = plain_sum(models, [u for u in range(18) if u not in (6, 8)])
+    assert result.aggregate.tolist() == [[v, v] for v in expected]
+    assert np.flatnonzero(~result.took_part).tolist() == [6, 8]
 
 
 def test_dropout_in_child_group_silences_matching_slot_upstream():
@@ -385,6 +399,18 @@ def test_relay_refuses_prefix_sums_past_int64():
 # ---- the CSV export ----
 
 
+def _csv_against_csv_writer(config):
+    """The round's transcript.csv as ``to_csv`` writes it, and as the
+    ``csv.writer`` oracle writes it."""
+    _, result = simulate(config)
+    rows = transcript_rows_naive(
+        result.params, result.tree, result.took_part.tolist(), result.status.tolist()
+    )
+    written = io.StringIO()
+    result.transcript.to_csv(written)
+    return written.getvalue(), transcript_csv_naive(rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rounds(), st.sampled_from(["chain", "star", "irregular"]), st.integers(0, 99))
 def test_csv_matches_csv_writer_on_drawn_rounds(round_, shape, seed):
@@ -421,6 +447,49 @@ def test_csv_through_a_file_opened_like_the_cli(tmp_path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         result.transcript.to_csv(fh)
     assert path.read_bytes() == transcript_csv_naive(rows).encode()
+
+
+def test_csv_with_five_digit_user_names():
+    # 5,000 groups of two under a star: users 0..9999 and the server as
+    # senders and receivers, over many written blocks
+    config = RunConfig(
+        n_users=10_000, t_max=1, d_max=0, k_parts=1, model_len=2, entry_bound=4,
+        tree_shape="star", master_seed=5,
+    )
+    written, expected = _csv_against_csv_writer(config)
+    assert "\r\nintra,9999,9998,2," in written and "\r\nserver,9999,server," in written
+    assert written == expected
+
+
+def test_csv_with_a_multi_digit_segment_length():
+    config = RunConfig(
+        n_users=12, t_max=2, d_max=1, k_parts=3, model_len=3 * 1234 - 1, entry_bound=4,
+        dropped=(4,), master_seed=6,
+    )
+    written, expected = _csv_against_csv_writer(config)
+    assert ",1234,False\r\n" in written and ",0,True\r\n" in written
+    assert written == expected
+
+
+def test_csv_user_names_follow_each_transcripts_n():
+    # the name table is cached per N: rounds of 6, 12 and again 6 users
+    # must each get their own names and server
+    for n in (6, 12, 6):
+        config = RunConfig(
+            n_users=n, t_max=2, d_max=1, k_parts=3, model_len=4, entry_bound=4,
+            master_seed=n,
+        )
+        written, expected = _csv_against_csv_writer(config)
+        assert written == expected
+
+
+def test_cached_user_names_are_read_only():
+    names = _user_names(5)
+    assert names.tolist() == ["0,", "1,", "2,", "3,", "4,", "server,"]
+    assert _user_names(5) is names
+    assert not names.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        names[0] = "9,"
 
 
 def test_round_makes_no_per_group_tree_queries():
