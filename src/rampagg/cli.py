@@ -149,6 +149,7 @@ def cmd_sweep(args) -> int:
         raise ConfigInvalid(f"sweep spec: unknown fields {sorted(unknown)}")
     base = RunConfig.from_dict(data["base"])
     base = base.replace(master_seed=_resolve_seed(args.seed, base.master_seed))
+    base.check_fixed()  # a fault no k_parts can mend fails the sweep
     k_values = data["k_values"]
     if not isinstance(k_values, list) or not all(
         isinstance(k, int) and not isinstance(k, bool) for k in k_values

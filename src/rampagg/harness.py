@@ -159,35 +159,52 @@ class RunConfig:
 
         Raises ConfigInvalid with a message naming the offending field.
         """
-        self._check_types()
+        return self._validate(whole=True)
+
+    def check_fixed(self) -> None:
+        """Run the checks of :meth:`resolve` that no ``k_parts`` can change
+        the outcome of, in its order, so that a sweep runs them once: the
+        types, the 2**63 caps, ``dropped``, ``adversaries``,
+        ``dropout_timing``, ``prime_override``'s primality and the no-prime
+        bound.  What make_params rejects is left to resolve."""
+        self._validate(whole=False)
+
+    def _validate(self, whole: bool):
+        """The checks of :meth:`resolve`, and its result; without ``whole``,
+        only those of :meth:`check_fixed`, and None."""
+        for name, (kind, ok) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigInvalid(f"{name}: must be {kind}, got {value!r}")
         for name in ("entry_bound", "prime_override"):
             if (getattr(self, name) or 0) > 2**63:
                 raise ConfigInvalid(
                     f"{name}: {getattr(self, name)} exceeds 2**63, the largest "
                     "bound of the int64 model and noise draws"
                 )
-        try:
-            params = make_params(
-                self.n_users,
-                self.t_max,
-                self.d_max,
-                self.k_parts,
-                self.model_len,
-                self.entry_bound,
-            )
-        except InvalidParams as exc:
-            raise ConfigInvalid(f"params: {exc}") from exc
-        # int64 entries and object pointers are both 8 bytes
-        limit = np.iinfo(np.intp).max
-        if math.prod(params.blocks_shape) * 8 > limit:
-            raise ConfigInvalid(
-                f"model_len: {self.model_len} needs a coefficient array of shape "
-                f"{params.blocks_shape}, past numpy's limit of {limit} bytes"
-            )
-        try:
-            tree = build_tree(params.num_groups, self.tree_shape)
-        except Exception as exc:
-            raise ConfigInvalid(f"tree_shape: {exc}") from exc
+        if whole:
+            try:
+                params = make_params(
+                    self.n_users,
+                    self.t_max,
+                    self.d_max,
+                    self.k_parts,
+                    self.model_len,
+                    self.entry_bound,
+                )
+            except InvalidParams as exc:
+                raise ConfigInvalid(f"params: {exc}") from exc
+            # int64 entries and object pointers are both 8 bytes
+            limit = np.iinfo(np.intp).max
+            if math.prod(params.blocks_shape) * 8 > limit:
+                raise ConfigInvalid(
+                    f"model_len: {self.model_len} needs a coefficient array of shape "
+                    f"{params.blocks_shape}, past numpy's limit of {limit} bytes"
+                )
+            try:
+                tree = build_tree(params.num_groups, self.tree_shape)
+            except Exception as exc:
+                raise ConfigInvalid(f"tree_shape: {exc}") from exc
         for name, bound, cap in (
             ("dropped", "dropout budget", "d_max"),
             ("adversaries", "collusion tolerance", "t_max"),
@@ -199,13 +216,15 @@ class RunConfig:
                 if u in seen:
                     raise ConfigInvalid(f"{name}: user {u} listed twice")
                 seen.add(u)
-            if len(users) > getattr(self, cap):
+            if len(users) > getattr(self, cap) >= 0:  # a negative cap is params' fault
                 raise ConfigInvalid(
                     f"{name}: {len(users)} users exceed the {bound} "
                     f"{cap}={getattr(self, cap)}"
                 )
         if self.dropout_timing not in (PRE_INTRA, BETWEEN_ROUNDS):
             raise ConfigInvalid(f"dropout_timing: unknown value {self.dropout_timing!r}")
+        if not whole and (self.n_users < 1 or self.entry_bound < 2):
+            return None  # params' faults, which leave no field to check
         if self.prime_override is not None:
             try:
                 ctx = FieldContext(
@@ -213,14 +232,16 @@ class RunConfig:
                 )
             except ValueError as exc:
                 raise ConfigInvalid(f"prime_override: {exc}") from exc
-        else:
-            # 2**63 - 25, the largest prime below 2**63, is the largest
-            # modulus the int64 noise draw takes
-            if self.n_users * (self.entry_bound - 1) >= 2**63 - 25:
-                raise ConfigInvalid(
-                    "entry_bound: no prime in (n_users * (entry_bound - 1), 2**63] "
-                    "for the int64 noise draw"
-                )
+        # 2**63 - 25, the largest prime below 2**63, is the largest modulus
+        # the int64 noise draw takes
+        elif self.n_users * (self.entry_bound - 1) >= 2**63 - 25:
+            raise ConfigInvalid(
+                "entry_bound: no prime in (n_users * (entry_bound - 1), 2**63] "
+                "for the int64 noise draw"
+            )
+        if not whole:
+            return None
+        if self.prime_override is None:
             ctx = select_prime(self.n_users, self.entry_bound)
         if ctx.p <= params.group_size:
             raise ConfigInvalid(
@@ -233,14 +254,6 @@ class RunConfig:
                 f"modulus; prime {ctx.p} is non-conforming"
             )
         return params, tree, ctx
-
-    def _check_types(self) -> None:
-        """Raise ConfigInvalid naming the first field whose value has the
-        wrong type.  The tree shape is checked when the tree is built."""
-        for name, (kind, ok) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not ok(value):
-                raise ConfigInvalid(f"{name}: must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,9 +50,11 @@ row v is tested by comparing the sorted keys of M + v with those of M,
 exact integer arithmetic over every noise point, so the verdict "exactly
 zero" involves no floating point at all.
 
-A leaking case is additionally quantified in bits from exact per-assignment
-histograms (one ``np.unique`` per distinct offset), its cells in first-seen
-order.
+A leaking case is additionally quantified in bits by exact counting.  Each
+assignment is kept as two ids, its cell's and its offset's, and each
+distinct offset as one histogram of its view (one ``np.unique``); a cell's
+mutual information terms are one array operation over its assignments'
+histograms, summed in enumeration order whatever the blocking.
 """
 
 import itertools
@@ -120,6 +122,8 @@ class PrivacyCase:
             raise ValueError(
                 f"{len(self.adversaries)} colluders exceed t_max={self.t_max}"
             )
+        if len(self.dropped) > self.d_max:
+            raise ValueError(f"dropped: more than d_max={self.d_max} users")
         if self.noise_mode not in (NOISE_UNIFORM, NOISE_CONSTANT):
             raise ValueError(f"unknown noise_mode {self.noise_mode!r}")
         if self.model_coupling not in (COUPLING_INDEPENDENT, COUPLING_ALL_EQUAL):
@@ -216,19 +220,10 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
             f"assignment {top} differs from the noise-only view plus its shift"
         )
 
-    exact_zero, n_cells, n_assignments = _exact_zero(
-        base, _assignment_blocks(shift, to_sum, bound, p), p
-    )
-    if exact_zero:
-        return PrivacyResult(0.0, True, n_cells, n_assignments, n_noise)
-    cells = _cell_histograms(base, _assignment_blocks(shift, to_sum, bound, p), p)
-    return PrivacyResult(
-        mi_bits=_mi_from_histograms(cells, n_noise),
-        exact_zero=False,
-        n_cells=len(cells),
-        n_model_assignments=sum(map(len, cells.values())),
-        n_noise_assignments=n_noise,
-    )
+    maps = (shift, to_sum, bound, p)
+    exact_zero, n_cells, n_assignments = _exact_zero(base, _assignment_blocks(*maps), p)
+    mi_bits = 0.0 if exact_zero else _mi_bits(base, _assignment_blocks(*maps), p)
+    return PrivacyResult(mi_bits, exact_zero, n_cells, n_assignments, n_noise)
 
 
 def _assignment_blocks(shift: np.ndarray, to_sum: np.ndarray, bound: int, p: int):
@@ -270,19 +265,13 @@ def _exact_zero(base: np.ndarray, blocks, p: int) -> tuple[bool, int, int]:
     Each assignment's difference from the first offset met in its cell
     joins a running GF(p) basis; the verdict holds iff every basis row v
     leaves M as it is (the argument is in the module docstring)."""
-    seen = refs = basis = None  # cells met so far, the first offset of each
-    n_assignments = 0
+    seen, n_assignments = None, 0  # the cells met; refs[c] is cell c's first offset
+    refs = basis = np.zeros((0, len(base)), dtype=np.int64)
     for offsets, cells in blocks:
         n_assignments += len(offsets)
-        cell_keys = _pack(cells, p)
-        if seen is None:
-            seen, refs, basis = cell_keys[:0], offsets[:0], offsets[:0]
-        # the seen cells come first, so a cell met before keeps its ref
-        seen, first, inverse = np.unique(
-            np.concatenate([seen, cell_keys]), return_index=True, return_inverse=True
-        )
-        refs = np.concatenate([refs, offsets])[first]
-        diffs = (offsets - refs[inverse[len(inverse) - len(offsets) :]]) % p
+        seen, ids, new = _number(seen, _pack(cells, p))
+        refs = np.concatenate([refs, offsets[new]])
+        diffs = (offsets - refs[ids]) % p
         diffs = diffs[np.unique(_pack(diffs, p), return_index=True)[1]]  # each once
         basis = span_basis(np.concatenate([basis, diffs]), p)
     keys = np.sort(_pack(base.T, p))
@@ -292,26 +281,57 @@ def _exact_zero(base: np.ndarray, blocks, p: int) -> tuple[bool, int, int]:
     return exact_zero, len(seen), n_assignments
 
 
-def _cell_histograms(base: np.ndarray, blocks, p: int) -> dict:
-    """Cell -> the view histogram of each of its assignments, cells in
-    first-seen order and assignments in enumeration order, from the
-    (offsets, cells) ``blocks``.  Assignments with the same offset see the
-    same view, so each distinct offset costs one shift and one np.unique."""
-    histograms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    cells: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+def _mi_bits(base: np.ndarray, blocks, p: int) -> float:
+    """I(w ; view | cell) in bits over the (offsets, cells) ``blocks``,
+    assignment w seeing the columns of ``base`` shifted by its offset.
+
+    An assignment is kept as two ids, its cell's and its offset's, and a
+    distinct offset as its view histogram; a shift permutes the columns, so
+    all histograms have the same length and stack.  Value v, with count c in
+    w's histogram and T_v in its cell of n_cell points, adds (c/n_cell)
+    log2(c n_cell / (n_noise T_v)); a cell's terms, assignment by assignment
+    in enumeration order and values ascending, are added left to right."""
+    n_noise = base.shape[1]
+    cells = offsets_seen = None
+    cell_ids, offset_ids, hists = [], [], []
     for offsets, cell_rows in blocks:
-        distinct, first, which = np.unique(
-            _pack(offsets, p), return_index=True, return_inverse=True
-        )
-        hists = []
-        for key, offset in zip(distinct.tolist(), offsets[first]):
-            if key not in histograms:
-                view = _pack(_shifted(base, offset, p).T, p)
-                histograms[key] = np.unique(view, return_counts=True)
-            hists.append(histograms[key])
-        for cell, h in zip(_pack(cell_rows, p).tolist(), which.tolist()):
-            cells.setdefault(cell, []).append(hists[h])
-    return cells
+        cells, ids, _ = _number(cells, _pack(cell_rows, p))
+        cell_ids.append(ids)
+        offsets_seen, ids, new = _number(offsets_seen, _pack(offsets, p))
+        offset_ids.append(ids)
+        for offset in offsets[new]:
+            view = _pack(_shifted(base, offset, p).T, p)
+            hists.append(np.unique(view, return_counts=True))
+    cell_ids, offset_ids = np.concatenate(cell_ids), np.concatenate(offset_ids)
+    views, counts = map(np.stack, zip(*hists))
+    by_cell = offset_ids[np.argsort(cell_ids, kind="stable")]
+    total, mi = len(offset_ids) * n_noise, 0.0
+    for members in np.split(by_cell, np.cumsum(np.bincount(cell_ids))[:-1]):
+        n_cell = len(members) * n_noise
+        c = counts[members].ravel()
+        values, which = np.unique(views[members].ravel(), return_inverse=True)
+        totals = np.zeros(len(values), dtype=np.int64)
+        np.add.at(totals, which, c)
+        # c n_cell / (n_noise T_v) is the rational c len(members) / T_v; its
+        # integers, at most the point count, are exact in float64 and divide
+        # with one rounding, as Python's ints do
+        terms = (c / n_cell) * np.log2(c * len(members) / totals[which])
+        mi += (n_cell / total) * np.add.accumulate(terms)[-1]
+    return float(mi)
+
+
+def _number(known, keys: np.ndarray):
+    """Number ``keys`` in first-seen order after the ``known`` keys, key i
+    numbered i (None: none yet).  Returns the known keys with the new ones
+    appended, the number of each of ``keys``, and the index in ``keys`` of
+    each new key's first occurrence."""
+    known = keys[:0] if known is None else known
+    _, first, inverse = np.unique(
+        np.concatenate([known, keys]), return_index=True, return_inverse=True
+    )
+    new = np.sort(first)[len(known) :] - len(known)
+    rank = np.argsort(np.argsort(first))
+    return np.concatenate([known, keys[new]]), rank[inverse[len(known) :]], new
 
 
 def _shifted(base: np.ndarray, offset: np.ndarray, p: int) -> np.ndarray:
@@ -360,26 +380,3 @@ def _key_weights(n_digits: int, p: int) -> np.ndarray:
     different model assignments are compared key by key."""
     dtype = np.int64 if n_digits * (p - 1).bit_length() <= 62 else object
     return np.array([p**e for e in range(n_digits - 1, -1, -1)], dtype=dtype)
-
-
-def _mi_from_histograms(
-    cells: dict[tuple, list[tuple[np.ndarray, np.ndarray]]], n_noise: int
-) -> float:
-    """Conditional MI in bits from exact per-assignment histograms."""
-    total = sum(len(hists) * n_noise for hists in cells.values())
-    mi = 0.0
-    for hists in cells.values():
-        n_cell = len(hists) * n_noise
-        view_totals: dict[int, int] = {}
-        for uniq, counts in hists:
-            for v, c in zip(uniq.tolist(), counts.tolist()):
-                view_totals[v] = view_totals.get(v, 0) + c
-        cell_term = 0.0
-        for uniq, counts in hists:
-            for v, c in zip(uniq.tolist(), counts.tolist()):
-                # joint (w, v) count is c; marginals: n_noise for w, totals for v
-                cell_term += (c / n_cell) * np.log2(
-                    c * n_cell / (n_noise * view_totals[v])
-                )
-        mi += (n_cell / total) * cell_term
-    return float(mi)

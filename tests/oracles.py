@@ -3,9 +3,10 @@
 Deliberately written with different algorithms than the package: primality
 by full trial scan, interpolation by Gaussian elimination on a Vandermonde
 system, evaluation by repeated pow, random inputs by one ``randrange`` per
-entry, the privacy enumeration by one protocol run per model assignment,
-the relay by a fold over the groups, the transcript CSV by ``csv.writer``,
-the adversary view message by message from the run's arrays.  Slow and
+entry, the privacy enumeration by one protocol run per model assignment
+and its leak by one Python term per assignment and view value, the relay
+by a fold over the groups, the transcript CSV by ``csv.writer``, the
+adversary view message by message from the run's arrays.  Slow and
 obvious beats fast and clever here.  Also the JSON values, parent maps and
 rounds the property tests draw their inputs from, and the environment of
 the child interpreters some tests start.
@@ -32,7 +33,6 @@ from rampagg.privacy import (
     _build_models,
     _build_noise,
     _key_weights,
-    _mi_from_histograms,
 )
 from rampagg.protocol import (
     BETWEEN_ROUNDS,
@@ -369,12 +369,51 @@ def noise_randrange_naive(p, params, master_seed, out=None):
 # ---- privacy enumeration --------------------------------------------------------
 
 
+def mi_from_histograms_naive(cells, n_noise: int) -> float:
+    """Conditional MI in bits from exact per-assignment histograms: ``cells``
+    maps each cell, in first-seen order, to the (view keys ascending,
+    counts) histogram of each of its assignments, in enumeration order."""
+    total = sum(len(hists) * n_noise for hists in cells.values())
+    mi = 0.0
+    for hists in cells.values():
+        n_cell = len(hists) * n_noise
+        view_totals: dict[int, int] = {}
+        for uniq, counts in hists:
+            for v, c in zip(uniq.tolist(), counts.tolist()):
+                view_totals[v] = view_totals.get(v, 0) + c
+        cell_term = 0.0
+        for uniq, counts in hists:
+            for v, c in zip(uniq.tolist(), counts.tolist()):
+                # joint (w, v) count is c; marginals: n_noise for w, totals for v
+                cell_term += (c / n_cell) * np.log2(
+                    c * n_cell / (n_noise * view_totals[v])
+                )
+        mi += (n_cell / total) * cell_term
+    return float(mi)
+
+
+def view_histograms_naive(base, offsets, cells, p: int) -> dict:
+    """Cell -> the view histogram of each of its assignments, for
+    ``mi_from_histograms_naive``: an assignment sees every column of
+    ``base`` shifted by its offset mod p, packed into a key as the package
+    packs a view, and its histogram is ``np.unique`` of those keys."""
+    weights = _key_weights(len(base), p)
+    histograms = {}
+    for offset, cell in zip(offsets, cells.tolist()):
+        keys = weights @ ((base + offset[:, None]) % p).astype(weights.dtype)
+        histogram = np.unique(keys, return_counts=True)
+        histograms.setdefault(tuple(cell), []).append(histogram)
+    return histograms
+
+
 def privacy_bruteforce_naive(case):
     """``privacy_bruteforce`` without the linearity: every model assignment
-    is its own ``run_protocol`` call over the whole noise enumeration, and
-    its view is gathered by ``adversary_view_naive``.  The view keys, the
-    cells, the histograms and the MI are built in the same order as the
-    package's, so the two results compare with ``==``."""
+    is its own ``run_protocol`` call over the whole noise enumeration, its
+    view is gathered by ``adversary_view_naive``, and the MI of a leaking
+    case is summed one assignment and one view value at a time by
+    ``mi_from_histograms_naive``.  The view keys, the cells and the MI
+    terms are taken in the same order as the package's, so the two results
+    compare with ``==``."""
     bound = case.prime if case.model_bound is None else case.model_bound
     p, k = case.prime, case.k_parts
     ctx = FieldContext(p, bound, case.n_users)
@@ -406,7 +445,7 @@ def privacy_bruteforce_naive(case):
         for keys, counts in hists
     )
     return PrivacyResult(
-        mi_bits=0.0 if exact_zero else _mi_from_histograms(cells, n_noise),
+        mi_bits=0.0 if exact_zero else mi_from_histograms_naive(cells, n_noise),
         exact_zero=exact_zero,
         n_cells=len(cells),
         n_model_assignments=bound ** (k * generators),

@@ -376,6 +376,22 @@ def test_sweep_checks_outputs_before_any_task_runs(
     assert f"error: {needle}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value", [("entry_bound", "x"), ("master_seed", True), ("dropped", [99])]
+)
+def test_sweep_refuses_a_base_no_k_can_mend(tmp_path, capsys, monkeypatch, field, value):
+    def task(*args):
+        raise AssertionError("a sweep task ran on an invalid base")
+
+    monkeypatch.setattr(cli, "_sweep_task", task)
+    path = tmp_path / "sweep.json"
+    base = {**BASE_CONFIG, field: value}
+    path.write_text(json.dumps({**SWEEP_SPEC, "base": base, "k_values": [1, 3, 9]}))
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_seed_flag_changes_rows(tmp_path, sweep_file):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["sweep", str(sweep_file), "--out", str(out_a)])

@@ -1,6 +1,7 @@
 """Exhaustive privacy enumeration: exact zeros, leak detection, encoding,
 agreement with the one-run-per-assignment oracle, blocked enumeration, the
-subspace verdict against histogram comparison, and the affinity guards."""
+subspace verdict against histogram comparison, the leak in bits against a
+per-assignment sum, and the affinity guards."""
 
 import dataclasses
 from functools import reduce
@@ -20,7 +21,14 @@ from rampagg.privacy import (
     privacy_bruteforce,
 )
 
-from oracles import privacy_bruteforce_naive, shift_verdict_naive, span_naive
+import oracles
+from oracles import (
+    mi_from_histograms_naive,
+    privacy_bruteforce_naive,
+    shift_verdict_naive,
+    span_naive,
+    view_histograms_naive,
+)
 
 
 def case_4_users(adversary=0, **overrides) -> PrivacyCase:
@@ -96,6 +104,7 @@ def test_case_rejects_too_many_colluders():
         (4, 2, (2, 2), (), "adversaries"),
         (4, 1, (0,), (4,), "dropped"),
         (6, 1, (0,), (3, 3), "dropped"),
+        (6, 1, (0,), (1, 2), "dropped"),
     ],
 )
 def test_case_rejects_users_outside_the_population_or_listed_twice(
@@ -250,6 +259,61 @@ def test_a_leak_behind_a_harmless_basis_row_is_found():
     assert not shift_verdict_naive(base, offsets, cells, 3)
     assert privacy._exact_zero(base, iter([(offsets, cells)]), 3) == (False, 1, 3)
     assert privacy._exact_zero(base, iter([(offsets[:2], cells[:2])]), 3) == (True, 1, 2)
+
+
+# ---- the leak in bits when views take many values ----
+
+
+@pytest.mark.parametrize(
+    "case,block_rows",
+    [(case_4_users(0), privacy.BLOCK_ROWS), (SIX_USERS, 7)],
+    ids=["4-users", "6-users-K=2-small-blocks"],
+)
+def test_leak_with_many_view_values_matches_one_run_per_assignment(
+    monkeypatch, case, block_rows
+):
+    # uniform noise, but user 1, who shares a group with colluder 0, adds
+    # none: the case leaks, and each assignment's view histogram holds many
+    # values; with blocks of 4 the cells span blocks
+    build = privacy._build_noise
+
+    def user_1_silent(case, honest, n_noise):
+        noise = build(case, honest, n_noise)
+        noise[1] = 0
+        return noise
+
+    monkeypatch.setattr(privacy, "_build_noise", user_1_silent)
+    monkeypatch.setattr(oracles, "_build_noise", user_1_silent)
+    monkeypatch.setattr(privacy, "BLOCK_ROWS", block_rows)
+    result = privacy_bruteforce(case)
+    assert result == privacy_bruteforce_naive(case)
+    assert not result.exact_zero and result.n_noise_assignments > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mi_bits_equals_the_per_assignment_sum(data):
+    # three or more digits of 2**31 - 1 pack into object-dtype keys
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 2**31 - 1]))
+    width = data.draw(st.integers(min_value=1, max_value=4))
+    vector = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+    # columns and offsets come from small pools, so that views repeat
+    # values and assignments repeat offsets
+    columns = st.sampled_from(data.draw(st.lists(vector, min_size=1, max_size=4)))
+    base = np.array(data.draw(st.lists(columns, min_size=1, max_size=20)), dtype=np.int64).T
+    moves = st.sampled_from(data.draw(st.lists(vector, min_size=1, max_size=4)))
+    offsets = np.array(data.draw(st.lists(moves, min_size=1, max_size=16)), dtype=np.int64)
+    labels = data.draw(
+        st.lists(st.integers(0, 3), min_size=len(offsets), max_size=len(offsets))
+    )
+    cells = np.array([[c % 2, c // 2] for c in labels], dtype=np.int64)
+    size = data.draw(st.integers(min_value=1, max_value=len(labels)))
+    blocks = [
+        (offsets[i : i + size], cells[i : i + size]) for i in range(0, len(labels), size)
+    ]
+    histograms = view_histograms_naive(base, offsets, cells, p)
+    expected = mi_from_histograms_naive(histograms, base.shape[1])
+    assert privacy._mi_bits(base, iter(blocks), p) == expected
 
 
 @pytest.mark.parametrize(
