@@ -155,6 +155,8 @@ def cmd_sweep(args) -> int:
         isinstance(k, int) and not isinstance(k, bool) for k in k_values
     ):
         raise ConfigInvalid("sweep spec: k_values must be a list of integers")
+    if not k_values:
+        raise ConfigInvalid("sweep spec: k_values must name at least one partition count")
     repetitions = data.get("repetitions", 1)
     if not isinstance(repetitions, int) or isinstance(repetitions, bool):
         raise ConfigInvalid("sweep spec: repetitions must be an integer")

@@ -44,6 +44,7 @@ from .topology import (
     ProtocolParams,
     TreeShape,
     build_tree,
+    check_k_free_params,
     count_edges,
     make_params,
     total_delay,
@@ -164,9 +165,10 @@ class RunConfig:
     def check_fixed(self) -> None:
         """Run the checks of :meth:`resolve` that no ``k_parts`` can change
         the outcome of, in its order, so that a sweep runs them once: the
-        types, the 2**63 caps, ``dropped``, ``adversaries``,
-        ``dropout_timing``, ``prime_override``'s primality and the no-prime
-        bound.  What make_params rejects is left to resolve."""
+        types, the 2**63 caps, make_params' checks but those of ``k_parts``
+        (:func:`rampagg.topology.check_k_free_params`), ``dropped``,
+        ``adversaries``, ``dropout_timing``, ``prime_override``'s primality
+        and the no-prime bound."""
         self._validate(whole=False)
 
     def _validate(self, whole: bool):
@@ -182,8 +184,8 @@ class RunConfig:
                     f"{name}: {getattr(self, name)} exceeds 2**63, the largest "
                     "bound of the int64 model and noise draws"
                 )
-        if whole:
-            try:
+        try:
+            if whole:
                 params = make_params(
                     self.n_users,
                     self.t_max,
@@ -192,8 +194,13 @@ class RunConfig:
                     self.model_len,
                     self.entry_bound,
                 )
-            except InvalidParams as exc:
-                raise ConfigInvalid(f"params: {exc}") from exc
+            else:
+                check_k_free_params(
+                    self.n_users, self.t_max, self.d_max, self.model_len, self.entry_bound
+                )
+        except InvalidParams as exc:
+            raise ConfigInvalid(f"params: {exc}") from exc
+        if whole:
             # int64 entries and object pointers are both 8 bytes
             limit = np.iinfo(np.intp).max
             if math.prod(params.blocks_shape) * 8 > limit:
@@ -216,15 +223,13 @@ class RunConfig:
                 if u in seen:
                     raise ConfigInvalid(f"{name}: user {u} listed twice")
                 seen.add(u)
-            if len(users) > getattr(self, cap) >= 0:  # a negative cap is params' fault
+            if len(users) > getattr(self, cap):
                 raise ConfigInvalid(
                     f"{name}: {len(users)} users exceed the {bound} "
                     f"{cap}={getattr(self, cap)}"
                 )
         if self.dropout_timing not in (PRE_INTRA, BETWEEN_ROUNDS):
             raise ConfigInvalid(f"dropout_timing: unknown value {self.dropout_timing!r}")
-        if not whole and (self.n_users < 1 or self.entry_bound < 2):
-            return None  # params' faults, which leave no field to check
         if self.prime_override is not None:
             try:
                 ctx = FieldContext(

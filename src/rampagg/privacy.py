@@ -52,7 +52,8 @@ zero" involves no floating point at all.
 
 A leaking case is additionally quantified in bits by exact counting.  Each
 assignment is kept as two ids, its cell's and its offset's, and each
-distinct offset as one histogram of its view (one ``np.unique``); a cell's
+distinct offset as one histogram of its view, a block's new offsets'
+histograms read off one row-wise sort of their views; a cell's
 mutual information terms are one array operation over its assignments'
 histograms, summed in enumeration order whatever the blocking.
 """
@@ -81,6 +82,10 @@ DEFAULT_BUDGET = 20_000_000
 #: Most model assignments enumerated at once: bounds the enumeration's
 #: arrays however large the budget.
 BLOCK_ROWS = 1 << 16
+
+#: Most shifted view digits (offsets x C x n_noise) histogrammed by one
+#: sort: bounds the histogram arrays however many offsets are new.
+HIST_DIGITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -294,16 +299,16 @@ def _mi_bits(base: np.ndarray, blocks, p: int) -> float:
     n_noise = base.shape[1]
     cells = offsets_seen = None
     cell_ids, offset_ids, hists = [], [], []
+    step = max(1, HIST_DIGITS // base.size)  # new offsets per histogram sort
     for offsets, cell_rows in blocks:
         cells, ids, _ = _number(cells, _pack(cell_rows, p))
         cell_ids.append(ids)
         offsets_seen, ids, new = _number(offsets_seen, _pack(offsets, p))
         offset_ids.append(ids)
-        for offset in offsets[new]:
-            view = _pack(_shifted(base, offset, p).T, p)
-            hists.append(np.unique(view, return_counts=True))
+        for start in range(0, len(new), step):
+            hists.append(_histograms(base, offsets[new[start : start + step]], p))
     cell_ids, offset_ids = np.concatenate(cell_ids), np.concatenate(offset_ids)
-    views, counts = map(np.stack, zip(*hists))
+    views, counts = map(np.concatenate, zip(*hists))
     by_cell = offset_ids[np.argsort(cell_ids, kind="stable")]
     total, mi = len(offset_ids) * n_noise, 0.0
     for members in np.split(by_cell, np.cumsum(np.bincount(cell_ids))[:-1]):
@@ -318,6 +323,18 @@ def _mi_bits(base: np.ndarray, blocks, p: int) -> float:
         terms = (c / n_cell) * np.log2(c * len(members) / totals[which])
         mi += (n_cell / total) * np.add.accumulate(terms)[-1]
     return float(mi)
+
+
+def _histograms(base: np.ndarray, offsets: np.ndarray, p: int):
+    """``np.unique(view, return_counts=True)`` of the packed view of each
+    row of ``offsets``, stacked into (values, counts) rows, from one
+    row-wise sort: every view has as many distinct values, as a shift
+    permutes the columns."""
+    keys = np.sort(_pack(_shifted(base, offsets, p).transpose(0, 2, 1), p), axis=1)
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
+    starts = np.nonzero(first)[1].reshape(len(keys), -1)
+    return keys[first].reshape(starts.shape), np.diff(starts, append=keys.shape[1])
 
 
 def _number(known, keys: np.ndarray):
@@ -335,9 +352,10 @@ def _number(known, keys: np.ndarray):
 
 
 def _shifted(base: np.ndarray, offset: np.ndarray, p: int) -> np.ndarray:
-    """``base`` plus ``offset`` down every column, mod p.  Both hold field
-    elements, so one conditional subtraction reduces the sum."""
-    digits = base + offset[:, None]
+    """``base`` plus ``offset`` down every column, mod p, or given a stack
+    of offsets, the stack of such arrays.  Both hold field elements, so one
+    conditional subtraction reduces the sum."""
+    digits = base + offset[..., None]
     np.subtract(digits, p, out=digits, where=digits >= p)
     return digits
 
@@ -369,7 +387,7 @@ def _build_models(
 def _pack(rows: np.ndarray, p: int) -> np.ndarray:
     """One key per row of base-p digits, most significant first, packed
     with :func:`_key_weights`: equal keys iff equal rows."""
-    weights = _key_weights(rows.shape[1], p)
+    weights = _key_weights(rows.shape[-1], p)
     return rows.astype(weights.dtype, copy=False) @ weights
 
 

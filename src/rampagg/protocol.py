@@ -50,10 +50,10 @@ without dropouts uses every link the network has.
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
-from random import Random
 from typing import Optional
 
 import numpy as np
@@ -277,21 +277,39 @@ def derive_seed(master_seed: int, label: str) -> int:
 
 
 # words read from the generator per chunk: its temporaries stay in cache
-_CHUNK_WORDS = 1 << 14
+_CHUNK_WORDS = 1 << 15
+# one generator per thread, reseeded by each draw: a new RandomState seeds
+# its MT19937 from OS entropy before the key replaces that state, which
+# costs ten times the reseed
+_generators = threading.local()
+
+
+def _mt_key(seed: int) -> list[int]:
+    """The little-endian 32-bit limbs of ``abs(seed)``, ``[0]`` for 0: the
+    key ``random.Random(seed)`` hands to MT19937's ``init_by_array``."""
+    seed = abs(seed)
+    return [seed >> shift & 0xFFFFFFFF for shift in range(0, seed.bit_length(), 32)] or [0]
 
 
 def draw_uniform(seed: int, bound: int, shape, out=None) -> np.ndarray:
     """An int64 array of ``shape``, uniform in [0, bound) for 2 <= bound <=
-    2**63, filled in row order from one ``Random(seed)``.  Given ``out``,
-    an array of ``shape`` such as a strided view of a coefficient array,
-    the same values go into it instead, a block of whole rows at a time.
+    2**63, filled in row order from the word stream of ``random.Random(seed)``.
+    Given ``out``, an array of ``shape`` such as a strided view of a
+    coefficient array, the same values go into it instead, a block of whole
+    rows at a time.
 
-    The generator's output is read in bulk as little-endian words, 32-bit
-    (``<u4``) when bound-1 fits in 32 bits, else 64-bit (``<u8``).  Each word
-    keeps its top ``(bound-1).bit_length()`` bits and is rejected when that
-    value is >= bound, so every accepted value is exactly uniform (no modulo
-    bias) and at most half the words are rejected.  The result is the first
-    ``prod(shape)`` accepted values of the word stream, whatever the chunking.
+    The words come from this thread's numpy legacy ``RandomState``, seeded
+    anew with :func:`_mt_key`: the same MT19937 with the same
+    ``init_by_array`` seeding, its stream frozen by NEP 19, so it yields
+    ``Random(seed)``'s 32-bit words in order.  They are read
+    ``_CHUNK_WORDS`` at a time, as 32-bit words when bound-1 fits in 32
+    bits, else as 64-bit words of two consecutive 32-bit ones, the first
+    one low, as ``Random.getrandbits(64)`` builds them.  Each word keeps its
+    top ``(bound-1).bit_length()`` bits and is rejected when that value is
+    >= bound, so every accepted value is exactly uniform (no modulo bias)
+    and at most half the words are rejected.  The result is the first
+    ``prod(shape)`` accepted values of the word stream, whatever the
+    chunking.
     """
     if not 2 <= bound <= 2**63:
         raise ValueError(f"bound {bound} outside [2, 2**63]")
@@ -299,19 +317,26 @@ def draw_uniform(seed: int, bound: int, shape, out=None) -> np.ndarray:
         out = np.empty(shape, dtype=np.int64)
     elif out.shape != tuple(shape):
         raise ValueError(f"out has shape {out.shape}, expected {tuple(shape)}")
+    rng = getattr(_generators, "mt", None)
+    if rng is None:
+        # loaded here, not at import: set-up and the exhaustive checker never draw
+        from numpy.random import RandomState
+
+        rng = _generators.mt = RandomState()
+    rng.seed(_mt_key(seed))
     bits = (bound - 1).bit_length()
     width = 32 if bits <= 32 else 64
     row_shape = out.shape[1:]
     row_len = math.prod(row_shape)
     # the start of a row that the end of a chunk cut off
     held, n_held = np.empty(row_len, dtype=np.int64), 0
-    rng = Random(seed)
     row = filled = 0
     while filled < out.size:
         # the expected number of words still needed, plus a few sigma
         words = ((out.size - filled) << bits) // bound
         words = min(words + 4 * math.isqrt(words) + 16, _CHUNK_WORDS)
-        raw = np.frombuffer(rng.randbytes(words * width // 8), dtype=f"<u{width // 8}")
+        raw = rng.randint(0, 2**32, size=words * width // 32, dtype=np.uint32)
+        raw = raw.astype("<u4", copy=False).view(f"<u{width // 8}")
         values = raw >> (width - bits)
         if bound & (bound - 1):  # not a power of two, which rejects no word
             # np.compress: several times faster than a boolean index here

@@ -377,18 +377,35 @@ def test_sweep_checks_outputs_before_any_task_runs(
 
 
 @pytest.mark.parametrize(
-    "field,value", [("entry_bound", "x"), ("master_seed", True), ("dropped", [99])]
+    "field,value,needle",
+    [
+        pytest.param("entry_bound", "x", "entry_bound: ", id="entry_bound-x"),
+        pytest.param("master_seed", True, "master_seed: ", id="master_seed-True"),
+        pytest.param("dropped", [99], "dropped: ", id="dropped-value2"),
+        # make_params' faults that no k_parts mends
+        pytest.param("d_max", -1, "params: t_max and d_max must be >= 0", id="d_max--1"),
+        pytest.param("n_users", 0, "params: n_users must be >= 1", id="n_users-0"),
+        pytest.param("model_len", 0, "params: model_len must be >= 1", id="model_len-0"),
+        pytest.param("entry_bound", 1, "params: entry_bound must be >= 2", id="entry_bound-1"),
+        pytest.param("t_max", 11, "params: t_max=11 must be < n_users - d_max", id="t_max-11"),
+        # no partition count at all
+        pytest.param("k_values", [], "sweep spec: k_values", id="k_values-empty"),
+    ],
 )
-def test_sweep_refuses_a_base_no_k_can_mend(tmp_path, capsys, monkeypatch, field, value):
+def test_sweep_refuses_a_base_no_k_can_mend(
+    tmp_path, capsys, monkeypatch, field, value, needle
+):
     def task(*args):
         raise AssertionError("a sweep task ran on an invalid base")
 
     monkeypatch.setattr(cli, "_sweep_task", task)
     path = tmp_path / "sweep.json"
-    base = {**BASE_CONFIG, field: value}
-    path.write_text(json.dumps({**SWEEP_SPEC, "base": base, "k_values": [1, 3, 9]}))
+    spec = {**SWEEP_SPEC, "base": {**BASE_CONFIG, field: value}, "k_values": [1, 3, 9]}
+    if field == "k_values":
+        spec = {**SWEEP_SPEC, "k_values": value}
+    path.write_text(json.dumps(spec))
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"error: {field}: " in capsys.readouterr().err
+    assert f"error: {needle}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

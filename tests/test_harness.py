@@ -295,12 +295,21 @@ def test_simulate_builds_no_set_up_copies():
     assert peak < 2 * result.coeffs.nbytes
 
 
-def test_simulate_does_not_load_numpy_random():
+def test_only_a_draw_loads_numpy_random():
+    """numpy.random is loaded by the first model or noise draw and by
+    nothing before it: importing the package, resolving a config and an
+    exhaustive privacy case, which never draws, leave it unloaded."""
     code = (
-        "import sys; from rampagg.harness import RunConfig, simulate; "
-        "simulate(RunConfig(n_users=12, t_max=2, d_max=1, k_parts=3, model_len=9, "
-        "entry_bound=8, dropped=(2,))); "
-        "sys.exit('numpy.random' in sys.modules)"
+        "import sys; import rampagg; "
+        "from rampagg import PrivacyCase, RunConfig, privacy_bruteforce; "
+        "RunConfig(n_users=12, t_max=2, d_max=1, k_parts=3, model_len=9, "
+        "entry_bound=8, dropped=(2,)).resolve(); "
+        "privacy_bruteforce(PrivacyCase(n_users=4, t_max=1, d_max=0, k_parts=1, "
+        "prime=5, adversaries=(0,))); "
+        "assert 'numpy.random' not in sys.modules; "
+        "rampagg.simulate(RunConfig(n_users=12, t_max=2, d_max=1, k_parts=3, "
+        "model_len=9, entry_bound=8)); "
+        "assert 'numpy.random' in sys.modules"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, timeout=60, env=child_env()

@@ -272,9 +272,28 @@ def test_a_leak_behind_a_harmless_basis_row_is_found():
 def test_leak_with_many_view_values_matches_one_run_per_assignment(
     monkeypatch, case, block_rows
 ):
-    # uniform noise, but user 1, who shares a group with colluder 0, adds
-    # none: the case leaks, and each assignment's view histogram holds many
-    # values; with blocks of 4 the cells span blocks
+    # with blocks of 4 the cells span blocks
+    _silence_user_1(monkeypatch)
+    monkeypatch.setattr(privacy, "BLOCK_ROWS", block_rows)
+    result = privacy_bruteforce(case)
+    assert result == privacy_bruteforce_naive(case)
+    assert not result.exact_zero and result.n_noise_assignments > 1
+
+
+@pytest.mark.parametrize("hist_digits", [1, 50_000])
+def test_leak_is_independent_of_the_histogram_chunking(monkeypatch, hist_digits):
+    # the view is 5 x 3125 digits: one new offset per histogram sort, or
+    # three, against the default's 67
+    _silence_user_1(monkeypatch)
+    whole = privacy_bruteforce(SIX_USERS)
+    monkeypatch.setattr(privacy, "HIST_DIGITS", hist_digits)
+    assert privacy_bruteforce(SIX_USERS) == whole
+
+
+def _silence_user_1(monkeypatch):
+    """Uniform noise, but user 1, who shares a group with colluder 0, adds
+    none: the case leaks, and each assignment's view histogram holds many
+    values."""
     build = privacy._build_noise
 
     def user_1_silent(case, honest, n_noise):
@@ -284,10 +303,6 @@ def test_leak_with_many_view_values_matches_one_run_per_assignment(
 
     monkeypatch.setattr(privacy, "_build_noise", user_1_silent)
     monkeypatch.setattr(oracles, "_build_noise", user_1_silent)
-    monkeypatch.setattr(privacy, "BLOCK_ROWS", block_rows)
-    result = privacy_bruteforce(case)
-    assert result == privacy_bruteforce_naive(case)
-    assert not result.exact_zero and result.n_noise_assignments > 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -140,6 +140,26 @@ def test_draw_uniform_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, draw_uniform(6, 2**16 + 1, (300,)))
 
 
+# Random(seed) keys MT19937 with the 32-bit limbs of abs(seed): one limb up
+# to 2**32 - 1, two up to 2**64 - 1, three from 2**64.  2**20 and 30011 are
+# read from 32-bit words, 2**40 and 2**32 + 15 from 64-bit words; 30011 and
+# 2**32 + 15 reject words, the powers of two none.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, -(2**40 + 3)])
+@pytest.mark.parametrize("bound", [2**20, 30011, 2**40, 2**32 + 15])
+def test_draw_uniform_is_randoms_stream_at_every_key_limb_boundary(seed, bound):
+    values = draw_uniform(seed, bound, (7, 13))
+    assert values.reshape(-1).tolist() == uniform_getrandbits_naive(seed, bound, 91)
+
+
+@pytest.mark.parametrize("bound", [30011, 2**32 + 15])
+def test_draw_uniform_is_randoms_stream_across_chunks(bound):
+    # each value takes at least one word, so more values than two chunks
+    # of words spans at least three chunks; 997-value rows end mid-chunk
+    rows = 2 * protocol._CHUNK_WORDS // 997 + 1
+    values = draw_uniform(23, bound, (rows, 997))
+    assert values.reshape(-1).tolist() == uniform_getrandbits_naive(23, bound, rows * 997)
+
+
 # 256 and 2**63 are powers of two (no word rejected), 30011 and 2**32 + 15
 # reject words; 2**32 + 15 and 2**63 are read from 64-bit words.  p = 101
 # gives an int64 array, 2**61 - 1 an object one at K+T = 5.
