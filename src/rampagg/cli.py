@@ -24,7 +24,6 @@ from contextlib import contextmanager
 
 from .errors import ConfigInvalid, RampAggError, TooManyDropouts
 from .harness import RunConfig, simulate
-from .protocol import derive_seed
 from .verify import SUITES, run_suite
 
 ENV_SEED = "RAMPAGG_SEED"
@@ -121,15 +120,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_task(config: RunConfig, k: int, rep: int):
-    run = config.replace(
-        k_parts=k, master_seed=derive_seed(config.master_seed, f"sweep:{k}:{rep}")
-    )
+def _sweep_task(config: RunConfig, k: int):
+    run = config.replace(k_parts=k)
     with _in_memory(run):
         report, _ = simulate(run)
     return {
         "k_parts": k,
-        "repetition": rep,
         "r_server": float(report.loads.r_server),
         "r_user_max": float(report.loads.r_user_max),
         "edges": report.total_edges,
@@ -144,12 +140,11 @@ def cmd_sweep(args) -> int:
     for key in ("base", "k_values"):
         if key not in data:
             raise ConfigInvalid(f"sweep spec: missing field {key!r}")
-    unknown = set(data) - {"base", "k_values", "repetitions", "out_csv"}
+    unknown = set(data) - {"base", "k_values", "out_csv"}
     if unknown:
         raise ConfigInvalid(f"sweep spec: unknown fields {sorted(unknown)}")
     base = RunConfig.from_dict(data["base"])
     base = base.replace(master_seed=_resolve_seed(args.seed, base.master_seed))
-    base.check_fixed()  # a fault no k_parts can mend fails the sweep
     k_values = data["k_values"]
     if not isinstance(k_values, list) or not all(
         isinstance(k, int) and not isinstance(k, bool) for k in k_values
@@ -157,24 +152,22 @@ def cmd_sweep(args) -> int:
         raise ConfigInvalid("sweep spec: k_values must be a list of integers")
     if not k_values:
         raise ConfigInvalid("sweep spec: k_values must name at least one partition count")
-    repetitions = data.get("repetitions", 1)
-    if not isinstance(repetitions, int) or isinstance(repetitions, bool):
-        raise ConfigInvalid("sweep spec: repetitions must be an integer")
-    if repetitions < 1:
-        raise ConfigInvalid("sweep spec: repetitions must be at least 1")
     out_csv = data.get("out_csv", "sweep.csv")
     if not isinstance(out_csv, str) or not out_csv:
         raise ConfigInvalid("sweep spec: out_csv must be a non-empty path")
 
-    tasks = []
+    ks, skipped = [], []
     for k in k_values:
         try:
             base.replace(k_parts=k).resolve()
         except ConfigInvalid as exc:
-            print(f"skipping k_parts={k}: {exc}", file=sys.stderr)
-            continue
-        for rep in range(repetitions):
-            tasks.append((k, rep))
+            skipped.append((k, exc))
+        else:
+            ks.append(k)
+    if not ks:  # no k_parts mends the base: fail with the first k's fault
+        raise skipped[0][1]
+    for k, exc in skipped:
+        print(f"skipping k_parts={k}: {exc}", file=sys.stderr)
 
     out_dir = _resolve_out(args.out)
     path = out_csv if os.path.isabs(out_csv) else os.path.join(out_dir, out_csv)
@@ -184,8 +177,8 @@ def cmd_sweep(args) -> int:
     with _unwritable("out_csv"):
         fh = open(path, "w", encoding="utf-8", newline="")
     with fh:
-        rows = _sweep_rows(base, tasks, args.jobs)
-        fields = ["k_parts", "repetition", "r_server", "r_user_max", "edges", "delay"]
+        rows = _sweep_rows(base, ks, args.jobs)
+        fields = ["k_parts", "r_server", "r_user_max", "edges", "delay"]
         with _unwritable("out_csv"):
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
@@ -194,16 +187,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_rows(base: RunConfig, tasks: list, jobs: int) -> list:
-    """One row per (k, repetition) task, in task order."""
+def _sweep_rows(base: RunConfig, ks: list, jobs: int) -> list:
+    """One row per partition count in ``ks``, in order: a round's loads,
+    edges and delay depend on k_parts alone, not on the seed."""
     # the pool starts all its workers at once, so ask for no more than can run
-    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
+    jobs = min(jobs, os.cpu_count() or 1, len(ks))
     if jobs <= 1:
-        return [_sweep_task(base, k, rep) for k, rep in tasks]
-    ks = [k for k, _ in tasks]
-    reps = [rep for _, rep in tasks]
+        return [_sweep_task(base, k) for k in ks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_task, [base] * len(tasks), ks, reps))
+        return list(pool.map(_sweep_task, [base] * len(ks), ks))
 
 
 def cmd_verify(args) -> int:

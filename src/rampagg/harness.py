@@ -1,13 +1,14 @@
 """Configuration, measurement, and reporting around the protocol core.
 
-:func:`simulate` draws a :class:`RunConfig`'s models (:func:`draw_models`)
-and noise straight into the round's coefficient array and turns the round
-into a :class:`RunReport` whose
-load figures are exact rationals computed purely by counting transcript
-symbols, never by evaluating the closed-form expressions they are later
-compared against.  :func:`correctness_oracle` replays randomized runs against
-a plain-integer summation oracle, and :func:`collect_adversary_view` reads
-exactly what a colluding set plus the server receive off the transcript.
+:func:`simulate` runs a :class:`RunConfig`'s round, its models and noise
+drawn from ``master_seed`` straight into the round's coefficient array
+(:func:`rampagg.protocol.fill_blocks`), and turns it into a
+:class:`RunReport` whose load figures are exact rationals computed purely
+by counting transcript symbols, never by evaluating the closed-form
+expressions they are later compared against.  :func:`correctness_oracle`
+replays randomized runs against a plain-integer summation oracle, and
+:func:`collect_adversary_view` reads exactly what a colluding set plus the
+server receive off the transcript.
 """
 
 import dataclasses
@@ -32,9 +33,8 @@ from .protocol import (
     Transcript,
     UserStatus,
     derive_seed,
-    draw_uniform,
+    draw_models,
     eval_point_for_slot,
-    noised_blocks,
     run_protocol,
 )
 from .sharing import Model
@@ -44,7 +44,6 @@ from .topology import (
     ProtocolParams,
     TreeShape,
     build_tree,
-    check_k_free_params,
     count_edges,
     make_params,
     total_delay,
@@ -160,20 +159,6 @@ class RunConfig:
 
         Raises ConfigInvalid with a message naming the offending field.
         """
-        return self._validate(whole=True)
-
-    def check_fixed(self) -> None:
-        """Run the checks of :meth:`resolve` that no ``k_parts`` can change
-        the outcome of, in its order, so that a sweep runs them once: the
-        types, the 2**63 caps, make_params' checks but those of ``k_parts``
-        (:func:`rampagg.topology.check_k_free_params`), ``dropped``,
-        ``adversaries``, ``dropout_timing``, ``prime_override``'s primality
-        and the no-prime bound."""
-        self._validate(whole=False)
-
-    def _validate(self, whole: bool):
-        """The checks of :meth:`resolve`, and its result; without ``whole``,
-        only those of :meth:`check_fixed`, and None."""
         for name, (kind, ok) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not ok(value):
@@ -185,33 +170,27 @@ class RunConfig:
                     "bound of the int64 model and noise draws"
                 )
         try:
-            if whole:
-                params = make_params(
-                    self.n_users,
-                    self.t_max,
-                    self.d_max,
-                    self.k_parts,
-                    self.model_len,
-                    self.entry_bound,
-                )
-            else:
-                check_k_free_params(
-                    self.n_users, self.t_max, self.d_max, self.model_len, self.entry_bound
-                )
+            params = make_params(
+                self.n_users,
+                self.t_max,
+                self.d_max,
+                self.k_parts,
+                self.model_len,
+                self.entry_bound,
+            )
         except InvalidParams as exc:
             raise ConfigInvalid(f"params: {exc}") from exc
-        if whole:
-            # int64 entries and object pointers are both 8 bytes
-            limit = np.iinfo(np.intp).max
-            if math.prod(params.blocks_shape) * 8 > limit:
-                raise ConfigInvalid(
-                    f"model_len: {self.model_len} needs a coefficient array of shape "
-                    f"{params.blocks_shape}, past numpy's limit of {limit} bytes"
-                )
-            try:
-                tree = build_tree(params.num_groups, self.tree_shape)
-            except Exception as exc:
-                raise ConfigInvalid(f"tree_shape: {exc}") from exc
+        # int64 entries and object pointers are both 8 bytes
+        limit = np.iinfo(np.intp).max
+        if math.prod(params.blocks_shape) * 8 > limit:
+            raise ConfigInvalid(
+                f"model_len: {self.model_len} needs a coefficient array of shape "
+                f"{params.blocks_shape}, past numpy's limit of {limit} bytes"
+            )
+        try:
+            tree = build_tree(params.num_groups, self.tree_shape)
+        except Exception as exc:
+            raise ConfigInvalid(f"tree_shape: {exc}") from exc
         for name, bound, cap in (
             ("dropped", "dropout budget", "d_max"),
             ("adversaries", "collusion tolerance", "t_max"),
@@ -244,8 +223,6 @@ class RunConfig:
                 "entry_bound: no prime in (n_users * (entry_bound - 1), 2**63] "
                 "for the int64 noise draw"
             )
-        if not whole:
-            return None
         if self.prime_override is None:
             ctx = select_prime(self.n_users, self.entry_bound)
         if ctx.p <= params.group_size:
@@ -358,34 +335,21 @@ class RunReport:
         return text + "\n"
 
 
-def draw_models(config: RunConfig, out=None) -> np.ndarray:
-    """Deterministic per-config models as one (N, L) int64 array: entries
-    uniform in [0, entry_bound), drawn in row order from the stream seeded
-    with derive_seed(master_seed, "models").  Given ``out``, such as the
-    model rows of a coefficient array, the models go into it."""
-    seed = derive_seed(config.master_seed, "models")
-    shape = (config.n_users, config.model_len)
-    return draw_uniform(seed, config.entry_bound, shape, out)
-
-
 def generate_models(config: RunConfig) -> list[Model]:
-    """The models of :func:`draw_models`, one :class:`Model` per user.  Kept
-    only for the benchmark's output gate (``perfbench/bench.py``,
-    ``check_round``); ROADMAP item 1 deletes it."""
-    return [Model(tuple(row)) for row in draw_models(config).tolist()]
+    """The models of ``config``'s round (:func:`rampagg.protocol.draw_models`),
+    one :class:`Model` per user.  Kept only for the benchmark's output gate
+    (``perfbench/bench.py``, ``check_round``); ROADMAP item 1 deletes it."""
+    params = config.resolve()[0]
+    return [Model(tuple(row)) for row in draw_models(params, config.master_seed).tolist()]
 
 
 def simulate(config: RunConfig):
-    """Run one configured round on the models of :func:`draw_models` and
-    measure it.  The models and noise are drawn straight into the round's
-    coefficient array.  Returns (RunReport, RunResult)."""
+    """Run one configured round and measure it.  The round's models and
+    noise are drawn from ``master_seed`` straight into its coefficient
+    array.  Returns (RunReport, RunResult)."""
     params, tree, ctx = config.resolve()
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
-    coeffs, models = noised_blocks(params, ctx.p, config.master_seed)
-    draw_models(config, out=models)
-    if ctx.p < config.entry_bound:  # only a prime_override can be that small
-        models %= ctx.p
-    result = run_protocol(ctx, params, tree, models, plan, coeffs=coeffs)
+    result = run_protocol(ctx, params, tree, None, plan, config.master_seed)
     loads = measure_loads(result.transcript, params, result.status)
     # a round without dropouts uses every link the network has
     everyone = np.ones(params.n_users, dtype=bool)

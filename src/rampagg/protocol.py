@@ -369,33 +369,37 @@ def draw_noise(p: int, params: ProtocolParams, master_seed: int, out=None) -> np
     return draw_uniform(derive_seed(master_seed, "noise"), p, shape, out)
 
 
-def noised_blocks(params: ProtocolParams, p: int, master_seed: int):
-    """A round's coefficient array (:func:`rampagg.sharing.empty_blocks`)
-    with the noise of :func:`draw_noise` drawn into rows K and up, and the
-    (N, L) view of its model entries, :func:`rampagg.sharing.model_rows`
-    without the padding, left for the caller to fill."""
-    coeffs = empty_blocks(params, p)
-    draw_noise(p, params, master_seed, out=coeffs[:, params.k_parts :])
-    return coeffs, model_rows(coeffs, params.k_parts)[:, : params.model_len]
+def draw_models(params: ProtocolParams, master_seed: int, out=None) -> np.ndarray:
+    """(N, L) models uniform in [0, entry_bound), drawn in row order from the
+    one stream seeded with derive_seed(master_seed, "models").  Given
+    ``out``, such as the model entries of a coefficient array, the models
+    go into it."""
+    shape = (params.n_users, params.model_len)
+    return draw_uniform(derive_seed(master_seed, "models"), params.entry_bound, shape, out)
 
 
 def fill_blocks(
-    params: ProtocolParams, p: int, models: np.ndarray, noise=None, master_seed: int = 0
+    params: ProtocolParams, p: int, models=None, noise=None, master_seed: int = 0
 ) -> np.ndarray:
     """A fresh coefficient array (N, K+T, S, *batch) holding ``models``, the
-    (N, L) integer array of the users' models, one row per user, over the
-    noise of :func:`draw_noise`, or over an explicit ``noise`` array of
-    shape (N, T, S, *batch).  Given arrays are reduced mod p as they are
-    written into it."""
-    n = params.n_users
-    models = np.asarray(models)
-    if models.shape != (n, params.model_len):
-        raise ValueError(
-            f"models have shape {models.shape}, expected {n} rows of length "
-            f"{params.model_len}"
-        )
+    (N, L) integer array of the users' models, one row per user, over
+    ``noise`` of shape (N, T, S, *batch).  Given arrays are reduced mod p as
+    they are written into it; the model rows broadcast over the batch axis.
+    An input left None is drawn from ``master_seed`` straight into the
+    array (:func:`draw_models`, :func:`draw_noise`; models only where there
+    is no batch axis), and drawn models are reduced mod p in place only when
+    p is below their entry bound."""
+    n, k = params.n_users, params.k_parts
+    if models is not None:
+        models = np.asarray(models)
+        if models.shape != (n, params.model_len):
+            raise ValueError(
+                f"models have shape {models.shape}, expected {n} rows of length "
+                f"{params.model_len}"
+            )
     if noise is None:
-        coeffs, rows = noised_blocks(params, p, master_seed)
+        coeffs = empty_blocks(params, p)
+        draw_noise(p, params, master_seed, out=coeffs[:, k:])
     else:
         noise = np.asarray(noise)
         if noise.shape[:3] != (n, params.t_max, params.seg_len):
@@ -406,11 +410,15 @@ def fill_blocks(
         coeffs = empty_blocks(params, p, noise.shape[3:])
         # both writes cast as assignment does: an empty noise list arrives
         # as float64, and models past int64 as Python ints
-        reduce_mod(noise, p, out=coeffs[:, params.k_parts :])
-        rows = model_rows(coeffs, params.k_parts)[:, : params.model_len]
-    # the model rows broadcast over the batch axis
-    models = models.reshape(models.shape + (1,) * (rows.ndim - 2))
-    reduce_mod(models, p, out=rows)
+        reduce_mod(noise, p, out=coeffs[:, k:])
+    rows = model_rows(coeffs, k)[:, : params.model_len]
+    if models is None:
+        draw_models(params, master_seed, out=rows)
+        if p < params.entry_bound:  # only a hand-picked modulus is that small
+            reduce_mod(rows, p, out=rows)
+    else:
+        models = models.reshape(models.shape + (1,) * (rows.ndim - 2))
+        reduce_mod(models, p, out=rows)
     return coeffs
 
 
@@ -418,20 +426,15 @@ def run_protocol(
     ctx: FieldContext,
     params: ProtocolParams,
     tree: AggregationTree,
-    models: np.ndarray,
+    models: Optional[np.ndarray] = None,
     dropout_plan: Optional[DropoutPlan] = None,
     master_seed: int = 0,
     noise=None,
-    coeffs: Optional[np.ndarray] = None,
 ) -> RunResult:
     """Execute one full aggregation round deterministically: :func:`run_round`
     on the coefficient array that :func:`fill_blocks` makes of ``models``
-    and ``noise`` (drawn from ``master_seed`` when None).  Given ``coeffs``,
-    an array that already holds the round's blocks, such as one from
-    :func:`noised_blocks` with ``models`` drawn into its model view, the
-    round runs on it as it is."""
-    if coeffs is None:
-        coeffs = fill_blocks(params, ctx.p, models, noise, master_seed)
+    and ``noise``, each drawn from ``master_seed`` when None."""
+    coeffs = fill_blocks(params, ctx.p, models, noise, master_seed)
     return run_round(ctx, params, tree, coeffs, dropout_plan)
 
 

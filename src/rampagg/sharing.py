@@ -10,14 +10,15 @@ the exhaustive privacy checker puts its noise assignments there, and rounds
 have none.
 
 A round allocates that array once, with :func:`empty_blocks`, and fills it
-in place: the models go into :func:`model_rows`, the (N, K*S) view of every
-block's K segments, whose padding alone is zeroed, and the noise into rows K
-and up; on a batch axis the assignment broadcasts the model rows.  The
-simulator draws both straight into the array, so a round holds no separate
-model or noise array.  Drawn noise lies in [0, p) by construction, and
-drawn models are reduced mod p in place only when the modulus is below
-their entry bound.  Arrays handed to :func:`rampagg.protocol.run_protocol`
-are reduced mod p as they are written into the array, with no temporary.
+in place (:func:`rampagg.protocol.fill_blocks`): the models go into
+:func:`model_rows`, the (N, K*S) view of every block's K segments, whose
+padding alone is zeroed, and the noise into rows K and up; on a batch axis
+the assignment broadcasts the model rows.  Models or noise that the caller
+does not pass are drawn straight into the array, so a simulated round holds
+no separate model or noise array.  Drawn noise lies in [0, p) by
+construction, and drawn models are reduced mod p in place only when the
+modulus is below their entry bound.  Arrays that are passed in are reduced
+mod p as they are written into the array, with no temporary.
 
 A share is a block evaluated at one non-zero point, that is one row of a
 Vandermonde matrix applied along the K+T axis.  Evaluation is linear, so
@@ -45,10 +46,10 @@ from .topology import ProtocolParams
 @dataclass(frozen=True)
 class Model:
     """One user's model as a tuple of entries.  Rounds take all models as
-    one (N, L) array; this type is kept only for
-    :func:`rampagg.harness.generate_models`, which the benchmark's output
-    gate (``perfbench/bench.py``, ``check_round``) calls.  ROADMAP item 1
-    deletes both."""
+    one (N, L) array (:func:`rampagg.protocol.draw_models`); this type is
+    kept only for :func:`rampagg.harness.generate_models`, which the
+    benchmark's output gate (``perfbench/bench.py``, ``check_round``) calls.
+    ROADMAP item 1 deletes both."""
 
     entries: tuple
 

@@ -63,13 +63,22 @@ class ProtocolParams:
         return (self.n_users, self.k_parts + self.t_max, self.seg_len)
 
 
-def check_k_free_params(
-    n_users: int, t_max: int, d_max: int, model_len: int, entry_bound: int
-) -> None:
-    """The checks of :func:`make_params` that no ``k_parts`` can change the
-    outcome of, in its order.  Raises InvalidParams on a count out of range
-    and ThresholdViolation when t_max >= n_users - d_max (no room for a
-    single honest survivor's worth of sharing)."""
+def make_params(
+    n_users: int,
+    t_max: int,
+    d_max: int,
+    k_parts: int,
+    model_len: int,
+    entry_bound: int,
+) -> ProtocolParams:
+    """Validate and freeze protocol parameters.
+
+    Raises InvalidParams on a count out of range, ThresholdViolation when
+    t_max >= n_users - d_max (no room for a single honest survivor's worth
+    of sharing), BadK when k_parts falls outside [1, n_users - t_max -
+    d_max] and IndivisibleGroups when the implied group size does not
+    divide n_users.
+    """
     if n_users < 1:
         raise InvalidParams(f"n_users must be >= 1, got {n_users}")
     if t_max < 0 or d_max < 0:
@@ -82,23 +91,6 @@ def check_k_free_params(
         raise ThresholdViolation(
             f"t_max={t_max} must be < n_users - d_max = {n_users - d_max}"
         )
-
-
-def make_params(
-    n_users: int,
-    t_max: int,
-    d_max: int,
-    k_parts: int,
-    model_len: int,
-    entry_bound: int,
-) -> ProtocolParams:
-    """Validate and freeze protocol parameters.
-
-    Raises what :func:`check_k_free_params` raises, then BadK when k_parts
-    falls outside [1, n_users - t_max - d_max] and IndivisibleGroups when
-    the implied group size does not divide n_users.
-    """
-    check_k_free_params(n_users, t_max, d_max, model_len, entry_bound)
     k_cap = n_users - t_max - d_max
     if not 1 <= k_parts <= k_cap:
         raise BadK(f"k_parts={k_parts} outside [1, {k_cap}]")

@@ -19,13 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TooManyDropouts
-from .harness import (
-    RunConfig,
-    correctness_oracle,
-    draw_models,
-    plain_sum,
-    simulate,
-)
+from .harness import RunConfig, correctness_oracle, plain_sum, simulate
 from .privacy import (
     COUPLING_ALL_EQUAL,
     NOISE_CONSTANT,
@@ -33,7 +27,7 @@ from .privacy import (
     PrivacyResult,
     privacy_bruteforce,
 )
-from .protocol import DropoutPlan, derive_seed, run_protocol
+from .protocol import DropoutPlan, derive_seed, draw_models, run_protocol
 from .topology import DelayModel, build_tree, total_delay
 
 
@@ -96,7 +90,7 @@ def _check_example(config: RunConfig, **expect) -> str:
     }
     assert got == expect, f"got {got}, expected {expect}"
     included = [u for u in range(config.n_users) if u not in config.dropped]
-    expected_sum = plain_sum(draw_models(config), included)
+    expected_sum = plain_sum(draw_models(result.params, config.master_seed), included)
     assert list(report.aggregate) == expected_sum, "aggregate != plain sum of survivors"
     return " ".join(f"{key}={value}" for key, value in got.items())
 

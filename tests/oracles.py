@@ -336,17 +336,17 @@ def uniform_getrandbits_naive(seed, bound, count):
     return values
 
 
-def models_randrange_naive(config, out=None):
+def models_randrange_naive(params, master_seed, out=None):
     """The (N, L) models of the per-entry stream that bulk drawing replaced:
     one ``randrange(entry_bound)`` per entry, user by user, from the
     generator seeded with derive_seed(master_seed, "models").  Given
     ``out``, each draw is written into its entry of ``out``."""
-    rng = Random(_derive_seed(config.master_seed, "models"))
+    rng = Random(_derive_seed(master_seed, "models"))
     if out is None:
-        out = np.empty((config.n_users, config.model_len), dtype=np.int64)
-    for u in range(config.n_users):
-        for i in range(config.model_len):
-            out[u, i] = rng.randrange(config.entry_bound)
+        out = np.empty((params.n_users, params.model_len), dtype=np.int64)
+    for u in range(params.n_users):
+        for i in range(params.model_len):
+            out[u, i] = rng.randrange(params.entry_bound)
     return out
 
 

@@ -218,7 +218,6 @@ def sweep_file(tmp_path):
     spec = {
         "base": {**BASE_CONFIG, "k_parts": 9},
         "k_values": [1, 2, 3, 9],
-        "repetitions": 2,
         "out_csv": "sweep.csv",
     }
     path = tmp_path / "sweep.json"
@@ -232,8 +231,8 @@ def test_sweep_rows_and_skips(tmp_path, sweep_file, capsys):
     captured = capsys.readouterr()
     assert "skipping k_parts=2" in captured.err
     rows = list(csv.DictReader((out / "sweep.csv").open()))
-    assert [r["k_parts"] for r in rows] == ["1", "1", "3", "3", "9", "9"]
-    assert [r["repetition"] for r in rows] == ["0", "1"] * 3
+    assert [r["k_parts"] for r in rows] == ["1", "3", "9"]
+    assert "repetition" not in rows[0]
     by_k = {r["k_parts"]: r for r in rows}
     assert float(by_k["1"]["r_server"]) == 3.0
     assert float(by_k["3"]["r_server"]) == pytest.approx(5 / 3)
@@ -269,11 +268,11 @@ class _SerialPool:
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("cpus,expected", [(3, [3]), (64, [6]), (1, [])])
+@pytest.mark.parametrize("cpus,expected", [(3, [3]), (64, [3]), (1, [])])
 def test_sweep_jobs_capped_at_cpus_and_tasks(
     tmp_path, sweep_file, monkeypatch, cpus, expected
 ):
-    # six tasks: k in {1, 3, 9}, two repetitions each
+    # three tasks: k in {1, 3, 9}
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "requested", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -292,10 +291,12 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys):
     assert main(["sweep", str(path)]) == 2
     assert "k_values" in capsys.readouterr().err
 
+    # one row per k_parts: repetitions are gone, and an unknown field
     path.write_text(
-        json.dumps({"base": BASE_CONFIG, "k_values": [3], "repetitions": 0})
+        json.dumps({"base": BASE_CONFIG, "k_values": [3], "repetitions": 2})
     )
     assert main(["sweep", str(path)]) == 2
+    assert "unknown fields ['repetitions']" in capsys.readouterr().err
 
     path.write_text(
         json.dumps({"base": BASE_CONFIG, "k_values": "three"})
@@ -342,7 +343,7 @@ def test_bad_input_or_output_exits_2_naming_the_field(
     assert f"error: {needle}" in capsys.readouterr().err
 
 
-SWEEP_SPEC = {"base": BASE_CONFIG, "k_values": [1, 3], "repetitions": 1, "out_csv": "s.csv"}
+SWEEP_SPEC = {"base": BASE_CONFIG, "k_values": [1, 3], "out_csv": "s.csv"}
 
 
 @settings(
@@ -406,6 +407,22 @@ def test_sweep_refuses_a_base_no_k_can_mend(
     path.write_text(json.dumps(spec))
     assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {needle}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_refuses_when_every_k_fails_for_its_own_reason(
+    tmp_path, capsys, monkeypatch
+):
+    def task(*args):
+        raise AssertionError("a sweep task ran with no valid k_parts")
+
+    monkeypatch.setattr(cli, "_sweep_task", task)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({**SWEEP_SPEC, "k_values": [2, 5]}))
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    # the first k's fault: group sizes 5 and 8 do not divide n_users=12
+    err = capsys.readouterr().err
+    assert "error: params: group size 5 does not divide n_users=12" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -20,8 +20,8 @@ import io
 import numpy as np
 import pytest
 
-from rampagg import harness, protocol
-from rampagg.harness import RunConfig, draw_models, plain_sum, simulate
+from rampagg import protocol
+from rampagg.harness import RunConfig, plain_sum, simulate
 from rampagg.protocol import UserStatus
 from rampagg.sharing import field_dtype
 from rampagg.verify import example_single_group_config, example_two_group_config
@@ -115,7 +115,7 @@ def _digests(config: RunConfig) -> tuple[str, str]:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests(name, monkeypatch):
-    monkeypatch.setattr(harness, "draw_models", models_randrange_naive)
+    monkeypatch.setattr(protocol, "draw_models", models_randrange_naive)
     monkeypatch.setattr(protocol, "draw_noise", noise_randrange_naive)
     assert _digests(CONFIGS[name]) == GOLDEN[name]
 
@@ -147,7 +147,8 @@ def test_int64_bound_both_sides_sum_exactly(prime, dtype, dropped):
     assert result.partials.dtype == dtype
     if dropped:
         assert (result.status == UserStatus.SILENCED).sum() == 1
-    expected = plain_sum(draw_models(config), result.took_part)
+    models = protocol.draw_models(result.params, config.master_seed)
+    expected = plain_sum(models, result.took_part)
     assert report.aggregate == expected
     assert all(type(v) is int for v in report.aggregate)
 

@@ -1,5 +1,6 @@
 """Config validation, load measurement, reporting, adversary views, oracle."""
 
+import inspect
 import io
 import json
 import math
@@ -14,20 +15,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rampagg import harness, protocol
 from rampagg.errors import ConfigInvalid, NonConformingField
 from rampagg.harness import (
     SCHEMA_VERSION,
     RunConfig,
     collect_adversary_view,
     correctness_oracle,
-    draw_models,
     generate_models,
     measure_loads,
     plain_sum,
     simulate,
 )
 from rampagg.field import FieldContext, field_dtype
-from rampagg.protocol import DropoutPlan, UserStatus, eval_point_for_slot, run_protocol
+from rampagg.protocol import (
+    DropoutPlan,
+    UserStatus,
+    draw_models,
+    eval_point_for_slot,
+    run_protocol,
+)
 from rampagg.sharing import evaluate
 from rampagg.topology import build_tree, make_params
 
@@ -262,7 +269,7 @@ def test_largest_entry_bound_runs_on_a_small_prime():
     # 2**63 needs 64-bit words; the non-conforming 1009 makes the sum wrap
     config = example2().replace(entry_bound=2**63, prime_override=1009)
     report, result = simulate(config)
-    models = draw_models(config)
+    models = draw_models(result.params, config.master_seed)
     assert models.max() >= 2**62
     expected = plain_sum(models, result.took_part)
     assert report.aggregate == [e % 1009 for e in expected]
@@ -270,9 +277,31 @@ def test_largest_entry_bound_runs_on_a_small_prime():
 
 def test_canonical_prime_just_below_2_63_runs():
     config = example1().replace(**SINGLE_USER, entry_bound=2**63 - 25)
-    report, _ = simulate(config)
+    report, result = simulate(config)
     assert report.prime == 2**63 - 25
-    assert report.aggregate == plain_sum(draw_models(config), [0])
+    models = draw_models(result.params, config.master_seed)
+    assert report.aggregate == plain_sum(models, [0])
+
+
+def test_simulate_enters_the_round_once_by_its_harness_name(monkeypatch):
+    """A tool that wraps ``harness.run_protocol`` sees the whole round in one
+    call, and binding that call to ``protocol.run_protocol``'s signature
+    yields the round's sizing and dropout plan."""
+    calls = []
+    original = harness.run_protocol
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_protocol", recorder)
+    config = example1()
+    _, result = simulate(config)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    bound = inspect.signature(protocol.run_protocol).bind(*args, **kwargs)
+    assert bound.arguments["params"] == result.params == config.resolve()[0]
+    assert bound.arguments["dropout_plan"] == DropoutPlan(frozenset({2}), "pre_intra")
 
 
 def test_simulate_builds_no_set_up_copies():
