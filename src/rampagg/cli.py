@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration.
 
-``--seed`` and ``--out`` override the ``RAMPAGG_SEED`` / ``RAMPAGG_OUT``
-environment variables, which in turn override values from the config file.
+``--seed`` (``run`` only) and ``--out`` override the ``RAMPAGG_SEED`` /
+``RAMPAGG_OUT`` environment variables, which in turn override values from
+the config file.  ``sweep`` takes no seed: none of its columns depends on it.
 """
 
 import argparse
@@ -144,7 +145,6 @@ def cmd_sweep(args) -> int:
     if unknown:
         raise ConfigInvalid(f"sweep spec: unknown fields {sorted(unknown)}")
     base = RunConfig.from_dict(data["base"])
-    base = base.replace(master_seed=_resolve_seed(args.seed, base.master_seed))
     k_values = data["k_values"]
     if not isinstance(k_values, list) or not all(
         isinstance(k, int) and not isinstance(k, bool) for k in k_values
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep partition counts")
     p_sweep.add_argument("sweep", help="path to a sweep spec JSON file")
-    p_sweep.add_argument("--seed", type=int, help="override the master seed")
     p_sweep.add_argument("--out", help="output directory (default: current)")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_sweep.set_defaults(func=cmd_sweep)

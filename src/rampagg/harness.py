@@ -7,8 +7,8 @@ drawn from ``master_seed`` straight into the round's coefficient array
 by counting transcript symbols, never by evaluating the closed-form
 expressions they are later compared against.  :func:`correctness_oracle`
 replays randomized runs against a plain-integer summation oracle, and
-:func:`collect_adversary_view` reads exactly what a colluding set plus the
-server receive off the transcript.
+:func:`collect_adversary_view` makes exactly the messages a colluding set
+plus the server receive, from the round's masks.
 """
 
 import dataclasses
@@ -25,8 +25,7 @@ from .errors import ConfigInvalid, InvalidParams, NonConformingField
 from .field import FieldContext, reduce_mod, select_prime, vandermonde
 from .protocol import (
     BETWEEN_ROUNDS,
-    PHASE_INTRA,
-    PHASES,
+    PHASE_SERVER,
     PRE_INTRA,
     DropoutPlan,
     RunResult,
@@ -260,12 +259,10 @@ def measure_loads(
     (N,) is not DROPPED.
     """
     length = params.model_len
-    sent = np.zeros(params.n_users, dtype=np.int64)
-    np.add.at(sent, transcript.sender, transcript.symbols)
-    to_server = (transcript.receiver == params.n_users) & ~transcript.null
+    sent = transcript.sent()
     survivors = status != UserStatus.DROPPED.value
     return LoadSummary(
-        r_server=Fraction(int(transcript.symbols[to_server].sum()), length),
+        r_server=Fraction(transcript.phase_counts()[PHASE_SERVER]["symbols"], length),
         r_user_max=Fraction(int(sent[survivors].max()), length),
         r_user_avg=Fraction(int(sent.sum()), params.n_users * length),
         sent=sent,
@@ -350,12 +347,13 @@ def simulate(config: RunConfig):
     params, tree, ctx = config.resolve()
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
     result = run_protocol(ctx, params, tree, None, plan, config.master_seed)
-    loads = measure_loads(result.transcript, params, result.status)
+    transcript = result.transcript
+    loads = measure_loads(transcript, params, result.status)
     # a round without dropouts uses every link the network has
     everyone = np.ones(params.n_users, dtype=bool)
     no_drops = np.full(params.n_users, UserStatus.ACTIVE.value, dtype=np.int8)
-    total = len(Transcript.of_round(params, tree, everyone, no_drops).links())
-    active = len(result.transcript.links())
+    total = Transcript(params, tree, everyone, no_drops).links_used()
+    active = transcript.links_used()
     delay = total_delay(tree, DelayModel(config.delta_inter, config.delta_intra))
 
     formula_check = None
@@ -374,7 +372,7 @@ def simulate(config: RunConfig):
         silent_edges=total - active,
         edges_formula=count_edges(params),
         delay=delay,
-        phase_counts=result.transcript.phase_counts(),
+        phase_counts=transcript.phase_counts(),
         formula_check=formula_check,
     )
     return report, result
@@ -417,26 +415,43 @@ def check_formulas(
 
 def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.ndarray:
     """Everything ``adversaries`` and the server receive in a finished run,
-    as one (C, S, *batch) array: one row per row of ``result.transcript``
+    as one (C, S, *batch) array: one row per message of ``result.transcript``
     that was delivered, is not null, is not self-addressed, and has a
     colluder or the server (receiver N) as receiver, ordered by receiver
     (the server last), then phase, then sender.  An intra row holds its
     sender's block evaluated at the receiver's point, an uplink row the
-    partial sum its sender forwarded."""
+    partial sum its sender forwarded.  Only these O(C * size) messages are
+    made, from the round's masks."""
     n, size, p = result.params.n_users, result.params.group_size, result.ctx.p
     outside = [u for u in adversaries if not 0 <= u < n]
     if outside:
         raise ValueError(f"adversaries: users {outside} outside [0, {n})")
-    t = result.transcript
-    wanted = np.zeros(n + 1, dtype=bool)  # by receiver, the server as N
-    wanted[[*adversaries, n]] = True
-    seen = t.delivered & ~t.null & (t.sender != t.receiver)
-    rows = np.flatnonzero(seen & wanted[t.receiver])
-    rows = rows[np.lexsort((t.sender[rows], t.phase[rows], t.receiver[rows]))]
-    sender, receiver = t.sender[rows], t.receiver[rows]
-    intra = t.phase[rows] == PHASES.index(PHASE_INTRA)
+    status, took_part = result.status, result.took_part
+    colluders = np.array(sorted(set(adversaries)), dtype=np.intp)
+    group, slot = np.divmod(colluders, size)
+    # intra: a colluder that took part hears every other member that did
+    members = group[:, None] * size + np.arange(size)
+    heard = took_part[members] & (members != colluders[:, None]) & took_part[colluders][:, None]
+    intra_to = np.broadcast_to(colluders[:, None], members.shape)[heard]
+    intra_from = members[heard]
+    # inter: a colluder that did not drop hears its slot of each child group
+    # that ended ACTIVE (a dropped user sends nothing, a silenced one a null)
+    row, child = np.nonzero(result.tree.parents == group[:, None])
+    up_from, up_to = child * size + slot[row], colluders[row]
+    up_to = np.append(up_to, [n] * size)  # and the server hears the last group
+    up_from = np.append(up_from, np.arange(result.tree.last_group * size, n))
+    heard = (status[up_from] == UserStatus.ACTIVE.value) & (
+        np.append(status, UserStatus.ACTIVE.value)[up_to] != UserStatus.DROPPED.value
+    )
+    up_from, up_to = up_from[heard], up_to[heard]
+    sender = np.concatenate([intra_from, up_from])
+    receiver = np.concatenate([intra_to, up_to])
+    intra = np.arange(len(sender)) < len(intra_from)
+    # intra is phase 0; the uplinks to one receiver share one phase
+    order = np.lexsort((sender, ~intra, receiver))
+    sender, receiver, intra = sender[order], receiver[order], intra[order]
     message = result.partials.shape[1:]  # (S, *batch)
-    view = np.empty((len(rows),) + message, result.partials.dtype)
+    view = np.empty((len(sender),) + message, result.partials.dtype)
     # row i of the Vandermonde matrix is the point of intra row i's receiver
     points = eval_point_for_slot(receiver[intra] % size).tolist()
     width = result.coeffs.shape[1]  # K+T

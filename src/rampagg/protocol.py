@@ -39,13 +39,11 @@ and the link it would have used stays silent.  Null messages are explicit
 zero-symbol transcript entries; a user that dropped before sending leaves no
 entry at all.
 
-The transcript is built from the same masks: parallel columns (phase,
-sender, receiver, symbols, null, delivered) with the server as receiver N,
-the intra rows repeated over each group's slots for every user that took
-part, then the uplink rows of every user that did not drop.  Loads and
-phase counts are sums over these columns, and the links a round used are
-the distinct sender-receiver pairs of its delivered non-null rows; a round
-without dropouts uses every link the network has.
+The transcript is kept as the same masks: who took part in the intra
+phase and how each user ended.  Phase counts, the symbols each user sent
+and the links a round used are counts over them, group by group, and a
+round without dropouts uses every link the network has.  Rows, in
+protocol order, are made only to be written, a block at a time.
 """
 
 import hashlib
@@ -53,7 +51,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -69,16 +67,30 @@ PHASE_SERVER = "server"
 PHASES = (PHASE_INTRA, PHASE_INTER, PHASE_SERVER)
 
 _CSV_BLOCK_ROWS = 4096  # transcript rows joined per write
-_PHASE_PIECES = np.array([f"{phase}," for phase in PHASES], dtype=object)
 
 
 @lru_cache(maxsize=8)
-def _user_names(n_users: int) -> np.ndarray:
-    """The read-only CSV name pieces "0,", ..., "{N-1}," and "server," of
-    receiver N, built once per N."""
-    names = np.array([*(f"{u}," for u in range(n_users)), f"{SERVER},"], dtype=object)
-    names.flags.writeable = False
-    return names
+def _csv_heads(n_users: int) -> np.ndarray:
+    """The read-only CSV row heads "{phase},{sender}," of N users, by phase
+    code * N + sender, built once per N."""
+    heads = [f"{phase},{u}," for phase in PHASES for u in range(n_users)]
+    heads = np.array(heads, dtype=object)
+    heads.flags.writeable = False
+    return heads
+
+
+@lru_cache(maxsize=8)
+def _csv_tails(n_users: int, seg_len: int) -> np.ndarray:
+    """The read-only CSV row tails "{receiver},{symbols},{null}\r\n" of N
+    users, receiver N named "server", by kind * (N+1) + receiver: kind 0
+    carries S symbols, kind 1 is a self share at no cost, kind 2 a null.
+    Built once per N and S."""
+    names = [*range(n_users), SERVER]
+    kinds = ((seg_len, False), (0, False), (0, True))
+    tails = [f"{r},{s},{null}\r\n" for s, null in kinds for r in names]
+    tails = np.array(tails, dtype=object)
+    tails.flags.writeable = False
+    return tails
 
 
 PRE_INTRA = "pre_intra"
@@ -100,119 +112,116 @@ class UserStatus(IntEnum):
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """Every message of one run as parallel columns, one entry per message
-    in protocol order: each group's intra exchange, sender by sender, then
-    the groups' uplinks, leaves first.
+    """Every message of one run, kept as the O(N) masks that fix them:
+    ``took_part`` (N,) marks the users that shared in the intra phase and
+    ``status`` (N,) holds each user's :class:`UserStatus` code.
 
-    ``phase`` indexes :data:`PHASES`; ``receiver`` is a user index, or N
-    for the server.  ``delivered`` is accounting metadata: a send to an
-    already-dropped user costs the sender its symbols but never activates
-    the link.
+    In protocol order the messages are each group's intra exchange, sender
+    by sender, every user that took part addressing every slot of its group
+    (its own at zero cost), then the uplinks, groups leaves first, slot to
+    slot, from every user that did not drop: a null from a silenced user,
+    S symbols from an active one.  The counts below are sums over these
+    masks; rows are made only by :meth:`to_csv`, a block at a time.  A send
+    to an already-dropped user costs the sender its symbols but is never
+    delivered, so its link stays silent.
     """
 
-    n_users: int
-    phase: np.ndarray
-    sender: np.ndarray
-    receiver: np.ndarray
-    symbols: np.ndarray
-    null: np.ndarray
-    delivered: np.ndarray
-
-    @classmethod
-    def of_round(
-        cls,
-        params: ProtocolParams,
-        tree: AggregationTree,
-        took_part: np.ndarray,
-        status: np.ndarray,
-    ) -> "Transcript":
-        """The messages sent when the users marked in ``took_part`` (N,)
-        shared in the intra phase and each user ended with ``status`` (N,)."""
-        n, size = params.n_users, params.group_size
-        slots = np.arange(size)
-        # plain ints: numpy compares an IntEnum member several times slower;
-        # the extra last entry is the server, receiver N, which never drops
-        dropped = np.append(status == UserStatus.DROPPED.value, False)
-        # intra: each user that took part addresses every slot of its group
-        users = np.flatnonzero(took_part)
-        intra_to = (users[:, None] // size * size + slots).ravel()
-        # uplinks, leaves first, slot to slot; the last group, alone at depth
-        # 0, comes last and sends to the server; a dropped user sends nothing
-        order = tree.upward
-        parent = tree.parents[order[:-1]]
-        up_from = (order[:, None] * size + slots).ravel()
-        up_to = np.concatenate([(parent[:, None] * size + slots).ravel(), [n] * size])
-        sent = ~dropped[up_from]
-        up_from, up_to = up_from[sent], up_to[sent]
-        sender = np.concatenate([users.repeat(size), up_from])
-        receiver = np.concatenate([intra_to, up_to])
-        n_intra = len(intra_to)
-        # codes into PHASES: intra, then inter or server by receiver
-        phase = np.concatenate([np.zeros(n_intra, np.intp), np.where(up_to == n, 2, 1)])
-        silenced = status[up_from] == UserStatus.SILENCED.value
-        null = np.concatenate([np.zeros(n_intra, bool), silenced])
-        # an intra share reaches whoever took part, an uplink whoever did not drop
-        delivered = np.concatenate([took_part[intra_to], ~dropped[up_to]])
-        symbols = np.where(null | (sender == receiver), 0, params.seg_len)
-        return cls(n, phase, sender, receiver, symbols, null, delivered)
-
-    def __len__(self) -> int:
-        return len(self.phase)
+    params: ProtocolParams
+    tree: AggregationTree
+    took_part: np.ndarray
+    status: np.ndarray
 
     # -- accounting ------------------------------------------------------
 
     def phase_counts(self) -> dict[str, dict[str, int]]:
-        messages = np.bincount(self.phase, minlength=len(PHASES))
-        null = np.bincount(self.phase[self.null], minlength=len(PHASES))
-        symbols = np.zeros(len(PHASES), dtype=np.int64)
-        np.add.at(symbols, self.phase, self.symbols)
-        return {
-            phase: {"messages": m, "null": z, "symbols": s}
-            for phase, m, z, s in zip(
-                PHASES, messages.tolist(), null.tolist(), symbols.tolist()
-            )
-        }
+        """Messages, nulls and symbols sent in each phase."""
+        size, seg_len = self.params.group_size, self.params.seg_len
+        took = int(np.count_nonzero(self.took_part))
+        intra = {"messages": took * size, "null": 0, "symbols": took * (size - 1) * seg_len}
+        counts = {PHASE_INTRA: intra}
+        last = self.tree.last_group * size  # the last group alone sends to the server
+        for phase, status in (PHASE_INTER, self.status[:last]), (PHASE_SERVER, self.status[last:]):
+            active = int(np.count_nonzero(status == UserStatus.ACTIVE.value))
+            null = int(np.count_nonzero(status == UserStatus.SILENCED.value))
+            counts[phase] = {"messages": active + null, "null": null, "symbols": active * seg_len}
+        return counts
 
-    def links(self) -> np.ndarray:
-        """Distinct links, as (a, b) rows with a < b and the server as N,
-        that carried at least one delivered, non-null message.
-        Self-addressed local computations are not links."""
-        # an intra share is delivered both ways iff both users took part, so
-        # the a < b direction names each used intra link once; every uplink
-        # has its own sender, so no two uplink rows share a link
-        one_way = (self.phase != 0) | (self.sender < self.receiver)
-        used = self.delivered & ~self.null & (self.sender != self.receiver) & one_way
-        a, b = self.sender[used], self.receiver[used]
-        key = np.sort(np.minimum(a, b) * (self.n_users + 1) + np.maximum(a, b))
-        return np.stack(np.divmod(key, self.n_users + 1), axis=1)
+    def sent(self) -> np.ndarray:
+        """The (N,) symbols each user transmitted, deliverable or not: S to
+        each other slot of its group when it took part, and S up the tree
+        when it ended ACTIVE."""
+        size = self.params.group_size
+        active = self.status == UserStatus.ACTIVE.value
+        return (self.took_part * (size - 1) + active) * self.params.seg_len
+
+    def links_used(self) -> int:
+        """How many links carried at least one delivered, non-null message.
+        An intra share is delivered when its receiver took part too, so a
+        group where ``took`` users took part uses C(took, 2) intra links; an
+        uplink is used when its sender ended ACTIVE and its receiver, a user
+        of the parent group or the server, did not drop.  Self-addressed
+        local computations are not links."""
+        size = self.params.group_size
+        took = np.count_nonzero(self.took_part.reshape(-1, size), axis=1)
+        status = self.status.reshape(-1, size)
+        # each group's receivers by slot, from its parent's row; the server,
+        # parent of the last group, is a row that never drops
+        server = np.full((1, size), UserStatus.ACTIVE.value, status.dtype)
+        receivers = np.concatenate([status, server])[self.tree.parents]
+        uplinks = (status == UserStatus.ACTIVE.value) & (receivers != UserStatus.DROPPED.value)
+        return int((took * (took - 1) // 2).sum() + np.count_nonzero(uplinks))
 
     # -- exports -----------------------------------------------------------
 
+    def _rows(self):
+        """The messages in protocol order, as (phase, sender, receiver,
+        symbols, null) column blocks of at most ``_CSV_BLOCK_ROWS`` rows, or
+        of one sender's intra rows where a group has more slots: ``phase``
+        indexes :data:`PHASES`, and the server is receiver N."""
+        n, size = self.params.n_users, self.params.group_size
+        seg_len, block = self.params.seg_len, _CSV_BLOCK_ROWS
+        slots = np.arange(size)
+        # intra: every user that took part, over its group's slots
+        users = np.flatnonzero(self.took_part)
+        step = max(1, block // size)
+        for start in range(0, len(users), step):
+            sender = users[start : start + step]
+            receiver = (sender[:, None] // size * size + slots).ravel()
+            sender = sender.repeat(size)
+            rows = len(sender)
+            symbols = np.where(sender == receiver, 0, seg_len)
+            yield np.zeros(rows, np.intp), sender, receiver, symbols, np.zeros(rows, bool)
+        # uplinks, leaves first, slot to slot; the last group, alone at depth
+        # 0, comes last and sends to the server; a dropped user sends nothing
+        order = self.tree.upward
+        parent = self.tree.parents[order[:-1]]
+        sender = (order[:, None] * size + slots).ravel()
+        receiver = np.concatenate([(parent[:, None] * size + slots).ravel(), [n] * size])
+        sent = self.status[sender] != UserStatus.DROPPED.value
+        sender, receiver = sender[sent], receiver[sent]
+        phase = np.where(receiver == n, 2, 1)  # codes into PHASES
+        null = self.status[sender] == UserStatus.SILENCED.value
+        symbols = np.where(null, 0, seg_len)
+        for start in range(0, len(sender), block):
+            cut = slice(start, start + block)
+            yield phase[cut], sender[cut], receiver[cut], symbols[cut], null[cut]
+
     def to_csv(self, fp) -> None:
         """Write the rows as ``csv.writer`` would, with no formatting per
-        row: a row is four pieces of a (rows, 4) object array, each taken
-        from a small table by one fancy index (the phase, the sender's and
-        the receiver's names from :func:`_user_names`, each with its comma,
-        and a tail of symbols, null flag and "\\r\\n"), and each block of
-        rows goes out as one join."""
-        full = int(self.symbols.max(initial=0))
-        sent = self.symbols != 0
-        if (self.symbols[sent] != full).any():
-            raise ValueError(f"symbol counts other than 0 and {full}")
-        names = _user_names(self.n_users)
-        # indexed by sent + 2 * null
-        tails = np.array(
-            ["0,False\r\n", f"{full},False\r\n", "0,True\r\n", f"{full},True\r\n"],
-            dtype=object,
-        )
-        pieces = np.empty((len(self), 4), dtype=object)
-        pieces[:, 0] = _PHASE_PIECES[self.phase]
-        pieces[:, 1] = names[self.sender]
-        pieces[:, 2] = names[self.receiver]
-        pieces[:, 3] = tails[sent.view(np.int8) + 2 * self.null.view(np.int8)]
+        row: each block of :meth:`_rows` becomes two pieces per row in a
+        (rows, 2) object array, a head (phase and sender, from
+        :func:`_csv_heads`) and a tail (receiver, symbols, null flag and
+        "\\r\\n", from :func:`_csv_tails`), each taken by one fancy index,
+        and goes out as one join."""
+        n = self.params.n_users
+        heads, tails = _csv_heads(n), _csv_tails(n, self.params.seg_len)
         fp.write("phase,sender,receiver,symbols,null\r\n")
-        for start in range(0, len(pieces), _CSV_BLOCK_ROWS):
-            fp.write("".join(pieces[start : start + _CSV_BLOCK_ROWS].ravel().tolist()))
+        for phase, sender, receiver, symbols, null in self._rows():
+            kind = np.where(null, 2, symbols == 0)
+            pieces = np.empty((len(phase), 2), dtype=object)
+            pieces[:, 0] = heads[phase * n + sender]
+            pieces[:, 1] = tails[kind * (n + 1) + receiver]
+            fp.write("".join(pieces.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -261,13 +270,10 @@ class RunResult:
     def null(self) -> np.ndarray:
         return self.status == UserStatus.SILENCED.value
 
-    @cached_property
+    @property
     def transcript(self) -> Transcript:
-        """The round's messages, built on first use.  The adversary view,
-        and so the exhaustive privacy checker, reads it; only callers that
-        need no more than the aggregate, ``correctness_oracle`` and verify's
-        ``_check_dropout_boundary``, never pay for it."""
-        return Transcript.of_round(self.params, self.tree, self.took_part, self.status)
+        """The round's messages, as the masks that fix them."""
+        return Transcript(self.params, self.tree, self.took_part, self.status)
 
 
 def derive_seed(master_seed: int, label: str) -> int:

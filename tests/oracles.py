@@ -261,6 +261,26 @@ def links_naive(rows):
     }
 
 
+def phase_counts_naive(rows):
+    """Messages, nulls and symbols per phase, summed row by row."""
+    counts = {
+        phase: {"messages": 0, "null": 0, "symbols": 0} for phase in ("intra", "inter", "server")
+    }
+    for phase, _, _, symbols, null, _ in rows:
+        counts[phase]["messages"] += 1
+        counts[phase]["null"] += null
+        counts[phase]["symbols"] += symbols
+    return counts
+
+
+def sent_naive(rows, n_users):
+    """The symbols each of ``n_users`` users sent, deliverable or not."""
+    sent = [0] * n_users
+    for _, sender, _, symbols, _, _ in rows:
+        sent[sender] += symbols
+    return sent
+
+
 def potential_links_naive(params, tree):
     """Every link that can ever carry a message: all pairs inside a group,
     and each user's slot-to-slot link to its parent group or the server."""

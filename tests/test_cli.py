@@ -426,14 +426,13 @@ def test_sweep_refuses_when_every_k_fails_for_its_own_reason(
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_seed_flag_changes_rows(tmp_path, sweep_file):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["sweep", str(sweep_file), "--out", str(out_a)])
-    main(["sweep", str(sweep_file), "--out", str(out_b), "--seed", "5"])
-    # loads are seed-independent here; the files must still be valid CSV
-    rows_a = list(csv.DictReader((out_a / "sweep.csv").open()))
-    rows_b = list(csv.DictReader((out_b / "sweep.csv").open()))
-    assert [r["r_server"] for r in rows_a] == [r["r_server"] for r in rows_b]
+def test_sweep_has_no_seed_flag(tmp_path, sweep_file, capsys):
+    # no column of sweep.csv depends on the seed, so there is none to set
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(sweep_file), "--out", str(tmp_path), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # ---- verify ----

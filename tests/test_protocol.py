@@ -1,7 +1,9 @@
 """End-to-end protocol rounds: aggregation, silence, accounting, recovery."""
 
+import csv
 import io
 import math
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rampagg import protocol
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
 from rampagg.field import FieldContext, field_dtype, is_prime
 from rampagg.harness import RunConfig, collect_adversary_view, plain_sum, simulate
@@ -17,10 +20,10 @@ from rampagg.protocol import (
     PHASE_INTER,
     PHASE_INTRA,
     PHASE_SERVER,
-    PHASES,
     PRE_INTRA,
     _CSV_BLOCK_ROWS,
-    _user_names,
+    _csv_heads,
+    _csv_tails,
     DropoutPlan,
     Transcript,
     UserStatus,
@@ -38,9 +41,11 @@ from oracles import (
     DROPPED,
     SILENCED,
     links_naive,
+    phase_counts_naive,
     potential_links_naive,
     relay_fold_naive,
     rounds,
+    sent_naive,
     transcript_csv_naive,
     transcript_rows_naive,
 )
@@ -55,11 +60,6 @@ def _setup(n, t, d, k, length=None, entry_bound=8, shape="chain", p=None):
         [[rng.randrange(entry_bound) for _ in range(params.model_len)] for _ in range(n)]
     )
     return ctx, params, tree, models
-
-
-def _named(users, n):
-    """User indices with the server, index n, by its transcript name."""
-    return ["server" if u == n else u for u in users]
 
 
 def _expected_sum(models, included):
@@ -220,24 +220,35 @@ def test_same_slot_dropouts_waste_only_one_stream():
 # ---- transcript accounting ----
 
 
+def _csv_rows(transcript):
+    """The transcript's rows as ``to_csv`` writes them, header dropped."""
+    written = io.StringIO()
+    transcript.to_csv(written)
+    return list(csv.reader(io.StringIO(written.getvalue())))[1:]
+
+
 def test_dropped_user_leaves_no_transcript_entry():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
-    assert 2 not in result.transcript.sender
+    assert "2" not in [row[1] for row in _csv_rows(result.transcript)]
 
 
 def test_sends_to_dropped_user_cost_symbols_but_never_deliver():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
-    transcript = result.transcript
-    to_dropped = transcript.receiver == 2
-    assert to_dropped.sum() == 5  # the other five group members still send
-    assert (transcript.symbols[to_dropped] == params.seg_len).all()
-    assert not transcript.delivered[to_dropped].any()
+    rows = _csv_rows(result.transcript)
+    to_dropped = [row for row in rows if row[2] == "2"]
+    assert len(to_dropped) == 5  # the other five group members still send
+    assert all(row[3] == str(params.seg_len) for row in to_dropped)
+    # each pays for five intra shares, user 2's among them, and its uplink
+    assert result.transcript.sent()[[0, 1, 3, 4, 5]].tolist() == [6 * params.seg_len] * 5
+    # no link to user 2 carries a delivered message
+    took = result.took_part.tolist()
+    naive = links_naive(transcript_rows_naive(params, tree, took, result.status.tolist()))
+    assert not any(2 in link for link in naive)
+    assert result.transcript.links_used() == len(naive)
     # and the silenced relay sends an explicit zero-symbol null
-    assert transcript.null.sum() == 1
-    assert transcript.sender[transcript.null].tolist() == [8]
-    assert transcript.symbols[transcript.null].tolist() == [0]
+    assert [row for row in rows if row[4] == "True"] == [["server", "8", "server", "0", "True"]]
 
 
 def test_message_counts_per_phase():
@@ -258,20 +269,18 @@ def test_message_counts_per_phase():
 def test_self_shares_cost_nothing():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=6)
     result = run_protocol(ctx, params, tree, models)
-    transcript = result.transcript
-    self_rows = transcript.sender == transcript.receiver
-    assert self_rows.sum() == 6
-    assert (transcript.symbols[self_rows] == 0).all()
+    self_rows = [row for row in _csv_rows(result.transcript) if row[1] == row[2]]
+    assert len(self_rows) == 6
+    assert all(row[3] == "0" for row in self_rows)
 
 
 def test_active_links_exclude_nulls_undelivered_and_self():
     ctx, params, tree, models = _setup(12, 2, 1, 3, length=9)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({2})))
-    links = result.transcript.links()
-    assert not (links == 2).any()  # all traffic to 2 undelivered
-    assert (links[:, 0] < links[:, 1]).all()  # self-shares are not links
-    silenced_uplink = [8, 12]  # null message to the server (user N), silent link
-    assert silenced_uplink not in links.tolist()
+    # intra: C(5, 2) in group 0, whose shares to user 2 are undelivered, and
+    # C(6, 2) in group 1, no self-share among them; uplinks: five from group
+    # 0, and five of group 1's six to the server, as user 8's is a null
+    assert result.transcript.links_used() == 10 + 15 + 5 + 5
 
 
 @pytest.mark.parametrize("timing", [PRE_INTRA, BETWEEN_ROUNDS])
@@ -302,24 +311,95 @@ def test_transcript_columns_match_per_message_reference(t, d, shape, timing):
     assert result.took_part.tolist() == took_part
     rows = transcript_rows_naive(params, tree, took_part, result.status.tolist())
     transcript = result.transcript
-    assert rows == list(
-        zip(
-            [PHASES[c] for c in transcript.phase.tolist()],
-            transcript.sender.tolist(),
-            _named(transcript.receiver.tolist(), n),
-            transcript.symbols.tolist(),
-            transcript.null.tolist(),
-            transcript.delivered.tolist(),
-        )
-    )
-    links = transcript.links().tolist()
-    assert links == sorted(links) and all(a < b for a, b in links)
-    assert {frozenset(_named(pair, n)) for pair in links} == links_naive(rows)
-    assert report.total_edges == len(potential_links_naive(params, tree))
-    assert report.silent_edges == report.total_edges - len(links_naive(rows))
     written = io.StringIO()
     transcript.to_csv(written)
     assert written.getvalue() == transcript_csv_naive(rows)
+    assert transcript.phase_counts() == phase_counts_naive(rows)
+    assert transcript.sent().tolist() == sent_naive(rows, n)
+    assert transcript.links_used() == len(links_naive(rows))
+    assert report.total_edges == len(potential_links_naive(params, tree))
+    assert report.silent_edges == report.total_edges - len(links_naive(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rounds(),
+    st.sampled_from(["chain", "star", "irregular"]),
+    st.integers(0, 5),
+    st.integers(0, 99),
+)
+def test_counts_match_the_row_oracles_on_drawn_rounds(round_, shape, extra, seed):
+    k, t, d, parent, dropped, timing = round_
+    size, length = k + t + d, k + extra
+    config = RunConfig(
+        n_users=size * len(parent), t_max=t, d_max=d, k_parts=k, model_len=length,
+        entry_bound=4, tree_shape=parent if shape == "irregular" else shape,
+        dropped=tuple(dropped), dropout_timing=timing, master_seed=seed,
+    )
+    report, result = simulate(config)
+    n, status = config.n_users, result.status.tolist()
+    rows = transcript_rows_naive(result.params, result.tree, result.took_part.tolist(), status)
+    assert result.transcript.phase_counts() == phase_counts_naive(rows)
+    sent = sent_naive(rows, n)
+    loads = report.loads
+    assert loads.sent.tolist() == sent
+    to_server = sum(row[3] for row in rows if row[2] == "server" and not row[4])
+    assert loads.r_server == Fraction(to_server, length)
+    survivors = [s for s, u in zip(sent, status) if u != DROPPED]
+    assert loads.r_user_max == Fraction(max(survivors), length)
+    assert loads.r_user_avg == Fraction(sum(sent), n * length)
+    assert result.transcript.links_used() == len(links_naive(rows))
+    assert report.total_edges == len(potential_links_naive(result.params, result.tree))
+    assert report.silent_edges == report.total_edges - len(links_naive(rows))
+
+
+@pytest.mark.parametrize("block", [1, 4, 9, _CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("timing", [PRE_INTRA, BETWEEN_ROUNDS])
+def test_csv_is_the_same_whatever_the_block_size(monkeypatch, block, timing):
+    # five chained groups of 4: user 5 drops, so slot 1 of every group above
+    # its own sends a null uplink, and its group still sends to it; an intra
+    # block of 1 or 4 rows holds one sender's rows, one of 9 two senders', so
+    # every group is cut across blocks, and the default holds them all
+    config = RunConfig(
+        n_users=20, t_max=1, d_max=2, k_parts=1, model_len=3, entry_bound=4,
+        dropped=(5, 18), dropout_timing=timing, master_seed=8,
+    )
+    _, result = simulate(config)
+    rows = transcript_rows_naive(
+        result.params, result.tree, result.took_part.tolist(), result.status.tolist()
+    )
+    assert any(row[4] for row in rows) and not all(row[5] for row in rows)
+    monkeypatch.setattr(protocol, "_CSV_BLOCK_ROWS", block)
+    blocks = result.transcript._rows()
+    intra = [set(sender.tolist()) for phase, sender, *_ in blocks if phase[0] == 0]
+    assert max(map(len, intra)) <= max(1, block // 4)
+    assert (len(intra) > 5) == (block < _CSV_BLOCK_ROWS)
+    written = io.StringIO()
+    result.transcript.to_csv(written)
+    assert written.getvalue() == transcript_csv_naive(rows)
+
+
+def test_a_round_expands_no_rows(monkeypatch):
+    # one group at N=1200 with L = K: N*size = 1.44M intra messages, all of
+    # them counted from the masks and none made, not even for the links
+    def refuse(self):
+        raise AssertionError("a round expanded its transcript rows")
+
+    monkeypatch.setattr(Transcript, "_rows", refuse)
+    n, t, d = 1200, 2, 1
+    k = n - t - d
+    config = RunConfig(
+        n_users=n, t_max=t, d_max=d, k_parts=k, model_len=k, entry_bound=2,
+        dropped=(7,), master_seed=4,
+    )
+    report, result = simulate(config)
+    assert report.total_edges == report.edges_formula == n * (n + 1) // 2
+    assert report.silent_edges == n  # user 7's N-1 intra links and its uplink
+    assert report.loads.r_server == Fraction(k + t, k)
+    assert report.loads.r_user_max == Fraction(k + t + d, k)
+    assert report.phase_counts[PHASE_INTRA]["messages"] == (n - 1) * n
+    with pytest.raises(AssertionError, match="expanded"):
+        result.transcript.to_csv(io.StringIO())
 
 
 @settings(max_examples=80, deadline=None)
@@ -472,11 +552,12 @@ def test_csv_with_a_multi_digit_segment_length():
 
 
 def test_csv_user_names_follow_each_transcripts_n():
-    # the name table is cached per N: rounds of 6, 12 and again 6 users
-    # must each get their own names and server
-    for n in (6, 12, 6):
+    # the heads are cached per N and the tails per N and S: rounds of 6, 12
+    # and again 6 users, the last with two segment lengths, must each get
+    # their own names, server and symbol counts
+    for n, length in ((6, 4), (12, 4), (6, 7), (6, 4)):
         config = RunConfig(
-            n_users=n, t_max=2, d_max=1, k_parts=3, model_len=4, entry_bound=4,
+            n_users=n, t_max=2, d_max=1, k_parts=3, model_len=length, entry_bound=4,
             master_seed=n,
         )
         written, expected = _csv_against_csv_writer(config)
@@ -484,12 +565,20 @@ def test_csv_user_names_follow_each_transcripts_n():
 
 
 def test_cached_user_names_are_read_only():
-    names = _user_names(5)
-    assert names.tolist() == ["0,", "1,", "2,", "3,", "4,", "server,"]
-    assert _user_names(5) is names
-    assert not names.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        names[0] = "9,"
+    heads, tails = _csv_heads(2), _csv_tails(2, 3)
+    assert heads.tolist() == [
+        "intra,0,", "intra,1,", "inter,0,", "inter,1,", "server,0,", "server,1,"
+    ]  # fmt: skip
+    assert tails.tolist() == [
+        "0,3,False\r\n", "1,3,False\r\n", "server,3,False\r\n",
+        "0,0,False\r\n", "1,0,False\r\n", "server,0,False\r\n",
+        "0,0,True\r\n", "1,0,True\r\n", "server,0,True\r\n",
+    ]  # fmt: skip
+    assert _csv_heads(2) is heads and _csv_tails(2, 3) is tails
+    for table in heads, tails:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = "9,"
 
 
 def test_round_makes_no_per_group_tree_queries():
@@ -500,8 +589,7 @@ def test_round_makes_no_per_group_tree_queries():
         dropped=(4,), dropout_timing=BETWEEN_ROUNDS,
     )
     report, result = simulate(config)
-    transcript = Transcript.of_round(result.params, result.tree, result.took_part, result.status)
-    transcript.to_csv(io.StringIO())
+    result.transcript.to_csv(io.StringIO())
     assert np.flatnonzero(result.null).tolist() == list(range(4, 1200, 3))[1:]
     assert report.total_edges == report.edges_formula
 

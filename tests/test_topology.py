@@ -24,7 +24,13 @@ from rampagg.topology import (
     total_delay,
 )
 
-from oracles import ancestors_naive, children_naive, descendants_naive, parent_maps
+from oracles import (
+    ancestors_naive,
+    children_naive,
+    descendants_naive,
+    parent_maps,
+    potential_links_naive,
+)
 
 
 # ---- parameters ----
@@ -224,10 +230,10 @@ def test_count_edges_single_group_is_complete_graph_plus_uplinks():
 
 
 def _links_without_dropouts(params, tree):
-    """The links of a round nobody drops out of: every potential link."""
+    """How many links a round nobody drops out of uses: every potential link."""
     n = params.n_users
     everyone = np.ones(n, dtype=bool)
-    return Transcript.of_round(params, tree, everyone, np.zeros(n, dtype=np.int8)).links()
+    return Transcript(params, tree, everyone, np.zeros(n, dtype=np.int8)).links_used()
 
 
 @pytest.mark.parametrize("shape", ["chain", "star"])
@@ -238,21 +244,25 @@ def test_potential_links_match_closed_form(shape, n, t, d, k):
     params = make_params(n, t, d, k, model_len=4, entry_bound=8)
     tree = build_tree(params.num_groups, shape)
     links = _links_without_dropouts(params, tree)
-    assert len(links) == count_edges(params)
+    assert links == count_edges(params) == len(potential_links_naive(params, tree))
 
 
 def test_potential_links_explicit_contents():
     params = make_params(4, 1, 0, 1, model_len=2, entry_bound=8)  # 2 groups of 2
     tree = build_tree(2, "chain")
-    links = _links_without_dropouts(params, tree)
-    assert sorted(map(tuple, links.tolist())) == [
-        (0, 1),
-        (0, 2),  # slot 0 uplink
-        (1, 3),  # slot 1 uplink
-        (2, 3),
-        (2, 4),  # the server is user index N = 4
-        (3, 4),
-    ]
+    # the round counts its links; the oracle lists them
+    assert _links_without_dropouts(params, tree) == 6
+    assert potential_links_naive(params, tree) == {
+        frozenset(link)
+        for link in [
+            (0, 1),
+            (0, 2),  # slot 0 uplink
+            (1, 3),  # slot 1 uplink
+            (2, 3),
+            (2, "server"),
+            (3, "server"),
+        ]
+    }
 
 
 # ---- delays ----
