@@ -6,6 +6,12 @@ root is the server; the server has exactly one child, the last group, so a
 single group's messages ever touch the server.  Messages between adjacent
 groups travel slot-to-slot: slot t of a group talks only to slot t of its
 parent.
+
+A tree is held as arrays over its groups, built once per tree by list
+ranking with pointer jumping (Wyllie 1979): ceil(log2 G) doubling passes
+over the parent array give every group's depth, its subtree's size and
+the contiguous postorder range of its subtree, with no walk over the
+groups in Python.
 """
 
 from dataclasses import dataclass
@@ -116,6 +122,13 @@ class AggregationTree:
     {group: parent-group-or-SERVER}.  Validation enforces: every group
     appears once, exactly the last group hangs under the server, and every
     group reaches the server (no cycles, no orphans).
+
+    The layout arrays are read-only, since one tree may serve many rounds:
+    ``parents`` (G, the server's index, for the last group), ``depth``
+    (edges below the last group), ``upward`` (groups by depth, deepest
+    first), and ``postorder`` with ``subtree_lo``/``subtree_hi``: group g's
+    subtree is ``postorder[subtree_lo[g] : subtree_hi[g]]``, with g last and
+    siblings in ascending order.
     """
 
     def __init__(self, parent: Mapping[int, Union[int, str]]):
@@ -129,40 +142,64 @@ class AggregationTree:
                 f"the server must have exactly one child, group {num - 1}; "
                 f"got {sorted(server_children)}"
             )
-        children: dict[int, list[int]] = {g: [] for g in groups}  # ascending
-        for g in groups:
+        for g in groups[:-1]:
             par = parent[g]
-            if par == SERVER:
-                continue
-            if type(par) is not int or par not in children:
+            if type(par) is not int or not 0 <= par < num:
                 raise NotATree(f"group {g} has unknown parent {par!r}")
             if par == g:
                 raise NotATree(f"group {g} is its own parent")
-            children[par].append(g)
-        # a walk down from the server's child, children last-first, gives the
-        # depths and a preorder whose reverse is a postorder, where every
-        # subtree is one range; a group never reached is on or below a cycle
-        depth, preorder, stack = [0] * num, [], [num - 1]
-        while stack:
-            g = stack.pop()
-            preorder.append(g)
-            for c in children[g]:
-                depth[c] = depth[g] + 1
-            stack.extend(children[g])  # popped last-first
-        if len(preorder) < num:
-            stray = min(set(groups).difference(preorder))
+        self._lay_out(np.array([parent[g] for g in groups[:-1]] + [num]))
+
+    def _lay_out(self, parents: np.ndarray) -> None:
+        """Lay out the tree from its (G,) parent array, in which only the last
+        group's parent is G, the server; a cycle raises NotATree.
+
+        Pointer jumping: pass k of ceil(log2 G) takes ``up``, each group's
+        2**k-th ancestor, to its 2**(k+1)-th, the server being its own
+        parent.  The same passes push subtree sizes up: ``count[g]``, the
+        groups fewer than 2**k edges below g, gains the counts of the groups
+        exactly 2**k below it, one ``bincount`` per pass.  A group whose last
+        jump is not the server never reaches it.  Sibling offsets then come
+        from a stable sort by parent and a ``cumsum``, and one pull loop over
+        the saved jumps sums two weights over each group and its ancestors
+        at once: the edge to its parent (giving the depth) and the offset of
+        its subtree among its siblings' (giving where it starts in
+        postorder).
+        """
+        num = len(parents)
+        up, count, jumps = np.append(parents, num), np.ones(num + 1), []
+        for _ in range((num - 1).bit_length()):
+            jumps.append(up)
+            count += np.bincount(up, count, minlength=num + 1)
+            up = up[up]
+        if up[:num].min() < num:
+            stray = np.flatnonzero(up[:num] < num)[0]
             raise NotATree(f"cycle detected: group {stray} never reaches the server")
-        postorder, lo, hi = preorder[::-1], [0] * num, [0] * num
-        for i, g in enumerate(postorder):
-            lo[g], hi[g] = lo[children[g][0]] if children[g] else i, i + 1
+        size = count[:num].astype(np.int64)
+        # the last group's subtree starts at 0; any other group's starts where
+        # its parent's does, plus the sizes of its siblings before it.  Those
+        # are summed in one list of every group but the last, sorted by
+        # parent, in which the children of the parents before q hold
+        # sum(size[:q] - 1) groups in their subtrees
+        by_parent = np.argsort(parents[:-1], kind="stable")
+        sibling_sizes = size[by_parent]
+        first_child = np.cumsum(size) - size - np.arange(num)
+        pull = np.zeros((2, num + 1), dtype=np.int64)
+        pull[0, : num - 1] = 1  # every group but the last has a group parent
+        pull[1, by_parent] = (
+            np.cumsum(sibling_sizes) - sibling_sizes - first_child[parents[by_parent]]
+        )
+        for jump in jumps:
+            pull += pull.take(jump, axis=1)
         self.num_groups = num
-        # the layout, read by the relay and the transcript: group g's subtree
-        # is postorder[subtree_lo[g] : subtree_hi[g]], with g last
-        self.depth = np.array(depth)
+        self.parents = parents
+        self.depth, self.subtree_lo = pull[:, :num]
+        self.subtree_hi = self.subtree_lo + size
         self.upward = np.argsort(-self.depth, kind="stable")  # leaves first
-        self.parents = np.array([parent[g] for g in groups[:-1]] + [num])  # num: server
-        self.postorder = np.array(postorder)
-        self.subtree_lo, self.subtree_hi = np.array([lo, hi])
+        self.postorder = np.empty(num, dtype=np.int64)
+        self.postorder[self.subtree_hi - 1] = np.arange(num)
+        for name in ("parents", "depth", "upward", "postorder", "subtree_lo", "subtree_hi"):
+            getattr(self, name).flags.writeable = False
 
     @property
     def last_group(self) -> int:
@@ -180,15 +217,15 @@ def build_tree(num_groups: int, shape: TreeShape = "chain") -> AggregationTree:
         raise NotATree(f"num_groups must be >= 1, got {num_groups}")
     if isinstance(shape, str):
         if shape == "chain":
-            parent: dict[int, Union[int, str]] = {
-                g: g + 1 for g in range(num_groups - 1)
-            }
+            parents = np.arange(1, num_groups + 1)
         elif shape == "star":
-            parent = {g: num_groups - 1 for g in range(num_groups - 1)}
+            parents = np.full(num_groups, num_groups - 1)
+            parents[-1] = num_groups
         else:
             raise ValueError(f"unknown tree shape {shape!r}")
-        parent[num_groups - 1] = SERVER
-        return AggregationTree(parent)
+        tree = AggregationTree.__new__(AggregationTree)
+        tree._lay_out(parents)
+        return tree
     tree = AggregationTree(shape)
     if tree.num_groups != num_groups:
         raise NotATree(
@@ -204,8 +241,9 @@ def count_edges(params: ProtocolParams) -> int:
     Per group, all size*(size-1)/2 internal pairs; one slot-to-slot link
     per user for each tree edge between groups; and one link per last-group
     user to the server.  The total is shape-independent.  The simulator
-    enumerates the links of a round without dropouts instead, and the
-    report keeps both.
+    counts the links a round without dropouts would use instead
+    (``Transcript.links_used`` on all-active masks), and the report keeps
+    both.
     """
     return params.n_users * (params.group_size + 1) // 2
 

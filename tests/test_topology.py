@@ -1,5 +1,7 @@
 """Parameter validation, group assignment, trees, edge counts, delays."""
 
+from random import Random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -148,18 +150,107 @@ def test_explicit_irregular_tree():
         assert order.index(g) < order.index(parent[g])
 
 
-def test_deep_chain_depths_are_walked_once():
-    # a walk per query would cost O(G * depth) per call on this chain
-    tree = build_tree(5000, "chain")
-    assert tree.depth[0] == 4999
-    assert tree.depth[4999] == 0
-    assert tree.upward.tolist() == list(range(5000))
-    assert total_delay(tree, DelayModel(inter=1, intra=0)) == 5000
+def test_deep_chain_layout():
+    # 10**5 groups in one chain: every subtree is the chain below its group
+    num = 100_000
+    tree = build_tree(num, "chain")
+    assert tree.depth[0] == 99_999
+    assert tree.depth[num - 1] == 0
+    assert tree.upward.tolist() == list(range(num))
+    assert tree.postorder.tolist() == list(range(num))
+    assert not tree.subtree_lo.any()
+    assert tree.subtree_hi.tolist() == list(range(1, num + 1))
+    assert total_delay(tree, DelayModel(inter=1, intra=0)) == num
+
+
+def _drawn_parent_map(rng):
+    """A valid parent map over up to 300 groups.  Nodes are placed one by
+    one under an earlier node, node 0 being the last group: under any of
+    them, under the one just placed (a chain), or, after a star of hubs
+    under node 0, mostly extending a chain and now and then starting a new
+    one under a hub (deep chains hanging off a star).  The nodes are then
+    numbered shuffled, or in placement order or its reverse, so parents sit
+    below, above or on both sides of their children in index order."""
+    num = rng.randint(1, 300)
+    shape = rng.choice(["recursive", "chain", "chains off a star"])
+    hubs = rng.randint(1, 12)
+    under = [None]
+    for i in range(1, num):
+        if shape == "recursive":
+            under.append(rng.randrange(i))
+        elif shape == "chain" or (i > hubs and rng.random() < 0.95):
+            under.append(i - 1)
+        else:
+            under.append(0 if i <= hubs else rng.randint(1, hubs))
+    rest = list(range(num - 1))
+    numbering = rng.choice(["shuffled", "placement", "reversed"])
+    if numbering == "shuffled":
+        rng.shuffle(rest)
+    elif numbering == "reversed":
+        rest.reverse()
+    label = [num - 1] + rest
+    parent = {num - 1: SERVER}
+    for i in range(1, num):
+        parent[label[i]] = label[under[i]]
+    return parent
+
+
+def test_layout_of_drawn_trees_matches_the_naive_walks():
+    rng = Random(20261019)
+    for i in range(200):
+        parent = _drawn_parent_map(rng)
+        tree = AggregationTree(parent)
+        num = tree.num_groups
+        post = tree.postorder.tolist()
+        assert sorted(post) == list(range(num))
+        ancestors = [ancestors_naive(tree, g) for g in range(num)]
+        below = [set() for _ in range(num)]
+        for g, above in enumerate(ancestors):
+            for a in above:
+                below[a].add(g)
+        if i % 4 == 0:  # the oracle walks up from every group on each call
+            g = rng.randrange(num)
+            assert below[g] == descendants_naive(tree, g)
+        for g in range(num):
+            lo, hi = tree.subtree_lo[g], tree.subtree_hi[g]
+            assert post[hi - 1] == g
+            assert set(post[lo : hi - 1]) == below[g]
+            assert tree.depth[g] == len(ancestors[g])
+            assert tree.parents[g] == (num if parent[g] == SERVER else parent[g])
+        assert tree.upward.tolist() == sorted(range(num), key=lambda g: (-tree.depth[g], g))
+
+
+LAYOUT = ("parents", "depth", "upward", "postorder", "subtree_lo", "subtree_hi")
+
+
+@pytest.mark.parametrize("shape", ["chain", "star"])
+def test_named_shapes_equal_their_explicit_maps(shape):
+    for num in [*range(1, 41), 5000]:
+        if shape == "chain":
+            parent = {g: g + 1 for g in range(num - 1)}
+        else:
+            parent = {g: num - 1 for g in range(num - 1)}
+        parent[num - 1] = SERVER
+        named, explicit = build_tree(num, shape), AggregationTree(parent)
+        assert named.num_groups == explicit.num_groups == num
+        for name in LAYOUT:
+            assert np.array_equal(getattr(named, name), getattr(explicit, name)), name
+
+
+def test_layout_arrays_are_read_only():
+    # one tree serves every run of a privacy case: a write must not go through
+    for tree in (build_tree(3, "chain"), AggregationTree({0: 2, 1: 2, 2: SERVER})):
+        for name in LAYOUT:
+            array = getattr(tree, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
 
 
 def test_depths_of_an_irregular_tree_listed_in_any_order():
-    # parents listed before and after their children: memoised depths must
-    # not depend on the walk order
+    # parents listed before and after their children: the depths must not
+    # depend on the order the groups are numbered in
     parent = {0: 6, 1: 0, 2: 1, 3: 6, 4: 3, 5: 2, 6: SERVER}
     tree = AggregationTree(parent)
     assert tree.depth.tolist() == [1, 2, 3, 1, 2, 4, 0]
@@ -208,6 +299,22 @@ def test_tree_rejects_cycles_and_orphans():
         AggregationTree({0: True, 1: SERVER})  # a bool is not a group number
     with pytest.raises(NotATree):
         build_tree(3, {0: 1, 1: SERVER})  # the map must cover all 3 groups
+
+
+def test_cycle_names_the_lowest_group_that_never_reaches_the_server():
+    # groups 0 and 2..19 chain up to the last group; 30 -> 31 -> 32 -> 30 is
+    # a cycle with a tail 1 -> 20 -> 21 -> ... -> 29 -> 30 hanging below it
+    parent = {g: g + 1 for g in range(2, 19)}
+    parent.update({0: 2, 19: 39, 39: SERVER, 1: 20})
+    parent.update({g: g + 1 for g in range(20, 32)})
+    parent.update({32: 30})
+    parent.update({g: 39 for g in range(33, 39)})
+    with pytest.raises(NotATree, match="^cycle detected: group 1 never reaches the server$"):
+        AggregationTree(parent)
+    # two disjoint cycles, 5 <-> 6 and 2 -> 3 -> 4 -> 2, beside a valid chain
+    parent = {0: 1, 1: 7, 2: 3, 3: 4, 4: 2, 5: 6, 6: 5, 7: SERVER}
+    with pytest.raises(NotATree, match="^cycle detected: group 2 never reaches the server$"):
+        AggregationTree(parent)
 
 
 def test_tree_rejects_bad_shape_name():
