@@ -8,12 +8,14 @@ evaluation arrays by a matrix product mod p: :func:`vandermonde` evaluates
 and :func:`inverse_vandermonde` interpolates.  Both are built in numpy
 arrays of :func:`field_dtype`, int64 below its overflow bound and exact
 Python ints in object arrays above it, and :func:`reduce_mod` reduces
-either kind mod p.  :func:`span_basis` row-reduces a set of vectors to a
-basis of their span, the one piece of linear algebra the privacy checker
-needs.
+either kind mod p.  Rounds ask for the same few point sets again and again,
+so small matrices are built once, cached and shared read-only.
+:func:`span_basis` row-reduces a set of vectors to a basis of their span,
+the one piece of linear algebra the privacy checker needs.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,22 +144,24 @@ def reduce_mod(x: np.ndarray, p: int, out=None) -> np.ndarray:
 
 
 def vandermonde(points, width: int, p: int, dtype) -> np.ndarray:
-    """The (len(points), width) matrix of x**j mod p, one row per point,
-    built a column at a time as a running product.  Each step multiplies
-    two field elements, so ``dtype`` needs only field_dtype(p, 1).  Points
-    become Python ints first: a numpy integer point would stay a numpy
-    scalar inside an object matrix and wrap past 2**63."""
-    xs = np.array([int(x) % p for x in points], dtype=dtype)
-    out = np.ones((width, len(xs)), dtype=dtype)  # transposed: columns contiguous
-    for j in range(1, width):
-        out[j] = out[j - 1] * xs % p
-    return out.T
+    """The read-only (len(points), width) matrix of x**j mod p, one row per
+    point, built a column at a time as a running product.  Each step
+    multiplies two field elements, so ``dtype`` needs only field_dtype(p, 1).
+    Points become Python ints mod p first: a numpy integer point would stay
+    a numpy scalar inside an object matrix and wrap past 2**63, and equal
+    point sets share one cache key whatever their integer type.  A matrix
+    of at most ``_CACHED_ENTRIES`` entries is built once per (points, width,
+    p, dtype) and shared by every later call."""
+    xs = tuple(int(x) % p for x in points)
+    build = _vandermonde if len(xs) * width <= _CACHED_ENTRIES else _vandermonde.__wrapped__
+    return build(xs, width, p, np.dtype(dtype))
 
 
 def inverse_vandermonde(points, p: int, dtype) -> np.ndarray:
-    """The inverse of the square Vandermonde matrix of ``points`` mod p:
-    column i holds the coefficients (low order first) of the Lagrange basis
-    polynomial that is 1 at point i and 0 at the others.
+    """The read-only inverse of the square Vandermonde matrix of ``points``
+    mod p: column i holds the coefficients (low order first) of the
+    Lagrange basis polynomial that is 1 at point i and 0 at the others.
+    Points are keyed and the matrix cached as in :func:`vandermonde`.
 
     Barycentric form (Berrut and Trefethen, SIAM Review 2004): with the
     master polynomial Z(x) = prod (x - x_j), basis polynomial i is
@@ -169,7 +173,33 @@ def inverse_vandermonde(points, p: int, dtype) -> np.ndarray:
     field_dtype(p, len(points)) always suffices.  A repeated point leaves a
     zero weight denominator, and inverting it raises ValueError.
     """
-    xs = np.array([int(x) % p for x in points], dtype=dtype)
+    xs = tuple(int(x) % p for x in points)
+    build = (
+        _inverse_vandermonde
+        if len(xs) ** 2 <= _CACHED_ENTRIES
+        else _inverse_vandermonde.__wrapped__
+    )
+    return build(xs, p, np.dtype(dtype))
+
+
+# Matrices of at most this many entries (1 MB of int64) are cached: a larger
+# one costs more to apply than to build, and would pin its memory after use
+_CACHED_ENTRIES = 1 << 17
+
+
+@lru_cache(maxsize=64)
+def _vandermonde(xs: tuple, width: int, p: int, dtype: np.dtype) -> np.ndarray:
+    xs = np.array(xs, dtype=dtype)
+    out = np.ones((width, len(xs)), dtype=dtype)  # transposed: columns contiguous
+    for j in range(1, width):
+        out[j] = out[j - 1] * xs % p
+    out.flags.writeable = False
+    return out.T
+
+
+@lru_cache(maxsize=64)
+def _inverse_vandermonde(xs: tuple, p: int, dtype: np.dtype) -> np.ndarray:
+    xs = np.array(xs, dtype=dtype)
     n = len(xs)
     root = np.zeros(n + 1, dtype=dtype)  # Z's coefficients, low order first
     root[0] = 1
@@ -184,7 +214,9 @@ def inverse_vandermonde(points, p: int, dtype) -> np.ndarray:
         num[j] = (root[n - j] + num[j - 1] * xs) % p
         at_root = (at_root * xs + num[j]) % p
     weights = np.array([pow(int(d), -1, p) for d in at_root], dtype=dtype)
-    return num[::-1] * weights % p
+    out = num[::-1] * weights % p
+    out.flags.writeable = False
+    return out
 
 
 def span_basis(rows, p: int) -> np.ndarray:

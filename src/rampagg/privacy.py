@@ -11,13 +11,20 @@ every honest noise assignment.  It stays cheap because the protocol is
 linear: each symbol of the adversary's view is GF(p)-affine in the honest
 models, ``view(w, noise) = X(noise) + A w  (mod p)``.  So the real protocol,
 :func:`rampagg.protocol.run_protocol` viewed through the ordinary
-:func:`collect_adversary_view` (no shadow implementation), runs a fixed
-number of times per case, each time with the whole noise enumeration on the
-batch axis of one (N, T, S, n_noise) noise array:
+:func:`collect_adversary_view` (no shadow implementation), runs only a few
+times per case, each run with the whole noise enumeration on its batch
+axis:
 
 - once with the honest models at zero, which gives the noise-only view X;
 - once per honest model symbol set to one, which gives a column of A as
   its difference from X.
+
+Consecutive runs share one protocol call while their columns fit
+``RUN_COLUMNS``: the call's batch is (runs, n_noise), the models carry the
+runs axis and the noise is one read-only broadcast of the enumeration over
+it.  The view is collected once per call, and each run's view is split off,
+used and dropped before the next call, so at most one call's views are
+held at a time.
 
 Two guards make sure the view really is affine; either failure raises
 instead of returning a verdict.  Each column of A must be the same at every
@@ -25,11 +32,12 @@ noise point, checked at all of them; and one more run at the all-
 ``(model_bound - 1)`` assignment, which exercises every cross term, must
 equal ``X + A w`` entry for entry.
 
-The view is :func:`collect_adversary_view`'s (C, S, n_noise) array: the
-transcript's delivered, non-null rows addressed to a colluder or the server,
-in a fixed order.  The dropout set is fixed, so which rows those are is the
-same at every noise point; a point's view is the column of C*S digits at
-that point, packed base p into one integer key.
+A run's view is its (C, S, n_noise) slice of the array that
+:func:`collect_adversary_view` returns: the transcript's delivered,
+non-null rows addressed to a colluder or the server, in a fixed order.  The
+dropout set is fixed, so which rows those are is the same at every noise
+point; a point's view is the column of C*S digits at that point, packed
+base p into one integer key.
 
 Conditional mutual information is computed by exact counting: within a
 conditioning cell (one value of the honest-model sum), the view distribution
@@ -82,6 +90,10 @@ DEFAULT_BUDGET = 20_000_000
 #: Most model assignments enumerated at once: bounds the enumeration's
 #: arrays however large the budget.
 BLOCK_ROWS = 1 << 16
+
+#: Most batch columns (runs x noise points) in one protocol call: a case's
+#: runs share calls while their columns fit, bounding the round's arrays.
+RUN_COLUMNS = 1 << 12
 
 #: Most shifted view digits (offsets x C x n_noise) histogrammed by one
 #: sort: bounds the histogram arrays however many offsets are new.
@@ -193,22 +205,37 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
         )
 
     noise = _build_noise(case, honest, n_noise)
+    top = (bound - 1,) * n_symbols
 
-    def run(w: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The honest-model sum and the (C, n_noise) view digits of one real
-        run at model assignment ``w``."""
-        models = _build_models(case, honest, w, generators)
-        result = run_protocol(ctx, params, tree, models, plan, noise=noise)
-        view = collect_adversary_view(result, case.adversaries)
-        return models[honest].sum(axis=0), view.reshape(-1, n_noise)
+    def runs(assignments: list):
+        """Yield the honest-model sum and the (C, n_noise) view digits of one
+        real run per model assignment, in order.  Consecutive runs share a
+        protocol call while their columns fit RUN_COLUMNS, on a (runs,
+        n_noise) batch that repeats the noise for each; a run's view is
+        split off the call's as it is needed."""
+        per_call = max(1, RUN_COLUMNS // n_noise)
+        for start in range(0, len(assignments), per_call):
+            chunk = assignments[start : start + per_call]
+            models = np.stack([_build_models(case, honest, w, generators) for w in chunk], -1)
+            batch = noise.shape[:3] + (len(chunk), n_noise)
+            batched = np.broadcast_to(noise[:, :, :, None], batch)
+            result = run_protocol(ctx, params, tree, models[..., None], plan, noise=batched)
+            view = collect_adversary_view(result, case.adversaries)
+            del result
+            sums = models[honest].sum(axis=0)
+            for r in range(len(chunk)):
+                yield sums[:, r], view[:, :, r].reshape(-1, n_noise)
+            del view
 
     # base is X; column i of shift (A) and of to_sum are what one unit of
     # model symbol i adds to the view and to the honest sum
-    _, base = run((0,) * n_symbols)
+    units = [tuple(int(j == i) for j in range(n_symbols)) for i in range(n_symbols)]
+    views = runs([(0,) * n_symbols, *units, top])
+    _, base = next(views)
     shift = np.zeros((len(base), n_symbols), dtype=field_dtype(p, n_symbols))
     to_sum = np.zeros((k, n_symbols), dtype=np.int64)
     for i in range(n_symbols):
-        to_sum[:, i], digits = run(tuple(int(j == i) for j in range(n_symbols)))
+        to_sum[:, i], digits = next(views)
         delta = reduce_mod(digits - base, p) if digits.shape == base.shape else None
         if delta is None or (delta != delta[:, :1]).any():
             raise RampAggError(
@@ -217,9 +244,9 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
                 f"the same amount at every noise point"
             )
         shift[:, i] = delta[:, 0]
-    top = (bound - 1,) * n_symbols
+        del digits, delta  # dropped before the next run allocates its round
     top_offset = shift @ np.array(top, dtype=shift.dtype) % p
-    if not np.array_equal(run(top)[1], _shifted(base, top_offset, p)):
+    if not np.array_equal(next(views)[1], _shifted(base, top_offset, p)):
         raise RampAggError(
             f"view is not affine in the honest models: the run at model "
             f"assignment {top} differs from the noise-only view plus its shift"

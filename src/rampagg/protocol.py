@@ -388,34 +388,50 @@ def fill_blocks(
     params: ProtocolParams, p: int, models=None, noise=None, master_seed: int = 0
 ) -> np.ndarray:
     """A fresh coefficient array (N, K+T, S, *batch) holding ``models``, the
-    (N, L) integer array of the users' models, one row per user, over
-    ``noise`` of shape (N, T, S, *batch).  Given arrays are reduced mod p as
-    they are written into it; the model rows broadcast over the batch axis.
-    An input left None is drawn from ``master_seed`` straight into the
-    array (:func:`draw_models`, :func:`draw_noise`; models only where there
-    is no batch axis), and drawn models are reduced mod p in place only when
-    p is below their entry bound."""
+    (N, L, *batch) integer array of the users' models, one row per user,
+    over ``noise`` of shape (N, T, S, *batch).  The models' batch axes
+    broadcast against the noise's as numpy broadcasts shapes, so (N, L)
+    models fill every batch column alike; models whose batch axes do not
+    broadcast to the noise's raise ValueError naming both shapes.  Given
+    noise is reduced mod p as it is written into the array, given models
+    before they are broadcast.  An input left None is drawn from
+    ``master_seed`` straight into the array (:func:`draw_models`,
+    :func:`draw_noise`; only where there is no batch axis), and drawn
+    models are reduced mod p in place only when p is below their entry
+    bound."""
     n, k = params.n_users, params.k_parts
-    if models is not None:
-        models = np.asarray(models)
-        if models.shape != (n, params.model_len):
-            raise ValueError(
-                f"models have shape {models.shape}, expected {n} rows of length "
-                f"{params.model_len}"
-            )
-    if noise is None:
-        coeffs = empty_blocks(params, p)
-        draw_noise(p, params, master_seed, out=coeffs[:, k:])
-    else:
+    noise_shape = (n, params.t_max, params.seg_len)
+    if noise is not None:
         noise = np.asarray(noise)
-        if noise.shape[:3] != (n, params.t_max, params.seg_len):
+        if noise.shape[:3] != noise_shape:
             raise ValueError(
                 f"noise has shape {noise.shape}, expected "
                 f"({n}, {params.t_max}, {params.seg_len}, *batch)"
             )
-        coeffs = empty_blocks(params, p, noise.shape[3:])
-        # both writes cast as assignment does: an empty noise list arrives
-        # as float64, and models past int64 as Python ints
+        noise_shape = noise.shape
+    batch = noise_shape[3:]
+    if models is not None:
+        models = np.asarray(models)
+        if models.shape[:2] != (n, params.model_len):
+            raise ValueError(
+                f"models have shape {models.shape}, expected {n} rows of length "
+                f"{params.model_len}"
+            )
+        try:
+            fits = np.broadcast_shapes(models.shape[2:], batch) == batch
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ValueError(
+                f"models have shape {models.shape}, whose batch axes do not "
+                f"broadcast to those of the {'drawn ' * (noise is None)}noise, "
+                f"of shape {noise_shape}"
+            )
+    coeffs = empty_blocks(params, p, batch)
+    if noise is None:
+        draw_noise(p, params, master_seed, out=coeffs[:, k:])
+    else:
+        # cast as assignment does: an empty noise list arrives as float64
         reduce_mod(noise, p, out=coeffs[:, k:])
     rows = model_rows(coeffs, k)[:, : params.model_len]
     if models is None:
@@ -423,8 +439,10 @@ def fill_blocks(
         if p < params.entry_bound:  # only a hand-picked modulus is that small
             reduce_mod(rows, p, out=rows)
     else:
-        models = models.reshape(models.shape + (1,) * (rows.ndim - 2))
-        reduce_mod(models, p, out=rows)
+        # the batch axes line up from the right; models past int64 arrive
+        # as Python ints, and assignment casts their residues
+        pad = (1,) * (len(batch) + 2 - models.ndim)
+        rows[...] = reduce_mod(models, p).reshape(models.shape[:2] + pad + models.shape[2:])
     return coeffs
 
 

@@ -11,10 +11,12 @@ A tree is held as arrays over its groups, built once per tree by list
 ranking with pointer jumping (Wyllie 1979): ceil(log2 G) doubling passes
 over the parent array give every group's depth, its subtree's size and
 the contiguous postorder range of its subtree, with no walk over the
-groups in Python.
+groups in Python.  The layout is read-only, so a named shape's tree is
+built once per group count and shared by every round that asks for it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
@@ -211,26 +213,33 @@ def build_tree(num_groups: int, shape: TreeShape = "chain") -> AggregationTree:
 
     ``shape`` is "chain" (0 -> 1 -> ... -> last -> server), "star" (every
     other group a direct child of the last group), or an explicit parent
-    map which is validated as-is.
+    map which is validated as-is.  A named shape's tree is laid out once per
+    (num_groups, shape) and shared, since its layout arrays are read-only;
+    an explicit map is laid out anew on every call.
     """
     if num_groups < 1:
         raise NotATree(f"num_groups must be >= 1, got {num_groups}")
     if isinstance(shape, str):
-        if shape == "chain":
-            parents = np.arange(1, num_groups + 1)
-        elif shape == "star":
-            parents = np.full(num_groups, num_groups - 1)
-            parents[-1] = num_groups
-        else:
-            raise ValueError(f"unknown tree shape {shape!r}")
-        tree = AggregationTree.__new__(AggregationTree)
-        tree._lay_out(parents)
-        return tree
+        return _named_tree(num_groups, shape)
     tree = AggregationTree(shape)
     if tree.num_groups != num_groups:
         raise NotATree(
             f"parent map covers {tree.num_groups} groups, expected {num_groups}"
         )
+    return tree
+
+
+@lru_cache(maxsize=32)
+def _named_tree(num_groups: int, shape: str) -> AggregationTree:
+    if shape == "chain":
+        parents = np.arange(1, num_groups + 1)
+    elif shape == "star":
+        parents = np.full(num_groups, num_groups - 1)
+        parents[-1] = num_groups
+    else:
+        raise ValueError(f"unknown tree shape {shape!r}")
+    tree = AggregationTree.__new__(AggregationTree)
+    tree._lay_out(parents)
     return tree
 
 

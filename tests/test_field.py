@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rampagg import field
 from rampagg.field import (
     FieldContext,
     field_dtype,
@@ -220,6 +221,68 @@ def test_numpy_points_stay_exact_past_int64():
         assert vandermonde(np.array([p - 2]), 3, p, object).tolist() == [[1, p - 2, 4]]
         inverse = inverse_vandermonde(np.array([p - 2, 5]), p, object)
     assert inverse.tolist() == inverse_vandermonde([p - 2, 5], p, object).tolist()
+
+
+# ---- the matrix cache ----
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [(vandermonde, ([1, 2, 3], 4, 7, np.int64)), (inverse_vandermonde, ([1, 2, 3], 7, object))],
+)
+def test_cached_matrices_are_read_only(build, args):
+    for matrix in (build(*args), build(*args)):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            matrix += 1
+
+
+# both sides of the switch of field_dtype(p, 1) (vandermonde) and of
+# field_dtype(p, 2) (inverse_vandermonde), as in the exactness test above
+@pytest.mark.parametrize(
+    "p,terms,dtype",
+    [
+        (2**31 - 1, 2, np.int64),
+        (2**31 + 11, 2, object),
+        (3037000493, 1, np.int64),
+        (3037000507, 1, object),
+    ],
+)
+def test_cached_matrices_equal_a_fresh_build(p, terms, dtype):
+    assert field_dtype(p, terms) is dtype
+    xs = [p - 1 - i for i in range(4)]
+    for _ in range(2):  # the build, then the cache
+        matrix = vandermonde(xs, 5, p, dtype)
+        assert matrix.dtype == dtype
+        assert matrix.tolist() == [[pow(x, j, p) for j in range(5)] for x in xs]
+        assert matrix.tolist() == field._vandermonde.__wrapped__(tuple(xs), 5, p, dtype).tolist()
+        if terms == 2:
+            inverse = inverse_vandermonde(xs, p, dtype)
+            fresh = field._inverse_vandermonde.__wrapped__(tuple(xs), p, dtype)
+            assert inverse.dtype == dtype and inverse.tolist() == fresh.tolist()
+
+
+def test_numpy_and_python_points_share_a_cache_entry():
+    p = 101
+    for builder, build in (
+        (field._vandermonde, lambda xs: vandermonde(xs, 3, p, np.int64)),
+        (field._inverse_vandermonde, lambda xs: inverse_vandermonde(xs, p, np.int64)),
+    ):
+        first = build([5, 7])
+        misses = builder.cache_info().misses
+        assert build(np.array([5, 7])) is first
+        assert build([np.int32(5), p + 7]) is first  # equal mod p
+        assert builder.cache_info().misses == misses
+
+
+def test_large_matrices_are_built_fresh_and_read_only(monkeypatch):
+    monkeypatch.setattr(field, "_CACHED_ENTRIES", 3)
+    a, b = vandermonde([1, 2], 2, 7, np.int64), vandermonde([1, 2], 2, 7, np.int64)
+    c, d = inverse_vandermonde([1, 2], 7, np.int64), inverse_vandermonde([1, 2], 7, np.int64)
+    assert a is not b and c is not d
+    assert a.tolist() == b.tolist() == [[1, 1], [1, 2]]
+    assert not any(m.flags.writeable for m in (a, b, c, d))
 
 
 @settings(max_examples=60, deadline=None)

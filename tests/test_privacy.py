@@ -347,6 +347,38 @@ def test_protocol_runs_once_per_model_symbol_plus_two(monkeypatch, case, runs):
     assert len(calls) == runs
 
 
+@pytest.mark.parametrize(
+    "case,run_columns",
+    [
+        (case_4_users(0), 250),  # 125 noise points: 5 runs, 2 + 2 + 1
+        (case_4_users(0, noise_mode=NOISE_CONSTANT), 3),  # 5 runs, 3 + 2
+        (case_4_users(1, model_coupling=COUPLING_ALL_EQUAL), 250),  # 3 runs, 2 + 1
+        (case_4_users(1, model_coupling=COUPLING_ALL_EQUAL, noise_mode=NOISE_CONSTANT), 2),
+        (DROPPED_STAR, 4),  # 9 runs, 4 + 4 + 1, with a dropout on a star
+        (dataclasses.replace(SIX_USERS, noise_mode=NOISE_CONSTANT), privacy.RUN_COLUMNS),
+    ],
+    ids=["uniform", "constant", "correlated-uniform", "correlated-constant",
+         "dropped-star", "6-users-control-one-call"],
+)
+def test_runs_sharing_a_call_match_one_run_per_assignment(monkeypatch, case, run_columns):
+    calls = []
+    run_protocol = privacy.run_protocol
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["noise"].shape[3])  # the runs in this call
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(privacy, "run_protocol", counted)
+    monkeypatch.setattr(privacy, "RUN_COLUMNS", run_columns)
+    result = privacy_bruteforce(case)
+    assert result == privacy_bruteforce_naive(case)
+    honest = case.n_users - len(set(case.adversaries) | set(case.dropped))
+    runs = 1 + case.k_parts * (1 if case.model_coupling == COUPLING_ALL_EQUAL else honest) + 1
+    per_call = max(1, run_columns // result.n_noise_assignments)
+    assert len(calls) == -(-runs // per_call) and sum(calls) == runs
+    assert calls[:-1] == [per_call] * (len(calls) - 1)
+
+
 def _tamper_first_share(monkeypatch, tamper):
     """Route privacy's view collection through a wrapper that replaces the
     view's first row, an intra share, with ``tamper(share, result)``."""

@@ -1,6 +1,7 @@
 """Partitioning, noise, coefficient blocks, share evaluation, and sum recovery."""
 
 import itertools
+import re
 from collections import Counter
 from random import Random
 
@@ -240,6 +241,42 @@ def test_blocks_reduce_mod_p_and_broadcast_the_batch_axis():
     assert blocks.shape == (2, 3, 1, 4)
     assert blocks[:, :2, 0, :].tolist() == [[[3] * 4, [2] * 4], [[5] * 4, [1] * 4]]
     assert blocks[0, 2, 0].tolist() == [0, 5, 3, 1]  # 0, 5, 10, 15 mod 7
+
+
+@pytest.mark.parametrize("p", [7, 2**31 + 11])  # int64 and object blocks
+def test_models_on_the_batch_axis_fill_as_single_columns(p):
+    rng = Random(3)
+    # out of range both ways, so that each column is reduced as well
+    models = np.array([rng.randrange(-p, 2 * p) for _ in range(4 * 5 * 3)]).reshape(4, 5, 3)
+    noise = np.array([rng.randrange(-p, 2 * p) for _ in range(4 * 2 * 3 * 3)]).reshape(4, 2, 3, 3)
+    blocks = _fill(models, 2, noise, p)  # K=2: segments of 3, one padding zero
+    assert blocks.shape == (4, 4, 3, 3)
+    for b in range(3):
+        assert blocks[..., b].tolist() == _fill(models[..., b], 2, noise[..., b], p).tolist()
+    # models with a unit axis broadcast over the noise's last batch axis
+    wide = np.stack([noise] * 2, axis=-1)  # (N, T, S, 3, 2)
+    blocks = _fill(models[..., None], 2, wide, p)
+    for b, m in itertools.product(range(3), range(2)):
+        assert blocks[..., b, m].tolist() == _fill(models[..., b], 2, noise[..., b], p).tolist()
+
+
+@pytest.mark.parametrize(
+    "models_shape,noise_shape",
+    [
+        ((2, 2, 3), (2, 1, 1, 4)),  # 3 against 4
+        ((2, 2, 4), (2, 1, 1, 4, 2)),  # aligned from the right: 4 against 2
+        ((2, 2, 2), (2, 1, 1, 1)),  # broadcasts, but past the noise's batch
+        ((2, 2, 1, 4), (2, 1, 1, 4)),  # more batch axes than the noise
+        ((2, 2, 1), None),  # drawn noise has no batch axis
+    ],
+)
+def test_models_whose_batch_does_not_fit_the_noise_are_refused(models_shape, noise_shape):
+    params = ProtocolParams(2, 1, 0, 2, 2, 2)
+    noise = None if noise_shape is None else np.zeros(noise_shape, dtype=np.int64)
+    expected = (2, 1, 1) if noise_shape is None else noise_shape
+    message = f"models have shape {re.escape(str(models_shape))}.*noise, of shape "
+    with pytest.raises(ValueError, match=message + re.escape(str(expected))):
+        fill_blocks(params, 7, np.zeros(models_shape, dtype=np.int64), noise)
 
 
 # ---- share evaluation ----

@@ -248,6 +248,19 @@ def test_layout_arrays_are_read_only():
                 array += 1
 
 
+def test_named_trees_are_shared_and_explicit_maps_are_not():
+    assert build_tree(6, "chain") is build_tree(np.int64(6), "chain")
+    assert build_tree(6, "star") is build_tree(6, "star")
+    assert build_tree(6, "star") is not build_tree(6, "chain")
+    assert build_tree(6, "chain") is not build_tree(7, "chain")
+    parent = {0: 1, 1: SERVER}
+    assert build_tree(2, parent) is not build_tree(2, parent)
+    # a map still goes through its checks on every call
+    for _ in range(2):
+        with pytest.raises(BadRoot):
+            build_tree(2, {0: SERVER, 1: SERVER})
+
+
 def test_depths_of_an_irregular_tree_listed_in_any_order():
     # parents listed before and after their children: the depths must not
     # depend on the order the groups are numbered in
