@@ -74,8 +74,9 @@ def _unwritable(name: str):
 
 @contextmanager
 def _in_memory(config: RunConfig):
-    """Turn a MemoryError while ``config`` runs into ConfigInvalid naming
-    the fields that size the round, and its coefficient array's size."""
+    """Turn a MemoryError while ``config`` runs or its outputs are written
+    into ConfigInvalid naming the fields that size the round, and its
+    coefficient array's size."""
     try:
         yield
     except MemoryError:
@@ -105,16 +106,17 @@ def cmd_run(args) -> int:
     config = RunConfig.from_dict(data)
     config = config.replace(master_seed=_resolve_seed(args.seed, config.master_seed))
     out_dir = _resolve_out(args.out)
-    with _in_memory(config):
-        report, result = simulate(config)
     report_path = os.path.join(out_dir, "report.json")
     transcript_path = os.path.join(out_dir, "transcript.csv")
-    with _unwritable("--out"):
-        os.makedirs(out_dir, exist_ok=True)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        with open(transcript_path, "w", encoding="utf-8", newline="") as fh:
-            result.transcript.to_csv(fh)
+    # writing allocates too: the transcript's text is made as it is written
+    with _in_memory(config):
+        report, result = simulate(config)
+        with _unwritable("--out"):
+            os.makedirs(out_dir, exist_ok=True)
+            with open(report_path, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+            with open(transcript_path, "w", encoding="utf-8", newline="") as fh:
+                result.transcript.to_csv(fh)
     _print_summary(report)
     print(f"report: {report_path}")
     print(f"transcript: {transcript_path}")

@@ -14,15 +14,17 @@ plus the server receive, from the round's masks.
 import dataclasses
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigInvalid, InvalidParams, NonConformingField
-from .field import FieldContext, reduce_mod, select_prime, vandermonde
+from .field import FieldContext, field_dtype, reduce_mod, select_prime, vandermonde
 from .protocol import (
     BETWEEN_ROUNDS,
     PHASE_SERVER,
@@ -34,6 +36,7 @@ from .protocol import (
     derive_seed,
     draw_models,
     eval_point_for_slot,
+    join_spans,
     run_protocol,
 )
 from .sharing import Model
@@ -49,6 +52,8 @@ from .topology import (
 )
 
 SCHEMA_VERSION = 1
+# what ends an item of a top-level list in report.json, one item per line
+_ITEM_SEP = ",\n    "
 
 
 def _is_int(value) -> bool:
@@ -317,19 +322,46 @@ class RunReport:
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, byte for
         byte.  An indent sends ``json`` to its pure-Python encoder, so the
-        long top-level integer lists are encoded apart by the C encoder, one
-        item per line at the indent's depth, and spliced in."""
+        long top-level integer lists are made apart, one item per line at
+        the indent's depth, and spliced in: ``aggregate`` by the C encoder,
+        and ``included_users``, ascending as :func:`simulate` lists them, as
+        one slice of :func:`_json_users` per run of consecutive users."""
         data = self.to_dict()
+        text, offsets = _json_users(self.config.n_users)
+        users = "".join(text[offsets[a] : offsets[b]] for a, b in _runs(data["included_users"]))
+        items = {
+            "aggregate": json.dumps(data["aggregate"], separators=(_ITEM_SEP, ": "))[1:-1],
+            "included_users": users.removesuffix(_ITEM_SEP),
+        }
         blocks = {}
-        for key in ("aggregate", "included_users"):
-            if data[key]:  # an empty list stays "[]"
-                items = json.dumps(data[key], separators=(",\n    ", ": "))[1:-1]
+        for key, listed in items.items():
+            if listed:  # an empty list stays "[]"
                 data[key] = f"\0{key}"
-                blocks[json.dumps(data[key])] = "[\n    " + items + "\n  ]"
+                blocks[json.dumps(data[key])] = "[\n    " + listed + "\n  ]"
         text = json.dumps(data, sort_keys=True, indent=2)
         for marker, block in blocks.items():
             text = text.replace(marker, block, 1)
         return text + "\n"
+
+
+@lru_cache(maxsize=8)
+def _json_users(n_users: int) -> tuple:
+    """The items "{u},\\n    " of users 0..N-1 as report.json lists them,
+    as one string, and the read-only (N+1,) offsets at which each user's
+    item starts, the last one its end.  Built once per N."""
+    return join_spans([[f"{u}{_ITEM_SEP}" for u in range(n_users)]])
+
+
+def _runs(users: list) -> list:
+    """The (first, stop) bounds of each run of consecutive values in the
+    ascending list ``users`` of distinct ints, found by bisection on
+    ``users[i] - i``, which is constant along a run and grows between runs."""
+    runs, i = [], 0
+    while i < len(users):
+        j = bisect_right(range(len(users)), users[i] - i, lo=i, key=lambda k: users[k] - k)
+        runs.append((users[i], users[j - 1] + 1))
+        i = j
+    return runs
 
 
 def generate_models(config: RunConfig) -> list[Model]:
@@ -456,7 +488,7 @@ def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.
     points = eval_point_for_slot(receiver[intra] % size).tolist()
     width = result.coeffs.shape[1]  # K+T
     blocks = result.coeffs[sender[intra]].reshape(len(points), width, math.prod(message))
-    matrix = vandermonde(points, width, p, blocks.dtype)
+    matrix = vandermonde(points, width, p, field_dtype(p, 1))
     shares = matrix[:, None, :] @ blocks
     reduce_mod(shares, p, out=shares)
     view[intra] = shares.reshape((len(points),) + message)

@@ -43,7 +43,11 @@ The transcript is kept as the same masks: who took part in the intra
 phase and how each user ended.  Phase counts, the symbols each user sent
 and the links a round used are counts over them, group by group, and a
 round without dropouts uses every link the network has.  Rows, in
-protocol order, are made only to be written, a block at a time.
+protocol order, are made only to be written.  A user's intra rows depend
+only on the round's shape (N, group size, S), never on who dropped or on
+the tree, so a shape's whole intra section is made once, as text, and
+written as slices over the runs of users that took part; the uplinks are
+made a block at a time.
 """
 
 import hashlib
@@ -67,6 +71,8 @@ PHASE_SERVER = "server"
 PHASES = (PHASE_INTRA, PHASE_INTER, PHASE_SERVER)
 
 _CSV_BLOCK_ROWS = 4096  # transcript rows joined per write
+# intra sections of at most this many rows are kept as text, once per shape
+_CACHED_SECTION_ROWS = 1 << 15
 
 
 @lru_cache(maxsize=8)
@@ -91,6 +97,47 @@ def _csv_tails(n_users: int, seg_len: int) -> np.ndarray:
     tails = np.array(tails, dtype=object)
     tails.flags.writeable = False
     return tails
+
+
+def _intra_users(n_users: int, size: int, seg_len: int, start: int, stop: int):
+    """The CSV intra rows of users ``start``..``stop``-1 in groups of
+    ``size``, each user addressing every slot of its group (its own at no
+    cost), as one string per user, in lists of at most ``_CSV_BLOCK_ROWS``
+    rows or one user: each row is a head of :func:`_csv_heads` and a tail
+    of :func:`_csv_tails`, taken by one fancy index each."""
+    heads, tails = _csv_heads(n_users), _csv_tails(n_users, seg_len)
+    slots = np.arange(size)
+    step = max(1, _CSV_BLOCK_ROWS // size)
+    for first in range(start, stop, step):
+        sender = np.arange(first, min(first + step, stop))
+        receiver = sender[:, None] // size * size + slots
+        own = receiver == sender[:, None]  # tail kind 1
+        pieces = np.empty(receiver.shape + (2,), dtype=object)
+        pieces[..., 0] = heads[sender][:, None]
+        pieces[..., 1] = tails[own * (n_users + 1) + receiver]
+        yield list(map("".join, pieces.reshape(len(sender), 2 * size).tolist()))
+
+
+def join_spans(blocks) -> tuple:
+    """The strings of ``blocks``, an iterable of lists of strings, joined
+    into one string a block at a time, and the read-only offsets at which
+    each string starts in it, then its end."""
+    texts, lengths = [], [0]
+    for block in blocks:
+        texts.append("".join(block))
+        lengths += map(len, block)
+    offsets = np.cumsum(lengths)
+    offsets.flags.writeable = False
+    return "".join(texts), offsets
+
+
+@lru_cache(maxsize=8)
+def _intra_section(n_users: int, size: int, seg_len: int) -> tuple:
+    """The intra section of an (N, size, S) round where every user takes
+    part, as one string, and the read-only (N+1,) offsets at which each
+    user's rows start, the last one its end.  Built once per shape, from
+    :func:`_intra_users` a block at a time."""
+    return join_spans(_intra_users(n_users, size, seg_len, 0, n_users))
 
 
 PRE_INTRA = "pre_intra"
@@ -121,8 +168,9 @@ class Transcript:
     (its own at zero cost), then the uplinks, groups leaves first, slot to
     slot, from every user that did not drop: a null from a silenced user,
     S symbols from an active one.  The counts below are sums over these
-    masks; rows are made only by :meth:`to_csv`, a block at a time.  A send
-    to an already-dropped user costs the sender its symbols but is never
+    masks; rows are made only by :meth:`to_csv`: the intra rows as slices
+    of a text cached per shape, the uplinks a block at a time.  A send to
+    an already-dropped user costs the sender its symbols but is never
     delivered, so its link stays silent.
     """
 
@@ -173,26 +221,14 @@ class Transcript:
 
     # -- exports -----------------------------------------------------------
 
-    def _rows(self):
-        """The messages in protocol order, as (phase, sender, receiver,
-        symbols, null) column blocks of at most ``_CSV_BLOCK_ROWS`` rows, or
-        of one sender's intra rows where a group has more slots: ``phase``
-        indexes :data:`PHASES`, and the server is receiver N."""
+    def _uplinks(self):
+        """The uplinks in protocol order, leaves first, slot to slot, as
+        (phase, sender, receiver, null) column blocks of at most
+        ``_CSV_BLOCK_ROWS`` rows: ``phase`` indexes :data:`PHASES`, and the
+        server is receiver N.  A dropped user sends nothing."""
         n, size = self.params.n_users, self.params.group_size
-        seg_len, block = self.params.seg_len, _CSV_BLOCK_ROWS
         slots = np.arange(size)
-        # intra: every user that took part, over its group's slots
-        users = np.flatnonzero(self.took_part)
-        step = max(1, block // size)
-        for start in range(0, len(users), step):
-            sender = users[start : start + step]
-            receiver = (sender[:, None] // size * size + slots).ravel()
-            sender = sender.repeat(size)
-            rows = len(sender)
-            symbols = np.where(sender == receiver, 0, seg_len)
-            yield np.zeros(rows, np.intp), sender, receiver, symbols, np.zeros(rows, bool)
-        # uplinks, leaves first, slot to slot; the last group, alone at depth
-        # 0, comes last and sends to the server; a dropped user sends nothing
+        # the last group, alone at depth 0, comes last and sends to the server
         order = self.tree.upward
         parent = self.tree.parents[order[:-1]]
         sender = (order[:, None] * size + slots).ravel()
@@ -201,26 +237,37 @@ class Transcript:
         sender, receiver = sender[sent], receiver[sent]
         phase = np.where(receiver == n, 2, 1)  # codes into PHASES
         null = self.status[sender] == UserStatus.SILENCED.value
-        symbols = np.where(null, 0, seg_len)
-        for start in range(0, len(sender), block):
-            cut = slice(start, start + block)
-            yield phase[cut], sender[cut], receiver[cut], symbols[cut], null[cut]
+        for start in range(0, len(sender), _CSV_BLOCK_ROWS):
+            cut = slice(start, start + _CSV_BLOCK_ROWS)
+            yield phase[cut], sender[cut], receiver[cut], null[cut]
 
     def to_csv(self, fp) -> None:
         """Write the rows as ``csv.writer`` would, with no formatting per
-        row: each block of :meth:`_rows` becomes two pieces per row in a
-        (rows, 2) object array, a head (phase and sender, from
-        :func:`_csv_heads`) and a tail (receiver, symbols, null flag and
-        "\\r\\n", from :func:`_csv_tails`), each taken by one fancy index,
-        and goes out as one join."""
-        n = self.params.n_users
-        heads, tails = _csv_heads(n), _csv_tails(n, self.params.seg_len)
+        row.  The intra rows go out as slices of the shape's cached
+        :func:`_intra_section`, one per run of users that took part, so at
+        most one more than there are pre-intra dropouts; a section past
+        ``_CACHED_SECTION_ROWS`` rows is made and written a block of users
+        at a time instead (:func:`_intra_users`).  Each block of uplinks of
+        :meth:`_uplinks` becomes a (rows, 2) object array of heads (from
+        :func:`_csv_heads`) and tails (from :func:`_csv_tails`), each taken
+        by one fancy index, and goes out as one join."""
+        n, size, seg_len = self.params.n_users, self.params.group_size, self.params.seg_len
         fp.write("phase,sender,receiver,symbols,null\r\n")
-        for phase, sender, receiver, symbols, null in self._rows():
-            kind = np.where(null, 2, symbols == 0)
+        absent = np.flatnonzero(~self.took_part).tolist()
+        runs = [(a, b) for a, b in zip([0] + [u + 1 for u in absent], absent + [n]) if a < b]
+        if n * size <= _CACHED_SECTION_ROWS:
+            text, offsets = _intra_section(n, size, seg_len)
+            for a, b in runs:
+                fp.write(text[offsets[a] : offsets[b]])
+        else:
+            for a, b in runs:
+                for users in _intra_users(n, size, seg_len, a, b):
+                    fp.write("".join(users))
+        heads, tails = _csv_heads(n), _csv_tails(n, seg_len)
+        for phase, sender, receiver, null in self._uplinks():
             pieces = np.empty((len(phase), 2), dtype=object)
             pieces[:, 0] = heads[phase * n + sender]
-            pieces[:, 1] = tails[kind * (n + 1) + receiver]
+            pieces[:, 1] = tails[null * 2 * (n + 1) + receiver]  # kind 0 or 2
             fp.write("".join(pieces.ravel().tolist()))
 
 
@@ -596,7 +643,8 @@ def server_recover(
             f"recovery needs {need}"
         )
     points = [eval_point_for_slot(t) for t in arrivals.tolist()]
-    inverse = inverse_vandermonde(points[:need], p, field_dtype(p, need))
+    # the inverse is built with sums of two products, or one for one point
+    inverse = inverse_vandermonde(points[:need], p, field_dtype(p, min(need, 2)))
     coeffs = _apply(inverse, partials[arrivals[:need]], p, 0)
     if len(arrivals) > need:
         spares = reduce_mod(partials[arrivals[need:]], p)

@@ -81,8 +81,10 @@ def model_rows(coeffs: np.ndarray, k_parts: int) -> np.ndarray:
 def evaluate(blocks: np.ndarray, points, p: int, axis: int = 0) -> np.ndarray:
     """Evaluate coefficient blocks at ``points``: the Vandermonde matrix of
     the points times ``blocks`` along ``axis``, the coefficient axis, which
-    becomes an axis of one evaluation per point."""
-    matrix = vandermonde(points, blocks.shape[axis], p, blocks.dtype)
+    becomes an axis of one evaluation per point.  The matrix is built in
+    field_dtype(p, 1), which its running products need, whatever the
+    blocks' dtype: the product then takes the wider of the two."""
+    matrix = vandermonde(points, blocks.shape[axis], p, field_dtype(p, 1))
     return _apply(matrix, blocks, p, axis)
 
 

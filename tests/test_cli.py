@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rampagg import cli
 from rampagg.cli import main
+from rampagg.protocol import Transcript
 from rampagg.verify import CheckResult
 
 from oracles import JSON_VALUES, ROOT, child_env
@@ -119,6 +120,21 @@ def test_run_turns_memory_error_into_exit_2(tmp_path, config_file, monkeypatch, 
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
     assert "shape (12, 5, 3) (1440 bytes)" in err
+
+
+def test_run_turns_memory_error_while_writing_into_exit_2(
+    tmp_path, config_file, monkeypatch, capsys
+):
+    # the transcript's text is made as it is written, so writing can run out too
+    def out_of_memory(self, fp):
+        raise MemoryError
+
+    monkeypatch.setattr(Transcript, "to_csv", out_of_memory)
+    assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "n_users=12, model_len=9" in err
+    assert "shape (12, 5, 3) (1440 bytes)" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_turns_memory_error_into_exit_2(tmp_path, sweep_file, monkeypatch, capsys):

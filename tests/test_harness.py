@@ -209,6 +209,27 @@ def test_report_json_is_deterministic():
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize(
+    "dropped,timing",
+    [((), "pre_intra"), ((0,), "pre_intra"), ((119,), "pre_intra"), ((9, 10), "pre_intra"),
+     ((9, 10), "between_rounds")],
+    ids=["none", "first", "last", "adjacent", "between-rounds"],
+)
+def test_report_json_is_json_dumps_of_the_dict(dropped, timing):
+    # 30 chained groups of 4: one- to three-digit users, and runs of
+    # included users cut at either end, in the middle, or not at all
+    config = RunConfig(
+        n_users=120, t_max=1, d_max=2, k_parts=1, model_len=3, entry_bound=8,
+        dropped=dropped, dropout_timing=timing, master_seed=11,
+    )
+    report, _ = simulate(config)
+    included = [u for u in range(120) if u not in dropped or timing == "between_rounds"]
+    assert report.included_users == included
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert json.loads(text)["included_users"] == included
+
+
 def test_report_dict_contents():
     report, _ = simulate(example2())
     data = report.to_dict()
@@ -406,7 +427,7 @@ def test_adversary_view_rejects_users_outside_the_population(adversaries):
         collect_adversary_view(result, adversaries)
 
 
-def _refuse_rows(transcript):
+def _refuse_rows(*args):
     raise AssertionError("the transcript's rows were expanded")
 
 
@@ -435,7 +456,8 @@ def test_adversary_view_matches_user_by_user_oracle(round_, p, batch, data):
     if dropped and data.draw(st.booleans()):
         adversaries.append(dropped[0])
     with pytest.MonkeyPatch.context() as patch:  # the view makes its own rows
-        patch.setattr(protocol.Transcript, "_rows", _refuse_rows)
+        patch.setattr(protocol.Transcript, "_uplinks", _refuse_rows)
+        patch.setattr(protocol, "_intra_users", _refuse_rows)
         view = collect_adversary_view(result, adversaries)
     expected = adversary_view_naive(result, adversaries)
     assert view.dtype == expected.dtype == field_dtype(p, k + t)

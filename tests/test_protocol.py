@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampagg import protocol
+from rampagg import harness, protocol, sharing
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
 from rampagg.field import FieldContext, field_dtype, is_prime
 from rampagg.harness import RunConfig, collect_adversary_view, plain_sum, simulate
@@ -24,6 +25,7 @@ from rampagg.protocol import (
     _CSV_BLOCK_ROWS,
     _csv_heads,
     _csv_tails,
+    _intra_section,
     DropoutPlan,
     Transcript,
     UserStatus,
@@ -353,13 +355,35 @@ def test_counts_match_the_row_oracles_on_drawn_rounds(round_, shape, extra, seed
     assert report.silent_edges == report.total_edges - len(links_naive(rows))
 
 
+class _Writes(io.StringIO):
+    """A text buffer that also keeps each string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _intra_writes(writes):
+    """The senders of each write of intra rows, as a set per write."""
+    return [
+        {row.split(",")[1] for row in text.split("\r\n")[:-1]}
+        for text in writes
+        if text.startswith("intra,")
+    ]
+
+
 @pytest.mark.parametrize("block", [1, 4, 9, _CSV_BLOCK_ROWS])
 @pytest.mark.parametrize("timing", [PRE_INTRA, BETWEEN_ROUNDS])
 def test_csv_is_the_same_whatever_the_block_size(monkeypatch, block, timing):
     # five chained groups of 4: user 5 drops, so slot 1 of every group above
-    # its own sends a null uplink, and its group still sends to it; an intra
-    # block of 1 or 4 rows holds one sender's rows, one of 9 two senders', so
-    # every group is cut across blocks, and the default holds them all
+    # its own sends a null uplink, and its group still sends to it.  With
+    # the cache bypassed the intra rows are made a block at a time: a block
+    # of 1 or 4 rows holds one sender's rows, one of 9 two senders', so
+    # every group is cut across blocks, and the default holds a whole run
     config = RunConfig(
         n_users=20, t_max=1, d_max=2, k_parts=1, model_len=3, entry_bound=4,
         dropped=(5, 18), dropout_timing=timing, master_seed=8,
@@ -369,23 +393,59 @@ def test_csv_is_the_same_whatever_the_block_size(monkeypatch, block, timing):
         result.params, result.tree, result.took_part.tolist(), result.status.tolist()
     )
     assert any(row[4] for row in rows) and not all(row[5] for row in rows)
+    monkeypatch.setattr(protocol, "_CACHED_SECTION_ROWS", 0)
     monkeypatch.setattr(protocol, "_CSV_BLOCK_ROWS", block)
-    blocks = result.transcript._rows()
-    intra = [set(sender.tolist()) for phase, sender, *_ in blocks if phase[0] == 0]
-    assert max(map(len, intra)) <= max(1, block // 4)
-    assert (len(intra) > 5) == (block < _CSV_BLOCK_ROWS)
-    written = io.StringIO()
+    written = _Writes()
     result.transcript.to_csv(written)
     assert written.getvalue() == transcript_csv_naive(rows)
+    intra = _intra_writes(written.writes)
+    runs = 3 if timing == PRE_INTRA else 1  # users 0-4, 6-17 and 19, or all
+    assert max(map(len, intra)) <= max(1, block // 4)
+    assert (len(intra) > runs) == (block < _CSV_BLOCK_ROWS)
+    assert sum(map(len, intra)) == 20 - 2 * (timing == PRE_INTRA)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize(
+    "dropped,timing,runs",
+    [((), PRE_INTRA, 1), ((0,), PRE_INTRA, 1), ((23,), PRE_INTRA, 1), ((8, 10), PRE_INTRA, 3),
+     ((8, 9), PRE_INTRA, 2), ((0, 23), BETWEEN_ROUNDS, 1)],
+    ids=["none", "first", "last", "one-group", "adjacent", "between-rounds"],
+)
+def test_csv_writes_one_intra_slice_per_run_of_users(
+    monkeypatch, dropped, timing, runs, cached
+):
+    # four chained groups of 6: the users that took part fall into at most
+    # one run more than there are pre-intra dropouts, and each run is one
+    # slice of the cached section, or one write of its rows when uncached
+    config = RunConfig(
+        n_users=24, t_max=2, d_max=2, k_parts=2, model_len=5, entry_bound=4,
+        dropped=dropped, dropout_timing=timing, master_seed=7,
+    )
+    _, result = simulate(config)
+    rows = transcript_rows_naive(
+        result.params, result.tree, result.took_part.tolist(), result.status.tolist()
+    )
+    if not cached:
+        monkeypatch.setattr(protocol, "_CACHED_SECTION_ROWS", 0)
+    written = _Writes()
+    result.transcript.to_csv(written)
+    assert written.getvalue() == transcript_csv_naive(rows)
+    absent = set(dropped) if timing == PRE_INTRA else set()
+    intra = _intra_writes(written.writes)
+    assert len(intra) == runs <= len(absent) + 1
+    assert set().union(*intra) == {str(u) for u in range(24) if u not in absent}
 
 
 def test_a_round_expands_no_rows(monkeypatch):
     # one group at N=1200 with L = K: N*size = 1.44M intra messages, all of
     # them counted from the masks and none made, not even for the links
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("a round expanded its transcript rows")
 
-    monkeypatch.setattr(Transcript, "_rows", refuse)
+    monkeypatch.setattr(Transcript, "_uplinks", refuse)
+    monkeypatch.setattr(protocol, "_intra_section", refuse)
+    monkeypatch.setattr(protocol, "_intra_users", refuse)
     n, t, d = 1200, 2, 1
     k = n - t - d
     config = RunConfig(
@@ -457,6 +517,52 @@ def test_relay_is_exact_at_the_int64_boundary(t):
     assert np.array_equal(result.partials, partials.reshape(result.partials.shape))
     assert np.flatnonzero(result.null).tolist() == list(range(2 * size + 1, groups * size, size))
     assert result.aggregate.tolist() == _expected_sum(models, set(range(groups * size)))
+
+
+def _either_side(terms):
+    """The primes either side of the int64 switch of field_dtype(p, terms)."""
+    p = _int64_boundary_prime(terms)
+    return p, next(q for q in range(p + 1, 2 * p) if is_prime(q))
+
+
+@pytest.mark.parametrize("p", [p for terms in (1, 2, 3) for p in _either_side(terms)])
+def test_matrices_are_built_in_the_dtype_each_routine_needs(monkeypatch, p):
+    # K=1, T=2, D=1: the blocks are in field_dtype(p, 3), the server's
+    # inverse in field_dtype(p, 2) and every Vandermonde matrix in
+    # field_dtype(p, 1), so near the switches int64 matrices meet object
+    # blocks; every model and noise entry is p - 1, and so is a point
+    asked = []
+
+    def spy(build, name):
+        def wrapped(*args):
+            asked.append((name, args[-1]))
+            return build(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(protocol, "inverse_vandermonde", spy(protocol.inverse_vandermonde, "inv"))
+    monkeypatch.setattr(sharing, "vandermonde", spy(sharing.vandermonde, "vdm"))
+    monkeypatch.setattr(harness, "vandermonde", spy(harness.vandermonde, "vdm"))
+    n, t, k = 8, 2, 1
+    params = make_params(n, t, 1, k, model_len=3, entry_bound=2)
+    ctx, tree = FieldContext(p, 2, n), build_tree(2, "chain")
+    models = np.full((n, 3), p - 1, dtype=object)
+    noise = np.full((n, t, 3), p - 1, dtype=object)
+    result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({1})), noise=noise)
+    assert result.coeffs.dtype == field_dtype(p, k + t)
+    assert result.aggregate.tolist() == [7 * (p - 1) % p] * 3
+    # every block is (p-1)(1 + x + x^2) at point x.  User 6 (slot 2, x=3)
+    # hears users 4, 5 and 7, then user 2's partial over group 0's three
+    # users; the server hears users 4, 6 and 7 (x=1, 3, 4) over all seven,
+    # and user 5 is silenced by user 1's drop
+    summed = ((1, 3),) * 3 + ((3, 3), (7, 1), (7, 3), (7, 4))  # (blocks, point)
+    heard = [(-c * (1 + x + x * x)) % p for c, x in summed]
+    assert collect_adversary_view(result, (6,)).tolist() == [[v] * 3 for v in heard]
+    blocks = np.full((3, 2), p - 1, dtype=field_dtype(p, k + t))
+    assert evaluate(blocks, [p - 1, p - 2], p).tolist() == [[p - 1] * 2, [p - 3] * 2]
+    assert {name for name, _ in asked} == {"inv", "vdm"}
+    for name, dtype in asked:
+        assert np.dtype(dtype) == np.dtype(field_dtype(p, 2 if name == "inv" else 1))
 
 
 def test_relay_refuses_prefix_sums_past_int64():
@@ -552,9 +658,11 @@ def test_csv_with_a_multi_digit_segment_length():
 
 
 def test_csv_user_names_follow_each_transcripts_n():
-    # the heads are cached per N and the tails per N and S: rounds of 6, 12
-    # and again 6 users, the last with two segment lengths, must each get
-    # their own names, server and symbol counts
+    # the heads are cached per N, the tails per N and S and the intra
+    # sections per N, group size and S: rounds of 6, 12 and again 6 users,
+    # the last with two segment lengths, must each get their own names,
+    # server and symbol counts, and the repeated shape its first section
+    sections = []
     for n, length in ((6, 4), (12, 4), (6, 7), (6, 4)):
         config = RunConfig(
             n_users=n, t_max=2, d_max=1, k_parts=3, model_len=length, entry_bound=4,
@@ -562,6 +670,9 @@ def test_csv_user_names_follow_each_transcripts_n():
         )
         written, expected = _csv_against_csv_writer(config)
         assert written == expected
+        sections.append(_intra_section(n, 6, -(-length // 3)))
+    assert sections[3] is sections[0]
+    assert len({id(section) for section in sections}) == 3
 
 
 def test_cached_user_names_are_read_only():
@@ -579,6 +690,21 @@ def test_cached_user_names_are_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = "9,"
+
+
+def test_cached_intra_section_and_its_offsets():
+    # two groups of 2, S = 3: each user's rows lie between its offsets
+    text, offsets = _intra_section(4, 2, 3)
+    users = [
+        "".join(f"intra,{u},{r},{0 if r == u else 3},False\r\n" for r in (u & ~1, u | 1))
+        for u in range(4)
+    ]
+    assert text == "".join(users)
+    assert offsets.tolist() == [0, *itertools.accumulate(map(len, users))]
+    assert _intra_section(4, 2, 3)[1] is offsets
+    assert not offsets.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0] = 1
 
 
 def test_round_makes_no_per_group_tree_queries():
