@@ -25,6 +25,7 @@ from contextlib import contextmanager
 
 from .errors import ConfigInvalid, RampAggError, TooManyDropouts
 from .harness import RunConfig, simulate
+from .protocol import block_rows
 from .verify import SUITES, run_suite
 
 ENV_SEED = "RAMPAGG_SEED"
@@ -75,17 +76,24 @@ def _unwritable(name: str):
 @contextmanager
 def _in_memory(config: RunConfig):
     """Turn a MemoryError while ``config`` runs or its outputs are written
-    into ConfigInvalid naming the fields that size the round, and its
-    coefficient array's size."""
+    into ConfigInvalid naming the fields that size the round, and what a
+    streamed round holds: one block of drawn users, the group sums, and
+    the in-group aggregates and partial sums."""
     try:
         yield
     except MemoryError:
         params = config.resolve()[0]
-        shape = params.blocks_shape
+        width, seg_len = params.k_parts + params.t_max, params.seg_len
+        shapes = (
+            (block_rows(params), width, seg_len),
+            (params.num_groups, width, seg_len),
+            (params.n_users, seg_len),
+        )
+        nbytes = 8 * (math.prod(shapes[0]) + math.prod(shapes[1]) + 2 * math.prod(shapes[2]))
         raise ConfigInvalid(
             f"n_users={config.n_users}, model_len={config.model_len}: out of memory "
-            f"for a round whose coefficient array alone has shape {shape} "
-            f"({math.prod(shape) * 8} bytes)"
+            f"for a round that holds a {shapes[0]} block, {shapes[1]} group sums "
+            f"and two {shapes[2]} arrays ({nbytes} bytes)"
         ) from None
 
 

@@ -1,8 +1,8 @@
 """Configuration, measurement, and reporting around the protocol core.
 
 :func:`simulate` runs a :class:`RunConfig`'s round, its models and noise
-drawn from ``master_seed`` straight into the round's coefficient array
-(:func:`rampagg.protocol.fill_blocks`), and turns it into a
+drawn from ``master_seed`` a block of users at a time and summed by group
+as they come (:func:`rampagg.protocol.stream_group_sums`), and turns it into a
 :class:`RunReport` whose load figures are exact rationals computed purely
 by counting transcript symbols, never by evaluating the closed-form
 expressions they are later compared against.  :func:`correctness_oracle`
@@ -373,9 +373,10 @@ def generate_models(config: RunConfig) -> list[Model]:
 
 
 def simulate(config: RunConfig):
-    """Run one configured round and measure it.  The round's models and
-    noise are drawn from ``master_seed`` straight into its coefficient
-    array.  Returns (RunReport, RunResult)."""
+    """Run one configured round and measure it.  The round is streamed:
+    its models and noise are drawn from ``master_seed`` a block at a time,
+    and the result's ``coeffs`` are made only if read.  Returns (RunReport,
+    RunResult)."""
     params, tree, ctx = config.resolve()
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
     result = run_protocol(ctx, params, tree, None, plan, config.master_seed)

@@ -2,7 +2,11 @@
 
 A round is one coefficient array of shape (N, K+T, S, *batch) (see
 :mod:`rampagg.sharing`) plus one status code per user, and each of its three
-phases is an array operation.
+phases is an array operation.  The phases read the array only through its
+(G, K+T, S, *batch) group sums, so a simulated round never builds it: its
+models and noise are drawn a block of users at a time into one buffer laid
+out like the array and summed into the group sums as they come
+(:func:`stream_group_sums`).
 
 intra   Every active user evaluates its block at each slot's evaluation
         point and sends the result to the user in that slot of its own group
@@ -12,7 +16,7 @@ intra   Every active user evaluates its block at each slot's evaluation
         receiver's point, so the phase is one sum per group and one
         (size, K+T) Vandermonde product, giving ``intra`` of shape
         (N, S, *batch).  Users that dropped before the round never share;
-        their blocks are taken back out of the sums, which is equivalent to
+        their blocks are left out of the sums, which is equivalent to
         presuming them zero.
 
 inter   Groups feed their aggregates up the tree, slot to slot: a user adds
@@ -21,10 +25,11 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         matching slot of its parent.  A user missing any child's message
         (the child dropped, or itself sent null) is silenced: it emits an
         explicit null and stays silent for the rest of the round.  So a
-        user forwards its slot's sum over its group's subtree, and a subtree
-        is one contiguous range of the tree's postorder: one prefix scan in
-        postorder, all slots at once, gives what every user forwarded,
-        ``partials`` of shape (N, S, *batch), and who was silenced.
+        user forwards its slot's sum over its group's subtree: one fold of
+        the groups leaves first, or one prefix scan in postorder, where a
+        subtree is one contiguous range, gives for all slots at once what
+        every user forwarded, ``partials`` of shape (N, S, *batch), and a
+        scan of the dropouts who was silenced.
 
 server  The last group's users do the same send toward the server.  The
         server applies the (K+T, K+T) inverse Vandermonde matrix of the
@@ -53,7 +58,8 @@ made a block at a time.
 import hashlib
 import math
 import threading
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from typing import Optional
@@ -71,6 +77,10 @@ PHASE_SERVER = "server"
 PHASES = (PHASE_INTRA, PHASE_INTER, PHASE_SERVER)
 
 _CSV_BLOCK_ROWS = 4096  # transcript rows joined per write
+# the relay folds groups of at least this many entries one Python add at a
+# time: np.cumsum walks the group axis once per entry of a group, and at
+# 200-1000 entries that costs about as much as a step of the loop
+_WIDE_GROUP = 512
 # intra sections of at most this many rows are kept as text, once per shape
 _CACHED_SECTION_ROWS = 1 << 15
 
@@ -304,7 +314,6 @@ class RunResult:
     """
 
     aggregate: np.ndarray
-    coeffs: np.ndarray
     intra: np.ndarray
     partials: np.ndarray
     status: np.ndarray
@@ -312,6 +321,17 @@ class RunResult:
     ctx: FieldContext
     params: ProtocolParams
     tree: AggregationTree
+    master_seed: int = 0
+    _coeffs: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The round's coefficient array.  A streamed round has none, so it
+        is made on first read by :func:`fill_blocks` from the round's
+        ``master_seed``: the same streams, so the same array."""
+        if self._coeffs is None:
+            self._coeffs = fill_blocks(self.params, self.ctx.p, None, None, self.master_seed)
+        return self._coeffs
 
     @property
     def null(self) -> np.ndarray:
@@ -329,9 +349,18 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# words read from the generator per chunk: its temporaries stay in cache
-_CHUNK_WORDS = 1 << 15
-# one generator per thread, reseeded by each draw: a new RandomState seeds
+# words read from the generator per chunk.  A chunk's arrays then take 64
+# KB, below glibc's initial 128 KB mmap threshold, so they come from the heap:
+# at 2**15 words each array took 128 KB of freshly mapped pages, 32 minor
+# faults, whenever no larger freed block had raised that threshold
+_CHUNK_WORDS = 1 << 14
+# entries of a streamed round's block buffer, allocated once per round and
+# reused block by block: whole groups up to this many, so that a round of
+# the sweep-deep shape is one block and round-wide's (10 groups of 14,652
+# entries) three.  Each block costs a few Python steps: at 2**15 sweep-deep
+# took two blocks and ran 10% slower in the benchmark
+_BLOCK_ENTRIES = 1 << 16
+# the generators that no stream holds, per thread: a new RandomState seeds
 # its MT19937 from OS entropy before the key replaces that state, which
 # costs ten times the reseed
 _generators = threading.local()
@@ -344,15 +373,20 @@ def _mt_key(seed: int) -> list[int]:
     return [seed >> shift & 0xFFFFFFFF for shift in range(0, seed.bit_length(), 32)] or [0]
 
 
-def draw_uniform(seed: int, bound: int, shape, out=None) -> np.ndarray:
-    """An int64 array of ``shape``, uniform in [0, bound) for 2 <= bound <=
-    2**63, filled in row order from the word stream of ``random.Random(seed)``.
-    Given ``out``, an array of ``shape`` such as a strided view of a
-    coefficient array, the same values go into it instead, a block of whole
-    rows at a time.
+def _free_generators() -> list:
+    if not hasattr(_generators, "free"):
+        _generators.free = []
+    return _generators.free
 
-    The words come from this thread's numpy legacy ``RandomState``, seeded
-    anew with :func:`_mt_key`: the same MT19937 with the same
+
+class UniformStream:
+    """Values uniform in [0, bound) for 2 <= bound <= 2**63, from the word
+    stream of ``random.Random(seed)``, handed out in order by :meth:`fill`:
+    filling arrays one after another gives them the values that one fill of
+    their concatenation would.
+
+    The words come from a numpy legacy ``RandomState`` of the stream's own,
+    seeded with :func:`_mt_key`: the same MT19937 with the same
     ``init_by_array`` seeding, its stream frozen by NEP 19, so it yields
     ``Random(seed)``'s 32-bit words in order.  They are read
     ``_CHUNK_WORDS`` at a time, as 32-bit words when bound-1 fits in 32
@@ -360,75 +394,128 @@ def draw_uniform(seed: int, bound: int, shape, out=None) -> np.ndarray:
     one low, as ``Random.getrandbits(64)`` builds them.  Each word keeps its
     top ``(bound-1).bit_length()`` bits and is rejected when that value is
     >= bound, so every accepted value is exactly uniform (no modulo bias)
-    and at most half the words are rejected.  The result is the first
-    ``prod(shape)`` accepted values of the word stream, whatever the
-    chunking.
+    and at most half the words are rejected.  The accepted values of a
+    chunk that a fill leaves over are kept for the next.  :meth:`close`
+    hands the generator back for a later stream of the thread to reseed.
     """
-    if not 2 <= bound <= 2**63:
-        raise ValueError(f"bound {bound} outside [2, 2**63]")
-    if out is None:
-        out = np.empty(shape, dtype=np.int64)
-    elif out.shape != tuple(shape):
-        raise ValueError(f"out has shape {out.shape}, expected {tuple(shape)}")
-    rng = getattr(_generators, "mt", None)
-    if rng is None:
-        # loaded here, not at import: set-up and the exhaustive checker never draw
-        from numpy.random import RandomState
 
-        rng = _generators.mt = RandomState()
-    rng.seed(_mt_key(seed))
-    bits = (bound - 1).bit_length()
-    width = 32 if bits <= 32 else 64
-    row_shape = out.shape[1:]
-    row_len = math.prod(row_shape)
-    # the start of a row that the end of a chunk cut off
-    held, n_held = np.empty(row_len, dtype=np.int64), 0
-    row = filled = 0
-    while filled < out.size:
-        # the expected number of words still needed, plus a few sigma
-        words = ((out.size - filled) << bits) // bound
+    def __init__(self, seed: int, bound: int):
+        if not 2 <= bound <= 2**63:
+            raise ValueError(f"bound {bound} outside [2, 2**63]")
+        self.bound = bound
+        self.bits = (bound - 1).bit_length()
+        self.width = 32 if self.bits <= 32 else 64
+        free = _free_generators()
+        if free:
+            self._rng = free.pop()
+        else:
+            # loaded here, not at import: set-up and the exhaustive checker never draw
+            from numpy.random import RandomState
+
+            self._rng = RandomState()
+        self._rng.seed(_mt_key(seed))
+        self._rest = np.empty(0, dtype=np.int64)
+
+    def close(self) -> None:
+        if self._rng is not None:
+            _free_generators().append(self._rng)
+            self._rng = None
+
+    def _chunk(self, need: int) -> np.ndarray:
+        """The accepted values of the next chunk of words, enough on average
+        for ``need`` values plus a few sigma, at most ``_CHUNK_WORDS``."""
+        words = (need << self.bits) // self.bound
         words = min(words + 4 * math.isqrt(words) + 16, _CHUNK_WORDS)
-        raw = rng.randint(0, 2**32, size=words * width // 32, dtype=np.uint32)
-        raw = raw.astype("<u4", copy=False).view(f"<u{width // 8}")
-        values = raw >> (width - bits)
-        if bound & (bound - 1):  # not a power of two, which rejects no word
+        raw = self._rng.randint(0, 2**32, size=words * self.width // 32, dtype=np.uint32)
+        raw = raw.astype("<u4", copy=False).view(f"<u{self.width // 8}")
+        values = raw >> (self.width - self.bits)
+        if self.bound & (self.bound - 1):  # not a power of two, which rejects no word
             # np.compress: several times faster than a boolean index here
-            values = np.compress(values < bound, values)
-        values = values[: out.size - filled]
-        filled += len(values)
-        if n_held:
-            take = min(row_len - n_held, len(values))
-            held[n_held : n_held + take] = values[:take]
-            n_held += take
-            if n_held < row_len:
-                continue
-            out[row] = held.reshape(row_shape)
-            row += 1
-            values = values[take:]
-        full = len(values) // row_len
-        out[row : row + full] = values[: full * row_len].reshape((full,) + row_shape)
-        row += full
-        n_held = len(values) - full * row_len
-        held[:n_held] = values[full * row_len :]
-    return out
+            values = np.compress(values < self.bound, values)
+        return values
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the next ``out.size`` values into ``out``, an array such as
+        a strided view of a coefficient array, in row order, a block of
+        whole rows at a time; returns ``out``."""
+        if not out.size:
+            return out
+        row_shape = out.shape[1:]
+        row_len = math.prod(row_shape)
+        # the start of a row that the end of a chunk cut off
+        held, n_held = np.empty(row_len, dtype=np.int64), 0
+        row, values = 0, self._rest
+        while True:
+            if not len(values):
+                values = self._chunk((len(out) - row) * row_len - n_held)
+            if n_held:
+                take = min(row_len - n_held, len(values))
+                held[n_held : n_held + take] = values[:take]
+                n_held += take
+                values = values[take:]
+                if n_held < row_len:
+                    continue
+                out[row] = held.reshape(row_shape)
+                row, n_held = row + 1, 0
+            full = min(len(values) // row_len, len(out) - row)
+            out[row : row + full] = values[: full * row_len].reshape((full,) + row_shape)
+            row += full
+            values = values[full * row_len :]
+            if row == len(out):
+                self._rest = values
+                return out
+            n_held = len(values)
+            held[:n_held] = values
+            values = values[:0]
+
+
+def model_stream(params: ProtocolParams, master_seed: int) -> UniformStream:
+    """The models of a round, (N, L) in row order, uniform in [0,
+    entry_bound): the one stream seeded with derive_seed(master_seed,
+    "models")."""
+    return UniformStream(derive_seed(master_seed, "models"), params.entry_bound)
+
+
+def noise_stream(p: int, params: ProtocolParams, master_seed: int) -> UniformStream:
+    """The noise of a round, (N, T, S) in row order, uniform in [0, p): the
+    one stream seeded with derive_seed(master_seed, "noise")."""
+    return UniformStream(derive_seed(master_seed, "noise"), p)
+
+
+def _fill_whole(stream, shape, out) -> np.ndarray:
+    """All of ``stream``'s values for ``shape``, in a fresh int64 array or in
+    ``out``, an array of that shape; the stream is closed after."""
+    with closing(stream):
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        elif out.shape != tuple(shape):
+            raise ValueError(f"out has shape {out.shape}, expected {tuple(shape)}")
+        return stream.fill(out)
+
+
+def draw_uniform(seed: int, bound: int, shape, out=None) -> np.ndarray:
+    """An int64 array of ``shape``, uniform in [0, bound) for 2 <= bound <=
+    2**63: the first ``prod(shape)`` values of :class:`UniformStream`
+    ``(seed, bound)``, in row order, whatever the chunking.  Given ``out``,
+    an array of ``shape`` such as a strided view of a coefficient array,
+    the same values go into it instead, a block of whole rows at a time."""
+    return _fill_whole(UniformStream(seed, bound), shape, out)
 
 
 def draw_noise(p: int, params: ProtocolParams, master_seed: int, out=None) -> np.ndarray:
-    """(N, T, S) uniform noise in [0, p), drawn in row order from the one
-    stream seeded with derive_seed(master_seed, "noise"): same seed, same
-    noise.  Given ``out``, such as rows K and up of a coefficient array,
-    the noise goes into it."""
+    """(N, T, S) uniform noise in [0, p), all of :func:`noise_stream`: same
+    seed, same noise.  Given ``out``, such as rows K and up of a coefficient
+    array, the noise goes into it."""
     shape = (params.n_users, params.t_max, params.seg_len)
-    return draw_uniform(derive_seed(master_seed, "noise"), p, shape, out)
+    return _fill_whole(noise_stream(p, params, master_seed), shape, out)
 
 
 def draw_models(params: ProtocolParams, master_seed: int, out=None) -> np.ndarray:
-    """(N, L) models uniform in [0, entry_bound), drawn in row order from the
-    one stream seeded with derive_seed(master_seed, "models").  Given
-    ``out``, such as the model entries of a coefficient array, the models
-    go into it."""
+    """(N, L) models uniform in [0, entry_bound), all of :func:`model_stream`.
+    Given ``out``, such as the model entries of a coefficient array, the
+    models go into it."""
     shape = (params.n_users, params.model_len)
-    return draw_uniform(derive_seed(master_seed, "models"), params.entry_bound, shape, out)
+    return _fill_whole(model_stream(params, master_seed), shape, out)
 
 
 def fill_blocks(
@@ -502,61 +589,135 @@ def run_protocol(
     master_seed: int = 0,
     noise=None,
 ) -> RunResult:
-    """Execute one full aggregation round deterministically: :func:`run_round`
-    on the coefficient array that :func:`fill_blocks` makes of ``models``
-    and ``noise``, each drawn from ``master_seed`` when None."""
-    coeffs = fill_blocks(params, ctx.p, models, noise, master_seed)
-    return run_round(ctx, params, tree, coeffs, dropout_plan)
+    """Execute one full aggregation round deterministically.  Raises
+    TooManyDropouts when fewer than K+T non-null messages reach the server.
 
-
-def run_round(
-    ctx: FieldContext,
-    params: ProtocolParams,
-    tree: AggregationTree,
-    coeffs: np.ndarray,
-    dropout_plan: Optional[DropoutPlan] = None,
-) -> RunResult:
-    """Run one aggregation round on ``coeffs`` (N, K+T, S, *batch), every
-    user's model segments then noise in the field dtype, entries in [0, p).
-    The array is read, never copied, and becomes the result's ``coeffs``.
-    Raises TooManyDropouts when fewer than K+T non-null messages reach the
-    server.
+    With neither ``models`` nor ``noise`` given the round is streamed: both
+    are drawn from ``master_seed`` a block at a time into one reused buffer
+    and summed into the group sums (:func:`stream_group_sums`), and the
+    result makes its ``coeffs`` only when they are read.  Otherwise
+    :func:`fill_blocks` makes the coefficient array of ``models`` and
+    ``noise``, each drawn from ``master_seed`` when None, the round sums it
+    (:func:`group_sums`) and the array becomes the result's ``coeffs``.
+    Both paths then run the same intra, inter and server phases.
     """
     plan = dropout_plan or DropoutPlan.none()
-    n = params.n_users
-    size = params.group_size
-    seg_len = params.seg_len
-    p = ctx.p
     if tree.num_groups != params.num_groups:
         raise ValueError(
             f"tree has {tree.num_groups} groups, params imply {params.num_groups}"
         )
-    if p <= size:
+    if ctx.p <= params.group_size:
         raise ValueError(
-            f"modulus {p} too small for {size} distinct non-zero evaluation points"
+            f"modulus {ctx.p} too small for {params.group_size} distinct non-zero "
+            "evaluation points"
         )
     for u in plan.dropped:
-        if not 0 <= u < n:
-            raise ValueError(f"dropout index {u} outside [0, {n})")
-    batch = coeffs.shape[3:]
-
+        if not 0 <= u < params.n_users:
+            raise ValueError(f"dropout index {u} outside [0, {params.n_users})")
     pre_dropped = sorted(plan.dropped) if plan.timing == PRE_INTRA else []
+    coeffs = None
+    if models is not None or noise is not None:
+        coeffs = fill_blocks(params, ctx.p, models, noise, master_seed)
+    # made in the call, so that the phases can free the sums once read
+    return _run_phases(
+        ctx,
+        params,
+        tree,
+        plan,
+        stream_group_sums(params, ctx.p, master_seed, pre_dropped)
+        if coeffs is None
+        else group_sums(coeffs, params.group_size, pre_dropped, ctx.p),
+        coeffs,
+        master_seed,
+    )
+
+
+def group_sums(coeffs: np.ndarray, size: int, pre_dropped: list, p: int) -> np.ndarray:
+    """The (G, K+T, S, *batch) sums of ``coeffs`` (N, K+T, S, *batch) over
+    each group of ``size`` users but the sorted ``pre_dropped``, mod p."""
+    # a plain sum less the few pre-intra dropouts' blocks is 1.5-3x faster
+    # than a sum masked by took_part; two dropouts may share a group
+    sums = coeffs.reshape((-1, size) + coeffs.shape[1:]).sum(axis=1)
+    if pre_dropped:
+        np.subtract.at(sums, np.floor_divide(pre_dropped, size), coeffs[pre_dropped])
+    return reduce_mod(sums, p, out=sums)
+
+
+def block_rows(params: ProtocolParams) -> int:
+    """The users a streamed round draws per block: as many whole groups as
+    ``_BLOCK_ENTRIES`` entries hold, all of them when they fit; else as
+    many users of one group as fit, and at least one."""
+    per_user = (params.k_parts + params.t_max) * params.seg_len
+    size = params.group_size
+    if size * per_user <= _BLOCK_ENTRIES:
+        return min(params.n_users, _BLOCK_ENTRIES // (size * per_user) * size)
+    return max(1, _BLOCK_ENTRIES // per_user)
+
+
+def stream_group_sums(
+    params: ProtocolParams, p: int, master_seed: int, pre_dropped: list
+) -> np.ndarray:
+    """The (G, K+T, S) group sums mod p of the round that :func:`fill_blocks`
+    draws from ``master_seed``, less the ``pre_dropped`` users' blocks,
+    without its coefficient array.  Each block of :func:`block_rows` users
+    is drawn into one buffer laid out like that array: the models into
+    :func:`~rampagg.sharing.model_rows`
+    (padding zeroed, reduced mod p only when p is below the entry bound) and
+    the noise into rows K and up, from :func:`model_stream` and
+    :func:`noise_stream`.  The dropouts' rows are zeroed and the block is
+    summed into its groups; a group larger than a block adds up its
+    blocks."""
+    n, k, size = params.n_users, params.k_parts, params.group_size
+    width, seg_len, length = k + params.t_max, params.seg_len, params.model_len
+    rows = block_rows(params)
+    dtype = np.dtype(field_dtype(p, width))
+    buffer = np.empty(rows * width * seg_len, dtype=dtype)
+    sums = np.empty((params.num_groups, width, seg_len), dtype=dtype)
+    span = max(rows, size)  # whole groups
+    with closing(model_stream(params, master_seed)) as models, closing(
+        noise_stream(p, params, master_seed)
+    ) as noise:
+        for first in range(0, n, span):
+            stop = min(first + span, n)
+            for a in range(first, stop, rows):
+                b = min(a + rows, stop)
+                block = buffer[: (b - a) * width * seg_len].reshape(b - a, width, seg_len)
+                entries = model_rows(block, k)
+                models.fill(entries[:, :length])
+                if length < k * seg_len:
+                    entries[:, length:] = 0
+                if p < params.entry_bound:  # only a hand-picked modulus is that small
+                    reduce_mod(entries[:, :length], p, out=entries[:, :length])
+                noise.fill(block[:, k:])
+                dropped = [u - a for u in pre_dropped if a <= u < b]
+                if dropped:
+                    block[dropped] = 0
+                group = a // size
+                pieces = block.reshape(-1, min(b - a, size), width, seg_len)
+                if a % size == 0:
+                    pieces.sum(axis=1, out=sums[group : group + len(pieces)])
+                else:  # a later block of a group larger than a block
+                    sums[group] += pieces[0].sum(axis=0)
+    return reduce_mod(sums, p, out=sums)
+
+
+def _run_phases(ctx, params, tree, plan, sums, coeffs, master_seed) -> RunResult:
+    """The intra, inter and server phases from the round's group ``sums``
+    (G, K+T, S, *batch) mod p, of ``coeffs`` or, when None, of the streams
+    of ``master_seed``."""
+    n, size, seg_len, p = params.n_users, params.group_size, params.seg_len, ctx.p
+    batch = sums.shape[3:]
     took_part = np.ones(n, dtype=bool)  # in the intra phase
-    took_part[pre_dropped] = False
+    if plan.timing == PRE_INTRA:
+        took_part[sorted(plan.dropped)] = False
     # plain ints: numpy compares and stores an IntEnum member several times slower
     status = np.full(n, UserStatus.ACTIVE.value, dtype=np.int8)
     status[sorted(plan.dropped)] = UserStatus.DROPPED.value
 
-    # -- intra phase: the group sum of active blocks, at every slot's point --
-    # a plain sum less the few pre-intra dropouts' blocks is 1.5-3x faster
-    # than a sum masked by took_part; two dropouts may share a group
-    group_sums = coeffs.reshape((-1, size) + coeffs.shape[1:]).sum(axis=1)
-    if pre_dropped:
-        np.subtract.at(group_sums, np.floor_divide(pre_dropped, size), coeffs[pre_dropped])
-    reduce_mod(group_sums, p, out=group_sums)
+    # -- intra phase: the group sums at every slot's point --------------------
     points = [eval_point_for_slot(t) for t in range(size)]
-    intra = evaluate(group_sums, points, p, axis=1).reshape((n, seg_len) + batch)
-    del group_sums  # freed before the relay allocates its scan
+    intra = evaluate(sums, points, p, axis=1).reshape((n, seg_len) + batch)
+    del sums  # freed before the relay allocates its scan
 
     # -- inter + server phases: subtree sums, all groups and slots at once --
     dead = (status == UserStatus.DROPPED.value).reshape(-1, size)
@@ -578,15 +739,7 @@ def run_round(
             causes.append(f"{t} (dropped {', '.join(map(str, users))})")
         raise TooManyDropouts(f"{exc}; null slots: {', '.join(causes)}") from None
     return RunResult(
-        aggregate=aggregate,
-        coeffs=coeffs,
-        intra=intra,
-        partials=partials,
-        status=status,
-        took_part=took_part,
-        ctx=ctx,
-        params=params,
-        tree=tree,
+        aggregate, intra, partials, status, took_part, ctx, params, tree, master_seed, coeffs
     )
 
 
@@ -594,27 +747,24 @@ def relay(intra: np.ndarray, dead: np.ndarray, tree: AggregationTree, p: int):
     """The inter phase on ``intra`` (G, size, S, *batch) and ``dead`` (G,
     size), by group and slot: what each user forwards, its slot's sum mod p
     over its group's subtree, and whether a user in its slot strictly below
-    it dropped.  Both are differences of prefix sums in postorder."""
+    it dropped.  Wide groups are folded leaves first, one in-place add of
+    each group into its parent; narrow ones take differences of prefix sums
+    in postorder, where every subtree is one contiguous range."""
     lo, hi = tree.subtree_lo, tree.subtree_hi
     if intra.dtype != object and len(intra) * (p - 1) >= 2**63:
-        raise ValueError(f"prefix sums of {len(intra)} groups mod {p} overflow int64")
-    # row i sums the first i groups in postorder, by log-step doubling (Hillis
-    # and Steele, CACM 1986): np.cumsum walks the group axis row by row, slow
-    # on wide batched rows
-    sums = np.empty((len(intra) + 1,) + intra.shape[1:], dtype=intra.dtype)
-    sums[0] = 0
-    scan = sums[1:]
-    np.take(intra, tree.postorder, axis=0, out=scan)
-    step = 1
-    while step < len(scan):
-        scan[step:] += scan[:-step]  # numpy buffers the overlapping operand
-        step *= 2
-    inner = np.flatnonzero(hi - lo > 1)  # groups with children; leaves keep intra
-    subtree = sums[hi[inner]]
-    subtree -= sums[lo[inner]]  # in place: a fresh wide temporary costs page faults
-    reduce_mod(subtree, p, out=subtree)
-    partials = intra.copy()
-    partials[inner] = subtree
+        raise ValueError(f"subtree sums of {len(intra)} groups mod {p} overflow int64")
+    if math.prod(intra.shape[1:]) >= _WIDE_GROUP:
+        partials = intra.copy()
+        children = tree.postorder[:-1]  # the last group, the root, has the server above
+        for child, parent in zip(children.tolist(), tree.parents[children].tolist()):
+            partials[parent] += partials[child]
+    else:
+        # row i sums the first i groups in postorder
+        sums = np.zeros((len(intra) + 1,) + intra.shape[1:], dtype=intra.dtype)
+        np.cumsum(intra[tree.postorder], axis=0, out=sums[1:])
+        partials = sums[hi]
+        partials -= sums[lo]
+    reduce_mod(partials, p, out=partials)
     drops = np.zeros((len(dead) + 1, dead.shape[1]), dtype=np.intp)
     np.cumsum(dead[tree.postorder], axis=0, out=drops[1:])
     return partials, drops[hi - 1] > drops[lo]

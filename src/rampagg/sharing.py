@@ -9,17 +9,20 @@ most K+T-1.  A round holds the blocks of all N users in one array of shape
 the exhaustive privacy checker puts its runs and noise assignments there,
 and rounds have none.
 
-A round allocates that array once, with :func:`empty_blocks`, and fills it
-in place (:func:`rampagg.protocol.fill_blocks`): the models go into
+A round given its models or noise allocates that array once, with
+:func:`empty_blocks`, and fills it in place
+(:func:`rampagg.protocol.fill_blocks`): the models go into
 :func:`model_rows`, the (N, K*S) view of every block's K segments, whose
 padding alone is zeroed, and the noise into rows K and up; models may carry
 batch axes of their own, and the assignment broadcasts them to the noise's.
 Models or noise that the caller does not pass are drawn straight into the
-array, so a simulated round holds no separate model or noise array.  Drawn
-noise lies in [0, p) by construction, and drawn models are reduced mod p in
-place only when the modulus is below their entry bound.  Noise that is
-passed in is reduced mod p as it is written into the array, with no
-temporary, and models before they are broadcast.
+array.  Drawn noise lies in [0, p) by construction, and drawn models are
+reduced mod p in place only when the modulus is below their entry bound.
+Noise that is passed in is reduced mod p as it is written into the array,
+with no temporary, and models before they are broadcast.  A simulated
+round, which passes neither, fills a buffer of a few users' blocks in the
+same layout again and again and keeps only its group sums
+(:func:`rampagg.protocol.stream_group_sums`).
 
 A share is a block evaluated at one non-zero point, that is one row of a
 Vandermonde matrix applied along the K+T axis.  Evaluation is linear, so

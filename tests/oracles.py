@@ -356,34 +356,46 @@ def uniform_getrandbits_naive(seed, bound, count):
     return values
 
 
-def models_randrange_naive(params, master_seed, out=None):
-    """The (N, L) models of the per-entry stream that bulk drawing replaced:
-    one ``randrange(entry_bound)`` per entry, user by user, from the
-    generator seeded with derive_seed(master_seed, "models").  Given
-    ``out``, each draw is written into its entry of ``out``."""
-    rng = Random(_derive_seed(master_seed, "models"))
-    if out is None:
-        out = np.empty((params.n_users, params.model_len), dtype=np.int64)
-    for u in range(params.n_users):
-        for i in range(params.model_len):
-            out[u, i] = rng.randrange(params.entry_bound)
-    return out
+class models_randrange_naive:
+    """The models stream that bulk drawing replaced, in place of
+    ``protocol.model_stream`` and with the interface of its streams:
+    ``fill(out)`` writes the next ``out.size`` values into ``out`` in row
+    order.  One ``randrange(entry_bound)`` per entry, user by user, from the
+    generator seeded with derive_seed(master_seed, "models")."""
+
+    def __init__(self, params, master_seed):
+        self.rng = Random(_derive_seed(master_seed, "models"))
+        self.bound = params.entry_bound
+
+    def fill(self, out):
+        for index in np.ndindex(out.shape):
+            out[index] = self.rng.randrange(self.bound)
+        return out
+
+    def close(self):
+        pass
 
 
-def noise_randrange_naive(p, params, master_seed, out=None):
-    """The (N, T, S) noise of the per-user streams that bulk drawing
-    replaced: user u's T*S symbols, in row order, are one ``randrange(p)``
-    each from its own generator seeded with derive_seed(master_seed,
-    "noise:u").  Given ``out``, each draw is written into its entry of
-    ``out``."""
-    if out is None:
-        out = np.empty((params.n_users, params.t_max, params.seg_len), dtype=np.int64)
-    for u in range(params.n_users):
-        rng = Random(_derive_seed(master_seed, f"noise:{u}"))
-        for j in range(params.t_max):
-            for s in range(params.seg_len):
-                out[u, j, s] = rng.randrange(p)
-    return out
+class noise_randrange_naive:
+    """The noise streams that bulk drawing replaced, in place of
+    ``protocol.noise_stream``: user u's T*S symbols, in row order, are one
+    ``randrange(p)`` each from its own generator seeded with
+    derive_seed(master_seed, "noise:u"), and ``fill(out)`` takes the next
+    users' (T, S) rows."""
+
+    def __init__(self, p, params, master_seed):
+        self.p, self.master_seed, self.user = p, master_seed, 0
+
+    def fill(self, out):
+        for row in out:
+            rng = Random(_derive_seed(self.master_seed, f"noise:{self.user}"))
+            for index in np.ndindex(row.shape):
+                row[index] = rng.randrange(self.p)
+            self.user += 1
+        return out
+
+    def close(self):
+        pass
 
 
 # ---- privacy enumeration --------------------------------------------------------

@@ -7,8 +7,10 @@ object-dtype path.
 
 :data:`GOLDEN` was generated by the object-per-user round, with models and
 noise drawn one ``randrange`` per entry.  Those streams are injected from
-the test oracles to show that the round itself did not change when the
-array round replaced that one, nor when bulk drawing replaced the streams.
+the test oracles in place of the round's own streams, which a simulated
+round draws a block at a time, to show that the round itself did not
+change when the array round replaced that one, when bulk drawing replaced
+the streams, nor when the streamed round replaced the coefficient array.
 :data:`GOLDEN_BULK` pins the same matrix with the program's own bulk
 streams.  After a deliberate, logged change to the streams, regenerate it
 with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -115,8 +117,8 @@ def _digests(config: RunConfig) -> tuple[str, str]:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests(name, monkeypatch):
-    monkeypatch.setattr(protocol, "draw_models", models_randrange_naive)
-    monkeypatch.setattr(protocol, "draw_noise", noise_randrange_naive)
+    monkeypatch.setattr(protocol, "model_stream", models_randrange_naive)
+    monkeypatch.setattr(protocol, "noise_stream", noise_randrange_naive)
     assert _digests(CONFIGS[name]) == GOLDEN[name]
 
 

@@ -326,12 +326,14 @@ def test_simulate_enters_the_round_once_by_its_harness_name(monkeypatch):
 
 
 def test_simulate_builds_no_set_up_copies():
-    """A round keeps its (N, K+T, S) coefficient array, the (N, S)
-    in-group aggregates and partial sums (0.4 of the array at K+T = 5) and
-    the report's 60,000-entry aggregate; the relay's scan comes and goes.
-    Drawing models and noise anywhere but straight into the array, or
-    copying it, would add at least 0.4 more: a set-up that pads, reduces,
-    casts and concatenates separate model and noise arrays peaks at 3x."""
+    """A streamed round holds one block of drawn users (one user here, of
+    100,000 entries), the (G, K+T, S) group sums, the (N, S) in-group
+    aggregates and partial sums (0.4 of the coefficient array at K+T = 5)
+    and the report's 60,000-entry aggregate; the relay's copies come and go.
+    Building the coefficient array would add 1.0 more, and a set-up that
+    pads, reduces, casts and concatenates separate model and noise arrays
+    peaks at 3x.  The array is made after the peak is read, on the first
+    read of ``coeffs``."""
     config = RunConfig(
         n_users=12, t_max=2, d_max=1, k_parts=3, model_len=60_000, entry_bound=256,
         dropped=(2,),

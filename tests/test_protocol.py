@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -580,6 +581,120 @@ def test_relay_refuses_prefix_sums_past_int64():
             with pytest.raises(ValueError, match="overflow int64"):
                 relay(exact.astype(np.int64), dead, tree, p)
         assert relay(exact, dead, tree, p)[0].tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("shape", ["chain", "star", {0: 2, 1: 2, 2: 4, 3: 4, 4: "server"}])
+@pytest.mark.parametrize("width", [1, 2, protocol._WIDE_GROUP])
+def test_relay_matches_naive_subtree_sums_in_both_branches(width, shape, dtype):
+    # a group of size * S entries below _WIDE_GROUP takes prefix sums, at or
+    # above it the leaves-first fold; S = width gives size * width entries
+    groups, size, p = 5, 3, 2**31 - 1
+    tree, rng = build_tree(groups, shape), Random(width)
+    intra = np.array(
+        [rng.randrange(p) for _ in range(groups * size * width)], dtype=dtype
+    ).reshape(groups, size, width)
+    dead = np.zeros((groups, size), dtype=bool)
+    dead[1, 2] = dead[3, 0] = True
+    partials, silent = relay(intra, dead, tree, p)
+    expected, expected_silent = relay_fold_naive(intra.astype(object), dead, tree, p)
+    assert partials.dtype == dtype
+    assert partials.tolist() == expected.tolist()
+    assert np.array_equal(silent, expected_silent)
+
+
+# ---- the streamed round ----
+
+
+def _stream_params(d=2):
+    # K=3, T=2: groups of 5 + D users, (K+T) * S = 15 entries a user
+    return make_params(12 if d == 1 else 14, 2, d, 3, model_len=8, entry_bound=16)
+
+
+@pytest.mark.parametrize("cap", [1, 40, 70, 105, 210, 1 << 16])
+@pytest.mark.parametrize(
+    "pre_dropped", [[], [0], [13], [3, 4], [4, 5], [5, 6], [8, 12]]
+)
+def test_streamed_group_sums_equal_the_arrays(monkeypatch, cap, pre_dropped):
+    # groups of 7 users, 105 entries: caps 1, 40 and 70 cut each group into
+    # blocks of 1, 2 and 4 users (the last one shorter), 105 holds one whole
+    # group and 210 the round; the dropouts sit at blocks' first and last
+    # users, two of them in one group
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", cap)
+    params, p = _stream_params(), 1009
+    coeffs = protocol.fill_blocks(params, p, None, None, 5)
+    expected = protocol.group_sums(coeffs, params.group_size, pre_dropped, p)
+    got = protocol.stream_group_sums(params, p, 5, pre_dropped)
+    assert got.dtype == expected.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "p,entry_bound,dtype", [(2**31 + 11, 2**31, object), (13, 16, np.int64)]
+)
+def test_streamed_group_sums_on_object_entries_and_a_small_prime(
+    monkeypatch, p, entry_bound, dtype
+):
+    # an entry bound of 2**31 puts the blocks in object arrays; a modulus
+    # below the entry bound has the drawn models reduced mod p
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", 40)
+    params = make_params(14, 2, 2, 3, model_len=8, entry_bound=entry_bound)
+    coeffs = protocol.fill_blocks(params, p, None, None, 9)
+    assert coeffs.dtype == dtype
+    expected = protocol.group_sums(coeffs, params.group_size, [3, 4], p)
+    got = protocol.stream_group_sums(params, p, 9, [3, 4])
+    assert got.dtype == dtype
+    assert got.tolist() == expected.tolist()
+    assert int(coeffs.max()) < p
+
+
+@pytest.mark.parametrize("timing", [PRE_INTRA, BETWEEN_ROUNDS])
+@pytest.mark.parametrize("cap", [40, 1 << 16])
+def test_streamed_round_equals_the_array_round(monkeypatch, cap, timing):
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", cap)
+    params = _stream_params(d=1)
+    ctx, tree = FieldContext(1009, 16, 12), build_tree(2, "chain")
+    plan = DropoutPlan(frozenset({6}), timing)
+    streamed = run_protocol(ctx, params, tree, None, plan, 4)
+    models = protocol.draw_models(params, 4)
+    filled = run_protocol(ctx, params, tree, models, plan, 4)
+    for name in ("aggregate", "intra", "partials", "status", "took_part"):
+        assert np.array_equal(getattr(streamed, name), getattr(filled, name)), name
+    # made on first read, once, from the same streams
+    assert streamed.coeffs is streamed.coeffs
+    assert np.array_equal(streamed.coeffs, filled.coeffs)
+
+
+def test_streamed_coeffs_match_across_the_object_dtype_path():
+    config = RunConfig(
+        n_users=12, t_max=2, d_max=1, k_parts=3, model_len=10, entry_bound=2**31,
+        dropped=(4,), master_seed=3,
+    )
+    _, result = simulate(config)
+    params, tree, ctx = config.resolve()
+    models = protocol.draw_models(params, config.master_seed)
+    filled = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({4})), 3)
+    assert result.coeffs.dtype == object
+    assert result.coeffs.tolist() == filled.coeffs.tolist()
+    assert result.aggregate.tolist() == filled.aggregate.tolist()
+
+
+def test_streamed_round_peaks_below_the_coefficient_array():
+    """At the round-wide shape (N=120, K+T=11, S=111, 10 groups) a streamed
+    round holds a block of at most ``_BLOCK_ENTRIES`` entries, the (G, K+T,
+    S) group sums and (N, S) arrays, never the 1.17 MB coefficient array."""
+    config = RunConfig(
+        n_users=120, t_max=2, d_max=1, k_parts=9, model_len=999, entry_bound=256,
+        dropped=(2,), master_seed=1,
+    )
+    simulate(config.replace(master_seed=2))  # imports and caches are set-up
+    tracemalloc.start()
+    try:
+        _, result = simulate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < result.coeffs.nbytes
 
 
 # ---- the CSV export ----

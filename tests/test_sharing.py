@@ -19,6 +19,7 @@ from rampagg.protocol import (
     eval_point_for_slot,
     fill_blocks,
     server_recover,
+    UniformStream,
 )
 from rampagg.sharing import empty_blocks, evaluate, model_rows
 from rampagg.topology import ProtocolParams
@@ -188,6 +189,38 @@ def test_draw_uniform_into_coefficient_array_views(bound, p, chunk, monkeypatch)
     assert coeffs[:, 3:].reshape(-1).tolist() == uniform_getrandbits_naive(18, bound, 32)
     # an object array holds Python ints, not numpy scalars
     assert {type(v) for v in coeffs.reshape(-1).tolist()} == {int}
+
+
+@pytest.mark.parametrize("bound", [256, 30011, 2**32 + 15])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_stream_filled_block_by_block_gives_one_draws_values(bound, chunk, monkeypatch):
+    # blocks of other shapes, an empty one among them, and one past a chunk
+    if chunk:
+        monkeypatch.setattr(protocol, "_CHUNK_WORDS", chunk)
+    shapes = [(3, 7), (5,), (0, 4), (2, 4, 3), (1, 1), (400,)]
+    stream = UniformStream(29, bound)
+    blocks = [stream.fill(np.empty(shape, dtype=np.int64)) for shape in shapes]
+    stream.close()
+    values = np.concatenate([block.reshape(-1) for block in blocks]).tolist()
+    assert values == draw_uniform(29, bound, (len(values),)).tolist()
+    assert values == uniform_getrandbits_naive(29, bound, len(values))
+
+
+def test_interleaved_streams_keep_their_own_generators():
+    # a round fills its model and noise streams in turn; each stream keeps
+    # its generator until closed, and a closed one's generator is reseeded
+    # by the next stream that takes it
+    a, b = UniformStream(1, 101), UniformStream(2, 101)
+    first = [a.fill(np.empty(50, dtype=np.int64)), b.fill(np.empty(50, dtype=np.int64))]
+    second = [a.fill(np.empty(50, dtype=np.int64)), b.fill(np.empty(50, dtype=np.int64))]
+    a.close()
+    c = UniformStream(3, 101)
+    third = c.fill(np.empty(50, dtype=np.int64))
+    b.close()
+    c.close()
+    assert np.concatenate([first[0], second[0]]).tolist() == draw_uniform(1, 101, (100,)).tolist()
+    assert np.concatenate([first[1], second[1]]).tolist() == draw_uniform(2, 101, (100,)).tolist()
+    assert third.tolist() == draw_uniform(3, 101, (50,)).tolist()
 
 
 def test_draw_uniform_into_empty_noise_rows():
