@@ -14,6 +14,12 @@ the streams, nor when the streamed round replaced the coefficient array.
 :data:`GOLDEN_BULK` pins the same matrix with the program's own bulk
 streams.  After a deliberate, logged change to the streams, regenerate it
 with ``PYTHONPATH=src python tests/test_golden.py``.
+
+:data:`VIEW_GOLDEN` pins what colluders and the server receive
+(``collect_adversary_view``) on rounds with drawn inputs, with object
+entries, with a between-rounds dropout, and on one call shaped as the
+exhaustive privacy checker makes it: given models on a runs axis over an
+enumerated noise batch.
 """
 
 import hashlib
@@ -23,9 +29,12 @@ import numpy as np
 import pytest
 
 from rampagg import protocol
-from rampagg.harness import RunConfig, plain_sum, simulate
-from rampagg.protocol import UserStatus
+from rampagg.field import FieldContext
+from rampagg.harness import RunConfig, collect_adversary_view, plain_sum, simulate
+from rampagg.privacy import PrivacyCase, _build_models, _build_noise
+from rampagg.protocol import DropoutPlan, UserStatus, run_protocol
 from rampagg.sharing import field_dtype
+from rampagg.topology import build_tree, make_params
 from rampagg.verify import example_single_group_config, example_two_group_config
 
 from oracles import models_randrange_naive, noise_randrange_naive
@@ -155,9 +164,67 @@ def test_int64_bound_both_sides_sum_exactly(prime, dtype, dropped):
     assert all(type(v) is int for v in report.aggregate)
 
 
+def _privacy_call():
+    """One protocol call as ``privacy_bruteforce`` makes it for a 6-user
+    K=2 case over GF(5): three model assignments on a runs axis, over the
+    3125-point noise enumeration broadcast to each run."""
+    case = PrivacyCase(
+        n_users=6, t_max=1, d_max=0, k_parts=2, prime=5, adversaries=(0,), model_bound=2
+    )
+    honest = [1, 2, 3, 4, 5]
+    params = make_params(6, 1, 0, 2, model_len=2, entry_bound=2)
+    noise = _build_noise(case, honest, 5**5)
+    assignments = [(0,) * 10, (0, 1) * 5, (1,) * 10]
+    models = np.stack([_build_models(case, honest, w, 5) for w in assignments], -1)
+    batched = np.broadcast_to(noise[:, :, :, None], noise.shape[:3] + (3, 5**5))
+    tree = build_tree(params.num_groups, "chain")
+    plan = DropoutPlan(frozenset())
+    return run_protocol(FieldContext(5, 2, 6), params, tree, models[..., None], plan, noise=batched)
+
+
+# name -> (the round's result, made when the test runs, and its colluders)
+VIEW_CASES = {
+    "readme-example": (lambda: simulate(example_two_group_config())[1], (0, 6)),
+    "round-wide-seed1": (lambda: simulate(_round_wide(1))[1], (3, 115)),
+    "entry-bound-2-31": (lambda: simulate(CONFIGS["entry-bound-2-31"])[1], (1, 11)),
+    "between-rounds-dropout": (
+        lambda: simulate(example_two_group_config().replace(dropout_timing="between_rounds"))[1],
+        (2, 8),
+    ),
+    "privacy-batched-call": (_privacy_call, (0,)),
+}
+
+# name -> (shape, dtype, sha256 of the view's bytes: its buffer for int64,
+# the decimal text of its entries for object arrays, whose buffer holds
+# pointers)
+VIEW_GOLDEN = {
+    "between-rounds-dropout": ((15, 3), 'int64', '85c82db588d10db2461e4aab40b68bb60bdc8656d044cf3c46d41e419344b070'),
+    "entry-bound-2-31": ((15, 4), 'object', '465feb913ca0f57a59cd08d424acdffca22312a05e9fb2a4eabd8bf11b304430'),
+    "privacy-batched-call": ((5, 1, 3, 3125), 'int64', 'd1bfee21e185bc58ec43d464e95d101ece7ee526f1af8c27b9b3ae86c551b43e'),
+    "readme-example": ((15, 3), 'int64', 'f940703e35df61ef44040f3d19898929ba67ed9c90aff9f3a44d606d9c1baf32'),
+    "round-wide-seed1": ((33, 111), 'int64', 'd36d93351e48ad88d8c05e81633bd3b71314b6fd685578f0a2c8c3c92f41822d'),
+}
+
+
+def _view_digest(name: str) -> tuple:
+    make, adversaries = VIEW_CASES[name]
+    view = collect_adversary_view(make(), adversaries)
+    data = str(view.tolist()).encode() if view.dtype == object else view.tobytes()
+    return view.shape, str(view.dtype), hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_CASES))
+def test_adversary_views_match_golden_digests(name):
+    assert _view_digest(name) == VIEW_GOLDEN[name]
+
+
 if __name__ == "__main__":
     print("GOLDEN_BULK = {")
     for name in sorted(CONFIGS):
         report_digest, csv_digest = _digests(CONFIGS[name])
         print(f'    "{name}": ("{report_digest}", "{csv_digest}"),')
+    print("}")
+    print("VIEW_GOLDEN = {")
+    for name in sorted(VIEW_CASES):
+        print(f'    "{name}": {_view_digest(name)!r},')
     print("}")
