@@ -6,9 +6,10 @@ as they come (:func:`rampagg.protocol.stream_group_sums`), and turns it into a
 :class:`RunReport` whose load figures are exact rationals computed purely
 by counting transcript symbols, never by evaluating the closed-form
 expressions they are later compared against.  :func:`correctness_oracle`
-replays randomized runs against a plain-integer summation oracle, and
-:func:`collect_adversary_view` makes exactly the messages a colluding set
-plus the server receive, from the round's masks.
+replays randomized rounds, drawn the same way from derived seeds, against a
+plain-integer summation oracle, and :func:`collect_adversary_view` makes
+exactly the messages a colluding set plus the server receive, from the
+round's masks and the blocks of its intra senders alone.
 """
 
 import dataclasses
@@ -18,7 +19,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from random import Random
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .protocol import (
     UserStatus,
     derive_seed,
     draw_models,
+    draw_uniform,
     eval_point_for_slot,
     join_spans,
     run_protocol,
@@ -454,7 +455,8 @@ def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.
     (the server last), then phase, then sender.  An intra row holds its
     sender's block evaluated at the receiver's point, an uplink row the
     partial sum its sender forwarded.  Only these O(C * size) messages are
-    made, from the round's masks."""
+    made, from the round's masks and its intra senders' blocks
+    (:meth:`~rampagg.protocol.RunResult.blocks`)."""
     n, size, p = result.params.n_users, result.params.group_size, result.ctx.p
     outside = [u for u in adversaries if not 0 <= u < n]
     if outside:
@@ -487,8 +489,8 @@ def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.
     view = np.empty((len(sender),) + message, result.partials.dtype)
     # row i of the Vandermonde matrix is the point of intra row i's receiver
     points = eval_point_for_slot(receiver[intra] % size).tolist()
-    width = result.coeffs.shape[1]  # K+T
-    blocks = result.coeffs[sender[intra]].reshape(len(points), width, math.prod(message))
+    width = result.params.k_parts + result.params.t_max
+    blocks = result.blocks(sender[intra]).reshape(len(points), width, math.prod(message))
     matrix = vandermonde(points, width, p, field_dtype(p, 1))
     shares = matrix[:, None, :] @ blocks
     reduce_mod(shares, p, out=shares)
@@ -507,26 +509,28 @@ def plain_sum(models: np.ndarray, included) -> list[int]:
     return models[included].astype(object).sum(axis=0).tolist()
 
 
-@dataclass
-class OracleSummary:
-    trials: int
-    failures: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
+def draw_dropouts(seed: int, n_users: int, low: int, high: int) -> frozenset:
+    """Between ``low`` and ``high`` distinct users of ``n_users``, from the
+    stream of ``seed``: its first value picks how many (uniformly, up to a
+    bias below 2**-50), and the next, one per user, put the users in a
+    random order whose first ones are taken."""
+    values = draw_uniform(seed, 2**63, (n_users + 1,))
+    count = low + int(values[0]) % (high - low + 1)
+    return frozenset(np.argsort(values[1:], kind="stable")[:count].tolist())
 
 
 def correctness_oracle(
     config: RunConfig, trials: int, master_seed: Optional[int] = None
-) -> OracleSummary:
+) -> list[dict]:
     """Replay ``trials`` randomized runs of ``config``'s shape against the
-    plain-integer summation oracle.
+    plain-integer summation oracle, and return the runs that disagree, one
+    dict each; none when all agree.
 
-    Each trial draws fresh models and a fresh dropout set of size 0..d_max
-    (uniformly, dropout slots unrestricted).  A conforming field guarantees
-    the true integer sum stays below the modulus, so recovered must equal
-    the oracle's plain sum entry for entry.
+    Each trial is a round drawn from its own derived seed, with a fresh
+    dropout set of size 0..d_max (:func:`draw_dropouts`, slots
+    unrestricted).  A conforming field guarantees the true integer sum
+    stays below the modulus, so recovered must equal the oracle's plain sum
+    of the same seed's models, entry for entry.
     """
     params, tree, ctx = config.resolve()
     if not ctx.conforming:
@@ -537,21 +541,12 @@ def correctness_oracle(
     seed = config.master_seed if master_seed is None else master_seed
     failures = []
     for trial in range(trials):
-        rng = Random(derive_seed(seed, f"oracle:{trial}"))
-        models = np.array(
-            [
-                [rng.randrange(config.entry_bound) for _ in range(config.model_len)]
-                for _ in range(config.n_users)
-            ],
-            dtype=np.int64,
-        )
-        n_drop = rng.randint(0, config.d_max)
-        dropped = frozenset(rng.sample(range(config.n_users), n_drop))
+        run_seed = derive_seed(seed, f"run:{trial}")
+        drops = derive_seed(seed, f"oracle:{trial}")
+        dropped = draw_dropouts(drops, config.n_users, 0, config.d_max)
         plan = DropoutPlan(dropped, config.dropout_timing)
-        result = run_protocol(
-            ctx, params, tree, models, plan, master_seed=derive_seed(seed, f"run:{trial}")
-        )
-        expected = plain_sum(models, result.took_part)
+        result = run_protocol(ctx, params, tree, None, plan, run_seed)
+        expected = plain_sum(draw_models(params, run_seed), result.took_part)
         got = result.aggregate.tolist()
         if got != expected:
             failures.append(
@@ -562,4 +557,4 @@ def correctness_oracle(
                     "expected": expected,
                 }
             )
-    return OracleSummary(trials=trials, failures=failures)
+    return failures

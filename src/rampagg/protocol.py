@@ -3,10 +3,10 @@
 A round is one coefficient array of shape (N, K+T, S, *batch) (see
 :mod:`rampagg.sharing`) plus one status code per user, and each of its three
 phases is an array operation.  The phases read the array only through its
-(G, K+T, S, *batch) group sums, so a simulated round never builds it: its
-models and noise are drawn a block of users at a time into one buffer laid
-out like the array and summed into the group sums as they come
-(:func:`stream_group_sums`).
+(G, K+T, S, *batch) group sums, so no round builds it: its models and
+noise, each given or drawn from its stream, are written a block of users at
+a time into one buffer laid out like the array (:func:`write_blocks`) and
+summed into the group sums as they come (:func:`stream_group_sums`).
 
 intra   Every active user evaluates its block at each slot's evaluation
         point and sends the result to the user in that slot of its own group
@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import InconsistentArrivals, TooManyDropouts
 from .field import FieldContext, field_dtype, inverse_vandermonde, reduce_mod
-from .sharing import _apply, empty_blocks, evaluate, model_rows
+from .sharing import _apply, evaluate, model_rows
 from .topology import SERVER, AggregationTree, ProtocolParams
 
 PHASE_INTRA = "intra"
@@ -303,14 +303,15 @@ class DropoutPlan:
 class RunResult:
     """Outcome of one protocol run, as arrays indexed by user.
 
-    ``coeffs`` (N, K+T, S, *batch) holds every user's model segments then
-    noise.  ``intra`` (N, S, *batch) holds each user's in-group aggregate.
+    ``intra`` (N, S, *batch) holds each user's in-group aggregate.
     ``partials`` (N, S, *batch) holds the partial sum each user forwarded up
     the tree; a row is a message only where ``status`` is ACTIVE, and
     :attr:`null` marks the users that sent an explicit null instead.
     ``took_part`` (N,) marks the users that shared in the intra phase, whose
     models are in ``aggregate`` (L, *batch), the recovered sum.  The run's
-    field, sizing and tree are kept so the arrays can be read without them.
+    field, sizing and tree are kept so the arrays can be read without them,
+    and its inputs, ``models`` and ``noise`` as given (None where drawn from
+    ``master_seed``), so that :meth:`blocks` can make any user's block.
     """
 
     aggregate: np.ndarray
@@ -321,17 +322,31 @@ class RunResult:
     ctx: FieldContext
     params: ProtocolParams
     tree: AggregationTree
+    models: Optional[np.ndarray] = field(default=None, repr=False)
+    noise: Optional[np.ndarray] = field(default=None, repr=False)
     master_seed: int = 0
-    _coeffs: Optional[np.ndarray] = field(default=None, repr=False)
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        """The round's coefficient array.  A streamed round has none, so it
-        is made on first read by :func:`fill_blocks` from the round's
-        ``master_seed``: the same streams, so the same array."""
-        if self._coeffs is None:
-            self._coeffs = fill_blocks(self.params, self.ctx.p, None, None, self.master_seed)
-        return self._coeffs
+    def blocks(self, users) -> np.ndarray:
+        """The (len(users), K+T, S, *batch) coefficient blocks of ``users``
+        in the order given, repeats and all, as the round wrote them.  When
+        both inputs were given they are indexed at exactly those users;
+        else the round's blocks are written again from user 0
+        (:func:`write_blocks`) up to the last user asked for, and only the
+        rows asked for are kept."""
+        users = np.asarray(users, dtype=np.intp).reshape(-1)
+        params, p = self.params, self.ctx.p
+        out = _empty_blocks(params, p, self.noise, len(users))
+        if self.models is not None and self.noise is not None:
+            _write(out, params, p, self.models, self.noise, users)
+            return out
+        inputs = self.models, self.noise, self.master_seed
+        with closing(write_blocks(params, p, *inputs)) as blocks:
+            for first, block in blocks:
+                here = np.flatnonzero((users >= first) & (users < first + len(block)))
+                out[here] = block[users[here] - first]
+                if first + len(block) > users.max(initial=-1):
+                    break
+        return out
 
     @property
     def null(self) -> np.ndarray:
@@ -482,58 +497,38 @@ def noise_stream(p: int, params: ProtocolParams, master_seed: int) -> UniformStr
     return UniformStream(derive_seed(master_seed, "noise"), p)
 
 
-def _fill_whole(stream, shape, out) -> np.ndarray:
-    """All of ``stream``'s values for ``shape``, in a fresh int64 array or in
-    ``out``, an array of that shape; the stream is closed after."""
+def _take(stream: UniformStream, shape) -> np.ndarray:
+    """All of ``stream``'s values for ``shape``, in a fresh int64 array; the
+    stream is closed after."""
     with closing(stream):
-        if out is None:
-            out = np.empty(shape, dtype=np.int64)
-        elif out.shape != tuple(shape):
-            raise ValueError(f"out has shape {out.shape}, expected {tuple(shape)}")
-        return stream.fill(out)
+        return stream.fill(np.empty(shape, dtype=np.int64))
 
 
-def draw_uniform(seed: int, bound: int, shape, out=None) -> np.ndarray:
+def draw_uniform(seed: int, bound: int, shape) -> np.ndarray:
     """An int64 array of ``shape``, uniform in [0, bound) for 2 <= bound <=
     2**63: the first ``prod(shape)`` values of :class:`UniformStream`
-    ``(seed, bound)``, in row order, whatever the chunking.  Given ``out``,
-    an array of ``shape`` such as a strided view of a coefficient array,
-    the same values go into it instead, a block of whole rows at a time."""
-    return _fill_whole(UniformStream(seed, bound), shape, out)
+    ``(seed, bound)``, in row order, whatever the chunking."""
+    return _take(UniformStream(seed, bound), shape)
 
 
-def draw_noise(p: int, params: ProtocolParams, master_seed: int, out=None) -> np.ndarray:
+def draw_noise(p: int, params: ProtocolParams, master_seed: int) -> np.ndarray:
     """(N, T, S) uniform noise in [0, p), all of :func:`noise_stream`: same
-    seed, same noise.  Given ``out``, such as rows K and up of a coefficient
-    array, the noise goes into it."""
+    seed, same noise."""
     shape = (params.n_users, params.t_max, params.seg_len)
-    return _fill_whole(noise_stream(p, params, master_seed), shape, out)
+    return _take(noise_stream(p, params, master_seed), shape)
 
 
-def draw_models(params: ProtocolParams, master_seed: int, out=None) -> np.ndarray:
-    """(N, L) models uniform in [0, entry_bound), all of :func:`model_stream`.
-    Given ``out``, such as the model entries of a coefficient array, the
-    models go into it."""
-    shape = (params.n_users, params.model_len)
-    return _fill_whole(model_stream(params, master_seed), shape, out)
+def draw_models(params: ProtocolParams, master_seed: int) -> np.ndarray:
+    """(N, L) models uniform in [0, entry_bound), all of :func:`model_stream`."""
+    return _take(model_stream(params, master_seed), (params.n_users, params.model_len))
 
 
-def fill_blocks(
-    params: ProtocolParams, p: int, models=None, noise=None, master_seed: int = 0
-) -> np.ndarray:
-    """A fresh coefficient array (N, K+T, S, *batch) holding ``models``, the
-    (N, L, *batch) integer array of the users' models, one row per user,
-    over ``noise`` of shape (N, T, S, *batch).  The models' batch axes
-    broadcast against the noise's as numpy broadcasts shapes, so (N, L)
-    models fill every batch column alike; models whose batch axes do not
-    broadcast to the noise's raise ValueError naming both shapes.  Given
-    noise is reduced mod p as it is written into the array, given models
-    before they are broadcast.  An input left None is drawn from
-    ``master_seed`` straight into the array (:func:`draw_models`,
-    :func:`draw_noise`; only where there is no batch axis), and drawn
-    models are reduced mod p in place only when p is below their entry
-    bound."""
-    n, k = params.n_users, params.k_parts
+def _check_inputs(params: ProtocolParams, models, noise) -> tuple:
+    """``models`` and ``noise`` as arrays, None where not given, once their
+    shapes are known to fit a round of ``params``: noise (N, T, S, *batch)
+    and models (N, L, *batch) whose batch axes broadcast to the noise's, as
+    numpy broadcasts shapes; else ValueError naming the shapes."""
+    n = params.n_users
     noise_shape = (n, params.t_max, params.seg_len)
     if noise is not None:
         noise = np.asarray(noise)
@@ -561,23 +556,109 @@ def fill_blocks(
                 f"broadcast to those of the {'drawn ' * (noise is None)}noise, "
                 f"of shape {noise_shape}"
             )
-    coeffs = empty_blocks(params, p, batch)
-    if noise is None:
-        draw_noise(p, params, master_seed, out=coeffs[:, k:])
+    return models, noise
+
+
+def block_rows(params: ProtocolParams, columns: int = 1) -> int:
+    """The users a block of :func:`write_blocks` holds when each entry has
+    ``columns`` batch columns: as many whole groups as ``_BLOCK_ENTRIES``
+    entries hold, all of them when they fit; else as many users of one
+    group as fit, and at least one."""
+    per_user = (params.k_parts + params.t_max) * params.seg_len * columns
+    size = params.group_size
+    if size * per_user <= _BLOCK_ENTRIES:
+        return min(params.n_users, _BLOCK_ENTRIES // (size * per_user) * size)
+    return max(1, _BLOCK_ENTRIES // per_user)
+
+
+def _empty_blocks(params: ProtocolParams, p: int, noise, rows: int) -> np.ndarray:
+    """An unfilled (rows, K+T, S, *batch) array in the field dtype of p,
+    ``*batch`` the batch axes of ``noise``, none when it is drawn."""
+    width = params.k_parts + params.t_max
+    batch = () if noise is None else noise.shape[3:]
+    return np.empty((rows, width, params.seg_len) + batch, dtype=field_dtype(p, width))
+
+
+def _write(block: np.ndarray, params: ProtocolParams, p: int, models, noise, at) -> None:
+    """Write the coefficient blocks of ``len(block)`` users into ``block``
+    (users, K+T, S, *batch): the models into
+    :func:`~rampagg.sharing.model_rows`, whose padding is zeroed, and the
+    noise into rows K and up.  ``models`` and ``noise`` are each an array
+    as given, checked by :func:`_check_inputs` and indexed at ``at``, or a
+    stream whose next rows are read.  Given inputs are reduced mod p as they
+    are written, the models before their batch axes, lined up from the
+    right, are broadcast to the noise's; drawn noise lies in [0, p), and
+    drawn models are reduced only when p is below their entry bound."""
+    k, length = params.k_parts, params.model_len
+    rows = model_rows(block, k)
+    rows[:, length:] = 0
+    entries = rows[:, :length]
+    if isinstance(models, np.ndarray):
+        # models past int64 arrive as Python ints, and assignment casts
+        # their residues
+        given = reduce_mod(models[at], p)
+        pad = (1,) * (entries.ndim - given.ndim)
+        entries[...] = given.reshape(given.shape[:2] + pad + given.shape[2:])
     else:
-        # cast as assignment does: an empty noise list arrives as float64
-        reduce_mod(noise, p, out=coeffs[:, k:])
-    rows = model_rows(coeffs, k)[:, : params.model_len]
-    if models is None:
-        draw_models(params, master_seed, out=rows)
+        models.fill(entries)
         if p < params.entry_bound:  # only a hand-picked modulus is that small
-            reduce_mod(rows, p, out=rows)
+            reduce_mod(entries, p, out=entries)
+    if isinstance(noise, np.ndarray):
+        # cast as assignment does: an empty noise list arrives as float64
+        reduce_mod(noise[at], p, out=block[:, k:])
     else:
-        # the batch axes line up from the right; models past int64 arrive
-        # as Python ints, and assignment casts their residues
-        pad = (1,) * (len(batch) + 2 - models.ndim)
-        rows[...] = reduce_mod(models, p).reshape(models.shape[:2] + pad + models.shape[2:])
-    return coeffs
+        noise.fill(block[:, k:])
+
+
+def write_blocks(params: ProtocolParams, p: int, models, noise, master_seed: int = 0):
+    """Yield ``(first, block)`` for consecutive blocks of a round's
+    coefficient array (N, K+T, S, *batch): ``block`` holds the blocks of
+    users ``first`` .. ``first + len(block) - 1``, written by :func:`_write`
+    into one buffer that the next block overwrites.  A block holds
+    :func:`block_rows` users, whole groups or users of one group.  An input
+    left None is read from its stream of ``master_seed``,
+    :func:`model_stream` or :func:`noise_stream`, and drawn noise has no
+    batch axes."""
+    n = params.n_users
+    rows = block_rows(params, 1 if noise is None else math.prod(noise.shape[3:]))
+    span = max(rows, params.group_size)  # whole groups
+    buffer = _empty_blocks(params, p, noise, rows)
+    models = model_stream(params, master_seed) if models is None else models
+    noise = noise_stream(p, params, master_seed) if noise is None else noise
+    try:
+        for start in range(0, n, span):
+            stop = min(start + span, n)
+            for first in range(start, stop, rows):
+                block = buffer[: min(rows, stop - first)]
+                _write(block, params, p, models, noise, slice(first, first + len(block)))
+                yield first, block
+    finally:
+        for stream in (models, noise):
+            if not isinstance(stream, np.ndarray):
+                stream.close()
+
+
+def stream_group_sums(
+    params: ProtocolParams, p: int, models, noise, master_seed: int, pre_dropped: list
+) -> np.ndarray:
+    """The (G, K+T, S, *batch) sums mod p of each group's coefficient
+    blocks but those of the ``pre_dropped`` users, from the blocks of
+    :func:`write_blocks` as they come: each block's dropouts are zeroed and
+    it is summed into its groups, and a group larger than a block adds up
+    its blocks."""
+    size = params.group_size
+    sums = _empty_blocks(params, p, noise, params.num_groups)
+    for first, block in write_blocks(params, p, models, noise, master_seed):
+        dropped = [u - first for u in pre_dropped if first <= u < first + len(block)]
+        if dropped:
+            block[dropped] = 0
+        group = first // size
+        pieces = block.reshape((-1, min(len(block), size)) + block.shape[1:])
+        if first % size == 0:
+            pieces.sum(axis=1, out=sums[group : group + len(pieces)])
+        else:  # a later block of a group larger than a block
+            sums[group] += pieces[0].sum(axis=0)
+    return reduce_mod(sums, p, out=sums)
 
 
 def run_protocol(
@@ -592,14 +673,14 @@ def run_protocol(
     """Execute one full aggregation round deterministically.  Raises
     TooManyDropouts when fewer than K+T non-null messages reach the server.
 
-    With neither ``models`` nor ``noise`` given the round is streamed: both
-    are drawn from ``master_seed`` a block at a time into one reused buffer
-    and summed into the group sums (:func:`stream_group_sums`), and the
-    result makes its ``coeffs`` only when they are read.  Otherwise
-    :func:`fill_blocks` makes the coefficient array of ``models`` and
-    ``noise``, each drawn from ``master_seed`` when None, the round sums it
-    (:func:`group_sums`) and the array becomes the result's ``coeffs``.
-    Both paths then run the same intra, inter and server phases.
+    ``models`` is the (N, L, *batch) integer array of the users' models,
+    one row per user, and ``noise`` (N, T, S, *batch) their noise; the
+    models' batch axes broadcast to the noise's, so plain (N, L) models
+    serve every batch column alike.  An input left None is drawn from
+    ``master_seed``, and drawn noise has no batch axes.  Either way the
+    round sums :func:`write_blocks`' blocks into its group sums
+    (:func:`stream_group_sums`), so it never holds the coefficient array,
+    and runs the intra, inter and server phases on them.
     """
     plan = dropout_plan or DropoutPlan.none()
     if tree.num_groups != params.num_groups:
@@ -614,99 +695,8 @@ def run_protocol(
     for u in plan.dropped:
         if not 0 <= u < params.n_users:
             raise ValueError(f"dropout index {u} outside [0, {params.n_users})")
-    pre_dropped = sorted(plan.dropped) if plan.timing == PRE_INTRA else []
-    coeffs = None
-    if models is not None or noise is not None:
-        coeffs = fill_blocks(params, ctx.p, models, noise, master_seed)
-    # made in the call, so that the phases can free the sums once read
-    return _run_phases(
-        ctx,
-        params,
-        tree,
-        plan,
-        stream_group_sums(params, ctx.p, master_seed, pre_dropped)
-        if coeffs is None
-        else group_sums(coeffs, params.group_size, pre_dropped, ctx.p),
-        coeffs,
-        master_seed,
-    )
-
-
-def group_sums(coeffs: np.ndarray, size: int, pre_dropped: list, p: int) -> np.ndarray:
-    """The (G, K+T, S, *batch) sums of ``coeffs`` (N, K+T, S, *batch) over
-    each group of ``size`` users but the sorted ``pre_dropped``, mod p."""
-    # a plain sum less the few pre-intra dropouts' blocks is 1.5-3x faster
-    # than a sum masked by took_part; two dropouts may share a group
-    sums = coeffs.reshape((-1, size) + coeffs.shape[1:]).sum(axis=1)
-    if pre_dropped:
-        np.subtract.at(sums, np.floor_divide(pre_dropped, size), coeffs[pre_dropped])
-    return reduce_mod(sums, p, out=sums)
-
-
-def block_rows(params: ProtocolParams) -> int:
-    """The users a streamed round draws per block: as many whole groups as
-    ``_BLOCK_ENTRIES`` entries hold, all of them when they fit; else as
-    many users of one group as fit, and at least one."""
-    per_user = (params.k_parts + params.t_max) * params.seg_len
-    size = params.group_size
-    if size * per_user <= _BLOCK_ENTRIES:
-        return min(params.n_users, _BLOCK_ENTRIES // (size * per_user) * size)
-    return max(1, _BLOCK_ENTRIES // per_user)
-
-
-def stream_group_sums(
-    params: ProtocolParams, p: int, master_seed: int, pre_dropped: list
-) -> np.ndarray:
-    """The (G, K+T, S) group sums mod p of the round that :func:`fill_blocks`
-    draws from ``master_seed``, less the ``pre_dropped`` users' blocks,
-    without its coefficient array.  Each block of :func:`block_rows` users
-    is drawn into one buffer laid out like that array: the models into
-    :func:`~rampagg.sharing.model_rows`
-    (padding zeroed, reduced mod p only when p is below the entry bound) and
-    the noise into rows K and up, from :func:`model_stream` and
-    :func:`noise_stream`.  The dropouts' rows are zeroed and the block is
-    summed into its groups; a group larger than a block adds up its
-    blocks."""
-    n, k, size = params.n_users, params.k_parts, params.group_size
-    width, seg_len, length = k + params.t_max, params.seg_len, params.model_len
-    rows = block_rows(params)
-    dtype = np.dtype(field_dtype(p, width))
-    buffer = np.empty(rows * width * seg_len, dtype=dtype)
-    sums = np.empty((params.num_groups, width, seg_len), dtype=dtype)
-    span = max(rows, size)  # whole groups
-    with closing(model_stream(params, master_seed)) as models, closing(
-        noise_stream(p, params, master_seed)
-    ) as noise:
-        for first in range(0, n, span):
-            stop = min(first + span, n)
-            for a in range(first, stop, rows):
-                b = min(a + rows, stop)
-                block = buffer[: (b - a) * width * seg_len].reshape(b - a, width, seg_len)
-                entries = model_rows(block, k)
-                models.fill(entries[:, :length])
-                if length < k * seg_len:
-                    entries[:, length:] = 0
-                if p < params.entry_bound:  # only a hand-picked modulus is that small
-                    reduce_mod(entries[:, :length], p, out=entries[:, :length])
-                noise.fill(block[:, k:])
-                dropped = [u - a for u in pre_dropped if a <= u < b]
-                if dropped:
-                    block[dropped] = 0
-                group = a // size
-                pieces = block.reshape(-1, min(b - a, size), width, seg_len)
-                if a % size == 0:
-                    pieces.sum(axis=1, out=sums[group : group + len(pieces)])
-                else:  # a later block of a group larger than a block
-                    sums[group] += pieces[0].sum(axis=0)
-    return reduce_mod(sums, p, out=sums)
-
-
-def _run_phases(ctx, params, tree, plan, sums, coeffs, master_seed) -> RunResult:
-    """The intra, inter and server phases from the round's group ``sums``
-    (G, K+T, S, *batch) mod p, of ``coeffs`` or, when None, of the streams
-    of ``master_seed``."""
+    models, noise = _check_inputs(params, models, noise)
     n, size, seg_len, p = params.n_users, params.group_size, params.seg_len, ctx.p
-    batch = sums.shape[3:]
     took_part = np.ones(n, dtype=bool)  # in the intra phase
     if plan.timing == PRE_INTRA:
         took_part[sorted(plan.dropped)] = False
@@ -715,6 +705,9 @@ def _run_phases(ctx, params, tree, plan, sums, coeffs, master_seed) -> RunResult
     status[sorted(plan.dropped)] = UserStatus.DROPPED.value
 
     # -- intra phase: the group sums at every slot's point --------------------
+    pre_dropped = np.flatnonzero(~took_part).tolist()
+    sums = stream_group_sums(params, p, models, noise, master_seed, pre_dropped)
+    batch = sums.shape[3:]
     points = [eval_point_for_slot(t) for t in range(size)]
     intra = evaluate(sums, points, p, axis=1).reshape((n, seg_len) + batch)
     del sums  # freed before the relay allocates its scan
@@ -739,7 +732,8 @@ def _run_phases(ctx, params, tree, plan, sums, coeffs, master_seed) -> RunResult
             causes.append(f"{t} (dropped {', '.join(map(str, users))})")
         raise TooManyDropouts(f"{exc}; null slots: {', '.join(causes)}") from None
     return RunResult(
-        aggregate, intra, partials, status, took_part, ctx, params, tree, master_seed, coeffs
+        aggregate, intra, partials, status, took_part, ctx, params, tree,
+        models, noise, master_seed,
     )
 
 

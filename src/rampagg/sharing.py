@@ -4,25 +4,22 @@ A model of length L is zero-padded to K*S entries (S = ceil(L/K)) and cut
 into K segments of S entries.  The K segments then T uniform noise vectors
 form one user's coefficient block of shape (K+T, S): row j is the vector
 coefficient of x**j, so every coordinate carries a polynomial of degree at
-most K+T-1.  A round holds the blocks of all N users in one array of shape
-(N, K+T, S, *batch).  ``*batch`` is an optional trailing enumeration axis:
+most K+T-1.  The blocks of all N users make up a round's coefficient
+array, of shape (N, K+T, S, *batch).  ``*batch`` is an optional trailing enumeration axis:
 the exhaustive privacy checker puts its runs and noise assignments there,
 and rounds have none.
 
-A round given its models or noise allocates that array once, with
-:func:`empty_blocks`, and fills it in place
-(:func:`rampagg.protocol.fill_blocks`): the models go into
+The array is written a block of users at a time into one reused buffer
+laid out like it (:func:`rampagg.protocol.write_blocks`): the models into
 :func:`model_rows`, the (N, K*S) view of every block's K segments, whose
-padding alone is zeroed, and the noise into rows K and up; models may carry
-batch axes of their own, and the assignment broadcasts them to the noise's.
-Models or noise that the caller does not pass are drawn straight into the
-array.  Drawn noise lies in [0, p) by construction, and drawn models are
-reduced mod p in place only when the modulus is below their entry bound.
-Noise that is passed in is reduced mod p as it is written into the array,
-with no temporary, and models before they are broadcast.  A simulated
-round, which passes neither, fills a buffer of a few users' blocks in the
-same layout again and again and keeps only its group sums
-(:func:`rampagg.protocol.stream_group_sums`).
+padding alone is zeroed, and the noise into rows K and up, each from the
+array the caller gave or else from its random stream.  Given models may
+carry batch axes of their own, and the assignment broadcasts them to the
+noise's.  Given inputs are reduced mod p as they are written; drawn noise
+lies in [0, p) by construction, and drawn models are reduced mod p only
+when the modulus is below their entry bound.  The round keeps only each
+block's group sums (:func:`rampagg.protocol.stream_group_sums`), never the
+array itself.
 
 A share is a block evaluated at one non-zero point, that is one row of a
 Vandermonde matrix applied along the K+T axis.  Evaluation is linear, so
@@ -44,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import field_dtype, reduce_mod, vandermonde
-from .topology import ProtocolParams
 
 
 @dataclass(frozen=True)
@@ -60,16 +56,6 @@ class Model:
     @property
     def length(self) -> int:
         return len(self.entries)
-
-
-def empty_blocks(params: ProtocolParams, p: int, batch: tuple = ()) -> np.ndarray:
-    """A round's (N, K+T, S, *batch) coefficient array for ``params`` in the
-    field dtype of ``p``: its padding is zero, every other entry is left for
-    the caller to fill."""
-    shape = params.blocks_shape + tuple(batch)
-    coeffs = np.empty(shape, dtype=field_dtype(p, shape[1]))
-    model_rows(coeffs, params.k_parts)[:, params.model_len :] = 0
-    return coeffs
 
 
 def model_rows(coeffs: np.ndarray, k_parts: int) -> np.ndarray:

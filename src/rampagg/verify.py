@@ -13,13 +13,12 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Callable
 
 import numpy as np
 
 from .errors import TooManyDropouts
-from .harness import RunConfig, correctness_oracle, plain_sum, simulate
+from .harness import RunConfig, correctness_oracle, draw_dropouts, plain_sum, simulate
 from .privacy import (
     COUPLING_ALL_EQUAL,
     NOISE_CONSTANT,
@@ -234,12 +233,11 @@ def _check_randomized_recovery() -> str:
                 tree_shape=shape,
                 master_seed=n * 1000 + k,
             )
-            summary = correctness_oracle(config, trials=168)
-            assert summary.passed, (
-                f"N={n} K={k} {shape}: {len(summary.failures)} mismatches, "
-                f"first: {summary.failures[:1]}"
+            failures = correctness_oracle(config, trials=168)
+            assert not failures, (
+                f"N={n} K={k} {shape}: {len(failures)} mismatches, first: {failures[:1]}"
             )
-            total += summary.trials
+            total += 168
     assert total >= 1000, f"only {total} randomized runs"
     return f"{total} randomized runs matched the plain-integer sum"
 
@@ -281,22 +279,23 @@ def _check_dropout_boundary() -> str:
         entry_bound=8,
     )
     params, tree, ctx = config.resolve()
-    rng = Random(derive_seed(31, "boundary"))
+    d = config.d_max
     for trial in range(50):
-        models = np.array([[rng.randrange(8) for _ in range(9)] for _ in range(12)])
+        seed = derive_seed(31, f"boundary:{trial}")
         # one group of 12, so any D+1 users sit in distinct slots
-        over = frozenset(rng.sample(range(12), config.d_max + 1))
+        over = draw_dropouts(derive_seed(seed, "over"), 12, d + 1, d + 1)
         try:
-            run_protocol(ctx, params, tree, models, DropoutPlan(over))
+            run_protocol(ctx, params, tree, None, DropoutPlan(over), seed)
             raise AssertionError(
                 f"trial {trial}: {sorted(over)} dropped but recovery succeeded"
             )
         except TooManyDropouts:
             pass
-        exact = frozenset(rng.sample(range(12), config.d_max))
-        result = run_protocol(ctx, params, tree, models, DropoutPlan(exact))
+        exact = draw_dropouts(derive_seed(seed, "exact"), 12, d, d)
+        result = run_protocol(ctx, params, tree, None, DropoutPlan(exact), seed)
         survivors = [u for u in range(12) if u not in exact]
-        assert result.aggregate.tolist() == plain_sum(models, survivors), (
+        expected = plain_sum(draw_models(params, seed), survivors)
+        assert result.aggregate.tolist() == expected, (
             f"trial {trial}: {sorted(exact)} dropped, aggregate != plain sum"
         )
     return "50 over-budget runs all raised, 50 at-budget runs all recovered the sum"

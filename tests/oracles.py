@@ -6,7 +6,8 @@ system, evaluation by repeated pow, random inputs by one ``randrange`` per
 entry, the privacy enumeration by one protocol run per model assignment
 and its leak by one Python term per assignment and view value, the relay
 by a fold over the groups, the transcript CSV by ``csv.writer``, the
-adversary view message by message from the run's arrays.  Slow and
+adversary view message by message from the run's arrays, a round's
+coefficient array and group sums entry by entry.  Slow and
 obvious beats fast and clever here.  Also the JSON values, parent maps and
 rounds the property tests draw their inputs from, and the environment of
 the child interpreters some tests start.
@@ -25,7 +26,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from rampagg.field import FieldContext
+from rampagg.field import FieldContext, field_dtype
 from rampagg.privacy import (
     COUPLING_ALL_EQUAL,
     NOISE_UNIFORM,
@@ -38,6 +39,8 @@ from rampagg.protocol import (
     BETWEEN_ROUNDS,
     PRE_INTRA,
     DropoutPlan,
+    draw_models,
+    draw_noise,
     eval_point_for_slot,
     run_protocol,
 )
@@ -302,6 +305,43 @@ def potential_links_naive(params, tree):
     return links
 
 
+# ---- coefficient arrays ---------------------------------------------------------
+
+
+def coefficient_array_naive(params, p, models=None, noise=None, master_seed=0):
+    """A round's (N, K+T, S, *batch) coefficient array, entry by entry in
+    Python ints, cast to the field dtype at the end: row j < K of user u's
+    block holds its model entries j*S .. j*S+S-1 mod p, zero past L, and
+    rows K and up its noise mod p.  Models and noise left None are the
+    round's draws from ``master_seed``; the batch axes are the noise's, and
+    the models' line up with them from the right."""
+    n, k, t = params.n_users, params.k_parts, params.t_max
+    seg_len, length = params.seg_len, params.model_len
+    models = draw_models(params, master_seed) if models is None else models
+    noise = draw_noise(p, params, master_seed) if noise is None else noise
+    models, noise = np.asarray(models).astype(object), np.asarray(noise).astype(object)
+    batch = noise.shape[3:]
+    pad = (1,) * (len(batch) + 2 - models.ndim)
+    models = models.reshape(models.shape[:2] + pad + models.shape[2:])
+    coeffs = np.zeros((n, k + t, seg_len) + batch, dtype=object)
+    for u in range(n):
+        for i in range(length):
+            coeffs[u, i // seg_len, i % seg_len] = models[u, i] % p
+        for j in range(t):
+            coeffs[u, k + j] = noise[u, j] % p
+    return coeffs.astype(field_dtype(p, k + t))
+
+
+def group_sums_naive(coeffs, size, pre_dropped, p):
+    """The sums mod p of each group of ``size`` users' blocks in
+    ``coeffs``, user by user in Python ints, leaving out ``pre_dropped``."""
+    sums = np.zeros((len(coeffs) // size,) + coeffs.shape[1:], dtype=object)
+    for u in range(len(coeffs)):
+        if u not in pre_dropped:
+            sums[u // size] += coeffs[u].astype(object)
+    return (sums % p).astype(coeffs.dtype)
+
+
 # ---- adversary view -------------------------------------------------------------
 
 
@@ -312,15 +352,20 @@ def adversary_view_naive(result, adversaries):
     the intra shares it received by sender (none when it dropped pre_intra,
     its own share excluded), then its slot's partial sums from each child
     group (none when it dropped; a dropped or silenced child slot sends
-    nothing that counts); then the last group's non-null server arrivals."""
+    nothing that counts); then the last group's non-null server arrivals.
+    The blocks come from :func:`coefficient_array_naive` of the run's
+    inputs."""
     size, p = result.params.group_size, result.ctx.p
+    coeffs = coefficient_array_naive(
+        result.params, p, result.models, result.noise, result.master_seed
+    )
     status, took_part = result.status.tolist(), result.took_part.tolist()
     messages = []
     for a in sorted(set(adversaries)):
         group, slot = divmod(a, size)
         members = range(group * size, (group + 1) * size)
         senders = [u for u in members if u != a and took_part[u] and took_part[a]]
-        shares = evaluate(result.coeffs[senders], [eval_point_for_slot(slot)], p, axis=1)
+        shares = evaluate(coeffs[senders], [eval_point_for_slot(slot)], p, axis=1)
         messages += [share[0] for share in shares]
         if status[a] != DROPPED:
             kids = [c * size + slot for c in children_naive(result.tree, group)]

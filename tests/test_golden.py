@@ -138,7 +138,7 @@ def test_bulk_stream_outputs_match_golden_digests(name):
 
 def test_golden_matrix_covers_the_object_dtype_path():
     _, result = simulate(CONFIGS["entry-bound-2-31"])
-    assert result.coeffs.dtype == object
+    assert result.blocks([0]).dtype == object
 
 
 # 2**31 - 1 is the largest prime p with 2 * (p-1)**2 < 2**63, 2**31 + 11 the
@@ -154,7 +154,7 @@ def test_int64_bound_both_sides_sum_exactly(prime, dtype, dropped):
     )
     assert field_dtype(prime, 2) == dtype
     report, result = simulate(config)
-    assert result.coeffs.dtype == dtype
+    assert result.blocks([0]).dtype == dtype
     assert result.partials.dtype == dtype
     if dropped:
         assert (result.status == UserStatus.SILENCED).sum() == 1

@@ -403,7 +403,7 @@ def test_a_cross_term_only_the_spot_check_sees_raises(monkeypatch):
     # w1 * w2 vanishes at zero and at every unit assignment, so every column
     # of A is clean; only the all-(bound-1) run shows it
     def cross_term(share, result):
-        w1, w2 = result.coeffs[1, 0, 0], result.coeffs[2, 0, 0]
+        w1, w2 = result.blocks([1, 2])[:, 0, 0]
         return (share + w1 * w2) % result.ctx.p
 
     _tamper_first_share(monkeypatch, cross_term)

@@ -43,6 +43,8 @@ from oracles import (
     ACTIVE,
     DROPPED,
     SILENCED,
+    coefficient_array_naive,
+    group_sums_naive,
     links_naive,
     phase_counts_naive,
     potential_links_naive,
@@ -90,10 +92,11 @@ def test_multi_group_aggregate_is_plain_sum():
 def test_intra_aggregate_is_sum_of_share_polys_at_slot_point():
     ctx, params, tree, models = _setup(6, 2, 1, 3, length=6)
     result = run_protocol(ctx, params, tree, models)
+    blocks = result.blocks(range(6))
     for u in range(6):
         slot = u  # single group
         shares = [
-            evaluate(result.coeffs[v], [eval_point_for_slot(slot)], ctx.p)[0]
+            evaluate(blocks[v], [eval_point_for_slot(slot)], ctx.p)[0]
             for v in range(6)
         ]
         expected = sum(shares) % ctx.p
@@ -550,7 +553,7 @@ def test_matrices_are_built_in_the_dtype_each_routine_needs(monkeypatch, p):
     models = np.full((n, 3), p - 1, dtype=object)
     noise = np.full((n, t, 3), p - 1, dtype=object)
     result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({1})), noise=noise)
-    assert result.coeffs.dtype == field_dtype(p, k + t)
+    assert result.blocks([0]).dtype == field_dtype(p, k + t)
     assert result.aggregate.tolist() == [7 * (p - 1) % p] * 3
     # every block is (p-1)(1 + x + x^2) at point x.  User 6 (slot 2, x=3)
     # hears users 4, 5 and 7, then user 2's partial over group 0's three
@@ -611,6 +614,13 @@ def _stream_params(d=2):
     return make_params(12 if d == 1 else 14, 2, d, 3, model_len=8, entry_bound=16)
 
 
+def _written(params, p, models, noise, master_seed=0):
+    """The blocks :func:`protocol.write_blocks` writes, copied out of its
+    buffer one by one and concatenated."""
+    blocks = protocol.write_blocks(params, p, models, noise, master_seed)
+    return np.concatenate([block.copy() for _, block in blocks])
+
+
 @pytest.mark.parametrize("cap", [1, 40, 70, 105, 210, 1 << 16])
 @pytest.mark.parametrize(
     "pre_dropped", [[], [0], [13], [3, 4], [4, 5], [5, 6], [8, 12]]
@@ -622,9 +632,9 @@ def test_streamed_group_sums_equal_the_arrays(monkeypatch, cap, pre_dropped):
     # users, two of them in one group
     monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", cap)
     params, p = _stream_params(), 1009
-    coeffs = protocol.fill_blocks(params, p, None, None, 5)
-    expected = protocol.group_sums(coeffs, params.group_size, pre_dropped, p)
-    got = protocol.stream_group_sums(params, p, 5, pre_dropped)
+    coeffs = coefficient_array_naive(params, p, master_seed=5)
+    expected = group_sums_naive(coeffs, params.group_size, pre_dropped, p)
+    got = protocol.stream_group_sums(params, p, None, None, 5, pre_dropped)
     assert got.dtype == expected.dtype == np.int64
     assert np.array_equal(got, expected)
 
@@ -639,13 +649,75 @@ def test_streamed_group_sums_on_object_entries_and_a_small_prime(
     # below the entry bound has the drawn models reduced mod p
     monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", 40)
     params = make_params(14, 2, 2, 3, model_len=8, entry_bound=entry_bound)
-    coeffs = protocol.fill_blocks(params, p, None, None, 9)
+    coeffs = coefficient_array_naive(params, p, master_seed=9)
     assert coeffs.dtype == dtype
-    expected = protocol.group_sums(coeffs, params.group_size, [3, 4], p)
-    got = protocol.stream_group_sums(params, p, 9, [3, 4])
+    written = _written(params, p, None, None, 9)
+    assert written.dtype == dtype
+    assert written.tolist() == coeffs.tolist()  # so every entry is below p
+    expected = group_sums_naive(coeffs, params.group_size, [3, 4], p)
+    got = protocol.stream_group_sums(params, p, None, None, 9, [3, 4])
     assert got.dtype == dtype
     assert got.tolist() == expected.tolist()
-    assert int(coeffs.max()) < p
+
+
+def _given_inputs(params, p, kind, seed=0):
+    """Models and noise of ``params``' round as ``kind`` names them, values
+    in [-p, 2p) so that each must be reduced, None where drawn."""
+    rng = Random(seed)
+    n, t, seg_len, length = params.n_users, params.t_max, params.seg_len, params.model_len
+
+    def values(*shape):
+        return np.array([rng.randrange(-p, 2 * p) for _ in range(math.prod(shape))]).reshape(shape)
+
+    return {
+        "batch": (values(n, length, 3), values(n, t, seg_len, 3)),
+        "models-over-batch": (values(n, length), values(n, t, seg_len, 3)),
+        "runs": (values(n, length, 2, 1), values(n, t, seg_len, 2, 4)),
+        "models-given": (values(n, length), None),
+        "noise-given": (None, values(n, t, seg_len)),
+        "drawn": (None, None),
+    }[kind]
+
+
+GIVEN_KINDS = ["batch", "models-over-batch", "runs", "models-given", "noise-given", "drawn"]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, 7, 14])
+@pytest.mark.parametrize("kind", GIVEN_KINDS)
+def test_written_blocks_and_group_sums_match_the_reference(monkeypatch, kind, rows):
+    # groups of 7 users; a cap of ``rows`` users a block cuts each group
+    # into blocks of 1, 2 or 4 users (the last one shorter), or holds one
+    # group or the round.  Pre-intra dropouts 3 and 4 end and start a
+    # block at 2 and 4 users a block, and 13 ends the round
+    params, p = _stream_params(), 1009
+    models, noise = _given_inputs(params, p, kind)
+    columns = 1 if noise is None else math.prod(noise.shape[3:])
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", 15 * columns * rows)
+    assert protocol.block_rows(params, columns) == rows
+    coeffs = coefficient_array_naive(params, p, models, noise, 5)
+    assert np.array_equal(_written(params, p, models, noise, 5), coeffs)
+    pre_dropped = [3, 4, 13]
+    expected = group_sums_naive(coeffs, params.group_size, pre_dropped, p)
+    got = protocol.stream_group_sums(params, p, models, noise, 5, pre_dropped)
+    assert got.dtype == expected.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kind", GIVEN_KINDS)
+def test_blocks_of_any_users_are_the_reference_rows(monkeypatch, kind):
+    # blocks of 2 users; the users unsorted, repeated, and none at all
+    params, p = _stream_params(d=1), 1009
+    ctx, tree = FieldContext(p, 16, 12), build_tree(2, "chain")
+    models, noise = _given_inputs(params, p, kind, seed=3)
+    columns = 1 if noise is None else math.prod(noise.shape[3:])
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", 15 * columns * 2)
+    plan = DropoutPlan(frozenset({4}))
+    result = run_protocol(ctx, params, tree, models, plan, 6, noise)
+    coeffs = coefficient_array_naive(params, p, models, noise, 6)
+    for users in ([7, 0, 11, 7, 2, 11], [5], np.array([], dtype=int)):
+        got = result.blocks(users)
+        assert got.dtype == coeffs.dtype
+        assert np.array_equal(got, coeffs[users])
 
 
 @pytest.mark.parametrize("timing", [PRE_INTRA, BETWEEN_ROUNDS])
@@ -660,9 +732,9 @@ def test_streamed_round_equals_the_array_round(monkeypatch, cap, timing):
     filled = run_protocol(ctx, params, tree, models, plan, 4)
     for name in ("aggregate", "intra", "partials", "status", "took_part"):
         assert np.array_equal(getattr(streamed, name), getattr(filled, name)), name
-    # made on first read, once, from the same streams
-    assert streamed.coeffs is streamed.coeffs
-    assert np.array_equal(streamed.coeffs, filled.coeffs)
+    # remade from the same streams, in any order
+    users = [11, 0, 6, 6, 3]
+    assert np.array_equal(streamed.blocks(users), filled.blocks(users))
 
 
 def test_streamed_coeffs_match_across_the_object_dtype_path():
@@ -674,8 +746,9 @@ def test_streamed_coeffs_match_across_the_object_dtype_path():
     params, tree, ctx = config.resolve()
     models = protocol.draw_models(params, config.master_seed)
     filled = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({4})), 3)
-    assert result.coeffs.dtype == object
-    assert result.coeffs.tolist() == filled.coeffs.tolist()
+    everyone = range(config.n_users)
+    assert result.blocks(everyone).dtype == object
+    assert result.blocks(everyone).tolist() == filled.blocks(everyone).tolist()
     assert result.aggregate.tolist() == filled.aggregate.tolist()
 
 
@@ -694,7 +767,7 @@ def test_streamed_round_peaks_below_the_coefficient_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < result.coeffs.nbytes
+    assert peak < math.prod(result.params.blocks_shape) * 8
 
 
 # ---- the CSV export ----
@@ -857,7 +930,7 @@ def test_same_seed_reproduces_byte_identical_transcript():
     a.transcript.to_csv(csv_a)
     b.transcript.to_csv(csv_b)
     assert csv_a.getvalue() == csv_b.getvalue()
-    assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a.blocks(range(12)), b.blocks(range(12)))
 
 
 def test_different_seed_changes_noise_not_aggregate():
@@ -866,8 +939,9 @@ def test_different_seed_changes_noise_not_aggregate():
     b = run_protocol(ctx, params, tree, models, master_seed=2)
     assert a.aggregate.tolist() == b.aggregate.tolist()
     k = params.k_parts
-    assert np.array_equal(a.coeffs[:, :k], b.coeffs[:, :k])  # same models
-    assert not np.array_equal(a.coeffs[:, k:], b.coeffs[:, k:])  # new noise
+    blocks_a, blocks_b = a.blocks(range(12)), b.blocks(range(12))
+    assert np.array_equal(blocks_a[:, :k], blocks_b[:, :k])  # same models
+    assert not np.array_equal(blocks_a[:, k:], blocks_b[:, k:])  # new noise
 
 
 def test_explicit_noise_blocks_are_respected():
@@ -875,7 +949,7 @@ def test_explicit_noise_blocks_are_respected():
     noise = np.tile([[1, 1], [2, 2]], (6, 1, 1))  # (N, T, S)
     result = run_protocol(ctx, params, tree, models, noise=noise)
     assert result.aggregate.tolist() == _expected_sum(models, set(range(6)))
-    assert result.coeffs[3, params.k_parts :].tolist() == [[1, 1], [2, 2]]
+    assert result.blocks([3])[0, params.k_parts :].tolist() == [[1, 1], [2, 2]]
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
@@ -892,7 +966,7 @@ def test_out_of_range_inputs_are_reduced_mod_p(batch):
     def outputs(models, noise):
         result = run_protocol(ctx, params, tree, models, plan, noise=noise)
         view = collect_adversary_view(result, [0, 7])
-        parts = result.aggregate, result.partials, view, result.coeffs
+        parts = result.aggregate, result.partials, view, result.blocks(range(12))
         return [a.tolist() for a in parts]
 
     expected = outputs(models, noise)

@@ -3,6 +3,7 @@
 import itertools
 import re
 from collections import Counter
+from contextlib import closing
 from random import Random
 
 import numpy as np
@@ -17,12 +18,13 @@ from rampagg.protocol import (
     draw_noise,
     draw_uniform,
     eval_point_for_slot,
-    fill_blocks,
+    run_protocol,
     server_recover,
     UniformStream,
+    write_blocks,
 )
-from rampagg.sharing import empty_blocks, evaluate, model_rows
-from rampagg.topology import ProtocolParams
+from rampagg.sharing import evaluate, model_rows
+from rampagg.topology import ProtocolParams, build_tree, make_params
 
 from oracles import uniform_getrandbits_naive
 
@@ -31,19 +33,26 @@ def _ctx(p: int) -> FieldContext:
     return FieldContext(p, 2, 2)
 
 
+def _written(params, p, models, noise=None):
+    """The blocks :func:`write_blocks` writes for ``models`` over ``noise``
+    (drawn when None), copied out of its buffer and concatenated."""
+    blocks = write_blocks(params, p, np.asarray(models), noise)
+    return np.concatenate([block.copy() for _, block in blocks])
+
+
 def _fill(models, k_parts, noise, p):
     """The (N, K+T, S, *batch) coefficient array of the (N, L) ``models``
-    over ``noise`` (N, T, S, *batch), as a round fills it."""
+    over ``noise`` (N, T, S, *batch), as a round writes it."""
     models, noise = np.asarray(models), np.asarray(noise)
     params = ProtocolParams(len(models), noise.shape[1], 0, k_parts, models.shape[1], 2)
-    return fill_blocks(params, p, models, noise)
+    return _written(params, p, models, noise)
 
 
 def _segments(models, k_parts):
     """The (N, K, S) model segments of a round without noise vectors."""
     models = np.asarray(models)
     params = ProtocolParams(len(models), 0, 0, k_parts, models.shape[1], 2)
-    return fill_blocks(params, 2**31 - 1, models)
+    return _written(params, 2**31 - 1, models)
 
 
 def _block(entries, k_parts, noise_vectors, p):
@@ -175,12 +184,13 @@ def test_draw_uniform_into_coefficient_array_views(bound, p, chunk, monkeypatch)
     if chunk:
         monkeypatch.setattr(protocol, "_CHUNK_WORDS", chunk)
     params = ProtocolParams(4, 2, 0, 3, 10, 2)  # K*S = 12 > L = 10: 2 padding
-    coeffs = empty_blocks(params, p)
+    coeffs = np.zeros(params.blocks_shape, dtype=field_dtype(p, 5))
     rows = model_rows(coeffs, 3)
-    assert np.shares_memory(rows, coeffs) and coeffs.dtype == field_dtype(p, 5)
-    draw_uniform(17, bound, (4, 10), out=rows[:, :10])
-    noise = draw_uniform(18, bound, (4, 2, 4), out=coeffs[:, 3:])
-    assert np.shares_memory(noise, coeffs)
+    assert np.shares_memory(rows, coeffs)
+    with closing(UniformStream(17, bound)) as stream:
+        stream.fill(rows[:, :10])
+    with closing(UniformStream(18, bound)) as stream:
+        assert np.shares_memory(stream.fill(coeffs[:, 3:]), coeffs)
     models = draw_uniform(17, bound, (4, 10))
     assert rows[:, :10].tolist() == models.tolist()
     assert rows[:, :10].reshape(-1).tolist() == uniform_getrandbits_naive(17, bound, 40)
@@ -225,14 +235,10 @@ def test_interleaved_streams_keep_their_own_generators():
 
 def test_draw_uniform_into_empty_noise_rows():
     params = ProtocolParams(4, 0, 0, 3, 10, 2)  # T=0
-    coeffs = empty_blocks(params, 101)
-    assert draw_noise(101, params, 9, out=coeffs[:, 3:]).shape == (4, 0, 4)
-    assert draw_uniform(1, 5, (4, 0, 4), out=coeffs[:, 3:]).shape == (4, 0, 4)
-
-
-def test_draw_uniform_rejects_a_destination_of_another_shape():
-    with pytest.raises(ValueError, match="shape"):
-        draw_uniform(1, 5, (4, 10), out=np.empty((4, 9), dtype=np.int64))
+    coeffs = np.zeros(params.blocks_shape, dtype=np.int64)
+    assert draw_noise(101, params, 9).shape == (4, 0, 4)
+    with closing(UniformStream(1, 5)) as stream:
+        assert stream.fill(coeffs[:, 3:]).shape == (4, 0, 4)
 
 
 @pytest.mark.parametrize("bound", [1, 0, 2**63 + 1])
@@ -296,20 +302,22 @@ def test_models_on_the_batch_axis_fill_as_single_columns(p):
 @pytest.mark.parametrize(
     "models_shape,noise_shape",
     [
-        ((2, 2, 3), (2, 1, 1, 4)),  # 3 against 4
-        ((2, 2, 4), (2, 1, 1, 4, 2)),  # aligned from the right: 4 against 2
-        ((2, 2, 2), (2, 1, 1, 1)),  # broadcasts, but past the noise's batch
-        ((2, 2, 1, 4), (2, 1, 1, 4)),  # more batch axes than the noise
-        ((2, 2, 1), None),  # drawn noise has no batch axis
+        ((3, 2, 3), (3, 1, 1, 4)),  # 3 against 4
+        ((3, 2, 4), (3, 1, 1, 4, 2)),  # aligned from the right: 4 against 2
+        ((3, 2, 2), (3, 1, 1, 1)),  # broadcasts, but past the noise's batch
+        ((3, 2, 1, 4), (3, 1, 1, 4)),  # more batch axes than the noise
+        ((3, 2, 1), None),  # drawn noise has no batch axis
     ],
 )
 def test_models_whose_batch_does_not_fit_the_noise_are_refused(models_shape, noise_shape):
-    params = ProtocolParams(2, 1, 0, 2, 2, 2)
+    params = make_params(3, 1, 0, 2, model_len=2, entry_bound=2)
+    ctx, tree = FieldContext(7, 2, 3), build_tree(1, "chain")
     noise = None if noise_shape is None else np.zeros(noise_shape, dtype=np.int64)
-    expected = (2, 1, 1) if noise_shape is None else noise_shape
+    expected = (3, 1, 1) if noise_shape is None else noise_shape
     message = f"models have shape {re.escape(str(models_shape))}.*noise, of shape "
+    models = np.zeros(models_shape, dtype=np.int64)
     with pytest.raises(ValueError, match=message + re.escape(str(expected))):
-        fill_blocks(params, 7, np.zeros(models_shape, dtype=np.int64), noise)
+        run_protocol(ctx, params, tree, models, noise=noise)
 
 
 # ---- share evaluation ----
