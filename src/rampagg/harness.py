@@ -512,8 +512,8 @@ def plain_sum(models: np.ndarray, included) -> list[int]:
 def draw_dropouts(seed: int, n_users: int, low: int, high: int) -> frozenset:
     """Between ``low`` and ``high`` distinct users of ``n_users``, from the
     stream of ``seed``: its first value picks how many (uniformly, up to a
-    bias below 2**-50), and the next, one per user, put the users in a
-    random order whose first ones are taken."""
+    bias below (high - low + 1) / 2**63), and the next, one per user, put
+    the users in a random order whose first ones are taken."""
     values = draw_uniform(seed, 2**63, (n_users + 1,))
     count = low + int(values[0]) % (high - low + 1)
     return frozenset(np.argsort(values[1:], kind="stable")[:count].tolist())

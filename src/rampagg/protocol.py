@@ -559,12 +559,13 @@ def _check_inputs(params: ProtocolParams, models, noise) -> tuple:
     return models, noise
 
 
-def block_rows(params: ProtocolParams, columns: int = 1) -> int:
-    """The users a block of :func:`write_blocks` holds when each entry has
-    ``columns`` batch columns: as many whole groups as ``_BLOCK_ENTRIES``
-    entries hold, all of them when they fit; else as many users of one
-    group as fit, and at least one."""
-    per_user = (params.k_parts + params.t_max) * params.seg_len * columns
+def block_rows(params: ProtocolParams) -> int:
+    """The users a block of :func:`write_blocks` holds: as many whole
+    groups as ``_BLOCK_ENTRIES`` entries hold, all of them when they fit;
+    else as many users of one group as fit, and at least one.  Batch
+    columns are not counted: the privacy checker bounds its own, and its
+    rounds of a few users are then one block, as cheap as one array."""
+    per_user = (params.k_parts + params.t_max) * params.seg_len
     size = params.group_size
     if size * per_user <= _BLOCK_ENTRIES:
         return min(params.n_users, _BLOCK_ENTRIES // (size * per_user) * size)
@@ -620,7 +621,7 @@ def write_blocks(params: ProtocolParams, p: int, models, noise, master_seed: int
     :func:`model_stream` or :func:`noise_stream`, and drawn noise has no
     batch axes."""
     n = params.n_users
-    rows = block_rows(params, 1 if noise is None else math.prod(noise.shape[3:]))
+    rows = block_rows(params)
     span = max(rows, params.group_size)  # whole groups
     buffer = _empty_blocks(params, p, noise, rows)
     models = model_stream(params, master_seed) if models is None else models

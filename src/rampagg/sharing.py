@@ -5,9 +5,9 @@ into K segments of S entries.  The K segments then T uniform noise vectors
 form one user's coefficient block of shape (K+T, S): row j is the vector
 coefficient of x**j, so every coordinate carries a polynomial of degree at
 most K+T-1.  The blocks of all N users make up a round's coefficient
-array, of shape (N, K+T, S, *batch).  ``*batch`` is an optional trailing enumeration axis:
-the exhaustive privacy checker puts its runs and noise assignments there,
-and rounds have none.
+array, of shape (N, K+T, S, *batch).  ``*batch`` is an optional trailing
+enumeration axis: the exhaustive privacy checker puts its runs and noise
+assignments there, and rounds have none.
 
 The array is written a block of users at a time into one reused buffer
 laid out like it (:func:`rampagg.protocol.write_blocks`): the models into
