@@ -43,6 +43,7 @@ from rampagg.protocol import (
     draw_noise,
     eval_point_for_slot,
     run_protocol,
+    write_blocks,
 )
 from rampagg.sharing import evaluate
 from rampagg.topology import build_tree, make_params
@@ -330,6 +331,14 @@ def coefficient_array_naive(params, p, models=None, noise=None, master_seed=0):
         for j in range(t):
             coeffs[u, k + j] = noise[u, j] % p
     return coeffs.astype(field_dtype(p, k + t))
+
+
+def written_blocks(params, p, models, noise, master_seed=0):
+    """The package's side of the comparison: every block that
+    ``protocol.write_blocks`` writes, copied out of its reused buffer and
+    concatenated into the whole coefficient array."""
+    blocks = write_blocks(params, p, models, noise, master_seed)
+    return np.concatenate([block.copy() for _, block in blocks])
 
 
 def group_sums_naive(coeffs, size, pre_dropped, p):

@@ -53,6 +53,7 @@ from oracles import (
     sent_naive,
     transcript_csv_naive,
     transcript_rows_naive,
+    written_blocks,
 )
 
 
@@ -614,13 +615,6 @@ def _stream_params(d=2):
     return make_params(12 if d == 1 else 14, 2, d, 3, model_len=8, entry_bound=16)
 
 
-def _written(params, p, models, noise, master_seed=0):
-    """The blocks :func:`protocol.write_blocks` writes, copied out of its
-    buffer one by one and concatenated."""
-    blocks = protocol.write_blocks(params, p, models, noise, master_seed)
-    return np.concatenate([block.copy() for _, block in blocks])
-
-
 @pytest.mark.parametrize("cap", [1, 40, 70, 105, 210, 1 << 16])
 @pytest.mark.parametrize(
     "pre_dropped", [[], [0], [13], [3, 4], [4, 5], [5, 6], [8, 12]]
@@ -651,7 +645,7 @@ def test_streamed_group_sums_on_object_entries_and_a_small_prime(
     params = make_params(14, 2, 2, 3, model_len=8, entry_bound=entry_bound)
     coeffs = coefficient_array_naive(params, p, master_seed=9)
     assert coeffs.dtype == dtype
-    written = _written(params, p, None, None, 9)
+    written = written_blocks(params, p, None, None, 9)
     assert written.dtype == dtype
     assert written.tolist() == coeffs.tolist()  # so every entry is below p
     expected = group_sums_naive(coeffs, params.group_size, [3, 4], p)
@@ -695,7 +689,7 @@ def test_written_blocks_and_group_sums_match_the_reference(monkeypatch, kind, ro
     monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", 15 * rows)
     assert protocol.block_rows(params) == rows
     coeffs = coefficient_array_naive(params, p, models, noise, 5)
-    assert np.array_equal(_written(params, p, models, noise, 5), coeffs)
+    assert np.array_equal(written_blocks(params, p, models, noise, 5), coeffs)
     pre_dropped = [3, 4, 13]
     expected = group_sums_naive(coeffs, params.group_size, pre_dropped, p)
     got = protocol.stream_group_sums(params, p, models, noise, 5, pre_dropped)

@@ -21,23 +21,15 @@ from rampagg.protocol import (
     run_protocol,
     server_recover,
     UniformStream,
-    write_blocks,
 )
 from rampagg.sharing import evaluate, model_rows
 from rampagg.topology import ProtocolParams, build_tree, make_params
 
-from oracles import uniform_getrandbits_naive
+from oracles import uniform_getrandbits_naive, written_blocks
 
 
 def _ctx(p: int) -> FieldContext:
     return FieldContext(p, 2, 2)
-
-
-def _written(params, p, models, noise=None):
-    """The blocks :func:`write_blocks` writes for ``models`` over ``noise``
-    (drawn when None), copied out of its buffer and concatenated."""
-    blocks = write_blocks(params, p, np.asarray(models), noise)
-    return np.concatenate([block.copy() for _, block in blocks])
 
 
 def _fill(models, k_parts, noise, p):
@@ -45,14 +37,14 @@ def _fill(models, k_parts, noise, p):
     over ``noise`` (N, T, S, *batch), as a round writes it."""
     models, noise = np.asarray(models), np.asarray(noise)
     params = ProtocolParams(len(models), noise.shape[1], 0, k_parts, models.shape[1], 2)
-    return _written(params, p, models, noise)
+    return written_blocks(params, p, models, noise)
 
 
 def _segments(models, k_parts):
     """The (N, K, S) model segments of a round without noise vectors."""
     models = np.asarray(models)
     params = ProtocolParams(len(models), 0, 0, k_parts, models.shape[1], 2)
-    return _written(params, 2**31 - 1, models)
+    return written_blocks(params, 2**31 - 1, models, None)
 
 
 def _block(entries, k_parts, noise_vectors, p):
