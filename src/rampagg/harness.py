@@ -376,8 +376,8 @@ def generate_models(config: RunConfig) -> list[Model]:
 def simulate(config: RunConfig):
     """Run one configured round and measure it.  The round is streamed:
     its models and noise are drawn from ``master_seed`` a block at a time,
-    and the result's ``coeffs`` are made only if read.  Returns (RunReport,
-    RunResult)."""
+    and a user's coefficient block is made again only if asked for
+    (``RunResult.blocks``).  Returns (RunReport, RunResult)."""
     params, tree, ctx = config.resolve()
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
     result = run_protocol(ctx, params, tree, None, plan, config.master_seed)

@@ -57,8 +57,6 @@ made a block at a time.
 
 import hashlib
 import math
-import threading
-from contextlib import closing
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
@@ -339,13 +337,11 @@ class RunResult:
         if self.models is not None and self.noise is not None:
             _write(out, params, p, self.models, self.noise, users)
             return out
-        inputs = self.models, self.noise, self.master_seed
-        with closing(write_blocks(params, p, *inputs)) as blocks:
-            for first, block in blocks:
-                here = np.flatnonzero((users >= first) & (users < first + len(block)))
-                out[here] = block[users[here] - first]
-                if first + len(block) > users.max(initial=-1):
-                    break
+        for first, block in write_blocks(params, p, self.models, self.noise, self.master_seed):
+            here = np.flatnonzero((users >= first) & (users < first + len(block)))
+            out[here] = block[users[here] - first]
+            if first + len(block) > users.max(initial=-1):
+                break
         return out
 
     @property
@@ -364,87 +360,60 @@ def derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# words read from the generator per chunk.  A chunk's arrays then take 64
-# KB, below glibc's initial 128 KB mmap threshold, so they come from the heap:
-# at 2**15 words each array took 128 KB of freshly mapped pages, 32 minor
-# faults, whenever no larger freed block had raised that threshold
-_CHUNK_WORDS = 1 << 14
+# 64-bit words read from the generator per chunk.  A chunk's arrays then
+# take 64 KB, below glibc's initial 128 KB mmap threshold, so they come from
+# the heap: at twice that, each array took 128 KB of freshly mapped pages,
+# 32 minor faults, whenever no larger freed block had raised that threshold
+_CHUNK_WORDS = 1 << 13
 # entries of a streamed round's block buffer, allocated once per round and
 # reused block by block: whole groups up to this many, so that a round of
 # the sweep-deep shape is one block and round-wide's (10 groups of 14,652
 # entries) three.  Each block costs a few Python steps: at 2**15 sweep-deep
 # took two blocks and ran 10% slower in the benchmark
 _BLOCK_ENTRIES = 1 << 16
-# the generators that no stream holds, per thread: a new RandomState seeds
-# its MT19937 from OS entropy before the key replaces that state, which
-# costs ten times the reseed
-_generators = threading.local()
-
-
-def _mt_key(seed: int) -> list[int]:
-    """The little-endian 32-bit limbs of ``abs(seed)``, ``[0]`` for 0: the
-    key ``random.Random(seed)`` hands to MT19937's ``init_by_array``."""
-    seed = abs(seed)
-    return [seed >> shift & 0xFFFFFFFF for shift in range(0, seed.bit_length(), 32)] or [0]
-
-
-def _free_generators() -> list:
-    if not hasattr(_generators, "free"):
-        _generators.free = []
-    return _generators.free
 
 
 class UniformStream:
-    """Values uniform in [0, bound) for 2 <= bound <= 2**63, from the word
-    stream of ``random.Random(seed)``, handed out in order by :meth:`fill`:
-    filling arrays one after another gives them the values that one fill of
-    their concatenation would.
+    """Values uniform in [0, bound) for 2 <= bound <= 2**63, from the raw
+    64-bit words of ``numpy.random.PCG64(seed)`` for a seed >= 0, handed
+    out in order by :meth:`fill`: filling arrays one after another gives
+    them the values that one fill of their concatenation would.
 
-    The words come from a numpy legacy ``RandomState`` of the stream's own,
-    seeded with :func:`_mt_key`: the same MT19937 with the same
-    ``init_by_array`` seeding, its stream frozen by NEP 19, so it yields
-    ``Random(seed)``'s 32-bit words in order.  They are read
-    ``_CHUNK_WORDS`` at a time, as 32-bit words when bound-1 fits in 32
-    bits, else as 64-bit words of two consecutive 32-bit ones, the first
-    one low, as ``Random.getrandbits(64)`` builds them.  Each word keeps its
-    top ``(bound-1).bit_length()`` bits and is rejected when that value is
-    >= bound, so every accepted value is exactly uniform (no modulo bias)
-    and at most half the words are rejected.  The accepted values of a
-    chunk that a fill leaves over are kept for the next.  :meth:`close`
-    hands the generator back for a later stream of the thread to reseed.
+    Each word is cut, little-endian, into lanes of 8, 16, 32 or 64 bits,
+    the narrowest that holds bound-1, so an entry below 2**8 costs one byte
+    of the stream.  Each lane keeps its top ``(bound-1).bit_length()`` bits
+    and is rejected when that value is >= bound, so every accepted value is
+    exactly uniform (no modulo bias) and at most half the lanes are
+    rejected.  Words are read ``_CHUNK_WORDS`` at a time with
+    ``random_raw``, whose stream NEP 19 keeps fixed across numpy releases,
+    and the accepted values of a chunk that a fill leaves over are kept for
+    the next.  Each stream has a generator of its own, which costs about
+    as much to make as to reseed, so none is pooled.
     """
 
     def __init__(self, seed: int, bound: int):
         if not 2 <= bound <= 2**63:
             raise ValueError(f"bound {bound} outside [2, 2**63]")
+        if seed < 0:
+            raise ValueError(f"seed {seed} is negative")
+        # loaded here, not at import: set-up and the exhaustive checker never draw
+        from numpy.random import PCG64
+
+        self._words = PCG64(seed)
         self.bound = bound
         self.bits = (bound - 1).bit_length()
-        self.width = 32 if self.bits <= 32 else 64
-        free = _free_generators()
-        if free:
-            self._rng = free.pop()
-        else:
-            # loaded here, not at import: set-up and the exhaustive checker never draw
-            from numpy.random import RandomState
-
-            self._rng = RandomState()
-        self._rng.seed(_mt_key(seed))
+        self.width = next(width for width in (8, 16, 32, 64) if self.bits <= width)
         self._rest = np.empty(0, dtype=np.int64)
-
-    def close(self) -> None:
-        if self._rng is not None:
-            _free_generators().append(self._rng)
-            self._rng = None
 
     def _chunk(self, need: int) -> np.ndarray:
         """The accepted values of the next chunk of words, enough on average
         for ``need`` values plus a few sigma, at most ``_CHUNK_WORDS``."""
-        words = (need << self.bits) // self.bound
-        words = min(words + 4 * math.isqrt(words) + 16, _CHUNK_WORDS)
-        raw = self._rng.randint(0, 2**32, size=words * self.width // 32, dtype=np.uint32)
-        raw = raw.astype("<u4", copy=False).view(f"<u{self.width // 8}")
-        values = raw >> (self.width - self.bits)
-        if self.bound & (self.bound - 1):  # not a power of two, which rejects no word
+        lanes = (need << self.bits) // self.bound
+        lanes += 4 * math.isqrt(lanes) + 16
+        words = min(-(-lanes * self.width // 64), _CHUNK_WORDS)
+        raw = self._words.random_raw(words).astype("<u8", copy=False)
+        values = raw.view(f"<u{self.width // 8}") >> (self.width - self.bits)
+        if self.bound & (self.bound - 1):  # not a power of two, which rejects no lane
             # np.compress: several times faster than a boolean index here
             values = np.compress(values < self.bound, values)
         return values
@@ -486,41 +455,37 @@ class UniformStream:
 
 def model_stream(params: ProtocolParams, master_seed: int) -> UniformStream:
     """The models of a round, (N, L) in row order, uniform in [0,
-    entry_bound): the one stream seeded with derive_seed(master_seed,
-    "models")."""
+    entry_bound): the lanes of the one PCG64 stream seeded with
+    derive_seed(master_seed, "models"), a byte per entry below 2**8."""
     return UniformStream(derive_seed(master_seed, "models"), params.entry_bound)
 
 
 def noise_stream(p: int, params: ProtocolParams, master_seed: int) -> UniformStream:
     """The noise of a round, (N, T, S) in row order, uniform in [0, p): the
-    one stream seeded with derive_seed(master_seed, "noise")."""
+    lanes of the one PCG64 stream seeded with derive_seed(master_seed,
+    "noise")."""
     return UniformStream(derive_seed(master_seed, "noise"), p)
-
-
-def _take(stream: UniformStream, shape) -> np.ndarray:
-    """All of ``stream``'s values for ``shape``, in a fresh int64 array; the
-    stream is closed after."""
-    with closing(stream):
-        return stream.fill(np.empty(shape, dtype=np.int64))
 
 
 def draw_uniform(seed: int, bound: int, shape) -> np.ndarray:
     """An int64 array of ``shape``, uniform in [0, bound) for 2 <= bound <=
-    2**63: the first ``prod(shape)`` values of :class:`UniformStream`
-    ``(seed, bound)``, in row order, whatever the chunking."""
-    return _take(UniformStream(seed, bound), shape)
+    2**63 and a seed >= 0: the first ``prod(shape)`` values of
+    :class:`UniformStream` ``(seed, bound)``, in row order, whatever the
+    chunking."""
+    return UniformStream(seed, bound).fill(np.empty(shape, dtype=np.int64))
 
 
 def draw_noise(p: int, params: ProtocolParams, master_seed: int) -> np.ndarray:
     """(N, T, S) uniform noise in [0, p), all of :func:`noise_stream`: same
     seed, same noise."""
     shape = (params.n_users, params.t_max, params.seg_len)
-    return _take(noise_stream(p, params, master_seed), shape)
+    return noise_stream(p, params, master_seed).fill(np.empty(shape, dtype=np.int64))
 
 
 def draw_models(params: ProtocolParams, master_seed: int) -> np.ndarray:
     """(N, L) models uniform in [0, entry_bound), all of :func:`model_stream`."""
-    return _take(model_stream(params, master_seed), (params.n_users, params.model_len))
+    shape = (params.n_users, params.model_len)
+    return model_stream(params, master_seed).fill(np.empty(shape, dtype=np.int64))
 
 
 def _check_inputs(params: ProtocolParams, models, noise) -> tuple:
@@ -626,17 +591,12 @@ def write_blocks(params: ProtocolParams, p: int, models, noise, master_seed: int
     buffer = _empty_blocks(params, p, noise, rows)
     models = model_stream(params, master_seed) if models is None else models
     noise = noise_stream(p, params, master_seed) if noise is None else noise
-    try:
-        for start in range(0, n, span):
-            stop = min(start + span, n)
-            for first in range(start, stop, rows):
-                block = buffer[: min(rows, stop - first)]
-                _write(block, params, p, models, noise, slice(first, first + len(block)))
-                yield first, block
-    finally:
-        for stream in (models, noise):
-            if not isinstance(stream, np.ndarray):
-                stream.close()
+    for start in range(0, n, span):
+        stop = min(start + span, n)
+        for first in range(start, stop, rows):
+            block = buffer[: min(rows, stop - first)]
+            _write(block, params, p, models, noise, slice(first, first + len(block)))
+            yield first, block
 
 
 def stream_group_sums(

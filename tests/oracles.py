@@ -3,8 +3,9 @@
 Deliberately written with different algorithms than the package: primality
 by full trial scan, interpolation by Gaussian elimination on a Vandermonde
 system, evaluation by repeated pow, random inputs by one ``randrange`` per
-entry, the privacy enumeration by one protocol run per model assignment
-and its leak by one Python term per assignment and view value, the relay
+entry and the bulk streams lane by lane on Python ints, the privacy
+enumeration by one protocol run per model assignment and its leak by one
+Python term per assignment and view value, the relay
 by a fold over the groups, the transcript CSV by ``csv.writer``, the
 adversary view message by message from the run's arrays, a round's
 coefficient array and group sums entry by entry.  Slow and
@@ -24,6 +25,7 @@ from random import Random
 import itertools
 
 import numpy as np
+from numpy.random import PCG64
 from hypothesis import strategies as st
 
 from rampagg.field import FieldContext, field_dtype
@@ -394,20 +396,26 @@ def _derive_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def uniform_getrandbits_naive(seed, bound, count):
-    """``count`` values uniform in [0, bound), one word at a time: the top
-    (bound-1).bit_length() bits of each ``getrandbits(32)`` (or 64, when
-    bound-1 needs more than 32 bits) of Random(seed), dropping values >=
-    bound."""
+def uniform_pcg64_lanes_naive(seed, bound, count):
+    """The first ``count`` values uniform in [0, bound), one lane at a time:
+    each raw 64-bit word of PCG64(seed), one ``random_raw()`` call per word,
+    is cut from its low bits up into lanes of 8, 16, 32 or 64 bits, the
+    narrowest that holds bound-1; a lane gives its top
+    (bound-1).bit_length() bits, dropped when >= bound."""
     bits = (bound - 1).bit_length()
-    width = 32 if bits <= 32 else 64
-    rng = Random(seed)
+    width = 8
+    while width < bits:
+        width *= 2
+    words = PCG64(seed)
     values = []
     while len(values) < count:
-        value = rng.getrandbits(width) >> (width - bits)
-        if value < bound:
-            values.append(value)
-    return values
+        word = int(words.random_raw())
+        for _ in range(64 // width):
+            value = (word % 2**width) >> (width - bits)
+            word //= 2**width
+            if value < bound:
+                values.append(value)
+    return values[:count]
 
 
 class models_randrange_naive:
@@ -425,9 +433,6 @@ class models_randrange_naive:
         for index in np.ndindex(out.shape):
             out[index] = self.rng.randrange(self.bound)
         return out
-
-    def close(self):
-        pass
 
 
 class noise_randrange_naive:
@@ -447,9 +452,6 @@ class noise_randrange_naive:
                 row[index] = rng.randrange(self.p)
             self.user += 1
         return out
-
-    def close(self):
-        pass
 
 
 # ---- privacy enumeration --------------------------------------------------------

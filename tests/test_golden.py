@@ -97,19 +97,19 @@ GOLDEN = {
 
 # the same pairs with the bulk streams: one stream each for models and noise
 GOLDEN_BULK = {
-    "entry-bound-2-31": ("099e246e56d80b8eb69e54af231443bde527205bb8a12df71fea721977564208", "0f59e57232a53804965b02accefcd19db782b2cb5731393869f9ea8620a61374"),
-    "example-single-group": ("c805eefb2b8cf1455588189ae6dbfb89978c8abf02bcd9cb228b44306acaeb31", "aa909311d00ef0928593376281325cc58e2a7079c561310195fef8ffc3b52ea7"),
-    "example-two-group": ("d7e6ad2ede741040500e753e3d495e68df5d8001a0c82522ae0dd76dc48cd31d", "33dfadc97c005f1c8aad3e3b702cbd2095abe0bc44bccf4fe732a7a7ee761f17"),
-    "irregular-tree-dropout": ("c718fcd58cdc317a01909366f59bd48aad64581ddcd15caa338b7d4e1f10247f", "670b398b8a1a8b1530b195fa8c9f0006ec49979a84bcd13a91537b51b2e612fb"),
-    "non-conforming-prime": ("d1b82c64369e333f0fc8086de636eaa43892182e41b0bed0b1735b260b881973", "33dfadc97c005f1c8aad3e3b702cbd2095abe0bc44bccf4fe732a7a7ee761f17"),
-    "round-wide-seed1": ("1b2fb2c468002f4c3771743d6f96a8fbf370e04d8a08fa75fe850493d055d3c0", "29c945f6336c4fc6f707c0b8eca616f84c25c536e8e51b278720009e1e7d77b3"),
-    "round-wide-seed2": ("c5eb1fcc9dff5bc487bc0e471300474cecdd16bd179f42f87b5a70bedb5d5334", "29c945f6336c4fc6f707c0b8eca616f84c25c536e8e51b278720009e1e7d77b3"),
-    "sweep-deep-k1-chain": ("8c5a197b4ec2bbdcce9c2652e6e6044ba5043fb7c2aa3394da350ea3fb88bb22", "bd50bbd23889c73023e4a6dde7417a9a8c1708c8f0ec627c89cda6b997f554b0"),
-    "sweep-deep-k1-star": ("65b9c2af2dcb4711e0945123c8dc54d6d9873fcbd1a2fa24b5be94ebdfb3f92d", "2cde22ca4ecb0aa559c482d6eba2799f438ec4ad7081bcdab444d1883e087599"),
-    "sweep-deep-k2-chain": ("760bc6887a8c9f87500c51cc8548d7a1b6ac82d33b20b893237de8673b3d3fcd", "4703cb3b1c811218c2544d02a7f0d1a79428fdfd40ad2fff923e59fd3131122d"),
-    "sweep-deep-k2-star": ("30b11ef7513d2758ae0ae1ac2cde47cf09f42cd325e6ea98673e01309d57f731", "b34c982510a7cd5d01c9637b071b846b6ceec54a954ac430103499b7683c6cdb"),
-    "sweep-deep-k4-chain": ("905f20454634066698ccc7dbedd26db45164f557b7932b1ad98c488bf8d70b4a", "c34cb0828e19ff3dac50c50d71001de61246a20a34334c636d2d8c06f192048f"),
-    "sweep-deep-k4-star": ("9536e0cf4478dce34150ef041f8b63be53ea51adf865ea8b9b6ec2b6d64c550e", "29db3983fb9795e5d2d556644554db3b4d73d91f6f6fd239015d99b51f7f73fa"),
+    "entry-bound-2-31": ("fe21390c99b38299099527bbea28310b50364d295a3daf6601755dfd6286c319", "0f59e57232a53804965b02accefcd19db782b2cb5731393869f9ea8620a61374"),
+    "example-single-group": ("f2100bfcdfa65269a1fa36258860a2d187f5bf57cf63cef9e57029e297767e63", "aa909311d00ef0928593376281325cc58e2a7079c561310195fef8ffc3b52ea7"),
+    "example-two-group": ("2550896d2cda49383b56dc3e04073ef8071f3154a0a7a3dea2cafbfa7c01a05e", "33dfadc97c005f1c8aad3e3b702cbd2095abe0bc44bccf4fe732a7a7ee761f17"),
+    "irregular-tree-dropout": ("eb6339a43c0319b202885e704e067e64b951a070ce73f8ba74d9aae2731d487a", "670b398b8a1a8b1530b195fa8c9f0006ec49979a84bcd13a91537b51b2e612fb"),
+    "non-conforming-prime": ("b9a39bd961624f3f8cab7a4440f33273ee28d6ce04dc95e5341f68558727496e", "33dfadc97c005f1c8aad3e3b702cbd2095abe0bc44bccf4fe732a7a7ee761f17"),
+    "round-wide-seed1": ("7bc8162791b3407bb7586c71baaf232ab85916072bd707bac3c738f1c81f81d3", "29c945f6336c4fc6f707c0b8eca616f84c25c536e8e51b278720009e1e7d77b3"),
+    "round-wide-seed2": ("8fa2ccdd450d3eb9864e5fcbb6b14397a551fc97efa8f5eaf6c7c92dcc3e4d67", "29c945f6336c4fc6f707c0b8eca616f84c25c536e8e51b278720009e1e7d77b3"),
+    "sweep-deep-k1-chain": ("e789a2b8ff8b03026c99e9ce7edd5482920b1d804bf347e661c4798740c67f48", "bd50bbd23889c73023e4a6dde7417a9a8c1708c8f0ec627c89cda6b997f554b0"),
+    "sweep-deep-k1-star": ("f0d451f41634c9442294f7411a9cf2266faab35ca781f701ec36086e8f0b2e98", "2cde22ca4ecb0aa559c482d6eba2799f438ec4ad7081bcdab444d1883e087599"),
+    "sweep-deep-k2-chain": ("29da31594270783d2faf74a58a9bf4e79120ddecffd42f35d38fc333e1cdcebf", "4703cb3b1c811218c2544d02a7f0d1a79428fdfd40ad2fff923e59fd3131122d"),
+    "sweep-deep-k2-star": ("a66c514ddb701142c8658fc24bb1fbd7f9c04bd46a12a0383c5f3460a01f9613", "b34c982510a7cd5d01c9637b071b846b6ceec54a954ac430103499b7683c6cdb"),
+    "sweep-deep-k4-chain": ("cbada560519c694226f8232ee0e121034375dd771a4120641b9ceaa3198ae4c3", "c34cb0828e19ff3dac50c50d71001de61246a20a34334c636d2d8c06f192048f"),
+    "sweep-deep-k4-star": ("01c364f647f16e5eaef9f409c355ad7344377657f937c446afe52481ece66063", "29db3983fb9795e5d2d556644554db3b4d73d91f6f6fd239015d99b51f7f73fa"),
 }
 
 
@@ -198,11 +198,11 @@ VIEW_CASES = {
 # the decimal text of its entries for object arrays, whose buffer holds
 # pointers)
 VIEW_GOLDEN = {
-    "between-rounds-dropout": ((15, 3), 'int64', '85c82db588d10db2461e4aab40b68bb60bdc8656d044cf3c46d41e419344b070'),
-    "entry-bound-2-31": ((15, 4), 'object', '465feb913ca0f57a59cd08d424acdffca22312a05e9fb2a4eabd8bf11b304430'),
+    "between-rounds-dropout": ((15, 3), 'int64', '2bebd9d21a94272d20a51f18a89e5a7a82841966adb7a21d6c74c4eaef01410d'),
+    "entry-bound-2-31": ((15, 4), 'object', 'ddc7b17afe8b6d56e4163ece69e8d3e8011ee5a3f3c0115558e6f5da44b9bd50'),
     "privacy-batched-call": ((5, 1, 3, 3125), 'int64', 'd1bfee21e185bc58ec43d464e95d101ece7ee526f1af8c27b9b3ae86c551b43e'),
-    "readme-example": ((15, 3), 'int64', 'f940703e35df61ef44040f3d19898929ba67ed9c90aff9f3a44d606d9c1baf32'),
-    "round-wide-seed1": ((33, 111), 'int64', 'd36d93351e48ad88d8c05e81633bd3b71314b6fd685578f0a2c8c3c92f41822d'),
+    "readme-example": ((15, 3), 'int64', '8d48f953e3ecd0c5c5670fb44f9b2801ba285735b03a389cd9461818afecb6dd'),
+    "round-wide-seed1": ((33, 111), 'int64', '3410983a5032518301ea0c39ba05d5bdd1921f899f6ff0ce6c709d34354b437c'),
 }
 
 

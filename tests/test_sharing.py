@@ -3,7 +3,6 @@
 import itertools
 import re
 from collections import Counter
-from contextlib import closing
 from random import Random
 
 import numpy as np
@@ -25,7 +24,7 @@ from rampagg.protocol import (
 from rampagg.sharing import evaluate, model_rows
 from rampagg.topology import ProtocolParams, build_tree, make_params
 
-from oracles import uniform_getrandbits_naive, written_blocks
+from oracles import uniform_pcg64_lanes_naive, written_blocks
 
 
 def _ctx(p: int) -> FieldContext:
@@ -111,7 +110,7 @@ def test_noise_is_deterministic_per_seed():
     assert np.array_equal(a, draw_noise(101, params, 9))
     assert not np.array_equal(a, draw_noise(101, params, 10))
     # one stream for the round, users then vectors then symbols in row order
-    expected = uniform_getrandbits_naive(derive_seed(9, "noise"), 101, 3 * 2 * 4)
+    expected = uniform_pcg64_lanes_naive(derive_seed(9, "noise"), 101, 3 * 2 * 4)
     assert a.reshape(-1).tolist() == expected
 
 
@@ -120,14 +119,18 @@ def test_noise_without_noise_vectors_is_empty():
     assert draw_uniform(1, 5, (2, 0, 3)).shape == (2, 0, 3)
 
 
-# 2**16 + 1 rejects almost half the words; 2**31 + 11 is the smallest bound
-# read from 64-bit words; 2**63 is the largest bound.
-@pytest.mark.parametrize("bound", [2, 5, 101, 2**16 + 1, 2**32, 2**31 + 11, 2**63])
+# Each side of every lane edge: 2**8, 2**16 and 2**32 are the largest bounds
+# read from 8-, 16- and 32-bit lanes, one more the smallest from the next
+# width.  2**8 + 1, 2**16 + 1, 2**31 + 11 and 2**32 + 1 reject almost half
+# their lanes; 2**63 is the largest bound.
+@pytest.mark.parametrize(
+    "bound", [2, 5, 101, 2**8, 2**8 + 1, 2**16, 2**16 + 1, 2**31 + 11, 2**32, 2**32 + 1, 2**63]
+)
 def test_draw_uniform_matches_word_by_word_reference(bound):
     values = draw_uniform(17, bound, (40, 25))
     assert values.dtype == np.int64 and values.shape == (40, 25)
     assert 0 <= values.min() and values.max() < bound
-    assert values.reshape(-1).tolist() == uniform_getrandbits_naive(17, bound, 1000)
+    assert values.reshape(-1).tolist() == uniform_pcg64_lanes_naive(17, bound, 1000)
 
 
 @pytest.mark.parametrize("bound", [5, 2**16 + 1, 2**31 + 11])
@@ -143,29 +146,63 @@ def test_draw_uniform_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, draw_uniform(6, 2**16 + 1, (300,)))
 
 
-# Random(seed) keys MT19937 with the 32-bit limbs of abs(seed): one limb up
-# to 2**32 - 1, two up to 2**64 - 1, three from 2**64.  2**20 and 30011 are
-# read from 32-bit words, 2**40 and 2**32 + 15 from 64-bit words; 30011 and
-# 2**32 + 15 reject words, the powers of two none.
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, -(2**40 + 3)])
+# The first 8 values of seed 1 for one bound per lane width, each bound one
+# past a power of two so that about half the lanes are rejected: they
+# change only if numpy changes PCG64 or SeedSequence, whose streams NEP 19
+# keeps fixed, or if the stream's definition changes.
+@pytest.mark.parametrize(
+    "bound,values",
+    [
+        (2**7 + 1, [34, 121, 6, 102, 82, 81, 24, 8]),
+        (2**15 + 1, [31010, 6349, 2284, 9447, 28626, 29353, 16333, 12192]),
+        (
+            2**31 + 1,
+            [2032329983, 149690573, 619160822, 1070428841,
+             1339305888, 1818173253, 1173253412, 1103772362],
+        ),
+        (
+            2**62 + 1,
+            [1329637740802083942, 2876137494685333844, 3904497331914684452,
+             3774195871892446565, 254187954446631217, 3041238293621853348,
+             2796478710207515810, 4182779752608499223],
+        ),
+    ],
+)
+def test_pcg64_and_seed_sequence_streams_are_unchanged(bound, values):
+    assert draw_uniform(1, bound, (8,)).tolist() == values
+
+
+# SeedSequence, as Random did for MT19937, takes the 32-bit limbs of the
+# seed as its entropy: one limb up to 2**32 - 1, two up to 2**64 - 1, three
+# from 2**64.  2**20 and 30011 are read from 32- and 16-bit lanes, 2**40
+# and 2**32 + 15 from 64-bit lanes; 30011 and 2**32 + 15 reject lanes, the
+# powers of two none.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
 @pytest.mark.parametrize("bound", [2**20, 30011, 2**40, 2**32 + 15])
 def test_draw_uniform_is_randoms_stream_at_every_key_limb_boundary(seed, bound):
     values = draw_uniform(seed, bound, (7, 13))
-    assert values.reshape(-1).tolist() == uniform_getrandbits_naive(seed, bound, 91)
+    assert values.reshape(-1).tolist() == uniform_pcg64_lanes_naive(seed, bound, 91)
+
+
+def test_draw_uniform_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=re.escape(str(-(2**40 + 3)))):
+        draw_uniform(-(2**40 + 3), 30011, (3,))
 
 
 @pytest.mark.parametrize("bound", [30011, 2**32 + 15])
 def test_draw_uniform_is_randoms_stream_across_chunks(bound):
-    # each value takes at least one word, so more values than two chunks
-    # of words spans at least three chunks; 997-value rows end mid-chunk
-    rows = 2 * protocol._CHUNK_WORDS // 997 + 1
+    # a word holds at most four lanes of a bound past 2**8, so more values
+    # than two chunks' lanes span at least three chunks; 997-value rows
+    # end mid-chunk
+    rows = 2 * 4 * protocol._CHUNK_WORDS // 997 + 1
     values = draw_uniform(23, bound, (rows, 997))
-    assert values.reshape(-1).tolist() == uniform_getrandbits_naive(23, bound, rows * 997)
+    assert values.reshape(-1).tolist() == uniform_pcg64_lanes_naive(23, bound, rows * 997)
 
 
-# 256 and 2**63 are powers of two (no word rejected), 30011 and 2**32 + 15
-# reject words; 2**32 + 15 and 2**63 are read from 64-bit words.  p = 101
-# gives an int64 array, 2**61 - 1 an object one at K+T = 5.
+# 256 and 2**63 are powers of two (no lane rejected), 30011 and 2**32 + 15
+# reject lanes; 256 is read from 8-bit lanes, 30011 from 16-bit ones and
+# 2**32 + 15 and 2**63 from 64-bit ones.  p = 101 gives an int64 array,
+# 2**61 - 1 an object one at K+T = 5.
 @pytest.mark.parametrize("bound", [256, 30011, 2**32 + 15, 2**63])
 @pytest.mark.parametrize("p", [101, 2**61 - 1])
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -179,16 +216,14 @@ def test_draw_uniform_into_coefficient_array_views(bound, p, chunk, monkeypatch)
     coeffs = np.zeros(params.blocks_shape, dtype=field_dtype(p, 5))
     rows = model_rows(coeffs, 3)
     assert np.shares_memory(rows, coeffs)
-    with closing(UniformStream(17, bound)) as stream:
-        stream.fill(rows[:, :10])
-    with closing(UniformStream(18, bound)) as stream:
-        assert np.shares_memory(stream.fill(coeffs[:, 3:]), coeffs)
+    UniformStream(17, bound).fill(rows[:, :10])
+    assert np.shares_memory(UniformStream(18, bound).fill(coeffs[:, 3:]), coeffs)
     models = draw_uniform(17, bound, (4, 10))
     assert rows[:, :10].tolist() == models.tolist()
-    assert rows[:, :10].reshape(-1).tolist() == uniform_getrandbits_naive(17, bound, 40)
+    assert rows[:, :10].reshape(-1).tolist() == uniform_pcg64_lanes_naive(17, bound, 40)
     assert rows[:, 10:].tolist() == [[0, 0]] * 4  # the padding stays zero
     assert coeffs[:, 3:].tolist() == draw_uniform(18, bound, (4, 2, 4)).tolist()
-    assert coeffs[:, 3:].reshape(-1).tolist() == uniform_getrandbits_naive(18, bound, 32)
+    assert coeffs[:, 3:].reshape(-1).tolist() == uniform_pcg64_lanes_naive(18, bound, 32)
     # an object array holds Python ints, not numpy scalars
     assert {type(v) for v in coeffs.reshape(-1).tolist()} == {int}
 
@@ -202,35 +237,29 @@ def test_stream_filled_block_by_block_gives_one_draws_values(bound, chunk, monke
     shapes = [(3, 7), (5,), (0, 4), (2, 4, 3), (1, 1), (400,)]
     stream = UniformStream(29, bound)
     blocks = [stream.fill(np.empty(shape, dtype=np.int64)) for shape in shapes]
-    stream.close()
     values = np.concatenate([block.reshape(-1) for block in blocks]).tolist()
     assert values == draw_uniform(29, bound, (len(values),)).tolist()
-    assert values == uniform_getrandbits_naive(29, bound, len(values))
+    assert values == uniform_pcg64_lanes_naive(29, bound, len(values))
 
 
 def test_interleaved_streams_keep_their_own_generators():
     # a round fills its model and noise streams in turn; each stream keeps
-    # its generator until closed, and a closed one's generator is reseeded
-    # by the next stream that takes it
+    # its own generator, whatever streams are made or filled between its fills
     a, b = UniformStream(1, 101), UniformStream(2, 101)
     first = [a.fill(np.empty(50, dtype=np.int64)), b.fill(np.empty(50, dtype=np.int64))]
-    second = [a.fill(np.empty(50, dtype=np.int64)), b.fill(np.empty(50, dtype=np.int64))]
-    a.close()
     c = UniformStream(3, 101)
+    second = [a.fill(np.empty(50, dtype=np.int64)), b.fill(np.empty(50, dtype=np.int64))]
     third = c.fill(np.empty(50, dtype=np.int64))
-    b.close()
-    c.close()
     assert np.concatenate([first[0], second[0]]).tolist() == draw_uniform(1, 101, (100,)).tolist()
     assert np.concatenate([first[1], second[1]]).tolist() == draw_uniform(2, 101, (100,)).tolist()
-    assert third.tolist() == draw_uniform(3, 101, (50,)).tolist()
+    assert third.tolist() == uniform_pcg64_lanes_naive(3, 101, 50)
 
 
 def test_draw_uniform_into_empty_noise_rows():
     params = ProtocolParams(4, 0, 0, 3, 10, 2)  # T=0
     coeffs = np.zeros(params.blocks_shape, dtype=np.int64)
     assert draw_noise(101, params, 9).shape == (4, 0, 4)
-    with closing(UniformStream(1, 5)) as stream:
-        assert stream.fill(coeffs[:, 3:]).shape == (4, 0, 4)
+    assert UniformStream(1, 5).fill(coeffs[:, 3:]).shape == (4, 0, 4)
 
 
 @pytest.mark.parametrize("bound", [1, 0, 2**63 + 1])
