@@ -176,17 +176,17 @@ def test_pcg64_and_seed_sequence_streams_are_unchanged(bound, values):
 # seed as its entropy: one limb up to 2**32 - 1, two up to 2**64 - 1, three
 # from 2**64.  2**20 and 30011 are read from 32- and 16-bit lanes, 2**40
 # and 2**32 + 15 from 64-bit lanes; 30011 and 2**32 + 15 reject lanes, the
-# powers of two none.
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
+# powers of two none.  A negative seed has no limbs and raises ValueError
+# naming it.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, -(2**40 + 3)])
 @pytest.mark.parametrize("bound", [2**20, 30011, 2**40, 2**32 + 15])
 def test_draw_uniform_is_randoms_stream_at_every_key_limb_boundary(seed, bound):
+    if seed < 0:
+        with pytest.raises(ValueError, match=re.escape(str(seed))):
+            draw_uniform(seed, bound, (7, 13))
+        return
     values = draw_uniform(seed, bound, (7, 13))
     assert values.reshape(-1).tolist() == uniform_pcg64_lanes_naive(seed, bound, 91)
-
-
-def test_draw_uniform_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match=re.escape(str(-(2**40 + 3)))):
-        draw_uniform(-(2**40 + 3), 30011, (3,))
 
 
 @pytest.mark.parametrize("bound", [30011, 2**32 + 15])
