@@ -8,8 +8,8 @@ by counting transcript symbols, never by evaluating the closed-form
 expressions they are later compared against.  :func:`correctness_oracle`
 replays randomized rounds, drawn the same way from derived seeds, against a
 plain-integer summation oracle, and :func:`collect_adversary_view` makes
-exactly the messages a colluding set plus the server receive, from the
-round's masks and the blocks of its intra senders alone.
+exactly the messages a colluding set plus the server receive, as the
+transcript picks them, from its intra senders' blocks and the partials.
 """
 
 import dataclasses
@@ -196,6 +196,9 @@ class RunConfig:
             tree = build_tree(params.num_groups, self.tree_shape)
         except Exception as exc:
             raise ConfigInvalid(f"tree_shape: {exc}") from exc
+        # finite delays can still add up past the largest float
+        if not math.isfinite(total_delay(tree, DelayModel(self.delta_inter, self.delta_intra))):
+            raise ConfigInvalid("delta_inter, delta_intra: their total delay overflows a float")
         for name, bound, cap in (
             ("dropped", "dropout budget", "d_max"),
             ("adversaries", "collusion tolerance", "t_max"),
@@ -254,23 +257,21 @@ class LoadSummary:
     sent: np.ndarray
 
 
-def measure_loads(
-    transcript: Transcript, params: ProtocolParams, status: np.ndarray
-) -> LoadSummary:
+def measure_loads(transcript: Transcript) -> LoadSummary:
     """Count transcript symbols into normalized loads.
 
     Server load counts non-null server-bound symbols.  Per-user load counts
     every symbol a user transmitted, deliverable or not: a sender cannot
-    know the peer dropped.  The max is taken over the users whose ``status``
-    (N,) is not DROPPED.
+    know the peer dropped.  The max is taken over the users that did not
+    drop.
     """
-    length = params.model_len
+    length = transcript.params.model_len
     sent = transcript.sent()
-    survivors = status != UserStatus.DROPPED.value
+    survivors = transcript.status != UserStatus.DROPPED.value
     return LoadSummary(
         r_server=Fraction(transcript.phase_counts()[PHASE_SERVER]["symbols"], length),
         r_user_max=Fraction(int(sent[survivors].max()), length),
-        r_user_avg=Fraction(int(sent.sum()), params.n_users * length),
+        r_user_avg=Fraction(int(sent.sum()), len(sent) * length),
         sent=sent,
     )
 
@@ -382,7 +383,7 @@ def simulate(config: RunConfig):
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
     result = run_protocol(ctx, params, tree, None, plan, config.master_seed)
     transcript = result.transcript
-    loads = measure_loads(transcript, params, result.status)
+    loads = measure_loads(transcript)
     # a round without dropouts uses every link the network has
     everyone = np.ones(params.n_users, dtype=bool)
     no_drops = np.full(params.n_users, UserStatus.ACTIVE.value, dtype=np.int8)
@@ -451,40 +452,17 @@ def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.
     """Everything ``adversaries`` and the server receive in a finished run,
     as one (C, S, *batch) array: one row per message of ``result.transcript``
     that was delivered, is not null, is not self-addressed, and has a
-    colluder or the server (receiver N) as receiver, ordered by receiver
-    (the server last), then phase, then sender.  An intra row holds its
+    colluder or the server (receiver N) as receiver, in the order of
+    :meth:`~rampagg.protocol.Transcript.heard_by`.  An intra row holds its
     sender's block evaluated at the receiver's point, an uplink row the
     partial sum its sender forwarded.  Only these O(C * size) messages are
-    made, from the round's masks and its intra senders' blocks
+    made, from the blocks of the intra senders alone
     (:meth:`~rampagg.protocol.RunResult.blocks`)."""
     n, size, p = result.params.n_users, result.params.group_size, result.ctx.p
     outside = [u for u in adversaries if not 0 <= u < n]
     if outside:
         raise ValueError(f"adversaries: users {outside} outside [0, {n})")
-    status, took_part = result.status, result.took_part
-    colluders = np.array(sorted(set(adversaries)), dtype=np.intp)
-    group, slot = np.divmod(colluders, size)
-    # intra: a colluder that took part hears every other member that did
-    members = group[:, None] * size + np.arange(size)
-    heard = took_part[members] & (members != colluders[:, None]) & took_part[colluders][:, None]
-    intra_to = np.broadcast_to(colluders[:, None], members.shape)[heard]
-    intra_from = members[heard]
-    # inter: a colluder that did not drop hears its slot of each child group
-    # that ended ACTIVE (a dropped user sends nothing, a silenced one a null)
-    row, child = np.nonzero(result.tree.parents == group[:, None])
-    up_from, up_to = child * size + slot[row], colluders[row]
-    up_to = np.append(up_to, [n] * size)  # and the server hears the last group
-    up_from = np.append(up_from, np.arange(result.tree.last_group * size, n))
-    heard = (status[up_from] == UserStatus.ACTIVE.value) & (
-        np.append(status, UserStatus.ACTIVE.value)[up_to] != UserStatus.DROPPED.value
-    )
-    up_from, up_to = up_from[heard], up_to[heard]
-    sender = np.concatenate([intra_from, up_from])
-    receiver = np.concatenate([intra_to, up_to])
-    intra = np.arange(len(sender)) < len(intra_from)
-    # intra is phase 0; the uplinks to one receiver share one phase
-    order = np.lexsort((sender, ~intra, receiver))
-    sender, receiver, intra = sender[order], receiver[order], intra[order]
+    sender, receiver, intra = result.transcript.heard_by(sorted(set(adversaries)))
     message = result.partials.shape[1:]  # (S, *batch)
     view = np.empty((len(sender),) + message, result.partials.dtype)
     # row i of the Vandermonde matrix is the point of intra row i's receiver

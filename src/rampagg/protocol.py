@@ -44,15 +44,15 @@ and the link it would have used stays silent.  Null messages are explicit
 zero-symbol transcript entries; a user that dropped before sending leaves no
 entry at all.
 
-The transcript is kept as the same masks: who took part in the intra
-phase and how each user ended.  Phase counts, the symbols each user sent
-and the links a round used are counts over them, group by group, and a
-round without dropouts uses every link the network has.  Rows, in
-protocol order, are made only to be written.  A user's intra rows depend
-only on the round's shape (N, group size, S), never on who dropped or on
-the tree, so a shape's whole intra section is made once, as text, and
-written as slices over the runs of users that took part; the uplinks are
-made a block at a time.
+The transcript is kept as the same masks, who took part in the intra phase
+and how each user ended, and only it knows who hears whom: phase counts,
+symbols sent, links used, the CSV rows and the messages a set of users and
+the server receive (:meth:`Transcript.heard_by`) all come from the masks
+and from :meth:`Transcript.uplinks`; a round without dropouts uses every
+link the network has.  A user's intra rows depend only on the round's shape
+(N, group size, S), never on who dropped or on the tree, so a shape's whole
+intra section is made once, as text, and written as slices over the runs of
+users that took part; the uplinks are written a block at a time.
 """
 
 import hashlib
@@ -173,12 +173,11 @@ class Transcript:
 
     In protocol order the messages are each group's intra exchange, sender
     by sender, every user that took part addressing every slot of its group
-    (its own at zero cost), then the uplinks, groups leaves first, slot to
-    slot, from every user that did not drop: a null from a silenced user,
-    S symbols from an active one.  The counts below are sums over these
-    masks; rows are made only by :meth:`to_csv`: the intra rows as slices
-    of a text cached per shape, the uplinks a block at a time.  A send to
-    an already-dropped user costs the sender its symbols but is never
+    (its own at zero cost), then the :meth:`uplinks`, groups leaves first,
+    slot to slot, from every user that did not drop: a null from a silenced
+    user, S symbols from an active one.  The counts below are sums over
+    these masks; rows are made only by :meth:`to_csv`.  A send to an
+    already-dropped user costs the sender its symbols but is never
     delivered, so its link stays silent.
     """
 
@@ -213,41 +212,59 @@ class Transcript:
     def links_used(self) -> int:
         """How many links carried at least one delivered, non-null message.
         An intra share is delivered when its receiver took part too, so a
-        group where ``took`` users took part uses C(took, 2) intra links; an
-        uplink is used when its sender ended ACTIVE and its receiver, a user
-        of the parent group or the server, did not drop.  Self-addressed
-        local computations are not links."""
-        size = self.params.group_size
-        took = np.count_nonzero(self.took_part.reshape(-1, size), axis=1)
-        status = self.status.reshape(-1, size)
-        # each group's receivers by slot, from its parent's row; the server,
-        # parent of the last group, is a row that never drops
-        server = np.full((1, size), UserStatus.ACTIVE.value, status.dtype)
-        receivers = np.concatenate([status, server])[self.tree.parents]
-        uplinks = (status == UserStatus.ACTIVE.value) & (receivers != UserStatus.DROPPED.value)
-        return int((took * (took - 1) // 2).sum() + np.count_nonzero(uplinks))
+        group where ``took`` users took part uses C(took, 2) intra links,
+        and each uplink that :meth:`_delivered` marks uses its own link.
+        Self-addressed local computations are not links."""
+        took = np.count_nonzero(self.took_part.reshape(-1, self.params.group_size), axis=1)
+        uplinks = np.count_nonzero(self._delivered(*self.uplinks()))
+        return int((took * (took - 1) // 2).sum() + uplinks)
+
+    def uplinks(self) -> tuple:
+        """The (N,) senders and receivers of every user's uplink, dropped or
+        not, in protocol order: groups leaves first, slot to slot, and last
+        the last group's, to the server, receiver N."""
+        n, size = self.params.n_users, self.params.group_size
+        # users by group and slot, then the server, the last group's parent
+        # G, as a row of N; take is several times faster than an index here
+        table = np.arange(n + size).reshape(-1, size)
+        table[-1] = n
+        order = self.tree.upward
+        parents = self.tree.parents[order]
+        return table.take(order, axis=0).ravel(), table.take(parents, axis=0).ravel()
+
+    def _delivered(self, sender: np.ndarray, receiver: np.ndarray) -> np.ndarray:
+        """Which of the uplinks ``sender`` to ``receiver`` deliver S symbols:
+        the sender ended ACTIVE, and the receiver did not drop."""
+        status = np.append(self.status, UserStatus.ACTIVE.value)  # the server's
+        return (status[sender] == UserStatus.ACTIVE.value) & (
+            status[receiver] != UserStatus.DROPPED.value
+        )
+
+    def heard_by(self, users) -> tuple:
+        """The (sender, receiver, intra) arrays of every delivered, non-null,
+        not self-addressed message to one of ``users`` (distinct, ascending)
+        or to the server (receiver N), ordered by receiver, the server last,
+        then phase, then sender.  ``intra`` marks the intra shares: a user
+        that took part hears every other member of its group that did."""
+        n, size = self.params.n_users, self.params.group_size
+        users = np.asarray(users, dtype=np.intp)
+        members = users[:, None] // size * size + np.arange(size)
+        took_part = self.took_part
+        heard = took_part[members] & (members != users[:, None]) & took_part[users][:, None]
+        # a lookup over the N+1 receivers: np.isin sorts, and is slower here
+        listens = np.zeros(n + 1, dtype=bool)
+        listens[users] = listens[n] = True
+        up_from, up_to = self.uplinks()
+        up = listens[up_to] & self._delivered(up_from, up_to)
+        intra_to = np.broadcast_to(users[:, None], members.shape)[heard]
+        sender = np.concatenate([members[heard], up_from[up]])
+        receiver = np.concatenate([intra_to, up_to[up]])
+        intra = np.arange(len(sender)) < np.count_nonzero(heard)
+        # intra is phase 0; the uplinks to one receiver share one phase
+        order = np.lexsort((sender, ~intra, receiver))
+        return sender[order], receiver[order], intra[order]
 
     # -- exports -----------------------------------------------------------
-
-    def _uplinks(self):
-        """The uplinks in protocol order, leaves first, slot to slot, as
-        (phase, sender, receiver, null) column blocks of at most
-        ``_CSV_BLOCK_ROWS`` rows: ``phase`` indexes :data:`PHASES`, and the
-        server is receiver N.  A dropped user sends nothing."""
-        n, size = self.params.n_users, self.params.group_size
-        slots = np.arange(size)
-        # the last group, alone at depth 0, comes last and sends to the server
-        order = self.tree.upward
-        parent = self.tree.parents[order[:-1]]
-        sender = (order[:, None] * size + slots).ravel()
-        receiver = np.concatenate([(parent[:, None] * size + slots).ravel(), [n] * size])
-        sent = self.status[sender] != UserStatus.DROPPED.value
-        sender, receiver = sender[sent], receiver[sent]
-        phase = np.where(receiver == n, 2, 1)  # codes into PHASES
-        null = self.status[sender] == UserStatus.SILENCED.value
-        for start in range(0, len(sender), _CSV_BLOCK_ROWS):
-            cut = slice(start, start + _CSV_BLOCK_ROWS)
-            yield phase[cut], sender[cut], receiver[cut], null[cut]
 
     def to_csv(self, fp) -> None:
         """Write the rows as ``csv.writer`` would, with no formatting per
@@ -255,10 +272,10 @@ class Transcript:
         :func:`_intra_section`, one per run of users that took part, so at
         most one more than there are pre-intra dropouts; a section past
         ``_CACHED_SECTION_ROWS`` rows is made and written a block of users
-        at a time instead (:func:`_intra_users`).  Each block of uplinks of
-        :meth:`_uplinks` becomes a (rows, 2) object array of heads (from
-        :func:`_csv_heads`) and tails (from :func:`_csv_tails`), each taken
-        by one fancy index, and goes out as one join."""
+        at a time instead (:func:`_intra_users`).  The :meth:`uplinks` of
+        users that did not drop go out ``_CSV_BLOCK_ROWS`` at a time, each
+        block a (rows, 2) object array of heads (:func:`_csv_heads`) and
+        tails (:func:`_csv_tails`), each taken by one fancy index, joined."""
         n, size, seg_len = self.params.n_users, self.params.group_size, self.params.seg_len
         fp.write("phase,sender,receiver,symbols,null\r\n")
         absent = np.flatnonzero(~self.took_part).tolist()
@@ -271,11 +288,17 @@ class Transcript:
             for a, b in runs:
                 for users in _intra_users(n, size, seg_len, a, b):
                     fp.write("".join(users))
+        sender, receiver = self.uplinks()
+        sent = self.status[sender] != UserStatus.DROPPED.value
+        sender, receiver = sender[sent], receiver[sent]
+        null = self.status[sender] == UserStatus.SILENCED.value
         heads, tails = _csv_heads(n), _csv_tails(n, seg_len)
-        for phase, sender, receiver, null in self._uplinks():
-            pieces = np.empty((len(phase), 2), dtype=object)
-            pieces[:, 0] = heads[phase * n + sender]
-            pieces[:, 1] = tails[null * 2 * (n + 1) + receiver]  # kind 0 or 2
+        for start in range(0, len(sender), _CSV_BLOCK_ROWS):
+            cut = slice(start, start + _CSV_BLOCK_ROWS)
+            pieces = np.empty((len(sender[cut]), 2), dtype=object)
+            # by phase code (1 inter, 2 server) and sender; by kind 0 or 2 (null) and receiver
+            pieces[:, 0] = heads[(1 + (receiver[cut] == n)) * n + sender[cut]]
+            pieces[:, 1] = tails[null[cut] * 2 * (n + 1) + receiver[cut]]
             fp.write("".join(pieces.ravel().tolist()))
 
 
@@ -473,13 +496,6 @@ def draw_uniform(seed: int, bound: int, shape) -> np.ndarray:
     :class:`UniformStream` ``(seed, bound)``, in row order, whatever the
     chunking."""
     return UniformStream(seed, bound).fill(np.empty(shape, dtype=np.int64))
-
-
-def draw_noise(p: int, params: ProtocolParams, master_seed: int) -> np.ndarray:
-    """(N, T, S) uniform noise in [0, p), all of :func:`noise_stream`: same
-    seed, same noise."""
-    shape = (params.n_users, params.t_max, params.seg_len)
-    return noise_stream(p, params, master_seed).fill(np.empty(shape, dtype=np.int64))
 
 
 def draw_models(params: ProtocolParams, master_seed: int) -> np.ndarray:

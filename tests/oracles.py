@@ -6,7 +6,8 @@ system, evaluation by repeated pow, random inputs by one ``randrange`` per
 entry and the bulk streams lane by lane on Python ints, the privacy
 enumeration by one protocol run per model assignment and its leak by one
 Python term per assignment and view value, the relay
-by a fold over the groups, the transcript CSV by ``csv.writer``, the
+by a fold over the groups, the transcript CSV by ``csv.writer`` and who
+hears whom by a filter over its rows, the
 adversary view message by message from the run's arrays, a round's
 coefficient array and group sums entry by entry.  Slow and
 obvious beats fast and clever here.  Also the JSON values, parent maps and
@@ -42,8 +43,8 @@ from rampagg.protocol import (
     PRE_INTRA,
     DropoutPlan,
     draw_models,
-    draw_noise,
     eval_point_for_slot,
+    noise_stream,
     run_protocol,
     write_blocks,
 )
@@ -267,6 +268,19 @@ def links_naive(rows):
     }
 
 
+def heard_by_naive(rows, users, n_users):
+    """The (sender, receiver, intra) of every delivered, non-null, not
+    self-addressed row to one of ``users`` or to the server (receiver
+    ``n_users``), sorted by receiver, then phase, then sender."""
+    heard = sorted(
+        (n_users if receiver == "server" else receiver, phase != "intra", sender)
+        for phase, sender, receiver, _, null, delivered in rows
+        if delivered and not null and sender != receiver
+        and (receiver == "server" or receiver in users)
+    )
+    return [(sender, receiver, not uplink) for receiver, uplink, sender in heard]
+
+
 def phase_counts_naive(rows):
     """Messages, nulls and symbols per phase, summed row by row."""
     counts = {
@@ -311,6 +325,12 @@ def potential_links_naive(params, tree):
 # ---- coefficient arrays ---------------------------------------------------------
 
 
+def round_noise(p, params, master_seed):
+    """A round's (N, T, S) noise, all of ``protocol.noise_stream``."""
+    shape = (params.n_users, params.t_max, params.seg_len)
+    return noise_stream(p, params, master_seed).fill(np.empty(shape, dtype=np.int64))
+
+
 def coefficient_array_naive(params, p, models=None, noise=None, master_seed=0):
     """A round's (N, K+T, S, *batch) coefficient array, entry by entry in
     Python ints, cast to the field dtype at the end: row j < K of user u's
@@ -321,7 +341,7 @@ def coefficient_array_naive(params, p, models=None, noise=None, master_seed=0):
     n, k, t = params.n_users, params.k_parts, params.t_max
     seg_len, length = params.seg_len, params.model_len
     models = draw_models(params, master_seed) if models is None else models
-    noise = draw_noise(p, params, master_seed) if noise is None else noise
+    noise = round_noise(p, params, master_seed) if noise is None else noise
     models, noise = np.asarray(models).astype(object), np.asarray(noise).astype(object)
     batch = noise.shape[3:]
     pad = (1,) * (len(batch) + 2 - models.ndim)

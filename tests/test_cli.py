@@ -335,6 +335,13 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys):
             "entry_bound",
         ),
         ("run", BASE_CONFIG, "a-file", "--out"),
+        (  # each delay is finite, their total is not
+            "run",
+            {"n_users": 24, "t_max": 2, "d_max": 1, "k_parts": 9, "model_len": 9,
+             "entry_bound": 8, "delta_inter": 1e308, "delta_intra": 1e308},
+            "out",
+            "delta_inter, delta_intra",
+        ),
         ("sweep", {"base": {"n_users": 12}, "k_values": [3]}, "out", "missing config field"),
         ("sweep", {"base": BASE_CONFIG, "k_values": [3], "out_csv": "nope/sub/x.csv"},
          "out", "out_csv"),
@@ -344,6 +351,7 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys):
     ],
     ids=[
         "run-missing-fields", "run-prime-above-int64", "run-out-is-a-file",
+        "run-total-delay-not-finite",
         "sweep-base-missing-fields", "sweep-out-csv-no-dir", "sweep-out-csv-is-a-dir",
         "sweep-jobs-0", "sweep-jobs-negative",
     ],

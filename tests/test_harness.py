@@ -30,7 +30,6 @@ from rampagg.harness import (
 from rampagg.field import FieldContext, field_dtype
 from rampagg.protocol import (
     DropoutPlan,
-    UserStatus,
     draw_models,
     eval_point_for_slot,
     run_protocol,
@@ -131,6 +130,10 @@ SINGLE_USER = dict(n_users=1, t_max=0, d_max=0, k_parts=1, dropped=())
         # lies in (N*(entry_bound-1), 2**63] once N*(entry_bound-1) >= 2**63-25
         (dict(entry_bound=2**60), "entry_bound"),
         (SINGLE_USER | dict(entry_bound=2**63 - 23), "entry_bound"),
+        # each finite, their total not: report.json would hold Infinity; the
+        # second has two chained groups, so its total is twice delta_inter
+        (dict(delta_inter=1e308, delta_intra=1e308), "delta_inter, delta_intra"),
+        (dict(k_parts=3, delta_inter=1.7e308, delta_intra=0), "delta_inter, delta_intra"),
     ],
 )
 def test_resolve_names_the_offending_field(changes, needle):
@@ -191,13 +194,11 @@ def test_loads_two_group_example():
 
 def test_measure_loads_ignores_dropped_in_max():
     report, result = simulate(example1())
-    params, _, _ = example1().resolve()
-    loads = measure_loads(result.transcript, params, result.status)
+    loads = measure_loads(result.transcript)
     assert loads.r_user_max == Fraction(4, 3)
-    # with nobody excluded the max is unchanged here (dropped sent nothing)
-    everyone = np.full(12, UserStatus.ACTIVE.value, dtype=np.int8)
-    loads_all = measure_loads(result.transcript, params, everyone)
-    assert loads_all.r_user_max == Fraction(4, 3)
+    # the dropped user sent nothing, and the average still counts it
+    assert loads.sent[list(example1().dropped)].tolist() == [0]
+    assert loads.r_user_avg == Fraction(int(loads.sent.sum()), 12 * 9)
 
 
 # ---- report ----
@@ -479,9 +480,9 @@ def test_adversary_view_matches_user_by_user_oracle(round_, p, batch, data):
     adversaries = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
     if dropped and data.draw(st.booleans()):
         adversaries.append(dropped[0])
-    with pytest.MonkeyPatch.context() as patch:  # the view makes its own rows
-        patch.setattr(protocol.Transcript, "_uplinks", _refuse_rows)
-        patch.setattr(protocol, "_intra_users", _refuse_rows)
+    with pytest.MonkeyPatch.context() as patch:  # the view makes no CSV text
+        for text_maker in "_csv_heads", "_csv_tails", "_intra_section", "_intra_users":
+            patch.setattr(protocol, text_maker, _refuse_rows)
         view = collect_adversary_view(result, adversaries)
     expected = adversary_view_naive(result, adversaries)
     assert view.dtype == expected.dtype == field_dtype(p, k + t)

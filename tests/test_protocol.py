@@ -45,7 +45,9 @@ from oracles import (
     SILENCED,
     coefficient_array_naive,
     group_sums_naive,
+    heard_by_naive,
     links_naive,
+    parent_naive,
     phase_counts_naive,
     potential_links_naive,
     relay_fold_naive,
@@ -326,6 +328,26 @@ def test_transcript_columns_match_per_message_reference(t, d, shape, timing):
     assert transcript.links_used() == len(links_naive(rows))
     assert report.total_edges == len(potential_links_naive(params, tree))
     assert report.silent_edges == report.total_edges - len(links_naive(rows))
+    _check_who_hears_whom(transcript, rows, dropped)
+
+
+def _check_who_hears_whom(transcript, rows, dropped):
+    """``uplinks()`` against the tree and the rows, and ``heard_by`` against
+    the rows for no user, one, every user, and a set with the dropouts."""
+    params, status = transcript.params, transcript.status.tolist()
+    n, size = params.n_users, params.group_size
+    sender, receiver = transcript.uplinks()
+    uplinks = list(zip(sender.tolist(), receiver.tolist()))
+    assert sorted(sender.tolist()) == list(range(n))
+    for u, r in uplinks:
+        parent = parent_naive(transcript.tree, u // size)
+        assert r == (n if parent == "server" else parent * size + u % size)
+    sent = [(s, n if r == "server" else r) for phase, s, r, *_ in rows if phase != "intra"]
+    assert [(u, r) for u, r in uplinks if status[u] != DROPPED] == sent
+    for users in [], [n // 2], list(range(n)), sorted({*dropped, n - 1}):
+        heard = transcript.heard_by(users)
+        assert heard[2].dtype == bool
+        assert list(zip(*(a.tolist() for a in heard))) == heard_by_naive(rows, users, n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -358,6 +380,7 @@ def test_counts_match_the_row_oracles_on_drawn_rounds(round_, shape, extra, seed
     assert result.transcript.links_used() == len(links_naive(rows))
     assert report.total_edges == len(potential_links_naive(result.params, result.tree))
     assert report.silent_edges == report.total_edges - len(links_naive(rows))
+    _check_who_hears_whom(result.transcript, rows, dropped)
 
 
 class _Writes(io.StringIO):
@@ -448,9 +471,8 @@ def test_a_round_expands_no_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("a round expanded its transcript rows")
 
-    monkeypatch.setattr(Transcript, "_uplinks", refuse)
-    monkeypatch.setattr(protocol, "_intra_section", refuse)
-    monkeypatch.setattr(protocol, "_intra_users", refuse)
+    for text_maker in "_csv_heads", "_csv_tails", "_intra_section", "_intra_users":
+        monkeypatch.setattr(protocol, text_maker, refuse)
     n, t, d = 1200, 2, 1
     k = n - t - d
     config = RunConfig(

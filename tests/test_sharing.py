@@ -14,7 +14,6 @@ from rampagg import protocol
 from rampagg.field import FieldContext, field_dtype
 from rampagg.protocol import (
     derive_seed,
-    draw_noise,
     draw_uniform,
     eval_point_for_slot,
     run_protocol,
@@ -24,7 +23,7 @@ from rampagg.protocol import (
 from rampagg.sharing import evaluate, model_rows
 from rampagg.topology import ProtocolParams, build_tree, make_params
 
-from oracles import uniform_pcg64_lanes_naive, written_blocks
+from oracles import round_noise, uniform_pcg64_lanes_naive, written_blocks
 
 
 def _ctx(p: int) -> FieldContext:
@@ -105,17 +104,17 @@ def _params(n_users, t_max, k_parts, model_len):
 
 def test_noise_is_deterministic_per_seed():
     params = _params(3, 2, 2, 8)  # T=2 vectors of seg_len 4 per user
-    a = draw_noise(101, params, 9)
+    a = round_noise(101, params, 9)
     assert a.shape == (3, 2, 4)
-    assert np.array_equal(a, draw_noise(101, params, 9))
-    assert not np.array_equal(a, draw_noise(101, params, 10))
+    assert np.array_equal(a, round_noise(101, params, 9))
+    assert not np.array_equal(a, round_noise(101, params, 10))
     # one stream for the round, users then vectors then symbols in row order
     expected = uniform_pcg64_lanes_naive(derive_seed(9, "noise"), 101, 3 * 2 * 4)
     assert a.reshape(-1).tolist() == expected
 
 
 def test_noise_without_noise_vectors_is_empty():
-    assert draw_noise(101, _params(3, 0, 2, 8), 9).shape == (3, 0, 4)
+    assert round_noise(101, _params(3, 0, 2, 8), 9).shape == (3, 0, 4)
     assert draw_uniform(1, 5, (2, 0, 3)).shape == (2, 0, 3)
 
 
@@ -258,7 +257,7 @@ def test_interleaved_streams_keep_their_own_generators():
 def test_draw_uniform_into_empty_noise_rows():
     params = ProtocolParams(4, 0, 0, 3, 10, 2)  # T=0
     coeffs = np.zeros(params.blocks_shape, dtype=np.int64)
-    assert draw_noise(101, params, 9).shape == (4, 0, 4)
+    assert round_noise(101, params, 9).shape == (4, 0, 4)
     assert UniformStream(1, 5).fill(coeffs[:, 3:]).shape == (4, 0, 4)
 
 
@@ -271,7 +270,7 @@ def test_draw_uniform_rejects_bounds_outside_int64(bound):
 def test_noise_is_roughly_uniform():
     # 10000 draws from GF(5): expect 2000 per residue; allow 5 sigma
     # (sigma = sqrt(10000 * 0.2 * 0.8) = 40).
-    noise = draw_noise(5, _params(2500, 1, 1, 4), 123)
+    noise = round_noise(5, _params(2500, 1, 1, 4), 123)
     counts = Counter(noise.reshape(-1).tolist())
     assert sum(counts.values()) == 10000
     for residue in range(5):
