@@ -28,7 +28,6 @@ from rampagg.protocol import (
     _csv_tails,
     _intra_section,
     DropoutPlan,
-    Transcript,
     UserStatus,
     derive_seed,
     eval_point_for_slot,
