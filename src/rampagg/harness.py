@@ -38,6 +38,7 @@ from .protocol import (
     draw_uniform,
     eval_point_for_slot,
     join_spans,
+    message_pattern,
     run_protocol,
 )
 from .sharing import Model
@@ -385,9 +386,7 @@ def simulate(config: RunConfig):
     transcript = result.transcript
     loads = measure_loads(transcript)
     # a round without dropouts uses every link the network has
-    everyone = np.ones(params.n_users, dtype=bool)
-    no_drops = np.full(params.n_users, UserStatus.ACTIVE.value, dtype=np.int8)
-    total = Transcript(params, tree, everyone, no_drops).links_used()
+    total = message_pattern(params, tree, DropoutPlan.none()).links_used()
     active = transcript.links_used()
     delay = total_delay(tree, DelayModel(config.delta_inter, config.delta_intra))
 

@@ -21,10 +21,10 @@ axis:
 
 Consecutive runs share one protocol call while their columns fit
 ``RUN_COLUMNS``: the call's batch is (runs, n_noise), the models carry the
-runs axis and the noise is one read-only broadcast of the enumeration over
-it.  The view is collected once per call, and each run's view is split off,
-used and dropped before the next call, so at most one call's views are
-held at a time.
+runs axis, one (N, K, runs) array for the case, and the noise is one
+read-only broadcast of the enumeration.  The view is collected once per
+call, its rows picked once per case as the calls share one message pattern,
+and each run's view is split off and dropped before the next call.
 
 Two guards make sure the view really is affine; either failure raises
 instead of returning a verdict.  Each column of A must be the same at every
@@ -61,9 +61,9 @@ zero" involves no floating point at all.
 A leaking case is additionally quantified in bits by exact counting.  Each
 assignment is kept as two ids, its cell's and its offset's, and each
 distinct offset as one histogram of its view, a block's new offsets'
-histograms read off one row-wise sort of their views; a cell's
-mutual information terms are one array operation over its assignments'
-histograms, summed in enumeration order whatever the blocking.
+histograms read off one row-wise sort of their views; the mutual
+information terms of many cells are one array operation, and each cell's
+are summed left to right in enumeration order whatever the blocking.
 """
 
 import itertools
@@ -206,36 +206,36 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
 
     noise = _build_noise(case, honest, n_noise)
     top = (bound - 1,) * n_symbols
+    # the runs' model assignments by column: zero, a unit per symbol, top
+    assignments = np.eye(n_symbols, n_symbols + 2, 1, dtype=np.int64)
+    assignments[:, -1] = bound - 1
+    all_models = _build_models(case, honest, assignments, generators)
 
-    def runs(assignments: list):
-        """Yield the honest-model sum and the (C, n_noise) view digits of one
-        real run per model assignment, in order.  Consecutive runs share a
-        protocol call while their columns fit RUN_COLUMNS, on a (runs,
-        n_noise) batch that repeats the noise for each; a run's view is
-        split off the call's as it is needed."""
+    def runs():
+        """Yield the (C, n_noise) view digits of one real run per model
+        assignment, in order.  Consecutive runs share a protocol call while
+        their columns fit RUN_COLUMNS, on a (runs, n_noise) batch that
+        repeats the noise for each; a run's view is split off as needed."""
         per_call = max(1, RUN_COLUMNS // n_noise)
-        for start in range(0, len(assignments), per_call):
-            chunk = assignments[start : start + per_call]
-            models = np.stack([_build_models(case, honest, w, generators) for w in chunk], -1)
-            batch = noise.shape[:3] + (len(chunk), n_noise)
+        for start in range(0, all_models.shape[-1], per_call):
+            models = all_models[..., start : start + per_call]
+            batch = noise.shape[:3] + (models.shape[-1], n_noise)
             batched = np.broadcast_to(noise[:, :, :, None], batch)
             result = run_protocol(ctx, params, tree, models[..., None], plan, noise=batched)
             view = collect_adversary_view(result, case.adversaries)
             del result
-            sums = models[honest].sum(axis=0)
-            for r in range(len(chunk)):
-                yield sums[:, r], view[:, :, r].reshape(-1, n_noise)
+            for r in range(models.shape[-1]):
+                yield view[:, :, r].reshape(-1, n_noise)
             del view
 
     # base is X; column i of shift (A) and of to_sum are what one unit of
     # model symbol i adds to the view and to the honest sum
-    units = [tuple(int(j == i) for j in range(n_symbols)) for i in range(n_symbols)]
-    views = runs([(0,) * n_symbols, *units, top])
-    _, base = next(views)
+    views = runs()
+    base = next(views)
     shift = np.zeros((len(base), n_symbols), dtype=field_dtype(p, n_symbols))
-    to_sum = np.zeros((k, n_symbols), dtype=np.int64)
+    to_sum = all_models[honest, :, 1:-1].sum(axis=0)
     for i in range(n_symbols):
-        to_sum[:, i], digits = next(views)
+        digits = next(views)
         delta = reduce_mod(digits - base, p) if digits.shape == base.shape else None
         if delta is None or (delta != delta[:, :1]).any():
             raise RampAggError(
@@ -246,7 +246,7 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
         shift[:, i] = delta[:, 0]
         del digits, delta  # dropped before the next run allocates its round
     top_offset = shift @ np.array(top, dtype=shift.dtype) % p
-    if not np.array_equal(next(views)[1], _shifted(base, top_offset, p)):
+    if not np.array_equal(next(views), _shifted(base, top_offset, p)):
         raise RampAggError(
             f"view is not affine in the honest models: the run at model "
             f"assignment {top} differs from the noise-only view plus its shift"
@@ -322,7 +322,8 @@ def _mi_bits(base: np.ndarray, blocks, p: int) -> float:
     all histograms have the same length and stack.  Value v, with count c in
     w's histogram and T_v in its cell of n_cell points, adds (c/n_cell)
     log2(c n_cell / (n_noise T_v)); a cell's terms, assignment by assignment
-    in enumeration order and values ascending, are added left to right."""
+    in enumeration order and values ascending, are added left to right: as
+    rows of zero-padded grids of at most HIST_DIGITS, cells shortest first."""
     n_noise = base.shape[1]
     cells = offsets_seen = None
     cell_ids, offset_ids, hists = [], [], []
@@ -336,20 +337,28 @@ def _mi_bits(base: np.ndarray, blocks, p: int) -> float:
             hists.append(_histograms(base, offsets[new[start : start + step]], p))
     cell_ids, offset_ids = np.concatenate(cell_ids), np.concatenate(offset_ids)
     views, counts = map(np.concatenate, zip(*hists))
+    views = np.unique(views, return_inverse=True)[1].reshape(counts.shape)  # values by id
     by_cell = offset_ids[np.argsort(cell_ids, kind="stable")]
-    total, mi = len(offset_ids) * n_noise, 0.0
-    for members in np.split(by_cell, np.cumsum(np.bincount(cell_ids))[:-1]):
-        n_cell = len(members) * n_noise
-        c = counts[members].ravel()
-        values, which = np.unique(views[members].ravel(), return_inverse=True)
-        totals = np.zeros(len(values), dtype=np.int64)
-        np.add.at(totals, which, c)
+    sizes = np.bincount(cell_ids)  # assignments per cell
+    order, done, sums = np.argsort(sizes, kind="stable"), 0, np.empty(len(sizes))
+    while done < len(sizes):
+        grids = np.arange(1, len(sizes) - done + 1) * sizes[order[done:]] * counts.shape[1]
+        cells = order[done : done + max(1, np.count_nonzero(grids <= HIST_DIGITS))]
+        done += len(cells)
+        m = sizes[cells]
+        local = np.repeat(np.arange(len(cells)), m)  # each member's cell in the grid
+        place = np.arange(len(local)) - np.repeat(np.cumsum(m) - m, m)  # and place there
+        rows = by_cell[(np.cumsum(sizes) - sizes)[cells][local] + place]
+        c, m = counts[rows], m[local, None]
+        _, which = np.unique(local[:, None] * views.size + views[rows], return_inverse=True)
+        totals = np.bincount(which.ravel(), c.ravel())[which].reshape(c.shape)  # T_v
         # c n_cell / (n_noise T_v) is the rational c len(members) / T_v; its
         # integers, at most the point count, are exact in float64 and divide
         # with one rounding, as Python's ints do
-        terms = (c / n_cell) * np.log2(c * len(members) / totals[which])
-        mi += (n_cell / total) * np.add.accumulate(terms)[-1]
-    return float(mi)
+        padded = np.zeros((len(cells), m.max(), counts.shape[1]))
+        padded[local, place] = (c / (m * n_noise)) * np.log2(c * m / totals)
+        sums[cells] = np.add.accumulate(padded.reshape(len(cells), -1), axis=1)[:, -1]
+    return float(np.add.accumulate(np.append(0.0, sizes / len(offset_ids) * sums))[-1])
 
 
 def _histograms(base: np.ndarray, offsets: np.ndarray, p: int):
@@ -400,14 +409,13 @@ def _build_noise(case: PrivacyCase, honest: list[int], n_noise: int) -> np.ndarr
     return noise
 
 
-def _build_models(
-    case: PrivacyCase, honest: list[int], w: tuple, generators: int
-) -> np.ndarray:
-    """The model assignment ``w`` (flat, k symbols per generator) as an
-    (N, K) array; dropped users never share, so any value serves them."""
-    models = np.zeros((case.n_users, case.k_parts), dtype=np.int64)
+def _build_models(case: PrivacyCase, honest: list[int], w, generators: int) -> np.ndarray:
+    """The model assignments ``w`` (flat, k symbols per generator, then any
+    batch axes) as an (N, K, *batch) array; dropped users, never sharing, get 0."""
+    w = np.asarray(w)
+    models = np.zeros((case.n_users, case.k_parts) + w.shape[1:], dtype=np.int64)
     models[list(case.adversaries)] = case.adversary_model_value
-    models[honest] = np.reshape(w, (generators, case.k_parts))
+    models[honest] = w.reshape((generators, case.k_parts) + w.shape[1:])
     return models
 
 

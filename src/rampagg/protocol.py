@@ -28,8 +28,8 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         user forwards its slot's sum over its group's subtree: one fold of
         the groups leaves first, or one prefix scan in postorder, where a
         subtree is one contiguous range, gives for all slots at once what
-        every user forwarded, ``partials`` of shape (N, S, *batch), and a
-        scan of the dropouts who was silenced.
+        every user forwarded, ``partials`` of shape (N, S, *batch).  Who
+        was silenced is the round's :func:`message_pattern`.
 
 server  The last group's users do the same send toward the server.  The
         server applies the (K+T, K+T) inverse Vandermonde matrix of the
@@ -44,19 +44,23 @@ and the link it would have used stays silent.  Null messages are explicit
 zero-symbol transcript entries; a user that dropped before sending leaves no
 entry at all.
 
-The transcript is kept as the same masks, who took part in the intra phase
-and how each user ended, and only it knows who hears whom: phase counts,
+The transcript is kept as two masks, who took part in the intra phase and
+how each user ended, and only it knows who hears whom: phase counts,
 symbols sent, links used, the CSV rows and the messages a set of users and
 the server receive (:meth:`Transcript.heard_by`) all come from the masks
 and from :meth:`Transcript.uplinks`; a round without dropouts uses every
-link the network has.  A user's intra rows depend only on the round's shape
-(N, group size, S), never on who dropped or on the tree, so a shape's whole
-intra section is made once, as text, and written as slices over the runs of
-users that took part; the uplinks are written a block at a time.
+link the network has.  The masks depend only on the params, the tree and
+the dropout plan: :func:`message_pattern` makes them once per key, and
+:func:`run_protocol` does only the arithmetic.  A user's intra rows depend
+only on the round's shape (N, group size, S), never on who dropped or on
+the tree, so a shape's whole intra section is made once, as text, and
+written as slices over the runs of users that took part; the uplinks are
+written a block at a time.
 """
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
@@ -178,7 +182,8 @@ class Transcript:
     user, S symbols from an active one.  The counts below are sums over
     these masks; rows are made only by :meth:`to_csv`.  A send to an
     already-dropped user costs the sender its symbols but is never
-    delivered, so its link stays silent.
+    delivered, so its link stays silent.  Counts, links and selections
+    are kept, as rounds share the transcripts of :func:`message_pattern`.
     """
 
     params: ProtocolParams
@@ -189,7 +194,11 @@ class Transcript:
     # -- accounting ------------------------------------------------------
 
     def phase_counts(self) -> dict[str, dict[str, int]]:
-        """Messages, nulls and symbols sent in each phase."""
+        """Messages, nulls and symbols sent in each phase, as a new dict."""
+        return {phase: dict(bucket) for phase, bucket in self._phase_counts().items()}
+
+    @lru_cache(maxsize=16)
+    def _phase_counts(self) -> dict[str, dict[str, int]]:
         size, seg_len = self.params.group_size, self.params.seg_len
         took = int(np.count_nonzero(self.took_part))
         intra = {"messages": took * size, "null": 0, "symbols": took * (size - 1) * seg_len}
@@ -209,6 +218,7 @@ class Transcript:
         active = self.status == UserStatus.ACTIVE.value
         return (self.took_part * (size - 1) + active) * self.params.seg_len
 
+    @lru_cache(maxsize=16)
     def links_used(self) -> int:
         """How many links carried at least one delivered, non-null message.
         An intra share is delivered when its receiver took part too, so a
@@ -245,7 +255,12 @@ class Transcript:
         not self-addressed message to one of ``users`` (distinct, ascending)
         or to the server (receiver N), ordered by receiver, the server last,
         then phase, then sender.  ``intra`` marks the intra shares: a user
-        that took part hears every other member of its group that did."""
+        that took part hears every other member of its group that did.
+        The arrays are read-only: the last 16 selections made are kept."""
+        return self._heard_by(tuple(np.asarray(users, dtype=np.intp).tolist()))
+
+    @lru_cache(maxsize=16)
+    def _heard_by(self, users: tuple) -> tuple:
         n, size = self.params.n_users, self.params.group_size
         users = np.asarray(users, dtype=np.intp)
         members = users[:, None] // size * size + np.arange(size)
@@ -262,7 +277,9 @@ class Transcript:
         intra = np.arange(len(sender)) < np.count_nonzero(heard)
         # intra is phase 0; the uplinks to one receiver share one phase
         order = np.lexsort((sender, ~intra, receiver))
-        return sender[order], receiver[order], intra[order]
+        sender, receiver, intra = sender[order], receiver[order], intra[order]
+        sender.flags.writeable = receiver.flags.writeable = intra.flags.writeable = False
+        return sender, receiver, intra
 
     # -- exports -----------------------------------------------------------
 
@@ -306,7 +323,8 @@ class Transcript:
 class DropoutPlan:
     """Who drops and when.  ``pre_intra`` users never participate at all;
     ``between_rounds`` users share in the intra phase and vanish before the
-    relay, so their model is already inside the group sums."""
+    relay, so their model is already inside the group sums.  ``dropped``
+    becomes a frozenset of ints; True or 1.0, equal to 1, raise ValueError."""
 
     dropped: frozenset
     timing: str = PRE_INTRA
@@ -314,6 +332,13 @@ class DropoutPlan:
     def __post_init__(self) -> None:
         if self.timing not in (PRE_INTRA, BETWEEN_ROUNDS):
             raise ValueError(f"unknown dropout timing {self.timing!r}")
+        users = []
+        for u in self.dropped:
+            try:  # operator.index takes True as 1, but not 1.0
+                users.append(operator.index(float(u) if isinstance(u, bool) else u))
+            except TypeError:
+                raise ValueError(f"dropout index {u!r} is not an integer") from None
+        object.__setattr__(self, "dropped", frozenset(users))
 
     @classmethod
     def none(cls) -> "DropoutPlan":
@@ -329,10 +354,11 @@ class RunResult:
     the tree; a row is a message only where ``status`` is ACTIVE, and
     :attr:`null` marks the users that sent an explicit null instead.
     ``took_part`` (N,) marks the users that shared in the intra phase, whose
-    models are in ``aggregate`` (L, *batch), the recovered sum.  The run's
-    field, sizing and tree are kept so the arrays can be read without them,
-    and its inputs, ``models`` and ``noise`` as given (None where drawn from
-    ``master_seed``), so that :meth:`blocks` can make any user's block.
+    models are in ``aggregate`` (L, *batch), the recovered sum; both masks
+    are the shared ``transcript``'s.  The run's field, sizing and tree are
+    kept so the arrays can be read without them, and its inputs, ``models``
+    and ``noise`` as given (None where drawn from ``master_seed``), so that
+    :meth:`blocks` can make any user's block.
     """
 
     aggregate: np.ndarray
@@ -340,6 +366,7 @@ class RunResult:
     partials: np.ndarray
     status: np.ndarray
     took_part: np.ndarray
+    transcript: Transcript
     ctx: FieldContext
     params: ProtocolParams
     tree: AggregationTree
@@ -370,11 +397,6 @@ class RunResult:
     @property
     def null(self) -> np.ndarray:
         return self.status == UserStatus.SILENCED.value
-
-    @property
-    def transcript(self) -> Transcript:
-        """The round's messages, as the masks that fix them."""
-        return Transcript(self.params, self.tree, self.took_part, self.status)
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -638,6 +660,34 @@ def stream_group_sums(
     return reduce_mod(sums, p, out=sums)
 
 
+@lru_cache(maxsize=16)
+def message_pattern(
+    params: ProtocolParams, tree: AggregationTree, dropout_plan: DropoutPlan
+) -> Transcript:
+    """The transcript of every round of ``params`` on ``tree`` under
+    ``dropout_plan``, with read-only masks, made once per key.  A user is
+    silenced when a user in its slot strictly below it dropped: one prefix
+    scan of the dropouts in postorder, where subtrees are ranges."""
+    n, size = params.n_users, params.group_size
+    if tree.num_groups != params.num_groups:
+        raise ValueError(f"tree has {tree.num_groups} groups, params imply {params.num_groups}")
+    for u in dropout_plan.dropped:
+        if not 0 <= u < n:
+            raise ValueError(f"dropout index {u} outside [0, {n})")
+    dead = np.zeros(n, dtype=bool)
+    dead[list(dropout_plan.dropped)] = True
+    took_part = ~dead if dropout_plan.timing == PRE_INTRA else np.ones(n, dtype=bool)
+    drops = np.zeros((params.num_groups + 1, size), dtype=np.intp)
+    np.cumsum(dead.reshape(-1, size)[tree.postorder], axis=0, out=drops[1:])
+    # plain ints: numpy compares and stores an IntEnum member several times slower
+    status = np.full(n, UserStatus.ACTIVE.value, dtype=np.int8)
+    silent = drops[tree.subtree_hi - 1] > drops[tree.subtree_lo]
+    status[silent.reshape(n)] = UserStatus.SILENCED.value
+    status[dead] = UserStatus.DROPPED.value
+    took_part.flags.writeable = status.flags.writeable = False
+    return Transcript(params, tree, took_part, status)
+
+
 def run_protocol(
     ctx: FieldContext,
     params: ProtocolParams,
@@ -657,32 +707,20 @@ def run_protocol(
     ``master_seed``, and drawn noise has no batch axes.  Either way the
     round sums :func:`write_blocks`' blocks into its group sums
     (:func:`stream_group_sums`), so it never holds the coefficient array,
-    and runs the intra, inter and server phases on them.
+    and runs the intra, inter and server phases on them; who takes part
+    and who is silenced is the round's :func:`message_pattern`.
     """
-    plan = dropout_plan or DropoutPlan.none()
-    if tree.num_groups != params.num_groups:
-        raise ValueError(
-            f"tree has {tree.num_groups} groups, params imply {params.num_groups}"
-        )
     if ctx.p <= params.group_size:
         raise ValueError(
             f"modulus {ctx.p} too small for {params.group_size} distinct non-zero "
             "evaluation points"
         )
-    for u in plan.dropped:
-        if not 0 <= u < params.n_users:
-            raise ValueError(f"dropout index {u} outside [0, {params.n_users})")
+    transcript = message_pattern(params, tree, dropout_plan or DropoutPlan.none())
     models, noise = _check_inputs(params, models, noise)
     n, size, seg_len, p = params.n_users, params.group_size, params.seg_len, ctx.p
-    took_part = np.ones(n, dtype=bool)  # in the intra phase
-    if plan.timing == PRE_INTRA:
-        took_part[sorted(plan.dropped)] = False
-    # plain ints: numpy compares and stores an IntEnum member several times slower
-    status = np.full(n, UserStatus.ACTIVE.value, dtype=np.int8)
-    status[sorted(plan.dropped)] = UserStatus.DROPPED.value
 
     # -- intra phase: the group sums at every slot's point --------------------
-    pre_dropped = np.flatnonzero(~took_part).tolist()
+    pre_dropped = np.flatnonzero(~transcript.took_part).tolist()
     sums = stream_group_sums(params, p, models, noise, master_seed, pre_dropped)
     batch = sums.shape[3:]
     points = [eval_point_for_slot(t) for t in range(size)]
@@ -690,37 +728,35 @@ def run_protocol(
     del sums  # freed before the relay allocates its scan
 
     # -- inter + server phases: subtree sums, all groups and slots at once --
-    dead = (status == UserStatus.DROPPED.value).reshape(-1, size)
-    partials, silent = relay(intra.reshape((-1, size, seg_len) + batch), dead, tree, p)
-    status[(silent & ~dead).reshape(n)] = UserStatus.SILENCED.value
+    partials = relay(intra.reshape((-1, size, seg_len) + batch), tree, p)
     partials = partials.reshape((n, seg_len) + batch)
 
     # -- recovery -------------------------------------------------------------
     last = tree.last_group * size
-    null_slots = status[last:] != UserStatus.ACTIVE.value
+    null_slots = transcript.status[last:] != UserStatus.ACTIVE.value
     try:
         aggregate = server_recover(ctx, params, partials[last:], null_slots)
     except TooManyDropouts as exc:
         # every group lies below the last one, so a server slot is null
         # exactly when some user in that slot dropped
+        dead = (transcript.status == UserStatus.DROPPED.value).reshape(-1, size)
         causes = []
         for t in np.flatnonzero(null_slots).tolist():
             users = (np.flatnonzero(dead[:, t]) * size + t).tolist()
             causes.append(f"{t} (dropped {', '.join(map(str, users))})")
         raise TooManyDropouts(f"{exc}; null slots: {', '.join(causes)}") from None
     return RunResult(
-        aggregate, intra, partials, status, took_part, ctx, params, tree,
-        models, noise, master_seed,
+        aggregate, intra, partials, transcript.status, transcript.took_part, transcript, ctx,
+        params, tree, models, noise, master_seed,
     )
 
 
-def relay(intra: np.ndarray, dead: np.ndarray, tree: AggregationTree, p: int):
-    """The inter phase on ``intra`` (G, size, S, *batch) and ``dead`` (G,
-    size), by group and slot: what each user forwards, its slot's sum mod p
-    over its group's subtree, and whether a user in its slot strictly below
-    it dropped.  Wide groups are folded leaves first, one in-place add of
-    each group into its parent; narrow ones take differences of prefix sums
-    in postorder, where every subtree is one contiguous range."""
+def relay(intra: np.ndarray, tree: AggregationTree, p: int) -> np.ndarray:
+    """The inter phase on ``intra`` (G, size, S, *batch), by group and slot:
+    what each user forwards, its slot's sum mod p over its group's subtree.
+    Wide groups are folded leaves first, one in-place add of each group into
+    its parent; narrow ones take differences of prefix sums in postorder,
+    where every subtree is one contiguous range."""
     lo, hi = tree.subtree_lo, tree.subtree_hi
     if intra.dtype != object and len(intra) * (p - 1) >= 2**63:
         raise ValueError(f"subtree sums of {len(intra)} groups mod {p} overflow int64")
@@ -735,10 +771,7 @@ def relay(intra: np.ndarray, dead: np.ndarray, tree: AggregationTree, p: int):
         np.cumsum(intra[tree.postorder], axis=0, out=sums[1:])
         partials = sums[hi]
         partials -= sums[lo]
-    reduce_mod(partials, p, out=partials)
-    drops = np.zeros((len(dead) + 1, dead.shape[1]), dtype=np.intp)
-    np.cumsum(dead[tree.postorder], axis=0, out=drops[1:])
-    return partials, drops[hi - 1] > drops[lo]
+    return reduce_mod(partials, p, out=partials)
 
 
 def server_recover(

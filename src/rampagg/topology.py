@@ -130,7 +130,7 @@ class AggregationTree:
     (edges below the last group), ``upward`` (groups by depth, deepest
     first), and ``postorder`` with ``subtree_lo``/``subtree_hi``: group g's
     subtree is ``postorder[subtree_lo[g] : subtree_hi[g]]``, with g last and
-    siblings in ascending order.
+    siblings in ascending order.  ``height`` is the largest depth, an int.
     """
 
     def __init__(self, parent: Mapping[int, Union[int, str]]):
@@ -197,6 +197,7 @@ class AggregationTree:
         self.parents = parents
         self.depth, self.subtree_lo = pull[:, :num]
         self.subtree_hi = self.subtree_lo + size
+        self.height = int(self.depth.max())
         self.upward = np.argsort(-self.depth, kind="stable")  # leaves first
         self.postorder = np.empty(num, dtype=np.int64)
         self.postorder[self.subtree_hi - 1] = np.arange(num)
@@ -273,10 +274,9 @@ class DelayModel:
 def total_delay(tree: AggregationTree, delays: DelayModel):
     """End-to-end latency: one intra round, then the longest upward path.
 
-    The deepest group sits ``depth`` group-to-group edges below the
+    The deepest group sits ``tree.height`` group-to-group edges below the
     server's child, plus the final hop into the server, so the total is
-    (max depth + 1) * inter + intra.  For a chain of G groups that is
+    (height + 1) * inter + intra.  For a chain of G groups that is
     G*inter + intra; for a star (G >= 2) it is 2*inter + intra.
     """
-    deepest = int(tree.depth.max())
-    return (deepest + 1) * delays.inter + delays.intra
+    return (tree.height + 1) * delays.inter + delays.intra

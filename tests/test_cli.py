@@ -181,6 +181,18 @@ def test_run_rejects_ill_typed_field_with_exit_2(tmp_path, capsys, field, value)
     assert not (tmp_path / "out").exists()
 
 
+def test_an_ill_typed_dropout_is_refused_after_its_integer_twin_ran(tmp_path, capsys):
+    # 1.0 == 1, so a cache keyed on the config would hand back dropped=(1,)'s
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({**BASE_CONFIG, "dropped": [1]}))
+    bad.write_text(json.dumps({**BASE_CONFIG, "dropped": [1.0]}))
+    assert main(["run", str(good), "--out", str(tmp_path / "good")]) == 0
+    capsys.readouterr()
+    assert main(["run", str(bad), "--out", str(tmp_path / "bad")]) == 2
+    assert "error: dropped: " in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_run_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text("{not json")

@@ -210,6 +210,19 @@ def test_report_json_is_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def test_mutating_phase_counts_leaves_the_next_report_unchanged():
+    # the round's transcript is shared and keeps its counts; each caller
+    # gets dicts of its own
+    report, result = simulate(example2())
+    text = report.to_json()
+    report.phase_counts["intra"]["messages"] = -1
+    result.transcript.phase_counts()["server"]["null"] = 99
+    del result.transcript.phase_counts()["inter"]
+    again, rerun = simulate(example2())
+    assert rerun.transcript is result.transcript
+    assert again.to_json() == text
+
+
 @pytest.mark.parametrize(
     "dropped,timing",
     [((), "pre_intra"), ((0,), "pre_intra"), ((119,), "pre_intra"), ((9, 10), "pre_intra"),

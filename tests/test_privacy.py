@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampagg import privacy
+from rampagg import privacy, protocol
 from rampagg.errors import RampAggError, SearchSpaceTooLarge
 from rampagg.privacy import (
     COUPLING_ALL_EQUAL,
@@ -377,6 +377,21 @@ def test_runs_sharing_a_call_match_one_run_per_assignment(monkeypatch, case, run
     per_call = max(1, run_columns // result.n_noise_assignments)
     assert len(calls) == -(-runs // per_call) and sum(calls) == runs
     assert calls[:-1] == [per_call] * (len(calls) - 1)
+
+
+def test_a_case_and_its_control_select_the_view_once(monkeypatch):
+    # 12 calls of the uniform case and one of its control share one message
+    # pattern, so the transcript picks the colluders' messages once
+    calls, run_protocol = [], privacy.run_protocol
+    monkeypatch.setattr(
+        privacy, "run_protocol", lambda *a, **kw: calls.append(1) or run_protocol(*a, **kw)
+    )
+    protocol.message_pattern.cache_clear()
+    protocol.Transcript._heard_by.cache_clear()
+    privacy_bruteforce(SIX_USERS)
+    privacy_bruteforce(dataclasses.replace(SIX_USERS, noise_mode=NOISE_CONSTANT))
+    selections = protocol.Transcript._heard_by.cache_info()
+    assert (len(calls), selections.misses, selections.hits) == (13, 1, 12)
 
 
 def _tamper_first_share(monkeypatch, tamper):

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -31,6 +32,7 @@ from rampagg.protocol import (
     UserStatus,
     derive_seed,
     eval_point_for_slot,
+    message_pattern,
     relay,
     run_protocol,
     server_recover,
@@ -511,7 +513,7 @@ def test_relay_scan_matches_leaves_first_fold(round_, p, batch, seed):
     partials, silent = relay_fold_naive(intra, dead, tree, p)
     assert result.partials.dtype == field_dtype(p, k + t)
     assert np.array_equal(result.partials, partials.reshape(result.partials.shape))
-    assert np.array_equal(relay(intra, dead, tree, p)[1], silent)
+    assert result.transcript is message_pattern(params, tree, plan)
     status = np.where(dead, DROPPED, np.where(silent, SILENCED, ACTIVE))
     assert result.status.tolist() == status.ravel().tolist()
 
@@ -600,12 +602,11 @@ def test_relay_refuses_prefix_sums_past_int64():
         exact = np.full((2, 2, 1), p - 1, dtype=object)
         expected, _ = relay_fold_naive(exact, dead, tree, p)
         if p == fits:
-            partials, _ = relay(exact.astype(np.int64), dead, tree, p)
-            assert partials.tolist() == expected.tolist()
+            assert relay(exact.astype(np.int64), tree, p).tolist() == expected.tolist()
         else:
             with pytest.raises(ValueError, match="overflow int64"):
-                relay(exact.astype(np.int64), dead, tree, p)
-        assert relay(exact, dead, tree, p)[0].tolist() == expected.tolist()
+                relay(exact.astype(np.int64), tree, p)
+        assert relay(exact, tree, p).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -613,7 +614,8 @@ def test_relay_refuses_prefix_sums_past_int64():
 @pytest.mark.parametrize("width", [1, 2, protocol._WIDE_GROUP])
 def test_relay_matches_naive_subtree_sums_in_both_branches(width, shape, dtype):
     # a group of size * S entries below _WIDE_GROUP takes prefix sums, at or
-    # above it the leaves-first fold; S = width gives size * width entries
+    # above it the leaves-first fold; S = width gives size * width entries.
+    # The silences are the message pattern's, from users 5 and 9 dropping
     groups, size, p = 5, 3, 2**31 - 1
     tree, rng = build_tree(groups, shape), Random(width)
     intra = np.array(
@@ -621,11 +623,83 @@ def test_relay_matches_naive_subtree_sums_in_both_branches(width, shape, dtype):
     ).reshape(groups, size, width)
     dead = np.zeros((groups, size), dtype=bool)
     dead[1, 2] = dead[3, 0] = True
-    partials, silent = relay(intra, dead, tree, p)
+    partials = relay(intra, tree, p)
     expected, expected_silent = relay_fold_naive(intra.astype(object), dead, tree, p)
     assert partials.dtype == dtype
     assert partials.tolist() == expected.tolist()
-    assert np.array_equal(silent, expected_silent)
+    params = make_params(groups * size, 1, 1, 1, model_len=width, entry_bound=2)
+    status = message_pattern(params, tree, DropoutPlan(frozenset({5, 9}))).status
+    expected_status = np.where(dead, DROPPED, np.where(expected_silent, SILENCED, ACTIVE))
+    assert status.tolist() == expected_status.ravel().tolist()
+
+
+# ---- the message pattern ----
+
+
+@settings(max_examples=80, deadline=None)
+@given(rounds(), st.sampled_from(["chain", "star", "irregular"]))
+def test_message_pattern_matches_the_fold_and_the_rows(round_, shape):
+    k, t, d, parent, dropped, timing = round_
+    size, groups = k + t + d, len(parent)
+    n = size * groups
+    params = make_params(n, t, d, k, model_len=k, entry_bound=4)
+    tree = build_tree(groups, parent if shape == "irregular" else shape)
+    pattern = message_pattern(params, tree, DropoutPlan(frozenset(dropped), timing))
+    dead = np.isin(np.arange(n), dropped).reshape(groups, size)
+    _, silent = relay_fold_naive(np.zeros((groups, size, 1), dtype=np.int64), dead, tree, 5)
+    status = np.where(dead, DROPPED, np.where(silent, SILENCED, ACTIVE)).ravel().tolist()
+    assert pattern.status.tolist() == status
+    took_part = [not (timing == PRE_INTRA and u in dropped) for u in range(n)]
+    assert pattern.took_part.tolist() == took_part
+    rows = transcript_rows_naive(params, tree, took_part, status)
+    assert _csv_rows(pattern) == [[str(v) for v in row[:5]] for row in rows]
+    assert pattern.phase_counts() == phase_counts_naive(rows)
+    assert pattern.links_used() == len(links_naive(rows))
+
+
+def test_equal_keys_share_one_read_only_pattern():
+    params = make_params(12, 2, 1, 3, model_len=9, entry_bound=8)
+    tree = build_tree(2, "chain")
+    plan = DropoutPlan(frozenset({2, 8}), BETWEEN_ROUNDS)  # both in slot 2
+    pattern = message_pattern(params, tree, plan)
+    same = DropoutPlan(frozenset({np.int64(8), 2}), BETWEEN_ROUNDS)
+    assert message_pattern(make_params(12, 2, 1, 3, 9, 8), tree, same) is pattern
+    assert message_pattern(params, tree, DropoutPlan(frozenset({2, 8}))) is not pattern
+    assert message_pattern(params, tree, DropoutPlan(frozenset())) is message_pattern(
+        params, tree, DropoutPlan.none()
+    )
+    ctx = FieldContext(11, 8, 12)
+    assert run_protocol(ctx, params, tree, None, plan).transcript is pattern
+    for mask in (pattern.took_part, pattern.status):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = 0
+
+
+@pytest.mark.parametrize("index", [True, 1.0, np.float64(1), "1"])
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh-cache", "after-user-1"])
+def test_a_dropout_that_is_not_an_integer_is_named(index, cached):
+    ctx, params, tree, models = _setup(12, 2, 1, 3)
+    protocol.message_pattern.cache_clear()
+    if cached:
+        result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({1})))
+        assert result.status[1] == DROPPED
+    with pytest.raises(ValueError, match=re.escape(f"dropout index {index!r} is not an")):
+        run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({index})))
+
+
+def test_repeated_heard_by_returns_equal_read_only_arrays():
+    _, result = simulate(
+        RunConfig(n_users=12, t_max=2, d_max=1, k_parts=3, model_len=9, entry_bound=8,
+                  dropped=(2,), master_seed=2024)
+    )
+    transcript = result.transcript
+    first = transcript.heard_by([0, 6])
+    for users in ([0, 6], np.array([0, 6]), (0, 6)):
+        again = transcript.heard_by(users)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert not any(a.flags.writeable for a in again)
+    kept = protocol.Transcript._heard_by.cache_info()
+    assert kept.maxsize is not None and kept.currsize <= kept.maxsize
 
 
 # ---- the streamed round ----

@@ -284,6 +284,9 @@ def test_layout_arrays_match_the_parent_map(parent):
         assert tree.depth[g] == len(ancestors_naive(tree, g))
         assert tree.parents[g] == (num if parent[g] == SERVER else parent[g])
     assert tree.upward.tolist() == sorted(range(num), key=lambda g: (-tree.depth[g], g))
+    # total_delay reads the height: a plain int, no reduction per call
+    assert type(tree.height) is int
+    assert tree.height == max(len(ancestors_naive(tree, g)) for g in range(num))
 
 
 def test_tree_rejects_wrong_root():
