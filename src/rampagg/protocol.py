@@ -183,7 +183,7 @@ class Transcript:
     these masks; rows are made only by :meth:`to_csv`.  A send to an
     already-dropped user costs the sender its symbols but is never
     delivered, so its link stays silent.  Counts, links and selections
-    are kept, as rounds share the transcripts of :func:`message_pattern`.
+    are kept, so the masks must not change, as :func:`message_pattern`'s do not.
     """
 
     params: ProtocolParams
