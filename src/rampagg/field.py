@@ -97,9 +97,11 @@ class FieldContext:
         return (self.p - 1).bit_length()
 
 
+@lru_cache(maxsize=64)
 def select_prime(n_users: int, entry_bound: int) -> FieldContext:
     """Pick the canonical modulus for ``n_users`` summands below
-    ``entry_bound``: the smallest prime in (N*(l-1), 2*N*(l-1)].
+    ``entry_bound``: the smallest prime in (N*(l-1), 2*N*(l-1)], kept per
+    pair of arguments, as the context is frozen.
 
     The lower end keeps the integer sum of all models below p, so recovery
     never wraps; the upper end caps the interval so a prime always exists

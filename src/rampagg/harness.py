@@ -37,7 +37,6 @@ from .protocol import (
     draw_models,
     draw_uniform,
     eval_point_for_slot,
-    join_spans,
     message_pattern,
     run_protocol,
 )
@@ -258,8 +257,10 @@ class LoadSummary:
     sent: np.ndarray
 
 
+@lru_cache(maxsize=16)
 def measure_loads(transcript: Transcript) -> LoadSummary:
-    """Count transcript symbols into normalized loads.
+    """Count transcript symbols into normalized loads, kept per transcript
+    for the last 16, with a read-only ``sent``.
 
     Server load counts non-null server-bound symbols.  Per-user load counts
     every symbol a user transmitted, deliverable or not: a sender cannot
@@ -268,6 +269,7 @@ def measure_loads(transcript: Transcript) -> LoadSummary:
     """
     length = transcript.params.model_len
     sent = transcript.sent()
+    sent.flags.writeable = False
     survivors = transcript.status != UserStatus.DROPPED.value
     return LoadSummary(
         r_server=Fraction(transcript.phase_counts()[PHASE_SERVER]["symbols"], length),
@@ -352,7 +354,17 @@ def _json_users(n_users: int) -> tuple:
     """The items "{u},\\n    " of users 0..N-1 as report.json lists them,
     as one string, and the read-only (N+1,) offsets at which each user's
     item starts, the last one its end.  Built once per N."""
-    return join_spans([[f"{u}{_ITEM_SEP}" for u in range(n_users)]])
+    items = [f"{u}{_ITEM_SEP}" for u in range(n_users)]
+    offsets = np.cumsum([0, *map(len, items)])
+    offsets.flags.writeable = False
+    return "".join(items), offsets
+
+
+@lru_cache(maxsize=16)
+def _included_users(transcript: Transcript) -> tuple:
+    """The users that took part in ``transcript``, ascending, kept per
+    transcript for the last 16."""
+    return tuple(np.flatnonzero(transcript.took_part).tolist())
 
 
 def _runs(users: list) -> list:
@@ -400,7 +412,7 @@ def simulate(config: RunConfig):
         conforming_field=ctx.conforming,
         bits_per_symbol=ctx.bits_per_symbol,
         aggregate=result.aggregate.tolist(),
-        included_users=np.flatnonzero(result.took_part).tolist(),
+        included_users=list(_included_users(transcript)),
         loads=loads,
         total_edges=total,
         silent_edges=total - active,

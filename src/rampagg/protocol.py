@@ -51,11 +51,10 @@ the server receive (:meth:`Transcript.heard_by`) all come from the masks
 and from :meth:`Transcript.uplinks`; a round without dropouts uses every
 link the network has.  The masks depend only on the params, the tree and
 the dropout plan: :func:`message_pattern` makes them once per key, and
-:func:`run_protocol` does only the arithmetic.  A user's intra rows depend
-only on the round's shape (N, group size, S), never on who dropped or on
-the tree, so a shape's whole intra section is made once, as text, and
-written as slices over the runs of users that took part; the uplinks are
-written a block at a time.
+:func:`run_protocol` does only the arithmetic.  The CSV text depends on
+the masks alone too, so a transcript of at most ``_CACHED_CSV_ROWS`` rows
+keeps it whole, made once and written in one write; a larger one makes and
+writes it a block of rows at a time.
 """
 
 import hashlib
@@ -83,26 +82,23 @@ _CSV_BLOCK_ROWS = 4096  # transcript rows joined per write
 # time: np.cumsum walks the group axis once per entry of a group, and at
 # 200-1000 entries that costs about as much as a step of the loop
 _WIDE_GROUP = 512
-# intra sections of at most this many rows are kept as text, once per shape
-_CACHED_SECTION_ROWS = 1 << 15
+# transcripts of at most this many rows keep their CSV text
+_CACHED_CSV_ROWS = 1 << 15
 
 
-@lru_cache(maxsize=8)
 def _csv_heads(n_users: int) -> np.ndarray:
     """The read-only CSV row heads "{phase},{sender}," of N users, by phase
-    code * N + sender, built once per N."""
+    code * N + sender."""
     heads = [f"{phase},{u}," for phase in PHASES for u in range(n_users)]
     heads = np.array(heads, dtype=object)
     heads.flags.writeable = False
     return heads
 
 
-@lru_cache(maxsize=8)
 def _csv_tails(n_users: int, seg_len: int) -> np.ndarray:
     """The read-only CSV row tails "{receiver},{symbols},{null}\r\n" of N
     users, receiver N named "server", by kind * (N+1) + receiver: kind 0
-    carries S symbols, kind 1 is a self share at no cost, kind 2 a null.
-    Built once per N and S."""
+    carries S symbols, kind 1 is a self share at no cost, kind 2 a null."""
     names = [*range(n_users), SERVER]
     kinds = ((seg_len, False), (0, False), (0, True))
     tails = [f"{r},{s},{null}\r\n" for s, null in kinds for r in names]
@@ -111,13 +107,13 @@ def _csv_tails(n_users: int, seg_len: int) -> np.ndarray:
     return tails
 
 
-def _intra_users(n_users: int, size: int, seg_len: int, start: int, stop: int):
+def _intra_users(heads: np.ndarray, tails: np.ndarray, size: int, start: int, stop: int):
     """The CSV intra rows of users ``start``..``stop``-1 in groups of
     ``size``, each user addressing every slot of its group (its own at no
-    cost), as one string per user, in lists of at most ``_CSV_BLOCK_ROWS``
-    rows or one user: each row is a head of :func:`_csv_heads` and a tail
-    of :func:`_csv_tails`, taken by one fancy index each."""
-    heads, tails = _csv_heads(n_users), _csv_tails(n_users, seg_len)
+    cost), as one string per block of at most ``_CSV_BLOCK_ROWS`` rows or
+    one user: each row is a head of :func:`_csv_heads` and a tail of
+    :func:`_csv_tails`, taken by one fancy index each."""
+    n_users = len(heads) // len(PHASES)
     slots = np.arange(size)
     step = max(1, _CSV_BLOCK_ROWS // size)
     for first in range(start, stop, step):
@@ -127,29 +123,7 @@ def _intra_users(n_users: int, size: int, seg_len: int, start: int, stop: int):
         pieces = np.empty(receiver.shape + (2,), dtype=object)
         pieces[..., 0] = heads[sender][:, None]
         pieces[..., 1] = tails[own * (n_users + 1) + receiver]
-        yield list(map("".join, pieces.reshape(len(sender), 2 * size).tolist()))
-
-
-def join_spans(blocks) -> tuple:
-    """The strings of ``blocks``, an iterable of lists of strings, joined
-    into one string a block at a time, and the read-only offsets at which
-    each string starts in it, then its end."""
-    texts, lengths = [], [0]
-    for block in blocks:
-        texts.append("".join(block))
-        lengths += map(len, block)
-    offsets = np.cumsum(lengths)
-    offsets.flags.writeable = False
-    return "".join(texts), offsets
-
-
-@lru_cache(maxsize=8)
-def _intra_section(n_users: int, size: int, seg_len: int) -> tuple:
-    """The intra section of an (N, size, S) round where every user takes
-    part, as one string, and the read-only (N+1,) offsets at which each
-    user's rows start, the last one its end.  Built once per shape, from
-    :func:`_intra_users` a block at a time."""
-    return join_spans(_intra_users(n_users, size, seg_len, 0, n_users))
+        yield "".join(pieces.ravel().tolist())
 
 
 PRE_INTRA = "pre_intra"
@@ -182,8 +156,9 @@ class Transcript:
     user, S symbols from an active one.  The counts below are sums over
     these masks; rows are made only by :meth:`to_csv`.  A send to an
     already-dropped user costs the sender its symbols but is never
-    delivered, so its link stays silent.  Counts, links and selections
-    are kept, so the masks must not change, as :func:`message_pattern`'s do not.
+    delivered, so its link stays silent.  Counts, links, selections and
+    the CSV text are kept, so the masks must not change, as
+    :func:`message_pattern`'s do not.
     """
 
     params: ProtocolParams
@@ -285,38 +260,44 @@ class Transcript:
 
     def to_csv(self, fp) -> None:
         """Write the rows as ``csv.writer`` would, with no formatting per
-        row.  The intra rows go out as slices of the shape's cached
-        :func:`_intra_section`, one per run of users that took part, so at
-        most one more than there are pre-intra dropouts; a section past
-        ``_CACHED_SECTION_ROWS`` rows is made and written a block of users
-        at a time instead (:func:`_intra_users`).  The :meth:`uplinks` of
-        users that did not drop go out ``_CSV_BLOCK_ROWS`` at a time, each
-        block a (rows, 2) object array of heads (:func:`_csv_heads`) and
-        tails (:func:`_csv_tails`), each taken by one fancy index, joined."""
-        n, size, seg_len = self.params.n_users, self.params.group_size, self.params.seg_len
-        fp.write("phase,sender,receiver,symbols,null\r\n")
-        absent = np.flatnonzero(~self.took_part).tolist()
-        runs = [(a, b) for a, b in zip([0] + [u + 1 for u in absent], absent + [n]) if a < b]
-        if n * size <= _CACHED_SECTION_ROWS:
-            text, offsets = _intra_section(n, size, seg_len)
-            for a, b in runs:
-                fp.write(text[offsets[a] : offsets[b]])
+        row.  A transcript of at most ``_CACHED_CSV_ROWS`` rows keeps its
+        whole text, made once, and writes it in one ``fp.write``; a larger
+        one is made and written a block of rows at a time
+        (:meth:`_csv_blocks`)."""
+        if sum(bucket["messages"] for bucket in self._phase_counts().values()) > _CACHED_CSV_ROWS:
+            for text in self._csv_blocks():
+                fp.write(text)
         else:
-            for a, b in runs:
-                for users in _intra_users(n, size, seg_len, a, b):
-                    fp.write("".join(users))
+            fp.write(self._csv_text())
+
+    @lru_cache(maxsize=16)
+    def _csv_text(self) -> str:
+        return "".join(self._csv_blocks())
+
+    def _csv_blocks(self):
+        """The CSV text in order, in pieces: the header, the intra rows of
+        each run of users that took part a block at a time
+        (:func:`_intra_users`), then the :meth:`uplinks` of users that did
+        not drop ``_CSV_BLOCK_ROWS`` at a time, each block a (rows, 2)
+        object array of heads (:func:`_csv_heads`) and tails
+        (:func:`_csv_tails`), each taken by one fancy index, joined."""
+        n, size, seg_len = self.params.n_users, self.params.group_size, self.params.seg_len
+        heads, tails = _csv_heads(n), _csv_tails(n, seg_len)
+        yield "phase,sender,receiver,symbols,null\r\n"
+        absent = np.flatnonzero(~self.took_part).tolist()
+        for a, b in zip([0] + [u + 1 for u in absent], absent + [n]):
+            yield from _intra_users(heads, tails, size, a, b)
         sender, receiver = self.uplinks()
         sent = self.status[sender] != UserStatus.DROPPED.value
         sender, receiver = sender[sent], receiver[sent]
         null = self.status[sender] == UserStatus.SILENCED.value
-        heads, tails = _csv_heads(n), _csv_tails(n, seg_len)
         for start in range(0, len(sender), _CSV_BLOCK_ROWS):
             cut = slice(start, start + _CSV_BLOCK_ROWS)
             pieces = np.empty((len(sender[cut]), 2), dtype=object)
             # by phase code (1 inter, 2 server) and sender; by kind 0 or 2 (null) and receiver
             pieces[:, 0] = heads[(1 + (receiver[cut] == n)) * n + sender[cut]]
             pieces[:, 1] = tails[null[cut] * 2 * (n + 1) + receiver[cut]]
-            fp.write("".join(pieces.ravel().tolist()))
+            yield "".join(pieces.ravel().tolist())
 
 
 @dataclass(frozen=True)

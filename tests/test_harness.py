@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampagg import harness, protocol
+from rampagg import field, harness, protocol
 from rampagg.errors import ConfigInvalid, NonConformingField
 from rampagg.harness import (
     SCHEMA_VERSION,
@@ -30,6 +30,7 @@ from rampagg.harness import (
 from rampagg.field import FieldContext, field_dtype
 from rampagg.protocol import (
     DropoutPlan,
+    Transcript,
     draw_models,
     eval_point_for_slot,
     run_protocol,
@@ -150,6 +151,25 @@ def test_resolve_picks_canonical_prime():
     assert tree.num_groups == 1
 
 
+def test_second_resolve_selects_no_prime(monkeypatch):
+    # the context is kept per (n_users, entry_bound): a repeat tests no
+    # candidate, not even the prime it keeps
+    calls, is_prime = [], field.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(field, "is_prime", counted)
+    config = example1().replace(entry_bound=10**6 + 7)
+    field.select_prime.cache_clear()
+    _, _, ctx = config.resolve()
+    assert calls and calls[-1] == ctx.p
+    calls.clear()
+    assert config.resolve()[2] is ctx
+    assert calls == []
+
+
 def test_prime_override_tagged_non_conforming():
     config = example2().replace(prime_override=1009)
     _, _, ctx = config.resolve()
@@ -201,6 +221,18 @@ def test_measure_loads_ignores_dropped_in_max():
     assert loads.r_user_avg == Fraction(int(loads.sent.sum()), 12 * 9)
 
 
+def test_measure_loads_is_kept_per_transcript():
+    # rounds of one pattern share one summary, so its counts are read-only
+    report, result = simulate(example1())
+    again, _ = simulate(example1())
+    assert measure_loads(result.transcript) is report.loads is again.loads
+    with pytest.raises(ValueError, match="read-only"):
+        report.loads.sent[0] = 99
+    fresh = Transcript(result.params, result.tree, result.took_part, result.status)
+    assert measure_loads(fresh) is not report.loads
+    assert measure_loads(fresh).sent.tolist() == report.loads.sent.tolist()
+
+
 # ---- report ----
 
 
@@ -220,6 +252,19 @@ def test_mutating_phase_counts_leaves_the_next_report_unchanged():
     del result.transcript.phase_counts()["inter"]
     again, rerun = simulate(example2())
     assert rerun.transcript is result.transcript
+    assert again.to_json() == text
+
+
+def test_mutating_included_users_leaves_the_next_report_unchanged():
+    # the round's included users are kept per transcript; each report
+    # gets a list of its own
+    report, result = simulate(example2())
+    text = report.to_json()
+    report.included_users[0] = -1
+    report.included_users.append(99)
+    again, rerun = simulate(example2())
+    assert rerun.transcript is result.transcript
+    assert again.included_users is not report.included_users
     assert again.to_json() == text
 
 
@@ -494,8 +539,9 @@ def test_adversary_view_matches_user_by_user_oracle(round_, p, batch, data):
     if dropped and data.draw(st.booleans()):
         adversaries.append(dropped[0])
     with pytest.MonkeyPatch.context() as patch:  # the view makes no CSV text
-        for text_maker in "_csv_heads", "_csv_tails", "_intra_section", "_intra_users":
+        for text_maker in "_csv_heads", "_csv_tails", "_intra_users":
             patch.setattr(protocol, text_maker, _refuse_rows)
+        patch.setattr(Transcript, "_csv_text", _refuse_rows)
         view = collect_adversary_view(result, adversaries)
     expected = adversary_view_naive(result, adversaries)
     assert view.dtype == expected.dtype == field_dtype(p, k + t)

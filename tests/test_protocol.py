@@ -2,7 +2,6 @@
 
 import csv
 import io
-import itertools
 import math
 import re
 import tracemalloc
@@ -27,8 +26,8 @@ from rampagg.protocol import (
     _CSV_BLOCK_ROWS,
     _csv_heads,
     _csv_tails,
-    _intra_section,
     DropoutPlan,
+    Transcript,
     UserStatus,
     derive_seed,
     eval_point_for_slot,
@@ -422,7 +421,7 @@ def test_csv_is_the_same_whatever_the_block_size(monkeypatch, block, timing):
         result.params, result.tree, result.took_part.tolist(), result.status.tolist()
     )
     assert any(row[4] for row in rows) and not all(row[5] for row in rows)
-    monkeypatch.setattr(protocol, "_CACHED_SECTION_ROWS", 0)
+    monkeypatch.setattr(protocol, "_CACHED_CSV_ROWS", 0)
     monkeypatch.setattr(protocol, "_CSV_BLOCK_ROWS", block)
     written = _Writes()
     result.transcript.to_csv(written)
@@ -446,7 +445,7 @@ def test_csv_writes_one_intra_slice_per_run_of_users(
 ):
     # four chained groups of 6: the users that took part fall into at most
     # one run more than there are pre-intra dropouts, and each run is one
-    # slice of the cached section, or one write of its rows when uncached
+    # write of its rows when no text is kept; a kept text is one write
     config = RunConfig(
         n_users=24, t_max=2, d_max=2, k_parts=2, model_len=5, entry_bound=4,
         dropped=dropped, dropout_timing=timing, master_seed=7,
@@ -456,10 +455,13 @@ def test_csv_writes_one_intra_slice_per_run_of_users(
         result.params, result.tree, result.took_part.tolist(), result.status.tolist()
     )
     if not cached:
-        monkeypatch.setattr(protocol, "_CACHED_SECTION_ROWS", 0)
+        monkeypatch.setattr(protocol, "_CACHED_CSV_ROWS", 0)
     written = _Writes()
     result.transcript.to_csv(written)
     assert written.getvalue() == transcript_csv_naive(rows)
+    if cached:
+        assert written.writes == [written.getvalue()]
+        return
     absent = set(dropped) if timing == PRE_INTRA else set()
     intra = _intra_writes(written.writes)
     assert len(intra) == runs <= len(absent) + 1
@@ -472,8 +474,9 @@ def test_a_round_expands_no_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("a round expanded its transcript rows")
 
-    for text_maker in "_csv_heads", "_csv_tails", "_intra_section", "_intra_users":
+    for text_maker in "_csv_heads", "_csv_tails", "_intra_users":
         monkeypatch.setattr(protocol, text_maker, refuse)
+    monkeypatch.setattr(Transcript, "_csv_text", refuse)
     n, t, d = 1200, 2, 1
     k = n - t - d
     config = RunConfig(
@@ -934,11 +937,10 @@ def test_csv_with_a_multi_digit_segment_length():
 
 
 def test_csv_user_names_follow_each_transcripts_n():
-    # the heads are cached per N, the tails per N and S and the intra
-    # sections per N, group size and S: rounds of 6, 12 and again 6 users,
-    # the last with two segment lengths, must each get their own names,
-    # server and symbol counts, and the repeated shape its first section
-    sections = []
+    # each transcript keeps its own text: rounds of 6, 12 and again 6
+    # users, the last with two segment lengths, must each get their own
+    # names, server and symbol counts, and the repeated pattern its first text
+    texts = []
     for n, length in ((6, 4), (12, 4), (6, 7), (6, 4)):
         config = RunConfig(
             n_users=n, t_max=2, d_max=1, k_parts=3, model_len=length, entry_bound=4,
@@ -946,12 +948,12 @@ def test_csv_user_names_follow_each_transcripts_n():
         )
         written, expected = _csv_against_csv_writer(config)
         assert written == expected
-        sections.append(_intra_section(n, 6, -(-length // 3)))
-    assert sections[3] is sections[0]
-    assert len({id(section) for section in sections}) == 3
+        texts.append(simulate(config)[1].transcript._csv_text())
+    assert texts[3] is texts[0]
+    assert len({id(text) for text in texts}) == 3
 
 
-def test_cached_user_names_are_read_only():
+def test_csv_user_name_tables_are_read_only():
     heads, tails = _csv_heads(2), _csv_tails(2, 3)
     assert heads.tolist() == [
         "intra,0,", "intra,1,", "inter,0,", "inter,1,", "server,0,", "server,1,"
@@ -961,26 +963,54 @@ def test_cached_user_names_are_read_only():
         "0,0,False\r\n", "1,0,False\r\n", "server,0,False\r\n",
         "0,0,True\r\n", "1,0,True\r\n", "server,0,True\r\n",
     ]  # fmt: skip
-    assert _csv_heads(2) is heads and _csv_tails(2, 3) is tails
     for table in heads, tails:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = "9,"
 
 
-def test_cached_intra_section_and_its_offsets():
-    # two groups of 2, S = 3: each user's rows lie between its offsets
-    text, offsets = _intra_section(4, 2, 3)
-    users = [
-        "".join(f"intra,{u},{r},{0 if r == u else 3},False\r\n" for r in (u & ~1, u | 1))
-        for u in range(4)
-    ]
-    assert text == "".join(users)
-    assert offsets.tolist() == [0, *itertools.accumulate(map(len, users))]
-    assert _intra_section(4, 2, 3)[1] is offsets
-    assert not offsets.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        offsets[0] = 1
+def test_csv_text_is_kept_and_written_once():
+    # two groups of 2, S = 3: every export of one transcript is one write
+    # of the same string, header included
+    config = RunConfig(
+        n_users=4, t_max=1, d_max=0, k_parts=1, model_len=3, entry_bound=4, master_seed=1,
+    )
+    _, result = simulate(config)
+    rows = transcript_rows_naive(
+        result.params, result.tree, result.took_part.tolist(), result.status.tolist()
+    )
+    first, again = _Writes(), _Writes()
+    result.transcript.to_csv(first)
+    result.transcript.to_csv(again)
+    assert first.writes == [transcript_csv_naive(rows)]
+    assert first.writes[0].startswith("phase,sender,receiver,symbols,null\r\nintra,0,0,0,")
+    assert len(again.writes) == 1 and again.writes[0] is first.writes[0]
+
+
+@pytest.mark.parametrize("spare", [0, 1], ids=["at-the-cap", "one-row-over"])
+def test_csv_text_is_kept_only_up_to_the_row_cap(monkeypatch, spare):
+    # four chained groups of 6 with user 8 dropped, as a fresh transcript
+    # that has kept nothing: at the cap its text is made once and written
+    # in one write, one row over it is written a block at a time and kept
+    # nowhere; the bytes are the same either way
+    config = RunConfig(
+        n_users=24, t_max=2, d_max=2, k_parts=2, model_len=5, entry_bound=4,
+        dropped=(8,), master_seed=7,
+    )
+    _, result = simulate(config)
+    rows = transcript_rows_naive(
+        result.params, result.tree, result.took_part.tolist(), result.status.tolist()
+    )
+    transcript = Transcript(result.params, result.tree, result.took_part, result.status)
+    monkeypatch.setattr(protocol, "_CACHED_CSV_ROWS", len(rows) - spare)
+    before = Transcript._csv_text.cache_info()
+    written = _Writes()
+    transcript.to_csv(written)
+    after = Transcript._csv_text.cache_info()
+    assert written.getvalue() == transcript_csv_naive(rows)
+    assert (len(written.writes) == 1) == (spare == 0)
+    assert after.misses - before.misses == (spare == 0)
+    assert after.hits == before.hits
 
 
 def test_round_makes_no_per_group_tree_queries():

@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two source trees, for a before/after claim.
 
-    python3 tools/pair_runs.py PARENT_DIR CHANGE_DIR --workload privacy-exhaustive --pairs 10
+    python3 tools/pair_runs.py PARENT_DIR CHANGE_DIR --workload round-wide,sweep-deep --pairs 10
 
 Each tree is copied (without .git and build leftovers) into two scratch
 directories whose names differ in length, since how glibc trims the heap of
-a run can depend on the length of its checkout's path.  Pair i runs
+a run can depend on the length of its checkout's path.  For each workload W
+of the comma-separated --workload list, in turn, pair i runs
 ``perfbench/run.py --workload W --seed SEED+i --trace 0`` once on each side,
 the parent first in even pairs and the change first in odd ones, from the
 short names in even pairs and the long ones in odd pairs.  Every run's
-metrics are printed as they come; at the end, for each metric, each side's
-median and quartiles and the pairs each side won (lower is better for every
-end-to-end metric).  Standard library only; the copies are removed at exit
-unless --keep is given.
+metrics are printed as they come; after a workload's pairs, for each
+metric, each side's median and quartiles and the pairs each side won (lower
+is better for every end-to-end metric).  Standard library only; the copies
+are removed at exit unless --keep is given.
 """
 
 import argparse
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="one name, or several joined by commas")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of pair 0; pair i uses SEED+i")
@@ -87,16 +88,19 @@ def main(argv=None) -> int:
     root = Path(tempfile.mkdtemp(prefix="pair_runs_"))
     try:
         trees = copies({"parent": args.parent, "change": args.change}, root)
-        runs = {side: [] for side in SIDES}
-        for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for side in order:
-                metrics = run_once(trees[side, i % 2], args.workload, args.seed + i, args.seconds)
-                runs[side].append(metrics)
-                shown = "  ".join(f"{k}={v:.6g}" for k, v in metrics.items())
-                print(f"pair {i} seed {args.seed + i} {side:6s} {trees[side, i % 2].name}: {shown}",
-                      flush=True)
-        summary(runs, args.pairs)
+        for workload in args.workload.split(","):
+            runs = {side: [] for side in SIDES}
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    tree = trees[side, i % 2]
+                    metrics = run_once(tree, workload, args.seed + i, args.seconds)
+                    runs[side].append(metrics)
+                    shown = "  ".join(f"{k}={v:.6g}" for k, v in metrics.items())
+                    print(f"{workload} pair {i} seed {args.seed + i} {side:6s} {tree.name}: "
+                          f"{shown}", flush=True)
+            print(f"== {workload}, {args.pairs} pairs")
+            summary(runs, args.pairs)
     finally:
         if args.keep:
             print(f"copies kept under {root}")
