@@ -78,7 +78,7 @@ def _in_memory(config: RunConfig):
     """Turn a MemoryError while ``config`` runs or its outputs are written
     into ConfigInvalid naming the fields that size the round, and what a
     streamed round holds: one block of drawn users, the group sums, and
-    the in-group aggregates and partial sums."""
+    the last group's arrivals at the server."""
     try:
         yield
     except MemoryError:
@@ -87,13 +87,13 @@ def _in_memory(config: RunConfig):
         shapes = (
             (block_rows(params), width, seg_len),
             (params.num_groups, width, seg_len),
-            (params.n_users, seg_len),
+            (params.group_size, seg_len),
         )
-        nbytes = 8 * (math.prod(shapes[0]) + math.prod(shapes[1]) + 2 * math.prod(shapes[2]))
+        nbytes = 8 * sum(map(math.prod, shapes))
         raise ConfigInvalid(
             f"n_users={config.n_users}, model_len={config.model_len}: out of memory "
             f"for a round that holds a {shapes[0]} block, {shapes[1]} group sums "
-            f"and two {shapes[2]} arrays ({nbytes} bytes)"
+            f"and {shapes[2]} server arrivals ({nbytes} bytes)"
         ) from None
 
 

@@ -9,7 +9,7 @@ expressions they are later compared against.  :func:`correctness_oracle`
 replays randomized rounds, drawn the same way from derived seeds, against a
 plain-integer summation oracle, and :func:`collect_adversary_view` makes
 exactly the messages a colluding set plus the server receive, as the
-transcript picks them, from its intra senders' blocks and the partials.
+transcript picks them, from its intra senders' blocks and the group sums.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInvalid, InvalidParams, NonConformingField
-from .field import FieldContext, field_dtype, reduce_mod, select_prime, vandermonde
+from .field import FieldContext, select_prime
 from .protocol import (
     BETWEEN_ROUNDS,
     PHASE_SERVER,
@@ -40,7 +40,7 @@ from .protocol import (
     message_pattern,
     run_protocol,
 )
-from .sharing import Model
+from .sharing import Model, evaluate_each
 from .topology import (
     AggregationTree,
     DelayModel,
@@ -467,24 +467,20 @@ def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.
     :meth:`~rampagg.protocol.Transcript.heard_by`.  An intra row holds its
     sender's block evaluated at the receiver's point, an uplink row the
     partial sum its sender forwarded.  Only these O(C * size) messages are
-    made, from the blocks of the intra senders alone
-    (:meth:`~rampagg.protocol.RunResult.blocks`)."""
+    made: the shares from the blocks of the intra senders alone
+    (:meth:`~rampagg.protocol.RunResult.blocks`), the uplinks by
+    :meth:`~rampagg.protocol.RunResult.uplinks`, which relays only for
+    senders below the last group."""
     n, size, p = result.params.n_users, result.params.group_size, result.ctx.p
     outside = [u for u in adversaries if not 0 <= u < n]
     if outside:
         raise ValueError(f"adversaries: users {outside} outside [0, {n})")
     sender, receiver, intra = result.transcript.heard_by(sorted(set(adversaries)))
-    message = result.partials.shape[1:]  # (S, *batch)
-    view = np.empty((len(sender),) + message, result.partials.dtype)
-    # row i of the Vandermonde matrix is the point of intra row i's receiver
-    points = eval_point_for_slot(receiver[intra] % size).tolist()
-    width = result.params.k_parts + result.params.t_max
-    blocks = result.blocks(sender[intra]).reshape(len(points), width, math.prod(message))
-    matrix = vandermonde(points, width, p, field_dtype(p, 1))
-    shares = matrix[:, None, :] @ blocks
-    reduce_mod(shares, p, out=shares)
-    view[intra] = shares.reshape((len(points),) + message)
-    view[~intra] = result.partials[sender[~intra]]
+    arrivals = result.arrivals
+    view = np.empty((len(sender),) + arrivals.shape[1:], arrivals.dtype)
+    points = eval_point_for_slot(receiver[intra] % size)
+    view[intra] = evaluate_each(result.blocks(sender[intra]), points, p)
+    view[~intra] = result.uplinks(sender[~intra])
     return view
 
 

@@ -13,11 +13,11 @@ intra   Every active user evaluates its block at each slot's evaluation
         (its own slot is computed locally at zero cost).  Each user then sums
         everything it received into one in-group aggregate.  By linearity
         that aggregate is the group's summed blocks evaluated at the
-        receiver's point, so the phase is one sum per group and one
-        (size, K+T) Vandermonde product, giving ``intra`` of shape
-        (N, S, *batch).  Users that dropped before the round never share;
-        their blocks are left out of the sums, which is equivalent to
-        presuming them zero.
+        receiver's point.  A round keeps only the group sums; the (N, S,
+        *batch) aggregates, ``RunResult.intra``, are one (size, K+T)
+        Vandermonde product of them, made when first read.  Users that
+        dropped before the round never share; their blocks are left out of
+        the sums, which is equivalent to presuming them zero.
 
 inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         the partial sums received from the matching slot of each child
@@ -25,18 +25,23 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         matching slot of its parent.  A user missing any child's message
         (the child dropped, or itself sent null) is silenced: it emits an
         explicit null and stays silent for the rest of the round.  So a
-        user forwards its slot's sum over its group's subtree: one fold of
-        the groups leaves first, or one prefix scan in postorder, where a
-        subtree is one contiguous range, gives for all slots at once what
-        every user forwarded, ``partials`` of shape (N, S, *batch).  Who
-        was silenced is the round's :func:`message_pattern`.
+        user forwards its slot's sum over its group's subtree, which by
+        linearity is the subtree's summed group sums evaluated at its point.
+        A round runs no relay: :meth:`RunResult.uplinks` makes the messages
+        of the senders asked for, folding the group sums leaves first, or
+        by one prefix scan in postorder, where a subtree is one contiguous
+        range (:func:`relay`).  Who was silenced is the round's
+        :func:`message_pattern`.
 
 server  The last group's users do the same send toward the server.  The
-        server applies the (K+T, K+T) inverse Vandermonde matrix of the
-        first K+T non-null arrivals' points to them, which interpolates the
-        summed polynomial of every coordinate at once, checks every further
-        arrival against it, and reads the summed model segments off its
-        low-order coefficients.
+        root's subtree is every group, so their messages are the total of
+        all group sums evaluated at the last group's points: one sum and
+        one Vandermonde product, the only evaluation a round runs
+        (:func:`server_arrivals`).  The server applies the (K+T, K+T)
+        inverse Vandermonde matrix of the first K+T non-null arrivals'
+        points to them, which interpolates the summed polynomial of every
+        coordinate at once, checks every further arrival against it, and
+        reads the summed model segments off its low-order coefficients.
 
 Senders never know who dropped, so a message addressed to a dropped user is
 still transmitted (it costs the sender symbols) but it is never delivered
@@ -62,14 +67,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import InconsistentArrivals, TooManyDropouts
 from .field import FieldContext, field_dtype, inverse_vandermonde, reduce_mod
-from .sharing import _apply, evaluate, model_rows
+from .sharing import _apply, evaluate, evaluate_each, model_rows
 from .topology import SERVER, AggregationTree, ProtocolParams
 
 PHASE_INTRA = "intra"
@@ -328,23 +333,26 @@ class DropoutPlan:
 
 @dataclass
 class RunResult:
-    """Outcome of one protocol run, as arrays indexed by user.
+    """Outcome of one protocol run.
 
-    ``intra`` (N, S, *batch) holds each user's in-group aggregate.
-    ``partials`` (N, S, *batch) holds the partial sum each user forwarded up
-    the tree; a row is a message only where ``status`` is ACTIVE, and
-    :attr:`null` marks the users that sent an explicit null instead.
-    ``took_part`` (N,) marks the users that shared in the intra phase, whose
-    models are in ``aggregate`` (L, *batch), the recovered sum; both masks
-    are the shared ``transcript``'s.  The run's field, sizing and tree are
-    kept so the arrays can be read without them, and its inputs, ``models``
-    and ``noise`` as given (None where drawn from ``master_seed``), so that
-    :meth:`blocks` can make any user's block.
+    ``sums`` (G, K+T, S, *batch) holds each group's summed blocks and
+    ``arrivals`` (size, S, *batch) what the last group's slots forwarded to
+    the server; a row is a message only where ``status`` is ACTIVE, and
+    :attr:`null` marks the users that sent an explicit null instead.  What
+    any other user forwarded is made from the sums when asked for
+    (:meth:`uplinks`), and so are the (N, S, *batch) :attr:`intra` and
+    :attr:`partials`, once each.  ``took_part`` (N,) marks the users that
+    shared in the intra phase, whose models are in ``aggregate`` (L,
+    *batch), the recovered sum; both masks are the shared ``transcript``'s.
+    The run's field, sizing and tree are kept so the arrays can be read
+    without them, and its inputs, ``models`` and ``noise`` as given (None
+    where drawn from ``master_seed``), so that :meth:`blocks` can make any
+    user's block.
     """
 
     aggregate: np.ndarray
-    intra: np.ndarray
-    partials: np.ndarray
+    sums: np.ndarray
+    arrivals: np.ndarray
     status: np.ndarray
     took_part: np.ndarray
     transcript: Transcript
@@ -374,6 +382,38 @@ class RunResult:
             if first + len(block) > users.max(initial=-1):
                 break
         return out
+
+    def uplinks(self, senders) -> np.ndarray:
+        """The (len(senders), S, *batch) partial sums ``senders`` forwarded up
+        the tree, in the order given, as the relay made them whatever the
+        sender's status: a last-group sender's row is its arrival, any other
+        sender's its group's subtree sum (:func:`relay` on the group sums)
+        evaluated at its slot's point.  A round whose senders are all in
+        the last group never relays."""
+        senders = np.asarray(senders, dtype=np.intp).reshape(-1)
+        size, arrivals = self.params.group_size, self.arrivals
+        last = self.tree.last_group * size
+        out = np.empty((len(senders),) + arrivals.shape[1:], arrivals.dtype)
+        top = senders >= last
+        out[top] = arrivals[senders[top] - last]
+        below = senders[~top]
+        if len(below):
+            subtree = relay(self.sums, self.tree, self.ctx.p)[below // size]
+            out[~top] = evaluate_each(subtree, eval_point_for_slot(below % size), self.ctx.p)
+        return out
+
+    @cached_property
+    def partials(self) -> np.ndarray:
+        """(N, S, *batch): the :meth:`uplinks` of every user."""
+        return self.uplinks(range(self.params.n_users))
+
+    @cached_property
+    def intra(self) -> np.ndarray:
+        """(N, S, *batch): each user's in-group aggregate, its group's sums
+        at its slot's point."""
+        points = [eval_point_for_slot(t) for t in range(self.params.group_size)]
+        intra = evaluate(self.sums, points, self.ctx.p, axis=1)
+        return intra.reshape((self.params.n_users,) + self.arrivals.shape[1:])
 
     @property
     def null(self) -> np.ndarray:
@@ -571,9 +611,10 @@ def _write(block: np.ndarray, params: ProtocolParams, p: int, models, noise, at)
     noise into rows K and up.  ``models`` and ``noise`` are each an array
     as given, checked by :func:`_check_inputs` and indexed at ``at``, or a
     stream whose next rows are read.  Given inputs are reduced mod p as they
-    are written, the models before their batch axes, lined up from the
-    right, are broadcast to the noise's; drawn noise lies in [0, p), and
-    drawn models are reduced only when p is below their entry bound."""
+    are written, unless :func:`_reduced`, the models before their batch
+    axes, lined up from the right, are broadcast to the noise's; drawn noise
+    lies in [0, p), and drawn models are reduced only when p is below their
+    entry bound."""
     k, length = params.k_parts, params.model_len
     rows = model_rows(block, k)
     rows[:, length:] = 0
@@ -581,7 +622,8 @@ def _write(block: np.ndarray, params: ProtocolParams, p: int, models, noise, at)
     if isinstance(models, np.ndarray):
         # models past int64 arrive as Python ints, and assignment casts
         # their residues
-        given = reduce_mod(models[at], p)
+        given = models[at]
+        given = given if _reduced(given, block.dtype, p) else reduce_mod(given, p)
         pad = (1,) * (entries.ndim - given.ndim)
         entries[...] = given.reshape(given.shape[:2] + pad + given.shape[2:])
     else:
@@ -589,10 +631,22 @@ def _write(block: np.ndarray, params: ProtocolParams, p: int, models, noise, at)
         if p < params.entry_bound:  # only a hand-picked modulus is that small
             reduce_mod(entries, p, out=entries)
     if isinstance(noise, np.ndarray):
-        # cast as assignment does: an empty noise list arrives as float64
-        reduce_mod(noise[at], p, out=block[:, k:])
+        given = noise[at]
+        if _reduced(given, block.dtype, p):
+            block[:, k:] = given
+        else:  # cast as assignment does: an empty noise list arrives as float64
+            reduce_mod(given, p, out=block[:, k:])
     else:
         noise.fill(block[:, k:])
+
+
+def _reduced(given: np.ndarray, dtype, p: int) -> bool:
+    """Whether ``given`` can be written into a block of ``dtype`` as it is:
+    both are int64 and its entries lie in [0, p), by its minimum and
+    maximum.  Other inputs, object arrays included, are reduced mod p."""
+    if given.dtype != np.int64 or dtype != np.int64:
+        return False
+    return not given.size or (given.min() >= 0 and given.max() < p)
 
 
 def write_blocks(params: ProtocolParams, p: int, models, noise, master_seed: int = 0):
@@ -688,8 +742,9 @@ def run_protocol(
     ``master_seed``, and drawn noise has no batch axes.  Either way the
     round sums :func:`write_blocks`' blocks into its group sums
     (:func:`stream_group_sums`), so it never holds the coefficient array,
-    and runs the intra, inter and server phases on them; who takes part
-    and who is silenced is the round's :func:`message_pattern`.
+    and evaluates from them only what reaches the server
+    (:func:`server_arrivals`); every other message is made when read.  Who
+    takes part and who is silenced is the round's :func:`message_pattern`.
     """
     if ctx.p <= params.group_size:
         raise ValueError(
@@ -698,25 +753,15 @@ def run_protocol(
         )
     transcript = message_pattern(params, tree, dropout_plan or DropoutPlan.none())
     models, noise = _check_inputs(params, models, noise)
-    n, size, seg_len, p = params.n_users, params.group_size, params.seg_len, ctx.p
+    size, p = params.group_size, ctx.p
 
-    # -- intra phase: the group sums at every slot's point --------------------
     pre_dropped = np.flatnonzero(~transcript.took_part).tolist()
     sums = stream_group_sums(params, p, models, noise, master_seed, pre_dropped)
-    batch = sums.shape[3:]
-    points = [eval_point_for_slot(t) for t in range(size)]
-    intra = evaluate(sums, points, p, axis=1).reshape((n, seg_len) + batch)
-    del sums  # freed before the relay allocates its scan
-
-    # -- inter + server phases: subtree sums, all groups and slots at once --
-    partials = relay(intra.reshape((-1, size, seg_len) + batch), tree, p)
-    partials = partials.reshape((n, seg_len) + batch)
-
-    # -- recovery -------------------------------------------------------------
+    arrivals = server_arrivals(sums, size, p)
     last = tree.last_group * size
     null_slots = transcript.status[last:] != UserStatus.ACTIVE.value
     try:
-        aggregate = server_recover(ctx, params, partials[last:], null_slots)
+        aggregate = server_recover(ctx, params, arrivals, null_slots)
     except TooManyDropouts as exc:
         # every group lies below the last one, so a server slot is null
         # exactly when some user in that slot dropped
@@ -727,29 +772,46 @@ def run_protocol(
             causes.append(f"{t} (dropped {', '.join(map(str, users))})")
         raise TooManyDropouts(f"{exc}; null slots: {', '.join(causes)}") from None
     return RunResult(
-        aggregate, intra, partials, transcript.status, transcript.took_part, transcript, ctx,
+        aggregate, sums, arrivals, transcript.status, transcript.took_part, transcript, ctx,
         params, tree, models, noise, master_seed,
     )
 
 
-def relay(intra: np.ndarray, tree: AggregationTree, p: int) -> np.ndarray:
-    """The inter phase on ``intra`` (G, size, S, *batch), by group and slot:
-    what each user forwards, its slot's sum mod p over its group's subtree.
-    Wide groups are folded leaves first, one in-place add of each group into
-    its parent; narrow ones take differences of prefix sums in postorder,
-    where every subtree is one contiguous range."""
+def _check_subtree_sums(groups: np.ndarray, p: int) -> None:
+    """ValueError when a sum of every one of ``groups``, each entry in [0,
+    p), could overflow its int64 dtype."""
+    if groups.dtype != object and len(groups) * (p - 1) >= 2**63:
+        raise ValueError(f"subtree sums of {len(groups)} groups mod {p} overflow int64")
+
+
+def server_arrivals(sums: np.ndarray, size: int, p: int) -> np.ndarray:
+    """What the last group's ``size`` slots forward to the server, (size,
+    S, *batch) by slot.  The root's subtree is every group, so by linearity
+    that is the total mod p of the (G, K+T, S, *batch) group ``sums``,
+    evaluated at the slots' points; ValueError as in :func:`relay`."""
+    _check_subtree_sums(sums, p)
+    total = reduce_mod(sums.sum(axis=0), p)
+    return evaluate(total, [eval_point_for_slot(t) for t in range(size)], p)
+
+
+def relay(groups: np.ndarray, tree: AggregationTree, p: int) -> np.ndarray:
+    """The inter phase on ``groups`` (G, ...): each group's sum mod p over
+    its subtree.  On the group sums (G, K+T, S, *batch) this is the
+    polynomial whose value at a slot's point its user forwards.  Wide
+    groups are folded leaves first, one in-place add of each group into its
+    parent; narrow ones take differences of prefix sums in postorder, where
+    every subtree is one contiguous range."""
     lo, hi = tree.subtree_lo, tree.subtree_hi
-    if intra.dtype != object and len(intra) * (p - 1) >= 2**63:
-        raise ValueError(f"subtree sums of {len(intra)} groups mod {p} overflow int64")
-    if math.prod(intra.shape[1:]) >= _WIDE_GROUP:
-        partials = intra.copy()
+    _check_subtree_sums(groups, p)
+    if math.prod(groups.shape[1:]) >= _WIDE_GROUP:
+        partials = groups.copy()
         children = tree.postorder[:-1]  # the last group, the root, has the server above
         for child, parent in zip(children.tolist(), tree.parents[children].tolist()):
             partials[parent] += partials[child]
     else:
         # row i sums the first i groups in postorder
-        sums = np.zeros((len(intra) + 1,) + intra.shape[1:], dtype=intra.dtype)
-        np.cumsum(intra[tree.postorder], axis=0, out=sums[1:])
+        sums = np.zeros((len(groups) + 1,) + groups.shape[1:], dtype=groups.dtype)
+        np.cumsum(groups[tree.postorder], axis=0, out=sums[1:])
         partials = sums[hi]
         partials -= sums[lo]
     return reduce_mod(partials, p, out=partials)

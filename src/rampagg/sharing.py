@@ -77,6 +77,17 @@ def evaluate(blocks: np.ndarray, points, p: int, axis: int = 0) -> np.ndarray:
     return _apply(matrix, blocks, p, axis)
 
 
+def evaluate_each(blocks: np.ndarray, points, p: int) -> np.ndarray:
+    """Block i of ``blocks`` (M, K+T, *rest) evaluated at ``points[i]``
+    alone, as one (M, *rest) array mod p: row i of the Vandermonde matrix
+    of the points times block i, the matrix built as in :func:`evaluate`."""
+    lead, width, rest = len(blocks), blocks.shape[1], blocks.shape[2:]
+    matrix = vandermonde(points, width, p, field_dtype(p, 1))
+    out = matrix[:, None, :] @ blocks.reshape(lead, width, math.prod(rest))
+    reduce_mod(out, p, out=out)
+    return out.reshape((lead,) + rest)
+
+
 def _apply(matrix: np.ndarray, blocks: np.ndarray, p: int, axis: int) -> np.ndarray:
     """``matrix`` times ``blocks`` along ``axis``, mod p."""
     lead, width, rest = blocks.shape[:axis], blocks.shape[axis], blocks.shape[axis + 1 :]

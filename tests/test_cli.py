@@ -119,8 +119,8 @@ def test_run_turns_memory_error_into_exit_2(tmp_path, config_file, monkeypatch, 
     assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
-    # one block of the whole round, group sums of 2 groups, intra and partials
-    assert "a (12, 5, 3) block, (2, 5, 3) group sums and two (12, 3) arrays (2256 bytes)" in err
+    # one block of the whole round, group sums of 2 groups, 6 server arrivals
+    assert "a (12, 5, 3) block, (2, 5, 3) group sums and (6, 3) server arrivals (1824 bytes)" in err
 
 
 def test_run_turns_memory_error_while_writing_into_exit_2(
@@ -134,8 +134,8 @@ def test_run_turns_memory_error_while_writing_into_exit_2(
     assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
-    # one block of the whole round, group sums of 2 groups, intra and partials
-    assert "a (12, 5, 3) block, (2, 5, 3) group sums and two (12, 3) arrays (2256 bytes)" in err
+    # one block of the whole round, group sums of 2 groups, 6 server arrivals
+    assert "a (12, 5, 3) block, (2, 5, 3) group sums and (6, 3) server arrivals (1824 bytes)" in err
     assert "Traceback" not in err
 
 
@@ -146,7 +146,7 @@ def test_sweep_turns_memory_error_into_exit_2(tmp_path, sweep_file, monkeypatch,
     # in groups of 4
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
-    assert "a (12, 3, 9) block, (3, 3, 9) group sums and two (12, 9) arrays (4968 bytes)" in err
+    assert "a (12, 3, 9) block, (3, 3, 9) group sums and (4, 9) server arrivals (3528 bytes)" in err
 
 
 def test_run_refuses_formula_assertions_on_tiny_prime(tmp_path, capsys):

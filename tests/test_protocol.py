@@ -1,7 +1,9 @@
 """End-to-end protocol rounds: aggregation, silence, accounting, recovery."""
 
 import csv
+import dataclasses
 import io
+import itertools
 import math
 import re
 import tracemalloc
@@ -13,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rampagg import harness, protocol, sharing
+from rampagg import field, protocol, sharing
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
 from rampagg.field import FieldContext, field_dtype, is_prime
 from rampagg.harness import RunConfig, collect_adversary_view, plain_sum, simulate
+from rampagg.privacy import PrivacyCase, privacy_bruteforce
 from rampagg.protocol import (
     BETWEEN_ROUNDS,
     PHASE_INTER,
@@ -34,6 +37,7 @@ from rampagg.protocol import (
     message_pattern,
     relay,
     run_protocol,
+    server_arrivals,
     server_recover,
 )
 from rampagg.sharing import evaluate
@@ -44,6 +48,7 @@ from oracles import (
     DROPPED,
     SILENCED,
     coefficient_array_naive,
+    eval_poly_naive,
     group_sums_naive,
     heard_by_naive,
     links_naive,
@@ -573,7 +578,6 @@ def test_matrices_are_built_in_the_dtype_each_routine_needs(monkeypatch, p):
 
     monkeypatch.setattr(protocol, "inverse_vandermonde", spy(protocol.inverse_vandermonde, "inv"))
     monkeypatch.setattr(sharing, "vandermonde", spy(sharing.vandermonde, "vdm"))
-    monkeypatch.setattr(harness, "vandermonde", spy(harness.vandermonde, "vdm"))
     n, t, k = 8, 2, 1
     params = make_params(n, t, 1, k, model_len=3, entry_bound=2)
     ctx, tree = FieldContext(p, 2, n), build_tree(2, "chain")
@@ -634,6 +638,85 @@ def test_relay_matches_naive_subtree_sums_in_both_branches(width, shape, dtype):
     status = message_pattern(params, tree, DropoutPlan(frozenset({5, 9}))).status
     expected_status = np.where(dead, DROPPED, np.where(expected_silent, SILENCED, ACTIVE))
     assert status.tolist() == expected_status.ravel().tolist()
+
+
+@pytest.mark.parametrize("p", [1009, 2**32 + 15])  # int64 and object entries
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("shape", ["chain", "star", {0: 2, 1: 2, 2: 4, 3: 4, 4: "server"}])
+def test_uplinks_are_the_fold_of_the_evaluated_group_sums(shape, batch, p):
+    # K=2, T=1, D=1: five groups of 4, and user 5 (group 1, slot 1) drops
+    # before sharing, so its block is left out of the sums
+    k, t, groups, size = 2, 1, 5, 4
+    n = groups * size
+    params = make_params(n, t, 1, k, model_len=3, entry_bound=4)
+    ctx, tree, rng = FieldContext(p, 4, n), build_tree(groups, shape), Random(p)
+    models = np.array([rng.randrange(4) for _ in range(n * 3)]).reshape(n, 3)
+    noise_shape = (n, t, params.seg_len) + batch
+    noise = np.array([rng.randrange(p) for _ in range(math.prod(noise_shape))])
+    plan = DropoutPlan(frozenset({5}))
+    result = run_protocol(ctx, params, tree, models, plan, noise=noise.reshape(noise_shape))
+    coeffs = coefficient_array_naive(params, p, models, noise.reshape(noise_shape))
+    sums = group_sums_naive(coeffs, size, [5], p)
+    assert np.array_equal(result.sums, sums)
+    intra = np.empty((groups, size) + sums.shape[2:], dtype=object)
+    for g, slot in itertools.product(range(groups), range(size)):
+        for index in np.ndindex(sums.shape[2:]):
+            column = [int(c) for c in sums[(g, slice(None)) + index]]
+            intra[(g, slot) + index] = eval_poly_naive(column, eval_point_for_slot(slot), p)
+    dead = (result.status == DROPPED).reshape(groups, size)
+    expected = relay_fold_naive(intra, dead, tree, p)[0].reshape((n,) + sums.shape[2:])
+    last = tree.last_group * size
+    senders = [n - 1, 0, last, 7, 7, 13, last + 2]  # the last group and below
+    got = result.uplinks(senders)
+    assert got.dtype == field_dtype(p, k + t)
+    assert got.tolist() == expected[senders].tolist()
+    assert result.uplinks([]).shape == (0,) + sums.shape[2:]
+    assert result.partials.tolist() == expected.tolist()
+    assert result.intra.tolist() == intra.reshape(expected.shape).tolist()
+
+
+def _refuse(*args):
+    raise AssertionError("relay called")
+
+
+def test_a_round_and_a_leaf_colluders_view_never_relay(monkeypatch):
+    # the benchmark's privacy case: colluder 0 sits in the chain's leaf
+    # group, so it hears no uplink and the server hears only the arrivals
+    config = RunConfig(
+        n_users=120, t_max=2, d_max=1, k_parts=9, model_len=99, entry_bound=256, dropped=(2,)
+    )
+    case = PrivacyCase(
+        n_users=6, t_max=1, d_max=0, k_parts=2, prime=5, adversaries=(0,),
+        tree_shape="chain", model_bound=2,
+    )  # fmt: skip
+
+    def outputs():
+        report, result = simulate(config)
+        buf = io.StringIO()
+        result.transcript.to_csv(buf)
+        return report.to_json(), buf.getvalue(), privacy_bruteforce(case)
+
+    expected = outputs()
+    monkeypatch.setattr(protocol, "relay", _refuse)
+    assert outputs() == expected
+    # user 3 sits in the last group and hears group 0's uplink: a relay
+    with pytest.raises(AssertionError, match="relay called"):
+        privacy_bruteforce(dataclasses.replace(case, adversaries=(3,)))
+
+
+def test_server_arrivals_refuse_a_total_past_int64():
+    # two groups' total reaches 2*(p-1), which int64 holds up to 2**63 - 1;
+    # K+T = 2 coefficients, each 2*(p-1) = p-2 mod p, at the points 1, 2, 3
+    fits = 2**62
+    for p in (fits, fits + 1):
+        sums = np.full((2, 2, 1), p - 1, dtype=np.int64)
+        expected = [[(p - 2) * (1 + x) % p] for x in (1, 2, 3)]
+        assert server_arrivals(sums.astype(object), 3, p).tolist() == expected
+        if p == fits:
+            assert server_arrivals(sums, 3, p).tolist() == expected
+        else:
+            with pytest.raises(ValueError, match="2 groups mod .* overflow int64"):
+                server_arrivals(sums, 3, p)
 
 
 # ---- the message pattern ----
@@ -1092,6 +1175,47 @@ def test_out_of_range_inputs_are_reduced_mod_p(batch):
     assert outputs(models, noise - p) == expected
     assert outputs(models + p, noise) == expected
     assert outputs(models + p, noise - p) == expected
+
+
+def test_reduced_given_inputs_are_written_as_they_are(monkeypatch):
+    # int64 inputs whose entries lie in [0, p), both ends included, are
+    # written with no reduction; one entry at p has the noise reduced
+    params, p = _stream_params(d=1), 1009
+    rng = Random(2)
+    models = np.array([rng.randrange(16) for _ in range(12 * 8)]).reshape(12, 8)
+    noise = np.array([rng.randrange(p) for _ in range(12 * 2 * 3)]).reshape(12, 2, 3)
+    noise[0, 0, 0], noise[1, 0, 0] = 0, p - 1
+    reduced = []
+
+    def spy(x, p, out=None):
+        reduced.append(x.shape)
+        return field.reduce_mod(x, p, out)
+
+    monkeypatch.setattr(protocol, "reduce_mod", spy)
+    written = written_blocks(params, p, models, noise)
+    assert reduced == []
+    assert np.array_equal(written[:, params.k_parts :], noise)
+    noise[2, 1, 2] = p
+    written = written_blocks(params, p, models, noise)
+    assert reduced == [(12, 2, 3)]
+    assert written[2, params.k_parts + 1, 2] == 0
+
+
+@pytest.mark.parametrize("shift", [0, 1009])
+def test_read_only_broadcast_inputs_are_never_written(shift):
+    # read-only views: a write into either would raise.  Shifted by p, both
+    # are reduced, and the round is that of their residues
+    params, p = _stream_params(d=1), 1009
+    ctx, tree = FieldContext(p, 16, 12), build_tree(2, "chain")
+    column = np.arange(12 * 2 * 3).reshape(12, 2, 3, 1) * 17 % p + shift
+    noise = np.broadcast_to(column, (12, 2, 3, 4))
+    models = np.broadcast_to(np.arange(8) + shift, (12, 8))
+    before = column.copy()
+    result = run_protocol(ctx, params, tree, models, noise=noise)
+    assert np.array_equal(column, before)
+    plain = run_protocol(ctx, params, tree, models % p, noise=noise % p)
+    assert np.array_equal(result.aggregate, plain.aggregate)
+    assert np.array_equal(result.blocks(range(12)), plain.blocks(range(12)))
 
 
 def test_explicit_noise_carries_a_batch_axis_through_the_round():

@@ -11,9 +11,11 @@ of the comma-separated --workload list, in turn, pair i runs
 the parent first in even pairs and the change first in odd ones, from the
 short names in even pairs and the long ones in odd pairs.  Every run's
 metrics are printed as they come; after a workload's pairs, for each
-metric, each side's median and quartiles and the pairs each side won (lower
-is better for every end-to-end metric).  Standard library only; the copies
-are removed at exit unless --keep is given.
+metric, each side's median and quartiles, the pairs each side won (lower
+is better for every end-to-end metric) and a verdict (:func:`verdict`)
+against the metric's relative ``bound`` in CHANGE_DIR's BENCHMARK.json,
+which is only read.  Standard library only; the copies are removed at exit
+unless --keep is given.
 """
 
 import argparse
@@ -54,8 +56,40 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def summary(runs: dict, pairs: int) -> None:
-    """Median, quartiles and pairs won per side, for each metric."""
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3) of ``values``; one value is counted twice, since
+    statistics.quantiles needs two."""
+    return tuple(statistics.quantiles(values * (2 if len(values) == 1 else 1), n=4))
+
+
+def verdict(parent: list, change: list, bound=None) -> str:
+    """How the change's runs of a lower-is-better metric compare with the
+    parent's, pair i against pair i, given the metric's relative ``bound``
+    (None when it has none):
+
+    - "gain": the change is lower in at least 9 of 10 pairs, and the
+      medians differ by more than the parent's IQR;
+    - "worse": the change's median exceeds the parent's by more than
+      ``bound`` times the parent's;
+    - "unresolved": the parent's IQR is wider than ``bound`` times its
+      median;
+    - "no worse": otherwise.
+    """
+    q1, median, q3 = quartiles(parent)
+    change_median = statistics.median(change)
+    lower = sum(b < a for a, b in zip(parent, change))
+    if 10 * lower >= 9 * len(parent) and median - change_median > q3 - q1:
+        return "gain"
+    if bound is not None and change_median > median * (1 + bound):
+        return "worse"
+    if bound is not None and q3 - q1 > bound * median:
+        return "unresolved"
+    return "no worse"
+
+
+def summary(runs: dict, pairs: int, bounds=None) -> None:
+    """Median, quartiles and pairs won per side, and the :func:`verdict`,
+    for each metric; ``bounds`` maps a metric to its relative bound."""
     for metric in runs["parent"][0]:
         print(f"{metric}:")
         values = {side: [r[metric] for r in runs[side]] for side in SIDES}
@@ -64,11 +98,13 @@ def summary(runs: dict, pairs: int) -> None:
             if a != b:
                 wins["parent" if a < b else "change"] += 1
         for side in SIDES:
-            q1, median, q3 = statistics.quantiles(values[side] * (2 if pairs == 1 else 1), n=4)
+            q1, median, q3 = quartiles(values[side])
             print(f"  {side:6s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}  "
                   f"IQR {q3 - q1:.3g}  lower in {wins[side]} of {pairs} pairs")
         parent, change = statistics.median(values["parent"]), statistics.median(values["change"])
         print(f"  change / parent median {change / parent:.4f}")
+        bound = (bounds or {}).get(metric)
+        print(f"  verdict: {verdict(values['parent'], values['change'], bound)}")
 
 
 def main(argv=None) -> int:
@@ -85,6 +121,10 @@ def main(argv=None) -> int:
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} has no perfbench/run.py")
 
+    declared = args.change / "BENCHMARK.json"
+    bounds = {}
+    if declared.is_file():
+        bounds = {m["name"]: m["bound"] for m in json.loads(declared.read_text())["end_to_end"]}
     root = Path(tempfile.mkdtemp(prefix="pair_runs_"))
     try:
         trees = copies({"parent": args.parent, "change": args.change}, root)
@@ -100,7 +140,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} seed {args.seed + i} {side:6s} {tree.name}: "
                           f"{shown}", flush=True)
             print(f"== {workload}, {args.pairs} pairs")
-            summary(runs, args.pairs)
+            summary(runs, args.pairs, bounds)
     finally:
         if args.keep:
             print(f"copies kept under {root}")
