@@ -16,7 +16,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TooManyDropouts,
 )
-from .harness import RunConfig, RunReport, simulate
+from .harness import RunConfig, RunReport, measure, simulate
 from .privacy import (
     NOISE_CONSTANT,
     NOISE_UNIFORM,
@@ -40,6 +40,7 @@ __all__ = [
     "RunReport",
     "SearchSpaceTooLarge",
     "TooManyDropouts",
+    "measure",
     "simulate",
     "privacy_bruteforce",
 ]

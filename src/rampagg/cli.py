@@ -2,7 +2,8 @@
 
 Subcommands:
     run <config.json>    simulate one configuration, write the JSON report
-    sweep <sweep.json>   vary the partition count, write a CSV of load metrics
+    sweep <sweep.json>   vary the partition count, write a CSV of load metrics,
+                         each row counted from its round's message pattern
     verify <suite>       run a named verification suite (--json: the checks
                          as one JSON array on stdout)
 
@@ -20,11 +21,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 from .errors import ConfigInvalid, RampAggError, TooManyDropouts
-from .harness import RunConfig, simulate
+from .harness import RunConfig, measure, simulate
 from .protocol import block_rows
 from .verify import SUITES, run_suite
 
@@ -74,14 +74,20 @@ def _unwritable(name: str):
 
 
 @contextmanager
-def _in_memory(config: RunConfig):
+def _in_memory(config: RunConfig, row: bool = False):
     """Turn a MemoryError while ``config`` runs or its outputs are written
-    into ConfigInvalid naming the fields that size the round, and what a
-    streamed round holds: one block of drawn users, the group sums, and
-    the last group's arrivals at the server."""
+    into ConfigInvalid naming the fields that size what it holds: a
+    streamed round one block of drawn users, the group sums, and the last
+    group's arrivals at the server; a sweep ``row`` only the two (N,) masks
+    of its message pattern."""
     try:
         yield
     except MemoryError:
+        if row:
+            raise ConfigInvalid(
+                f"n_users={config.n_users}: out of memory for a sweep row that holds "
+                f"the two ({config.n_users},) masks of its message pattern"
+            ) from None
         params = config.resolve()[0]
         width, seg_len = params.k_parts + params.t_max, params.seg_len
         shapes = (
@@ -131,12 +137,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_task(config: RunConfig, k: int):
-    run = config.replace(k_parts=k)
-    with _in_memory(run):
-        report, _ = simulate(run)
+def _sweep_task(config: RunConfig, resolved: tuple):
+    """One row of the sweep: a round's loads, edges and delay depend on its
+    message pattern alone, not on the seed, so no round runs."""
+    with _in_memory(config, row=True):
+        report = measure(config, resolved)
     return {
-        "k_parts": k,
+        "k_parts": config.k_parts,
         "r_server": float(report.loads.r_server),
         "r_user_max": float(report.loads.r_user_max),
         "edges": report.total_edges,
@@ -145,8 +152,6 @@ def _sweep_task(config: RunConfig, k: int):
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ConfigInvalid(f"--jobs: must be at least 1, got {args.jobs}")
     data = _load_json(args.sweep)
     for key in ("base", "k_values"):
         if key not in data:
@@ -166,15 +171,14 @@ def cmd_sweep(args) -> int:
     if not isinstance(out_csv, str) or not out_csv:
         raise ConfigInvalid("sweep spec: out_csv must be a non-empty path")
 
-    ks, skipped = [], []
+    runs, skipped = [], []
     for k in k_values:
+        run = base.replace(k_parts=k)
         try:
-            base.replace(k_parts=k).resolve()
+            runs.append((run, run.resolve()))
         except ConfigInvalid as exc:
             skipped.append((k, exc))
-        else:
-            ks.append(k)
-    if not ks:  # no k_parts mends the base: fail with the first k's fault
+    if not runs:  # no k_parts mends the base: fail with the first k's fault
         raise skipped[0][1]
     for k, exc in skipped:
         print(f"skipping k_parts={k}: {exc}", file=sys.stderr)
@@ -187,7 +191,7 @@ def cmd_sweep(args) -> int:
     with _unwritable("out_csv"):
         fh = open(path, "w", encoding="utf-8", newline="")
     with fh:
-        rows = _sweep_rows(base, ks, args.jobs)
+        rows = [_sweep_task(run, resolved) for run, resolved in runs]
         fields = ["k_parts", "r_server", "r_user_max", "edges", "delay"]
         with _unwritable("out_csv"):
             writer = csv.DictWriter(fh, fieldnames=fields)
@@ -195,17 +199,6 @@ def cmd_sweep(args) -> int:
             writer.writerows(rows)
     print(f"{len(rows)} rows -> {path}")
     return 0
-
-
-def _sweep_rows(base: RunConfig, ks: list, jobs: int) -> list:
-    """One row per partition count in ``ks``, in order: a round's loads,
-    edges and delay depend on k_parts alone, not on the seed."""
-    # the pool starts all its workers at once, so ask for no more than can run
-    jobs = min(jobs, os.cpu_count() or 1, len(ks))
-    if jobs <= 1:
-        return [_sweep_task(base, k) for k in ks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_task, [base] * len(ks), ks))
 
 
 def cmd_verify(args) -> int:
@@ -240,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep partition counts")
     p_sweep.add_argument("sweep", help="path to a sweep spec JSON file")
     p_sweep.add_argument("--out", help="output directory (default: current)")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -1,15 +1,18 @@
 """Configuration, measurement, and reporting around the protocol core.
 
-:func:`simulate` runs a :class:`RunConfig`'s round, its models and noise
-drawn from ``master_seed`` a block of users at a time and summed by group
-as they come (:func:`rampagg.protocol.stream_group_sums`), and turns it into a
-:class:`RunReport` whose load figures are exact rationals computed purely
-by counting transcript symbols, never by evaluating the closed-form
-expressions they are later compared against.  :func:`correctness_oracle`
-replays randomized rounds, drawn the same way from derived seeds, against a
-plain-integer summation oracle, and :func:`collect_adversary_view` makes
-exactly the messages a colluding set plus the server receive, as the
-transcript picks them, from its intra senders' blocks and the group sums.
+:func:`measure` turns a :class:`RunConfig` into a :class:`RunReport` from
+its round's message pattern alone (:func:`rampagg.protocol.message_pattern`):
+every load figure is an exact rational computed purely by counting
+transcript symbols, never by evaluating the closed-form expressions it is
+later compared against, and none needs a draw or any field arithmetic.
+:func:`simulate` runs the round too, its models and noise drawn from
+``master_seed`` a block of users at a time and summed by group as they come
+(:func:`rampagg.protocol.stream_group_sums`), and adds its aggregate.
+:func:`correctness_oracle` replays randomized rounds, drawn the same way
+from derived seeds, against a plain-integer summation oracle, and
+:func:`collect_adversary_view` makes exactly the messages a colluding set
+plus the server receive, as the transcript picks them, from its intra
+senders' blocks and the group sums.
 """
 
 import dataclasses
@@ -27,12 +30,10 @@ from .errors import ConfigInvalid, InvalidParams, NonConformingField
 from .field import FieldContext, select_prime
 from .protocol import (
     BETWEEN_ROUNDS,
-    PHASE_SERVER,
     PRE_INTRA,
     DropoutPlan,
+    LoadSummary,
     RunResult,
-    Transcript,
-    UserStatus,
     derive_seed,
     draw_models,
     draw_uniform,
@@ -135,10 +136,12 @@ class RunConfig:
                 data[key] = tuple(data[key])
         if isinstance(data.get("tree_shape"), Mapping):
             # JSON object keys are strings; resolve() rejects any other key
-            data["tree_shape"] = {
-                int(g) if isinstance(g, str) and g.isascii() and g.isdigit() else g: p
-                for g, p in data["tree_shape"].items()
-            }
+            shape = data["tree_shape"] = {}
+            for g, p in raw["tree_shape"].items():
+                group = int(g) if isinstance(g, str) and g.isascii() and g.isdigit() else g
+                if group in shape:
+                    raise ConfigInvalid(f"tree_shape: key {g!r} names group {group} again")
+                shape[group] = p
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -246,48 +249,16 @@ class RunConfig:
         return params, tree, ctx
 
 
-@dataclass(frozen=True, eq=False)
-class LoadSummary:
-    """Exact normalized communication loads of one transcript, and the
-    (N,) count of symbols each user sent."""
-
-    r_server: Fraction
-    r_user_max: Fraction
-    r_user_avg: Fraction
-    sent: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def measure_loads(transcript: Transcript) -> LoadSummary:
-    """Count transcript symbols into normalized loads, kept per transcript
-    for the last 16, with a read-only ``sent``.
-
-    Server load counts non-null server-bound symbols.  Per-user load counts
-    every symbol a user transmitted, deliverable or not: a sender cannot
-    know the peer dropped.  The max is taken over the users that did not
-    drop.
-    """
-    length = transcript.params.model_len
-    sent = transcript.sent()
-    sent.flags.writeable = False
-    survivors = transcript.status != UserStatus.DROPPED.value
-    return LoadSummary(
-        r_server=Fraction(transcript.phase_counts()[PHASE_SERVER]["symbols"], length),
-        r_user_max=Fraction(int(sent[survivors].max()), length),
-        r_user_avg=Fraction(int(sent.sum()), len(sent) * length),
-        sent=sent,
-    )
-
-
 @dataclass
 class RunReport:
-    """Everything :func:`simulate` measured, JSON-ready and deterministic."""
+    """Everything :func:`measure` counted and :func:`simulate` recovered,
+    JSON-ready and deterministic; ``aggregate`` is None when no round ran."""
 
     config: RunConfig
     prime: int
     conforming_field: bool
     bits_per_symbol: int
-    aggregate: list
+    aggregate: Optional[list]
     included_users: list
     loads: LoadSummary
     total_edges: int
@@ -305,7 +276,7 @@ class RunReport:
             "prime": self.prime,
             "conforming_field": self.conforming_field,
             "bits_per_symbol": self.bits_per_symbol,
-            "aggregate": list(self.aggregate),
+            "aggregate": None if self.aggregate is None else list(self.aggregate),
             "included_users": list(self.included_users),
             "r_server": str(self.loads.r_server),
             "r_user_max": str(self.loads.r_user_max),
@@ -334,10 +305,9 @@ class RunReport:
         data = self.to_dict()
         text, offsets = _json_users(self.config.n_users)
         users = "".join(text[offsets[a] : offsets[b]] for a, b in _runs(data["included_users"]))
-        items = {
-            "aggregate": json.dumps(data["aggregate"], separators=(_ITEM_SEP, ": "))[1:-1],
-            "included_users": users.removesuffix(_ITEM_SEP),
-        }
+        items = {"included_users": users.removesuffix(_ITEM_SEP)}
+        if data["aggregate"] is not None:
+            items["aggregate"] = json.dumps(data["aggregate"], separators=(_ITEM_SEP, ": "))[1:-1]
         blocks = {}
         for key, listed in items.items():
             if listed:  # an empty list stays "[]"
@@ -360,13 +330,6 @@ def _json_users(n_users: int) -> tuple:
     return "".join(items), offsets
 
 
-@lru_cache(maxsize=16)
-def _included_users(transcript: Transcript) -> tuple:
-    """The users that took part in ``transcript``, ascending, kept per
-    transcript for the last 16."""
-    return tuple(np.flatnonzero(transcript.took_part).tolist())
-
-
 def _runs(users: list) -> list:
     """The (first, stop) bounds of each run of consecutive values in the
     ascending list ``users`` of distinct ints, found by bisection on
@@ -387,41 +350,52 @@ def generate_models(config: RunConfig) -> list[Model]:
     return [Model(tuple(row)) for row in draw_models(params, config.master_seed).tolist()]
 
 
+def measure(
+    config: RunConfig, resolved: Optional[tuple] = None, result: Optional[RunResult] = None
+) -> RunReport:
+    """``config``'s report, every field counted from its round's message
+    pattern: no draw, no arithmetic, and an ``aggregate`` of None.  Given
+    ``config.resolve()`` as ``resolved`` and the round's ``result``, the
+    report reads that round's transcript and aggregate instead, as
+    :func:`simulate`'s does.  No recovery check is needed: ``resolve`` caps
+    the dropouts at D, and each silences at most one server slot."""
+    params, tree, ctx = resolved or config.resolve()
+    if result is None:
+        plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
+        transcript = message_pattern(params, tree, plan)
+    else:
+        transcript = result.transcript
+    # a round without dropouts uses every link the network has
+    total = message_pattern(params, tree, DropoutPlan.none()).links_used
+    formula_check = None
+    if config.assert_formula_loads:
+        formula_check = check_formulas(config, params, transcript.loads, total)
+    return RunReport(
+        config=config,
+        prime=ctx.p,
+        conforming_field=ctx.conforming,
+        bits_per_symbol=ctx.bits_per_symbol,
+        aggregate=None if result is None else result.aggregate.tolist(),
+        included_users=list(transcript.included_users),
+        loads=transcript.loads,
+        total_edges=total,
+        silent_edges=total - transcript.links_used,
+        edges_formula=count_edges(params),
+        delay=total_delay(tree, DelayModel(config.delta_inter, config.delta_intra)),
+        phase_counts=transcript.phase_counts(),
+        formula_check=formula_check,
+    )
+
+
 def simulate(config: RunConfig):
     """Run one configured round and measure it.  The round is streamed:
     its models and noise are drawn from ``master_seed`` a block at a time,
     and a user's coefficient block is made again only if asked for
     (``RunResult.blocks``).  Returns (RunReport, RunResult)."""
-    params, tree, ctx = config.resolve()
+    resolved = params, tree, ctx = config.resolve()
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)
     result = run_protocol(ctx, params, tree, None, plan, config.master_seed)
-    transcript = result.transcript
-    loads = measure_loads(transcript)
-    # a round without dropouts uses every link the network has
-    total = message_pattern(params, tree, DropoutPlan.none()).links_used()
-    active = transcript.links_used()
-    delay = total_delay(tree, DelayModel(config.delta_inter, config.delta_intra))
-
-    formula_check = None
-    if config.assert_formula_loads:
-        formula_check = check_formulas(config, params, loads, total)
-
-    report = RunReport(
-        config=config,
-        prime=ctx.p,
-        conforming_field=ctx.conforming,
-        bits_per_symbol=ctx.bits_per_symbol,
-        aggregate=result.aggregate.tolist(),
-        included_users=list(_included_users(transcript)),
-        loads=loads,
-        total_edges=total,
-        silent_edges=total - active,
-        edges_formula=count_edges(params),
-        delay=delay,
-        phase_counts=transcript.phase_counts(),
-        formula_check=formula_check,
-    )
-    return report, result
+    return measure(config, resolved, result), result
 
 
 def check_formulas(

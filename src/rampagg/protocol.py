@@ -13,11 +13,10 @@ intra   Every active user evaluates its block at each slot's evaluation
         (its own slot is computed locally at zero cost).  Each user then sums
         everything it received into one in-group aggregate.  By linearity
         that aggregate is the group's summed blocks evaluated at the
-        receiver's point.  A round keeps only the group sums; the (N, S,
-        *batch) aggregates, ``RunResult.intra``, are one (size, K+T)
-        Vandermonde product of them, made when first read.  Users that
-        dropped before the round never share; their blocks are left out of
-        the sums, which is equivalent to presuming them zero.
+        receiver's point.  A round keeps only the group sums; an aggregate
+        is made from them only where a message built on it is read.  Users
+        that dropped before the round never share; their blocks are left
+        out of the sums, which is equivalent to presuming them zero.
 
 inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         the partial sums received from the matching slot of each child
@@ -28,9 +27,8 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         user forwards its slot's sum over its group's subtree, which by
         linearity is the subtree's summed group sums evaluated at its point.
         A round runs no relay: :meth:`RunResult.uplinks` makes the messages
-        of the senders asked for, folding the group sums leaves first, or
-        by one prefix scan in postorder, where a subtree is one contiguous
-        range (:func:`relay`).  Who was silenced is the round's
+        of the senders asked for, folding the group sums leaves first
+        (:func:`relay`).  Who was silenced is the round's
         :func:`message_pattern`.
 
 server  The last group's users do the same send toward the server.  The
@@ -51,15 +49,16 @@ entry at all.
 
 The transcript is kept as two masks, who took part in the intra phase and
 how each user ended, and only it knows who hears whom: phase counts,
-symbols sent, links used, the CSV rows and the messages a set of users and
-the server receive (:meth:`Transcript.heard_by`) all come from the masks
-and from :meth:`Transcript.uplinks`; a round without dropouts uses every
-link the network has.  The masks depend only on the params, the tree and
-the dropout plan: :func:`message_pattern` makes them once per key, and
-:func:`run_protocol` does only the arithmetic.  The CSV text depends on
-the masks alone too, so a transcript of at most ``_CACHED_CSV_ROWS`` rows
-keeps it whole, made once and written in one write; a larger one makes and
-writes it a block of rows at a time.
+symbols sent, loads, links used, the CSV rows and the messages a set of
+users and the server receive (:meth:`Transcript.heard_by`) all come from
+the masks and from :meth:`Transcript.uplinks`; a round without dropouts
+uses every link the network has.  The masks depend only on the params, the
+tree and the dropout plan: :func:`message_pattern` makes them once per key,
+and :func:`run_protocol` does only the arithmetic.  So every count of a
+round is the pattern's, and the transcript keeps each one it makes, the CSV
+text of a transcript of at most ``_CACHED_CSV_ROWS`` rows included, for as
+long as ``message_pattern``'s cache keeps the transcript; a larger one
+makes and writes its text a block of rows at a time.
 """
 
 import hashlib
@@ -67,6 +66,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -83,10 +83,6 @@ PHASE_SERVER = "server"
 PHASES = (PHASE_INTRA, PHASE_INTER, PHASE_SERVER)
 
 _CSV_BLOCK_ROWS = 4096  # transcript rows joined per write
-# the relay folds groups of at least this many entries one Python add at a
-# time: np.cumsum walks the group axis once per entry of a group, and at
-# 200-1000 entries that costs about as much as a step of the loop
-_WIDE_GROUP = 512
 # transcripts of at most this many rows keep their CSV text
 _CACHED_CSV_ROWS = 1 << 15
 
@@ -149,6 +145,17 @@ class UserStatus(IntEnum):
 
 
 @dataclass(frozen=True, eq=False)
+class LoadSummary:
+    """Exact normalized communication loads of one transcript, and the
+    read-only (N,) count of symbols each user sent."""
+
+    r_server: Fraction
+    r_user_max: Fraction
+    r_user_avg: Fraction
+    sent: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class Transcript:
     """Every message of one run, kept as the O(N) masks that fix them:
     ``took_part`` (N,) marks the users that shared in the intra phase and
@@ -161,8 +168,9 @@ class Transcript:
     user, S symbols from an active one.  The counts below are sums over
     these masks; rows are made only by :meth:`to_csv`.  A send to an
     already-dropped user costs the sender its symbols but is never
-    delivered, so its link stays silent.  Counts, links, selections and
-    the CSV text are kept, so the masks must not change, as
+    delivered, so its link stays silent.  Counts, loads, links and the CSV
+    text are made once and kept on the transcript, and the last selections
+    of :meth:`heard_by`, so the masks must not change, as
     :func:`message_pattern`'s do not.
     """
 
@@ -175,9 +183,9 @@ class Transcript:
 
     def phase_counts(self) -> dict[str, dict[str, int]]:
         """Messages, nulls and symbols sent in each phase, as a new dict."""
-        return {phase: dict(bucket) for phase, bucket in self._phase_counts().items()}
+        return {phase: dict(bucket) for phase, bucket in self._phase_counts.items()}
 
-    @lru_cache(maxsize=16)
+    @cached_property
     def _phase_counts(self) -> dict[str, dict[str, int]]:
         size, seg_len = self.params.group_size, self.params.seg_len
         took = int(np.count_nonzero(self.took_part))
@@ -190,15 +198,32 @@ class Transcript:
             counts[phase] = {"messages": active + null, "null": null, "symbols": active * seg_len}
         return counts
 
-    def sent(self) -> np.ndarray:
-        """The (N,) symbols each user transmitted, deliverable or not: S to
-        each other slot of its group when it took part, and S up the tree
-        when it ended ACTIVE."""
-        size = self.params.group_size
+    @cached_property
+    def loads(self) -> LoadSummary:
+        """The transcript's symbols counted into normalized loads.  Each user
+        sent S symbols to each other slot of its group when it took part,
+        and S up the tree when it ended ACTIVE, deliverable or not: a sender
+        cannot know the peer dropped.  Server load counts non-null
+        server-bound symbols; the max is taken over the users that did not
+        drop."""
+        length, size = self.params.model_len, self.params.group_size
         active = self.status == UserStatus.ACTIVE.value
-        return (self.took_part * (size - 1) + active) * self.params.seg_len
+        sent = (self.took_part * (size - 1) + active) * self.params.seg_len
+        sent.flags.writeable = False
+        survivors = self.status != UserStatus.DROPPED.value
+        return LoadSummary(
+            r_server=Fraction(self._phase_counts[PHASE_SERVER]["symbols"], length),
+            r_user_max=Fraction(int(sent[survivors].max()), length),
+            r_user_avg=Fraction(int(sent.sum()), len(sent) * length),
+            sent=sent,
+        )
 
-    @lru_cache(maxsize=16)
+    @cached_property
+    def included_users(self) -> tuple:
+        """The users that took part, whose models are in the sum, ascending."""
+        return tuple(np.flatnonzero(self.took_part).tolist())
+
+    @cached_property
     def links_used(self) -> int:
         """How many links carried at least one delivered, non-null message.
         An intra share is delivered when its receiver took part too, so a
@@ -269,13 +294,13 @@ class Transcript:
         whole text, made once, and writes it in one ``fp.write``; a larger
         one is made and written a block of rows at a time
         (:meth:`_csv_blocks`)."""
-        if sum(bucket["messages"] for bucket in self._phase_counts().values()) > _CACHED_CSV_ROWS:
+        if sum(bucket["messages"] for bucket in self._phase_counts.values()) > _CACHED_CSV_ROWS:
             for text in self._csv_blocks():
                 fp.write(text)
         else:
-            fp.write(self._csv_text())
+            fp.write(self._csv_text)
 
-    @lru_cache(maxsize=16)
+    @cached_property
     def _csv_text(self) -> str:
         return "".join(self._csv_blocks())
 
@@ -340,14 +365,12 @@ class RunResult:
     the server; a row is a message only where ``status`` is ACTIVE, and
     :attr:`null` marks the users that sent an explicit null instead.  What
     any other user forwarded is made from the sums when asked for
-    (:meth:`uplinks`), and so are the (N, S, *batch) :attr:`intra` and
-    :attr:`partials`, once each.  ``took_part`` (N,) marks the users that
-    shared in the intra phase, whose models are in ``aggregate`` (L,
-    *batch), the recovered sum; both masks are the shared ``transcript``'s.
-    The run's field, sizing and tree are kept so the arrays can be read
-    without them, and its inputs, ``models`` and ``noise`` as given (None
-    where drawn from ``master_seed``), so that :meth:`blocks` can make any
-    user's block.
+    (:meth:`uplinks`).  ``took_part`` (N,) marks the users that shared in
+    the intra phase, whose models are in ``aggregate`` (L, *batch), the
+    recovered sum; both masks are the shared ``transcript``'s.  The run's
+    field, sizing and tree are kept so the arrays can be read without them,
+    and its inputs, ``models`` and ``noise`` as given (None where drawn
+    from ``master_seed``), so that :meth:`blocks` can make any user's block.
     """
 
     aggregate: np.ndarray
@@ -401,19 +424,6 @@ class RunResult:
             subtree = relay(self.sums, self.tree, self.ctx.p)[below // size]
             out[~top] = evaluate_each(subtree, eval_point_for_slot(below % size), self.ctx.p)
         return out
-
-    @cached_property
-    def partials(self) -> np.ndarray:
-        """(N, S, *batch): the :meth:`uplinks` of every user."""
-        return self.uplinks(range(self.params.n_users))
-
-    @cached_property
-    def intra(self) -> np.ndarray:
-        """(N, S, *batch): each user's in-group aggregate, its group's sums
-        at its slot's point."""
-        points = [eval_point_for_slot(t) for t in range(self.params.group_size)]
-        intra = evaluate(self.sums, points, self.ctx.p, axis=1)
-        return intra.reshape((self.params.n_users,) + self.arrivals.shape[1:])
 
     @property
     def null(self) -> np.ndarray:
@@ -796,24 +806,14 @@ def server_arrivals(sums: np.ndarray, size: int, p: int) -> np.ndarray:
 
 def relay(groups: np.ndarray, tree: AggregationTree, p: int) -> np.ndarray:
     """The inter phase on ``groups`` (G, ...): each group's sum mod p over
-    its subtree.  On the group sums (G, K+T, S, *batch) this is the
-    polynomial whose value at a slot's point its user forwards.  Wide
-    groups are folded leaves first, one in-place add of each group into its
-    parent; narrow ones take differences of prefix sums in postorder, where
-    every subtree is one contiguous range."""
-    lo, hi = tree.subtree_lo, tree.subtree_hi
+    its subtree, folded leaves first, one in-place add of each group into
+    its parent.  On the group sums (G, K+T, S, *batch) this is the
+    polynomial whose value at a slot's point its user forwards."""
     _check_subtree_sums(groups, p)
-    if math.prod(groups.shape[1:]) >= _WIDE_GROUP:
-        partials = groups.copy()
-        children = tree.postorder[:-1]  # the last group, the root, has the server above
-        for child, parent in zip(children.tolist(), tree.parents[children].tolist()):
-            partials[parent] += partials[child]
-    else:
-        # row i sums the first i groups in postorder
-        sums = np.zeros((len(groups) + 1,) + groups.shape[1:], dtype=groups.dtype)
-        np.cumsum(groups[tree.postorder], axis=0, out=sums[1:])
-        partials = sums[hi]
-        partials -= sums[lo]
+    partials = groups.copy()
+    children = tree.postorder[:-1]  # the last group, the root, has the server above
+    for child, parent in zip(children.tolist(), tree.parents[children].tolist()):
+        partials[parent] += partials[child]
     return reduce_mod(partials, p, out=partials)
 
 

@@ -134,6 +134,9 @@ class AggregationTree:
     """
 
     def __init__(self, parent: Mapping[int, Union[int, str]]):
+        for g in parent:
+            if type(g) is not int:
+                raise NotATree(f"key {g!r} is not a group index")
         groups = sorted(parent)
         num = len(groups)
         if num == 0 or groups != list(range(num)):
@@ -252,7 +255,7 @@ def count_edges(params: ProtocolParams) -> int:
     per user for each tree edge between groups; and one link per last-group
     user to the server.  The total is shape-independent.  The simulator
     counts the links a round without dropouts would use instead
-    (``Transcript.links_used`` on all-active masks), and the report keeps
+    (``Transcript.links_used`` of all-active masks), and the report keeps
     both.
     """
     return params.n_users * (params.group_size + 1) // 2

@@ -18,7 +18,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import TooManyDropouts
-from .harness import RunConfig, correctness_oracle, draw_dropouts, plain_sum, simulate
+from .harness import (
+    RunConfig,
+    correctness_oracle,
+    draw_dropouts,
+    measure,
+    plain_sum,
+    simulate,
+)
 from .privacy import (
     COUPLING_ALL_EQUAL,
     NOISE_CONSTANT,
@@ -97,6 +104,19 @@ def _check_example(config: RunConfig, **expect) -> str:
 # ---- closed-form formulas ----------------------------------------------------
 
 
+def _measure_formulas(config: RunConfig):
+    """``config``'s report from its message pattern (:func:`measure`),
+    once every closed form of :func:`~rampagg.harness.check_formulas`
+    matches it at the design point."""
+    report = measure(config.replace(assert_formula_loads=True))
+    check = report.formula_check
+    label = f"N={config.n_users} T={config.t_max} D={config.d_max} K={config.k_parts}"
+    assert check["at_design_point"], f"{label}: not at the design point"
+    for name in ("r_server", "r_user_max", "edges"):
+        assert check[f"{name}_match"], f"{label}: {name} does not match {check}"
+    return report
+
+
 def _check_load_formulas_24() -> str:
     n = 24
     runs = 0
@@ -105,28 +125,20 @@ def _check_load_formulas_24() -> str:
             if n % (k + t_max + d_max) != 0:
                 continue
             dropped = tuple(range(n - 1, n - 1 - d_max, -1))
-            config = RunConfig(
-                n_users=n,
-                t_max=t_max,
-                d_max=d_max,
-                k_parts=k,
-                model_len=k,
-                entry_bound=4,
-                dropped=dropped,
-                master_seed=7 * k + t_max,
-            )
-            report, _ = simulate(config)
-            assert report.loads.r_server == Fraction(k + t_max, k), (
-                f"T={t_max} D={d_max} K={k}: r_server {report.loads.r_server}"
-            )
-            expected_edges = n * (k + t_max + d_max + 1) // 2
-            assert report.total_edges == report.edges_formula == expected_edges, (
-                f"T={t_max} D={d_max} K={k}: edges {report.total_edges}, "
-                f"formula {report.edges_formula}, expected {expected_edges}"
+            _measure_formulas(
+                RunConfig(
+                    n_users=n,
+                    t_max=t_max,
+                    d_max=d_max,
+                    k_parts=k,
+                    model_len=k,
+                    entry_bound=4,
+                    dropped=dropped,
+                )
             )
             runs += 1
     assert runs == 24, f"{runs} (T, D, K) configurations, expected 7 + 6 + 6 + 5"
-    return f"{runs} (T, D, K) configurations matched both closed forms"
+    return f"{runs} (T, D, K) configurations matched every closed form"
 
 
 def _smallest_prime_in(low: int, high: int) -> int:
@@ -137,24 +149,18 @@ def _smallest_prime_in(low: int, high: int) -> int:
     raise AssertionError(f"no prime in ({low}, {high}]")
 
 
+def _max_partition_config(n: int) -> RunConfig:
+    """One group of ``n`` with K = N-3 (T=2, D=1), its last user dropped."""
+    k = n - 3
+    return RunConfig(
+        n_users=n, t_max=2, d_max=1, k_parts=k, model_len=k, entry_bound=256, dropped=(n - 1,)
+    )
+
+
 def _check_max_partition_point() -> str:
     details = []
     for n in (12, 24, 60):
-        k = n - 3
-        config = RunConfig(
-            n_users=n,
-            t_max=2,
-            d_max=1,
-            k_parts=k,
-            model_len=k,
-            entry_bound=256,
-            dropped=(n - 1,),
-            master_seed=n,
-        )
-        report, _ = simulate(config)
-        assert report.loads.r_server == Fraction(k + 2, k), (
-            f"N={n}: r_server {report.loads.r_server} != {Fraction(k + 2, k)}"
-        )
+        report = _measure_formulas(_max_partition_config(n))
         expected_prime = _smallest_prime_in(255 * n, 510 * n)
         assert report.prime == expected_prime, (
             f"N={n}: prime {report.prime} != {expected_prime}"
@@ -169,30 +175,12 @@ def _check_max_partition_point() -> str:
 
 def _check_asymptotic_regime() -> str:
     """The abstract's regime: one group with K = N-T-D, where both loads
-    are (1 + O(1/N)) L and every pair of users shares a link."""
-    t_max, d_max = 2, 1
+    are (1 + O(1/N)) L and every pair of users shares a link, up to a
+    million users: the loads are counted from the message pattern alone."""
     gaps = []
-    for n in (120, 600, 1200):
-        k = n - t_max - d_max
-        config = RunConfig(
-            n_users=n,
-            t_max=t_max,
-            d_max=d_max,
-            k_parts=k,
-            model_len=k,
-            entry_bound=256,
-            dropped=(n - 1,),
-            master_seed=n,
-        )
-        report, _ = simulate(config)
-        got = (report.loads.r_server, report.loads.r_user_max, report.total_edges)
-        expected = (
-            Fraction(k + t_max, k), Fraction(k + t_max + d_max, k), n * (n + 1) // 2
-        )
-        assert got == expected, (
-            f"N={n}: (r_server, r_user_max, edges) {got} != {expected}"
-        )
-        gaps.append((n, got[0] - 1, got[1] - 1))
+    for n in (120, 600, 1200, 12_000, 120_000, 1_200_000):
+        loads = _measure_formulas(_max_partition_config(n)).loads
+        gaps.append((n, loads.r_server - 1, loads.r_user_max - 1))
     for (n, server, user), (m, next_server, next_user) in zip(gaps, gaps[1:]):
         assert next_server < server and next_user < user, (
             f"load gaps did not shrink from N={n} to N={m}"

@@ -8,8 +8,9 @@ enumeration by one protocol run per model assignment and its leak by one
 Python term per assignment and view value, the relay
 by a fold over the groups, the transcript CSV by ``csv.writer`` and who
 hears whom by a filter over its rows, the
-adversary view message by message from the run's arrays, a round's
-coefficient array and group sums entry by entry.  Slow and
+adversary view message by message from the run's blocks and group sums,
+each user's in-group aggregate by repeated pow, a round's coefficient
+array and group sums entry by entry.  Slow and
 obvious beats fast and clever here.  Also the JSON values, parent maps and
 rounds the property tests draw their inputs from, and the environment of
 the child interpreters some tests start.
@@ -211,6 +212,19 @@ def relay_fold_naive(intra, dead, tree, p):
     return partials, silent
 
 
+def intra_naive(sums, size, p):
+    """Each user's in-group aggregate, (G, size, S, *batch) in the dtype of
+    the (G, K+T, S, *batch) group ``sums``: its group's summed polynomial
+    at its slot's point, one coefficient times a repeated pow at a time,
+    reduced mod p after each term."""
+    intra = np.zeros((len(sums), size) + sums.shape[2:], dtype=sums.dtype)
+    for slot in range(size):
+        x = eval_point_for_slot(slot)
+        for j in range(sums.shape[1]):
+            intra[:, slot] = (intra[:, slot] + sums[:, j] * pow(x, j, p)) % p
+    return intra
+
+
 # ---- transcript ---------------------------------------------------------------
 
 ACTIVE, DROPPED, SILENCED = 0, 1, 2  # user status codes, as in RunResult.status
@@ -385,11 +399,16 @@ def adversary_view_naive(result, adversaries):
     group (none when it dropped; a dropped or silenced child slot sends
     nothing that counts); then the last group's non-null server arrivals.
     The blocks come from :func:`coefficient_array_naive` of the run's
-    inputs."""
+    inputs, the partial sums from :func:`relay_fold_naive` of the
+    :func:`intra_naive` aggregates of the run's group sums."""
     size, p = result.params.group_size, result.ctx.p
     coeffs = coefficient_array_naive(
         result.params, p, result.models, result.noise, result.master_seed
     )
+    intra = intra_naive(result.sums, size, p)
+    dead = np.zeros(intra.shape[:2], dtype=bool)
+    partials = relay_fold_naive(intra, dead, result.tree, p)[0]
+    partials = partials.reshape((-1,) + partials.shape[2:])
     status, took_part = result.status.tolist(), result.took_part.tolist()
     messages = []
     for a in sorted(set(adversaries)):
@@ -400,11 +419,11 @@ def adversary_view_naive(result, adversaries):
         messages += [share[0] for share in shares]
         if status[a] != DROPPED:
             kids = [c * size + slot for c in children_naive(result.tree, group)]
-            messages += [result.partials[u] for u in kids if status[u] == ACTIVE]
+            messages += [partials[u] for u in kids if status[u] == ACTIVE]
     last = result.tree.last_group * size
-    messages += [result.partials[u] for u in range(last, last + size) if status[u] == ACTIVE]
+    messages += [partials[u] for u in range(last, last + size) if status[u] == ACTIVE]
     if not messages:
-        return np.empty((0,) + result.partials.shape[1:], result.partials.dtype)
+        return np.empty((0,) + partials.shape[1:], partials.dtype)
     return np.stack(messages)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rampagg import cli
+from rampagg import cli, harness, protocol
 from rampagg.cli import main
 from rampagg.protocol import Transcript
 from rampagg.verify import CheckResult
@@ -110,7 +110,7 @@ def test_run_refuses_a_coefficient_array_past_numpys_limit(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _out_of_memory(config):
+def _out_of_memory(*args):
     raise MemoryError
 
 
@@ -140,13 +140,12 @@ def test_run_turns_memory_error_while_writing_into_exit_2(
 
 
 def test_sweep_turns_memory_error_into_exit_2(tmp_path, sweep_file, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "simulate", _out_of_memory)
+    monkeypatch.setattr(cli, "measure", _out_of_memory)
     assert main(["sweep", str(sweep_file), "--out", str(tmp_path / "out")]) == 2
-    # the first task's round, at k_parts=1: K+T = 3 rows of S = 9 per user,
-    # in groups of 4
+    # a row runs no round: it holds only its message pattern
     err = capsys.readouterr().err
-    assert "n_users=12, model_len=9" in err
-    assert "a (12, 3, 9) block, (3, 3, 9) group sums and (4, 9) server arrivals (3528 bytes)" in err
+    assert "n_users=12: out of memory for a sweep row that holds the two (12,) masks" in err
+    assert "Traceback" not in err
 
 
 def test_run_refuses_formula_assertions_on_tiny_prime(tmp_path, capsys):
@@ -179,6 +178,25 @@ def test_run_rejects_ill_typed_field_with_exit_2(tmp_path, capsys, field, value)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "shape,needle",
+    [
+        # "1" and "01" name one group: neither parent may silently win
+        ({"0": 3, "1": 3, "01": 2, "2": 3, "3": "server"}, "key '01' names group 1 again"),
+        ({"0": 1, " 2": 3, "1": 3, "3": "server"}, "key ' 2' is not a group index"),
+    ],
+    ids=["colliding-keys", "key-not-an-index"],
+)
+def test_run_rejects_tree_shape_keys_naming_the_key(tmp_path, capsys, shape, needle):
+    # four groups of 6
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "n_users": 24, "tree_shape": shape}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: tree_shape: {needle}" in err
+    assert "Traceback" not in err
 
 
 def test_an_ill_typed_dropout_is_refused_after_its_integer_twin_ran(tmp_path, capsys):
@@ -273,47 +291,36 @@ def test_sweep_rows_and_skips(tmp_path, sweep_file, capsys):
     assert [by_k[k]["delay"] for k in ("1", "3", "9")] == ["4", "3", "2"]
 
 
-def test_sweep_parallel_output_identical(tmp_path, sweep_file):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["sweep", str(sweep_file), "--out", str(out_a)]) == 0
-    assert main(["sweep", str(sweep_file), "--out", str(out_b), "--jobs", "3"]) == 0
-    assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+def test_sweep_csv_is_byte_stable(tmp_path, sweep_file):
+    out = tmp_path / "out"
+    assert main(["sweep", str(sweep_file), "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == (
+        b"k_parts,r_server,r_user_max,edges,delay\r\n"
+        b"1,3.0,4.0,30,4\r\n"
+        b"3,1.6666666666666667,2.0,42,3\r\n"
+        b"9,1.2222222222222223,1.3333333333333333,78,2\r\n"
+    )
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records the worker count it was
-    asked for and maps in this process, so no worker is started."""
-
-    requested = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+def _refuse(*args, **kwargs):
+    raise AssertionError("a round ran")
 
 
-@pytest.mark.parametrize("cpus,expected", [(3, [3]), (64, [3]), (1, [])])
-def test_sweep_jobs_capped_at_cpus_and_tasks(
-    tmp_path, sweep_file, monkeypatch, cpus, expected
-):
-    # three tasks: k in {1, 3, 9}
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "requested", [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    out_serial, out_capped = tmp_path / "serial", tmp_path / "capped"
-    assert main(["sweep", str(sweep_file), "--out", str(out_serial)]) == 0
-    assert main(["sweep", str(sweep_file), "--out", str(out_capped), "--jobs", "1000"]) == 0
-    assert _SerialPool.requested == expected
-    assert (out_serial / "sweep.csv").read_bytes() == (
-        out_capped / "sweep.csv"
-    ).read_bytes()
+def test_sweep_and_formulas_run_no_round(tmp_path, sweep_file, monkeypatch, capsys):
+    # their rows and checks are counted from the message pattern alone
+    for module in protocol, harness:
+        monkeypatch.setattr(module, "run_protocol", _refuse)
+    monkeypatch.setattr(protocol, "write_blocks", _refuse)
+    assert main(["sweep", str(sweep_file), "--out", str(tmp_path)]) == 0
+    assert main(["verify", "formulas"]) == 0
+    assert "all 4 checks passed" in capsys.readouterr().out
+
+
+def test_sweep_has_no_jobs_option(tmp_path, sweep_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(sweep_file), "--out", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_sweep_rejects_malformed_spec(tmp_path, capsys):
@@ -358,14 +365,11 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys):
         ("sweep", {"base": BASE_CONFIG, "k_values": [3], "out_csv": "nope/sub/x.csv"},
          "out", "out_csv"),
         ("sweep", {"base": BASE_CONFIG, "k_values": [3], "out_csv": "."}, "out", "out_csv"),
-        ("sweep --jobs 0", {"base": BASE_CONFIG, "k_values": [3]}, "out", "--jobs"),
-        ("sweep --jobs -4", {"base": BASE_CONFIG, "k_values": [3]}, "out", "--jobs"),
     ],
     ids=[
         "run-missing-fields", "run-prime-above-int64", "run-out-is-a-file",
         "run-total-delay-not-finite",
         "sweep-base-missing-fields", "sweep-out-csv-no-dir", "sweep-out-csv-is-a-dir",
-        "sweep-jobs-0", "sweep-jobs-negative",
     ],
 )
 def test_bad_input_or_output_exits_2_naming_the_field(

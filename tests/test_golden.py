@@ -155,7 +155,7 @@ def test_int64_bound_both_sides_sum_exactly(prime, dtype, dropped):
     assert field_dtype(prime, 2) == dtype
     report, result = simulate(config)
     assert result.blocks([0]).dtype == dtype
-    assert result.partials.dtype == dtype
+    assert result.sums.dtype == dtype
     if dropped:
         assert (result.status == UserStatus.SILENCED).sum() == 1
     models = protocol.draw_models(result.params, config.master_seed)

@@ -1,5 +1,7 @@
 """Config validation, load measurement, reporting, adversary views, oracle."""
 
+import dataclasses
+import gc
 import inspect
 import io
 import json
@@ -7,6 +9,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -20,10 +23,11 @@ from rampagg.errors import ConfigInvalid, NonConformingField
 from rampagg.harness import (
     SCHEMA_VERSION,
     RunConfig,
+    RunReport,
     collect_adversary_view,
     correctness_oracle,
     generate_models,
-    measure_loads,
+    measure,
     plain_sum,
     simulate,
 )
@@ -214,7 +218,7 @@ def test_loads_two_group_example():
 
 def test_measure_loads_ignores_dropped_in_max():
     report, result = simulate(example1())
-    loads = measure_loads(result.transcript)
+    loads = result.transcript.loads
     assert loads.r_user_max == Fraction(4, 3)
     # the dropped user sent nothing, and the average still counts it
     assert loads.sent[list(example1().dropped)].tolist() == [0]
@@ -225,12 +229,77 @@ def test_measure_loads_is_kept_per_transcript():
     # rounds of one pattern share one summary, so its counts are read-only
     report, result = simulate(example1())
     again, _ = simulate(example1())
-    assert measure_loads(result.transcript) is report.loads is again.loads
+    assert result.transcript.loads is result.transcript.loads
+    assert result.transcript.loads is report.loads is again.loads
     with pytest.raises(ValueError, match="read-only"):
         report.loads.sent[0] = 99
     fresh = Transcript(result.params, result.tree, result.took_part, result.status)
-    assert measure_loads(fresh) is not report.loads
-    assert measure_loads(fresh).sent.tolist() == report.loads.sent.tolist()
+    assert fresh.loads is not report.loads
+    assert fresh.loads.sent.tolist() == report.loads.sent.tolist()
+
+
+ROUND_WIDE = RunConfig(
+    n_users=120, t_max=2, d_max=1, k_parts=9, model_len=999, entry_bound=256, dropped=(2,)
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ROUND_WIDE,
+        ROUND_WIDE.replace(k_parts=3, model_len=999, assert_formula_loads=True),
+        *(
+            RunConfig(
+                n_users=2400, t_max=2, d_max=1, k_parts=k, model_len=12, entry_bound=16,
+                tree_shape=shape, dropped=(17,), dropout_timing="between_rounds",
+            )
+            for k, shape in ((1, "chain"), (2, "star"))
+        ),
+        RunConfig(
+            n_users=24, t_max=2, d_max=2, k_parts=2, model_len=5, entry_bound=4,
+            tree_shape={0: 3, 1: 3, 2: 3, 3: "server"}, dropped=(1, 9),
+            dropout_timing="between_rounds",
+        ),
+    ],
+    ids=["round-wide", "formula-loads", "sweep-deep-chain", "sweep-deep-star", "explicit-map"],
+)
+def test_measure_is_simulate_without_the_aggregate(monkeypatch, config):
+    report, result = simulate(config)
+    protocol.message_pattern.cache_clear()  # a pattern made anew, not the round's
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure ran a round")
+
+    monkeypatch.setattr(protocol, "write_blocks", refuse)
+    monkeypatch.setattr(harness, "run_protocol", refuse)
+    counted = measure(config)
+    assert counted.aggregate is None and report.aggregate is not None
+    assert counted.loads is not report.loads
+    for name in ("r_server", "r_user_max", "r_user_avg"):
+        assert getattr(counted.loads, name) == getattr(report.loads, name)
+    assert np.array_equal(counted.loads.sent, report.loads.sent)
+    for field in dataclasses.fields(RunReport):
+        if field.name not in ("aggregate", "loads"):
+            assert getattr(counted, field.name) == getattr(report, field.name), field.name
+    assert (counted.formula_check is not None) == config.assert_formula_loads
+    assert json.loads(counted.to_json()) == {**json.loads(report.to_json()), "aggregate": None}
+
+
+def test_a_transcript_lives_only_as_long_as_its_pattern_is_kept():
+    # what a transcript makes is kept on it, and nowhere else, so clearing
+    # the pattern cache frees it once its round is gone
+    config = example2()
+    protocol.message_pattern.cache_clear()
+    report, result = simulate(config)
+    result.transcript.to_csv(io.StringIO())
+    assert measure(config).loads is report.loads
+    kept = weakref.ref(result.transcript)
+    del report, result
+    gc.collect()
+    assert kept() is not None  # the cache still holds it
+    protocol.message_pattern.cache_clear()
+    gc.collect()
+    assert kept() is None
 
 
 # ---- report ----
@@ -448,8 +517,8 @@ def test_adversary_view_two_group_example():
     assert view.shape == (4 + 6 + 5, 3)
     assert np.array_equal(view[:4], _shares(result, [1, 3, 4, 5], 0))
     assert np.array_equal(view[4:9], _shares(result, [7, 8, 9, 10, 11], 6))
-    assert np.array_equal(view[9], result.partials[0])
-    assert np.array_equal(view[10:], result.partials[[6, 7, 9, 10, 11]])
+    assert np.array_equal(view[9], result.uplinks([0])[0])
+    assert np.array_equal(view[10:], result.uplinks([6, 7, 9, 10, 11]))
 
 
 def test_adversary_view_contains_nothing_for_others():
@@ -458,7 +527,7 @@ def test_adversary_view_contains_nothing_for_others():
     view = collect_adversary_view(result, config.adversaries)
     # user 4's own share is computed locally; nobody else's inbox appears
     expected = np.concatenate(
-        [_shares(result, [0, 1, 3, 5], 4), result.partials[[6, 7, 9, 10, 11]]]
+        [_shares(result, [0, 1, 3, 5], 4), result.uplinks([6, 7, 9, 10, 11])]
     )
     assert np.array_equal(view, expected)
 
@@ -467,7 +536,7 @@ def test_adversary_view_of_a_dropped_colluder_is_the_server_stream():
     config = example2().replace(adversaries=(2,))  # user 2 dropped pre_intra
     _, result = simulate(config)
     view = collect_adversary_view(result, (2,))
-    assert np.array_equal(view, result.partials[[6, 7, 9, 10, 11]])
+    assert np.array_equal(view, result.uplinks([6, 7, 9, 10, 11]))
 
 
 def test_intra_share_points_match_receiver_slot():
@@ -540,7 +609,7 @@ def test_adversary_view_matches_user_by_user_oracle(round_, p, batch, data):
     with pytest.MonkeyPatch.context() as patch:  # the view makes no CSV text
         for text_maker in "_csv_heads", "_csv_tails", "_intra_users":
             patch.setattr(protocol, text_maker, _refuse_rows)
-        patch.setattr(Transcript, "_csv_text", _refuse_rows)
+        patch.setattr(Transcript, "_csv_text", property(_refuse_rows))
         view = collect_adversary_view(result, adversaries)
     expected = adversary_view_naive(result, adversaries)
     assert view.dtype == expected.dtype == field_dtype(p, k + t)

@@ -356,7 +356,7 @@ def _links_without_dropouts(params, tree):
     """How many links a round nobody drops out of uses: every potential link."""
     n = params.n_users
     everyone = np.ones(n, dtype=bool)
-    return Transcript(params, tree, everyone, np.zeros(n, dtype=np.int8)).links_used()
+    return Transcript(params, tree, everyone, np.zeros(n, dtype=np.int8)).links_used
 
 
 @pytest.mark.parametrize("shape", ["chain", "star"])
