@@ -77,9 +77,9 @@ def _unwritable(name: str):
 def _in_memory(config: RunConfig, row: bool = False):
     """Turn a MemoryError while ``config`` runs or its outputs are written
     into ConfigInvalid naming the fields that size what it holds: a
-    streamed round one block of drawn users, the group sums, and the last
-    group's arrivals at the server; a sweep ``row`` only the two (N,) masks
-    of its message pattern."""
+    streamed round one block of drawn users, the (K+T, S) total of the
+    blocks, and the last group's arrivals at the server; a sweep ``row``
+    only the two (N,) masks of its message pattern."""
     try:
         yield
     except MemoryError:
@@ -92,13 +92,13 @@ def _in_memory(config: RunConfig, row: bool = False):
         width, seg_len = params.k_parts + params.t_max, params.seg_len
         shapes = (
             (block_rows(params), width, seg_len),
-            (params.num_groups, width, seg_len),
+            (width, seg_len),
             (params.group_size, seg_len),
         )
         nbytes = 8 * sum(map(math.prod, shapes))
         raise ConfigInvalid(
             f"n_users={config.n_users}, model_len={config.model_len}: out of memory "
-            f"for a round that holds a {shapes[0]} block, {shapes[1]} group sums "
+            f"for a round that holds a {shapes[0]} block, a {shapes[1]} total "
             f"and {shapes[2]} server arrivals ({nbytes} bytes)"
         ) from None
 

@@ -6,13 +6,15 @@ every load figure is an exact rational computed purely by counting
 transcript symbols, never by evaluating the closed-form expressions it is
 later compared against, and none needs a draw or any field arithmetic.
 :func:`simulate` runs the round too, its models and noise drawn from
-``master_seed`` a block of users at a time and summed by group as they come
-(:func:`rampagg.protocol.stream_group_sums`), and adds its aggregate.
+``master_seed`` a block of users at a time and folded into one total as
+they come (:func:`rampagg.protocol.fold_blocks`), and adds its aggregate.
 :func:`correctness_oracle` replays randomized rounds, drawn the same way
 from derived seeds, against a plain-integer summation oracle, and
 :func:`collect_adversary_view` makes exactly the messages a colluding set
 plus the server receive, as the transcript picks them, from its intra
-senders' blocks and the group sums.
+senders' blocks and the group sums, both made again from the round's
+inputs when read, so inputs given as arrays must not change after the
+round.
 """
 
 import dataclasses

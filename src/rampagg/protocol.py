@@ -2,21 +2,23 @@
 
 A round is one coefficient array of shape (N, K+T, S, *batch) (see
 :mod:`rampagg.sharing`) plus one status code per user, and each of its three
-phases is an array operation.  The phases read the array only through its
-(G, K+T, S, *batch) group sums, so no round builds it: its models and
-noise, each given or drawn from its stream, are written a block of users at
-a time into one buffer laid out like the array (:func:`write_blocks`) and
-summed into the group sums as they come (:func:`stream_group_sums`).
+phases is an array operation.  The server reads the array only through
+its (K+T, S, *batch) total, so no round builds it: its models and noise,
+each given or drawn from its stream, are written a block of users at a
+time into one buffer laid out like the array (:func:`write_blocks`) and
+folded into the total as they come (:func:`fold_blocks`).  Other messages
+read the (G, K+T, S, *batch) group sums, streamed from the same inputs
+when read (:attr:`RunResult.sums`), so given inputs must not change.
 
 intra   Every active user evaluates its block at each slot's evaluation
         point and sends the result to the user in that slot of its own group
         (its own slot is computed locally at zero cost).  Each user then sums
         everything it received into one in-group aggregate.  By linearity
         that aggregate is the group's summed blocks evaluated at the
-        receiver's point.  A round keeps only the group sums; an aggregate
-        is made from them only where a message built on it is read.  Users
-        that dropped before the round never share; their blocks are left
-        out of the sums, which is equivalent to presuming them zero.
+        receiver's point.  An aggregate is made from the group sums only
+        where a message built on it is read.  Users that dropped before the
+        round never share; their blocks are left out of the sums, which is
+        equivalent to presuming them zero.
 
 inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         the partial sums received from the matching slot of each child
@@ -33,13 +35,13 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
 
 server  The last group's users do the same send toward the server.  The
         root's subtree is every group, so their messages are the total of
-        all group sums evaluated at the last group's points: one sum and
-        one Vandermonde product, the only evaluation a round runs
-        (:func:`server_arrivals`).  The server applies the (K+T, K+T)
-        inverse Vandermonde matrix of the first K+T non-null arrivals'
-        points to them, which interpolates the summed polynomial of every
-        coordinate at once, checks every further arrival against it, and
-        reads the summed model segments off its low-order coefficients.
+        all included blocks evaluated at the last group's points, the only
+        evaluation a round runs (:func:`server_arrivals`).  The server
+        applies the (K+T, K+T) inverse Vandermonde matrix of the first K+T
+        non-null arrivals' points to them, which interpolates the summed
+        polynomial of every coordinate at once, checks every further
+        arrival against it, and reads the summed model segments off its
+        low-order coefficients.
 
 Senders never know who dropped, so a message addressed to a dropped user is
 still transmitted (it costs the sender symbols) but it is never delivered
@@ -360,21 +362,21 @@ class DropoutPlan:
 class RunResult:
     """Outcome of one protocol run.
 
-    ``sums`` (G, K+T, S, *batch) holds each group's summed blocks and
-    ``arrivals`` (size, S, *batch) what the last group's slots forwarded to
-    the server; a row is a message only where ``status`` is ACTIVE, and
-    :attr:`null` marks the users that sent an explicit null instead.  What
-    any other user forwarded is made from the sums when asked for
-    (:meth:`uplinks`).  ``took_part`` (N,) marks the users that shared in
-    the intra phase, whose models are in ``aggregate`` (L, *batch), the
-    recovered sum; both masks are the shared ``transcript``'s.  The run's
-    field, sizing and tree are kept so the arrays can be read without them,
-    and its inputs, ``models`` and ``noise`` as given (None where drawn
-    from ``master_seed``), so that :meth:`blocks` can make any user's block.
+    ``arrivals`` (size, S, *batch) holds what the last group's slots
+    forwarded to the server; a row is a message only where ``status`` is
+    ACTIVE, and :attr:`null` marks the users that sent an explicit null
+    instead.  What any other user forwarded is made from the group
+    :attr:`sums` when asked for (:meth:`uplinks`).  ``took_part`` (N,)
+    marks the users that shared in the intra phase, whose models are in
+    ``aggregate`` (L, *batch), the recovered sum; both masks are the shared
+    ``transcript``'s.  The run's field, sizing and tree are kept so the
+    arrays can be read without them, and its inputs, ``models`` and
+    ``noise`` as given (None where drawn from ``master_seed``), so that
+    :meth:`blocks` and :attr:`sums` can be made again from them: inputs
+    given as arrays must not change after the round.
     """
 
     aggregate: np.ndarray
-    sums: np.ndarray
     arrivals: np.ndarray
     status: np.ndarray
     took_part: np.ndarray
@@ -405,6 +407,13 @@ class RunResult:
             if first + len(block) > users.max(initial=-1):
                 break
         return out
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        """The round's (G, K+T, S, *batch) :func:`stream_group_sums`, made
+        from its inputs on first read: the round holds only their total."""
+        inputs = self.params, self.ctx.p, self.models, self.noise, self.master_seed
+        return stream_group_sums(*inputs, np.flatnonzero(~self.took_part).tolist())
 
     def uplinks(self, senders) -> np.ndarray:
         """The (len(senders), S, *batch) partial sums ``senders`` forwarded up
@@ -659,13 +668,16 @@ def _reduced(given: np.ndarray, dtype, p: int) -> bool:
     return not given.size or (given.min() >= 0 and given.max() < p)
 
 
-def write_blocks(params: ProtocolParams, p: int, models, noise, master_seed: int = 0):
+def write_blocks(
+    params: ProtocolParams, p: int, models, noise, master_seed: int = 0, pre_dropped=()
+):
     """Yield ``(first, block)`` for consecutive blocks of a round's
     coefficient array (N, K+T, S, *batch): ``block`` holds the blocks of
     users ``first`` .. ``first + len(block) - 1``, written by :func:`_write`
-    into one buffer that the next block overwrites.  A block holds
-    :func:`block_rows` users, whole groups or users of one group.  An input
-    left None is read from its stream of ``master_seed``,
+    into one buffer that the next block overwrites, with the rows of the
+    ``pre_dropped`` users zeroed, which leaves them out of every sum.  A
+    block holds :func:`block_rows` users, whole groups or users of one
+    group.  An input left None is read from its stream of ``master_seed``,
     :func:`model_stream` or :func:`noise_stream`, and drawn noise has no
     batch axes."""
     n = params.n_users
@@ -679,6 +691,9 @@ def write_blocks(params: ProtocolParams, p: int, models, noise, master_seed: int
         for first in range(start, stop, rows):
             block = buffer[: min(rows, stop - first)]
             _write(block, params, p, models, noise, slice(first, first + len(block)))
+            dropped = [u - first for u in pre_dropped if first <= u < first + len(block)]
+            if dropped:
+                block[dropped] = 0
             yield first, block
 
 
@@ -687,15 +702,11 @@ def stream_group_sums(
 ) -> np.ndarray:
     """The (G, K+T, S, *batch) sums mod p of each group's coefficient
     blocks but those of the ``pre_dropped`` users, from the blocks of
-    :func:`write_blocks` as they come: each block's dropouts are zeroed and
-    it is summed into its groups, and a group larger than a block adds up
-    its blocks."""
+    :func:`write_blocks` as they come: each is summed into its groups, and
+    a group larger than a block adds up its blocks."""
     size = params.group_size
     sums = _empty_blocks(params, p, noise, params.num_groups)
-    for first, block in write_blocks(params, p, models, noise, master_seed):
-        dropped = [u - first for u in pre_dropped if first <= u < first + len(block)]
-        if dropped:
-            block[dropped] = 0
+    for first, block in write_blocks(params, p, models, noise, master_seed, pre_dropped):
         group = first // size
         pieces = block.reshape((-1, min(len(block), size)) + block.shape[1:])
         if first % size == 0:
@@ -703,6 +714,24 @@ def stream_group_sums(
         else:  # a later block of a group larger than a block
             sums[group] += pieces[0].sum(axis=0)
     return reduce_mod(sums, p, out=sums)
+
+
+def fold_blocks(blocks, p: int) -> np.ndarray:
+    """The (K+T, S, *batch) sum mod p of every row of each ``(first,
+    block)`` of ``blocks``, one running total.  Int64 blocks mean p <
+    2**31.5 and at most 2**16 rows a block, so a block's rows and the total
+    stay below 2**48, and :func:`_check_sums` makes sure; objects are exact."""
+    total = 0
+    for _, block in blocks:
+        _check_sums(len(block) + 1, block.dtype, p, "block sums")
+        # sum(axis=0) loops once per row: on rows of a few hundred entries or
+        # fewer, as sweep-deep's (K+T) * 12, einsum is up to 3x as fast, and
+        # on wider ones up to 20% slower
+        narrow = block.dtype != object and block[0].size <= 256
+        here = np.einsum("i...->...", block) if narrow else block.sum(axis=0)
+        here += total
+        total = reduce_mod(here, p, out=here)
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -750,9 +779,9 @@ def run_protocol(
     models' batch axes broadcast to the noise's, so plain (N, L) models
     serve every batch column alike.  An input left None is drawn from
     ``master_seed``, and drawn noise has no batch axes.  Either way the
-    round sums :func:`write_blocks`' blocks into its group sums
-    (:func:`stream_group_sums`), so it never holds the coefficient array,
-    and evaluates from them only what reaches the server
+    round folds :func:`write_blocks`' blocks into one total
+    (:func:`fold_blocks`), so it holds neither the coefficient array nor
+    the group sums, and evaluates only what reaches the server
     (:func:`server_arrivals`); every other message is made when read.  Who
     takes part and who is silenced is the round's :func:`message_pattern`.
     """
@@ -766,8 +795,8 @@ def run_protocol(
     size, p = params.group_size, ctx.p
 
     pre_dropped = np.flatnonzero(~transcript.took_part).tolist()
-    sums = stream_group_sums(params, p, models, noise, master_seed, pre_dropped)
-    arrivals = server_arrivals(sums, size, p)
+    blocks = write_blocks(params, p, models, noise, master_seed, pre_dropped)
+    arrivals = server_arrivals(fold_blocks(blocks, p), size, p)
     last = tree.last_group * size
     null_slots = transcript.status[last:] != UserStatus.ACTIVE.value
     try:
@@ -782,25 +811,23 @@ def run_protocol(
             causes.append(f"{t} (dropped {', '.join(map(str, users))})")
         raise TooManyDropouts(f"{exc}; null slots: {', '.join(causes)}") from None
     return RunResult(
-        aggregate, sums, arrivals, transcript.status, transcript.took_part, transcript, ctx,
+        aggregate, arrivals, transcript.status, transcript.took_part, transcript, ctx,
         params, tree, models, noise, master_seed,
     )
 
 
-def _check_subtree_sums(groups: np.ndarray, p: int) -> None:
-    """ValueError when a sum of every one of ``groups``, each entry in [0,
-    p), could overflow its int64 dtype."""
-    if groups.dtype != object and len(groups) * (p - 1) >= 2**63:
-        raise ValueError(f"subtree sums of {len(groups)} groups mod {p} overflow int64")
+def _check_sums(terms: int, dtype, p: int, what: str) -> None:
+    """ValueError naming ``what`` when a sum of ``terms`` entries of
+    ``dtype``, each in [0, p), could overflow int64."""
+    if dtype != object and terms * (p - 1) >= 2**63:
+        raise ValueError(f"{what} of {terms} terms mod {p} overflow int64")
 
 
-def server_arrivals(sums: np.ndarray, size: int, p: int) -> np.ndarray:
+def server_arrivals(total: np.ndarray, size: int, p: int) -> np.ndarray:
     """What the last group's ``size`` slots forward to the server, (size,
-    S, *batch) by slot.  The root's subtree is every group, so by linearity
-    that is the total mod p of the (G, K+T, S, *batch) group ``sums``,
-    evaluated at the slots' points; ValueError as in :func:`relay`."""
-    _check_subtree_sums(sums, p)
-    total = reduce_mod(sums.sum(axis=0), p)
+    S, *batch) by slot: by linearity the ``total`` of every included block
+    (:func:`fold_blocks`), as the root's subtree is every group, evaluated
+    at the slots' points."""
     return evaluate(total, [eval_point_for_slot(t) for t in range(size)], p)
 
 
@@ -809,7 +836,7 @@ def relay(groups: np.ndarray, tree: AggregationTree, p: int) -> np.ndarray:
     its subtree, folded leaves first, one in-place add of each group into
     its parent.  On the group sums (G, K+T, S, *batch) this is the
     polynomial whose value at a slot's point its user forwards."""
-    _check_subtree_sums(groups, p)
+    _check_sums(len(groups), groups.dtype, p, "subtree sums")
     partials = groups.copy()
     children = tree.postorder[:-1]  # the last group, the root, has the server above
     for child, parent in zip(children.tolist(), tree.parents[children].tolist()):

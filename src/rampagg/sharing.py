@@ -17,9 +17,11 @@ array the caller gave or else from its random stream.  Given models may
 carry batch axes of their own, and the assignment broadcasts them to the
 noise's.  Given inputs are reduced mod p as they are written; drawn noise
 lies in [0, p) by construction, and drawn models are reduced mod p only
-when the modulus is below their entry bound.  The round keeps only each
-block's group sums (:func:`rampagg.protocol.stream_group_sums`), never the
-array itself.
+when the modulus is below their entry bound.  The round folds each block
+into one running total (:func:`rampagg.protocol.fold_blocks`), never
+keeping the array or its group sums, which are streamed again from the
+same inputs when read (:attr:`rampagg.protocol.RunResult.sums`): inputs
+given as arrays must not change after the round.
 
 A share is a block evaluated at one non-zero point, that is one row of a
 Vandermonde matrix applied along the K+T axis.  Evaluation is linear, so

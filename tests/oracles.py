@@ -400,12 +400,13 @@ def adversary_view_naive(result, adversaries):
     nothing that counts); then the last group's non-null server arrivals.
     The blocks come from :func:`coefficient_array_naive` of the run's
     inputs, the partial sums from :func:`relay_fold_naive` of the
-    :func:`intra_naive` aggregates of the run's group sums."""
+    :func:`intra_naive` aggregates of their :func:`group_sums_naive`."""
     size, p = result.params.group_size, result.ctx.p
     coeffs = coefficient_array_naive(
         result.params, p, result.models, result.noise, result.master_seed
     )
-    intra = intra_naive(result.sums, size, p)
+    pre_dropped = np.flatnonzero(~result.took_part).tolist()
+    intra = intra_naive(group_sums_naive(coeffs, size, pre_dropped, p), size, p)
     dead = np.zeros(intra.shape[:2], dtype=bool)
     partials = relay_fold_naive(intra, dead, result.tree, p)[0]
     partials = partials.reshape((-1,) + partials.shape[2:])

@@ -119,8 +119,8 @@ def test_run_turns_memory_error_into_exit_2(tmp_path, config_file, monkeypatch, 
     assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
-    # one block of the whole round, group sums of 2 groups, 6 server arrivals
-    assert "a (12, 5, 3) block, (2, 5, 3) group sums and (6, 3) server arrivals (1824 bytes)" in err
+    # one block of the whole round, the blocks' total, 6 server arrivals
+    assert "a (12, 5, 3) block, a (5, 3) total and (6, 3) server arrivals (1704 bytes)" in err
 
 
 def test_run_turns_memory_error_while_writing_into_exit_2(
@@ -134,8 +134,8 @@ def test_run_turns_memory_error_while_writing_into_exit_2(
     assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
-    # one block of the whole round, group sums of 2 groups, 6 server arrivals
-    assert "a (12, 5, 3) block, (2, 5, 3) group sums and (6, 3) server arrivals (1824 bytes)" in err
+    # one block of the whole round, the blocks' total, 6 server arrivals
+    assert "a (12, 5, 3) block, a (5, 3) total and (6, 3) server arrivals (1704 bytes)" in err
     assert "Traceback" not in err
 
 

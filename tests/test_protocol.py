@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rampagg import field, protocol, sharing
+from rampagg.cli import main
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
 from rampagg.field import FieldContext, field_dtype, is_prime
 from rampagg.harness import RunConfig, collect_adversary_view, plain_sum, simulate
@@ -34,6 +36,7 @@ from rampagg.protocol import (
     UserStatus,
     derive_seed,
     eval_point_for_slot,
+    fold_blocks,
     message_pattern,
     relay,
     run_protocol,
@@ -47,6 +50,7 @@ from oracles import (
     ACTIVE,
     DROPPED,
     SILENCED,
+    adversary_view_naive,
     coefficient_array_naive,
     eval_poly_naive,
     group_sums_naive,
@@ -685,44 +689,84 @@ def _refuse(*args):
     raise AssertionError("relay called")
 
 
+# round-wide's shape; and the benchmark's privacy case, where colluder 0
+# sits in the chain's leaf group, so it hears no uplink and the server
+# hears only the arrivals
+_WIDE = RunConfig(
+    n_users=120, t_max=2, d_max=1, k_parts=9, model_len=99, entry_bound=256, dropped=(2,)
+)
+_LEAF_CASE = PrivacyCase(
+    n_users=6, t_max=1, d_max=0, k_parts=2, prime=5, adversaries=(0,),
+    tree_shape="chain", model_bound=2,
+)  # fmt: skip
+
+
+def _wide_and_leaf_outputs():
+    """_WIDE's report.json and transcript.csv text, and _LEAF_CASE's
+    verdict."""
+    report, result = simulate(_WIDE)
+    buf = io.StringIO()
+    result.transcript.to_csv(buf)
+    return report.to_json(), buf.getvalue(), privacy_bruteforce(_LEAF_CASE)
+
+
 def test_a_round_and_a_leaf_colluders_view_never_relay(monkeypatch):
-    # the benchmark's privacy case: colluder 0 sits in the chain's leaf
-    # group, so it hears no uplink and the server hears only the arrivals
-    config = RunConfig(
-        n_users=120, t_max=2, d_max=1, k_parts=9, model_len=99, entry_bound=256, dropped=(2,)
-    )
-    case = PrivacyCase(
-        n_users=6, t_max=1, d_max=0, k_parts=2, prime=5, adversaries=(0,),
-        tree_shape="chain", model_bound=2,
-    )  # fmt: skip
-
-    def outputs():
-        report, result = simulate(config)
-        buf = io.StringIO()
-        result.transcript.to_csv(buf)
-        return report.to_json(), buf.getvalue(), privacy_bruteforce(case)
-
-    expected = outputs()
+    expected = _wide_and_leaf_outputs()
     monkeypatch.setattr(protocol, "relay", _refuse)
-    assert outputs() == expected
+    assert _wide_and_leaf_outputs() == expected
     # user 3 sits in the last group and hears group 0's uplink: a relay
     with pytest.raises(AssertionError, match="relay called"):
-        privacy_bruteforce(dataclasses.replace(case, adversaries=(3,)))
+        privacy_bruteforce(dataclasses.replace(_LEAF_CASE, adversaries=(3,)))
 
 
-def test_server_arrivals_refuse_a_total_past_int64():
-    # two groups' total reaches 2*(p-1), which int64 holds up to 2**63 - 1;
-    # K+T = 2 coefficients, each 2*(p-1) = p-2 mod p, at the points 1, 2, 3
+def _refuse_sums(*args):
+    raise AssertionError("group sums built")
+
+
+def test_a_round_a_run_and_a_leaf_colluders_view_never_build_the_group_sums(
+    monkeypatch, tmp_path
+):
+    # a round folds its blocks into one total; only an uplink from below
+    # the last group reads the group sums
+    monkeypatch.delenv("RAMPAGG_SEED", raising=False)
+    report, csv_text, verdict = _wide_and_leaf_outputs()
+    monkeypatch.setattr(protocol, "stream_group_sums", _refuse_sums)
+    assert _wide_and_leaf_outputs() == (report, csv_text, verdict)
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(_WIDE.to_dict()))
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert (out / "report.json").read_text() == report
+    assert (out / "transcript.csv").read_bytes().decode() == csv_text
+    # user 3 sits in the last group and hears group 0's uplink
+    with pytest.raises(AssertionError, match="group sums built"):
+        privacy_bruteforce(dataclasses.replace(_LEAF_CASE, adversaries=(3,)))
+
+
+@pytest.mark.parametrize("colluders", [(54,), (30, 66)])
+def test_a_middle_colluders_view_on_a_chain_matches_the_oracle(colluders):
+    # ten chained groups of 12: colluders in groups 2, 4 and 5 hear the
+    # uplinks of the group below, made from the group sums streamed again
+    _, result = simulate(_WIDE.replace(master_seed=7))
+    view = collect_adversary_view(result, colluders)
+    assert np.array_equal(view, adversary_view_naive(result, colluders))
+
+
+def test_the_block_fold_refuses_a_total_past_int64():
+    # two one-row blocks: the running total and the second block reach
+    # 2*(p-1), which int64 holds up to 2**63 - 1; K+T = 2 coefficients,
+    # each 2*(p-1) = p-2 mod p, arrive at the points 1, 2, 3
     fits = 2**62
     for p in (fits, fits + 1):
-        sums = np.full((2, 2, 1), p - 1, dtype=np.int64)
+        block = np.full((1, 2, 1), p - 1, dtype=np.int64)
         expected = [[(p - 2) * (1 + x) % p] for x in (1, 2, 3)]
-        assert server_arrivals(sums.astype(object), 3, p).tolist() == expected
+        exact = fold_blocks([(0, block.astype(object)), (1, block.astype(object))], p)
+        assert server_arrivals(exact, 3, p).tolist() == expected
         if p == fits:
-            assert server_arrivals(sums, 3, p).tolist() == expected
+            total = fold_blocks([(0, block), (1, block)], p)
+            assert server_arrivals(total, 3, p).tolist() == expected
         else:
-            with pytest.raises(ValueError, match="2 groups mod .* overflow int64"):
-                server_arrivals(sums, 3, p)
+            with pytest.raises(ValueError, match="block sums of 2 terms mod .* overflow int64"):
+                fold_blocks([(0, block), (1, block)], p)
 
 
 # ---- the message pattern ----
@@ -884,6 +928,22 @@ def test_written_blocks_and_group_sums_match_the_reference(monkeypatch, kind, ro
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 4, 7, 14])
+@pytest.mark.parametrize("kind", GIVEN_KINDS + ["drawn"])
+def test_group_sums_read_after_a_round_match_the_reference(monkeypatch, kind, rows):
+    # as above, with pre-intra dropouts 3 and 4 at the edges of blocks of 2
+    # and 4 users, and 10 in the other group's slot 3
+    params, p = _stream_params(), 1009
+    ctx, tree = FieldContext(p, 16, 14), build_tree(2, "chain")
+    models, noise = _given_inputs(params, p, kind)
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", 15 * rows)
+    result = run_protocol(ctx, params, tree, models, DropoutPlan(frozenset({3, 4, 10})), 5, noise)
+    coeffs = coefficient_array_naive(params, p, models, noise, 5)
+    expected = group_sums_naive(coeffs, params.group_size, [3, 4, 10], p)
+    assert result.sums.dtype == expected.dtype == np.int64
+    assert np.array_equal(result.sums, expected)
+
+
 @pytest.mark.parametrize("kind", GIVEN_KINDS + ["drawn"])
 def test_blocks_of_any_users_are_the_reference_rows(monkeypatch, kind):
     # blocks of 2 users; the users unsorted, repeated, and none at all
@@ -935,8 +995,10 @@ def test_streamed_coeffs_match_across_the_object_dtype_path():
 
 def test_streamed_round_peaks_below_the_coefficient_array():
     """At the round-wide shape (N=120, K+T=11, S=111, 10 groups) a streamed
-    round holds a block of at most ``_BLOCK_ENTRIES`` entries, the (G, K+T,
-    S) group sums and (N, S) arrays, never the 1.17 MB coefficient array."""
+    round holds a block of at most ``_BLOCK_ENTRIES`` entries, the blocks'
+    (K+T, S) total and the (size, S) server arrivals: about 0.61 of the
+    1.17 MB coefficient array, which it never builds.  Held (G, K+T, S)
+    group sums would add 0.08 more."""
     config = RunConfig(
         n_users=120, t_max=2, d_max=1, k_parts=9, model_len=999, entry_bound=256,
         dropped=(2,), master_seed=1,
@@ -948,7 +1010,30 @@ def test_streamed_round_peaks_below_the_coefficient_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < math.prod(result.params.blocks_shape) * 8
+    assert peak < 0.65 * math.prod(result.params.blocks_shape) * 8
+
+
+def test_a_rounds_peak_does_not_grow_with_its_users():
+    """A round holds one block of whole groups (48 users of 1,232 entries
+    here), the blocks' (K+T, S) total and the (size, S) arrivals, whatever
+    N: at 40 times the users, run_protocol peaks less than 1.5 times as
+    high.  Held (G, K+T, S) group sums alone would take 39 MB at
+    N=48,000."""
+
+    def peak(n_users):
+        config = _WIDE.replace(n_users=n_users, model_len=1000)
+        params, tree, ctx = config.resolve()
+        plan = DropoutPlan(frozenset({2}))
+        run_protocol(ctx, params, tree, None, plan, 1)  # the pattern and caches are set-up
+        tracemalloc.start()
+        try:
+            run_protocol(ctx, params, tree, None, plan, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1_200), peak(48_000)
+    assert large < 1.5 * small, (small, large)
 
 
 # ---- the CSV export ----
