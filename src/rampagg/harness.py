@@ -5,9 +5,13 @@ its round's message pattern alone (:func:`rampagg.protocol.message_pattern`):
 every load figure is an exact rational computed purely by counting
 transcript symbols, never by evaluating the closed-form expressions it is
 later compared against, and none needs a draw or any field arithmetic.
-:func:`simulate` runs the round too, its models and noise drawn from
-``master_seed`` a block of users at a time and folded into one total as
-they come (:func:`rampagg.protocol.fold_blocks`), and adds its aggregate.
+A report holds that pattern, which keeps its included users as runs and,
+unless it is too large to keep its CSV text, the text of its report.json
+but for the seed and the aggregate (:meth:`RunReport.to_json`); so no
+report holds or builds a value per user until its list of included users
+is read.  :func:`simulate` runs the round too, its models and noise drawn
+from ``master_seed`` a block of users at a time and folded into one total
+as they come (:func:`rampagg.protocol.fold_blocks`), and adds its aggregate.
 :func:`correctness_oracle` replays randomized rounds, drawn the same way
 from derived seeds, against a plain-integer summation oracle, and
 :func:`collect_adversary_view` makes exactly the messages a colluding set
@@ -20,7 +24,7 @@ round.
 import dataclasses
 import json
 import math
-from bisect import bisect_right
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +40,7 @@ from .protocol import (
     DropoutPlan,
     LoadSummary,
     RunResult,
+    Transcript,
     derive_seed,
     draw_models,
     draw_uniform,
@@ -254,14 +259,15 @@ class RunConfig:
 @dataclass
 class RunReport:
     """Everything :func:`measure` counted and :func:`simulate` recovered,
-    JSON-ready and deterministic; ``aggregate`` is None when no round ran."""
+    JSON-ready and deterministic; ``aggregate`` is None when no round ran.
+    ``transcript`` is the message pattern it was counted from."""
 
     config: RunConfig
     prime: int
     conforming_field: bool
     bits_per_symbol: int
     aggregate: Optional[list]
-    included_users: list
+    transcript: Transcript = dataclasses.field(repr=False)
     loads: LoadSummary
     total_edges: int
     silent_edges: int
@@ -271,7 +277,15 @@ class RunReport:
     formula_check: Optional[dict] = None
     schema_version: int = SCHEMA_VERSION
 
+    @property
+    def included_users(self) -> list:
+        """The users that took part, ascending, as a new list."""
+        return np.flatnonzero(self.transcript.took_part).tolist()
+
     def to_dict(self) -> dict:
+        return self._dict(self.included_users)
+
+    def _dict(self, included_users) -> dict:
         return {
             "schema_version": self.schema_version,
             "config": self.config.to_dict(),
@@ -279,7 +293,7 @@ class RunReport:
             "conforming_field": self.conforming_field,
             "bits_per_symbol": self.bits_per_symbol,
             "aggregate": None if self.aggregate is None else list(self.aggregate),
-            "included_users": list(self.included_users),
+            "included_users": included_users,
             "r_server": str(self.loads.r_server),
             "r_user_max": str(self.loads.r_user_max),
             "r_user_avg": str(self.loads.r_user_avg),
@@ -299,26 +313,59 @@ class RunReport:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, byte for
-        byte.  An indent sends ``json`` to its pure-Python encoder, so the
-        long top-level integer lists are made apart, one item per line at
-        the indent's depth, and spliced in: ``aggregate`` by the C encoder,
-        and ``included_users``, ascending as :func:`simulate` lists them, as
-        one slice of :func:`_json_users` per run of consecutive users."""
-        data = self.to_dict()
-        text, offsets = _json_users(self.config.n_users)
-        users = "".join(text[offsets[a] : offsets[b]] for a, b in _runs(data["included_users"]))
-        items = {"included_users": users.removesuffix(_ITEM_SEP)}
-        if data["aggregate"] is not None:
-            items["aggregate"] = json.dumps(data["aggregate"], separators=(_ITEM_SEP, ": "))[1:-1]
-        blocks = {}
-        for key, listed in items.items():
-            if listed:  # an empty list stays "[]"
-                data[key] = f"\0{key}"
-                blocks[json.dumps(data[key])] = "[\n    " + listed + "\n  ]"
+        byte.  Only ``config.master_seed`` and ``aggregate`` change between
+        the rounds of one config, so the rest of the text is made once
+        (:meth:`_json_pieces`) and kept on the transcript
+        (:meth:`~rampagg.protocol.Transcript.kept_text`), keyed on the value
+        and type of every other field (:meth:`_json_key`), so a report whose
+        fields were changed writes its own.  Each call encodes the aggregate
+        with the C encoder and joins it and the seed into the kept pieces."""
+        head, mid, tail = self.transcript.kept_text(self._json_key(), self._json_pieces)
+        aggregate = "null" if self.aggregate is None else _json_list(self.aggregate)
+        return "".join((head, aggregate, mid, json.dumps(self.config.master_seed), tail))
+
+    def _json_key(self) -> tuple:
+        """Every field that :meth:`_json_pieces` writes: the loads, which are
+        immutable, by identity, and the rest, the config's seed left out,
+        pickled.  Equal pickles are equal values of equal types, so they
+        write equal JSON; and nothing need be hashable."""
+        fields = (
+            {**vars(self.config), "master_seed": None}, self.prime, self.conforming_field,
+            self.bits_per_symbol, self.total_edges, self.silent_edges, self.edges_formula,
+            self.delay, self.phase_counts, self.formula_check, self.schema_version,
+        )
+        return self.loads, pickle.dumps(fields, pickle.HIGHEST_PROTOCOL)
+
+    def _json_pieces(self) -> tuple:
+        """The text of :meth:`to_json` around the aggregate and the seed, as
+        (head, mid, tail).  ``json`` writes it with a marker in each of
+        their places and in that of ``included_users``, in that order, and
+        the list of included users is spliced in as the slices of
+        :func:`_json_users` of the transcript's runs, one item per line at
+        the indent's depth, as report.json writes its long lists."""
+        data = self._dict(_MARK)
+        data["aggregate"] = data["config"]["master_seed"] = _MARK
         text = json.dumps(data, sort_keys=True, indent=2)
-        for marker, block in blocks.items():
-            text = text.replace(marker, block, 1)
-        return text + "\n"
+        head, mid, users_at, tail = text.split(json.dumps(_MARK))
+        text, offsets = _json_users(self.transcript.params.n_users)
+        runs = self.transcript.included_users.tolist()
+        users = "".join(text[offsets[a] : offsets[b]] for a, b in runs).removesuffix(_ITEM_SEP)
+        users = "[\n    " + users + "\n  ]" if runs else "[]"
+        return head, mid, users_at + users + tail + "\n"
+
+
+_MARK = "\0"  # json writes it "\u0000", which no valid report holds
+
+
+def _json_list(values) -> str:
+    """A top-level list as report.json writes it, one item per line at the
+    indent's depth, its items by the C encoder."""
+    if not values:
+        return "[]"
+    return "[\n    " + _encode_items(list(values))[1:-1] + "\n  ]"
+
+
+_encode_items = json.JSONEncoder(separators=(_ITEM_SEP, ": ")).encode
 
 
 @lru_cache(maxsize=8)
@@ -330,18 +377,6 @@ def _json_users(n_users: int) -> tuple:
     offsets = np.cumsum([0, *map(len, items)])
     offsets.flags.writeable = False
     return "".join(items), offsets
-
-
-def _runs(users: list) -> list:
-    """The (first, stop) bounds of each run of consecutive values in the
-    ascending list ``users`` of distinct ints, found by bisection on
-    ``users[i] - i``, which is constant along a run and grows between runs."""
-    runs, i = [], 0
-    while i < len(users):
-        j = bisect_right(range(len(users)), users[i] - i, lo=i, key=lambda k: users[k] - k)
-        runs.append((users[i], users[j - 1] + 1))
-        i = j
-    return runs
 
 
 def generate_models(config: RunConfig) -> list[Model]:
@@ -378,7 +413,7 @@ def measure(
         conforming_field=ctx.conforming,
         bits_per_symbol=ctx.bits_per_symbol,
         aggregate=None if result is None else result.aggregate.tolist(),
-        included_users=list(transcript.included_users),
+        transcript=transcript,
         loads=transcript.loads,
         total_edges=total,
         silent_edges=total - transcript.links_used,

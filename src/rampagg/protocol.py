@@ -57,10 +57,12 @@ the masks and from :meth:`Transcript.uplinks`; a round without dropouts
 uses every link the network has.  The masks depend only on the params, the
 tree and the dropout plan: :func:`message_pattern` makes them once per key,
 and :func:`run_protocol` does only the arithmetic.  So every count of a
-round is the pattern's, and the transcript keeps each one it makes, the CSV
-text of a transcript of at most ``_CACHED_CSV_ROWS`` rows included, for as
-long as ``message_pattern``'s cache keeps the transcript; a larger one
-makes and writes its text a block of rows at a time.
+round is the pattern's, and the transcript keeps each one it makes, for as
+long as ``message_pattern``'s cache keeps the transcript.  A transcript of
+at most ``_CACHED_CSV_ROWS`` rows keeps its CSV text and the last other
+text made from it (:meth:`Transcript.kept_text`), such as a report's; a
+larger one keeps no text and makes and writes its CSV a block of rows at a
+time.
 """
 
 import hashlib
@@ -170,9 +172,10 @@ class Transcript:
     user, S symbols from an active one.  The counts below are sums over
     these masks; rows are made only by :meth:`to_csv`.  A send to an
     already-dropped user costs the sender its symbols but is never
-    delivered, so its link stays silent.  Counts, loads, links and the CSV
-    text are made once and kept on the transcript, and the last selections
-    of :meth:`heard_by`, so the masks must not change, as
+    delivered, so its link stays silent.  Counts, loads, links, the runs of
+    included users and the CSV text are made once and kept on the
+    transcript, as are the last selections of :meth:`heard_by` and the last
+    text asked of :meth:`kept_text`, so the masks must not change, as
     :func:`message_pattern`'s do not.
     """
 
@@ -221,9 +224,15 @@ class Transcript:
         )
 
     @cached_property
-    def included_users(self) -> tuple:
-        """The users that took part, whose models are in the sum, ascending."""
-        return tuple(np.flatnonzero(self.took_part).tolist())
+    def included_users(self) -> np.ndarray:
+        """The users that took part, whose models are in the sum, as the
+        read-only (R, 2) first and stop of each run of consecutive users,
+        ascending: the places where ``took_part`` changes, by one
+        ``np.diff``."""
+        runs = np.flatnonzero(np.diff(self.took_part, prepend=False, append=False))
+        runs = runs.reshape(-1, 2)
+        runs.flags.writeable = False
+        return runs
 
     @cached_property
     def links_used(self) -> int:
@@ -290,17 +299,36 @@ class Transcript:
 
     # -- exports -----------------------------------------------------------
 
+    @property
+    def _keeps_text(self) -> bool:
+        """Whether the transcript has at most ``_CACHED_CSV_ROWS`` rows, and
+        so keeps the texts made from it."""
+        return sum(bucket["messages"] for bucket in self._phase_counts.values()) <= _CACHED_CSV_ROWS
+
+    def kept_text(self, key, make):
+        """``make()``, kept with ``key`` and returned again while the key
+        asked for equals it, by ``==``: a key need not be hashable.  Only
+        the last text made is kept, and only by a transcript that keeps its
+        CSV text (:meth:`to_csv`); a larger one makes every text again."""
+        kept = self.__dict__.get("_kept_text")
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        text = make()
+        if self._keeps_text:
+            object.__setattr__(self, "_kept_text", (key, text))
+        return text
+
     def to_csv(self, fp) -> None:
         """Write the rows as ``csv.writer`` would, with no formatting per
         row.  A transcript of at most ``_CACHED_CSV_ROWS`` rows keeps its
         whole text, made once, and writes it in one ``fp.write``; a larger
         one is made and written a block of rows at a time
         (:meth:`_csv_blocks`)."""
-        if sum(bucket["messages"] for bucket in self._phase_counts.values()) > _CACHED_CSV_ROWS:
+        if self._keeps_text:
+            fp.write(self._csv_text)
+        else:
             for text in self._csv_blocks():
                 fp.write(text)
-        else:
-            fp.write(self._csv_text)
 
     @cached_property
     def _csv_text(self) -> str:

@@ -278,9 +278,12 @@ def test_measure_is_simulate_without_the_aggregate(monkeypatch, config):
     for name in ("r_server", "r_user_max", "r_user_avg"):
         assert getattr(counted.loads, name) == getattr(report.loads, name)
     assert np.array_equal(counted.loads.sent, report.loads.sent)
+    assert counted.transcript is not result.transcript
+    assert np.array_equal(counted.transcript.included_users, result.transcript.included_users)
     for field in dataclasses.fields(RunReport):
-        if field.name not in ("aggregate", "loads"):
+        if field.name not in ("aggregate", "loads", "transcript"):
             assert getattr(counted, field.name) == getattr(report, field.name), field.name
+    assert counted.included_users == report.included_users
     assert (counted.formula_check is not None) == config.assert_formula_loads
     assert json.loads(counted.to_json()) == {**json.loads(report.to_json()), "aggregate": None}
 
@@ -356,6 +359,130 @@ def test_report_json_is_json_dumps_of_the_dict(dropped, timing):
     text = report.to_json()
     assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     assert json.loads(text)["included_users"] == included
+
+
+# four chained groups of 6, users 1 and 9 dropped: three runs of users
+_SMALL = RunConfig(
+    n_users=24, t_max=2, d_max=2, k_parts=2, model_len=5, entry_bound=4,
+    dropped=(1, 9), master_seed=5,
+)
+
+
+def _first_encoding():
+    protocol.message_pattern.cache_clear()
+    report, result = simulate(_SMALL)
+    assert "_kept_text" not in vars(result.transcript)
+    yield report
+    assert "_kept_text" in vars(result.transcript)
+
+
+def _second_seed():
+    first, result = simulate(_SMALL)
+    yield first
+    report, rerun = simulate(_SMALL.replace(master_seed=6))
+    assert rerun.transcript is result.transcript and "_kept_text" in vars(rerun.transcript)
+    yield report
+
+
+def _measured():
+    yield simulate(_SMALL)[0]
+    report = measure(_SMALL)
+    assert report.aggregate is None
+    yield report
+
+
+def _formula_loads():
+    yield simulate(_SMALL)[0]
+    # the same pattern, its kept text made for a report with no formula check
+    yield simulate(_SMALL.replace(assert_formula_loads=True))[0]
+
+
+def _between_rounds():
+    yield simulate(_SMALL.replace(dropout_timing="between_rounds"))[0]
+
+
+def _explicit_tree_shape():
+    # a chain and a star, spelled as maps: group keys become strings
+    yield simulate(_SMALL.replace(tree_shape={3: "server", 2: 3, 1: 2, 0: 1}))[0]
+    yield simulate(_SMALL.replace(tree_shape={0: 3, 1: 3, 2: 3, 3: "server"}))[0]
+
+
+def _changed_prime():
+    report, _ = simulate(_SMALL)
+    yield report
+    report.prime = float(report.prime)  # equal, but json writes 73.0
+    yield report
+
+
+def _changed_phase_counts():
+    report, _ = simulate(_SMALL)
+    yield report
+    report.phase_counts["server"]["null"] += 1
+    yield report
+
+
+def _changed_config():
+    report, _ = simulate(_SMALL)
+    yield report
+    report.config = report.config.replace(delta_inter=1.0)  # equal, but json writes 1.0
+    yield report
+    report.config = report.config.replace(master_seed=2**64, adversaries=(3,))
+    yield report
+
+
+def _above_the_row_cap():
+    # 2000 groups of 6: 84,000 rows, past protocol._CACHED_CSV_ROWS
+    config = _SMALL.replace(n_users=12_000)
+    report, result = simulate(config)
+    yield report
+    again, rerun = simulate(config.replace(master_seed=6))
+    assert rerun.transcript is result.transcript
+    yield again
+    assert "_kept_text" not in vars(result.transcript)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _first_encoding, _second_seed, _measured, _formula_loads, _between_rounds,
+        _explicit_tree_shape, _changed_prime, _changed_phase_counts, _changed_config,
+        _above_the_row_cap,
+    ],
+    ids=lambda case: case.__name__.strip("_").replace("_", "-"),
+)
+def test_report_json_splices_the_kept_text_byte_for_byte(case):
+    # to_json joins the seed and the aggregate into text kept per pattern;
+    # each report, encoded in turn, still writes exactly its own fields
+    texts = []
+    for report in case():
+        text = report.to_json()
+        assert text == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+        texts.append(text)
+    assert len(set(texts)) == len(texts)
+
+
+def test_measure_keeps_no_object_per_user():
+    # paper shape, N = 200,004: a pattern keeps arrays of a few bytes per
+    # user (masks, the int64 symbols sent, the tree), and once it is made a
+    # config's report builds nothing per user; a tuple of ints would cost
+    # about 36 bytes per user, a list of them 8
+    config = RunConfig(
+        n_users=200_004, t_max=2, d_max=1, k_parts=9, model_len=9, entry_bound=256,
+        dropped=(5,),
+    )
+    protocol.message_pattern.cache_clear()
+    tracemalloc.start()
+    try:
+        measure(config)
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = measure(config.replace(master_seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    assert kept < 24 * config.n_users
+    assert peak < 8 * config.n_users
+    assert len(report.included_users) == config.n_users - 1
 
 
 def test_report_dict_contents():
