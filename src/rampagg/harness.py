@@ -347,9 +347,9 @@ class RunReport:
         data["aggregate"] = data["config"]["master_seed"] = _MARK
         text = json.dumps(data, sort_keys=True, indent=2)
         head, mid, users_at, tail = text.split(json.dumps(_MARK))
-        text, offsets = _json_users(self.transcript.params.n_users)
+        items, offsets = _json_users(self.transcript.params.n_users)
         runs = self.transcript.included_users.tolist()
-        users = "".join(text[offsets[a] : offsets[b]] for a, b in runs).removesuffix(_ITEM_SEP)
+        users = "".join(items[offsets[a] : offsets[b]] for a, b in runs).removesuffix(_ITEM_SEP)
         users = "[\n    " + users + "\n  ]" if runs else "[]"
         return head, mid, users_at + users + tail + "\n"
 
