@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 from .errors import ConfigInvalid, RampAggError, TooManyDropouts
 from .harness import RunConfig, measure, simulate
-from .protocol import block_rows
+from .protocol import lane_bits, sum_rows
 from .verify import SUITES, run_suite
 
 ENV_SEED = "RAMPAGG_SEED"
@@ -76,10 +76,11 @@ def _unwritable(name: str):
 @contextmanager
 def _in_memory(config: RunConfig, row: bool = False):
     """Turn a MemoryError while ``config`` runs or its outputs are written
-    into ConfigInvalid naming the fields that size what it holds: a
-    streamed round one block of drawn users, the (K+T, S) total of the
-    blocks, and the last group's arrivals at the server; a sweep ``row``
-    only the two (N,) masks of its message pattern."""
+    into ConfigInvalid naming the fields that size what it holds: a round
+    its two row buffers of drawn users, models and noise each in its own
+    lane width, the (K+T, S) total of their sums, and the last group's
+    arrivals at the server; a sweep ``row`` only the two (N,) masks of its
+    message pattern."""
     try:
         yield
     except MemoryError:
@@ -88,18 +89,18 @@ def _in_memory(config: RunConfig, row: bool = False):
                 f"n_users={config.n_users}: out of memory for a sweep row that holds "
                 f"the two ({config.n_users},) masks of its message pattern"
             ) from None
-        params = config.resolve()[0]
-        width, seg_len = params.k_parts + params.t_max, params.seg_len
-        shapes = (
-            (block_rows(params), width, seg_len),
-            (width, seg_len),
-            (params.group_size, seg_len),
-        )
-        nbytes = 8 * sum(map(math.prod, shapes))
+        params, _, ctx = config.resolve()
+        rows, seg_len = sum_rows(params, ctx.p), params.seg_len
+        lanes = lane_bits(params.entry_bound), lane_bits(ctx.p)
+        buffers = (rows, params.model_len), (rows, params.t_max, seg_len)
+        shapes = (params.k_parts + params.t_max, seg_len), (params.group_size, seg_len)
+        nbytes = sum(math.prod(shape) * bits // 8 for shape, bits in zip(buffers, lanes))
+        nbytes += 8 * sum(map(math.prod, shapes))
         raise ConfigInvalid(
             f"n_users={config.n_users}, model_len={config.model_len}: out of memory "
-            f"for a round that holds a {shapes[0]} block, a {shapes[1]} total "
-            f"and {shapes[2]} server arrivals ({nbytes} bytes)"
+            f"for a round that holds a {buffers[0]} row buffer of {lanes[0]}-bit model "
+            f"lanes, a {buffers[1]} one of {lanes[1]}-bit noise lanes, a {shapes[0]} "
+            f"total and {shapes[1]} server arrivals ({nbytes} bytes)"
         ) from None
 
 

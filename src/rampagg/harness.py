@@ -10,8 +10,8 @@ unless it is too large to keep its CSV text, the text of its report.json
 but for the seed and the aggregate (:meth:`RunReport.to_json`); so no
 report holds or builds a value per user until its list of included users
 is read.  :func:`simulate` runs the round too, its models and noise drawn
-from ``master_seed`` a block of users at a time and folded into one total
-as they come (:func:`rampagg.protocol.fold_blocks`), and adds its aggregate.
+from ``master_seed`` into row buffers and summed over the users as they
+come (:func:`rampagg.protocol.input_total`), and adds its aggregate.
 :func:`correctness_oracle` replays randomized rounds, drawn the same way
 from derived seeds, against a plain-integer summation oracle, and
 :func:`collect_adversary_view` makes exactly the messages a colluding set
@@ -46,6 +46,7 @@ from .protocol import (
     draw_uniform,
     eval_point_for_slot,
     message_pattern,
+    network_links,
     run_protocol,
 )
 from .sharing import Model, evaluate_each
@@ -402,8 +403,7 @@ def measure(
         transcript = message_pattern(params, tree, plan)
     else:
         transcript = result.transcript
-    # a round without dropouts uses every link the network has
-    total = message_pattern(params, tree, DropoutPlan.none()).links_used
+    total = network_links(params, tree)
     formula_check = None
     if config.assert_formula_loads:
         formula_check = check_formulas(config, params, transcript.loads, total)
@@ -426,8 +426,8 @@ def measure(
 
 def simulate(config: RunConfig):
     """Run one configured round and measure it.  The round is streamed:
-    its models and noise are drawn from ``master_seed`` a block at a time,
-    and a user's coefficient block is made again only if asked for
+    its models and noise are drawn from ``master_seed`` a row buffer at a
+    time, and a user's coefficient block is made only if asked for
     (``RunResult.blocks``).  Returns (RunReport, RunResult)."""
     resolved = params, tree, ctx = config.resolve()
     plan = DropoutPlan(frozenset(config.dropped), config.dropout_timing)

@@ -3,12 +3,13 @@
 A round is one coefficient array of shape (N, K+T, S, *batch) (see
 :mod:`rampagg.sharing`) plus one status code per user, and each of its three
 phases is an array operation.  The server reads the array only through
-its (K+T, S, *batch) total, so no round builds it: its models and noise,
-each given or drawn from its stream, are written a block of users at a
-time into one buffer laid out like the array (:func:`write_blocks`) and
-folded into the total as they come (:func:`fold_blocks`).  Other messages
-read the (G, K+T, S, *batch) group sums, streamed from the same inputs
-when read (:attr:`RunResult.sums`), so given inputs must not change.
+its (K+T, S, *batch) total, which is the sum of the included users' models,
+cut into K segments, stacked on the sum of their noise, so no round builds
+the array or any block of it: :func:`input_total` sums each input over its
+users on its own, a drawn one in row buffers of its stream's own lane
+width.  Other messages read the (G, K+T, S, *batch) group sums, streamed
+from the same inputs a block at a time (:func:`write_blocks`) when read
+(:attr:`RunResult.sums`), so given inputs must not change.
 
 intra   Every active user evaluates its block at each slot's evaluation
         point and sends the result to the user in that slot of its own group
@@ -478,12 +479,18 @@ def derive_seed(master_seed: int, label: str) -> int:
 # the heap: at twice that, each array took 128 KB of freshly mapped pages,
 # 32 minor faults, whenever no larger freed block had raised that threshold
 _CHUNK_WORDS = 1 << 13
-# entries of a streamed round's block buffer, allocated once per round and
-# reused block by block: whole groups up to this many, so that a round of
-# the sweep-deep shape is one block and round-wide's (10 groups of 14,652
-# entries) three.  Each block costs a few Python steps: at 2**15 sweep-deep
-# took two blocks and ran 10% slower in the benchmark
+# entries of the buffer that write_blocks reuses block by block, whole groups
+# up to this many; a round's two row buffers of lanes (sum_rows) take at most
+# the bytes of as many int64 entries, so that a round of the round-wide or
+# the sweep-deep shape is one buffer of each.  Each buffer costs a few Python
+# steps: round-wide in three buffers of 2**16 lanes ran 20% slower in process
 _BLOCK_ENTRIES = 1 << 16
+
+
+def lane_bits(bound: int) -> int:
+    """The width in bits of the narrowest lane of 8, 16, 32 or 64 bits that
+    holds every value below ``bound``, 2 <= bound <= 2**64."""
+    return next(width for width in (8, 16, 32, 64) if bound - 1 < 1 << width)
 
 
 class UniformStream:
@@ -515,7 +522,7 @@ class UniformStream:
         self._words = PCG64(seed)
         self.bound = bound
         self.bits = (bound - 1).bit_length()
-        self.width = next(width for width in (8, 16, 32, 64) if self.bits <= width)
+        self.width = lane_bits(bound)
         self._rest = np.empty(0, dtype=np.int64)
 
     def _chunk(self, need: int) -> np.ndarray:
@@ -525,7 +532,9 @@ class UniformStream:
         lanes += 4 * math.isqrt(lanes) + 16
         words = min(-(-lanes * self.width // 64), _CHUNK_WORDS)
         raw = self._words.random_raw(words).astype("<u8", copy=False)
-        values = raw.view(f"<u{self.width // 8}") >> (self.width - self.bits)
+        values = raw.view(f"<u{self.width // 8}")
+        if self.bits < self.width:  # a shift by 0 would copy the chunk for nothing
+            values = values >> (self.width - self.bits)
         if self.bound & (self.bound - 1):  # not a power of two, which rejects no lane
             # np.compress: several times faster than a boolean index here
             values = np.compress(values < self.bound, values)
@@ -744,22 +753,118 @@ def stream_group_sums(
     return reduce_mod(sums, p, out=sums)
 
 
-def fold_blocks(blocks, p: int) -> np.ndarray:
-    """The (K+T, S, *batch) sum mod p of every row of each ``(first,
-    block)`` of ``blocks``, one running total.  Int64 blocks mean p <
-    2**31.5 and at most 2**16 rows a block, so a block's rows and the total
-    stay below 2**48, and :func:`_check_sums` makes sure; objects are exact."""
-    total = 0
-    for _, block in blocks:
-        _check_sums(len(block) + 1, block.dtype, p, "block sums")
-        # sum(axis=0) loops once per row: on rows of a few hundred entries or
-        # fewer, as sweep-deep's (K+T) * 12, einsum is up to 3x as fast, and
-        # on wider ones up to 20% slower
-        narrow = block.dtype != object and block[0].size <= 256
-        here = np.einsum("i...->...", block) if narrow else block.sum(axis=0)
-        here += total
-        total = reduce_mod(here, p, out=here)
-    return total
+def sum_rows(params: ProtocolParams, p: int) -> int:
+    """The users a row buffer of :func:`input_total` holds: as many as the
+    bytes of a block of ``_BLOCK_ENTRIES`` int64 entries hold in the model
+    and the noise buffers together, L and T*S lanes of :func:`lane_bits` a
+    user, at least one and at most N, and so few that their column sums of
+    entries in [0, p) stay below 2**63."""
+    bits = params.model_len * lane_bits(params.entry_bound)
+    bits += params.t_max * params.seg_len * lane_bits(p)
+    return max(1, min(params.n_users, _BLOCK_ENTRIES * 64 // bits, (2**63 - 1) // (p - 1)))
+
+
+def input_total(
+    params: ProtocolParams, p: int, models, noise, master_seed: int, took_part: np.ndarray
+) -> np.ndarray:
+    """The (K+T, S, *batch) sum mod p of the coefficient blocks of the users
+    that ``took_part`` (N,), in the dtype ``field_dtype(p, K+T)`` that
+    :func:`server_arrivals` evaluates: the sum of their models cut into K
+    segments, zero past L, stacked on the sum of their noise.  No block is written: each input is summed over its users
+    on its own (:func:`_user_sums`), an input left None read from its stream
+    of ``master_seed``, :func:`model_stream` or :func:`noise_stream`, in
+    the same order as :func:`write_blocks` reads it.  ``*batch`` are the
+    batch axes of the noise, none when it is drawn."""
+    k, t, seg_len, length = params.k_parts, params.t_max, params.seg_len, params.model_len
+    rows = sum_rows(params, p)
+    models = model_stream(params, master_seed) if models is None else models
+    noise = noise_stream(p, params, master_seed) if noise is None else noise
+    model_sums = _user_sums(models, params.entry_bound, (length,), took_part, rows, p)
+    noise_sums = _user_sums(noise, p, (t, seg_len), took_part, rows, p)
+    total = np.zeros((k + t,) + noise_sums.shape[1:], dtype=np.int64)
+    entries = total[:k].reshape((k * seg_len,) + total.shape[2:])[:length]
+    pad = (1,) * (entries.ndim - model_sums.ndim)  # the models' batch axes line up from the right
+    entries[...] = model_sums.reshape(model_sums.shape[:1] + pad + model_sums.shape[1:])
+    total[k:] = noise_sums
+    reduce_mod(total, p, out=total)
+    return total.astype(field_dtype(p, k + t), copy=False)
+
+
+def _user_sums(
+    source, bound: int, shape: tuple, took_part: np.ndarray, rows: int, p: int
+) -> np.ndarray:
+    """The (*shape, *batch) sums, below 2**63 and reduced mod p only where
+    the sum of all N rows could reach that, of the rows of the users that
+    ``took_part`` in ``source``, ``rows`` users at a time: either an array
+    given as (N, *shape, *batch), its included rows reduced mod p unless
+    :func:`_reduced`, or a stream of values below ``bound`` whose next N
+    rows of ``shape`` are read into one reused buffer in the lanes of
+    :func:`lane_bits` of the bound, reduced mod p only when p is below the
+    bound, the rows of the users that did not take part zeroed.  Each
+    buffer is summed by :func:`_column_sums`, and later ones added in
+    uint64."""
+    n = len(took_part)
+    drawn = not isinstance(source, np.ndarray)
+    if drawn:
+        buffer = np.empty((rows,) + shape, dtype=f"u{lane_bits(bound) // 8}")
+        top = min(bound, p) - 1
+    else:
+        top = p - 1
+    sums = None
+    for first in range(0, n, rows):
+        keep = took_part[first : first + rows]
+        if drawn:
+            chunk = source.fill(buffer[: len(keep)])
+            if p < bound:  # only a hand-picked modulus is that small
+                np.remainder(chunk, p, out=chunk)
+            chunk[~keep] = 0
+        else:
+            chunk = source[first : first + rows]
+            if not keep.all():
+                chunk = chunk[keep]
+            if not _reduced(chunk, np.int64, p):
+                # cast as assignment does: an empty noise list arrives as
+                # float64, models past int64 as Python ints
+                chunk = reduce_mod(chunk, p, out=np.empty(chunk.shape, dtype=np.int64))
+        here = _column_sums(chunk, top, p)
+        if sums is not None:  # both below 2**63
+            here = np.add(sums, here, dtype=np.uint64, casting="unsafe")
+        if n * top >= 2**63:
+            here = np.remainder(here, p, dtype=np.uint64, casting="unsafe")
+        sums = here
+    return sums
+
+
+def _column_sums(rows: np.ndarray, top: int, p: int) -> np.ndarray:
+    """The sums over the first axis of ``rows``, unsigned lanes or int64
+    with entries in [0, top], top < p, in the narrowest unsigned lanes at
+    least as wide as ``rows``' that hold len(rows) * top: a sum that widens
+    each entry runs several times slower than one in the rows' own width,
+    and one into 64 bits slowest.  :func:`_check_sums` refuses rows whose
+    sums could reach 2**63, which :func:`sum_rows` keeps out."""
+    _check_sums(len(rows), rows.dtype, p, "column sums")
+    if rows.dtype == np.int64:  # given inputs
+        dtype = rows.dtype
+    else:
+        bits = max(8 * rows.dtype.itemsize, (len(rows) * top).bit_length())
+        dtype = f"u{lane_bits(1 << bits) // 8}"
+    # sum(axis=0) loops once per row: on rows of a few hundred entries or
+    # fewer, as sweep-deep's 12 to 24, einsum is up to 3x as fast, and on
+    # wider ones up to 20% slower
+    if math.prod(rows.shape[1:]) <= 256:
+        return np.einsum("i...->...", rows, dtype=dtype, casting="unsafe")
+    return rows.sum(axis=0, dtype=dtype)
+
+
+def network_links(params: ProtocolParams, tree: AggregationTree) -> int:
+    """How many links a round without dropouts uses, which is every link the
+    network has: C(size, 2) inside each group of the tree's ``upward``
+    table, and one uplink from each of its slots, to the same slot of its
+    parent group or to the server.  It is the ``links_used`` of the all-active
+    pattern, counted without making that pattern; ``topology.count_edges``
+    gives the same number in closed form, and a report keeps both."""
+    size = params.group_size
+    return len(tree.upward) * (size * (size - 1) // 2 + size)
 
 
 @lru_cache(maxsize=16)
@@ -807,10 +912,10 @@ def run_protocol(
     models' batch axes broadcast to the noise's, so plain (N, L) models
     serve every batch column alike.  An input left None is drawn from
     ``master_seed``, and drawn noise has no batch axes.  Either way the
-    round folds :func:`write_blocks`' blocks into one total
-    (:func:`fold_blocks`), so it holds neither the coefficient array nor
-    the group sums, and evaluates only what reaches the server
-    (:func:`server_arrivals`); every other message is made when read.  Who
+    round sums its inputs into one total (:func:`input_total`), so it holds
+    neither the coefficient array nor a block of it nor the group sums, and
+    evaluates only what reaches the server (:func:`server_arrivals`);
+    every other message is made when read.  Who
     takes part and who is silenced is the round's :func:`message_pattern`.
     """
     if ctx.p <= params.group_size:
@@ -822,9 +927,8 @@ def run_protocol(
     models, noise = _check_inputs(params, models, noise)
     size, p = params.group_size, ctx.p
 
-    pre_dropped = np.flatnonzero(~transcript.took_part).tolist()
-    blocks = write_blocks(params, p, models, noise, master_seed, pre_dropped)
-    arrivals = server_arrivals(fold_blocks(blocks, p), size, p)
+    total = input_total(params, p, models, noise, master_seed, transcript.took_part)
+    arrivals = server_arrivals(total, size, p)
     last = tree.last_group * size
     null_slots = transcript.status[last:] != UserStatus.ACTIVE.value
     try:
@@ -854,7 +958,7 @@ def _check_sums(terms: int, dtype, p: int, what: str) -> None:
 def server_arrivals(total: np.ndarray, size: int, p: int) -> np.ndarray:
     """What the last group's ``size`` slots forward to the server, (size,
     S, *batch) by slot: by linearity the ``total`` of every included block
-    (:func:`fold_blocks`), as the root's subtree is every group, evaluated
+    (:func:`input_total`), as the root's subtree is every group, evaluated
     at the slots' points."""
     return evaluate(total, [eval_point_for_slot(t) for t in range(size)], p)
 

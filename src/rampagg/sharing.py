@@ -9,19 +9,21 @@ array, of shape (N, K+T, S, *batch).  ``*batch`` is an optional trailing
 enumeration axis: the exhaustive privacy checker puts its runs and noise
 assignments there, and rounds have none.
 
-The array is written a block of users at a time into one reused buffer
-laid out like it (:func:`rampagg.protocol.write_blocks`): the models into
+A round never builds the array: the server needs only its (K+T, S,
+*batch) total over the included users, which is their models' sum cut into
+K segments on their noise's sum, so each input is summed over its users on
+its own (:func:`rampagg.protocol.input_total`).  Blocks are written only
+when read, a block of users at a time into one reused buffer laid out like
+the array (:func:`rampagg.protocol.write_blocks`): the models into
 :func:`model_rows`, the (N, K*S) view of every block's K segments, whose
 padding alone is zeroed, and the noise into rows K and up, each from the
-array the caller gave or else from its random stream.  Given models may
-carry batch axes of their own, and the assignment broadcasts them to the
-noise's.  Given inputs are reduced mod p as they are written; drawn noise
-lies in [0, p) by construction, and drawn models are reduced mod p only
-when the modulus is below their entry bound.  The round folds each block
-into one running total (:func:`rampagg.protocol.fold_blocks`), never
-keeping the array or its group sums, which are streamed again from the
-same inputs when read (:attr:`rampagg.protocol.RunResult.sums`): inputs
-given as arrays must not change after the round.
+array the caller gave or else from its random stream, so the group sums
+(:attr:`rampagg.protocol.RunResult.sums`) and any user's block come from
+the same inputs: inputs given as arrays must not change after the round.
+Given models may carry batch axes of their own, which broadcast to the
+noise's.  Given inputs are reduced mod p; drawn noise lies in [0, p) by
+construction, and drawn models are reduced mod p only when the modulus is
+below their entry bound.
 
 A share is a block evaluated at one non-zero point, that is one row of a
 Vandermonde matrix applied along the K+T axis.  Evaluation is linear, so

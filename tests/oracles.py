@@ -387,6 +387,19 @@ def group_sums_naive(coeffs, size, pre_dropped, p):
     return (sums % p).astype(coeffs.dtype)
 
 
+def arrivals_naive(total, size, p):
+    """What the last group's ``size`` slots send the server: the (K+T, S,
+    *batch) ``total`` evaluated at each slot's point, coordinate by
+    coordinate, by :func:`eval_poly_naive`, as a (size, S, *batch) object
+    array."""
+    out = np.zeros((size,) + total.shape[1:], dtype=object)
+    for slot in range(size):
+        for index in np.ndindex(total.shape[1:]):
+            coeffs = total[(slice(None),) + index].tolist()
+            out[(slot,) + index] = eval_poly_naive(coeffs, eval_point_for_slot(slot), p)
+    return out
+
+
 # ---- adversary view -------------------------------------------------------------
 
 

@@ -119,8 +119,12 @@ def test_run_turns_memory_error_into_exit_2(tmp_path, config_file, monkeypatch, 
     assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
-    # one block of the whole round, the blocks' total, 6 server arrivals
-    assert "a (12, 5, 3) block, a (5, 3) total and (6, 3) server arrivals (1704 bytes)" in err
+    # a row buffer of the whole round for models and one for noise, their
+    # total, 6 server arrivals
+    assert (
+        "a (12, 9) row buffer of 8-bit model lanes, a (12, 2, 3) one of 8-bit noise "
+        "lanes, a (5, 3) total and (6, 3) server arrivals (444 bytes)"
+    ) in err
 
 
 def test_run_turns_memory_error_while_writing_into_exit_2(
@@ -134,8 +138,12 @@ def test_run_turns_memory_error_while_writing_into_exit_2(
     assert main(["run", str(config_file), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
-    # one block of the whole round, the blocks' total, 6 server arrivals
-    assert "a (12, 5, 3) block, a (5, 3) total and (6, 3) server arrivals (1704 bytes)" in err
+    # a row buffer of the whole round for models and one for noise, their
+    # total, 6 server arrivals
+    assert (
+        "a (12, 9) row buffer of 8-bit model lanes, a (12, 2, 3) one of 8-bit noise "
+        "lanes, a (5, 3) total and (6, 3) server arrivals (444 bytes)"
+    ) in err
     assert "Traceback" not in err
 
 
@@ -310,7 +318,9 @@ def test_sweep_and_formulas_run_no_round(tmp_path, sweep_file, monkeypatch, caps
     # their rows and checks are counted from the message pattern alone
     for module in protocol, harness:
         monkeypatch.setattr(module, "run_protocol", _refuse)
-    monkeypatch.setattr(protocol, "write_blocks", _refuse)
+    for name in "write_blocks", "input_total":
+        monkeypatch.setattr(protocol, name, _refuse)
+    monkeypatch.setattr(protocol.UniformStream, "fill", _refuse)
     assert main(["sweep", str(sweep_file), "--out", str(tmp_path)]) == 0
     assert main(["verify", "formulas"]) == 0
     assert "all 4 checks passed" in capsys.readouterr().out

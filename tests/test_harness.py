@@ -270,7 +270,9 @@ def test_measure_is_simulate_without_the_aggregate(monkeypatch, config):
     def refuse(*args, **kwargs):
         raise AssertionError("measure ran a round")
 
-    monkeypatch.setattr(protocol, "write_blocks", refuse)
+    for name in "write_blocks", "input_total":
+        monkeypatch.setattr(protocol, name, refuse)
+    monkeypatch.setattr(protocol.UniformStream, "fill", refuse)
     monkeypatch.setattr(harness, "run_protocol", refuse)
     counted = measure(config)
     assert counted.aggregate is None and report.aggregate is not None
@@ -581,12 +583,13 @@ def test_simulate_enters_the_round_once_by_its_harness_name(monkeypatch):
 
 
 def test_simulate_builds_no_set_up_copies():
-    """A streamed round holds one block of drawn users (one user here, of
-    100,000 entries), the blocks' (K+T, S) total, the (size, S) server
-    arrivals and the report's 60,000-entry aggregate: a peak of about 0.44
-    of the coefficient array.  Held (G, K+T, S) group sums would add 0.17
-    more, building the array 1.0 more, and a set-up that pads, reduces,
-    casts and concatenates separate model and noise arrays peaks at 3x.
+    """A round holds two row buffers of drawn users (three users here: 180
+    KB of model bytes and 240 KB of 16-bit noise lanes), their (K+T, S)
+    total, the (size, S) server arrivals and the report's 60,000-entry
+    aggregate: a peak of about 0.43 of the coefficient array.  Held (G,
+    K+T, S) group sums would add 0.17 more, building the array 1.0 more,
+    and a set-up that pads, reduces, casts and concatenates separate model
+    and noise arrays peaks at 3x.
     The array's size comes from ``params``: the round never makes it."""
     config = RunConfig(
         n_users=12, t_max=2, d_max=1, k_parts=3, model_len=60_000, entry_bound=256,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from rampagg import field, protocol, sharing
 from rampagg.cli import main
 from rampagg.errors import InconsistentArrivals, TooManyDropouts
-from rampagg.field import FieldContext, field_dtype, is_prime
+from rampagg.field import FieldContext, field_dtype, is_prime, select_prime
 from rampagg.harness import RunConfig, collect_adversary_view, plain_sum, simulate
 from rampagg.privacy import PrivacyCase, privacy_bruteforce
 from rampagg.protocol import (
@@ -36,7 +36,6 @@ from rampagg.protocol import (
     UserStatus,
     derive_seed,
     eval_point_for_slot,
-    fold_blocks,
     message_pattern,
     relay,
     run_protocol,
@@ -48,6 +47,7 @@ from rampagg.topology import build_tree, make_params
 
 from oracles import (
     ACTIVE,
+    arrivals_naive,
     DROPPED,
     SILENCED,
     adversary_view_naive,
@@ -751,22 +751,18 @@ def test_a_middle_colluders_view_on_a_chain_matches_the_oracle(colluders):
     assert np.array_equal(view, adversary_view_naive(result, colluders))
 
 
-def test_the_block_fold_refuses_a_total_past_int64():
-    # two one-row blocks: the running total and the second block reach
-    # 2*(p-1), which int64 holds up to 2**63 - 1; K+T = 2 coefficients,
-    # each 2*(p-1) = p-2 mod p, arrive at the points 1, 2, 3
-    fits = 2**62
-    for p in (fits, fits + 1):
-        block = np.full((1, 2, 1), p - 1, dtype=np.int64)
-        expected = [[(p - 2) * (1 + x) % p] for x in (1, 2, 3)]
-        exact = fold_blocks([(0, block.astype(object)), (1, block.astype(object))], p)
-        assert server_arrivals(exact, 3, p).tolist() == expected
-        if p == fits:
-            total = fold_blocks([(0, block), (1, block)], p)
-            assert server_arrivals(total, 3, p).tolist() == expected
-        else:
-            with pytest.raises(ValueError, match="block sums of 2 terms mod .* overflow int64"):
-                fold_blocks([(0, block), (1, block)], p)
+def test_column_sums_refuse_a_total_past_int64():
+    # above 2**61, three entries of p - 1 sum below 2**63 and four do not,
+    # so a row buffer holds three users; 2**61 - 1 allows four
+    p = next(q for q in range(2**61 + 1, 2**62) if is_prime(q))
+    rows = np.full((4, 2), p - 1, dtype=np.int64)
+    assert protocol._column_sums(rows[:3], p - 1, p).tolist() == [3 * (p - 1)] * 2
+    with pytest.raises(ValueError, match=f"column sums of 4 terms mod {p} overflow int64"):
+        protocol._column_sums(rows, p - 1, p)
+    params = make_params(12, 2, 1, 3, model_len=8, entry_bound=16)
+    assert protocol.sum_rows(params, p) == 3
+    assert protocol.sum_rows(params, 2**61 - 1) == 4
+    assert protocol.sum_rows(params, 1009) == 12
 
 
 # ---- the message pattern ----
@@ -791,6 +787,17 @@ def test_message_pattern_matches_the_fold_and_the_rows(round_, shape):
     assert _csv_rows(pattern) == [[str(v) for v in row[:5]] for row in rows]
     assert pattern.phase_counts() == phase_counts_naive(rows)
     assert pattern.links_used == len(links_naive(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rounds(), st.sampled_from(["chain", "star", "irregular"]))
+def test_network_links_are_the_links_of_a_round_without_dropouts(round_, shape):
+    k, t, d, parent, _, _ = round_
+    size, groups = k + t + d, len(parent)
+    params = make_params(size * groups, t, d, k, model_len=k, entry_bound=4)
+    tree = build_tree(groups, parent if shape == "irregular" else shape)
+    links = message_pattern(params, tree, DropoutPlan.none()).links_used
+    assert protocol.network_links(params, tree) == links
 
 
 def test_equal_keys_share_one_read_only_pattern():
@@ -928,6 +935,71 @@ def test_written_blocks_and_group_sums_match_the_reference(monkeypatch, kind, ro
     assert np.array_equal(got, expected)
 
 
+def _buffer_users(monkeypatch, params, p, rows):
+    """Size ``input_total``'s row buffers to ``rows`` users, or fewer where
+    the round or the cap of 2**63 / (p-1) users is smaller: the fewest
+    int64 entries of ``_BLOCK_ENTRIES`` whose bytes hold that many users'
+    L model and T*S noise lanes."""
+    bits = params.model_len * protocol.lane_bits(params.entry_bound)
+    bits += params.t_max * params.seg_len * protocol.lane_bits(p)
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", -(-rows * bits // 64))
+    cap = (2**63 - 1) // (p - 1)
+    assert protocol.sum_rows(params, p) == min(rows, params.n_users, cap)
+
+
+def _assert_total_is_the_plain_sum(params, p, models, noise, master_seed, pre_dropped):
+    """``input_total`` of a round's inputs equals the plain sum mod p of the
+    reference coefficient array's included blocks, in the field dtype, and
+    the arrivals it gives the server equal that sum's, point by point."""
+    took_part = ~np.isin(np.arange(params.n_users), pre_dropped)
+    total = protocol.input_total(params, p, models, noise, master_seed, took_part)
+    coeffs = coefficient_array_naive(params, p, models, noise, master_seed)
+    expected = group_sums_naive(coeffs, params.n_users, pre_dropped, p)[0]
+    assert total.dtype == field_dtype(p, params.k_parts + params.t_max)
+    assert total.tolist() == expected.tolist()
+    arrivals = server_arrivals(total, params.group_size, p)
+    assert arrivals.tolist() == arrivals_naive(expected, params.group_size, p).tolist()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, 7, 14])
+@pytest.mark.parametrize("kind", GIVEN_KINDS + ["drawn"])
+def test_input_total_is_the_plain_sum_of_any_inputs(monkeypatch, kind, rows):
+    # row buffers of 1, 2, 4 or 7 users, or the round.  Pre-intra dropouts 3 and 4 end and start a buffer of 2 and 4
+    # users, and 13 ends the round
+    params, p = _stream_params(), 1009
+    models, noise = _given_inputs(params, p, kind)
+    _buffer_users(monkeypatch, params, p, rows)
+    _assert_total_is_the_plain_sum(params, p, models, noise, 5, [3, 4, 13])
+
+
+def _prime_above(low):
+    return next(q for q in itertools.count(low + 1) if is_prime(q))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize(
+    "entry_bound,p,lanes",
+    [
+        (2**8, select_prime(14, 2**8).p, (8, 16)),
+        (2**16, select_prime(14, 2**16).p, (16, 32)),
+        (2**31, select_prime(14, 2**31).p, (32, 64)),  # an object total
+        (2**63, 1009, (64, 16)),  # models reduced mod a hand-picked prime
+        (2**32, _prime_above(2**61), (32, 64)),  # at most three users a buffer
+        # one user a buffer, and N * (p-1) past 2**64: the sums are reduced
+        # after each buffer
+        (2**62, 2**63 - 25, (64, 64)),
+    ],
+)
+def test_input_total_in_every_lane_width(monkeypatch, entry_bound, p, lanes, rows):
+    # models and noise drawn in lanes of ``lanes`` bits, in buffers of one
+    # user or four (at most the cap); pre-intra dropout 0 starts the first
+    # buffer, 4 the second of four users, and 11 ends the third
+    params = make_params(14, 2, 2, 3, model_len=8, entry_bound=entry_bound)
+    assert (protocol.lane_bits(entry_bound), protocol.lane_bits(p)) == lanes
+    _buffer_users(monkeypatch, params, p, rows)
+    _assert_total_is_the_plain_sum(params, p, None, None, 8, [0, 4, 11])
+
+
 @pytest.mark.parametrize("rows", [1, 2, 4, 7, 14])
 @pytest.mark.parametrize("kind", GIVEN_KINDS + ["drawn"])
 def test_group_sums_read_after_a_round_match_the_reference(monkeypatch, kind, rows):
@@ -994,11 +1066,11 @@ def test_streamed_coeffs_match_across_the_object_dtype_path():
 
 
 def test_streamed_round_peaks_below_the_coefficient_array():
-    """At the round-wide shape (N=120, K+T=11, S=111, 10 groups) a streamed
-    round holds a block of at most ``_BLOCK_ENTRIES`` entries, the blocks'
-    (K+T, S) total and the (size, S) server arrivals: about 0.61 of the
-    1.17 MB coefficient array, which it never builds.  Held (G, K+T, S)
-    group sums would add 0.08 more."""
+    """At the round-wide shape (N=120, K+T=11, S=111, 10 groups) a round
+    holds a row buffer of every user's model bytes (120 KB) and one of
+    their 16-bit noise lanes (53 KB), the (K+T, S) total and the (size, S)
+    server arrivals: about 0.46 of the 1.17 MB coefficient array, which it
+    never builds.  Held (G, K+T, S) group sums would add 0.08 more."""
     config = RunConfig(
         n_users=120, t_max=2, d_max=1, k_parts=9, model_len=999, entry_bound=256,
         dropped=(2,), master_seed=1,
@@ -1014,11 +1086,11 @@ def test_streamed_round_peaks_below_the_coefficient_array():
 
 
 def test_a_rounds_peak_does_not_grow_with_its_users():
-    """A round holds one block of whole groups (48 users of 1,232 entries
-    here), the blocks' (K+T, S) total and the (size, S) arrivals, whatever
-    N: at 40 times the users, run_protocol peaks less than 1.5 times as
-    high.  Held (G, K+T, S) group sums alone would take 39 MB at
-    N=48,000."""
+    """A round holds two row buffers of lanes in at most the bytes of
+    ``_BLOCK_ENTRIES`` int64 entries (276 users here), the (K+T, S) total
+    and the (size, S) arrivals, whatever N: at 40 times the users,
+    run_protocol peaks less than 1.5 times as high.  Held (G, K+T, S)
+    group sums alone would take 39 MB at N=48,000."""
 
     def peak(n_users):
         config = _WIDE.replace(n_users=n_users, model_len=1000)
