@@ -78,9 +78,9 @@ def _in_memory(config: RunConfig, row: bool = False):
     """Turn a MemoryError while ``config`` runs or its outputs are written
     into ConfigInvalid naming the fields that size what it holds: a round
     its two row buffers of drawn users, models and noise each in its own
-    lane width, the (K+T, S) total of their sums, and the last group's
-    arrivals at the server; a sweep ``row`` only the two (N,) masks of its
-    message pattern."""
+    lane width, their two sums, the (K, S) model sum and the (T, S) noise
+    sum, and the last group's arrivals at the server; a sweep ``row`` only
+    the two (N,) masks of its message pattern."""
     try:
         yield
     except MemoryError:
@@ -93,14 +93,15 @@ def _in_memory(config: RunConfig, row: bool = False):
         rows, seg_len = sum_rows(params, ctx.p), params.seg_len
         lanes = lane_bits(params.entry_bound), lane_bits(ctx.p)
         buffers = (rows, params.model_len), (rows, params.t_max, seg_len)
-        shapes = (params.k_parts + params.t_max, seg_len), (params.group_size, seg_len)
+        shapes = (params.k_parts, seg_len), (params.t_max, seg_len), (params.group_size, seg_len)
         nbytes = sum(math.prod(shape) * bits // 8 for shape, bits in zip(buffers, lanes))
         nbytes += 8 * sum(map(math.prod, shapes))
         raise ConfigInvalid(
             f"n_users={config.n_users}, model_len={config.model_len}: out of memory "
             f"for a round that holds a {buffers[0]} row buffer of {lanes[0]}-bit model "
             f"lanes, a {buffers[1]} one of {lanes[1]}-bit noise lanes, a {shapes[0]} "
-            f"total and {shapes[1]} server arrivals ({nbytes} bytes)"
+            f"model sum, a {shapes[1]} noise sum and {shapes[2]} server arrivals "
+            f"({nbytes} bytes)"
         ) from None
 
 

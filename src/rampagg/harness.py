@@ -16,9 +16,9 @@ come (:func:`rampagg.protocol.input_total`), and adds its aggregate.
 from derived seeds, against a plain-integer summation oracle, and
 :func:`collect_adversary_view` makes exactly the messages a colluding set
 plus the server receive, as the transcript picks them, from its intra
-senders' blocks and the group sums, both made again from the round's
-inputs when read, so inputs given as arrays must not change after the
-round.
+senders' model segments and noise rows, evaluated apart, and the group
+sums, both made again from the round's inputs when read, so inputs given
+as arrays must not change after the round.
 """
 
 import dataclasses
@@ -49,7 +49,7 @@ from .protocol import (
     network_links,
     run_protocol,
 )
-from .sharing import Model, evaluate_each
+from .sharing import Model, evaluate_apart
 from .topology import (
     AggregationTree,
     DelayModel,
@@ -478,8 +478,10 @@ def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.
     :meth:`~rampagg.protocol.Transcript.heard_by`.  An intra row holds its
     sender's block evaluated at the receiver's point, an uplink row the
     partial sum its sender forwarded.  Only these O(C * size) messages are
-    made: the shares from the blocks of the intra senders alone
-    (:meth:`~rampagg.protocol.RunResult.blocks`), the uplinks by
+    made: the shares from the model segments and noise rows of the intra
+    senders alone (:meth:`~rampagg.protocol.RunResult.parts`), evaluated
+    apart (:func:`~rampagg.sharing.evaluate_apart`) so that models without
+    the noise's batch axes are never widened to them, and the uplinks by
     :meth:`~rampagg.protocol.RunResult.uplinks`, which relays only for
     senders below the last group."""
     n, size, p = result.params.n_users, result.params.group_size, result.ctx.p
@@ -490,7 +492,7 @@ def collect_adversary_view(result: RunResult, adversaries: Sequence[int]) -> np.
     arrivals = result.arrivals
     view = np.empty((len(sender),) + arrivals.shape[1:], arrivals.dtype)
     points = eval_point_for_slot(receiver[intra] % size)
-    view[intra] = evaluate_each(result.blocks(sender[intra]), points, p)
+    view[intra] = evaluate_apart(*result.parts(sender[intra]), points, p)
     view[~intra] = result.uplinks(sender[~intra])
     return view
 

@@ -217,10 +217,10 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
         their columns fit RUN_COLUMNS, on a (runs, n_noise) batch that
         repeats the noise for each; a run's view is split off as needed."""
         per_call = max(1, RUN_COLUMNS // n_noise)
+        repeated = np.broadcast_to(noise[:, :, :, None], noise.shape[:3] + (per_call, n_noise))
         for start in range(0, all_models.shape[-1], per_call):
             models = all_models[..., start : start + per_call]
-            batch = noise.shape[:3] + (models.shape[-1], n_noise)
-            batched = np.broadcast_to(noise[:, :, :, None], batch)
+            batched = repeated[..., : models.shape[-1], :]
             result = run_protocol(ctx, params, tree, models[..., None], plan, noise=batched)
             view = collect_adversary_view(result, case.adversaries)
             del result
@@ -229,14 +229,14 @@ def privacy_bruteforce(case: PrivacyCase) -> PrivacyResult:
             del view
 
     # base is X; column i of shift (A) and of to_sum are what one unit of
-    # model symbol i adds to the view and to the honest sum
+    # model symbol i adds to the view and to the honest sum, mod p
     views = runs()
     base = next(views)
     shift = np.zeros((len(base), n_symbols), dtype=field_dtype(p, n_symbols))
-    to_sum = all_models[honest, :, 1:-1].sum(axis=0)
+    to_sum = all_models[honest, :, 1:-1].sum(axis=0) % p
     for i in range(n_symbols):
         digits = next(views)
-        delta = reduce_mod(digits - base, p) if digits.shape == base.shape else None
+        delta = _unshifted(digits, base, p) if digits.shape == base.shape else None
         if delta is None or (delta != delta[:, :1]).any():
             raise RampAggError(
                 f"view is not affine in the honest models: model symbol {i} "
@@ -280,12 +280,14 @@ def _assignment_blocks(shift: np.ndarray, to_sum: np.ndarray, bound: int, p: int
 def _images(image: np.ndarray, bound: int, p: int) -> np.ndarray:
     """w @ image mod p for every w in [0, bound)**len(image), one row each,
     in itertools.product order, built a symbol at a time as an outer sum
-    (the symbol added last varies fastest)."""
+    (the symbol added last varies fastest) and reduced once: each entry is
+    a sum of len(image) products of two field elements, which the dtype of
+    ``image``, field_dtype(p, len(image)) or wider, holds."""
     values = np.arange(bound).astype(image.dtype)
     out = np.zeros((1, image.shape[1]), dtype=image.dtype)
     for row in image:
-        out = (out[:, None] + np.multiply.outer(values, row)).reshape(-1, len(row)) % p
-    return out
+        out = (out[:, None] + np.multiply.outer(values, row)).reshape(-1, len(row))
+    return reduce_mod(out, p, out=out)
 
 
 def _exact_zero(base: np.ndarray, blocks, p: int) -> tuple[bool, int, int]:
@@ -390,10 +392,20 @@ def _number(known, keys: np.ndarray):
 def _shifted(base: np.ndarray, offset: np.ndarray, p: int) -> np.ndarray:
     """``base`` plus ``offset`` down every column, mod p, or given a stack
     of offsets, the stack of such arrays.  Both hold field elements, so one
-    conditional subtraction reduces the sum."""
+    conditional subtraction reduces the sum: p times the mask, as a
+    ``where=`` subtraction runs several times slower."""
     digits = base + offset[..., None]
-    np.subtract(digits, p, out=digits, where=digits >= p)
+    digits -= (digits >= p) * p
     return digits
+
+
+def _unshifted(digits: np.ndarray, base: np.ndarray, p: int) -> np.ndarray:
+    """``digits`` minus ``base`` mod p, the inverse of :func:`_shifted`:
+    both hold field elements, so one conditional addition reduces the
+    difference."""
+    delta = digits - base
+    delta += (delta < 0) * p
+    return delta
 
 
 def _build_noise(case: PrivacyCase, honest: list[int], n_noise: int) -> np.ndarray:

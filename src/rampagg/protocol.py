@@ -3,12 +3,15 @@
 A round is one coefficient array of shape (N, K+T, S, *batch) (see
 :mod:`rampagg.sharing`) plus one status code per user, and each of its three
 phases is an array operation.  The server reads the array only through
-its (K+T, S, *batch) total, which is the sum of the included users' models,
-cut into K segments, stacked on the sum of their noise, so no round builds
-the array or any block of it: :func:`input_total` sums each input over its
-users on its own, a drawn one in row buffers of its stream's own lane
-width.  Other messages read the (G, K+T, S, *batch) group sums, streamed
-from the same inputs a block at a time (:func:`write_blocks`) when read
+the sum of the included users' blocks, kept as two sums: their models'
+sum cut into K segments, at the models' own batch shape, and their noise's
+sum.  So no round builds the array or any block of it: :func:`input_total`
+sums each input over its users on its own, a drawn one in row buffers of
+its stream's own lane width, and :func:`server_arrivals` evaluates the two
+sums apart.  An adversary's intra shares are evaluated apart too, from
+their senders' model segments and noise rows (:meth:`RunResult.parts`).
+Other messages read the (G, K+T, S, *batch) group sums, streamed from the
+same inputs a block at a time (:func:`write_blocks`) when read
 (:attr:`RunResult.sums`), so given inputs must not change.
 
 intra   Every active user evaluates its block at each slot's evaluation
@@ -35,9 +38,10 @@ inter   Groups feed their aggregates up the tree, slot to slot: a user adds
         :func:`message_pattern`.
 
 server  The last group's users do the same send toward the server.  The
-        root's subtree is every group, so their messages are the total of
+        root's subtree is every group, so their messages are the sum of
         all included blocks evaluated at the last group's points, the only
-        evaluation a round runs (:func:`server_arrivals`).  The server
+        evaluation a round runs (:func:`server_arrivals`, on the model and
+        the noise sums apart).  The server
         applies the (K+T, K+T) inverse Vandermonde matrix of the first K+T
         non-null arrivals' points to them, which interpolates the summed
         polynomial of every coordinate at once, checks every further
@@ -79,7 +83,7 @@ import numpy as np
 
 from .errors import InconsistentArrivals, TooManyDropouts
 from .field import FieldContext, field_dtype, inverse_vandermonde, reduce_mod
-from .sharing import _apply, evaluate, evaluate_each, model_rows
+from .sharing import _apply, evaluate, evaluate_apart, evaluate_each, model_rows
 from .topology import SERVER, AggregationTree, ProtocolParams
 
 PHASE_INTRA = "intra"
@@ -401,8 +405,8 @@ class RunResult:
     ``transcript``'s.  The run's field, sizing and tree are kept so the
     arrays can be read without them, and its inputs, ``models`` and
     ``noise`` as given (None where drawn from ``master_seed``), so that
-    :meth:`blocks` and :attr:`sums` can be made again from them: inputs
-    given as arrays must not change after the round.
+    :meth:`parts`, :meth:`blocks` and :attr:`sums` can be made again from
+    them: inputs given as arrays must not change after the round.
     """
 
     aggregate: np.ndarray
@@ -419,23 +423,31 @@ class RunResult:
 
     def blocks(self, users) -> np.ndarray:
         """The (len(users), K+T, S, *batch) coefficient blocks of ``users``
-        in the order given, repeats and all, as the round wrote them.  When
-        both inputs were given they are indexed at exactly those users;
-        else the round's blocks are written again from user 0
-        (:func:`write_blocks`) up to the last user asked for, and only the
-        rows asked for are kept."""
-        users = np.asarray(users, dtype=np.intp).reshape(-1)
-        params, p = self.params, self.ctx.p
-        out = _empty_blocks(params, p, self.noise, len(users))
-        if self.models is not None and self.noise is not None:
-            _write(out, params, p, self.models, self.noise, users)
-            return out
-        for first, block in write_blocks(params, p, self.models, self.noise, self.master_seed):
-            here = np.flatnonzero((users >= first) & (users < first + len(block)))
-            out[here] = block[users[here] - first]
-            if first + len(block) > users.max(initial=-1):
-                break
+        in the order given, repeats and all, as the round wrote them: their
+        :meth:`parts` stacked."""
+        segments, noise = self.parts(users)
+        out = _empty_blocks(self.params, self.ctx.p, self.noise, len(noise))
+        out[:, : self.params.k_parts] = segments
+        out[:, self.params.k_parts :] = noise
         return out
+
+    def parts(self, users) -> tuple:
+        """The two parts of the coefficient blocks of ``users``, in the
+        order given, repeats and all: their model segments (len(users), K,
+        S, *model batch), zero past L, and their noise (len(users), T, S,
+        *batch), in the field dtype of p, each as :func:`_user_rows` reads
+        it, the model batch lined up with the noise's from the right
+        (:func:`_segments`).  A given input is indexed at exactly those
+        users; a drawn one is read again from its stream of the round's
+        seed, up to the last user asked for."""
+        users = np.asarray(users, dtype=np.intp).reshape(-1)
+        params, p, seed = self.params, self.ctx.p, self.master_seed
+        dtype, rows = field_dtype(p, params.k_parts + params.t_max), sum_rows(params, p)
+        models = model_stream(params, seed) if self.models is None else self.models
+        noise = noise_stream(p, params, seed) if self.noise is None else self.noise
+        models = _user_rows(models, params.entry_bound, (params.model_len,), users, rows, p, dtype)
+        noise = _user_rows(noise, p, (params.t_max, params.seg_len), users, rows, p, dtype)
+        return _segments(models, params, noise.ndim - 3), noise
 
     @cached_property
     def sums(self) -> np.ndarray:
@@ -454,13 +466,14 @@ class RunResult:
         senders = np.asarray(senders, dtype=np.intp).reshape(-1)
         size, arrivals = self.params.group_size, self.arrivals
         last = self.tree.last_group * size
-        out = np.empty((len(senders),) + arrivals.shape[1:], arrivals.dtype)
-        top = senders >= last
-        out[top] = arrivals[senders[top] - last]
-        below = senders[~top]
-        if len(below):
-            subtree = relay(self.sums, self.tree, self.ctx.p)[below // size]
-            out[~top] = evaluate_each(subtree, eval_point_for_slot(below % size), self.ctx.p)
+        # every row taken from the arrivals, in one copy; those of senders
+        # below the last group are then overwritten
+        out = arrivals.take(np.maximum(senders - last, 0), axis=0)
+        below = senders < last
+        if below.any():
+            subtree = relay(self.sums, self.tree, self.ctx.p)[senders[below] // size]
+            points = eval_point_for_slot(senders[below] % size)
+            out[below] = evaluate_each(subtree, points, self.ctx.p)
         return out
 
     @property
@@ -698,11 +711,12 @@ def _write(block: np.ndarray, params: ProtocolParams, p: int, models, noise, at)
 
 def _reduced(given: np.ndarray, dtype, p: int) -> bool:
     """Whether ``given`` can be written into a block of ``dtype`` as it is:
-    both are int64 and its entries lie in [0, p), by its minimum and
-    maximum.  Other inputs, object arrays included, are reduced mod p."""
+    both are int64 and its entries lie in [0, p), by one maximum of them
+    read as uint64, where a negative entry is 2**63 or more.  Other inputs,
+    object arrays included, are reduced mod p."""
     if given.dtype != np.int64 or dtype != np.int64:
         return False
-    return not given.size or (given.min() >= 0 and given.max() < p)
+    return not given.size or given.view(np.uint64).max() < p
 
 
 def write_blocks(
@@ -766,60 +780,103 @@ def sum_rows(params: ProtocolParams, p: int) -> int:
 
 def input_total(
     params: ProtocolParams, p: int, models, noise, master_seed: int, took_part: np.ndarray
-) -> np.ndarray:
-    """The (K+T, S, *batch) sum mod p of the coefficient blocks of the users
-    that ``took_part`` (N,), in the dtype ``field_dtype(p, K+T)`` that
-    :func:`server_arrivals` evaluates: the sum of their models cut into K
-    segments, zero past L, stacked on the sum of their noise.  No block is written: each input is summed over its users
-    on its own (:func:`_user_sums`), an input left None read from its stream
-    of ``master_seed``, :func:`model_stream` or :func:`noise_stream`, in
-    the same order as :func:`write_blocks` reads it.  ``*batch`` are the
-    batch axes of the noise, none when it is drawn."""
-    k, t, seg_len, length = params.k_parts, params.t_max, params.seg_len, params.model_len
-    rows = sum_rows(params, p)
+) -> tuple:
+    """The sum of the coefficient blocks of the users that ``took_part``
+    (N,), as the two sums mod p that :func:`server_arrivals` evaluates
+    apart, both in the dtype ``field_dtype(p, K+T)``: their models' sum cut
+    into K segments, zero past L, (K, S, *model batch), and their noise's
+    (T, S, *batch).  ``*batch`` are the batch axes of the noise, none when
+    it is drawn, and the models keep their own, lined up with the noise's
+    from the right (:func:`_segments`), so they are never widened to the
+    noise's batch.  No block is written: each input is summed over its
+    users on its own (:func:`_user_sums`), an input left None read from its
+    stream of ``master_seed``, :func:`model_stream` or :func:`noise_stream`,
+    in the same order as :func:`write_blocks` reads it."""
+    dtype, rows = field_dtype(p, params.k_parts + params.t_max), sum_rows(params, p)
     models = model_stream(params, master_seed) if models is None else models
     noise = noise_stream(p, params, master_seed) if noise is None else noise
-    model_sums = _user_sums(models, params.entry_bound, (length,), took_part, rows, p)
-    noise_sums = _user_sums(noise, p, (t, seg_len), took_part, rows, p)
-    total = np.zeros((k + t,) + noise_sums.shape[1:], dtype=np.int64)
-    entries = total[:k].reshape((k * seg_len,) + total.shape[2:])[:length]
-    pad = (1,) * (entries.ndim - model_sums.ndim)  # the models' batch axes line up from the right
-    entries[...] = model_sums.reshape(model_sums.shape[:1] + pad + model_sums.shape[1:])
-    total[k:] = noise_sums
-    reduce_mod(total, p, out=total)
-    return total.astype(field_dtype(p, k + t), copy=False)
+    model_sums = _user_sums(models, params.entry_bound, (params.model_len,), took_part, rows, p, dtype)
+    noise_sums = _user_sums(noise, p, (params.t_max, params.seg_len), took_part, rows, p, dtype)
+    return _segments(model_sums[None], params, noise_sums.ndim - 2)[0], noise_sums
+
+
+def _segments(entries: np.ndarray, params: ProtocolParams, batch_ndim: int) -> np.ndarray:
+    """M rows of L model ``entries`` (M, L, *batch) cut into K segments of
+    S, zero past L: (M, K, S, *ones, *batch), with as many axes of one as
+    line the batch axes up from the right with ``batch_ndim`` of them.  A
+    view when K*S = L."""
+    k, seg_len = params.k_parts, params.seg_len
+    batch = (1,) * (batch_ndim + 2 - entries.ndim) + entries.shape[2:]
+    entries = entries.reshape(entries.shape[:2] + batch)
+    if entries.shape[1] < k * seg_len:
+        padded = np.zeros((len(entries), k * seg_len) + batch, dtype=entries.dtype)
+        padded[:, : entries.shape[1]] = entries
+        entries = padded
+    return entries.reshape((len(entries), k, seg_len) + batch)
+
+
+def _drawn_rows(stream: UniformStream, bound: int, shape: tuple, n: int, rows: int, p: int):
+    """Yield ``(first, chunk)`` for the first ``n`` rows of ``shape`` of
+    ``stream``, of values below ``bound``: ``chunk`` holds rows ``first``
+    .. ``first + len(chunk) - 1``, at most ``rows`` of them, in one reused
+    buffer in the lanes of :func:`lane_bits` of the bound, reduced mod p
+    only when p is below the bound."""
+    buffer = np.empty((rows,) + shape, dtype=f"u{lane_bits(bound) // 8}")
+    for first in range(0, n, rows):
+        chunk = stream.fill(buffer[: min(rows, n - first)])
+        if p < bound:  # only a hand-picked modulus is that small
+            np.remainder(chunk, p, out=chunk)
+        yield first, chunk
+
+
+def _user_rows(
+    source, bound: int, shape: tuple, users: np.ndarray, rows: int, p: int, dtype
+) -> np.ndarray:
+    """The rows of ``users`` in ``source``, in the order given, as one
+    (len(users), *shape, *batch) array mod p in ``dtype``: either an array
+    given as (N, *shape, *batch), indexed at the users and reduced mod p
+    unless :func:`_reduced`, or a stream of values below ``bound`` read by
+    :func:`_drawn_rows`, ``rows`` users at a time, up to the last user
+    asked for."""
+    if isinstance(source, np.ndarray):
+        given = source[users]
+        if _reduced(given, dtype, p):
+            return given
+        # cast as assignment does: an empty noise list arrives as float64
+        return reduce_mod(given, p, out=np.empty(given.shape, dtype=dtype))
+    out = np.empty((len(users),) + shape, dtype=dtype)
+    for first, chunk in _drawn_rows(source, bound, shape, users.max(initial=-1) + 1, rows, p):
+        here = np.flatnonzero((users >= first) & (users < first + len(chunk)))
+        out[here] = chunk[users[here] - first]
+    return out
 
 
 def _user_sums(
-    source, bound: int, shape: tuple, took_part: np.ndarray, rows: int, p: int
+    source, bound: int, shape: tuple, took_part: np.ndarray, rows: int, p: int, dtype
 ) -> np.ndarray:
-    """The (*shape, *batch) sums, below 2**63 and reduced mod p only where
-    the sum of all N rows could reach that, of the rows of the users that
-    ``took_part`` in ``source``, ``rows`` users at a time: either an array
-    given as (N, *shape, *batch), its included rows reduced mod p unless
-    :func:`_reduced`, or a stream of values below ``bound`` whose next N
-    rows of ``shape`` are read into one reused buffer in the lanes of
-    :func:`lane_bits` of the bound, reduced mod p only when p is below the
-    bound, the rows of the users that did not take part zeroed.  Each
-    buffer is summed by :func:`_column_sums`, and later ones added in
-    uint64."""
+    """The (*shape, *batch) sums mod p, in ``dtype``, of the rows of the
+    users that ``took_part`` in ``source``, ``rows`` users at a time:
+    either an array given as (N, *shape, *batch), its included rows reduced
+    mod p unless :func:`_reduced`, or a stream of values below ``bound``
+    whose next N rows of ``shape`` are read by :func:`_drawn_rows`, the
+    rows of the users that did not take part zeroed.  Each buffer is summed
+    by :func:`_column_sums`, later ones are added in uint64, and the sums
+    are reduced mod p after each buffer only where the sum of all N rows
+    could reach 2**63, and once at the end."""
     n = len(took_part)
     drawn = not isinstance(source, np.ndarray)
     if drawn:
-        buffer = np.empty((rows,) + shape, dtype=f"u{lane_bits(bound) // 8}")
+        chunks = _drawn_rows(source, bound, shape, n, rows, p)
         top = min(bound, p) - 1
     else:
+        chunks = ((first, source[first : first + rows]) for first in range(0, n, rows))
         top = p - 1
     sums = None
-    for first in range(0, n, rows):
-        keep = took_part[first : first + rows]
+    for first, chunk in chunks:
+        keep = took_part[first : first + len(chunk)]
         if drawn:
-            chunk = source.fill(buffer[: len(keep)])
-            if p < bound:  # only a hand-picked modulus is that small
-                np.remainder(chunk, p, out=chunk)
             chunk[~keep] = 0
         else:
-            chunk = source[first : first + rows]
             if not keep.all():
                 chunk = chunk[keep]
             if not _reduced(chunk, np.int64, p):
@@ -832,7 +889,8 @@ def _user_sums(
         if n * top >= 2**63:
             here = np.remainder(here, p, dtype=np.uint64, casting="unsafe")
         sums = here
-    return sums
+    # in int64: the narrow lanes of a column sum may not hold p
+    return reduce_mod(sums.astype(np.int64, copy=False), p).astype(dtype, copy=False)
 
 
 def _column_sums(rows: np.ndarray, top: int, p: int) -> np.ndarray:
@@ -912,10 +970,10 @@ def run_protocol(
     models' batch axes broadcast to the noise's, so plain (N, L) models
     serve every batch column alike.  An input left None is drawn from
     ``master_seed``, and drawn noise has no batch axes.  Either way the
-    round sums its inputs into one total (:func:`input_total`), so it holds
-    neither the coefficient array nor a block of it nor the group sums, and
-    evaluates only what reaches the server (:func:`server_arrivals`);
-    every other message is made when read.  Who
+    round sums each input over its users (:func:`input_total`), so it
+    holds neither the coefficient array nor a block of it nor the group
+    sums, and evaluates only what reaches the server
+    (:func:`server_arrivals`); every other message is made when read.  Who
     takes part and who is silenced is the round's :func:`message_pattern`.
     """
     if ctx.p <= params.group_size:
@@ -927,8 +985,8 @@ def run_protocol(
     models, noise = _check_inputs(params, models, noise)
     size, p = params.group_size, ctx.p
 
-    total = input_total(params, p, models, noise, master_seed, transcript.took_part)
-    arrivals = server_arrivals(total, size, p)
+    sums = input_total(params, p, models, noise, master_seed, transcript.took_part)
+    arrivals = server_arrivals(*sums, size, p)
     last = tree.last_group * size
     null_slots = transcript.status[last:] != UserStatus.ACTIVE.value
     try:
@@ -955,12 +1013,15 @@ def _check_sums(terms: int, dtype, p: int, what: str) -> None:
         raise ValueError(f"{what} of {terms} terms mod {p} overflow int64")
 
 
-def server_arrivals(total: np.ndarray, size: int, p: int) -> np.ndarray:
+def server_arrivals(segments: np.ndarray, noise: np.ndarray, size: int, p: int) -> np.ndarray:
     """What the last group's ``size`` slots forward to the server, (size,
-    S, *batch) by slot: by linearity the ``total`` of every included block
-    (:func:`input_total`), as the root's subtree is every group, evaluated
-    at the slots' points."""
-    return evaluate(total, [eval_point_for_slot(t) for t in range(size)], p)
+    S, *batch) by slot: by linearity the sum of every included block, as
+    the root's subtree is every group, evaluated at the slots' points; the
+    block sum is given as its model ``segments`` (K, S, *model batch) and
+    its ``noise`` (T, S, *batch) (:func:`input_total`), which
+    :func:`~rampagg.sharing.evaluate_apart` evaluates apart."""
+    points = [eval_point_for_slot(t) for t in range(size)]
+    return evaluate_apart(segments[None], noise[None], points, p)
 
 
 def relay(groups: np.ndarray, tree: AggregationTree, p: int) -> np.ndarray:
@@ -990,8 +1051,8 @@ def server_recover(
     instead of skewing the sum.  Fewer than K+T arrivals raise
     TooManyDropouts.
     """
-    p = ctx.p
-    need = params.k_parts + params.t_max
+    p, k = ctx.p, params.k_parts
+    need = k + params.t_max
     arrivals = np.flatnonzero(~silent)
     if len(arrivals) < need:
         raise TooManyDropouts(
@@ -1001,7 +1062,10 @@ def server_recover(
     points = [eval_point_for_slot(t) for t in arrivals.tolist()]
     # the inverse is built with sums of two products, or one for one point
     inverse = inverse_vandermonde(points[:need], p, field_dtype(p, min(need, 2)))
-    coeffs = _apply(inverse, partials[arrivals[:need]], p, 0)
+    # slots 0 .. K+T-1 are a view; without a spare to check, only the K
+    # model coefficients are needed
+    fitted = partials[:need] if arrivals[need - 1] == need - 1 else partials[arrivals[:need]]
+    coeffs = _apply(inverse if len(arrivals) > need else inverse[:k], fitted, p, 0)
     if len(arrivals) > need:
         spares = reduce_mod(partials[arrivals[need:]], p)
         wrong = evaluate(coeffs, points[need:], p) != spares
@@ -1011,4 +1075,4 @@ def server_recover(
                 f"evaluations at {bad} disagree with the polynomial "
                 f"through {points[:need]}"
             )
-    return coeffs[: params.k_parts].reshape((-1,) + coeffs.shape[2:])[: params.model_len]
+    return coeffs[:k].reshape((-1,) + coeffs.shape[2:])[: params.model_len]

@@ -8,7 +8,8 @@ enumeration by one protocol run per model assignment and its leak by one
 Python term per assignment and view value, the relay
 by a fold over the groups, the transcript CSV by ``csv.writer`` and who
 hears whom by a filter over its rows, the
-adversary view message by message from the run's blocks and group sums,
+adversary view message by message from the run's blocks and group sums
+(and once more from the stacked blocks by ``evaluate_each``),
 each user's in-group aggregate by repeated pow, a round's coefficient
 array and group sums entry by entry.  Slow and
 obvious beats fast and clever here.  Also the JSON values, parent maps and
@@ -49,7 +50,7 @@ from rampagg.protocol import (
     run_protocol,
     write_blocks,
 )
-from rampagg.sharing import evaluate
+from rampagg.sharing import evaluate, evaluate_each
 from rampagg.topology import build_tree, make_params
 
 
@@ -439,6 +440,21 @@ def adversary_view_naive(result, adversaries):
     if not messages:
         return np.empty((0,) + partials.shape[1:], partials.dtype)
     return np.stack(messages)
+
+
+def view_from_blocks(result, adversaries):
+    """What ``adversaries`` and the server receive in a finished run, as
+    ``collect_adversary_view`` orders it, from whole coefficient blocks: the
+    transcript's rows (``heard_by``), each intra row its sender's stacked
+    (K+T)-row block, ``result.blocks``, evaluated at the receiver's point by
+    ``evaluate_each``, each uplink row ``result.uplinks`` of its sender."""
+    size, p = result.params.group_size, result.ctx.p
+    sender, receiver, intra = result.transcript.heard_by(sorted(set(adversaries)))
+    view = np.empty((len(sender),) + result.arrivals.shape[1:], result.arrivals.dtype)
+    points = eval_point_for_slot(receiver[intra] % size)
+    view[intra] = evaluate_each(result.blocks(sender[intra]), points, p)
+    view[~intra] = result.uplinks(sender[~intra])
+    return view
 
 
 # ---- per-entry random streams ---------------------------------------------------

@@ -120,10 +120,11 @@ def test_run_turns_memory_error_into_exit_2(tmp_path, config_file, monkeypatch, 
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
     # a row buffer of the whole round for models and one for noise, their
-    # total, 6 server arrivals
+    # two sums, 6 server arrivals
     assert (
         "a (12, 9) row buffer of 8-bit model lanes, a (12, 2, 3) one of 8-bit noise "
-        "lanes, a (5, 3) total and (6, 3) server arrivals (444 bytes)"
+        "lanes, a (3, 3) model sum, a (2, 3) noise sum and (6, 3) server arrivals "
+        "(444 bytes)"
     ) in err
 
 
@@ -139,10 +140,11 @@ def test_run_turns_memory_error_while_writing_into_exit_2(
     err = capsys.readouterr().err
     assert "n_users=12, model_len=9" in err
     # a row buffer of the whole round for models and one for noise, their
-    # total, 6 server arrivals
+    # two sums, 6 server arrivals
     assert (
         "a (12, 9) row buffer of 8-bit model lanes, a (12, 2, 3) one of 8-bit noise "
-        "lanes, a (5, 3) total and (6, 3) server arrivals (444 bytes)"
+        "lanes, a (3, 3) model sum, a (2, 3) noise sum and (6, 3) server arrivals "
+        "(444 bytes)"
     ) in err
     assert "Traceback" not in err
 

@@ -33,6 +33,8 @@ from rampagg.harness import (
 )
 from rampagg.field import FieldContext, field_dtype
 from rampagg.protocol import (
+    BETWEEN_ROUNDS,
+    PRE_INTRA,
     DropoutPlan,
     Transcript,
     draw_models,
@@ -42,7 +44,7 @@ from rampagg.protocol import (
 from rampagg.sharing import evaluate
 from rampagg.topology import build_tree, make_params
 
-from oracles import JSON_VALUES, adversary_view_naive, child_env, rounds
+from oracles import JSON_VALUES, adversary_view_naive, child_env, rounds, view_from_blocks
 
 
 def example1() -> RunConfig:
@@ -744,6 +746,74 @@ def test_adversary_view_matches_user_by_user_oracle(round_, p, batch, data):
     expected = adversary_view_naive(result, adversaries)
     assert view.dtype == expected.dtype == field_dtype(p, k + t)
     assert np.array_equal(view, expected)
+
+
+def _view_inputs(kind, params, p, rng):
+    """Models and noise of ``params``' round as ``kind`` names them, None
+    where drawn: "runs" as the privacy checker gives them, models with a
+    runs axis over a read-only broadcast of an enumerated noise batch;
+    "batch", models and noise with one batch axis, entries in [-p, 2p) so
+    that each must be reduced; "plain-models", models without batch axes
+    over a batched noise; "drawn", both drawn."""
+    n, t, seg_len, length = params.n_users, params.t_max, params.seg_len, params.model_len
+
+    def values(low, high, *shape):
+        return np.array([rng.randrange(low, high) for _ in range(math.prod(shape))]).reshape(shape)
+
+    if kind == "runs":
+        enumerated = values(0, p, n, t, seg_len, 1, 25)
+        return values(0, p, n, length, 3, 1), np.broadcast_to(enumerated, (n, t, seg_len, 3, 25))
+    return {
+        "batch": (values(-p, 2 * p, n, length, 4), values(-p, 2 * p, n, t, seg_len, 4)),
+        "plain-models": (values(0, 8, n, length), values(0, p, n, t, seg_len, 4)),
+        "drawn": (None, None),
+    }[kind]
+
+
+@pytest.mark.parametrize("colluders", [(1,), (6,), (9,), (1, 6, 9)])  # leaf, middle, last group
+@pytest.mark.parametrize("timing", [PRE_INTRA, BETWEEN_ROUNDS])
+@pytest.mark.parametrize(
+    "kind,entry_bound", [("runs", 8), ("batch", 8), ("plain-models", 8), ("drawn", 8),
+                         ("drawn", 2**31)],  # 2**31: an object field dtype
+)  # fmt: skip
+def test_adversary_view_equals_the_view_from_stacked_blocks(
+    monkeypatch, kind, entry_bound, timing, colluders
+):
+    # three chained groups of four (K=2, T=1, D=1), models of 3 entries
+    # padded to two segments of 2; user 5 drops, silencing slot 1 above it.
+    # Row buffers of 9 users, or of one in the object dtype, so a drawn
+    # round is replayed over several
+    monkeypatch.setattr(protocol, "_BLOCK_ENTRIES", 6)
+    params = make_params(12, 1, 1, 2, model_len=3, entry_bound=entry_bound)
+    ctx = field.select_prime(12, entry_bound)
+    models, noise = _view_inputs(kind, params, ctx.p, Random(f"{kind}{timing}{colluders}"))
+    plan = DropoutPlan(frozenset({5}), timing)
+    result = run_protocol(ctx, params, build_tree(3, "chain"), models, plan, 3, noise)
+    view = collect_adversary_view(result, colluders)
+    expected = view_from_blocks(result, colluders)
+    assert view.dtype == expected.dtype == field_dtype(ctx.p, 3)
+    assert np.array_equal(view, expected)
+    assert np.array_equal(view, adversary_view_naive(result, colluders))
+
+
+def test_a_leaf_colluders_view_of_a_privacy_run_writes_no_block(monkeypatch):
+    # models with a runs axis over a 25-point noise enumeration, as the
+    # privacy checker gives them: neither the round nor a leaf colluder's
+    # view writes a (K+T)-row block
+    params = make_params(12, 1, 1, 2, model_len=3, entry_bound=8)
+    ctx = field.select_prime(12, 8)
+    models, noise = _view_inputs("runs", params, ctx.p, Random(7))
+    tree, plan = build_tree(3, "chain"), DropoutPlan.none()
+    expected = view_from_blocks(run_protocol(ctx, params, tree, models, plan, 0, noise), (1,))
+
+    def refuse(*args):
+        raise AssertionError("a (K+T)-row block was written")
+
+    monkeypatch.setattr(protocol, "_empty_blocks", refuse)
+    result = run_protocol(ctx, params, tree, models, plan, 0, noise)
+    assert np.array_equal(collect_adversary_view(result, (1,)), expected)
+    with pytest.raises(AssertionError, match="block was written"):
+        result.blocks([1])
 
 
 # ---- oracle ----

@@ -1,6 +1,7 @@
 """tools/pair_runs.py's summary of paired benchmark runs, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "pair_runs.py"
@@ -82,3 +83,60 @@ def test_summary_takes_each_metric_bound_by_name(capsys):
     pair_runs.summary(runs, 10, {"a": 0.25})
     verdicts = [line for line in capsys.readouterr().out.splitlines() if "verdict" in line]
     assert verdicts == ["  verdict: worse", "  verdict: no worse"]
+
+
+def test_summary_returns_its_figures_by_metric(capsys):
+    # quartiles of two runs, 2 and 4: 1.5 and 4.5, an IQR of 3, wider than
+    # 0.25 of the median 3
+    runs = {"parent": [{"x": 2.0}, {"x": 4.0}], "change": [{"x": 1.0}, {"x": 3.0}]}
+    figures = pair_runs.summary(runs, 2, {"x": 0.25})
+    capsys.readouterr()
+    assert figures == {
+        "x": {
+            "parent": {"median": 3.0, "iqr": 3.0, "won": 0},
+            "change": {"median": 2.0, "iqr": 3.0, "won": 2},
+            "verdict": "unresolved",
+        }
+    }
+
+
+def test_each_workload_ends_with_one_json_line(tmp_path, monkeypatch, capsys):
+    # two workloads of three pairs; run_once hands out fixed metrics, the
+    # change's task_s a tenth below the parent's in every pair
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "task_s", "bound": 0.2}]})
+    )
+
+    def run_once(tree, workload, seed, seconds):
+        return {"task_s": 9.0 if tree.name.startswith("c") else 10.0, "rss": 40.0}
+
+    monkeypatch.setattr(pair_runs, "run_once", run_once)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "a,b",
+            "--pairs", "3", "--seed", "10"]  # fmt: skip
+    assert pair_runs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ends = [i for i, line in enumerate(lines) if line.startswith("{")]
+    assert [lines[i - 1] for i in ends] == ["  verdict: no worse"] * 2  # rss's
+    assert ends[-1] == len(lines) - 1  # the output ends with the last one
+    first, second = (json.loads(lines[i]) for i in ends)
+    assert first["workload"] == "a" and second["workload"] == "b"
+    assert first == {**second, "workload": "a"}
+    assert first == {
+        "workload": "a",
+        "pairs": 3,
+        "metrics": {
+            "task_s": {
+                "parent": {"median": 10.0, "iqr": 0.0, "won": 0},
+                "change": {"median": 9.0, "iqr": 0.0, "won": 3},
+                "verdict": "gain",
+            },
+            "rss": {
+                "parent": {"median": 40.0, "iqr": 0.0, "won": 0},
+                "change": {"median": 40.0, "iqr": 0.0, "won": 0},
+                "verdict": "no worse",
+            },
+        },
+    }

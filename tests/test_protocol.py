@@ -948,17 +948,26 @@ def _buffer_users(monkeypatch, params, p, rows):
 
 
 def _assert_total_is_the_plain_sum(params, p, models, noise, master_seed, pre_dropped):
-    """``input_total`` of a round's inputs equals the plain sum mod p of the
-    reference coefficient array's included blocks, in the field dtype, and
-    the arrivals it gives the server equal that sum's, point by point."""
+    """``input_total``'s two sums of a round's inputs, stacked, equal the
+    plain sum mod p of the reference coefficient array's included blocks,
+    in the field dtype; the model sum keeps the models' own batch axes; and
+    the arrivals the two sums give the server, evaluated apart, equal that
+    stacked sum's, point by point."""
     took_part = ~np.isin(np.arange(params.n_users), pre_dropped)
-    total = protocol.input_total(params, p, models, noise, master_seed, took_part)
+    segments, noise_sum = protocol.input_total(params, p, models, noise, master_seed, took_part)
     coeffs = coefficient_array_naive(params, p, models, noise, master_seed)
     expected = group_sums_naive(coeffs, params.n_users, pre_dropped, p)[0]
-    assert total.dtype == field_dtype(p, params.k_parts + params.t_max)
-    assert total.tolist() == expected.tolist()
-    arrivals = server_arrivals(total, params.group_size, p)
-    assert arrivals.tolist() == arrivals_naive(expected, params.group_size, p).tolist()
+    dtype = field_dtype(p, params.k_parts + params.t_max)
+    assert segments.dtype == noise_sum.dtype == dtype
+    model_batch = () if models is None else models.shape[2:]
+    pad = (1,) * (len(expected.shape[2:]) - len(model_batch))
+    assert segments.shape == (params.k_parts, params.seg_len) + pad + model_batch
+    widened = np.broadcast_to(segments, segments.shape[:2] + noise_sum.shape[2:])
+    stacked = np.concatenate([widened, noise_sum])
+    assert stacked.tolist() == expected.tolist()
+    arrivals = server_arrivals(segments, noise_sum, params.group_size, p)
+    assert arrivals.dtype == dtype
+    assert arrivals.tolist() == arrivals_naive(stacked, params.group_size, p).tolist()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 4, 7, 14])

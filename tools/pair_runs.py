@@ -14,8 +14,9 @@ metrics are printed as they come; after a workload's pairs, for each
 metric, each side's median and quartiles, the pairs each side won (lower
 is better for every end-to-end metric) and a verdict (:func:`verdict`)
 against the metric's relative ``bound`` in CHANGE_DIR's BENCHMARK.json,
-which is only read.  Standard library only; the copies are removed at exit
-unless --keep is given.
+which is only read; the workload's output ends with one JSON line of the
+same figures (:func:`summary`).  Standard library only; the copies are
+removed at exit unless --keep is given.
 """
 
 import argparse
@@ -87,9 +88,12 @@ def verdict(parent: list, change: list, bound=None) -> str:
     return "no worse"
 
 
-def summary(runs: dict, pairs: int, bounds=None) -> None:
-    """Median, quartiles and pairs won per side, and the :func:`verdict`,
-    for each metric; ``bounds`` maps a metric to its relative bound."""
+def summary(runs: dict, pairs: int, bounds=None) -> dict:
+    """Print the median, quartiles and pairs won per side, and the
+    :func:`verdict`, for each metric; ``bounds`` maps a metric to its
+    relative bound.  Returns the same figures by metric, as {"parent":
+    {"median", "iqr", "won"}, "change": {...}, "verdict"}."""
+    figures = {}
     for metric in runs["parent"][0]:
         print(f"{metric}:")
         values = {side: [r[metric] for r in runs[side]] for side in SIDES}
@@ -97,14 +101,18 @@ def summary(runs: dict, pairs: int, bounds=None) -> None:
         for a, b in zip(values["parent"], values["change"]):
             if a != b:
                 wins["parent" if a < b else "change"] += 1
+        figures[metric] = {}
         for side in SIDES:
             q1, median, q3 = quartiles(values[side])
             print(f"  {side:6s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}  "
                   f"IQR {q3 - q1:.3g}  lower in {wins[side]} of {pairs} pairs")
+            figures[metric][side] = {"median": median, "iqr": q3 - q1, "won": wins[side]}
         parent, change = statistics.median(values["parent"]), statistics.median(values["change"])
         print(f"  change / parent median {change / parent:.4f}")
         bound = (bounds or {}).get(metric)
-        print(f"  verdict: {verdict(values['parent'], values['change'], bound)}")
+        figures[metric]["verdict"] = verdict(values["parent"], values["change"], bound)
+        print(f"  verdict: {figures[metric]['verdict']}")
+    return figures
 
 
 def main(argv=None) -> int:
@@ -140,7 +148,9 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} seed {args.seed + i} {side:6s} {tree.name}: "
                           f"{shown}", flush=True)
             print(f"== {workload}, {args.pairs} pairs")
-            summary(runs, args.pairs, bounds)
+            figures = summary(runs, args.pairs, bounds)
+            line = {"workload": workload, "pairs": args.pairs, "metrics": figures}
+            print(json.dumps(line), flush=True)
     finally:
         if args.keep:
             print(f"copies kept under {root}")
